@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -239,6 +240,11 @@ func newTestMesh(t *testing.T, n int, threshold float64) *testMesh {
 				defer m.mus[i].Unlock()
 				return m.docs[i][url]
 			},
+			ReadDocument: func(url string) ([]byte, int64, bool) {
+				m.mus[i].Lock()
+				defer m.mus[i].Unlock()
+				return []byte("body of " + url), 3, m.docs[i][url]
+			},
 			MinFlipsToPublish: 1, // tests want immediate propagation
 			QueryTimeout:      2 * time.Second,
 		})
@@ -314,6 +320,84 @@ func TestNodeRemoteHitFlow(t *testing.T) {
 	st := m.nodes[0].Stats()
 	if st.RemoteHits != 1 {
 		t.Fatalf("remote hits = %d", st.RemoteHits)
+	}
+}
+
+// TestNodeLookupObjectInline: LookupObject's query asks for the document,
+// and the holder's HIT_OBJ reply carries it with its version; plain Lookup
+// still gets a HIT.
+func TestNodeLookupObjectInline(t *testing.T) {
+	m := newTestMesh(t, 2, 0.01)
+	const url = "http://shared/inline"
+	m.add(1, url)
+	m.nodes[1].PublishNow()
+	m.waitReplicated(t, 0, url, true)
+
+	res, err := m.nodes[0].LookupObject(context.Background(), url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Peer == nil || res.Peer.String() != m.nodes[1].Addr().String() || res.Candidates != 1 {
+		t.Fatalf("resolution = %+v, want node 1 (%v) as the one candidate", res, m.nodes[1].Addr())
+	}
+	if res.Reply.Op != icp.OpHitObj || string(res.Reply.Object) != "body of "+url || res.Reply.OptionData != 3 {
+		t.Fatalf("reply = %+v, want HIT_OBJ carrying the document at version 3", res.Reply)
+	}
+	hit, _, err := m.nodes[0].Lookup(context.Background(), url)
+	if err != nil || hit == nil {
+		t.Fatalf("Lookup: hit=%v err=%v", hit, err)
+	}
+	if st := m.nodes[0].Stats(); st.RemoteHits != 2 || st.QueriesSent != 2 {
+		t.Fatalf("stats = %+v, want two remote hits from two queries", st)
+	}
+}
+
+// TestAuditQueriesNeverAskForObjects: the false-miss audit only asks
+// whether a copy exists, even under a lookup that wants the document.
+func TestAuditQueriesNeverAskForObjects(t *testing.T) {
+	options := make(chan uint32, 4)
+	var peer *icp.Conn
+	peer, err := icp.Listen("127.0.0.1:0", func(from *net.UDPAddr, q icp.Message) {
+		if q.Op == icp.OpQuery {
+			options <- q.Options
+			_ = peer.Send(from, icp.NewReply(icp.OpHit, q.ReqNum, q.URL)) // a lost reply only skips the count
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.Start()
+	t.Cleanup(func() { peer.Close() })
+	n, err := NewNode(NodeConfig{
+		ListenAddr:          "127.0.0.1:0",
+		Directory:           DirectoryConfig{ExpectedDocs: 1000},
+		HasDocument:         func(string) bool { return false },
+		QueryTimeout:        2 * time.Second,
+		FalseMissAuditEvery: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	if err := n.AddPeer(peer.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	// The peer never publishes a summary, so the lookup has no candidate
+	// and the audit queries it.
+	res, err := n.LookupObject(context.Background(), "http://audited/doc")
+	if err != nil || res.Peer != nil {
+		t.Fatalf("resolution = %+v (%v), want an unresolved lookup", res, err)
+	}
+	select {
+	case o := <-options:
+		if o&icp.FlagHitObj != 0 {
+			t.Fatalf("audit query options = %#x, want FlagHitObj clear", o)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the audit sent no query")
+	}
+	if st := n.Stats(); st.AuditQueries != 1 || st.FalseMisses != 1 {
+		t.Fatalf("stats = %+v, want one audit query finding one false miss", st)
 	}
 }
 

@@ -49,6 +49,12 @@ type NodeConfig struct {
 	// HasDocument answers peers' ICP queries against the real cache. It
 	// must be fast and non-blocking; it runs on the receive goroutine.
 	HasDocument func(url string) bool
+	// ReadDocument, when set, answers queries that accept inline objects
+	// (icp.FlagHitObj, sent by LookupObject): a document whose reply fits
+	// icp.MaxHitObjLen goes back inside a HIT_OBJ with its version. Like
+	// HasDocument it runs on the receive goroutine. Nil: every hit is a
+	// plain HIT.
+	ReadDocument func(url string) (body []byte, version int64, ok bool)
 	// MaxFlipsPerUpdate bounds each DIRUPDATE datagram (default ~MTU).
 	MaxFlipsPerUpdate int
 	// MinFlipsToPublish delays threshold-triggered publication until at
@@ -964,6 +970,32 @@ func (n *Node) sendFullState(addr *net.UDPAddr) error {
 // span, and re-keys the trace to the exchange's shared ID so the
 // answering proxies' traces join it.
 func (n *Node) Lookup(ctx context.Context, url string) (hit *net.UDPAddr, candidates int, err error) {
+	r, err := n.lookup(ctx, url, 0)
+	return r.Peer, r.Candidates, err
+}
+
+// Resolution is the outcome of one lookup among the peers.
+type Resolution struct {
+	// Peer confirmed the document; nil when it must come from the origin.
+	Peer *net.UDPAddr
+	// Reply is Peer's HIT or HIT_OBJ. A HIT_OBJ carries the document
+	// (Object) and its version (OptionData), so no sibling fetch is needed.
+	Reply icp.Message
+	// Candidates is how many peers were queried (0: the summaries ruled
+	// everyone out and no message was sent).
+	Candidates int
+}
+
+// LookupObject is Lookup for a caller that can use the document itself:
+// the query to the first candidate carries icp.FlagHitObj, so if that peer
+// holds a small enough copy it answers with it inline (see
+// NodeConfig.ReadDocument and icp.Conn.QueryAllFunc).
+func (n *Node) LookupObject(ctx context.Context, url string) (Resolution, error) {
+	return n.lookup(ctx, url, icp.FlagHitObj)
+}
+
+// lookup implements Lookup and LookupObject; options are the queries'.
+func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resolution, error) {
 	tr := tracing.FromContext(ctx)
 	var probes []SummaryProbe
 	var ids []string
@@ -980,9 +1012,9 @@ func (n *Node) Lookup(ctx context.Context, url string) (hit *net.UDPAddr, candid
 	}
 	sink := n.cfg.Decisions
 	if len(ids) == 0 {
-		n.traceLookup(tr, false, probes, probeStart, nil, 0, 0, nil)
+		n.traceLookup(tr, false, probes, probeStart, nil, 0, 0, Resolution{})
 		n.auditFalseMiss(ctx, url, nil, tr)
-		return nil, 0, nil
+		return Resolution{}, nil
 	}
 	if sink != nil {
 		for _, id := range ids {
@@ -1009,9 +1041,9 @@ func (n *Node) Lookup(ctx context.Context, url string) (hit *net.UDPAddr, candid
 		}
 	}
 	if len(addrs) == 0 {
-		n.traceLookup(tr, false, probes, probeStart, nil, 0, 0, nil)
+		n.traceLookup(tr, false, probes, probeStart, nil, 0, 0, Resolution{})
 		n.auditFalseMiss(ctx, url, ids, tr)
-		return nil, 0, nil
+		return Resolution{}, nil
 	}
 	n.metrics.queriesSent.Add(uint64(len(addrs)))
 	qctx, cancel := context.WithTimeout(ctx, n.cfg.QueryTimeout)
@@ -1035,19 +1067,20 @@ func (n *Node) Lookup(ctx context.Context, url string) (hit *net.UDPAddr, candid
 			}
 		}
 	}
-	ok, from, reqNum, err := n.conn.QueryAllFunc(qctx, addrs, url, onReply)
+	win, from, reqNum, err := n.conn.QueryAllFunc(qctx, addrs, url, options, onReply)
 	rtt := time.Since(start)
 	n.metrics.queryRTT.ObserveDuration(rtt)
-	n.traceLookup(tr, true, probes, probeStart, replies, reqNum, rtt, from)
+	res := Resolution{Peer: from, Reply: win, Candidates: len(addrs)}
+	n.traceLookup(tr, true, probes, probeStart, replies, reqNum, rtt, res)
 	if err != nil {
-		return nil, len(addrs), err
+		return res, err
 	}
-	if ok {
+	if from != nil {
 		n.metrics.remoteHits.Inc()
 		if sink != nil {
 			sink.RemoteHit(from.String())
 		}
-		return from, len(addrs), nil
+		return res, nil
 	}
 	n.metrics.falseHits.Inc()
 	if sink != nil {
@@ -1066,7 +1099,7 @@ func (n *Node) Lookup(ctx context.Context, url string) (hit *net.UDPAddr, candid
 		tr.MarkAnomalous("query_timeout")
 	}
 	n.auditFalseMiss(ctx, url, ids, tr)
-	return nil, len(addrs), nil
+	return res, nil
 }
 
 // traceID returns tr's current ID as a hex string ("" when untraced) —
@@ -1110,8 +1143,9 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []strin
 	n.metrics.auditQueries.Add(uint64(len(addrs)))
 	qctx, cancel := context.WithTimeout(ctx, n.cfg.QueryTimeout)
 	defer cancel()
-	ok, from, _, err := n.conn.QueryAllFunc(qctx, addrs, url, nil)
-	if err != nil || !ok {
+	// Never flagged FlagHitObj: the audit only asks whether a copy exists.
+	_, from, _, err := n.conn.QueryAllFunc(qctx, addrs, url, 0, nil)
+	if err != nil || from == nil {
 		return
 	}
 	n.metrics.falseMisses.Inc()
@@ -1123,9 +1157,10 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []strin
 // traceLookup records the decision audit of one Lookup on tr: a
 // summary-probe span per consulted peer and (when a query was sent) the
 // ICP round-trip span. replies maps peer address to its actual answer;
-// hit is the winning peer, nil when nobody confirmed.
+// res names the winning peer and its reply (Peer nil when nobody
+// confirmed).
 func (n *Node) traceLookup(tr *tracing.Trace, queried bool, probes []SummaryProbe, probeStart time.Time,
-	replies map[string]icp.Opcode, reqNum uint32, rtt time.Duration, hit *net.UDPAddr) {
+	replies map[string]icp.Opcode, reqNum uint32, rtt time.Duration, res Resolution) {
 	if tr == nil {
 		return
 	}
@@ -1164,16 +1199,12 @@ func (n *Node) traceLookup(tr *tracing.Trace, queried bool, probes []SummaryProb
 		tr.AddSpan(s)
 	}
 	if queried {
-		actual := "all_miss"
-		if hit != nil {
-			actual = "hit:" + hit.String()
-		}
 		tr.AddSpan(tracing.Span{
 			Name:       tracing.SpanICPQuery,
 			Start:      probeStart,
 			DurationUS: rtt.Microseconds(),
 			ReqNum:     reqNum,
-			Actual:     actual,
+			Actual:     tracing.QueryActual(res.Peer, res.Reply.Op.Verdict()),
 		})
 	}
 }
@@ -1184,18 +1215,15 @@ func (n *Node) handle(from *net.UDPAddr, m icp.Message) {
 	case icp.OpQuery:
 		start := time.Now()
 		n.metrics.queriesRecv.Inc()
-		op := icp.OpMiss
-		if n.cfg.HasDocument(m.URL) {
-			op = icp.OpHit
-		}
-		_ = n.conn.Send(from, icp.NewReply(op, m.ReqNum, m.URL))
+		reply := icp.Answer(m, n.cfg.HasDocument, n.cfg.ReadDocument)
+		_ = n.conn.Send(from, reply)
 		if n.tracer != nil {
 			// Under SC-ICP a query only arrives because the querier's
 			// replica of our summary predicted a hit; a MISS answer is
 			// therefore a false hit seen from the answering side —
 			// anomalous, tail-kept.
 			n.tracer.ICPAnswer(n.Addr().String(), from.String(), m.ReqNum, m.URL,
-				op == icp.OpHit, start, true)
+				reply.Op.Verdict(), start, true)
 		}
 	case icp.OpDirUpdate:
 		full := m.Options&icp.OptionFullUpdate != 0

@@ -27,8 +27,11 @@ const (
 // universe larger than one cache (eviction pressure → nonzero false
 // decisions), with per-doc version bumps (stale local and remote hits).
 // The returned requests carry the *live cache key* as URL, so the offline
-// replay hashes exactly the strings the live summaries hash.
-func e2eTrace(originURL string, n int) []trace.Request {
+// replay hashes exactly the strings the live summaries hash. salt names
+// the documents: which keys collide in the Bloom filters depends on the
+// whole URL, origin port included, so the caller picks a salt under which
+// the trace exercises the taxonomy.
+func e2eTrace(originURL string, n, salt int) []trace.Request {
 	rng := rand.New(rand.NewSource(42))
 	zipf := rand.NewZipf(rng, 1.05, 1, 119)
 	counts := make(map[int]int)
@@ -38,7 +41,7 @@ func e2eTrace(originURL string, n int) []trace.Request {
 		counts[d]++
 		version := int64(1 + counts[d]/6)
 		size := int64(2048 + (d%5)*1024)
-		key, _ := splitVersion(origin.DocURL(originURL, fmt.Sprintf("doc%02d", d), size, version))
+		key, _ := splitVersion(origin.DocURL(originURL, fmt.Sprintf("s%d/doc%02d", salt, d), size, version))
 		reqs = append(reqs, trace.Request{
 			Time:    int64(i),
 			Client:  rng.Intn(3),
@@ -84,27 +87,35 @@ func TestE2EClassificationMatchesSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { org.Close() })
-	reqs := e2eTrace(org.URL(), 400)
-
-	// Offline ground truth.
-	simRes, err := sim.Run(sim.Config{
-		NumProxies: 3,
-		CacheBytes: e2eCacheBytes,
-		Scheme:     sim.SimpleSharing,
-		Summary: sim.SummaryConfig{
-			Kind:            sim.Bloom,
-			UpdateThreshold: 0.01,
-			MinUpdateDocs:   1,
-			AvgDocBytes:     e2eAvgDocBytes,
-		},
-	}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The seeded trace must actually exercise the taxonomy, or the
-	// comparison below is vacuous.
-	if simRes.RemoteStaleHits == 0 || simRes.LocalStale == 0 || simRes.FalseHits == 0 {
-		t.Fatalf("seeded trace does not exercise the taxonomy: %+v", simRes)
+	// Offline ground truth. The trace must exercise the taxonomy, or the
+	// comparison below is vacuous; whether the simulator sees a Bloom false
+	// hit depends on the origin's ephemeral port, so take the first salt
+	// (of a bounded set) under which stale, local-stale and false hits all
+	// occur for this origin.
+	var reqs []trace.Request
+	var simRes sim.Result
+	for salt := 0; ; salt++ {
+		if salt == 64 {
+			t.Fatalf("no salt makes the seeded trace exercise the taxonomy; last: %+v", simRes)
+		}
+		reqs = e2eTrace(org.URL(), 400, salt)
+		simRes, err = sim.Run(sim.Config{
+			NumProxies: 3,
+			CacheBytes: e2eCacheBytes,
+			Scheme:     sim.SimpleSharing,
+			Summary: sim.SummaryConfig{
+				Kind:            sim.Bloom,
+				UpdateThreshold: 0.01,
+				MinUpdateDocs:   1,
+				AvgDocBytes:     e2eAvgDocBytes,
+			},
+		}, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if simRes.RemoteStaleHits > 0 && simRes.LocalStale > 0 && simRes.FalseHits > 0 {
+			break
+		}
 	}
 
 	// Live mesh.

@@ -61,19 +61,13 @@ func TestRemovePeerDropsMetricSeries(t *testing.T) {
 	}
 }
 
-// waitForUpdates flushes src's summary until dst has applied at least one
-// DIRUPDATE from it.
-func waitForUpdates(t *testing.T, src, dst *Proxy) {
+// waitForUpdates publishes src's pending summary changes and waits until
+// dst's replica names key. (Waiting for any applied update is not enough:
+// the full-state push of AddPeer counts too, and may be all dst has seen.)
+func waitForUpdates(t *testing.T, src, dst *Proxy, key string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		src.FlushSummary()
-		if dst.Stats().Node.UpdatesReceived > 0 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("peer never received a summary update")
+	src.FlushSummary()
+	waitForCandidate(t, dst, key)
 }
 
 func TestVersionAwareStaleClassification(t *testing.T) {
@@ -107,14 +101,16 @@ func TestVersionAwareStaleClassification(t *testing.T) {
 	m := &mesh{origin: org, proxies: proxies}
 	// p1 caches version 1 and advertises it.
 	m.fetch(t, p1, origin.DocURL(org.URL(), "doc", 2048, 1))
-	waitForUpdates(t, p1, p2)
+	key, _ := splitVersion(origin.DocURL(org.URL(), "doc", 2048, 1))
+	waitForUpdates(t, p1, p2, key)
 
 	// p2 wants version 2: p1's summary nominates the (version-stripped)
-	// key, p1 confirms HIT, but delivers version 1 — a stale hit.
+	// key, p1 answers with version 1 inside its HIT_OBJ reply — a stale
+	// hit, found without a sibling fetch.
 	m.fetch(t, p2, origin.DocURL(org.URL(), "doc", 2048, 2))
 	st := p2.Stats()
-	if st.StaleHits != 1 {
-		t.Fatalf("StaleHits = %d, want 1 (stats %+v)", st.StaleHits, st)
+	if st.StaleHits != 1 || st.PeerFetches != 0 {
+		t.Fatalf("StaleHits = %d, PeerFetches = %d, want 1 and 0 (stats %+v)", st.StaleHits, st.PeerFetches, st)
 	}
 	if st.RemoteHits != 0 {
 		t.Errorf("RemoteHits = %d, want 0: a stale delivery must not count as remote hit", st.RemoteHits)
@@ -206,7 +202,7 @@ func TestDebugMeshEndpointLiveMesh(t *testing.T) {
 	// Warm and advertise so p2 holds a replica of p1.
 	m.fetch(t, p1, m.docURL("a", 1024))
 	m.fetch(t, p1, m.docURL("b", 1024))
-	waitForUpdates(t, p1, p2)
+	waitForUpdates(t, p1, p2, m.docURL("a", 1024))
 	m.fetch(t, p2, m.docURL("a", 1024)) // remote hit through the mesh
 
 	rep := p2.MeshReport()

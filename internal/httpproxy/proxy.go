@@ -100,7 +100,8 @@ func (m Mode) String() string {
 // CacheOnlyPath is the sibling-fetch endpoint: it serves a document from
 // the cache without ever fetching on a miss, so sibling fetches cannot
 // recurse (a sibling proxy "can not ask a sibling proxy to fetch a
-// document from the server").
+// document from the server"). Remote hits use it only for documents too
+// large to ride inside an ICP HIT_OBJ reply (icp.MaxHitObjLen).
 const CacheOnlyPath = "/__summarycache/cacheonly"
 
 // ProxyPath is the explicit-form proxy endpoint for clients that do not
@@ -515,6 +516,7 @@ func Start(cfg Config) (*Proxy, error) {
 			ListenAddr:          cfg.ICPAddr,
 			Directory:           cfg.Summary,
 			HasDocument:         p.cache.Contains,
+			ReadDocument:        p.cachedBody,
 			MinFlipsToPublish:   cfg.MinUpdateFlips,
 			QueryTimeout:        cfg.QueryTimeout,
 			SocketWrapper:       sockWrap,
@@ -1028,16 +1030,15 @@ func (p *Proxy) handleICP(from *net.UDPAddr, m icp.Message) {
 		return
 	}
 	start := time.Now()
-	op := icp.OpMiss
-	if p.cache.Contains(m.URL) {
-		op = icp.OpHit
-	}
-	_ = p.icpConn.Send(from, icp.NewReply(op, m.ReqNum, m.URL))
+	// The same answer an SC-ICP node gives (core.NodeConfig.ReadDocument is
+	// cachedBody too), so the two modes differ only in whom they ask.
+	reply := icp.Answer(m, p.cache.Contains, p.cachedBody)
+	_ = p.icpConn.Send(from, reply)
 	if p.tracer != nil {
 		// Classic ICP queries every sibling on every miss, so a MISS
 		// answer is ordinary — not the anomaly it is under SC-ICP.
 		p.tracer.ICPAnswer(p.icpConn.Addr().String(), from.String(), m.ReqNum,
-			m.URL, op == icp.OpHit, start, false)
+			m.URL, reply.Op.Verdict(), start, false)
 	}
 }
 
@@ -1214,16 +1215,19 @@ func (p *Proxy) serveProxyClassified(w http.ResponseWriter, r *http.Request, tar
 	}
 	p.metrics.misses.Inc()
 	p.storeBody(key, version, body)
-	writeDoc(w, body)
-	if staleHit {
+	// Count before replying, as the hit paths do, so Stats already shows
+	// the request's class when the client has its response.
+	outcome := outcomeMiss
+	switch {
+	case staleHit:
 		p.metrics.staleHits.Inc()
-		return outcomeStaleHit
-	}
-	if falseHit {
+		outcome = outcomeStaleHit
+	case falseHit:
 		p.metrics.falseHits.Inc()
-		return outcomeFalseHit
+		outcome = outcomeFalseHit
 	}
-	return outcomeMiss
+	writeDoc(w, body)
+	return outcome
 }
 
 // splitVersion derives a target URL's version-aware cache identity: the
@@ -1259,7 +1263,12 @@ func writeDoc(w http.ResponseWriter, body []byte) {
 // falseHit reports a failed indication — a claimed HIT that was not
 // delivered, or summary candidates that all replied MISS (the paper's
 // false hits) — and staleHit a delivered copy of the wrong version
-// (version-aware mode; the paper's remote stale hits).
+// (version-aware mode; the paper's remote stale hits). Both modes ask the
+// first peer they query for the object inline, so a small document it
+// holds arrives in its HIT_OBJ reply. Under SC-ICP that peer is the first
+// summary candidate; classic ICP knows no holder and asks the first peer
+// added, so a document held only by another sibling still takes the HTTP
+// leg.
 func (p *Proxy) tryRemote(ctx context.Context, key string, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
 	switch p.cfg.Mode {
 	case ModeICP:
@@ -1272,7 +1281,7 @@ func (p *Proxy) tryRemote(ctx context.Context, key string, wanted int64) (body [
 		qctx, cancel := context.WithTimeout(ctx, p.cfg.QueryTimeout)
 		defer cancel()
 		qstart := time.Now()
-		hit, from, reqNum, err := p.icpConn.QueryAll(qctx, peers, key)
+		win, from, reqNum, err := p.icpConn.QueryAllFunc(qctx, peers, key, icp.FlagHitObj, nil)
 		if tr := tracing.FromContext(ctx); tr != nil {
 			// Adopt the exchange's derived ID so the answering proxies'
 			// traces join this one.
@@ -1282,43 +1291,44 @@ func (p *Proxy) tryRemote(ctx context.Context, key string, wanted int64) (body [
 				Start:      qstart,
 				DurationUS: time.Since(qstart).Microseconds(),
 				ReqNum:     reqNum,
-				Actual:     "all_miss",
-			}
-			if hit {
-				s.Actual = "hit:" + from.String()
+				Actual:     tracing.QueryActual(from, win.Op.Verdict()),
 			}
 			if err != nil {
 				s.Err = err.Error()
 			}
 			tr.AddSpan(s)
 		}
-		if err != nil || !hit {
+		if err != nil || from == nil {
 			// Classic ICP asked everyone; an all-miss round is an
 			// ordinary miss, not a false indication.
 			return nil, false, false, false
 		}
-		return p.finishPeerFetch(ctx, from, key, wanted)
+		return p.finishRemoteHit(ctx, from, win, key, wanted)
 	case ModeSCICP:
-		from, candidates, err := p.node.Lookup(ctx, key)
+		res, err := p.node.LookupObject(ctx, key)
 		if err != nil {
 			return nil, false, false, false
 		}
-		if from == nil {
+		if res.Peer == nil {
 			// Summaries nominated candidates but every reply was MISS.
-			return nil, false, candidates > 0, false
+			return nil, false, res.Candidates > 0, false
 		}
-		return p.finishPeerFetch(ctx, from, key, wanted)
+		return p.finishRemoteHit(ctx, res.Peer, res.Reply, key, wanted)
 	}
 	return nil, false, false, false
 }
 
-// finishPeerFetch fetches the document a sibling claimed to have and
-// classifies the result: delivered fresh, delivered stale, or not
-// delivered at all — the last two charged to the claiming sibling in the
-// per-peer decision accounting.
-func (p *Proxy) finishPeerFetch(ctx context.Context, from *net.UDPAddr, key string, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
+// finishRemoteHit takes the document a sibling claimed to have — from its
+// HIT_OBJ reply when the object came inline, otherwise by a cache-only HTTP
+// fetch — and classifies the result: delivered fresh, delivered stale, or
+// not delivered at all — the last two charged to the claiming sibling in
+// the per-peer decision accounting.
+func (p *Proxy) finishRemoteHit(ctx context.Context, from *net.UDPAddr, win icp.Message, key string, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
 	id := from.String()
-	body, version, ok := p.fetchPeer(ctx, from, key)
+	body, version, ok := win.Object, int64(win.OptionData), true
+	if win.Op != icp.OpHitObj {
+		body, version, ok = p.fetchPeer(ctx, from, key)
+	}
 	if !ok {
 		// A claimed HIT that was not delivered (eviction race, dark
 		// sibling, open breaker) is a false hit charged to the claimer.

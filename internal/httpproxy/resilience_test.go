@@ -1,6 +1,7 @@
 package httpproxy
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -306,8 +307,9 @@ func TestBreakerSkipsAsFalseHits(t *testing.T) {
 			t.Fatalf("client saw status %d: %s", resp.StatusCode, body)
 		}
 	}
-	u1 := origin.DocURL(org.URL(), "d1", 1024, 0)
-	u2 := origin.DocURL(org.URL(), "d2", 1024, 0)
+	// Over the inline limit, so B's HIT sends A to the dead HTTP endpoint.
+	u1 := origin.DocURL(org.URL(), "d1", overInline, 0)
+	u2 := origin.DocURL(org.URL(), "d2", overInline, 0)
 	fetchOK(b, u1) // B caches both documents
 	fetchOK(b, u2)
 
@@ -390,7 +392,9 @@ func TestBreakerTripRecoverySCICP(t *testing.T) {
 			t.Fatalf("client saw status %d", resp.StatusCode)
 		}
 	}
-	u1 := origin.DocURL(org.URL(), "r1", 1024, 0)
+	// Over the inline limit, so a remote hit takes the HTTP leg the
+	// breaker guards.
+	u1 := origin.DocURL(org.URL(), "r1", overInline, 0)
 	fetchOK(b, u1)
 	b.FlushSummary()
 	waitForCandidate(t, a, u1)
@@ -412,7 +416,7 @@ func TestBreakerTripRecoverySCICP(t *testing.T) {
 	// operational recovery path; organically B's next DIRUPDATE does this).
 	// A fresh document cached only on B carries the probe — u1 landed in
 	// A's cache during the origin fallback, so it would be a local hit.
-	u2 := origin.DocURL(org.URL(), "r2", 1024, 0)
+	u2 := origin.DocURL(org.URL(), "r2", overInline, 0)
 	fetchOK(b, u2)
 	if err := a.AddPeer(b.ICPAddr(), b.URL()); err != nil {
 		t.Fatal(err)
@@ -434,6 +438,60 @@ func TestBreakerTripRecoverySCICP(t *testing.T) {
 	st := a.Stats()
 	if st.RemoteHits != 1 {
 		t.Fatalf("stats after recovery = %+v, want the probe counted as a remote hit", st)
+	}
+}
+
+// TestInlineHitBypassesSiblingHTTP is the inline counterpart of the two
+// breaker tests above: a document small enough for a HIT_OBJ reply never
+// touches the sibling's HTTP endpoint, so a dead endpoint costs nothing
+// and its breaker never trips.
+func TestInlineHitBypassesSiblingHTTP(t *testing.T) {
+	org, err := origin.Start(origin.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { org.Close() })
+	for _, mode := range []Mode{ModeICP, ModeSCICP} {
+		t.Run(mode.String(), func(t *testing.T) {
+			mk := func() *Proxy {
+				p, err := Start(Config{
+					Mode: mode, CacheBytes: 8 << 20,
+					Summary:          core.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
+					QueryTimeout:     time.Second,
+					BreakerThreshold: 1,
+					BreakerCooldown:  time.Hour,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { p.Close() })
+				return p
+			}
+			a, b := mk(), mk()
+			if err := a.AddPeer(b.ICPAddr(), "http://127.0.0.1:1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.AddPeer(a.ICPAddr(), a.URL()); err != nil {
+				t.Fatal(err)
+			}
+			m := &mesh{origin: org, proxies: []*Proxy{a, b}}
+			u := m.docURL("inline/"+mode.String(), 1024)
+			m.fetch(t, b, u)
+			if mode == ModeSCICP {
+				b.FlushSummary()
+				waitForCandidate(t, a, u)
+			}
+			if body := m.fetch(t, a, u); !bytes.Equal(body, originBody(1024)) {
+				t.Fatal("inline remote hit served a wrong body")
+			}
+			st := a.Stats()
+			if st.RemoteHits != 1 || st.PeerFetches != 0 || st.FalseHits != 0 || st.OriginFetches != 0 {
+				t.Fatalf("stats = %+v, want one inline remote hit and no HTTP leg", st)
+			}
+			if got := a.BreakerState(b.ICPAddr().String()); got != BreakerClosed {
+				t.Fatalf("breaker = %v, want closed: an inline hit never tries the dead endpoint", got)
+			}
+		})
 	}
 }
 
@@ -517,7 +575,7 @@ func TestBreakerDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		u := origin.DocURL(org.URL(), fmt.Sprintf("nd%d", i), 256, 0)
+		u := origin.DocURL(org.URL(), fmt.Sprintf("nd%d", i), overInline, 0)
 		resp, err := http.Get(b.URL() + ProxyPath + "?url=" + url.QueryEscape(u))
 		if err != nil {
 			t.Fatal(err)

@@ -323,10 +323,12 @@ func TestDisabledTracingLocalHitNoExtraAllocs(t *testing.T) {
 	}
 }
 
-// TestTracedRemoteHit covers the happy cooperative path: the summary is
-// fresh, the nominated peer confirms, and the sibling delivers. At head
-// rate 1 the trace is head-kept with peer_fetch recorded.
-func TestTracedRemoteHit(t *testing.T) {
+// tracedRemoteHit serves one remote hit on a document of size bytes
+// through a traced 2-proxy SC-ICP mesh sharing one tracer, and returns the
+// querying side's request trace, the answering side's trace, and the peer
+// that answered.
+func tracedRemoteHit(t *testing.T, size int64) (req, answer *tracing.Trace, peer string) {
+	t.Helper()
 	org, err := origin.Start(origin.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +364,7 @@ func TestTracedRemoteHit(t *testing.T) {
 	a, b := proxies[0], proxies[1]
 	m := &mesh{origin: org, proxies: proxies}
 
-	doc := m.docURL("traced/shared-doc", 2048)
+	doc := m.docURL("traced/shared-doc", size)
 	m.fetch(t, b, doc)
 	b.FlushSummary()
 	waitForCandidate(t, a, doc)
@@ -372,11 +374,19 @@ func TestTracedRemoteHit(t *testing.T) {
 	}
 
 	// With one shared tracer, Find on the request's ID yields the
-	// querying-side request AND B's answering-side trace.
-	var req *tracing.Trace
-	for _, tr := range tracer.Traces() {
-		if tr.Outcome() == outcomeRemoteHit {
-			req = tr
+	// querying-side request AND B's answering-side trace. Each side records
+	// its trace only after replying, so the client can get here first.
+	var matches []*tracing.Trace
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for _, tr := range tracer.Traces() {
+			if tr.Outcome() == outcomeRemoteHit {
+				req = tr
+			}
+		}
+		if req != nil {
+			if matches = tracer.Find(req.ID()); len(matches) == 2 {
+				break
+			}
 		}
 	}
 	if req == nil {
@@ -385,21 +395,55 @@ func TestTracedRemoteHit(t *testing.T) {
 	if req.Kept() != "head" {
 		t.Errorf("remote-hit trace kept = %q, want head", req.Kept())
 	}
-	matches := tracer.Find(req.ID())
 	if len(matches) != 2 {
 		t.Fatalf("Find(%v) = %d traces, want request + answer", req.ID(), len(matches))
 	}
-	spans := req.Spans()
-	probe := findSpan(spans, tracing.SpanSummaryProbe, b.ICPAddr().String())
+	for _, tr := range matches {
+		if tr != req {
+			answer = tr
+		}
+	}
+	peer = b.ICPAddr().String()
+	probe := findSpan(req.Spans(), tracing.SpanSummaryProbe, peer)
 	if probe == nil || probe.Predicted != "hit" || probe.Actual != "hit" {
 		t.Errorf("probe span = %+v, want a confirmed hit prediction", probe)
 	}
-	fetch := findSpan(spans, tracing.SpanPeerFetch, b.ICPAddr().String())
+	if findSpan(req.Spans(), tracing.SpanOriginFetch, "") != nil {
+		t.Error("remote hit must not record an origin fetch")
+	}
+	return req, answer, peer
+}
+
+// TestTracedRemoteHit covers the happy cooperative path for a document too
+// large to ride inline: the summary is fresh, the nominated peer confirms,
+// and the sibling delivers over HTTP. At head rate 1 the trace is head-kept
+// with peer_fetch recorded.
+func TestTracedRemoteHit(t *testing.T) {
+	req, _, peer := tracedRemoteHit(t, overInline)
+	spans := req.Spans()
+	if q := findSpan(spans, tracing.SpanICPQuery, ""); q == nil || q.Actual != "hit:"+peer {
+		t.Errorf("icp_query span = %+v, want hit:%s", q, peer)
+	}
+	fetch := findSpan(spans, tracing.SpanPeerFetch, peer)
 	if fetch == nil || fetch.Actual != "ok" {
 		t.Errorf("peer_fetch span = %+v, want ok", fetch)
 	}
-	if findSpan(spans, tracing.SpanOriginFetch, "") != nil {
-		t.Error("remote hit must not record an origin fetch")
+}
+
+// TestTracedInlineRemoteHit: a small document comes back inside the HIT_OBJ
+// reply, so the icp_query span names the inline hit, both sides mark it
+// hit_obj, and no peer_fetch span exists.
+func TestTracedInlineRemoteHit(t *testing.T) {
+	req, answer, peer := tracedRemoteHit(t, 2048)
+	spans := req.Spans()
+	if q := findSpan(spans, tracing.SpanICPQuery, ""); q == nil || q.Actual != "hit_obj:"+peer {
+		t.Errorf("icp_query span = %+v, want hit_obj:%s", q, peer)
+	}
+	if s := findSpan(spans, tracing.SpanPeerFetch, ""); s != nil {
+		t.Errorf("inline hit recorded a peer_fetch span: %+v", s)
+	}
+	if s := findSpan(answer.Spans(), tracing.SpanICPAnswer, ""); s == nil || s.Actual != "hit_obj" {
+		t.Errorf("answer span = %+v, want actual hit_obj", s)
 	}
 }
 

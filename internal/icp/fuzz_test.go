@@ -1,6 +1,7 @@
 package icp
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -33,8 +34,12 @@ func FuzzDecoder(f *testing.F) {
 		{Index: 1<<31 - 1, Set: true},
 	})))
 	f.Add(mustWire(f, NewDirUpdate(5, hashing.DefaultSpec, 1<<20, nil)))
+	for _, body := range [][]byte{nil, []byte("hello"), bytes.Repeat([]byte{0, 'x'}, 600)} {
+		f.Add(mustWire(f, mustHitObj(f, 10, "http://example.com/obj", body, 7)))
+	}
 	// Malformed vectors: short header, bad version, length mismatch,
-	// unterminated URL, truncated flip table.
+	// unterminated URL, truncated flip table, and HIT_OBJs whose size field
+	// disagrees with the object or that exceed MaxHitObjLen.
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	f.Add(func() []byte {
@@ -50,6 +55,9 @@ func FuzzDecoder(f *testing.F) {
 		b := mustWire(f, NewDirUpdate(8, hashing.DefaultSpec, 1<<20, []bloom.Flip{{Index: 9, Set: true}}))
 		return b[:len(b)-2] // truncate the flip table
 	}())
+	for _, tamper := range hitObjTampers {
+		f.Add(tamper(mustWire(f, mustHitObj(f, 11, "http://example.com/t", []byte("payload"), 1))))
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		want, wantErr := Parse(b)
@@ -96,14 +104,16 @@ func FuzzDecoder(f *testing.F) {
 }
 
 // checkEqual asserts two decoded Messages agree field-for-field, comparing
-// Update payloads by value rather than pointer.
+// the Object and Update payloads by value rather than by reference.
 func checkEqual(t *testing.T, label string, got, want Message) {
 	t.Helper()
-	gu, wu := got.Update, want.Update
-	got.Update, want.Update = nil, nil
-	if got != want {
+	if got.Op != want.Op || got.Version != want.Version || got.ReqNum != want.ReqNum ||
+		got.Options != want.Options || got.OptionData != want.OptionData ||
+		got.SenderAddr != want.SenderAddr || got.URL != want.URL ||
+		got.RequesterAddr != want.RequesterAddr || !bytes.Equal(got.Object, want.Object) {
 		t.Fatalf("%s: message mismatch:\n got  %+v\n want %+v", label, got, want)
 	}
+	gu, wu := got.Update, want.Update
 	if (gu == nil) != (wu == nil) {
 		t.Fatalf("%s: update presence mismatch: got %v want %v", label, gu, wu)
 	}

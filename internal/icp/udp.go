@@ -369,7 +369,7 @@ func (c *Conn) unregister(reqNum uint32) {
 }
 
 // Query sends an ICP query for url to the peer and waits for its reply
-// (HIT, MISS, MISS_NOFETCH, DENIED or ERR) until ctx is done. A lost
+// (HIT, HIT_OBJ, MISS, MISS_NOFETCH, DENIED or ERR) until ctx is done. A lost
 // datagram surfaces as ctx expiry — the caller treats it as a miss,
 // exactly as Squid does.
 func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message, error) {
@@ -394,32 +394,46 @@ func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message,
 	}
 }
 
-// QueryAll fans one query out to several peers and returns the first HIT
-// (false when every peer replied MISS-class or the context expired — a
-// timeout is an ordinary miss, as in Squid). The whole fan-out shares a
-// single RequestNumber, as Squid's sibling queries do; reqNum reports it
-// so callers can correlate the exchange (the tracing layer derives the
+// QueryAllFunc fans one query out to several peers and returns the first
+// HIT or HIT_OBJ reply as win, from its sender; from is nil when every
+// peer replied MISS-class or the context expired (a timeout is an
+// ordinary miss, as in Squid). The whole fan-out shares a single
+// RequestNumber, as Squid's sibling queries do; reqNum reports it so
+// callers can correlate the exchange (the tracing layer derives the
 // cross-proxy trace ID from it).
-func (c *Conn) QueryAll(ctx context.Context, peers []*net.UDPAddr, url string) (hit bool, from *net.UDPAddr, reqNum uint32, err error) {
-	return c.QueryAllFunc(ctx, peers, url, nil)
-}
-
-// QueryAllFunc is QueryAll with a per-reply observation hook: onReply
-// (when non-nil) is invoked on the caller's goroutine for every reply
-// that arrives before the fan-out resolves, attributed to its sender.
-// The tracing layer uses it to record each peer's actual answer.
-func (c *Conn) QueryAllFunc(ctx context.Context, peers []*net.UDPAddr, url string, onReply func(from *net.UDPAddr, op Opcode)) (hit bool, from *net.UDPAddr, reqNum uint32, err error) {
+//
+// options are the query's. With FlagHitObj only the first peer is asked
+// for the object itself, the rest only whether they hold it. A flagged
+// holder reads — and so refreshes — its copy to answer; if a plain HIT
+// from another sibling won, that sibling would be fetched from and
+// refreshed too, and the hit ratio would drift from a one-sibling-fetch
+// mesh's. So a plain HIT from another peer waits for the flagged peer's
+// answer, but only as long again as it took to arrive: a dead or lossy
+// flagged peer costs at most one more round trip, never the deadline. A
+// winning HIT_OBJ carries the document (Object, version in OptionData).
+// An object is used only when it comes from the flagged peer and names
+// the URL asked for; any other HIT_OBJ is taken as a plain HIT, its object
+// dropped. A reply from an address that was not asked is ignored: reply
+// routing keys on the request number alone, which anyone reaching the
+// socket can guess. onReply (when non-nil) is invoked on the caller's
+// goroutine for every reply that arrives before the fan-out resolves,
+// attributed to its sender; the tracing layer uses it to record each
+// peer's actual answer.
+func (c *Conn) QueryAllFunc(ctx context.Context, peers []*net.UDPAddr, url string, options uint32, onReply func(from *net.UDPAddr, op Opcode)) (win Message, from *net.UDPAddr, reqNum uint32, err error) {
 	if len(peers) == 0 {
-		return false, nil, 0, nil
+		return Message{}, nil, 0, nil
 	}
 	reqNum = c.NextReqNum()
 	ch := make(chan reply, len(peers))
 	if err := c.register(reqNum, ch); err != nil {
-		return false, nil, reqNum, err
+		return Message{}, nil, reqNum, err
 	}
 	defer c.unregister(reqNum)
 
 	q := NewQuery(reqNum, url)
+	q.Options = options
+	var objPeer *net.UDPAddr // the one peer asked for the object, until it answers
+	start := time.Now()
 	sent := 0
 	var lastErr error
 	for _, p := range peers {
@@ -427,28 +441,67 @@ func (c *Conn) QueryAllFunc(ctx context.Context, peers []*net.UDPAddr, url strin
 			lastErr = err
 			continue
 		}
+		if q.Options&FlagHitObj != 0 {
+			objPeer = p
+			q.Options &^= FlagHitObj
+		}
 		sent++
 	}
 	if sent == 0 {
-		return false, nil, reqNum, lastErr
+		return Message{}, nil, reqNum, lastErr
 	}
-	for i := 0; i < sent; i++ {
+	var held reply             // a plain HIT waiting on objPeer
+	var grace <-chan time.Time // fires when held stops waiting
+	for sent > 0 {
 		select {
 		case r, ok := <-ch:
 			if !ok {
-				return false, nil, reqNum, ErrClosed
+				return Message{}, nil, reqNum, ErrClosed
+			}
+			p := findAddr(peers, r.from)
+			if p == nil {
+				continue
+			}
+			sent--
+			if r.m.Op == OpHitObj && (p != objPeer || r.m.URL != url) {
+				r.m.Op, r.m.Object, r.m.OptionData = OpHit, nil, 0
 			}
 			if onReply != nil {
-				onReply(r.from, r.m.Op)
+				onReply(p, r.m.Op)
 			}
-			if r.m.Op == OpHit || r.m.Op == OpHitObj {
-				return true, r.from, reqNum, nil
+			switch {
+			case r.m.Op == OpHitObj || (r.m.Op == OpHit && (objPeer == nil || p == objPeer)):
+				return r.m, p, reqNum, nil
+			case r.m.Op == OpHit:
+				if held.from == nil {
+					held = reply{m: r.m, from: p}
+					t := time.NewTimer(time.Since(start))
+					defer t.Stop()
+					grace = t.C
+				}
+			case p == objPeer:
+				objPeer = nil
+				if held.from != nil {
+					return held.m, held.from, reqNum, nil
+				}
 			}
+		case <-grace:
+			return held.m, held.from, reqNum, nil
 		case <-ctx.Done():
-			return false, nil, reqNum, nil // timeouts are ordinary misses
+			return held.m, held.from, reqNum, nil // a timeout without a HIT is an ordinary miss
 		}
 	}
-	return false, nil, reqNum, nil
+	return held.m, held.from, reqNum, nil
+}
+
+// findAddr returns the entry of peers that addr names, nil if none does.
+func findAddr(peers []*net.UDPAddr, addr *net.UDPAddr) *net.UDPAddr {
+	for _, p := range peers {
+		if p.Port == addr.Port && p.IP.Equal(addr.IP) {
+			return p
+		}
+	}
+	return nil
 }
 
 func (c *Conn) readLoop() {
@@ -480,14 +533,15 @@ func (c *Conn) readLoop() {
 		}
 		if isReply(m.Op) {
 			// Reply opcodes carry no DirUpdate payload, so the Message
-			// crossing to the waiting goroutine holds only owned data
-			// (the URL string); the decoder scratch never escapes.
+			// crossing to the waiting goroutine holds only owned data (the
+			// URL string and a HIT_OBJ's object, both copied out of buf);
+			// the decoder scratch never escapes.
 			c.mu.Lock()
 			ch := c.pending[m.ReqNum]
 			c.mu.Unlock()
 			if ch != nil {
 				select {
-				//lint:ignore sclint/borrow-escape reply opcodes carry no DirUpdate; only the owned URL string crosses, never decoder scratch
+				//lint:ignore sclint/borrow-escape reply opcodes carry no DirUpdate; only the owned URL string and copied HIT_OBJ object cross, never decoder scratch
 				case ch <- reply{m: m, from: from}:
 				default:
 				}

@@ -100,25 +100,25 @@ func TestQueryAll(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 
-	hit, from, req1, err := cli.QueryAll(ctx, []*net.UDPAddr{miss1.Addr(), hitSrv.Addr(), miss2.Addr()}, "http://doc/")
+	_, from, req1, err := cli.QueryAllFunc(ctx, []*net.UDPAddr{miss1.Addr(), hitSrv.Addr(), miss2.Addr()}, "http://doc/", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit || from.Port != hitSrv.Addr().Port {
-		t.Fatalf("hit=%v from=%v, want hit from %v", hit, from, hitSrv.Addr())
+	if from == nil || from.Port != hitSrv.Addr().Port {
+		t.Fatalf("from=%v, want a hit from %v", from, hitSrv.Addr())
 	}
 
-	hit, _, req2, err := cli.QueryAll(ctx, []*net.UDPAddr{miss1.Addr(), miss2.Addr()}, "http://doc/")
-	if err != nil || hit {
-		t.Fatalf("hit=%v err=%v, want miss", hit, err)
+	_, from, req2, err := cli.QueryAllFunc(ctx, []*net.UDPAddr{miss1.Addr(), miss2.Addr()}, "http://doc/", 0, nil)
+	if err != nil || from != nil {
+		t.Fatalf("from=%v err=%v, want miss", from, err)
 	}
 	if req2 == req1 {
 		t.Fatalf("consecutive fan-outs share RequestNumber %d", req1)
 	}
 
 	// No peers: trivially a miss.
-	hit, _, _, err = cli.QueryAll(ctx, nil, "http://doc/")
-	if err != nil || hit {
+	_, from, _, err = cli.QueryAllFunc(ctx, nil, "http://doc/", 0, nil)
+	if err != nil || from != nil {
 		t.Fatal("empty peer set should be a clean miss")
 	}
 }
@@ -133,11 +133,11 @@ func TestQueryAllTimeoutsAreMisses(t *testing.T) {
 	cli := client(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	hit, _, _, err := cli.QueryAll(ctx, []*net.UDPAddr{silent.Addr()}, "http://x/")
+	_, from, _, err := cli.QueryAllFunc(ctx, []*net.UDPAddr{silent.Addr()}, "http://x/", 0, nil)
 	if err != nil {
 		t.Fatalf("timeout should be a miss, got error %v", err)
 	}
-	if hit {
+	if from != nil {
 		t.Fatal("silent peer produced a hit")
 	}
 }
@@ -161,14 +161,14 @@ func TestRequestNumberWraparound(t *testing.T) {
 	seenReq := make(map[uint32]bool)
 	seenID := make(map[tracing.ID]bool)
 	for i := 0; i < 6; i++ {
-		hit, from, reqNum, err := cli.QueryAll(ctx,
-			[]*net.UDPAddr{missSrv.Addr(), hitSrv.Addr()}, "http://doc/")
+		_, from, reqNum, err := cli.QueryAllFunc(ctx,
+			[]*net.UDPAddr{missSrv.Addr(), hitSrv.Addr()}, "http://doc/", 0, nil)
 		if err != nil {
 			t.Fatalf("fan-out %d: %v", i, err)
 		}
-		if !hit || from.Port != hitSrv.Addr().Port {
-			t.Fatalf("fan-out %d: hit=%v from=%v, want hit from %v",
-				i, hit, from, hitSrv.Addr())
+		if from == nil || from.Port != hitSrv.Addr().Port {
+			t.Fatalf("fan-out %d: from=%v, want a hit from %v",
+				i, from, hitSrv.Addr())
 		}
 		if seenReq[reqNum] {
 			t.Fatalf("fan-out %d: reqNum %d reused within the window", i, reqNum)

@@ -15,9 +15,17 @@
 // BitArraySizeInBits(4) NumberOfUpdates(4) — followed by NumberOfUpdates
 // 32-bit words whose most significant bit selects set-vs-clear and whose
 // low 31 bits index the peer's bit array.
+//
+// A query flagged FlagHitObj (the RFC's ICP_FLAG_HIT_OBJ) lets the
+// answering cache return a small document inside its reply: the HIT_OBJ
+// payload is URL\0, a 16-bit object size and the object, the whole message
+// at most MaxHitObjLen octets, and the document's version rides in
+// OptionData. A remote hit then costs one UDP round trip instead of a query
+// plus a sibling HTTP fetch.
 package icp
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -79,6 +87,18 @@ func (o Opcode) String() string {
 	}
 }
 
+// Verdict is how traces name an answer with this opcode: "hit", "hit_obj"
+// (the document rode inside the reply) or "miss" (any other reply).
+func (o Opcode) Verdict() string {
+	switch o {
+	case OpHit:
+		return "hit"
+	case OpHitObj:
+		return "hit_obj"
+	}
+	return "miss"
+}
+
 // Version is the protocol version this package speaks.
 const Version = 2
 
@@ -87,6 +107,19 @@ const Version = 2
 // receiver must reset its replica before applying. Senders use it to
 // bootstrap a new neighbor or reinitialize a recovered one.
 const OptionFullUpdate uint32 = 1 << 0
+
+// FlagHitObj, set in a QUERY's Options field, is RFC 2186's
+// ICP_FLAG_HIT_OBJ: the querier accepts the document itself in a HIT_OBJ
+// reply.
+const FlagHitObj uint32 = 0x80000000
+
+// MaxHitObjLen is RFC 2186's bound on a HIT_OBJ message, header included:
+// a document whose reply would be longer is answered with a plain HIT.
+const MaxHitObjLen = 16384
+
+// hitObjSizeLen is the object-size field between a HIT_OBJ's URL and its
+// object.
+const hitObjSizeLen = 2
 
 // HeaderLen is the fixed ICP header size.
 const HeaderLen = 20
@@ -177,13 +210,18 @@ type Message struct {
 	URL string
 	// RequesterAddr is the extra host field carried by OpQuery payloads.
 	RequesterAddr uint32
+	// Object is the OpHitObj payload: the document itself, whose version
+	// rides in OptionData. Decoding copies it out of the datagram, so it is
+	// always owned.
+	Object []byte
 	// Update is the OpDirUpdate payload.
 	Update *DirUpdate
 }
 
 // Clone returns a deep copy of m that shares no memory with decoder
 // scratch: the DirUpdate and its flip slice are freshly allocated. Handlers
-// that must retain a borrowed Message past their return use this.
+// that must retain a borrowed Message past their return use this. (A
+// decoded Object is already owned and is shared, not copied.)
 func (m Message) Clone() Message {
 	if m.Update != nil {
 		u := *m.Update
@@ -202,6 +240,38 @@ func NewQuery(reqNum uint32, url string) Message {
 // and URL.
 func NewReply(op Opcode, reqNum uint32, url string) Message {
 	return Message{Op: op, Version: Version, ReqNum: reqNum, URL: url}
+}
+
+// NewHitObj builds a HIT_OBJ reply carrying body at version. ok is false
+// when the reply cannot carry it — the message would exceed MaxHitObjLen or
+// the version does not fit the 32-bit OptionData — and the answer must be a
+// plain HIT.
+func NewHitObj(reqNum uint32, url string, body []byte, version int64) (m Message, ok bool) {
+	m = Message{Op: OpHitObj, Version: Version, ReqNum: reqNum, URL: url,
+		OptionData: uint32(version), Object: body}
+	return m, version >= 0 && version <= 1<<32-1 && m.EncodedLen() <= MaxHitObjLen
+}
+
+// Answer builds the reply to peer query q from the answering cache. A query
+// flagged FlagHitObj is answered from read — MISS when absent, HIT_OBJ with
+// the document when NewHitObj can carry it, HIT otherwise, which sends the
+// querier to its HTTP fetch — and any other query from has. read may be nil
+// for a cache that never inlines.
+func Answer(q Message, has func(url string) bool, read func(url string) (body []byte, version int64, ok bool)) Message {
+	op := OpMiss
+	if q.Options&FlagHitObj != 0 && read != nil {
+		body, version, ok := read(q.URL)
+		if !ok {
+			return NewReply(OpMiss, q.ReqNum, q.URL)
+		}
+		if m, fits := NewHitObj(q.ReqNum, q.URL, body, version); fits {
+			return m
+		}
+		op = OpHit
+	} else if has(q.URL) {
+		op = OpHit
+	}
+	return NewReply(op, q.ReqNum, q.URL)
 }
 
 // NewDirUpdate builds a directory-update message.
@@ -229,6 +299,8 @@ func (m Message) EncodedLen() int {
 		n += DirUpdateHeaderLen + 4*len(m.Update.Flips)
 	case m.Op == OpQuery:
 		n += 4 + len(m.URL) + 1
+	case m.Op == OpHitObj:
+		n += len(m.URL) + 1 + hitObjSizeLen + len(m.Object)
 	case hasURLPayload(m.Op):
 		n += len(m.URL) + 1
 	}
@@ -238,7 +310,7 @@ func (m Message) EncodedLen() int {
 // Append encodes m onto dst and returns the extended slice.
 func (m Message) Append(dst []byte) ([]byte, error) {
 	total := m.EncodedLen()
-	if total > MaxDatagram {
+	if total > MaxDatagram || (m.Op == OpHitObj && total > MaxHitObjLen) {
 		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
 	}
 	v := m.Version
@@ -272,6 +344,11 @@ func (m Message) Append(dst []byte) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint32(dst, m.RequesterAddr)
 		dst = append(dst, m.URL...)
 		dst = append(dst, 0)
+	case m.Op == OpHitObj:
+		dst = append(dst, m.URL...)
+		dst = append(dst, 0)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Object)))
+		dst = append(dst, m.Object...)
 	case hasURLPayload(m.Op):
 		dst = append(dst, m.URL...)
 		dst = append(dst, 0)
@@ -347,33 +424,62 @@ func Parse(b []byte) (Message, error) {
 	if err != nil {
 		return m, err
 	}
+	if m.Op != OpDirUpdate {
+		return m, parseURLPayload(body, &m)
+	}
+	u := &DirUpdate{}
+	rest, n, err := parseDirUpdateHeader(body, u)
+	if err != nil {
+		return m, err
+	}
+	u.Flips = decodeFlips(make([]bloom.Flip, 0, n), rest, n)
+	m.Update = u
+	return m, nil
+}
+
+// parseURLPayload decodes the payload of every opcode but DIRUPDATE into m.
+// What it keeps — the URL string, a HIT_OBJ's object — is copied out of
+// body, so the result never aliases the receive buffer. A HIT_OBJ over
+// MaxHitObjLen, or whose size field disagrees with the bytes present, is
+// rejected before its URL or object is copied.
+func parseURLPayload(body []byte, m *Message) error {
 	switch {
-	case m.Op == OpDirUpdate:
-		u := &DirUpdate{}
-		rest, n, err := parseDirUpdateHeader(body, u)
-		if err != nil {
-			return m, err
-		}
-		u.Flips = decodeFlips(make([]bloom.Flip, 0, n), rest, n)
-		m.Update = u
 	case m.Op == OpQuery:
 		if len(body) < 5 {
-			return m, ErrTruncated
+			return ErrTruncated
 		}
 		m.RequesterAddr = binary.BigEndian.Uint32(body[0:4])
 		url, err := cutNUL(body[4:])
 		if err != nil {
-			return m, err
+			return err
 		}
 		m.URL = url
+	case m.Op == OpHitObj:
+		if HeaderLen+len(body) > MaxHitObjLen {
+			return fmt.Errorf("%w: HIT_OBJ of %d bytes", ErrTooLarge, HeaderLen+len(body))
+		}
+		end := bytes.IndexByte(body, 0)
+		if end < 0 {
+			return ErrBadURL
+		}
+		obj := body[end+1:]
+		if len(obj) < hitObjSizeLen {
+			return ErrTruncated
+		}
+		size := int(binary.BigEndian.Uint16(obj))
+		if obj = obj[hitObjSizeLen:]; size != len(obj) {
+			return fmt.Errorf("%w: object size %d, %d bytes present", ErrBadLength, size, len(obj))
+		}
+		m.URL = string(body[:end])
+		m.Object = bytes.Clone(obj)
 	case hasURLPayload(m.Op):
 		url, err := cutNUL(body)
 		if err != nil {
-			return m, err
+			return err
 		}
 		m.URL = url
 	}
-	return m, nil
+	return nil
 }
 
 // A Decoder parses datagrams in place, without per-message allocation: the
@@ -381,8 +487,9 @@ func Parse(b []byte) (Message, error) {
 // and reuses across calls. The returned Message's Update (and its Flips)
 // are therefore only valid until the next Decode — exactly the borrow
 // contract Handler documents. A decoded URL is still one string allocation
-// (handlers retain URLs beyond the datagram's lifetime, so a view into the
-// receive buffer would dangle); DIRUPDATE traffic, the mesh's volume
+// and a HIT_OBJ's object one copy (both outlive the datagram: handlers
+// retain URLs, and a querier serves or stores the object, so a view into
+// the receive buffer would dangle); DIRUPDATE traffic, the mesh's volume
 // driver, decodes with zero allocations steady-state.
 //
 // A Decoder must not be shared between goroutines without external
@@ -400,32 +507,16 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 	if err != nil {
 		return m, err
 	}
-	switch {
-	case m.Op == OpDirUpdate:
-		rest, n, err := parseDirUpdateHeader(body, &d.upd)
-		if err != nil {
-			return m, err
-		}
-		d.flips = decodeFlips(d.flips[:0], rest, n)
-		d.upd.Flips = d.flips
-		m.Update = &d.upd
-	case m.Op == OpQuery:
-		if len(body) < 5 {
-			return m, ErrTruncated
-		}
-		m.RequesterAddr = binary.BigEndian.Uint32(body[0:4])
-		url, err := cutNUL(body[4:])
-		if err != nil {
-			return m, err
-		}
-		m.URL = url
-	case hasURLPayload(m.Op):
-		url, err := cutNUL(body)
-		if err != nil {
-			return m, err
-		}
-		m.URL = url
+	if m.Op != OpDirUpdate {
+		return m, parseURLPayload(body, &m)
 	}
+	rest, n, err := parseDirUpdateHeader(body, &d.upd)
+	if err != nil {
+		return m, err
+	}
+	d.flips = decodeFlips(d.flips[:0], rest, n)
+	d.upd.Flips = d.flips
+	m.Update = &d.upd
 	return m, nil
 }
 

@@ -55,12 +55,13 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // DefaultLatencyBuckets are the histogram bounds used when none are given:
-// log-scaled (factor 2) from 100µs to ~105s, in seconds. Two decades of
-// sub-millisecond resolution cover loopback cache hits; the top covers the
-// paper's 1s-latency origins with room for retries.
+// log-scaled (factor 2) from 1µs to ~134s, in seconds. The microsecond
+// floor resolves the per-stage timings of a loopback request (a Bloom
+// probe, an LRU get, one ICP round trip); the top covers the paper's
+// 1s-latency origins with room for retries.
 func DefaultLatencyBuckets() []float64 {
-	out := make([]float64, 21)
-	b := 100e-6
+	out := make([]float64, 28)
+	b := 1e-6
 	for i := range out {
 		out[i] = b
 		b *= 2

@@ -26,11 +26,11 @@ func TestCounterAndGauge(t *testing.T) {
 
 func TestDefaultLatencyBuckets(t *testing.T) {
 	b := DefaultLatencyBuckets()
-	if len(b) != 21 {
-		t.Fatalf("bucket count = %d, want 21", len(b))
+	if len(b) != 28 {
+		t.Fatalf("bucket count = %d, want 28", len(b))
 	}
-	if b[0] != 100e-6 {
-		t.Fatalf("first bound = %v, want 100µs", b[0])
+	if b[0] != 1e-6 {
+		t.Fatalf("first bound = %v, want 1µs", b[0])
 	}
 	for i := 1; i < len(b); i++ {
 		if b[i] <= b[i-1] {

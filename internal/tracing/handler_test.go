@@ -52,7 +52,7 @@ func TestHandlerListAndFilters(t *testing.T) {
 	fh := tracer.StartRequest("n", "http://stale/")
 	fh.MarkAnomalous("false_hit")
 	fh.Finish("false_hit")
-	tracer.ICPAnswer("n2", "n:1", 7, "http://stale/", false, time.Now(), true)
+	tracer.ICPAnswer("n2", "n:1", 7, "http://stale/", "miss", time.Now(), true)
 
 	var list listResp
 	if code := getJSON(t, srv.URL, &list); code != http.StatusOK {
@@ -93,7 +93,7 @@ func TestHandlerSingleTraceView(t *testing.T) {
 	})
 	tr.Finish("false_hit")
 	// An answering-side trace on the same exchange joins the view.
-	tracer.ICPAnswer("n2", "n:icp", 41, "http://doc/", false, time.Now(), true)
+	tracer.ICPAnswer("n2", "n:icp", 41, "http://doc/", "miss", time.Now(), true)
 
 	var full []struct {
 		ID    string `json:"id"`

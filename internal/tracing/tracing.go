@@ -9,9 +9,9 @@
 // self-explaining rather than an anonymous tick of a counter.
 //
 // Trace context crosses the wire without any protocol change: an ICP
-// query fan-out uses a single RequestNumber (see icp.Conn.QueryAll), and
-// both the querying and the answering proxy derive the same trace ID from
-// the pair (querier UDP address, RequestNumber) via IDFromICP. Fetching
+// query fan-out uses a single RequestNumber (see icp.Conn.QueryAllFunc),
+// and both the querying and the answering proxy derive the same trace ID
+// from the pair (querier UDP address, RequestNumber) via IDFromICP. Fetching
 // /debug/traces from two mesh members therefore yields spans that join on
 // one ID with zero extra bytes on the wire.
 //
@@ -28,6 +28,7 @@ import (
 	"hash/fnv"
 	"log/slog"
 	"math/rand/v2"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,6 +119,17 @@ const (
 	SpanOriginFetch  = "origin_fetch"  // origin (or parent) HTTP fetch
 )
 
+// QueryActual is an icp_query span's Actual for a fan-out that winner
+// confirmed with answer (icp.Opcode.Verdict: "hit", or "hit_obj" when the
+// document came back inline): "<answer>:<peer>", or "all_miss" when nobody
+// confirmed (winner nil).
+func QueryActual(winner *net.UDPAddr, answer string) string {
+	if winner == nil {
+		return "all_miss"
+	}
+	return answer + ":" + winner.String()
+}
+
 // Trace kinds.
 const (
 	KindRequest   = "request"    // a client request through a proxy
@@ -156,7 +168,7 @@ type Span struct {
 	// network was consulted.
 	Predicted string `json:"predicted,omitempty"`
 	// Actual is what really happened once the ICP reply or fetch resolved
-	// ("hit", "miss", "no_reply", "not_queried", "ok", "failed",
+	// ("hit", "hit_obj", "miss", "no_reply", "not_queried", "ok", "failed",
 	// "breaker_open").
 	Actual string `json:"actual,omitempty"`
 	// Retries is how many extra attempts an origin-fetch span needed after
@@ -324,17 +336,20 @@ func (t *Tracer) start(node, url, kind string) *Trace {
 // because the querier's replica of this node's summary predicted a hit,
 // so answering MISS is a false hit observed from the answering side.
 // Under classic ICP queries go to everyone and a MISS answer is ordinary.
-func (t *Tracer) ICPAnswer(node, querier string, reqNum uint32, url string, hit bool, start time.Time, missAnomalous bool) {
+// answer is the reply given (icp.Opcode.Verdict): "hit", "hit_obj" — the
+// document rode inline in the reply — or "miss".
+func (t *Tracer) ICPAnswer(node, querier string, reqNum uint32, url string, answer string, start time.Time, missAnomalous bool) {
 	if t == nil {
 		return
 	}
 	tr := t.start(node, url, KindICPAnswer)
 	tr.id = IDFromICP(querier, reqNum)
-	actual, outcome := "miss", "icp_miss"
-	if hit {
-		actual, outcome = "hit", "icp_hit"
-	} else if missAnomalous {
-		tr.MarkAnomalous("false_hit_answered")
+	outcome := "icp_hit"
+	if answer == "miss" {
+		outcome = "icp_miss"
+		if missAnomalous {
+			tr.MarkAnomalous("false_hit_answered")
+		}
 	}
 	tr.AddSpan(Span{
 		Name:       SpanICPAnswer,
@@ -343,7 +358,7 @@ func (t *Tracer) ICPAnswer(node, querier string, reqNum uint32, url string, hit 
 		DurationUS: time.Since(start).Microseconds(),
 		ReqNum:     reqNum,
 		Predicted:  "hit", // the querier's replica nominated us
-		Actual:     actual,
+		Actual:     answer,
 	})
 	tr.Finish(outcome)
 }

@@ -25,7 +25,7 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled tracer allocates %v per request, want 0", allocs)
 	}
-	tracer.ICPAnswer("node", "peer", 1, "http://doc/", true, time.Time{}, false)
+	tracer.ICPAnswer("node", "peer", 1, "http://doc/", "hit", time.Time{}, false)
 	if tracer.Traces() != nil {
 		t.Fatal("nil tracer returned traces")
 	}
@@ -139,7 +139,7 @@ func TestICPCorrelation(t *testing.T) {
 	req.SetICPExchange(querier, reqNum)
 	req.Finish("false_hit")
 
-	tracer.ICPAnswer("127.0.0.1:7002", querier, reqNum, "http://doc/", false, time.Now(), true)
+	tracer.ICPAnswer("127.0.0.1:7002", querier, reqNum, "http://doc/", "miss", time.Now(), true)
 
 	matches := tracer.Find(req.ID())
 	if len(matches) != 2 {
@@ -158,11 +158,11 @@ func TestICPCorrelation(t *testing.T) {
 func TestICPAnswerAnomalySemantics(t *testing.T) {
 	tracer := New(Config{HeadRate: 0, Buffer: 8})
 	// SC-ICP: a MISS answer means the querier's replica lied — tail-keep.
-	tracer.ICPAnswer("n", "q:1", 1, "http://a/", false, time.Now(), true)
+	tracer.ICPAnswer("n", "q:1", 1, "http://a/", "miss", time.Now(), true)
 	// Classic ICP: a MISS answer is ordinary — dropped at head rate 0.
-	tracer.ICPAnswer("n", "q:1", 2, "http://b/", false, time.Now(), false)
+	tracer.ICPAnswer("n", "q:1", 2, "http://b/", "miss", time.Now(), false)
 	// A HIT answer is never anomalous.
-	tracer.ICPAnswer("n", "q:1", 3, "http://c/", true, time.Now(), true)
+	tracer.ICPAnswer("n", "q:1", 3, "http://c/", "hit", time.Now(), true)
 
 	stored := tracer.Traces()
 	if len(stored) != 1 {
@@ -175,6 +175,21 @@ func TestICPAnswerAnomalySemantics(t *testing.T) {
 	if len(v.Spans) != 1 || v.Spans[0].Name != SpanICPAnswer ||
 		v.Spans[0].Predicted != "hit" || v.Spans[0].Actual != "miss" {
 		t.Fatalf("answer span = %+v", v.Spans)
+	}
+}
+
+// TestICPAnswerInline: an answer that carried the document in a HIT_OBJ
+// reply is a hit, marked hit_obj on its span.
+func TestICPAnswerInline(t *testing.T) {
+	tracer := New(Config{HeadRate: 1, Buffer: 8})
+	tracer.ICPAnswer("n", "q:1", 1, "http://a/", "hit_obj", time.Now(), true)
+	stored := tracer.Traces()
+	if len(stored) != 1 {
+		t.Fatalf("stored %d answer traces, want 1", len(stored))
+	}
+	v := stored[0].snapshotView()
+	if v.Outcome != "icp_hit" || v.Anomaly != "" || len(v.Spans) != 1 || v.Spans[0].Actual != "hit_obj" {
+		t.Fatalf("inline answer trace = %+v", v)
 	}
 }
 
