@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 
-	"summarycache/internal/analysis"
 	"summarycache/internal/bench"
 	"summarycache/internal/bloom"
 	"summarycache/internal/core"
@@ -19,7 +18,6 @@ import (
 	"summarycache/internal/httpproxy"
 	"summarycache/internal/icp"
 	"summarycache/internal/lru"
-	"summarycache/internal/meshhealth"
 	"summarycache/internal/obs"
 	"summarycache/internal/origin"
 	"summarycache/internal/perfwatch"
@@ -42,18 +40,11 @@ type DirectoryConfig = core.DirectoryConfig
 // PeerTable holds replicas of neighbors' summaries.
 type PeerTable = core.PeerTable
 
-// PeerHealth is the mesh-health snapshot of one peer's summary replica:
-// fill ratio, estimated false-positive rate, update ages and byte counts.
-type PeerHealth = core.PeerHealth
-
 // Node is a summary-cache enhanced ICP endpoint.
 type Node = core.Node
 
 // NodeConfig configures a Node.
 type NodeConfig = core.NodeConfig
-
-// NodeStats counts a Node's protocol activity.
-type NodeStats = core.NodeStats
 
 // HealthConfig parameterizes Node.StartHealthChecks.
 type HealthConfig = core.HealthConfig
@@ -124,12 +115,6 @@ func PowerBound(loadFactor float64) float64 { return bloom.PowerBound(loadFactor
 // OptimalK returns the false-positive-minimizing number of hash functions.
 func OptimalK(m, n uint64) int { return bloom.OptimalK(m, n) }
 
-// SizeForLoadFactor returns the bit-array size for an expected entry count
-// at the given load factor (bits per entry).
-func SizeForLoadFactor(expectedEntries uint64, loadFactor float64) uint64 {
-	return bloom.SizeForLoadFactor(expectedEntries, loadFactor)
-}
-
 // ExpectedMaxCount estimates the expected maximum counter value in a
 // counting filter of m counters holding n keys with k hash functions (the
 // paper's §V-C overflow analysis).
@@ -157,14 +142,6 @@ type CacheEntry = lru.Entry
 // (GOMAXPROCS-derived when zero) so concurrent operations on different
 // keys proceed in parallel.
 func NewCache(cfg CacheConfig) (*Cache, error) { return lru.NewCache(cfg) }
-
-// MustNewCache is NewCache, panicking on error.
-func MustNewCache(cfg CacheConfig) *Cache { return lru.MustNewCache(cfg) }
-
-// CacheShardStats snapshots one cache stripe: occupancy, capacity, and
-// the recency-clock and lock-contention counters behind the per-shard
-// /metrics series.
-type CacheShardStats = lru.ShardStats
 
 // Proxy is a caching HTTP forward proxy with cooperative peering.
 type Proxy = httpproxy.Proxy
@@ -199,94 +176,25 @@ type PersistConfig = persist.Config
 // PersistFsyncPolicy selects the journal durability policy.
 type PersistFsyncPolicy = persist.FsyncPolicy
 
-// The journal fsync policies: sync every append, sync on a background
-// interval (the default), or leave durability to the OS.
-const (
-	PersistFsyncAlways   = persist.FsyncAlways
-	PersistFsyncInterval = persist.FsyncInterval
-	PersistFsyncNever    = persist.FsyncNever
-)
-
 // ParsePersistFsyncPolicy parses a -persist-fsync style flag value
 // ("always", "interval", "never"; empty selects the default).
 func ParsePersistFsyncPolicy(s string) (PersistFsyncPolicy, error) {
 	return persist.ParseFsyncPolicy(s)
 }
 
-// PersistStats counts a persist store's checkpoint and journal activity.
-type PersistStats = persist.Stats
-
-// RecoveryStats describes what one warm-restart recovery found and how
-// it reconciled the snapshot with the journal (Proxy.Recovery).
-type RecoveryStats = persist.RecoveryStats
-
-// ReplicaState is one persisted peer summary replica — what snapshots
-// carry so a recovered node resumes with warm peer summaries.
-type ReplicaState = core.ReplicaState
-
-// CacheOnlyPath is the proxy's sibling-fetch endpoint, which never fetches
-// on a miss (so sibling fetches cannot recurse).
-const CacheOnlyPath = httpproxy.CacheOnlyPath
-
 // --- the wire protocol (internal/icp) ---
 
 // ICPMessage is one ICP datagram.
 type ICPMessage = icp.Message
 
-// ICPConfig tunes the ICP plane's pooling and batching: the depth of the
-// asynchronous send ring behind DIRUPDATE transmission, and whether the
-// publication path coalesces redundant same-bit flips before shipping.
-// Set it on ProxyConfig.ICP; the zero value selects every default.
-type ICPConfig = icp.Config
-
-// ICPOpcode is an ICP operation code.
-type ICPOpcode = icp.Opcode
-
-// DirUpdate is the decoded ICP_OP_DIRUPDATE payload.
-type DirUpdate = icp.DirUpdate
-
 // ParseICP decodes one ICP datagram.
 func ParseICP(b []byte) (ICPMessage, error) { return icp.Parse(b) }
-
-// MaxFlipsPerMessage is the most flip records one DIRUPDATE datagram holds.
-const MaxFlipsPerMessage = icp.MaxFlipsPerMessage
 
 // SplitUpdate partitions flips into DIRUPDATE messages of at most maxFlips
 // records each (MaxFlipsPerMessage when maxFlips <= 0).
 func SplitUpdate(reqNum uint32, spec HashSpec, bits uint32, flips []Flip, maxFlips int) []ICPMessage {
 	return icp.SplitUpdate(reqNum, spec, bits, flips, maxFlips)
 }
-
-// TCPClient maintains one persistent connection to a peer's update
-// channel, reconnecting lazily after failures.
-type TCPClient = icp.TCPClient
-
-// TCPClientConfig tunes a TCPClient's dial and per-send write deadlines.
-type TCPClientConfig = icp.TCPClientConfig
-
-// TCPServer accepts persistent update-channel connections.
-type TCPServer = icp.TCPServer
-
-// DefaultDialTimeout bounds update-channel connection establishment when
-// TCPClientConfig leaves DialTimeout zero.
-const DefaultDialTimeout = icp.DefaultDialTimeout
-
-// NewTCPClient prepares an update-channel client. This config form is the
-// one canonical constructor (it folds in the NewTCPClientWithConfig and
-// positional dial-timeout spellings of earlier revisions). A zero
-// DialTimeout means DefaultDialTimeout.
-func NewTCPClient(addr string, cfg TCPClientConfig) *TCPClient {
-	return icp.NewTCPClient(addr, cfg)
-}
-
-// ListenTCP starts an update-channel server on addr, delivering each
-// framed message to handler.
-func ListenTCP(addr string, handler ICPHandler) (*TCPServer, error) {
-	return icp.ListenTCP(addr, handler)
-}
-
-// ICPHandler consumes received ICP messages with their remote address.
-type ICPHandler = icp.Handler
 
 // --- deterministic fault injection (internal/faultnet) ---
 
@@ -305,16 +213,6 @@ type FaultRates = faultnet.Rates
 // transport wrapper.
 type FaultHTTPRates = faultnet.HTTPRates
 
-// FaultInjector instantiates a FaultScenario: a kill switch plus the
-// socket and transport wrappers that inject its faults, with per-kind
-// accounting.
-type FaultInjector = faultnet.Injector
-
-// NewFaultInjector instantiates a scenario. The injector starts enabled;
-// SetEnabled(false) turns every wrapper into a pure passthrough (the
-// "faults clear" phase of a chaos run).
-func NewFaultInjector(s FaultScenario) *FaultInjector { return faultnet.New(s) }
-
 // --- observability (internal/obs) ---
 
 // Registry is a concurrency-safe registry of labeled counters, gauges and
@@ -331,9 +229,6 @@ type Mount = obs.Mount
 // Health tracks component up/down state for /healthz.
 type Health = obs.Health
 
-// NewHealth creates an empty health tracker.
-func NewHealth() *Health { return obs.NewHealth() }
-
 // NewAdminHandler builds the admin endpoint: Prometheus text exposition at
 // /metrics, expvar-style JSON at /debug/vars, net/http/pprof at
 // /debug/pprof/, /healthz when health is non-nil, plus any extra mounts.
@@ -347,30 +242,6 @@ func NewAdminHandler(r *Registry, health *Health, mounts ...Mount) http.Handler 
 // cache's own contention counters.
 func RegisterRuntimeMetrics(r *Registry) { obs.RegisterRuntimeMetrics(r) }
 
-// --- mesh-health observability (internal/meshhealth) ---
-
-// MeshReport is one proxy's full mesh-health view: local advertisement
-// staleness, per-peer replica health and decision taxonomy, and the
-// recent false decisions with trace IDs. Proxy.MeshReport builds one.
-type MeshReport = meshhealth.Report
-
-// MeshPeerReport is one peer's row in a MeshReport.
-type MeshPeerReport = meshhealth.PeerReport
-
-// PeerDecisionStats counts the paper's decision taxonomy against one
-// peer: nominations, remote hits, false hits, false misses, stale hits.
-type PeerDecisionStats = meshhealth.PeerStats
-
-// FalseDecision is one recorded false hit / false miss / stale hit, with
-// the trace ID when tracing sampled the request.
-type FalseDecision = meshhealth.FalseDecision
-
-// NewMeshHandler serves mesh-health reports at /debug/mesh as HTML or
-// JSON (?format=json). Proxy.MeshHandler wires one to a live proxy.
-func NewMeshHandler(reports func() []MeshReport) http.Handler {
-	return meshhealth.NewHandler(reports)
-}
-
 // --- distributed tracing (internal/tracing) ---
 
 // Tracer records request-scoped distributed traces across the SC-ICP mesh
@@ -382,9 +253,6 @@ type Tracer = tracing.Tracer
 // TracerConfig parameterizes a Tracer: head-sampling rate, ring-buffer
 // capacity, and the metrics registry its retention counters register in.
 type TracerConfig = tracing.Config
-
-// DefaultTraceBuffer is the default trace ring-buffer capacity.
-const DefaultTraceBuffer = tracing.DefaultBuffer
 
 // TracerSink observes every span and trace completion regardless of
 // sampling — set TracerConfig.Sink to a *PerfWatch to feed the per-stage
@@ -414,27 +282,9 @@ type PerfConfig = perfwatch.Config
 // false hits over client requests).
 type PerfObjective = perfwatch.Objective
 
-// SLOStatus is one objective's state at the last evaluation — burn rate,
-// breach flag, window and lifetime counts — as served at /debug/slo.
-type SLOStatus = perfwatch.SLOStatus
-
-// PerfStageSummary is one row of the per-stage latency breakdown.
-type PerfStageSummary = perfwatch.StageSummary
-
 // PerfCaptureConfig configures anomaly-triggered pprof capture: ring
 // size, CPU-profile duration, and the rate-limit interval.
 type PerfCaptureConfig = perfwatch.CaptureConfig
-
-// PerfCapture is one captured profile set in the /debug/perf ring.
-type PerfCapture = perfwatch.Capture
-
-// PerfObjective kinds: latency thresholds, outcome error rates, and
-// counter ratios.
-const (
-	PerfKindLatency   = perfwatch.KindLatency
-	PerfKindErrorRate = perfwatch.KindErrorRate
-	PerfKindRatio     = perfwatch.KindRatio
-)
 
 // NewPerfWatch creates a PerfWatch.
 func NewPerfWatch(cfg PerfConfig) *PerfWatch { return perfwatch.New(cfg) }
@@ -472,9 +322,6 @@ type TraceWriter = trace.Writer
 // TraceBinaryWriter writes the compact binary trace format.
 type TraceBinaryWriter = trace.BinaryWriter
 
-// CacheableLimit is the paper's 250 KB document cacheability limit.
-const CacheableLimit = trace.CacheableLimit
-
 // NewTraceWriter creates a line-oriented trace writer.
 func NewTraceWriter(w io.Writer) *TraceWriter { return trace.NewWriter(w) }
 
@@ -496,13 +343,10 @@ func ComputeTraceStats(name string, reqs []TraceRequest) TraceStats {
 // tracegen reproduces.
 type TracePreset = tracegen.Preset
 
-// The five paper-trace presets.
+// Paper-trace presets (TracePresets lists all five).
 const (
-	PresetDEC      = tracegen.DEC
-	PresetUCB      = tracegen.UCB
-	PresetUPisa    = tracegen.UPisa
-	PresetQuestnet = tracegen.Questnet
-	PresetNLANR    = tracegen.NLANR
+	PresetDEC   = tracegen.DEC
+	PresetUPisa = tracegen.UPisa
 )
 
 // TraceGenConfig parameterizes synthetic trace generation.
@@ -533,11 +377,9 @@ type SimScheme = sim.Scheme
 
 // The cooperation schemes (Fig. 1).
 const (
-	SimNoSharing         = sim.NoSharing
-	SimSimpleSharing     = sim.SimpleSharing
-	SimSingleCopySharing = sim.SingleCopySharing
-	SimGlobalCache       = sim.GlobalCache
-	SimGlobalCacheShrunk = sim.GlobalCacheShrunk
+	SimNoSharing     = sim.NoSharing
+	SimSimpleSharing = sim.SimpleSharing
+	SimGlobalCache   = sim.GlobalCache
 )
 
 // SimSummaryKind selects how simulated proxies learn peers' contents.
@@ -545,23 +387,14 @@ type SimSummaryKind = sim.SummaryKind
 
 // The summary representations (Figs. 2, 5-8; Table III).
 const (
-	SummaryOracle         = sim.Oracle
-	SummaryICP            = sim.ICP
-	SummaryExactDirectory = sim.ExactDirectory
-	SummaryServerName     = sim.ServerName
-	SummaryBloom          = sim.Bloom
-	SummaryBloomDigest    = sim.BloomDigest
+	SummaryOracle = sim.Oracle
+	SummaryICP    = sim.ICP
+	SummaryBloom  = sim.Bloom
 )
 
 // SimSummaryConfig tunes the simulated summary (kind, load factor, counter
 // bits, update threshold, hash spec).
 type SimSummaryConfig = sim.SummaryConfig
-
-// SimMessageModel prices inter-proxy messages and bytes.
-type SimMessageModel = sim.MessageModel
-
-// PaperMessageModel is the message-cost model of the paper's evaluation.
-var PaperMessageModel = sim.PaperMessageModel
 
 // RunSim replays a request trace through the simulator.
 func RunSim(cfg SimConfig, reqs []TraceRequest) (SimResult, error) { return sim.Run(cfg, reqs) }
@@ -574,9 +407,6 @@ type TraceSet = experiments.TraceSet
 // LoadTraceSet generates (or loads) the named preset trace at scale and
 // bundles it with its statistics.
 var LoadTraceSet = experiments.Load
-
-// LoadAllTraceSets loads every preset at scale.
-var LoadAllTraceSets = experiments.LoadAll
 
 // TraceSetFromRequests bundles explicit requests into a TraceSet.
 var TraceSetFromRequests = experiments.LoadFromRequests
@@ -605,9 +435,6 @@ type Fig2Row = experiments.Fig2Row
 // Fig2 sweeps the summary update threshold (Fig. 2).
 var Fig2 = experiments.Fig2
 
-// Fig2Thresholds is the paper's Fig. 2 threshold sweep.
-var Fig2Thresholds = experiments.Fig2Thresholds
-
 // Fig2CSV writes Fig. 2 rows as CSV.
 var Fig2CSV = experiments.Fig2CSV
 
@@ -615,20 +442,11 @@ var Fig2CSV = experiments.Fig2CSV
 // Table III).
 type SummaryRow = experiments.SummaryRow
 
-// SummaryVariant names one summary representation under test.
-type SummaryVariant = experiments.SummaryVariant
-
-// PaperSummaryVariants is the paper's summary-comparison lineup.
-var PaperSummaryVariants = experiments.PaperSummaryVariants
-
 // SummaryComparison evaluates summary representations on one trace.
 var SummaryComparison = experiments.SummaryComparison
 
 // SummaryCSV writes summary-comparison rows as CSV.
 var SummaryCSV = experiments.SummaryCSV
-
-// ScaleRow is one proxy-count point of the §V-F scalability projection.
-type ScaleRow = experiments.ScaleRow
 
 // Scalability projects summary memory and message costs across mesh sizes.
 var Scalability = experiments.Scalability
@@ -734,9 +552,6 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) { return bench.RunMicro(cfg)
 // runs (cmd/proxybench -benchdiff).
 type MicroDiff = bench.MicroDiff
 
-// MicroDelta is one scenario's old-vs-new comparison in a MicroDiff.
-type MicroDelta = bench.MicroDelta
-
 // DiffMicro pairs two runs' scenarios by name; scenarios present in only
 // one run are reported, not dropped.
 func DiffMicro(old, new MicroResult) MicroDiff { return bench.DiffMicro(old, new) }
@@ -750,34 +565,3 @@ func LoadMicroResult(path string) (MicroResult, error) { return bench.LoadMicroR
 func LatestBenchFile(dir string, exclude ...string) (string, error) {
 	return bench.LatestBenchFile(dir, exclude...)
 }
-
-// --- static analysis (internal/analysis, cmd/sclint) ---
-
-// LintFinding is one diagnostic from the project's own analyzer; its
-// String form is the canonical "file:line: [rule] message".
-type LintFinding = analysis.Finding
-
-// The analyzer's rule names, for -rules style filtering and for matching
-// LintFinding.Rule. LintRuleLintDirective is the implicit rule that
-// flags malformed //lint:ignore directives. The last three are the
-// concurrency-safety suite built on the cross-package summary layer:
-// lock-order cycles, goroutines without a shutdown path, and decoder
-// borrows escaping their handler.
-const (
-	LintRuleAtomicMixing       = analysis.RuleAtomicMixing
-	LintRuleDeterminism        = analysis.RuleDeterminism
-	LintRuleStatsDrift         = analysis.RuleStatsDrift
-	LintRuleUncheckedClose     = analysis.RuleUncheckedClose
-	LintRuleStrayPrinting      = analysis.RuleStrayPrinting
-	LintRuleLintDirective      = analysis.RuleLintDirective
-	LintRuleLockOrder          = analysis.RuleLockOrder
-	LintRuleGoroutineLifecycle = analysis.RuleGoroutineLifecycle
-	LintRuleBorrowEscape       = analysis.RuleBorrowEscape
-)
-
-// LintPackages loads every non-test package under dir (a module root or
-// any directory tree) and runs the full rule suite — the programmatic
-// form of `go run ./cmd/sclint ./...`. A nil error with a non-empty
-// slice means the tree has findings; suppressions have already been
-// applied.
-func LintPackages(dir string) ([]LintFinding, error) { return analysis.LintDir(dir) }

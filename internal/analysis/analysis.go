@@ -214,7 +214,7 @@ func WriteJSON(w io.Writer, findings []Finding) error {
 }
 
 // LintDir loads the universe rooted at dir and runs the default suite —
-// the one-call form behind summarycache.LintPackages and cmd/sclint.
+// the one-call form behind cmd/sclint.
 func LintDir(dir string) ([]Finding, error) {
 	u, err := Load(dir)
 	if err != nil {

@@ -256,7 +256,7 @@ func (r *borrowEscapeRule) analyze(u *Universe) {
 // findHandlers marks every function (or literal) whose value — not a
 // call of it — flows somewhere while carrying a borrowed-Message
 // parameter in its signature. Registering n.handle as an icp.Handler,
-// passing handleTCPUpdate to ListenTCP, storing a callback in a config
+// passing a method value to icp.Listen, storing a callback in a config
 // struct: all make the target a handler whose Message parameters are
 // borrowed at every invocation.
 func (r *borrowEscapeRule) findHandlers(u *Universe) {
@@ -293,7 +293,7 @@ func (r *borrowEscapeRule) findHandlers(u *Universe) {
 }
 
 // handlerish reports a function type with at least one borrowed-Message
-// parameter — the shape of icp.Handler and the TCP/multicast callbacks.
+// parameter — the shape of icp.Handler and of the callbacks built on it.
 func handlerish(t types.Type) bool {
 	sig, ok := t.Underlying().(*types.Signature)
 	if !ok {

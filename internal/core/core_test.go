@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -162,11 +163,35 @@ func TestPeerTableRejectsBadUpdates(t *testing.T) {
 	if err := pt.ApplyUpdate("p", &icp.DirUpdate{Spec: hashing.DefaultSpec, Bits: 0}, false); err == nil {
 		t.Error("accepted zero-bit array")
 	}
-	// Out-of-range flip.
+	// Out-of-range flip behind a valid one: a rejected first contact
+	// leaves no replica that could nominate the sender.
 	u := &icp.DirUpdate{Spec: hashing.DefaultSpec, Bits: 64,
-		Flips: []bloom.Flip{{Index: 64, Set: true}}}
+		Flips: []bloom.Flip{{Index: 3, Set: true}, {Index: 64, Set: true}}}
 	if err := pt.ApplyUpdate("p", u, false); err == nil {
 		t.Error("accepted out-of-range flip")
+	}
+	if pt.Len() != 0 {
+		t.Fatalf("rejected first contact left %d replicas", pt.Len())
+	}
+	// A rejected full update (or geometry change) leaves an existing
+	// replica bit-identical: no reset, no prefix of its flips applied.
+	good := &icp.DirUpdate{Spec: hashing.DefaultSpec, Bits: 64,
+		Flips: []bloom.Flip{{Index: 1, Set: true}, {Index: 40, Set: true}}}
+	if err := pt.ApplyUpdate("p", good, true); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := pt.ReplicaSnapshot("p")
+	for _, bits := range []uint32{64, 128} {
+		bad := &icp.DirUpdate{Spec: hashing.DefaultSpec, Bits: bits,
+			Flips: []bloom.Flip{{Index: 5, Set: true}, {Index: bits, Set: true}}}
+		if err := pt.ApplyUpdate("p", bad, true); err == nil {
+			t.Fatalf("bits=%d: accepted out-of-range flip", bits)
+		}
+		after, _ := pt.ReplicaSnapshot("p")
+		if !bytes.Equal(after, before) || pt.Updates("p") != 1 {
+			t.Fatalf("bits=%d: rejected update changed the replica: %x -> %x, updates %d",
+				bits, before, after, pt.Updates("p"))
+		}
 	}
 }
 
@@ -401,6 +426,45 @@ func TestAuditQueriesNeverAskForObjects(t *testing.T) {
 	}
 }
 
+// TestNodeCountsRejectedUpdates: a DIRUPDATE the replica table refuses is
+// counted, and builds no replica of its sender.
+func TestNodeCountsRejectedUpdates(t *testing.T) {
+	n, err := NewNode(NodeConfig{
+		ListenAddr:  "127.0.0.1:0",
+		Directory:   DirectoryConfig{ExpectedDocs: 100},
+		HasDocument: func(string) bool { return false },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	sender, err := icp.Listen("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender.Start()
+	t.Cleanup(func() { sender.Close() })
+
+	bad := icp.NewDirUpdate(1, hashing.DefaultSpec, 64,
+		[]bloom.Flip{{Index: 3, Set: true}, {Index: 64, Set: true}})
+	if err := sender.Send(n.Addr(), bad); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the rejection", func() bool { return n.Stats().UpdatesRejected == 1 })
+	if st := n.Stats(); st.UpdatesReceived != 0 || n.PeerSummaries().Len() != 0 {
+		t.Fatalf("rejected update applied: received %d, replicas %d", st.UpdatesReceived, n.PeerSummaries().Len())
+	}
+
+	good := icp.NewDirUpdate(2, hashing.DefaultSpec, 64, []bloom.Flip{{Index: 3, Set: true}})
+	if err := sender.Send(n.Addr(), good); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the good update", func() bool { return n.Stats().UpdatesReceived == 1 })
+	if st := n.Stats(); st.UpdatesRejected != 1 {
+		t.Fatalf("rejected = %d, want 1", st.UpdatesRejected)
+	}
+}
+
 func TestNodeSummaryRuledOutMeansNoMessages(t *testing.T) {
 	m := newTestMesh(t, 3, 0.01)
 	// Nothing cached anywhere: lookups must be message-free.
@@ -537,119 +601,6 @@ func TestNodeConcurrentTraffic(t *testing.T) {
 	}
 	// Every node's updates must eventually replicate; spot-check one URL.
 	m.waitReplicated(t, 1, "http://g0/doc99", true)
-}
-
-// Updates over the persistent TCP channel replicate correctly and are
-// attributed to the sender's ICP identity (via the embedded port), so
-// queries still route to the right UDP endpoint.
-func TestNodeTCPUpdates(t *testing.T) {
-	docsA := map[string]bool{}
-	var muA sync.Mutex
-	a, err := NewNode(NodeConfig{
-		ListenAddr: "127.0.0.1:0",
-		Directory:  DirectoryConfig{ExpectedDocs: 500},
-		HasDocument: func(u string) bool {
-			muA.Lock()
-			defer muA.Unlock()
-			return docsA[u]
-		},
-		MinFlipsToPublish: 1,
-		TCPUpdateAddr:     "127.0.0.1:0",
-		QueryTimeout:      2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewNode(NodeConfig{
-		ListenAddr:        "127.0.0.1:0",
-		Directory:         DirectoryConfig{ExpectedDocs: 500},
-		HasDocument:       func(string) bool { return false },
-		MinFlipsToPublish: 1,
-		TCPUpdateAddr:     "127.0.0.1:0",
-		QueryTimeout:      2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	if a.TCPUpdateAddr() == nil || b.TCPUpdateAddr() == nil {
-		t.Fatal("TCP update channels not listening")
-	}
-	// a sends its updates to b over TCP; b never peers back (one-way is
-	// enough for this test).
-	if err := a.AddPeerTCP(b.Addr(), b.TCPUpdateAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-
-	const url = "http://tcp-updates/doc"
-	muA.Lock()
-	docsA[url] = true
-	muA.Unlock()
-	a.HandleInsert(url)
-	a.PublishNow()
-
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(b.PeerSummaries().Candidates(url)) > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	cands := b.PeerSummaries().Candidates(url)
-	if len(cands) != 1 {
-		t.Fatalf("replica not built over TCP: candidates %v", cands)
-	}
-	// The replica key must be a's ICP address (embedded identity), not the
-	// ephemeral TCP source port.
-	if cands[0] != a.Addr().String() {
-		t.Fatalf("replica keyed by %s, want %s", cands[0], a.Addr())
-	}
-	// And b can resolve a remote hit through the normal query path.
-	hit, _, err := b.Lookup(context.Background(), url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hit == nil || hit.String() != a.Addr().String() {
-		t.Fatalf("lookup: hit=%v, want %v", hit, a.Addr())
-	}
-	// No update datagrams traveled over UDP.
-	if sent := a.Stats().UDP.Sent; sent > 1 { // the lookup reply is b→a; a sends only its HIT reply
-		t.Logf("note: a sent %d UDP datagrams (query replies)", sent)
-	}
-	if b.Stats().UpdatesReceived == 0 {
-		t.Fatal("updates-received counter not incremented")
-	}
-}
-
-func TestNodeRemovePeerClosesTCP(t *testing.T) {
-	a, err := NewNode(NodeConfig{
-		ListenAddr:  "127.0.0.1:0",
-		Directory:   DirectoryConfig{ExpectedDocs: 10},
-		HasDocument: func(string) bool { return false },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewNode(NodeConfig{
-		ListenAddr:    "127.0.0.1:0",
-		Directory:     DirectoryConfig{ExpectedDocs: 10},
-		HasDocument:   func(string) bool { return false },
-		TCPUpdateAddr: "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := a.AddPeerTCP(b.Addr(), b.TCPUpdateAddr().String()); err != nil {
-		t.Fatal(err)
-	}
-	a.RemovePeer(b.Addr())
-	if len(a.PeerAddrs()) != 0 {
-		t.Fatal("peer survived removal")
-	}
 }
 
 // Time-based publication: pending deltas flow without any threshold trip.

@@ -72,30 +72,6 @@ type NodeConfig struct {
 	PublishInterval time.Duration
 	// QueryTimeout bounds Lookup's wait for ICP replies.
 	QueryTimeout time.Duration
-	// MulticastGroup, when set (e.g. "239.255.77.77:4827"), joins the
-	// group and sends each directory update once to it instead of
-	// unicasting to every peer — the paper's suggested transport
-	// ("update messages can be transferred via a nonreliable multicast
-	// scheme"; loss is safe because flips are absolute). Queries and
-	// replies stay unicast. All cooperating nodes must join the same
-	// group.
-	MulticastGroup string
-	// MulticastInterface optionally pins the interface for the group
-	// (nil: system default).
-	MulticastInterface *net.Interface
-	// TCPUpdateAddr, when set (e.g. "127.0.0.1:0"), accepts directory
-	// updates over persistent TCP connections — the paper's preferred
-	// transport for large updates ("the proxies can just maintain a
-	// permanent TCP connection with each other to exchange update
-	// messages"). Peers added with AddPeerTCP receive this node's updates
-	// over TCP; queries and replies stay on UDP.
-	TCPUpdateAddr string
-	// UpdateDialTimeout bounds dialing a TCP update peer (0: the ICP
-	// package's DefaultDialTimeout; negative: unbounded).
-	UpdateDialTimeout time.Duration
-	// UpdateWriteTimeout, when positive, puts a write deadline on every
-	// TCP update send so one stalled peer cannot wedge publication.
-	UpdateWriteTimeout time.Duration
 	// Metrics, when set, is the registry the node instruments itself
 	// against; series carry a node="<udp addr>" label so several nodes
 	// can share one registry. Nil: a private registry is created (the
@@ -152,6 +128,7 @@ type NodeStats struct {
 	AuditQueries     uint64 // extra ICP queries sent by the false-miss audit
 	UpdatesSent      uint64 // DIRUPDATE datagrams sent
 	UpdatesReceived  uint64 // DIRUPDATE datagrams applied
+	UpdatesRejected  uint64 // DIRUPDATE datagrams refused (bad geometry or flip index)
 	UpdateEvents     uint64 // threshold-triggered publications
 	FlipsPublished   uint64 // bit flips shipped in updates
 	FlipsCoalesced   uint64 // redundant same-bit flips elided before shipping
@@ -173,6 +150,7 @@ type nodeMetrics struct {
 	remoteHits, falseHits             *obs.Counter
 	falseMisses, auditQueries         *obs.Counter
 	updatesSent, updatesRecv          *obs.Counter
+	updatesRejected                   *obs.Counter
 	updateEvents                      *obs.Counter
 	flipsPublished                    *obs.Counter
 	flipsCoalesced                    *obs.Counter
@@ -200,6 +178,8 @@ func newNodeMetrics(reg *obs.Registry, labels obs.Labels) nodeMetrics {
 			"DIRUPDATE messages sent", labels),
 		updatesRecv: reg.Counter("summarycache_node_updates_received_total",
 			"DIRUPDATE messages applied", labels),
+		updatesRejected: reg.Counter("summarycache_node_updates_rejected_total",
+			"DIRUPDATE messages refused without touching the sender's replica", labels),
 		updateEvents: reg.Counter("summarycache_node_update_events_total",
 			"threshold- or timer-triggered summary publications", labels),
 		flipsPublished: reg.Counter("summarycache_node_flips_published_total",
@@ -235,8 +215,7 @@ type Node struct {
 	publishMu sync.Mutex // serializes threshold publications
 
 	// Per-peer outbound update accounting (updates and bytes sent to each
-	// registered neighbor; multicast sends are not per-peer and are only
-	// counted at the node level).
+	// registered neighbor).
 	outMu   sync.Mutex
 	peerOut map[string]*peerOutCounters
 	// lastAdvert is when this node last shipped any summary state (delta
@@ -251,18 +230,9 @@ type Node struct {
 	log     *slog.Logger
 	tracer  *tracing.Tracer // nil: tracing disabled
 
-	stopTimer chan struct{}       // closes on Close when PublishInterval is set
-	closeOnce sync.Once           // makes Close idempotent and race-free
-	closeErr  error               // the first Close's result, returned by all
-	mcast     *icp.MulticastGroup // nil unless MulticastGroup configured
-	groupAddr *net.UDPAddr
-
-	localIPsOnce sync.Once
-	localIPs     []net.IP
-
-	tcpSrv   *icp.TCPServer
-	tcpMu    sync.Mutex
-	tcpPeers map[string]*icp.TCPClient // peer UDP addr -> update channel
+	stopTimer chan struct{} // closes on Close when PublishInterval is set
+	closeOnce sync.Once     // makes Close idempotent and race-free
+	closeErr  error         // the first Close's result, returned by all
 }
 
 // NewNode opens the UDP endpoint and starts serving.
@@ -289,7 +259,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		peers:     NewPeerTable(),
 		peerAddrs: make(map[string]*net.UDPAddr),
 		peerOut:   make(map[string]*peerOutCounters),
-		tcpPeers:  make(map[string]*icp.TCPClient),
 		health:    obs.NewHealth(),
 		log:       obs.OrNop(cfg.Logger),
 		tracer:    cfg.Tracer,
@@ -304,23 +273,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	}
 	n.conn = conn
 	n.initMetrics(cfg.Metrics)
-	if cfg.MulticastGroup != "" {
-		mg, err := icp.JoinMulticast(cfg.MulticastGroup, cfg.MulticastInterface, n.handleMulticast)
-		if err != nil {
-			_ = conn.Close() // the join failure is the error worth reporting
-			return nil, err
-		}
-		n.mcast = mg
-		n.groupAddr = mg.Group()
-	}
-	if cfg.TCPUpdateAddr != "" {
-		srv, err := icp.ListenTCP(cfg.TCPUpdateAddr, n.handleTCPUpdate)
-		if err != nil {
-			_ = n.Close() // the listen failure is the error worth reporting
-			return nil, err
-		}
-		n.tcpSrv = srv
-	}
 	if cfg.PublishInterval > 0 {
 		n.stopTimer = make(chan struct{})
 		go n.publishLoop(cfg.PublishInterval)
@@ -394,50 +346,6 @@ func (n *Node) Metrics() *obs.Registry { return n.reg }
 // presumed up when registered; StartHealthChecks drives transitions.
 func (n *Node) Health() *obs.Health { return n.health }
 
-// TCPUpdateAddr returns the TCP update-channel address (nil if disabled).
-func (n *Node) TCPUpdateAddr() net.Addr {
-	if n.tcpSrv == nil {
-		return nil
-	}
-	return n.tcpSrv.Addr()
-}
-
-// handleTCPUpdate consumes updates from the TCP channel. The TCP source
-// port is ephemeral, so the sender embeds its ICP (UDP) port in the
-// message's OptionData; combined with the connection's source IP that
-// reconstructs the peer identity used for summaries and queries.
-func (n *Node) handleTCPUpdate(from *net.UDPAddr, m icp.Message) {
-	if m.Op != icp.OpDirUpdate {
-		return
-	}
-	id := from
-	if m.OptionData != 0 {
-		id = &net.UDPAddr{IP: from.IP, Port: int(m.OptionData)}
-	}
-	full := m.Options&icp.OptionFullUpdate != 0
-	if err := n.applyUpdate(id.String(), m.Update, full); err == nil {
-		n.metrics.updatesRecv.Inc()
-	}
-}
-
-// AddPeerTCP registers a neighbor whose updates travel over a persistent
-// TCP connection to tcpAddr; queries still go to udpAddr. The full current
-// state is shipped immediately, as with AddPeer.
-func (n *Node) AddPeerTCP(udpAddr *net.UDPAddr, tcpAddr string) error {
-	n.mu.Lock()
-	n.peerAddrs[udpAddr.String()] = udpAddr
-	n.mu.Unlock()
-	n.tcpMu.Lock()
-	n.tcpPeers[udpAddr.String()] = icp.NewTCPClient(tcpAddr, icp.TCPClientConfig{
-		DialTimeout:  n.cfg.UpdateDialTimeout,
-		WriteTimeout: n.cfg.UpdateWriteTimeout,
-	})
-	n.tcpMu.Unlock()
-	n.health.SetPeer(udpAddr.String(), true)
-	n.registerPeerMetrics(udpAddr.String())
-	return n.sendFullState(udpAddr)
-}
-
 // publishLoop implements time-based updates: any pending deltas are
 // published every interval, regardless of the threshold.
 func (n *Node) publishLoop(interval time.Duration) {
@@ -456,38 +364,6 @@ func (n *Node) publishLoop(interval time.Duration) {
 // Addr returns the node's bound UDP address.
 func (n *Node) Addr() *net.UDPAddr { return n.conn.Addr() }
 
-// isSelf reports whether from is this node's own endpoint. When the node
-// is bound to the unspecified address, any local interface IP with the
-// node's port is self (loopbacked multicast arrives with a concrete
-// source IP).
-func (n *Node) isSelf(from *net.UDPAddr) bool {
-	own := n.Addr()
-	if from.Port != own.Port {
-		return false
-	}
-	if from.IP.Equal(own.IP) {
-		return true
-	}
-	if !own.IP.IsUnspecified() {
-		return false
-	}
-	n.localIPsOnce.Do(func() {
-		if addrs, err := net.InterfaceAddrs(); err == nil {
-			for _, a := range addrs {
-				if ipn, ok := a.(*net.IPNet); ok {
-					n.localIPs = append(n.localIPs, ipn.IP)
-				}
-			}
-		}
-	})
-	for _, ip := range n.localIPs {
-		if from.IP.Equal(ip) {
-			return true
-		}
-	}
-	return false
-}
-
 // Directory exposes the local summary (diagnostics and tests).
 func (n *Node) Directory() *Directory { return n.dir }
 
@@ -504,39 +380,9 @@ func (n *Node) Close() error {
 		if n.stopTimer != nil {
 			close(n.stopTimer)
 		}
-		// Every endpoint is torn down regardless of earlier failures; the
-		// first error is what all Close callers observe.
-		record := func(err error) {
-			if n.closeErr == nil {
-				n.closeErr = err
-			}
-		}
-		if n.mcast != nil {
-			record(n.mcast.Close())
-		}
-		if n.tcpSrv != nil {
-			record(n.tcpSrv.Close())
-		}
-		n.tcpMu.Lock()
-		for _, c := range n.tcpPeers {
-			record(c.Close())
-		}
-		n.tcpMu.Unlock()
-		record(n.conn.Close())
+		n.closeErr = n.conn.Close()
 	})
 	return n.closeErr
-}
-
-// handleMulticast consumes group traffic: directory updates from peers
-// (our own loopbacked datagrams are ignored by source address).
-func (n *Node) handleMulticast(from *net.UDPAddr, m icp.Message) {
-	if m.Op != icp.OpDirUpdate || n.isSelf(from) {
-		return
-	}
-	full := m.Options&icp.OptionFullUpdate != 0
-	if err := n.applyUpdate(from.String(), m.Update, full); err == nil {
-		n.metrics.updatesRecv.Inc()
-	}
 }
 
 // Stats snapshots the node's counters. The values are read from the same
@@ -552,6 +398,7 @@ func (n *Node) Stats() NodeStats {
 		AuditQueries:     n.metrics.auditQueries.Value(),
 		UpdatesSent:      n.metrics.updatesSent.Value(),
 		UpdatesReceived:  n.metrics.updatesRecv.Value(),
+		UpdatesRejected:  n.metrics.updatesRejected.Value(),
 		UpdateEvents:     n.metrics.updateEvents.Value(),
 		FlipsPublished:   n.metrics.flipsPublished.Value(),
 		FlipsCoalesced:   n.metrics.flipsCoalesced.Value(),
@@ -634,12 +481,6 @@ func (n *Node) RemovePeer(addr *net.UDPAddr) {
 	delete(n.peerAddrs, addr.String())
 	n.mu.Unlock()
 	n.health.RemovePeer(addr.String())
-	n.tcpMu.Lock()
-	if c := n.tcpPeers[addr.String()]; c != nil {
-		_ = c.Close() // the peer is being forgotten; its channel error with it
-		delete(n.tcpPeers, addr.String())
-	}
-	n.tcpMu.Unlock()
 	n.peers.Drop(addr.String())
 	n.outMu.Lock()
 	delete(n.peerOut, addr.String())
@@ -815,24 +656,15 @@ func (n *Node) publishLocked() {
 	n.metrics.updateEvents.Inc()
 	n.metrics.flipsPublished.Add(uint64(len(flips)))
 	msgs := n.splitUpdate(flips)
-	n.stampIdentity(msgs)
-	n.log.Info("summary published", "flips", len(flips), "messages", len(msgs),
-		"multicast", n.groupAddr != nil)
+	n.log.Info("summary published", "flips", len(flips), "messages", len(msgs))
 	n.lastAdvert.Store(time.Now().UnixNano())
-	if n.groupAddr != nil {
-		// One datagram to the group replaces N−1 unicasts; the cost is
-		// charged at the node level only (no per-peer attribution).
-		for _, m := range msgs {
-			if err := n.conn.SendAsync(n.groupAddr, m); err == nil {
-				n.metrics.updatesSent.Inc()
-				n.metrics.updateDeltaBytes.Add(uint64(m.EncodedLen()))
-			}
-		}
-		return
-	}
+	// Deltas go through the endpoint's batched send ring: the publication
+	// rarely blocks on per-datagram syscalls, and a full ring applies
+	// back-pressure instead of sending in-line, so the ring preserves FIFO
+	// order — absolute flip records must be applied last-write-wins per bit.
 	for _, addr := range n.PeerAddrs() {
 		for _, m := range msgs {
-			if err := n.sendUpdateAsync(addr, m); err == nil {
+			if err := n.conn.SendAsync(addr, m); err == nil {
 				n.metrics.updatesSent.Inc()
 				n.noteSent(addr.String(), m.EncodedLen(), false)
 			}
@@ -896,58 +728,17 @@ func (n *Node) applyUpdate(peer string, u *icp.DirUpdate, full bool) error {
 	return err
 }
 
-// stampIdentity embeds this node's ICP port into update messages so
-// non-UDP transports can attribute them (see handleTCPUpdate).
-func (n *Node) stampIdentity(msgs []icp.Message) {
-	port := uint32(n.Addr().Port)
-	for i := range msgs {
-		msgs[i].OptionData = port
-	}
-}
-
-// sendUpdate routes one update message to a peer over its preferred
-// channel: the persistent TCP connection when one is registered, UDP
-// otherwise. Transmission is synchronous — full-state bootstraps use this
-// so the reset-flagged first message cannot be overtaken by its
-// successors.
-func (n *Node) sendUpdate(addr *net.UDPAddr, m icp.Message) error {
-	n.tcpMu.Lock()
-	cli := n.tcpPeers[addr.String()]
-	n.tcpMu.Unlock()
-	if cli != nil {
-		return cli.Send(m)
-	}
-	return n.conn.Send(addr, m)
-}
-
-// sendUpdateAsync is sendUpdate for delta publications: UDP peers get the
-// message through the endpoint's batched send ring (the publication loop
-// rarely blocks on per-datagram syscalls; a full ring applies
-// back-pressure instead of sending in-line, so the ring preserves FIFO
-// order — absolute flip records must be applied last-write-wins per bit).
-// TCP peers keep the synchronous framed channel, which already preserves
-// order.
-func (n *Node) sendUpdateAsync(addr *net.UDPAddr, m icp.Message) error {
-	n.tcpMu.Lock()
-	cli := n.tcpPeers[addr.String()]
-	n.tcpMu.Unlock()
-	if cli != nil {
-		return cli.Send(m)
-	}
-	return n.conn.SendAsync(addr, m)
-}
-
 // sendFullState ships the entire filter to one peer, flagged so the peer
-// resets its replica first.
+// resets its replica first. Transmission is synchronous, so the
+// reset-flagged first message cannot be overtaken by its successors.
 func (n *Node) sendFullState(addr *net.UDPAddr) error {
 	flips := n.dir.SnapshotFlips()
 	msgs := n.splitUpdate(flips)
-	n.stampIdentity(msgs)
 	for i, m := range msgs {
 		if i == 0 {
 			m.Options |= icp.OptionFullUpdate
 		}
-		if err := n.sendUpdate(addr, m); err != nil {
+		if err := n.conn.Send(addr, m); err != nil {
 			return err
 		}
 		n.metrics.updatesSent.Inc()
@@ -1032,9 +823,9 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 		}
 	}
 	n.mu.RUnlock()
-	// Summaries can arrive from peers we never explicitly registered (for
-	// example over a multicast group, where the replica is keyed by the
-	// datagram's source address); the key is itself the address to query.
+	// Summaries can arrive from peers we never registered (a neighbor that
+	// added us one-way); the replica is keyed by the datagram's source
+	// address, so the key is itself the address to query.
 	for _, id := range unknown {
 		if a, err := net.ResolveUDPAddr("udp", id); err == nil {
 			addrs = append(addrs, a)
@@ -1227,8 +1018,10 @@ func (n *Node) handle(from *net.UDPAddr, m icp.Message) {
 		}
 	case icp.OpDirUpdate:
 		full := m.Options&icp.OptionFullUpdate != 0
-		if err := n.applyUpdate(from.String(), m.Update, full); err == nil {
-			n.metrics.updatesRecv.Inc()
+		if err := n.applyUpdate(from.String(), m.Update, full); err != nil {
+			n.metrics.updatesRejected.Inc()
+			return
 		}
+		n.metrics.updatesRecv.Inc()
 	}
 }

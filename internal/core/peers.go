@@ -81,7 +81,9 @@ func (pt *PeerTable) Peers() []string {
 // geometry (every update message carries the full hash specification "so
 // that receivers can verify the information"). When full is true the
 // replica is reset before applying — the full-state bootstrap a recovered
-// neighbor sends.
+// neighbor sends. A rejected update changes nothing: every check, including
+// each flip index against the announced bit array, runs before the table
+// is touched.
 func (pt *PeerTable) ApplyUpdate(peer string, u *icp.DirUpdate, full bool) error {
 	if u == nil {
 		return icp.ErrNotDirUpdate
@@ -91,6 +93,11 @@ func (pt *PeerTable) ApplyUpdate(peer string, u *icp.DirUpdate, full bool) error
 	}
 	if u.Bits == 0 {
 		return fmt.Errorf("core: update from %s announces empty bit array", peer)
+	}
+	for _, fl := range u.Flips {
+		if fl.Index >= u.Bits {
+			return fmt.Errorf("core: update from %s: %w: %d >= %d", peer, bloom.ErrIndexRange, fl.Index, u.Bits)
+		}
 	}
 	pt.mu.Lock()
 	rebuilt := ""

@@ -157,6 +157,7 @@ func TestMetricsScrapeMatchesStats(t *testing.T) {
 			{fmt.Sprintf(`summarycache_node_false_hits_total{node=%q}`, naddr), st.Node.FalseHits},
 			{fmt.Sprintf(`summarycache_node_updates_sent_total{node=%q}`, naddr), st.Node.UpdatesSent},
 			{fmt.Sprintf(`summarycache_node_updates_received_total{node=%q}`, naddr), st.Node.UpdatesReceived},
+			{fmt.Sprintf(`summarycache_node_updates_rejected_total{node=%q}`, naddr), st.Node.UpdatesRejected},
 			{fmt.Sprintf(`summarycache_node_update_events_total{node=%q}`, naddr), st.Node.UpdateEvents},
 			{fmt.Sprintf(`summarycache_node_flips_published_total{node=%q}`, naddr), st.Node.FlipsPublished},
 			{fmt.Sprintf(`summarycache_node_filter_rebuilds_total{node=%q}`, naddr), st.Node.FilterRebuilds},

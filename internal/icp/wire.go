@@ -138,13 +138,10 @@ const MaxDatagram = 65507
 const MaxFlipsPerMessage = (MaxDatagram - HeaderLen - DirUpdateHeaderLen) / 4
 
 // bufPool recycles datagram-sized scratch buffers across the package's hot
-// paths: Conn.Send/SendAsync encode into them, the UDP and multicast
-// receive loops read into them, and the TCP framing borrows them too. The
-// extra frameHeaderLen of capacity lets a maximum-size message and its TCP
-// length prefix share one buffer without reallocating.
+// paths: Conn.Send and Conn.SendAsync encode into them.
 var bufPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 0, MaxDatagram+frameHeaderLen)
+		b := make([]byte, 0, MaxDatagram)
 		return &b
 	},
 }
@@ -160,7 +157,7 @@ func getBuf() *[]byte {
 // capacity (none of this package's callers do that) are dropped rather
 // than poisoning the pool with odd sizes.
 func putBuf(bp *[]byte) {
-	if cap(*bp) == MaxDatagram+frameHeaderLen {
+	if cap(*bp) == MaxDatagram {
 		bufPool.Put(bp)
 	}
 }

@@ -1,7 +1,6 @@
 package icp
 
 import (
-	"bytes"
 	"errors"
 	"net"
 	"testing"
@@ -20,7 +19,7 @@ func someFlips(n int) []bloom.Flip {
 }
 
 // The encode path must not allocate once the destination buffer exists:
-// Conn.Send/SendAsync and WriteFrame all append into pooled buffers, so a
+// Conn.Send and Conn.SendAsync append into pooled buffers, so a
 // hidden allocation here would silently tax every datagram.
 func TestAppendZeroAlloc(t *testing.T) {
 	m := NewDirUpdate(7, hashing.DefaultSpec, 1<<20, someFlips(360))
@@ -134,25 +133,6 @@ func TestSendZeroAlloc(t *testing.T) {
 	}
 	if got := c.Stats().Sent; got == 0 {
 		t.Fatal("sends not counted")
-	}
-}
-
-// WriteFrame shares the datagram pool: a steady-state TCP frame write must
-// not allocate either.
-func TestWriteFrameZeroAlloc(t *testing.T) {
-	m := NewDirUpdate(7, hashing.DefaultSpec, 1<<20, someFlips(360))
-	var sink bytes.Buffer
-	sink.Grow(2 * MaxDatagram)
-	if _, err := WriteFrame(&sink, m); err != nil { // prime pool and buffer
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		sink.Reset()
-		if _, err := WriteFrame(&sink, m); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("WriteFrame allocated %v times per run, want 0", n)
 	}
 }
 

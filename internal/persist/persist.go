@@ -4,7 +4,7 @@
 // filters — plus an append-only journal of cache mutations, so hot-path
 // writes cost O(one record), never O(filter).
 //
-// On-disk layout (all files length+CRC framed via internal/delta):
+// On-disk layout (all files length+CRC framed, see journal.go):
 //
 //	snap-<gen>   full snapshot, terminated by an end frame whose absence
 //	             marks a torn write (recovery falls back one generation)
@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"summarycache/internal/core"
-	"summarycache/internal/delta"
 	"summarycache/internal/lru"
 )
 
@@ -227,15 +226,15 @@ func (s *Store) path(prefix string, gen uint64) string {
 // AppendInsert journals a document entering the cache (or changing
 // version in place). O(record): one framed append, no filter walk.
 func (s *Store) AppendInsert(key string, size, version int64) error {
-	return s.append(delta.JournalRecord{Op: delta.JournalInsert, Key: key, Size: size, Version: version})
+	return s.append(journalRecord{Op: journalInsert, Key: key, Size: size, Version: version})
 }
 
 // AppendEvict journals a document leaving the cache.
 func (s *Store) AppendEvict(key string) error {
-	return s.append(delta.JournalRecord{Op: delta.JournalEvict, Key: key})
+	return s.append(journalRecord{Op: journalEvict, Key: key})
 }
 
-func (s *Store) append(rec delta.JournalRecord) error {
+func (s *Store) append(rec journalRecord) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -245,7 +244,7 @@ func (s *Store) append(rec delta.JournalRecord) error {
 		s.journalErrors.Add(1)
 		return err
 	}
-	s.jbuf = delta.AppendJournalRecord(s.jbuf[:0], rec)
+	s.jbuf = appendJournalRecord(s.jbuf[:0], rec)
 	n, err := s.jf.Write(s.jbuf)
 	if err != nil {
 		s.journalErrors.Add(1)
@@ -277,7 +276,7 @@ func (s *Store) ensureJournalLocked() error {
 		return fmt.Errorf("persist: stat journal: %w", err)
 	}
 	if st.Size() == 0 {
-		hdr := delta.AppendFrame(nil, journalHeader(s.gen))
+		hdr := appendFrame(nil, journalHeader(s.gen))
 		if _, err := f.Write(hdr); err != nil {
 			_ = f.Close() // header write failed; report that error
 			return fmt.Errorf("persist: journal header: %w", err)

@@ -196,6 +196,47 @@ func TestRecoverCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
+// TestRecoverZeroFilledSnapshotFallsBack: a snapshot whose body after the
+// header reads as zeros (blocks allocated but never written before a
+// crash) holds a zero-length frame whose CRC checks. Recovery must skip
+// it for the previous generation, not panic on the empty payload.
+func TestRecoverZeroFilledSnapshotFallsBack(t *testing.T) {
+	leakcheck.Install(t)
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	mustRecover(t, s)
+	if err := s.Checkpoint(SnapshotData{Entries: []lru.Entry{entry(1)}}); err != nil { // gen 1
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(SnapshotData{Entries: []lru.Entry{entry(1), entry(2)}}); err != nil { // gen 2
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spath := filepath.Join(dir, genName(snapPrefix, 2))
+	img, err := os.ReadFile(spath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, err := nextFrame(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(img[len(img)-len(rest):])
+	if err := os.WriteFile(spath, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := mustRecover(t, openStore(t, dir))
+	if rec.Stats.SnapshotsSkipped != 1 || rec.Stats.SnapshotGen != 1 {
+		t.Fatalf("stats: %+v", rec.Stats)
+	}
+	if len(rec.Entries) != 1 || rec.Entries[0].Key != entry(1).Key {
+		t.Fatalf("entries: %+v", rec.Entries)
+	}
+}
+
 // TestRecoverOverlapWindowIdempotent: a record present in both the
 // snapshot and the rotated journal (the overlap window) replays as a
 // no-op — same entries, and a doubled eviction surfaces as DoubleEvicts,

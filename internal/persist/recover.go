@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"summarycache/internal/core"
-	"summarycache/internal/delta"
 	"summarycache/internal/lru"
 )
 
@@ -179,35 +178,10 @@ func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry,
 		s.log.Warn("journal unreadable", "gen", gen, "err", err)
 		return
 	}
-	payload, rest, err := delta.NextFrame(img)
-	if err != nil || payload == nil {
-		if err != nil {
-			st.TornTail = true
-		}
-		return
-	}
-	if _, herr := parseHeader(payload, frameJournalHdr, jrnlMagic); herr != nil {
-		s.log.Warn("journal header invalid", "gen", gen, "err", herr)
-		return
-	}
-	for {
-		payload, rest, err = delta.NextFrame(rest)
-		if err != nil {
-			// Torn or corrupt tail: keep the valid prefix, stop here.
-			st.TornTail = true
-			return
-		}
-		if payload == nil {
-			return
-		}
-		rec, derr := delta.DecodeJournalRecord(payload)
-		if derr != nil {
-			st.TornTail = true
-			return
-		}
+	torn, herr := decodeJournal(img, func(rec journalRecord) {
 		st.JournalRecords++
 		switch rec.Op {
-		case delta.JournalInsert:
+		case journalInsert:
 			*seq++
 			if re, ok := entries[rec.Key]; ok {
 				if re.e.Version == rec.Version {
@@ -216,7 +190,7 @@ func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry,
 					// this version; just refresh recency.
 					re.seq = *seq
 					delete(removed, rec.Key)
-					continue
+					return
 				}
 				// The document changed version after the snapshot; its
 				// persisted body is stale. Drop it for refetch and take its
@@ -224,13 +198,13 @@ func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry,
 				st.StaleVersions++
 				delete(entries, rec.Key)
 				removed[rec.Key] = true
-				continue
+				return
 			}
 			// Inserted after the snapshot was captured: no body anywhere on
 			// disk. Not restored, not claimed — a safe under-claim the next
 			// real fetch repairs.
 			st.LostInserts++
-		case delta.JournalEvict:
+		case journalEvict:
 			if _, ok := entries[rec.Key]; ok {
 				delete(entries, rec.Key)
 				removed[rec.Key] = true
@@ -239,5 +213,40 @@ func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry,
 				st.DoubleEvicts++
 			}
 		}
+	})
+	if herr != nil {
+		s.log.Warn("journal header invalid", "gen", gen, "err", herr)
+	}
+	if torn {
+		st.TornTail = true
+	}
+}
+
+// decodeJournal walks a journal file image — its header frame, then one
+// record per frame — calling fn for each record. It stops at the clean
+// end or at the first torn or corrupt frame (torn = true: the valid
+// prefix has been delivered). An invalid header frame delivers nothing
+// and is returned as err.
+func decodeJournal(img []byte, fn func(journalRecord)) (torn bool, err error) {
+	payload, rest, ferr := nextFrame(img)
+	if ferr != nil || payload == nil {
+		return ferr != nil, nil
+	}
+	if _, err := parseHeader(payload, frameJournalHdr, jrnlMagic); err != nil {
+		return false, err
+	}
+	for {
+		payload, rest, ferr = nextFrame(rest)
+		if ferr != nil {
+			return true, nil
+		}
+		if payload == nil {
+			return false, nil
+		}
+		rec, derr := decodeJournalRecord(payload)
+		if derr != nil {
+			return true, nil
+		}
+		fn(rec)
 	}
 }

@@ -6,14 +6,13 @@ import (
 	"os"
 
 	"summarycache/internal/core"
-	"summarycache/internal/delta"
 	"summarycache/internal/hashing"
 	"summarycache/internal/lru"
 )
 
 // Snapshot frame kinds: the first byte of every frame payload in a
 // snap-<gen> file. A journal file instead opens with frameJournalHdr and
-// then carries raw delta.JournalRecord frames (whose first byte is the
+// then carries raw journalRecord frames (whose first byte is the
 // record op, disjoint from these).
 const (
 	frameSnapHdr    byte = 'H' // magic + generation
@@ -64,7 +63,7 @@ func appendEntryFrame(dst []byte, e lru.Entry) []byte {
 	payload = binary.AppendVarint(payload, e.Version)
 	payload = binary.AppendUvarint(payload, uint64(len(e.Body)))
 	payload = append(payload, e.Body...)
-	return delta.AppendFrame(dst, payload)
+	return appendFrame(dst, payload)
 }
 
 func decodeEntryFrame(payload []byte) (lru.Entry, error) {
@@ -108,7 +107,7 @@ func appendReplicaFrame(dst []byte, r core.ReplicaState) []byte {
 	payload = binary.AppendUvarint(payload, r.Generation)
 	payload = binary.AppendUvarint(payload, uint64(len(r.Filter)))
 	payload = append(payload, r.Filter...)
-	return delta.AppendFrame(dst, payload)
+	return appendFrame(dst, payload)
 }
 
 func decodeReplicaFrame(payload []byte) (core.ReplicaState, error) {
@@ -174,17 +173,17 @@ func encodeSnapshot(gen uint64, data SnapshotData) []byte {
 		size += len(data.Replicas[i].Peer) + len(data.Replicas[i].Filter) + 48
 	}
 	out := make([]byte, 0, size)
-	out = delta.AppendFrame(out, snapHeader(gen))
+	out = appendFrame(out, snapHeader(gen))
 	for _, e := range data.Entries {
 		out = appendEntryFrame(out, e)
 	}
 	if data.Directory != nil {
-		out = delta.AppendFrame(out, append([]byte{frameDirectory}, data.Directory...))
+		out = appendFrame(out, append([]byte{frameDirectory}, data.Directory...))
 	}
 	for _, r := range data.Replicas {
 		out = appendReplicaFrame(out, r)
 	}
-	out = delta.AppendFrame(out, []byte{frameEnd})
+	out = appendFrame(out, []byte{frameEnd})
 	return out
 }
 
@@ -194,7 +193,7 @@ func encodeSnapshot(gen uint64, data SnapshotData) []byte {
 // whose journal chain still reaches the present.
 func decodeSnapshot(img []byte, wantGen uint64) (SnapshotData, error) {
 	var data SnapshotData
-	payload, rest, err := delta.NextFrame(img)
+	payload, rest, err := nextFrame(img)
 	if err != nil || payload == nil {
 		return data, fmt.Errorf("persist: snapshot header: %v", err)
 	}
@@ -207,7 +206,7 @@ func decodeSnapshot(img []byte, wantGen uint64) (SnapshotData, error) {
 	}
 	sealed := false
 	for !sealed {
-		payload, rest, err = delta.NextFrame(rest)
+		payload, rest, err = nextFrame(rest)
 		if err != nil {
 			return data, fmt.Errorf("persist: snapshot frame: %w", err)
 		}
