@@ -124,7 +124,6 @@ func TestE2EClassificationMatchesSim(t *testing.T) {
 		p, err := Start(Config{
 			Mode:                ModeSCICP,
 			CacheBytes:          e2eCacheBytes,
-			CacheShards:         1, // exact LRU, as the simulator models
 			VersionAware:        true,
 			MinUpdateFlips:      1,
 			FalseMissAuditEvery: 1,

@@ -10,7 +10,7 @@ import (
 // closure), with and without the hook installed.
 func TestTimingPathAllocs(t *testing.T) {
 	for _, timed := range []bool{false, true} {
-		cfg := Config{Capacity: 1 << 20, MaxObjectSize: -1, Shards: 1}
+		cfg := Config{Capacity: 1 << 20, MaxObjectSize: -1}
 		if timed {
 			cfg.OpTiming = func(op string, d time.Duration) {}
 		}
