@@ -138,9 +138,8 @@ type CacheConfig = lru.Config
 type CacheEntry = lru.Entry
 
 // NewCache creates a document cache from cfg; CacheConfig.Capacity must be
-// positive. The cache is hash-striped across CacheConfig.Shards stripes
-// (GOMAXPROCS-derived when zero) so concurrent operations on different
-// keys proceed in parallel.
+// positive. The cache is one LRU list under one mutex; CacheConfig.OnChange
+// observes its changes in the order they were applied.
 func NewCache(cfg CacheConfig) (*Cache, error) { return lru.NewCache(cfg) }
 
 // Proxy is a caching HTTP forward proxy with cooperative peering.
@@ -238,8 +237,8 @@ func NewAdminHandler(r *Registry, health *Health, mounts ...Mount) http.Handler 
 
 // RegisterRuntimeMetrics exposes Go runtime health at /metrics —
 // mutex-wait seconds (runtime/metrics), goroutine count and GC cycles —
-// so shard-lock contention inside the process is visible next to the
-// cache's own contention counters.
+// so lock contention inside the process is visible next to the cache's
+// own contention counter.
 func RegisterRuntimeMetrics(r *Registry) { obs.RegisterRuntimeMetrics(r) }
 
 // --- distributed tracing (internal/tracing) ---
@@ -543,8 +542,8 @@ type MicroConfig = bench.MicroConfig
 // MicroResult is the microbenchmark report (the BENCH_PR3.json payload).
 type MicroResult = bench.MicroResult
 
-// RunMicro executes the concurrent-load microbenchmarks: the sharded LRU
-// and lock-free summary probes against frozen single-lock baselines, plus
+// RunMicro executes the concurrent-load microbenchmarks: the LRU and
+// lock-free summary probes against frozen single-lock baselines, plus
 // SC-ICP mesh throughput.
 func RunMicro(cfg MicroConfig) (MicroResult, error) { return bench.RunMicro(cfg) }
 

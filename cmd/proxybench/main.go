@@ -7,8 +7,8 @@
 //
 //	proxybench -experiment=table2|table4|table5|micro|all [-latency=20ms] [-clients=30] [-requests=200]
 //
-// -experiment=micro runs the concurrent-load microbenchmarks (sharded LRU
-// and lock-free summary probes against the frozen single-lock baselines,
+// -experiment=micro runs the concurrent-load microbenchmarks (the LRU and
+// lock-free summary probes against the frozen single-lock baselines,
 // plus SC-ICP mesh throughput) and writes the results as JSON to -out
 // (default BENCH_PR3.json). -benchdiff runs them and diffs the fresh
 // numbers against the latest committed BENCH_*.json, exiting non-zero

@@ -136,6 +136,10 @@ type NodeStats struct {
 	UpdateDeltaBytes uint64 // advertised bytes in delta publications
 	FilterRebuilds   uint64 // peer replicas created, re-created or reset
 	Recoveries       uint64 // warm-restart recoveries applied to this node
+	// DirectoryUnderflows counts directory removals that found a zero
+	// counter (Directory.Underflows). An ordered cache change stream keeps
+	// it 0; only crash recovery's journal overlap window may raise it.
+	DirectoryUnderflows uint64
 	// QueryRTTSeconds summarizes the Lookup ICP fan-out round-trip-time
 	// histogram (summarycache_node_query_rtt_seconds).
 	QueryRTTSeconds obs.HistogramSnapshot
@@ -330,6 +334,9 @@ func (n *Node) initMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("summarycache_node_directory_docs",
 		"documents summarized in the local directory", labels,
 		func() float64 { return float64(n.dir.Docs()) })
+	reg.CounterFunc("summarycache_node_directory_underflows_total",
+		"directory removals that found a zero counter", labels,
+		n.dir.Underflows)
 	reg.GaugeFunc("summarycache_node_pending_flips",
 		"unpublished bit flips in the directory journal", labels,
 		func() float64 { return float64(n.dir.PendingFlips()) })
@@ -408,6 +415,8 @@ func (n *Node) Stats() NodeStats {
 		Recoveries:       n.metrics.recoveries.Value(),
 		QueryRTTSeconds:  n.metrics.queryRTT.Snapshot(),
 		UDP:              n.conn.Stats(),
+		// Read from the directory itself, as its scrape series is.
+		DirectoryUnderflows: n.dir.Underflows(),
 	}
 }
 

@@ -161,6 +161,7 @@ func TestMetricsScrapeMatchesStats(t *testing.T) {
 			{fmt.Sprintf(`summarycache_node_update_events_total{node=%q}`, naddr), st.Node.UpdateEvents},
 			{fmt.Sprintf(`summarycache_node_flips_published_total{node=%q}`, naddr), st.Node.FlipsPublished},
 			{fmt.Sprintf(`summarycache_node_filter_rebuilds_total{node=%q}`, naddr), st.Node.FilterRebuilds},
+			{fmt.Sprintf(`summarycache_node_directory_underflows_total{node=%q}`, naddr), st.Node.DirectoryUnderflows},
 			{fmt.Sprintf(`summarycache_udp_sent_total{node=%q}`, naddr), st.Node.UDP.Sent},
 			{fmt.Sprintf(`summarycache_udp_received_total{node=%q}`, naddr), st.Node.UDP.Received},
 			{fmt.Sprintf(`summarycache_udp_send_errors_total{node=%q}`, naddr), st.Node.UDP.SendErrors},

@@ -39,7 +39,7 @@ func (p *Proxy) startPersistence(reg *obs.Registry, labels obs.Labels) error {
 	// The boot checkpoint re-captures the reconciled state under the next
 	// generation: recovery work is never repeated, and the journal chain
 	// the next crash replays starts here.
-	if err := store.Checkpoint(p.captureSnapshot()); err != nil {
+	if err := store.CheckpointFunc(p.captureSnapshot); err != nil {
 		_ = store.Close()
 		p.store = nil
 		return err
@@ -128,8 +128,8 @@ func (p *Proxy) registerPersistMetrics(reg *obs.Registry, labels obs.Labels) {
 
 // captureSnapshot assembles one checkpoint's state from the live
 // structures. Each capture is weakly consistent under concurrent
-// traffic; the journal records written around it reconcile the skew at
-// replay.
+// traffic; the journal records written after the rotation that precedes
+// it reconcile the skew at replay.
 func (p *Proxy) captureSnapshot() persist.SnapshotData {
 	data := persist.SnapshotData{Entries: p.cache.Entries()}
 	if p.node != nil {
@@ -145,7 +145,7 @@ func (p *Proxy) Checkpoint() error {
 	if p.store == nil {
 		return nil
 	}
-	return p.store.Checkpoint(p.captureSnapshot())
+	return p.store.CheckpointFunc(p.captureSnapshot)
 }
 
 func (p *Proxy) snapshotLoop(interval time.Duration) {
@@ -178,7 +178,7 @@ func (p *Proxy) shutdownPersist(final bool) error {
 			<-p.snapDone
 		}
 		if final {
-			err = p.store.Checkpoint(p.captureSnapshot())
+			err = p.store.CheckpointFunc(p.captureSnapshot)
 		}
 		if cerr := p.store.Close(); err == nil {
 			err = cerr

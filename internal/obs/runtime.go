@@ -5,9 +5,8 @@ import (
 )
 
 // runtimeSamples are the runtime/metrics samples re-exported at /metrics.
-// The mutex-wait total is the one the ROADMAP hot-path-reclaim item needs:
-// together with the LRU shard-contention counters it tells an operator
-// whether probe/insert latency is lock time or work.
+// The mutex-wait total, together with the LRU's lock-contention counter,
+// tells an operator whether probe/insert latency is lock time or work.
 var runtimeSamples = []struct {
 	name string // our family name
 	help string

@@ -110,6 +110,33 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointFuncRotatesBeforeCapture: a mutation that races the
+// capture is journaled into the new generation, which recovery replays
+// over the snapshot — here an eviction journaled while the capture still
+// holds the document.
+func TestCheckpointFuncRotatesBeforeCapture(t *testing.T) {
+	leakcheck.Install(t)
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	mustRecover(t, s)
+	doc := entry(1)
+	if err := s.CheckpointFunc(func() SnapshotData {
+		if err := s.AppendEvict(doc.Key); err != nil { // the racing mutation
+			t.Error(err)
+		}
+		return SnapshotData{Entries: []lru.Entry{doc}}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := mustRecover(t, openStore(t, dir))
+	if len(rec.Entries) != 0 || rec.Stats.ReplayedEvicts != 1 {
+		t.Fatalf("recovered %d entries (stats %+v); the racing eviction was lost", len(rec.Entries), rec.Stats)
+	}
+}
+
 // TestRecoverTornJournalTail: truncating the journal mid-record keeps
 // every record before the tear and flags TornTail.
 func TestRecoverTornJournalTail(t *testing.T) {

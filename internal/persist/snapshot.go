@@ -237,12 +237,22 @@ func decodeSnapshot(img []byte, wantGen uint64) (SnapshotData, error) {
 	return data, nil
 }
 
-// Checkpoint writes a new snapshot generation from data and rotates the
-// journal ahead of it: mutations that race the capture land in the new
-// generation's journal and replay idempotently over the snapshot. On
-// success, generations older than the previous one are pruned (two
-// snapshot/journal pairs always remain for corruption fallback).
+// Checkpoint writes a new snapshot generation from data, which the caller
+// captured before the journal rotates; use CheckpointFunc when the state
+// may change while it is captured.
 func (s *Store) Checkpoint(data SnapshotData) error {
+	return s.CheckpointFunc(func() SnapshotData { return data })
+}
+
+// CheckpointFunc rotates the journal, then calls capture and writes what
+// it returns as the new snapshot generation. Because the rotation comes
+// first, a mutation that races the capture lands in the new generation's
+// journal and replays idempotently over the snapshot; a capture taken
+// before the rotation could miss a mutation whose record then went to the
+// old journal, which recovery no longer replays. On success, generations
+// older than the previous one are pruned (two snapshot/journal pairs
+// always remain for corruption fallback).
+func (s *Store) CheckpointFunc(capture func() SnapshotData) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -250,7 +260,7 @@ func (s *Store) Checkpoint(data SnapshotData) error {
 	}
 	// Rotate first: seal the old journal, open gen+1. Records appended
 	// from here on belong to the new generation; any that describe
-	// mutations already visible in `data` replay as no-ops.
+	// mutations already visible in the capture replay as no-ops.
 	if err := s.syncJournalLocked(); err != nil {
 		s.mu.Unlock()
 		s.snapshotErrors.Add(1)
@@ -273,8 +283,10 @@ func (s *Store) Checkpoint(data SnapshotData) error {
 	}
 	s.mu.Unlock()
 
-	// Encode and write the snapshot outside the lock: appends may proceed
-	// into the new journal while the (possibly large) image is written.
+	// Capture, encode and write the snapshot outside the lock: appends may
+	// proceed into the new journal while the (possibly large) image is
+	// written.
+	data := capture()
 	img := encodeSnapshot(gen, data)
 	tmp := s.path(snapPrefix, gen) + ".tmp"
 	if err := writeFileSync(tmp, img); err != nil {
