@@ -142,7 +142,7 @@ func (h *healthMonitor) record(addr *net.UDPAddr, alive bool) {
 		// The neighbor restarted with an empty replica of us: re-ship the
 		// full state ("reinitializes a failed neighbor's bit array when it
 		// recovers").
-		_ = h.node.sendFullState(addr)
+		_ = h.node.publish(addr)
 		h.node.health.SetPeer(id, true)
 		h.node.log.Info("peer up", "peer", id)
 		if h.cfg.OnChange != nil {

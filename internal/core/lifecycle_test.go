@@ -1,41 +1,92 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
+
+	"summarycache/internal/icp"
+	"summarycache/internal/testutil/leakcheck"
 )
 
-// TestNodeCloseConcurrent is the regression test for the double-close
-// race: two concurrent Close calls could both observe the publish-timer
-// channel open and both close it, panicking. Close must be idempotent.
+// TestNodeCloseConcurrent races Close against every caller of the
+// publisher goroutine — PublishNow, AddPeer, threshold trips from
+// HandleInsert and a 1 ms PublishInterval. Every call must return, every
+// Close must report the first one's result, no goroutine may outlive the
+// node, and PublishNow and AddPeer after Close must return at once.
 func TestNodeCloseConcurrent(t *testing.T) {
+	leakcheck.Install(t)
+	peer := sinkAddr(t)
 	for i := 0; i < 20; i++ {
 		n, err := NewNode(NodeConfig{
-			ListenAddr:      "127.0.0.1:0",
-			Directory:       DirectoryConfig{ExpectedDocs: 100},
-			HasDocument:     func(string) bool { return false },
-			PublishInterval: time.Hour, // arms stopTimer, the racy channel
+			ListenAddr:        "127.0.0.1:0",
+			Directory:         DirectoryConfig{ExpectedDocs: 100},
+			HasDocument:       func(string) bool { return false },
+			MinFlipsToPublish: 1,
+			PublishInterval:   time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := n.AddPeer(peer); err != nil {
+			t.Fatal(err)
+		}
+		closeErrs := make(chan error, 2)
+		calls := []func(){
+			func() { closeErrs <- n.Close() },
+			func() { closeErrs <- n.Close() },
+			n.PublishNow,
+			func() { _ = n.AddPeer(peer) }, // icp.ErrClosed once Close has won
+			func() {
+				for j := 0; j < 100; j++ {
+					n.HandleInsert(fmt.Sprintf("http://close/%d/%d", i, j))
+				}
+			},
+		}
 		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
+		for _, call := range calls {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := n.Close(); err != nil {
-					t.Errorf("Close: %v", err)
-				}
+				call()
 			}()
 		}
-		wg.Wait()
+		returns(t, "the calls racing Close", wg.Wait)
+		first, second := <-closeErrs, <-closeErrs
+		if second != first {
+			t.Fatalf("concurrent Close calls returned %v and %v", first, second)
+		}
+		if err := n.Close(); err != first {
+			t.Fatalf("repeated Close returned %v, want the first result %v", err, first)
+		}
+		returns(t, "PublishNow after Close", n.PublishNow)
+		returns(t, "AddPeer after Close", func() {
+			if err := n.AddPeer(peer); !errors.Is(err, icp.ErrClosed) {
+				t.Errorf("AddPeer after Close: %v, want icp.ErrClosed", err)
+			}
+		})
 	}
 }
 
-// TestNodeCloseWithoutTimer covers the PublishInterval=0 path (nil
-// stopTimer) under the same concurrent shutdown.
+// returns fails t unless f returns within five seconds.
+func returns(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return within 5s", what)
+	}
+}
+
+// TestNodeCloseWithoutTimer covers the PublishInterval=0 path (a publisher
+// with no ticker) under the same concurrent shutdown.
 func TestNodeCloseWithoutTimer(t *testing.T) {
 	n, err := NewNode(NodeConfig{
 		ListenAddr:  "127.0.0.1:0",

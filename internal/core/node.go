@@ -68,7 +68,8 @@ type NodeConfig struct {
 	// deltas on a timer — the paper's alternative to the threshold rule
 	// ("the update can occur upon regular time intervals"). The paper
 	// estimates the thresholds translate to "an update frequency of
-	// roughly every five minutes to an hour" on its traces.
+	// roughly every five minutes to an hour" on its traces. The node's
+	// publisher goroutine runs the timer, as it runs every publication.
 	PublishInterval time.Duration
 	// QueryTimeout bounds Lookup's wait for ICP replies.
 	QueryTimeout time.Duration
@@ -104,11 +105,6 @@ type NodeConfig struct {
 	// a received DIRUPDATE ("dirupdate_apply"). Nil (the default) leaves
 	// every path untouched beyond one nil check.
 	StageTiming func(stage string, d time.Duration)
-	// ICP tunes the UDP endpoint's pooling and batching (send-ring depth)
-	// and the publication path's flip coalescing
-	// (icp.Config.DisableFlipCoalescing). The zero value selects every
-	// default.
-	ICP icp.Config
 	// FalseMissAuditEvery, when positive, samples every Nth unresolved
 	// lookup (no remote hit) and ICP-queries the peers whose summaries
 	// said NO. A HIT answer contradicts the negative probe — the paper's
@@ -131,7 +127,6 @@ type NodeStats struct {
 	UpdatesRejected  uint64 // DIRUPDATE datagrams refused (bad geometry or flip index)
 	UpdateEvents     uint64 // threshold-triggered publications
 	FlipsPublished   uint64 // bit flips shipped in updates
-	FlipsCoalesced   uint64 // redundant same-bit flips elided before shipping
 	UpdateFullBytes  uint64 // advertised bytes in full-state shipments
 	UpdateDeltaBytes uint64 // advertised bytes in delta publications
 	FilterRebuilds   uint64 // peer replicas created, re-created or reset
@@ -144,6 +139,8 @@ type NodeStats struct {
 	// histogram (summarycache_node_query_rtt_seconds).
 	QueryRTTSeconds obs.HistogramSnapshot
 	UDP             icp.Stats
+	// Deprecated: FlipsCoalesced is always 0; every journaled flip ships.
+	FlipsCoalesced uint64
 }
 
 // nodeMetrics are the registry-backed instruments behind NodeStats: the
@@ -157,7 +154,6 @@ type nodeMetrics struct {
 	updatesRejected                   *obs.Counter
 	updateEvents                      *obs.Counter
 	flipsPublished                    *obs.Counter
-	flipsCoalesced                    *obs.Counter
 	updateFullBytes, updateDeltaBytes *obs.Counter
 	filterRebuilds                    *obs.Counter
 	recoveries                        *obs.Counter
@@ -188,8 +184,6 @@ func newNodeMetrics(reg *obs.Registry, labels obs.Labels) nodeMetrics {
 			"threshold- or timer-triggered summary publications", labels),
 		flipsPublished: reg.Counter("summarycache_node_flips_published_total",
 			"bit flips shipped in directory updates", labels),
-		flipsCoalesced: reg.Counter("summarycache_node_flips_coalesced_total",
-			"redundant same-bit flips elided by publication coalescing", labels),
 		updateFullBytes: reg.Counter("summarycache_node_update_full_bytes_total",
 			"advertised DIRUPDATE bytes in full-state shipments", labels),
 		updateDeltaBytes: reg.Counter("summarycache_node_update_delta_bytes_total",
@@ -216,7 +210,16 @@ type Node struct {
 
 	mu        sync.RWMutex
 	peerAddrs map[string]*net.UDPAddr
-	publishMu sync.Mutex // serializes threshold publications
+
+	// The publisher goroutine is the only sender of DIRUPDATEs. wake (one
+	// slot) carries threshold trips from the cache's change hook without
+	// blocking it. jobs and results carry the synchronous publications (see
+	// publish). stop closes on Close, and pubDone once the publisher exits.
+	wake    chan struct{}
+	jobs    chan *net.UDPAddr
+	results chan error
+	stop    chan struct{}
+	pubDone chan struct{}
 
 	// Per-peer outbound update accounting (updates and bytes sent to each
 	// registered neighbor).
@@ -234,9 +237,8 @@ type Node struct {
 	log     *slog.Logger
 	tracer  *tracing.Tracer // nil: tracing disabled
 
-	stopTimer chan struct{} // closes on Close when PublishInterval is set
-	closeOnce sync.Once     // makes Close idempotent and race-free
-	closeErr  error         // the first Close's result, returned by all
+	closeOnce sync.Once // makes Close idempotent and race-free
+	closeErr  error     // the first Close's result, returned by all
 }
 
 // NewNode opens the UDP endpoint and starts serving.
@@ -266,21 +268,22 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		health:    obs.NewHealth(),
 		log:       obs.OrNop(cfg.Logger),
 		tracer:    cfg.Tracer,
+		wake:      make(chan struct{}, 1),
+		jobs:      make(chan *net.UDPAddr),
+		results:   make(chan error),
+		stop:      make(chan struct{}),
+		pubDone:   make(chan struct{}),
 	}
 	conn, err := icp.ListenWith(cfg.ListenAddr, icp.ListenConfig{
 		Handler: n.handle,
 		Wrap:    cfg.SocketWrapper,
-		Config:  cfg.ICP,
 	})
 	if err != nil {
 		return nil, err
 	}
 	n.conn = conn
 	n.initMetrics(cfg.Metrics)
-	if cfg.PublishInterval > 0 {
-		n.stopTimer = make(chan struct{})
-		go n.publishLoop(cfg.PublishInterval)
-	}
+	go n.publisher(cfg.PublishInterval)
 	conn.Start() // all handler dependencies are wired; begin serving
 	return n, nil
 }
@@ -312,9 +315,14 @@ func (n *Node) initMetrics(reg *obs.Registry) {
 	reg.CounterFunc("summarycache_udp_received_bytes_total",
 		"UDP bytes received by the ICP endpoint", labels,
 		st(func(s icp.Stats) uint64 { return s.RecvBytes }))
-	reg.CounterFunc("summarycache_udp_dropped_total",
-		"undecodable or unroutable datagrams", labels,
-		st(func(s icp.Stats) uint64 { return s.Dropped }))
+	for reason, read := range map[string]func(icp.Stats) uint64{
+		"undecodable": func(s icp.Stats) uint64 { return s.Undecodable },
+		"late_reply":  func(s icp.Stats) uint64 { return s.LateReplies },
+		"unasked":     func(s icp.Stats) uint64 { return s.Unasked },
+	} {
+		reg.CounterFunc("summarycache_udp_dropped_total", "datagrams dropped, by reason",
+			labels.With("reason", reason), st(read))
+	}
 	reg.CounterFunc("summarycache_udp_send_errors_total",
 		"UDP transmissions rejected by the network layer", labels,
 		st(func(s icp.Stats) uint64 { return s.SendErrors }))
@@ -353,18 +361,49 @@ func (n *Node) Metrics() *obs.Registry { return n.reg }
 // presumed up when registered; StartHealthChecks drives transitions.
 func (n *Node) Health() *obs.Health { return n.health }
 
-// publishLoop implements time-based updates: any pending deltas are
-// published every interval, regardless of the threshold.
-func (n *Node) publishLoop(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
+// publisher is the node's only sender of DIRUPDATEs, so deltas and
+// full-state resets reach each peer in publication order: flip records
+// are absolute, and the last one shipped for a bit must be applied last.
+// It runs until Close.
+func (n *Node) publisher(interval time.Duration) {
+	defer close(n.pubDone)
+	var tick <-chan time.Time
+	if interval > 0 {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
-		case <-t.C:
-			n.PublishNow()
-		case <-n.stopTimer:
+		case <-n.wake:
+			if n.ready() { // an earlier publication may have drained the trip
+				n.publishDeltas()
+			}
+		case <-tick:
+			n.publishDeltas()
+		case to := <-n.jobs:
+			if to == nil {
+				n.publishDeltas()
+				n.results <- nil
+			} else {
+				n.results <- n.sendFullState(to)
+			}
+		case <-n.stop:
 			return
 		}
+	}
+}
+
+// publish has the publisher ship the pending deltas to every peer (to ==
+// nil) or the full state to one peer, and returns the send error once the
+// datagrams are written and counted (icp.ErrClosed after Close). The
+// publisher takes no job before sending the last one's result to its caller.
+func (n *Node) publish(to *net.UDPAddr) error {
+	select {
+	case n.jobs <- to:
+		return <-n.results
+	case <-n.stop:
+		return icp.ErrClosed
 	}
 }
 
@@ -377,17 +416,15 @@ func (n *Node) Directory() *Directory { return n.dir }
 // PeerSummaries exposes the peer replica table (diagnostics and tests).
 func (n *Node) PeerSummaries() *PeerTable { return n.peers }
 
-// Close shuts the node down. It is idempotent and safe to call
-// concurrently: all callers observe the first shutdown's result. (The
-// previous check-then-close of the publish-timer channel let two
-// concurrent Close calls both take the not-yet-closed branch and panic on
-// the second close.)
+// Close shuts the node down and returns once its publisher has exited. It
+// is idempotent and safe to call concurrently: all callers observe the
+// first shutdown's result. Closing the socket first fails a send the
+// publisher is blocked in.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
-		if n.stopTimer != nil {
-			close(n.stopTimer)
-		}
+		close(n.stop)
 		n.closeErr = n.conn.Close()
+		<-n.pubDone
 	})
 	return n.closeErr
 }
@@ -408,7 +445,6 @@ func (n *Node) Stats() NodeStats {
 		UpdatesRejected:  n.metrics.updatesRejected.Value(),
 		UpdateEvents:     n.metrics.updateEvents.Value(),
 		FlipsPublished:   n.metrics.flipsPublished.Value(),
-		FlipsCoalesced:   n.metrics.flipsCoalesced.Value(),
 		UpdateFullBytes:  n.metrics.updateFullBytes.Value(),
 		UpdateDeltaBytes: n.metrics.updateDeltaBytes.Value(),
 		FilterRebuilds:   n.metrics.filterRebuilds.Value(),
@@ -421,14 +457,15 @@ func (n *Node) Stats() NodeStats {
 }
 
 // AddPeer registers a neighbor and bootstraps it with this node's full
-// summary state so its replica starts correct.
+// summary state so its replica starts correct. It returns once that state
+// is sent.
 func (n *Node) AddPeer(addr *net.UDPAddr) error {
 	n.mu.Lock()
 	n.peerAddrs[addr.String()] = addr
 	n.mu.Unlock()
 	n.health.SetPeer(addr.String(), true)
 	n.registerPeerMetrics(addr.String())
-	return n.sendFullState(addr)
+	return n.publish(addr)
 }
 
 // MarkPeerDown records an externally detected failure of a registered
@@ -454,7 +491,7 @@ func (n *Node) MarkPeerUp(addr *net.UDPAddr) error {
 	id := addr.String()
 	n.health.SetPeer(id, true)
 	n.log.Info("peer marked up", "peer", id, "source", "external")
-	return n.sendFullState(addr)
+	return n.publish(addr)
 }
 
 // ResyncPeers re-ships this node's full summary state to every registered
@@ -463,7 +500,7 @@ func (n *Node) MarkPeerUp(addr *net.UDPAddr) error {
 func (n *Node) ResyncPeers() error {
 	var firstErr error
 	for _, addr := range n.PeerAddrs() {
-		if err := n.sendFullState(addr); err != nil && firstErr == nil {
+		if err := n.publish(addr); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -515,9 +552,10 @@ type peerOutCounters struct {
 	bytes   uint64
 }
 
-// noteSent charges one successfully sent update message to a peer and to
-// the node-level full/delta byte split.
+// noteSent charges one successfully sent update message to the node, to a
+// peer and to the node-level full/delta byte split.
 func (n *Node) noteSent(id string, wire int, full bool) {
+	n.metrics.updatesSent.Inc()
 	n.outMu.Lock()
 	po := n.peerOut[id]
 	if po == nil {
@@ -612,114 +650,78 @@ func (n *Node) registerPeerMetrics(id string) {
 		})
 }
 
-// HandleInsert records a document entering the local cache and publishes
-// the summary if the update threshold trips.
+// HandleInsert records a document entering the local cache and wakes the
+// publisher if the update threshold trips. It never blocks: it runs inside
+// the cache's change hook, on every writer's path.
 func (n *Node) HandleInsert(url string) {
 	n.dir.Insert(url)
-	n.maybePublish()
+	n.wakeIfReady()
 }
 
 // HandleEvict records a document leaving the local cache.
 func (n *Node) HandleEvict(url string) {
 	n.dir.Remove(url)
-	n.maybePublish()
+	n.wakeIfReady()
 }
 
-func (n *Node) maybePublish() {
-	ready := func() bool {
-		return n.dir.ShouldPublish() && n.dir.PendingFlips() >= n.cfg.MinFlipsToPublish
-	}
-	if !ready() {
-		return
-	}
-	n.publishMu.Lock()
-	defer n.publishMu.Unlock()
-	if !ready() { // re-check under the lock
-		return
-	}
-	n.publishLocked()
+// ready reports whether the update threshold has tripped with enough
+// flips pending to publish.
+func (n *Node) ready() bool {
+	return n.dir.ShouldPublish() && n.dir.PendingFlips() >= n.cfg.MinFlipsToPublish
 }
 
-// PublishNow forces publication of any pending deltas.
-func (n *Node) PublishNow() {
-	n.publishMu.Lock()
-	defer n.publishMu.Unlock()
+func (n *Node) wakeIfReady() {
+	if !n.ready() {
+		return
+	}
+	select {
+	case n.wake <- struct{}{}:
+	default: // a wake is already pending; its publication drains these flips too
+	}
+}
+
+// PublishNow publishes any pending deltas and returns once they are written
+// and counted, after any publication already under way.
+func (n *Node) PublishNow() { _ = n.publish(nil) }
+
+// publishDeltas ships the pending flip journal to every registered peer.
+// Only the publisher calls it.
+func (n *Node) publishDeltas() {
 	if n.dir.PendingFlips() == 0 {
 		return
 	}
-	n.publishLocked()
-}
-
-func (n *Node) publishLocked() {
 	flips := n.dir.Drain()
-	if len(flips) == 0 {
-		return
-	}
-	if !n.cfg.ICP.DisableFlipCoalescing {
-		before := len(flips)
-		flips = coalesceFlips(flips)
-		if elided := before - len(flips); elided > 0 {
-			n.metrics.flipsCoalesced.Add(uint64(elided))
-		}
-	}
 	n.metrics.updateEvents.Inc()
 	n.metrics.flipsPublished.Add(uint64(len(flips)))
 	msgs := n.splitUpdate(flips)
 	n.log.Info("summary published", "flips", len(flips), "messages", len(msgs))
 	n.lastAdvert.Store(time.Now().UnixNano())
-	// Deltas go through the endpoint's batched send ring: the publication
-	// rarely blocks on per-datagram syscalls, and a full ring applies
-	// back-pressure instead of sending in-line, so the ring preserves FIFO
-	// order — absolute flip records must be applied last-write-wins per bit.
 	for _, addr := range n.PeerAddrs() {
 		for _, m := range msgs {
-			if err := n.conn.SendAsync(addr, m); err == nil {
-				n.metrics.updatesSent.Inc()
+			if err := n.conn.Send(addr, m); err == nil {
 				n.noteSent(addr.String(), m.EncodedLen(), false)
 			}
 		}
 	}
 }
 
-// coalesceFlips elides redundant same-bit records from a drained journal,
-// keeping only the LAST flip of each bit index: flips are absolute
-// set/clear records, so the final record alone determines the bit's state
-// on every receiver — a burst that flips a bit back and forth between
-// publications ships as one record instead of many. Relative order among
-// the surviving records is preserved (and iteration is over the slice, so
-// the result is deterministic for a given journal). The receiver-visible
-// end state is bit-identical to shipping the verbatim journal.
-func coalesceFlips(flips []bloom.Flip) []bloom.Flip {
-	if len(flips) < 2 {
-		return flips
-	}
-	last := make(map[uint32]int, len(flips))
-	for i, f := range flips {
-		last[f.Index] = i
-	}
-	if len(last) == len(flips) {
-		return flips // no bit flipped twice; nothing to elide
-	}
-	out := flips[:0]
-	for i, f := range flips {
-		if last[f.Index] == i {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // splitUpdate encodes pending flips into DIRUPDATE messages, reporting
 // the encoding time as the "dirupdate_encode" perfwatch stage when a
-// StageTiming hook is wired.
+// StageTiming hook is wired. Each message takes its own request number,
+// so a peer sees the publisher's datagrams in increasing ReqNum order.
 func (n *Node) splitUpdate(flips []bloom.Flip) []icp.Message {
+	var t0 time.Time
 	st := n.cfg.StageTiming
-	if st == nil {
-		return icp.SplitUpdate(n.conn.NextReqNum(), n.dir.Spec(), uint32(n.dir.Bits()), flips, n.cfg.MaxFlipsPerUpdate)
+	if st != nil {
+		t0 = time.Now()
 	}
-	t0 := time.Now()
-	msgs := icp.SplitUpdate(n.conn.NextReqNum(), n.dir.Spec(), uint32(n.dir.Bits()), flips, n.cfg.MaxFlipsPerUpdate)
-	st("dirupdate_encode", time.Since(t0))
+	msgs := icp.SplitUpdate(0, n.dir.Spec(), uint32(n.dir.Bits()), flips, n.cfg.MaxFlipsPerUpdate)
+	if st != nil {
+		st("dirupdate_encode", time.Since(t0))
+	}
+	for i := range msgs {
+		msgs[i].ReqNum = n.conn.NextReqNum()
+	}
 	return msgs
 }
 
@@ -738,19 +740,15 @@ func (n *Node) applyUpdate(peer string, u *icp.DirUpdate, full bool) error {
 }
 
 // sendFullState ships the entire filter to one peer, flagged so the peer
-// resets its replica first. Transmission is synchronous, so the
-// reset-flagged first message cannot be overtaken by its successors.
+// resets its replica first. Only the publisher calls it, so no delta can
+// overtake the reset.
 func (n *Node) sendFullState(addr *net.UDPAddr) error {
-	flips := n.dir.SnapshotFlips()
-	msgs := n.splitUpdate(flips)
-	for i, m := range msgs {
-		if i == 0 {
-			m.Options |= icp.OptionFullUpdate
-		}
+	msgs := n.splitUpdate(n.dir.SnapshotFlips())
+	msgs[0].Options |= icp.OptionFullUpdate
+	for _, m := range msgs {
 		if err := n.conn.Send(addr, m); err != nil {
 			return err
 		}
-		n.metrics.updatesSent.Inc()
 		n.noteSent(addr.String(), m.EncodedLen(), true)
 	}
 	n.lastAdvert.Store(time.Now().UnixNano())

@@ -165,6 +165,9 @@ func TestMetricsScrapeMatchesStats(t *testing.T) {
 			{fmt.Sprintf(`summarycache_udp_sent_total{node=%q}`, naddr), st.Node.UDP.Sent},
 			{fmt.Sprintf(`summarycache_udp_received_total{node=%q}`, naddr), st.Node.UDP.Received},
 			{fmt.Sprintf(`summarycache_udp_send_errors_total{node=%q}`, naddr), st.Node.UDP.SendErrors},
+			{fmt.Sprintf(`summarycache_udp_dropped_total{node=%q,reason="undecodable"}`, naddr), st.Node.UDP.Undecodable},
+			{fmt.Sprintf(`summarycache_udp_dropped_total{node=%q,reason="late_reply"}`, naddr), st.Node.UDP.LateReplies},
+			{fmt.Sprintf(`summarycache_udp_dropped_total{node=%q,reason="unasked"}`, naddr), st.Node.UDP.Unasked},
 		}
 		for _, c := range checks {
 			got, ok := series[c.series]

@@ -124,13 +124,10 @@ type Config struct {
 	MaxObjectSize int64
 	// Summary configures the local directory summary (ModeSCICP).
 	Summary core.DirectoryConfig
-	// ICP tunes the ICP plane's pooling and batching: the send-ring depth
-	// behind asynchronous DIRUPDATE transmission and the publication-path
-	// flip coalescing (see icp.Config). The zero value selects every
-	// default.
-	ICP icp.Config
 	// MinUpdateFlips forwards to core.NodeConfig.MinFlipsToPublish
 	// (ModeSCICP): 0 keeps the prototype's fill-an-IP-packet batching.
+	// Publication runs on the SC-ICP node's publisher goroutine, so a slow
+	// ICP socket never delays a cache write.
 	MinUpdateFlips int
 	// ParentURL, when set, routes misses through a parent proxy's
 	// ProxyPath endpoint instead of contacting origins directly — the
@@ -496,7 +493,6 @@ func Start(cfg Config) (*Proxy, error) {
 		conn, err := icp.ListenWith(cfg.ICPAddr, icp.ListenConfig{
 			Handler: p.handleICP,
 			Wrap:    sockWrap,
-			Config:  cfg.ICP,
 		})
 		if err != nil {
 			_ = ln.Close() // the ICP listen failure is the error worth reporting
@@ -513,7 +509,6 @@ func Start(cfg Config) (*Proxy, error) {
 			MinFlipsToPublish:   cfg.MinUpdateFlips,
 			QueryTimeout:        cfg.QueryTimeout,
 			SocketWrapper:       sockWrap,
-			ICP:                 cfg.ICP,
 			Metrics:             reg,
 			Logger:              cfg.Logger,
 			Tracer:              cfg.Tracer,

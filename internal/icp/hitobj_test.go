@@ -398,8 +398,8 @@ func TestHostileHitObjDropped(t *testing.T) {
 		if err != nil || from != nil {
 			t.Fatalf("tamper %d: from=%v err=%v, want an ordinary miss", i, from, err)
 		}
-		if st := cli.Stats(); st.Received != 1 || st.Dropped != 1 {
-			t.Fatalf("tamper %d: stats %+v, want the one reply received and dropped", i, st)
+		if st := cli.Stats(); st.Received != 1 || st.Undecodable != 1 || st.Dropped != 1 {
+			t.Fatalf("tamper %d: stats %+v, want the one reply received and dropped as undecodable", i, st)
 		}
 	}
 }

@@ -13,12 +13,16 @@ import (
 // Stats counts datagrams through a Conn; the networked benchmark's analog
 // of the paper's netstat UDP counters.
 type Stats struct {
-	Sent       uint64
-	Received   uint64
-	SentBytes  uint64
-	RecvBytes  uint64
-	Dropped    uint64 // undecodable or unroutable datagrams
-	SendErrors uint64 // transmissions the network layer rejected
+	Sent      uint64
+	Received  uint64
+	SentBytes uint64
+	RecvBytes uint64
+	// Dropped is Undecodable + LateReplies + Unasked.
+	Dropped     uint64
+	Undecodable uint64 // datagrams that failed to decode
+	LateReplies uint64 // replies whose query was no longer waiting
+	Unasked     uint64 // replies to a live query from an address it did not ask
+	SendErrors  uint64 // transmissions the network layer rejected
 }
 
 // Handler consumes unsolicited inbound messages (queries from peers,
@@ -32,33 +36,6 @@ type Stats struct {
 // must copy it (URL strings are owned and safe to retain).
 type Handler func(from *net.UDPAddr, m Message)
 
-// DefaultSendQueue is the depth, in datagrams, of a Conn's asynchronous
-// send ring when Config.SendQueue is zero.
-const DefaultSendQueue = 256
-
-// Config tunes the ICP plane's pooling and batching machinery — the knobs
-// behind the zero-allocation fast path. The zero value selects every
-// default, so existing callers configure nothing.
-type Config struct {
-	// SendQueue is the depth of the asynchronous send ring in datagrams
-	// (0: DefaultSendQueue). SendAsync enqueues loss-tolerant traffic
-	// (directory updates) here; a dedicated sender goroutine drains the
-	// ring in batches, so a burst of updates never blocks the caller on
-	// per-datagram syscalls. When the ring is full, SendAsync blocks for
-	// a slot (back-pressure) rather than dropping or sending in-line —
-	// in-line sends would reorder absolute flip records, leaving peer
-	// replicas stale.
-	SendQueue int
-	// DisableFlipCoalescing turns off per-peer DIRUPDATE flip coalescing
-	// in the publication path (the core layer consumes this knob): by
-	// default, when a burst of directory changes flips the same bit more
-	// than once between publications, only the final state of each bit is
-	// shipped. Flips are absolute set/clear records, so coalescing
-	// preserves the receiver's final replica state exactly; disable it
-	// only to reproduce the prototype's verbatim journal streams.
-	DisableFlipCoalescing bool
-}
-
 // ListenConfig parameterizes ListenWith — the canonical configured form of
 // opening an ICP endpoint.
 type ListenConfig struct {
@@ -68,8 +45,6 @@ type ListenConfig struct {
 	// Wrap, when set, decorates the bound socket before use — the
 	// fault-injection hook. Nil: the raw socket, with no interposed call.
 	Wrap SocketWrapper
-	// Config tunes pooling and batching.
-	Config Config
 }
 
 // ErrClosed is returned by operations on a closed Conn.
@@ -97,31 +72,21 @@ type reply struct {
 	from *net.UDPAddr
 }
 
-// outgoing is one encoded datagram queued on the send ring. buf is a
-// pooled buffer the sender goroutine returns after the write.
-type outgoing struct {
-	to  *net.UDPAddr
-	buf *[]byte
-}
-
 // Conn is an ICP endpoint over UDP: it serves peer queries via a Handler
 // and issues queries with request-number matching and timeouts.
 type Conn struct {
 	pc      PacketConn
 	handler Handler
 
-	sent, recv, sentB, recvB, dropped, sendErrs atomic.Uint64
-	nextReq                                     atomic.Uint32
+	sent, recv, sentB, recvB, sendErrs atomic.Uint64
+	undecodable, late, unasked         atomic.Uint64
+	nextReq                            atomic.Uint32
 
 	mu      sync.Mutex
 	pending map[uint32]chan reply
 	closed  bool
 	started bool
 	done    chan struct{}
-
-	sendQ    chan outgoing
-	sendStop chan struct{}
-	sendDone chan struct{}
 }
 
 // Listen opens an ICP endpoint on addr ("127.0.0.1:0" for an ephemeral
@@ -134,9 +99,8 @@ func Listen(addr string, handler Handler) (*Conn, error) {
 	return ListenWith(addr, ListenConfig{Handler: handler})
 }
 
-// ListenWith is the configured form of Listen: the socket wrapper
-// (fault injection) and the batching knobs ride one struct. (It replaces
-// the positional ListenWrapped of earlier revisions.)
+// ListenWith is the configured form of Listen: the handler and the socket
+// wrapper (fault injection) ride one struct.
 func ListenWith(addr string, cfg ListenConfig) (*Conn, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -150,26 +114,18 @@ func ListenWith(addr string, cfg ListenConfig) (*Conn, error) {
 	if cfg.Wrap != nil {
 		sock = cfg.Wrap(sock)
 	}
-	depth := cfg.Config.SendQueue
-	if depth <= 0 {
-		depth = DefaultSendQueue
-	}
 	c := &Conn{
-		pc:       sock,
-		handler:  cfg.Handler,
-		pending:  make(map[uint32]chan reply),
-		done:     make(chan struct{}),
-		sendQ:    make(chan outgoing, depth),
-		sendStop: make(chan struct{}),
-		sendDone: make(chan struct{}),
+		pc:      sock,
+		handler: cfg.Handler,
+		pending: make(map[uint32]chan reply),
+		done:    make(chan struct{}),
 	}
 	return c, nil
 }
 
-// Start begins the receive loop and the send-ring drainer. It must be
-// called exactly once, after the handler's dependencies are fully
-// initialized. Datagrams arriving before Start sit in the socket buffer
-// and are processed once it runs.
+// Start begins the receive loop. It must be called exactly once, after
+// the handler's dependencies are fully initialized. Datagrams arriving
+// before Start sit in the socket buffer and are processed once it runs.
 func (c *Conn) Start() {
 	c.mu.Lock()
 	if c.started || c.closed {
@@ -179,7 +135,6 @@ func (c *Conn) Start() {
 	c.started = true
 	c.mu.Unlock()
 	go c.readLoop()
-	go c.sendLoop()
 }
 
 // Addr returns the bound UDP address.
@@ -187,14 +142,18 @@ func (c *Conn) Addr() *net.UDPAddr { return c.pc.LocalAddr().(*net.UDPAddr) }
 
 // Stats snapshots the traffic counters.
 func (c *Conn) Stats() Stats {
-	return Stats{
-		Sent:       c.sent.Load(),
-		Received:   c.recv.Load(),
-		SentBytes:  c.sentB.Load(),
-		RecvBytes:  c.recvB.Load(),
-		Dropped:    c.dropped.Load(),
-		SendErrors: c.sendErrs.Load(),
+	s := Stats{
+		Sent:        c.sent.Load(),
+		Received:    c.recv.Load(),
+		SentBytes:   c.sentB.Load(),
+		RecvBytes:   c.recvB.Load(),
+		Undecodable: c.undecodable.Load(),
+		LateReplies: c.late.Load(),
+		Unasked:     c.unasked.Load(),
+		SendErrors:  c.sendErrs.Load(),
 	}
+	s.Dropped = s.Undecodable + s.LateReplies + s.Unasked
+	return s
 }
 
 // Close shuts the endpoint down and fails all in-flight queries.
@@ -211,11 +170,9 @@ func (c *Conn) Close() error {
 	c.pending = make(map[uint32]chan reply)
 	started := c.started
 	c.mu.Unlock()
-	close(c.sendStop)
 	err := c.pc.Close()
 	if started {
 		<-c.done
-		<-c.sendDone
 	}
 	return err
 }
@@ -236,49 +193,10 @@ func (c *Conn) Send(to *net.UDPAddr, m Message) error {
 	return err
 }
 
-// SendAsync encodes m into a pooled buffer and queues it on the send ring;
-// the sender goroutine drains the ring in batches and returns the buffer.
-// Use it for loss-tolerant traffic (directory updates) where the caller
-// usually must not block on per-datagram syscalls. When the ring is full
-// the call blocks until the drainer frees a slot (back-pressure) rather
-// than sending in-line: an in-line send would overtake datagrams already
-// queued, and DIRUPDATE flips are absolute records whose LAST write for a
-// bit must win — delivering an older record after a newer one leaves the
-// receiver's replica permanently stale. FIFO order through the ring is
-// therefore a correctness property, not an optimization. Transmit errors
-// on the asynchronous path surface only in the SendErrors counter.
-func (c *Conn) SendAsync(to *net.UDPAddr, m Message) error {
-	bp := getBuf()
-	buf, err := m.Append(*bp)
-	if err != nil {
-		putBuf(bp)
-		return err
-	}
-	*bp = buf
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		putBuf(bp)
-		return ErrClosed
-	}
-	select {
-	case c.sendQ <- outgoing{to: to, buf: bp}:
-		c.mu.Unlock()
-		return nil
-	default:
-	}
-	c.mu.Unlock()
-	// Ring full: the mesh is publishing faster than the socket drains.
-	// Block for a slot so the datagram keeps its place in the sequence;
-	// sendStop unblocks the wait if the endpoint closes underneath us.
-	select {
-	case c.sendQ <- outgoing{to: to, buf: bp}:
-		return nil
-	case <-c.sendStop:
-		putBuf(bp)
-		return ErrClosed
-	}
-}
+// SendAsync sends m synchronously, exactly as Send does.
+//
+// Deprecated: use Send.
+func (c *Conn) SendAsync(to *net.UDPAddr, m Message) error { return c.Send(to, m) }
 
 // write transmits one encoded datagram and maintains the counters.
 func (c *Conn) write(to *net.UDPAddr, bp *[]byte) error {
@@ -299,45 +217,6 @@ func (c *Conn) write(to *net.UDPAddr, bp *[]byte) error {
 	c.sent.Add(1)
 	c.sentB.Add(uint64(n))
 	return nil
-}
-
-// sendLoop is the send ring's drainer: each wakeup writes every datagram
-// queued at that moment before blocking again, so a publication burst
-// costs one goroutine handoff rather than one per datagram.
-func (c *Conn) sendLoop() {
-	defer close(c.sendDone)
-	for {
-		select {
-		case o := <-c.sendQ:
-			c.drainOne(o)
-			for {
-				select {
-				case o := <-c.sendQ:
-					c.drainOne(o)
-					continue
-				default:
-				}
-				break
-			}
-		case <-c.sendStop:
-			// Closed: release anything still queued without touching the
-			// (already closed) socket.
-			for {
-				select {
-				case o := <-c.sendQ:
-					putBuf(o.buf)
-					continue
-				default:
-				}
-				return
-			}
-		}
-	}
-}
-
-func (c *Conn) drainOne(o outgoing) {
-	_ = c.write(o.to, o.buf) // async path: failures land in SendErrors
-	putBuf(o.buf)
 }
 
 // NextReqNum returns a fresh request number. The 32-bit counter wraps
@@ -413,12 +292,12 @@ func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message,
 // winning HIT_OBJ carries the document (Object, version in OptionData).
 // An object is used only when it comes from the flagged peer and names
 // the URL asked for; any other HIT_OBJ is taken as a plain HIT, its object
-// dropped. A reply from an address that was not asked is ignored: reply
-// routing keys on the request number alone, which anyone reaching the
-// socket can guess. onReply (when non-nil) is invoked on the caller's
-// goroutine for every reply that arrives before the fan-out resolves,
-// attributed to its sender; the tracing layer uses it to record each
-// peer's actual answer.
+// dropped. A reply from an address that was not asked is ignored and
+// counted (Stats.Unasked): reply routing keys on the request number alone,
+// which anyone reaching the socket can guess. onReply (when non-nil) is
+// invoked on the caller's goroutine for every reply that arrives before
+// the fan-out resolves, attributed to its sender; the tracing layer uses
+// it to record each peer's actual answer.
 func (c *Conn) QueryAllFunc(ctx context.Context, peers []*net.UDPAddr, url string, options uint32, onReply func(from *net.UDPAddr, op Opcode)) (win Message, from *net.UDPAddr, reqNum uint32, err error) {
 	if len(peers) == 0 {
 		return Message{}, nil, 0, nil
@@ -460,6 +339,7 @@ func (c *Conn) QueryAllFunc(ctx context.Context, peers []*net.UDPAddr, url strin
 			}
 			p := findAddr(peers, r.from)
 			if p == nil {
+				c.unasked.Add(1)
 				continue
 			}
 			sent--
@@ -528,7 +408,7 @@ func (c *Conn) readLoop() {
 		c.recvB.Add(uint64(n))
 		m, err := dec.Decode(buf[:n])
 		if err != nil {
-			c.dropped.Add(1)
+			c.undecodable.Add(1)
 			continue
 		}
 		if isReply(m.Op) {
@@ -547,8 +427,7 @@ func (c *Conn) readLoop() {
 				}
 				continue
 			}
-			// Late reply after timeout: drop silently.
-			c.dropped.Add(1)
+			c.late.Add(1) // its query already resolved or timed out
 			continue
 		}
 		if c.handler != nil {
@@ -563,24 +442,4 @@ func isReply(op Opcode) bool {
 		return true
 	}
 	return false
-}
-
-// WaitSettled polls until no datagrams arrive for the quiet duration or
-// the deadline passes; tests use it to avoid sleeping fixed amounts.
-func (c *Conn) WaitSettled(quiet, deadline time.Duration) {
-	end := time.Now().Add(deadline)
-	last := c.recv.Load()
-	lastChange := time.Now()
-	for time.Now().Before(end) {
-		time.Sleep(quiet / 4)
-		cur := c.recv.Load()
-		if cur != last {
-			last = cur
-			lastChange = time.Now()
-			continue
-		}
-		if time.Since(lastChange) >= quiet {
-			return
-		}
-	}
 }

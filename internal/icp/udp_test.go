@@ -346,114 +346,49 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// gatedSock blocks every transmission until the gate opens, then records
-// each datagram in the order it actually left the endpoint.
-type gatedSock struct {
-	PacketConn
-	gate chan struct{}
-	mu   sync.Mutex
-	sent [][]byte
-}
+// TestDropReasonsCountedApart sends one hostile datagram, one late reply
+// and one reply from an address the query did not ask: each moves only
+// its own counter, and Dropped is their sum.
+func TestDropReasonsCountedApart(t *testing.T) {
+	cli := client(t)
+	outsider, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { outsider.Close() })
+	send := func(b []byte) {
+		t.Helper()
+		if _, err := outsider.WriteToUDP(b, cli.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(what string, received uint64, want Stats) {
+		t.Helper()
+		for deadline := time.Now().Add(2 * time.Second); cli.Stats().Received < received && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		got := cli.Stats()
+		if got.Received != received || got.Undecodable != want.Undecodable || got.LateReplies != want.LateReplies ||
+			got.Unasked != want.Unasked || got.Dropped != want.Undecodable+want.LateReplies+want.Unasked {
+			t.Fatalf("after %s: stats %+v, want %d received and drops %+v", what, got, received, want)
+		}
+	}
 
-func (g *gatedSock) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
-	<-g.gate
-	g.mu.Lock()
-	g.sent = append(g.sent, append([]byte(nil), b...))
-	g.mu.Unlock()
-	return g.PacketConn.WriteToUDP(b, addr)
-}
+	send([]byte("not icp"))
+	expect("a hostile datagram", 1, Stats{Undecodable: 1})
 
-func (g *gatedSock) transmitted() [][]byte {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([][]byte(nil), g.sent...)
-}
+	send(mustWire(t, NewReply(OpHit, cli.NextReqNum(), "http://doc/"))) // no query waits on this number
+	expect("a late reply", 2, Stats{Undecodable: 1, LateReplies: 1})
 
-// TestSendAsyncFullRingPreservesOrder fills the send ring while the
-// socket is blocked and asserts that every DIRUPDATE leaves the endpoint
-// in submission order, and that a replica applying the stream in that
-// order lands bit-exactly on the sender's final state. The old full-ring
-// behavior degraded to a synchronous in-line send, which let an older
-// queued flip record for a bit be delivered AFTER a newer one — absolute
-// records are last-write-wins per bit, so that overtake left the
-// receiver's replica permanently stale.
-func TestSendAsyncFullRingPreservesOrder(t *testing.T) {
-	gate := make(chan struct{})
-	var gs *gatedSock
-	c, err := ListenWith("127.0.0.1:0", ListenConfig{
-		Wrap: func(pc PacketConn) PacketConn {
-			gs = &gatedSock{PacketConn: pc, gate: gate}
-			return gs
-		},
-		Config: Config{SendQueue: 4},
+	// The asked peer has the outsider answer the live request number first.
+	asked := rawResponder(t, func(q Message) []byte {
+		_, _ = outsider.WriteToUDP(mustWire(t, NewReply(OpHit, q.ReqNum, q.URL)), cli.Addr()) // a lost forgery fails the count below
+		return mustWire(t, NewReply(OpMiss, q.ReqNum, q.URL))
 	})
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	if _, from, _, err := cli.QueryAllFunc(ctx, []*net.UDPAddr{asked}, "http://doc/", 0, nil); err != nil || from != nil {
+		t.Fatalf("from=%v err=%v, want no hit: only the asked peer counts, and it missed", from, err)
 	}
-	c.Start()
-	defer c.Close()
-
-	// Alternate set/clear on one bit; the last record clears it, so the
-	// in-order final replica state is the empty filter.
-	const sends = 12
-	const bit = 7
-	spec := hashing.DefaultSpec
-	dst := c.Addr()
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < sends; i++ {
-			m := NewDirUpdate(uint32(i+1), spec, 64, []bloom.Flip{{Index: bit, Set: i%2 == 0}})
-			if err := c.SendAsync(dst, m); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-
-	// Wait until the drainer holds one datagram and the ring is full, so
-	// the sender goroutine is parked on the back-pressure path, then open
-	// the gate.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(c.sendQ) < cap(c.sendQ) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	for time.Now().Before(deadline) {
-		if len(gs.transmitted()) == sends {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	replica, err := bloom.NewFilter(64, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dec Decoder
-	for i, raw := range gs.transmitted() {
-		m, err := dec.Decode(raw)
-		if err != nil {
-			t.Fatalf("decode datagram %d: %v", i, err)
-		}
-		if m.ReqNum != uint32(i+1) {
-			t.Fatalf("datagram %d transmitted out of order: ReqNum %d", i, m.ReqNum)
-		}
-		if err := replica.Apply(m.Update.Flips); err != nil {
-			t.Fatalf("apply datagram %d: %v", i, err)
-		}
-	}
-	if got := len(gs.transmitted()); got != sends {
-		t.Fatalf("transmitted %d datagrams, want %d", got, sends)
-	}
-	empty, err := bloom.NewFilter(64, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(replica.Snapshot()) != string(empty.Snapshot()) {
-		t.Fatal("replica diverged: in-order delivery must end with the bit cleared")
-	}
+	expect("a reply from an unasked address", 4, Stats{Undecodable: 1, LateReplies: 1, Unasked: 1})
 }

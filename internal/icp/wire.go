@@ -138,7 +138,7 @@ const MaxDatagram = 65507
 const MaxFlipsPerMessage = (MaxDatagram - HeaderLen - DirUpdateHeaderLen) / 4
 
 // bufPool recycles datagram-sized scratch buffers across the package's hot
-// paths: Conn.Send and Conn.SendAsync encode into them.
+// paths: Conn.Send encodes into them.
 var bufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, MaxDatagram)

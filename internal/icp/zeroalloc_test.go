@@ -19,7 +19,7 @@ func someFlips(n int) []bloom.Flip {
 }
 
 // The encode path must not allocate once the destination buffer exists:
-// Conn.Send and Conn.SendAsync append into pooled buffers, so a
+// Conn.Send appends into pooled buffers, so a
 // hidden allocation here would silently tax every datagram.
 func TestAppendZeroAlloc(t *testing.T) {
 	m := NewDirUpdate(7, hashing.DefaultSpec, 1<<20, someFlips(360))
@@ -106,12 +106,9 @@ func (discardPacketConn) LocalAddr() net.Addr { return &net.UDPAddr{} }
 // send path needs no running loops.
 func stubConn() *Conn {
 	return &Conn{
-		pc:       discardPacketConn{},
-		pending:  make(map[uint32]chan reply),
-		done:     make(chan struct{}),
-		sendQ:    make(chan outgoing, DefaultSendQueue),
-		sendStop: make(chan struct{}),
-		sendDone: make(chan struct{}),
+		pc:      discardPacketConn{},
+		pending: make(map[uint32]chan reply),
+		done:    make(chan struct{}),
 	}
 }
 
