@@ -303,7 +303,7 @@ func runMicroSweep(cfg MicroConfig) (MicroResult, error) {
 	}
 	idx := make([][]uint64, len(keys))
 	for i, k := range keys {
-		idx[i] = lockFree[0].Indexes(k)
+		idx[i] = lockFree[0].Indexes(nil, k)
 		if i%3 == 0 { // a realistic mix of hits and misses
 			for p := range lockFree {
 				lockFree[p].Add(k)

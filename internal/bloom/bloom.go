@@ -57,13 +57,16 @@ var (
 // replacement (Reset, LoadSnapshot) swaps whole words while keeping the
 // population count exact via per-word deltas.
 type Filter struct {
-	m       uint64 // number of bits
-	words   []atomic.Uint64
-	ones    atomic.Int64 // population count, maintained incrementally
-	family  *hashing.Family
-	scratch sync.Pool  // *[]uint64 probe buffers
-	bulkMu  sync.Mutex // serializes bulk replacements against each other
+	m      uint64 // number of bits
+	words  []atomic.Uint64
+	ones   atomic.Int64 // population count, maintained incrementally
+	family *hashing.Family
+	bulkMu sync.Mutex // serializes bulk replacements against each other
 }
+
+// stackK is the largest k whose probe indices live in a stack array; a
+// larger family still works, with its index slice on the heap.
+const stackK = 16
 
 // NewFilter creates a filter of mBits bits probed by the given hash spec.
 func NewFilter(mBits uint64, spec hashing.Spec) (*Filter, error) {
@@ -74,14 +77,11 @@ func NewFilter(mBits uint64, spec hashing.Spec) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Filter{
+	return &Filter{
 		m:      mBits,
 		words:  make([]atomic.Uint64, (mBits+63)/64),
 		family: fam,
-	}
-	k := spec.FunctionNum
-	f.scratch.New = func() any { b := make([]uint64, k); return &b }
-	return f, nil
+	}, nil
 }
 
 // MustNewFilter is NewFilter, panicking on error.
@@ -105,10 +105,8 @@ func (f *Filter) K() int { return f.family.Spec().FunctionNum }
 // Add inserts key (sets its k bits). Plain filters cannot support deletion;
 // use CountingFilter for mutable directories.
 func (f *Filter) Add(key string) {
-	bufp := f.scratch.Get().(*[]uint64)
-	defer f.scratch.Put(bufp)
-	n, _ := f.family.IndexesInto(*bufp, key, f.m)
-	for _, i := range (*bufp)[:n] {
+	var buf [stackK]uint64
+	for _, i := range f.Indexes(buf[:0], key) {
 		f.set(i)
 	}
 }
@@ -117,29 +115,23 @@ func (f *Filter) Add(key string) {
 // the probability given by FalsePositiveRate; false negatives never occur
 // for keys that were added and not cleared. Lock-free: k atomic word loads.
 func (f *Filter) Test(key string) bool {
-	bufp := f.scratch.Get().(*[]uint64)
-	defer f.scratch.Put(bufp)
-	n, _ := f.family.IndexesInto(*bufp, key, f.m)
-	for _, i := range (*bufp)[:n] {
-		if f.words[i>>6].Load()&(1<<(i&63)) == 0 {
-			return false
-		}
-	}
-	return true
+	var buf [stackK]uint64
+	return f.TestIndexes(f.Indexes(buf[:0], key))
 }
 
-// Indexes returns the k probe positions for key under this filter's
-// geometry (its hash family reduced modulo its size). The audited lookup
-// path records these so a false hit can name the exact bits that lied.
-func (f *Filter) Indexes(key string) []uint64 {
-	out := make([]uint64, f.family.Spec().FunctionNum)
-	n, _ := f.family.IndexesInto(out, key, f.m)
-	return out[:n]
+// Indexes appends the k probe positions for key under this filter's
+// geometry (its hash family reduced modulo its size) to dst and returns the
+// extended slice; with room in dst it allocates nothing. Every filter of the
+// same size and spec yields the same positions, so a caller probing many
+// replicas for one URL derives them once (TestIndexes). The audited lookup
+// path records them so a false hit can name the exact bits that lied.
+func (f *Filter) Indexes(dst []uint64, key string) []uint64 {
+	dst, _ = f.family.Indexes(dst, key, f.m) // cannot fail: f.m > 0
+	return dst
 }
 
 // TestIndexes probes the filter with precomputed indices (from the same
-// hashing.Family and modulus). Callers probing many peer filters for one
-// URL hash once and reuse the indices across filters. Lock-free.
+// hashing.Spec and size, see Indexes). Lock-free.
 func (f *Filter) TestIndexes(idx []uint64) bool {
 	for _, i := range idx {
 		if i >= f.m || f.words[i>>6].Load()&(1<<(i&63)) == 0 {

@@ -3,6 +3,7 @@ package bloom
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -428,5 +429,30 @@ func BenchmarkCountingAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		flips = c.Add("http://www.example.com/path/to/document.html", flips[:0])
+	}
+}
+
+// The summary probe and the counting filter's insert/delete hash a 200-byte
+// URL from the stack and keep its indices there: none of them allocates.
+func TestProbeZeroAlloc(t *testing.T) {
+	url := "http://example.com/" + strings.Repeat("p", 181)
+	f := MustNewFilter(1<<20, testSpec)
+	f.Add(url)
+	c := MustNewCountingFilter(1<<20, DefaultCounterBits, testSpec)
+	flips := make([]Flip, 0, 2*testSpec.FunctionNum)
+	for name, op := range map[string]func(){
+		"Filter.Test": func() {
+			if !f.Test(url) {
+				t.Fatal("added key not found")
+			}
+		},
+		"CountingFilter.Add/Remove": func() {
+			flips = c.Add(url, flips[:0])
+			flips = c.Remove(url, flips)
+		},
+	} {
+		if n := testing.AllocsPerRun(100, op); n != 0 {
+			t.Errorf("%s allocated %v times per run, want 0", name, n)
+		}
 	}
 }

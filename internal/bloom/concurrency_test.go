@@ -28,7 +28,7 @@ func TestFilterTestVsApplyRace(t *testing.T) {
 				default:
 				}
 				f.Test(fmt.Sprintf("w%d-k%d", i%4, i%keysPerWriter))
-				f.TestIndexes(f.Indexes(fmt.Sprintf("probe%d", i)))
+				f.TestIndexes(f.Indexes(nil, fmt.Sprintf("probe%d", i)))
 			}
 		}(r)
 	}
@@ -40,7 +40,7 @@ func TestFilterTestVsApplyRace(t *testing.T) {
 			for i := 0; i < keysPerWriter; i++ {
 				key := fmt.Sprintf("w%d-k%d", w, i)
 				var flips []Flip
-				for _, idx := range f.Indexes(key) {
+				for _, idx := range f.Indexes(nil, key) {
 					flips = append(flips, Flip{Index: uint32(idx), Set: true})
 				}
 				if err := f.Apply(flips); err != nil {

@@ -54,7 +54,6 @@ type CountingFilter struct {
 	ones     atomic.Int64
 	n        atomic.Int64 // net insertions (adds - removes), for load accounting
 	family   *hashing.Family
-	scratch  sync.Pool // *[]uint64 probe buffers
 
 	saturations atomic.Uint64 // counters that ever hit cmax
 	underflows  atomic.Uint64 // decrement attempts on a zero counter
@@ -108,8 +107,6 @@ func NewCountingFilter(mBits uint64, counterBits uint, spec hashing.Spec) (*Coun
 		stripes:  make([]cfStripe, stripes),
 		family:   fam,
 	}
-	k := spec.FunctionNum
-	c.scratch.New = func() any { b := make([]uint64, k); return &b }
 	return c, nil
 }
 
@@ -198,14 +195,18 @@ func (st *cfStripe) journalLocked(c *CountingFilter, fl Flip) {
 	c.pending.Add(1)
 }
 
+// indexes appends key's k counter positions to dst.
+func (c *CountingFilter) indexes(dst []uint64, key string) []uint64 {
+	dst, _ = c.family.Indexes(dst, key, c.m) // cannot fail: c.m > 0
+	return dst
+}
+
 // Add inserts key, incrementing its k counters. Bit transitions 0→1 are
 // appended to flips, which is returned (append semantics; pass nil to
 // discard-later or a reused buffer to avoid allocation).
 func (c *CountingFilter) Add(key string, flips []Flip) []Flip {
-	bufp := c.scratch.Get().(*[]uint64)
-	defer c.scratch.Put(bufp)
-	n, _ := c.family.IndexesInto(*bufp, key, c.m)
-	for _, i := range (*bufp)[:n] {
+	var buf [stackK]uint64
+	for _, i := range c.indexes(buf[:0], key) {
 		st := c.stripeOf(i)
 		st.mu.Lock()
 		v := c.get(i)
@@ -234,10 +235,8 @@ func (c *CountingFilter) Add(key string, flips []Flip) []Flip {
 // filter, exactly as with any counting Bloom filter; callers (the cache)
 // guarantee delete-after-insert discipline.
 func (c *CountingFilter) Remove(key string, flips []Flip) []Flip {
-	bufp := c.scratch.Get().(*[]uint64)
-	defer c.scratch.Put(bufp)
-	n, _ := c.family.IndexesInto(*bufp, key, c.m)
-	for _, i := range (*bufp)[:n] {
+	var buf [stackK]uint64
+	for _, i := range c.indexes(buf[:0], key) {
 		st := c.stripeOf(i)
 		st.mu.Lock()
 		v := c.get(i)
@@ -276,10 +275,8 @@ func (c *CountingFilter) Remove(key string, flips []Flip) []Flip {
 // Test reports whether key may be in the set (all k counters nonzero).
 // Lock-free: k atomic loads.
 func (c *CountingFilter) Test(key string) bool {
-	bufp := c.scratch.Get().(*[]uint64)
-	defer c.scratch.Put(bufp)
-	n, _ := c.family.IndexesInto(*bufp, key, c.m)
-	for _, i := range (*bufp)[:n] {
+	var buf [stackK]uint64
+	for _, i := range c.indexes(buf[:0], key) {
 		if c.get(i) == 0 {
 			return false
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -776,6 +777,9 @@ func (n *Node) Lookup(ctx context.Context, url string) (hit *net.UDPAddr, candid
 type Resolution struct {
 	// Peer confirmed the document; nil when it must come from the origin.
 	Peer *net.UDPAddr
+	// PeerID is Peer's identifier in the peer table (its UDP address
+	// string); "" when Peer is nil.
+	PeerID string
 	// Reply is Peer's HIT or HIT_OBJ. A HIT_OBJ carries the document
 	// (Object) and its version (OptionData), so no sibling fetch is needed.
 	Reply icp.Message
@@ -792,11 +796,19 @@ func (n *Node) LookupObject(ctx context.Context, url string) (Resolution, error)
 	return n.lookup(ctx, url, icp.FlagHitObj)
 }
 
+// stackPeers is how many candidates a lookup keeps in stack arrays; a
+// larger fan-out still works, with its lists on the heap.
+const stackPeers = 16
+
 // lookup implements Lookup and LookupObject; options are the queries'.
+// Every per-peer list — candidate IDs, addresses queried (and their IDs),
+// each one's answer — is a slice of a stack array, so an untraced lookup
+// allocates nothing itself.
 func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resolution, error) {
 	tr := tracing.FromContext(ctx)
 	var probes []SummaryProbe
-	var ids []string
+	var idBuf [stackPeers]string
+	ids := idBuf[:0]
 	probeStart := time.Now()
 	if tr != nil {
 		probes = n.peers.ProbeAll(url)
@@ -806,11 +818,11 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 			}
 		}
 	} else {
-		ids = n.peers.Candidates(url)
+		ids = n.peers.AppendCandidates(ids, url)
 	}
 	sink := n.cfg.Decisions
 	if len(ids) == 0 {
-		n.traceLookup(tr, false, probes, probeStart, nil, 0, 0, Resolution{})
+		n.traceLookup(tr, false, probes, probeStart, nil, nil, 0, 0, Resolution{})
 		n.auditFalseMiss(ctx, url, nil, tr)
 		return Resolution{}, nil
 	}
@@ -819,79 +831,84 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 			sink.Nominated(id)
 		}
 	}
+	// qids[i] names addrs[i]: registered peers first, in candidate order,
+	// so the first candidate is the one asked for the object.
+	var qidBuf [stackPeers]string
+	var addrBuf [stackPeers]*net.UDPAddr
+	qids, addrs := qidBuf[:0], addrBuf[:0]
 	n.mu.RLock()
-	addrs := make([]*net.UDPAddr, 0, len(ids))
-	var unknown []string
 	for _, id := range ids {
 		if a := n.peerAddrs[id]; a != nil {
-			addrs = append(addrs, a)
-		} else {
-			unknown = append(unknown, id)
+			qids, addrs = append(qids, id), append(addrs, a)
 		}
 	}
 	n.mu.RUnlock()
-	// Summaries can arrive from peers we never registered (a neighbor that
-	// added us one-way); the replica is keyed by the datagram's source
-	// address, so the key is itself the address to query.
-	for _, id := range unknown {
-		if a, err := net.ResolveUDPAddr("udp", id); err == nil {
-			addrs = append(addrs, a)
+	if len(qids) < len(ids) {
+		// Summaries can arrive from peers we never registered (a neighbor
+		// that added us one-way); the replica is keyed by the datagram's
+		// source address, so the key is itself the address to query.
+		for _, id := range ids {
+			if !slices.Contains(qids, id) {
+				if a, err := net.ResolveUDPAddr("udp", id); err == nil {
+					qids, addrs = append(qids, id), append(addrs, a)
+				}
+			}
 		}
 	}
 	if len(addrs) == 0 {
-		n.traceLookup(tr, false, probes, probeStart, nil, 0, 0, Resolution{})
+		n.traceLookup(tr, false, probes, probeStart, nil, nil, 0, 0, Resolution{})
 		n.auditFalseMiss(ctx, url, ids, tr)
 		return Resolution{}, nil
 	}
 	n.metrics.queriesSent.Add(uint64(len(addrs)))
-	qctx, cancel := context.WithTimeout(ctx, n.cfg.QueryTimeout)
-	defer cancel()
-	var replies map[string]icp.Opcode
-	var onReply func(*net.UDPAddr, icp.Opcode)
-	if tr != nil || sink != nil {
-		replies = make(map[string]icp.Opcode, len(addrs))
-		// Invoked on this goroutine by QueryAllFunc; no lock needed.
-		onReply = func(from *net.UDPAddr, op icp.Opcode) { replies[from.String()] = op }
+	var opBuf [stackPeers]icp.Opcode // ops[i]: addrs[i]'s answer; OpInvalid: none
+	ops := opBuf[:min(len(addrs), stackPeers)]
+	if len(addrs) > stackPeers {
+		ops = make([]icp.Opcode, len(addrs))
 	}
 	start := time.Now()
-	if st := n.cfg.StageTiming; st != nil {
-		// Each peer's answer latency is one "icp_reply" sample — finer
-		// than the whole fan-out RTT the icp_query span reports.
-		prev := onReply
-		onReply = func(from *net.UDPAddr, op icp.Opcode) {
+	st := n.cfg.StageTiming
+	onReply := func(from *net.UDPAddr, op icp.Opcode) {
+		if st != nil {
+			// Each peer's answer latency is one "icp_reply" sample — finer
+			// than the whole fan-out RTT the icp_query span reports.
 			st("icp_reply", time.Since(start))
-			if prev != nil {
-				prev(from, op)
-			}
 		}
+		ops[slices.Index(addrs, from)] = op
 	}
-	win, from, reqNum, err := n.conn.QueryAllFunc(qctx, addrs, url, options, onReply)
+	win, from, reqNum, err := n.conn.QueryAllFunc(ctx, n.cfg.QueryTimeout, addrs, url, options, onReply)
 	rtt := time.Since(start)
 	n.metrics.queryRTT.ObserveDuration(rtt)
 	res := Resolution{Peer: from, Reply: win, Candidates: len(addrs)}
-	n.traceLookup(tr, true, probes, probeStart, replies, reqNum, rtt, res)
+	if from != nil {
+		res.PeerID = qids[slices.Index(addrs, from)]
+	}
+	n.traceLookup(tr, true, probes, probeStart, qids, ops, reqNum, rtt, res)
 	if err != nil {
 		return res, err
 	}
 	if from != nil {
 		n.metrics.remoteHits.Inc()
 		if sink != nil {
-			sink.RemoteHit(from.String())
+			sink.RemoteHit(res.PeerID)
 		}
 		return res, nil
 	}
 	n.metrics.falseHits.Inc()
-	if sink != nil {
-		// Every candidate that answered MISS was nominated by a summary
-		// that lied; unanswered candidates may just be down or lossy, so
-		// they are not charged.
-		for id, op := range replies {
-			if op != icp.OpHit && op != icp.OpHitObj {
-				sink.FalseHit(id, url, traceID(tr))
-			}
+	answered := 0
+	for i, op := range ops {
+		if op == icp.OpInvalid {
+			continue
+		}
+		answered++
+		if sink != nil && op != icp.OpHit && op != icp.OpHitObj {
+			// Every candidate that answered MISS was nominated by a summary
+			// that lied; unanswered candidates may just be down or lossy,
+			// so they are not charged.
+			sink.FalseHit(qids[i], url, traceID(tr))
 		}
 	}
-	if tr != nil && len(replies) < len(addrs) {
+	if tr != nil && answered < len(qids) {
 		// Some candidates never answered inside the timeout — the
 		// peer-down/timeout class of anomaly, kept by tail sampling.
 		tr.MarkAnomalous("query_timeout")
@@ -923,15 +940,12 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []strin
 	if c := n.auditSeq.Add(1); every > 1 && (c-1)%uint64(every) != 0 {
 		return
 	}
-	nom := make(map[string]bool, len(nominated))
-	for _, id := range nominated {
-		nom[id] = true
-	}
+	var ids []string
+	var addrs []*net.UDPAddr
 	n.mu.RLock()
-	addrs := make([]*net.UDPAddr, 0, len(n.peerAddrs))
 	for id, a := range n.peerAddrs {
-		if !nom[id] {
-			addrs = append(addrs, a)
+		if !slices.Contains(nominated, id) {
+			ids, addrs = append(ids, id), append(addrs, a)
 		}
 	}
 	n.mu.RUnlock()
@@ -939,26 +953,24 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []strin
 		return
 	}
 	n.metrics.auditQueries.Add(uint64(len(addrs)))
-	qctx, cancel := context.WithTimeout(ctx, n.cfg.QueryTimeout)
-	defer cancel()
 	// Never flagged FlagHitObj: the audit only asks whether a copy exists.
-	_, from, _, err := n.conn.QueryAllFunc(qctx, addrs, url, 0, nil)
+	_, from, _, err := n.conn.QueryAllFunc(ctx, n.cfg.QueryTimeout, addrs, url, 0, nil)
 	if err != nil || from == nil {
 		return
 	}
 	n.metrics.falseMisses.Inc()
 	if n.cfg.Decisions != nil {
-		n.cfg.Decisions.FalseMiss(from.String(), url, traceID(tr))
+		n.cfg.Decisions.FalseMiss(ids[slices.Index(addrs, from)], url, traceID(tr))
 	}
 }
 
 // traceLookup records the decision audit of one Lookup on tr: a
 // summary-probe span per consulted peer and (when a query was sent) the
-// ICP round-trip span. replies maps peer address to its actual answer;
-// res names the winning peer and its reply (Peer nil when nobody
-// confirmed).
+// ICP round-trip span. ops[i] is the actual answer of the peer ids[i]
+// (OpInvalid: none); res names the winning peer and its reply (Peer nil
+// when nobody confirmed).
 func (n *Node) traceLookup(tr *tracing.Trace, queried bool, probes []SummaryProbe, probeStart time.Time,
-	replies map[string]icp.Opcode, reqNum uint32, rtt time.Duration, res Resolution) {
+	ids []string, ops []icp.Opcode, reqNum uint32, rtt time.Duration, res Resolution) {
 	if tr == nil {
 		return
 	}
@@ -984,13 +996,13 @@ func (n *Node) traceLookup(tr *tracing.Trace, queried bool, probes []SummaryProb
 		if pr.Match {
 			s.Predicted = "hit"
 			if queried {
-				if op, answered := replies[pr.Peer]; answered {
-					s.Actual = "miss"
-					if op == icp.OpHit || op == icp.OpHitObj {
-						s.Actual = "hit"
-					}
-				} else {
+				switch i := slices.Index(ids, pr.Peer); {
+				case i < 0 || ops[i] == icp.OpInvalid:
 					s.Actual = "no_reply"
+				case ops[i] == icp.OpHit || ops[i] == icp.OpHitObj:
+					s.Actual = "hit"
+				default:
+					s.Actual = "miss"
 				}
 			}
 		}

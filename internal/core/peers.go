@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -152,21 +154,54 @@ func (pt *PeerTable) ApplyUpdate(peer string, u *icp.DirUpdate, full bool) error
 }
 
 // Candidates returns the peers whose summaries indicate url may be cached
-// there — the set the node will actually query. Peers without an
+// there — the set the node will actually query — sorted. Peers without an
 // initialized summary are never candidates (no false misses result beyond
 // those the delayed summary already causes: an uninitialized peer is
 // treated as unknown, matching the prototype).
 func (pt *PeerTable) Candidates(url string) []string {
+	return pt.AppendCandidates(nil, url)
+}
+
+// AppendCandidates is Candidates appending into dst: with room in dst it
+// allocates nothing.
+func (pt *PeerTable) AppendCandidates(dst []string, url string) []string {
+	start := len(dst)
+	var p probe
 	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	var out []string
 	for id, ps := range pt.peers {
-		if ps.filter.Test(url) {
-			out = append(out, id)
+		if ps.filter.TestIndexes(p.indexes(ps, url)) {
+			dst = append(dst, id)
 		}
 	}
-	sort.Strings(out)
-	return out
+	pt.mu.RUnlock()
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// probe derives a URL's probe indices once for the first replica geometry
+// (size and spec) it meets and reuses them for every replica of that
+// geometry — every replica, once the mesh agrees on (m, k). A replica of
+// any other geometry, or of more than len(buf) functions, is hashed on its
+// own.
+type probe struct {
+	bits uint64
+	spec hashing.Spec
+	n    int // indices memoized in buf; 0 until the first replica
+	buf  [16]uint64
+}
+
+// indexes returns url's probe indices under ps's geometry. The slice may be
+// shared by every replica of the memoized geometry; callers must not modify
+// it.
+func (p *probe) indexes(ps *peerSummary, url string) []uint64 {
+	if p.n == 0 && ps.spec.FunctionNum <= len(p.buf) {
+		p.bits, p.spec = ps.filter.Size(), ps.spec
+		p.n = len(ps.filter.Indexes(p.buf[:0], url))
+	}
+	if p.n > 0 && p.bits == ps.filter.Size() && p.spec == ps.spec {
+		return p.buf[:p.n]
+	}
+	return ps.filter.Indexes(nil, url)
 }
 
 // SummaryProbe is the audited result of consulting one peer summary for
@@ -195,21 +230,23 @@ type SummaryProbe struct {
 // allocates the evidence Candidates deliberately avoids, so the node only
 // calls it for requests that carry a trace.
 func (pt *PeerTable) ProbeAll(url string) []SummaryProbe {
+	var p probe
+	now := time.Now()
 	pt.mu.RLock()
 	defer pt.mu.RUnlock()
 	out := make([]SummaryProbe, 0, len(pt.peers))
 	for id, ps := range pt.peers {
-		idx := ps.filter.Indexes(url)
+		idx := p.indexes(ps, url)
 		out = append(out, SummaryProbe{
 			Peer:       id,
 			Match:      ps.filter.TestIndexes(idx),
 			BitIndexes: idx,
 			Generation: ps.updates,
-			Age:        time.Since(ps.changed),
+			Age:        now.Sub(ps.changed),
 			FilterBits: ps.filter.Size(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
+	slices.SortFunc(out, func(a, b SummaryProbe) int { return strings.Compare(a.Peer, b.Peer) })
 	return out
 }
 

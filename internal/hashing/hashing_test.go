@@ -2,6 +2,8 @@ package hashing
 
 import (
 	"crypto/md5"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -272,5 +274,78 @@ func BenchmarkIndexesTenFunctions(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.IndexesInto(buf, "http://www.example.com/some/moderate/path.html", 1<<23)
+	}
+}
+
+// refIndexes is the original bit-serial derivation, kept as the reference
+// the word-wise one must reproduce bit for bit: peers probe each other's
+// replicas with these indices, so any drift breaks the protocol.
+func refIndexes(spec Spec, key string, m uint64) []uint64 {
+	var (
+		round  int
+		sum    [md5.Size]byte
+		bitPos int
+	)
+	out := make([]uint64, spec.FunctionNum)
+	for i := range out {
+		n := spec.FunctionBits
+		if round == 0 || bitPos+n > 128 {
+			round++
+			sum = md5.Sum([]byte(strings.Repeat(key, round)))
+			bitPos = 0
+		}
+		var v uint64
+		for j := 0; j < n; j++ {
+			v = v<<1 | uint64(sum[bitPos>>3]>>(7-bitPos&7)&1)
+			bitPos++
+		}
+		out[i] = v % m
+	}
+	return out
+}
+
+func TestIndexesMatchBitSerialReference(t *testing.T) {
+	keys := []string{""}
+	for _, n := range []int{1, 255, 256, 257, 4096} {
+		keys = append(keys, strings.Repeat("http://x.example/", n/17+1)[:n])
+	}
+	moduli := []uint64{1, 2, 1 << 10, 1 << 31, 3, 131071, 999983, 2147483647, bloom31}
+	for bits := 1; bits <= MaxFunctionBits; bits++ {
+		for k := 1; k <= 10; k++ {
+			spec := Spec{FunctionNum: k, FunctionBits: bits}
+			f := MustNew(spec)
+			for _, key := range keys {
+				for _, m := range moduli {
+					got, err := f.Indexes(nil, key, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := refIndexes(spec, key, m)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%v len(key)=%d m=%d: got %v, want %v", spec, len(key), m, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// bloom31 is bloom.MaxBits (2^31), restated to keep this package free of
+// its importer.
+const bloom31 = uint64(1) << 31
+
+// A 200-byte URL is hashed from the stack: IndexesInto allocates nothing,
+// and neither does Indexes given room to append.
+func TestIndexesZeroAlloc(t *testing.T) {
+	key := strings.Repeat("u", 200)
+	for _, spec := range []Spec{DefaultSpec, {FunctionNum: 8, FunctionBits: 32}, {FunctionNum: 6, FunctionBits: 21}} {
+		f := MustNew(spec)
+		buf := make([]uint64, spec.FunctionNum)
+		if n := testing.AllocsPerRun(100, func() { f.IndexesInto(buf, key, 1<<23) }); n != 0 {
+			t.Errorf("%v: IndexesInto allocated %v times per run, want 0", spec, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { f.Indexes(buf[:0], key, 1<<23) }); n != 0 {
+			t.Errorf("%v: Indexes allocated %v times per run, want 0", spec, n)
+		}
 	}
 }

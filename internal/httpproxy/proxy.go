@@ -1076,9 +1076,7 @@ func (p *Proxy) serveCacheOnly(w http.ResponseWriter, r *http.Request) {
 		// stale-hit detection of version-aware mode.
 		w.Header().Set(docVersionHeader, strconv.FormatInt(version, 10))
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	writeDoc(w, body)
 }
 
 func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request, target string) {
@@ -1224,8 +1222,18 @@ func splitVersion(target string) (key string, version int64) {
 	return u.String(), version
 }
 
+// smallDoc is net/http's response buffer size: a handler that writes at
+// most this much and returns gets Content-Length set by net/http itself.
+const smallDoc = 2048
+
+// writeDoc sends body as a 200 response with an exact Content-Length. A
+// small body leaves Header() alone and lets net/http count it: touching
+// Header() makes WriteHeader clone the header map, several allocations per
+// response. A larger one would be chunked unless the header is set.
 func writeDoc(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if len(body) > smallDoc {
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	}
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }
@@ -1244,16 +1252,15 @@ func writeDoc(w http.ResponseWriter, body []byte) {
 func (p *Proxy) tryRemote(ctx context.Context, key string, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
 	switch p.cfg.Mode {
 	case ModeICP:
+		var peerBuf [16]*net.UDPAddr
 		p.peerMu.RLock()
-		peers := append([]*net.UDPAddr(nil), p.icpPeers...)
+		peers := append(peerBuf[:0], p.icpPeers...)
 		p.peerMu.RUnlock()
 		if len(peers) == 0 {
 			return nil, false, false, false
 		}
-		qctx, cancel := context.WithTimeout(ctx, p.cfg.QueryTimeout)
-		defer cancel()
 		qstart := time.Now()
-		win, from, reqNum, err := p.icpConn.QueryAllFunc(qctx, peers, key, icp.FlagHitObj, nil)
+		win, from, reqNum, err := p.icpConn.QueryAllFunc(ctx, p.cfg.QueryTimeout, peers, key, icp.FlagHitObj, nil)
 		if tr := tracing.FromContext(ctx); tr != nil {
 			// Adopt the exchange's derived ID so the answering proxies'
 			// traces join this one.
@@ -1275,7 +1282,7 @@ func (p *Proxy) tryRemote(ctx context.Context, key string, wanted int64) (body [
 			// ordinary miss, not a false indication.
 			return nil, false, false, false
 		}
-		return p.finishRemoteHit(ctx, from, win, key, wanted)
+		return p.finishRemoteHit(ctx, from.String(), from, win, key, wanted)
 	case ModeSCICP:
 		res, err := p.node.LookupObject(ctx, key)
 		if err != nil {
@@ -1285,7 +1292,7 @@ func (p *Proxy) tryRemote(ctx context.Context, key string, wanted int64) (body [
 			// Summaries nominated candidates but every reply was MISS.
 			return nil, false, res.Candidates > 0, false
 		}
-		return p.finishRemoteHit(ctx, res.Peer, res.Reply, key, wanted)
+		return p.finishRemoteHit(ctx, res.PeerID, res.Peer, res.Reply, key, wanted)
 	}
 	return nil, false, false, false
 }
@@ -1294,12 +1301,12 @@ func (p *Proxy) tryRemote(ctx context.Context, key string, wanted int64) (body [
 // HIT_OBJ reply when the object came inline, otherwise by a cache-only HTTP
 // fetch — and classifies the result: delivered fresh, delivered stale, or
 // not delivered at all — the last two charged to the claiming sibling in
-// the per-peer decision accounting.
-func (p *Proxy) finishRemoteHit(ctx context.Context, from *net.UDPAddr, win icp.Message, key string, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
-	id := from.String()
+// the per-peer decision accounting. id is from's peer identifier (its
+// address string).
+func (p *Proxy) finishRemoteHit(ctx context.Context, id string, from *net.UDPAddr, win icp.Message, key string, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
 	body, version, ok := win.Object, int64(win.OptionData), true
 	if win.Op != icp.OpHitObj {
-		body, version, ok = p.fetchPeer(ctx, from, key)
+		body, version, ok = p.fetchPeer(ctx, id, from, key)
 	}
 	if !ok {
 		// A claimed HIT that was not delivered (eviction race, dark
@@ -1326,8 +1333,7 @@ func traceIDFrom(ctx context.Context) string {
 	return ""
 }
 
-func (p *Proxy) fetchPeer(ctx context.Context, peer *net.UDPAddr, target string) (body []byte, version int64, ok bool) {
-	id := peer.String()
+func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, target string) (body []byte, version int64, ok bool) {
 	actual := "failed"
 	if tr := tracing.FromContext(ctx); tr != nil {
 		start := time.Now()

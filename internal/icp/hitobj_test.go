@@ -200,7 +200,7 @@ func TestQueryAllInlineObject(t *testing.T) {
 		{"unflagged", []*net.UDPAddr{holder.Addr(), miss.Addr()}, 0, OpHit, holder.Addr()},
 	} {
 		for i := 0; i < 20; i++ { // reply order varies; the outcome must not
-			win, from, _, err := cli.QueryAllFunc(ctx, c.peers, "http://doc/", c.opts, nil)
+			win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, c.peers, "http://doc/", c.opts, nil)
 			if err != nil || from == nil || from.Port != c.from.Port || win.Op != c.want {
 				t.Fatalf("%s: %v from %v (%v), want %v from %v", c.name, win.Op, from, err, c.want, c.from)
 			}
@@ -211,7 +211,7 @@ func TestQueryAllInlineObject(t *testing.T) {
 	}
 	// Two holders: only the flagged one can have sent the object.
 	for i := 0; i < 20; i++ {
-		win, from, _, err := cli.QueryAllFunc(ctx, []*net.UDPAddr{holder.Addr(), other.Addr()}, "http://doc/", FlagHitObj, nil)
+		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{holder.Addr(), other.Addr()}, "http://doc/", FlagHitObj, nil)
 		if err != nil || from == nil {
 			t.Fatalf("two holders: from=%v err=%v, want a hit", from, err)
 		}
@@ -241,7 +241,7 @@ func TestQueryAllSilentFlaggedPeer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	win, from, _, err := cli.QueryAllFunc(ctx, []*net.UDPAddr{silent.Addr(), holder.Addr()}, "http://doc/", FlagHitObj, nil)
+	win, from, _, err := cli.QueryAllFunc(ctx, deadline, []*net.UDPAddr{silent.Addr(), holder.Addr()}, "http://doc/", FlagHitObj, nil)
 	if err != nil || from == nil || from.Port != holder.Addr().Port || win.Op != OpHit {
 		t.Fatalf("%v from %v (%v), want a HIT from %v", win.Op, from, err, holder.Addr())
 	}
@@ -282,7 +282,7 @@ func TestQueryAllGraceForFlaggedPeer(t *testing.T) {
 		cli := client(t)
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		start := time.Now()
-		win, from, _, err := cli.QueryAllFunc(ctx, []*net.UDPAddr{flagged, other}, "http://doc/", FlagHitObj, nil)
+		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{flagged, other}, "http://doc/", FlagHitObj, nil)
 		took := time.Since(start)
 		cancel()
 		if err != nil || from == nil || win.Op != c.want {
@@ -308,7 +308,7 @@ func TestQueryAllForgedHitObj(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	for i := 0; i < 20; i++ {
-		win, from, _, err := cli.QueryAllFunc(ctx, []*net.UDPAddr{miss.Addr(), liar}, "http://doc/", FlagHitObj, nil)
+		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{miss.Addr(), liar}, "http://doc/", FlagHitObj, nil)
 		if err != nil || from == nil || from.Port != liar.Port {
 			t.Fatalf("unflagged liar: from=%v err=%v, want its HIT", from, err)
 		}
@@ -330,7 +330,7 @@ func TestQueryAllForgedHitObj(t *testing.T) {
 		return mustWire(t, NewReply(OpMiss, q.ReqNum, q.URL))
 	})
 	var seen []string
-	win, from, _, err := victim.QueryAllFunc(ctx, []*net.UDPAddr{asked}, "http://doc/", FlagHitObj,
+	win, from, _, err := victim.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{asked}, "http://doc/", FlagHitObj,
 		func(from *net.UDPAddr, op Opcode) { seen = append(seen, from.String()+" "+op.String()) })
 	if err != nil || from != nil || win.Object != nil {
 		t.Fatalf("outside forger: %+v from %v (%v), want an ordinary miss", win, from, err)
@@ -375,7 +375,7 @@ func TestQueryAllHitObjWrongURL(t *testing.T) {
 	cli := client(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	win, from, _, err := cli.QueryAllFunc(ctx, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil)
+	win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil)
 	if err != nil || from == nil {
 		t.Fatalf("from=%v err=%v, want a hit", from, err)
 	}
@@ -393,7 +393,7 @@ func TestHostileHitObjDropped(t *testing.T) {
 		})
 		cli := client(t)
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		_, from, _, err := cli.QueryAllFunc(ctx, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil)
+		_, from, _, err := cli.QueryAllFunc(ctx, 200*time.Millisecond, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil)
 		cancel()
 		if err != nil || from != nil {
 			t.Fatalf("tamper %d: from=%v err=%v, want an ordinary miss", i, from, err)
@@ -401,5 +401,41 @@ func TestHostileHitObjDropped(t *testing.T) {
 		if st := cli.Stats(); st.Received != 1 || st.Undecodable != 1 || st.Dropped != 1 {
 			t.Fatalf("tamper %d: stats %+v, want the one reply received and dropped as undecodable", i, st)
 		}
+	}
+}
+
+// TestQueryAllDuplicateReply: a repeated reply (a duplicated datagram) does
+// not count as another peer's answer. The flagged peer's MISS arrives twice
+// before the holder's HIT; the HIT must still win, and the copy is counted
+// as a late reply.
+func TestQueryAllDuplicateReply(t *testing.T) {
+	pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	go func() {
+		buf := make([]byte, MaxDatagram)
+		n, from, err := pc.ReadFromUDP(buf)
+		if err != nil {
+			return
+		}
+		if q, err := Parse(buf[:n]); err == nil {
+			miss := mustWire(t, NewReply(OpMiss, q.ReqNum, q.URL))
+			_, _ = pc.WriteToUDP(miss, from) // a lost copy fails the count below
+			_, _ = pc.WriteToUDP(miss, from)
+		}
+	}()
+	twice := pc.LocalAddr().(*net.UDPAddr)
+	holder := delayedReply(t, 50*time.Millisecond, OpHit, nil)
+	cli := client(t)
+	before := cli.Stats().LateReplies
+	win, from, _, err := cli.QueryAllFunc(context.Background(), 2*time.Second,
+		[]*net.UDPAddr{twice, holder}, "http://doc/", FlagHitObj, nil)
+	if err != nil || from == nil || from.Port != holder.Port || win.Op != OpHit {
+		t.Fatalf("%v from=%v (%v), want the holder's HIT", win.Op, from, err)
+	}
+	if late := cli.Stats().LateReplies - before; late != 1 {
+		t.Fatalf("late replies moved by %d, want 1 (the duplicated MISS)", late)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +21,10 @@ type Stats struct {
 	// Dropped is Undecodable + LateReplies + Unasked.
 	Dropped     uint64
 	Undecodable uint64 // datagrams that failed to decode
-	LateReplies uint64 // replies whose query was no longer waiting
+	// LateReplies counts replies whose query was no longer waiting, and
+	// repeat copies of a reply a waiting fan-out already counted (a
+	// duplicated datagram).
+	LateReplies uint64
 	Unasked     uint64 // replies to a live query from an address it did not ask
 	SendErrors  uint64 // transmissions the network layer rejected
 }
@@ -65,6 +69,16 @@ type PacketConn interface {
 // fault-injection hook. Nil means the raw socket.
 type SocketWrapper func(PacketConn) PacketConn
 
+// maxFree bounds each of a Conn's free lists (retired waiters, encoding
+// buffers): a burst of concurrent queries or sends beyond it allocates, and
+// the extras are dropped when they retire.
+const maxFree = 16
+
+// sendBufLen is a fresh encoding buffer's capacity: one MTU-sized datagram
+// (a query, a MISS or HIT, a DIRUPDATE of DefaultMaxFlipsPerUpdate flips).
+// A buffer grows to encode a HIT_OBJ and is recycled at its grown size.
+const sendBufLen = 2048
+
 // reply is one routed response to an in-flight query, attributed to its
 // sender so a shared-RequestNumber fan-out can tell the peers apart.
 type reply struct {
@@ -84,9 +98,32 @@ type Conn struct {
 
 	mu      sync.Mutex
 	pending map[uint32]chan reply
+	free    []*waiter // retired waiters, ready for reuse (see release)
 	closed  bool
 	started bool
 	done    chan struct{}
+
+	bufMu sync.Mutex
+	bufs  [][]byte // Send's retired encoding buffers
+}
+
+// waiter is one in-flight query's reply channel and timer. Retired waiters
+// are reused, so a steady-state query allocates neither.
+type waiter struct {
+	ch    chan reply
+	timer *time.Timer // QueryAllFunc's deadline, then grace; nil until first armed
+}
+
+// arm (re)starts w's timer to fire after d and returns the arming time. The
+// timer must be stopped with its channel drained, or freshly made.
+func (w *waiter) arm(d time.Duration) time.Time {
+	now := time.Now()
+	if w.timer == nil {
+		w.timer = time.NewTimer(d)
+	} else {
+		w.timer.Reset(d)
+	}
+	return now
 }
 
 // Listen opens an ICP endpoint on addr ("127.0.0.1:0" for an ephemeral
@@ -178,19 +215,40 @@ func (c *Conn) Close() error {
 }
 
 // Send encodes and transmits m to the peer synchronously. The encoding
-// buffer comes from the shared pool, so a steady-state send allocates
-// nothing.
+// buffer is recycled through a free list on the Conn, not a sync.Pool, so a
+// steady-state send allocates nothing even under the race detector, which
+// drops a quarter of a Pool's Puts.
 func (c *Conn) Send(to *net.UDPAddr, m Message) error {
-	bp := getBuf()
-	buf, err := m.Append(*bp)
-	if err != nil {
-		putBuf(bp)
-		return err
+	buf, err := m.Append(c.getBuf(m.EncodedLen()))
+	if err == nil {
+		err = c.write(to, buf)
 	}
-	*bp = buf
-	err = c.write(to, bp)
-	putBuf(bp)
+	c.putBuf(buf)
 	return err
+}
+
+// getBuf returns an empty encoding buffer with room for n bytes.
+func (c *Conn) getBuf(n int) []byte {
+	var buf []byte
+	c.bufMu.Lock()
+	if k := len(c.bufs); k > 0 {
+		buf = c.bufs[k-1]
+		c.bufs = c.bufs[:k-1]
+	}
+	c.bufMu.Unlock()
+	if buf == nil {
+		buf = make([]byte, 0, max(n, sendBufLen))
+	}
+	return slices.Grow(buf[:0], n)
+}
+
+// putBuf retires an encoding buffer for reuse.
+func (c *Conn) putBuf(buf []byte) {
+	c.bufMu.Lock()
+	if len(c.bufs) < maxFree {
+		c.bufs = append(c.bufs, buf)
+	}
+	c.bufMu.Unlock()
 }
 
 // SendAsync sends m synchronously, exactly as Send does.
@@ -199,8 +257,8 @@ func (c *Conn) Send(to *net.UDPAddr, m Message) error {
 func (c *Conn) SendAsync(to *net.UDPAddr, m Message) error { return c.Send(to, m) }
 
 // write transmits one encoded datagram and maintains the counters.
-func (c *Conn) write(to *net.UDPAddr, bp *[]byte) error {
-	n, err := c.pc.WriteToUDP(*bp, to)
+func (c *Conn) write(to *net.UDPAddr, buf []byte) error {
+	n, err := c.pc.WriteToUDP(buf, to)
 	if err != nil {
 		c.mu.Lock()
 		closed := c.closed
@@ -230,21 +288,48 @@ func (c *Conn) NextReqNum() uint32 { return c.nextReq.Add(1) }
 // issuing four billion queries.
 func (c *Conn) SeedReqNum(v uint32) { c.nextReq.Store(v) }
 
-// register enrolls a pending query channel under reqNum.
-func (c *Conn) register(reqNum uint32, ch chan reply) error {
+// register enrolls a waiter for reqNum whose channel holds at least n
+// replies, reusing a retired one when it is big enough.
+func (c *Conn) register(reqNum uint32, n int) (*waiter, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	c.pending[reqNum] = ch
-	return nil
+	var w *waiter
+	if k := len(c.free); k > 0 && cap(c.free[k-1].ch) >= n {
+		w = c.free[k-1]
+		c.free = c.free[:k-1]
+	} else {
+		w = &waiter{ch: make(chan reply, max(n, 8))}
+	}
+	c.pending[reqNum] = w.ch
+	return w, nil
 }
 
-func (c *Conn) unregister(reqNum uint32) {
+// release retires reqNum's waiter. The read loop sends replies only under
+// c.mu, so once the entry is deleted nothing more reaches w.ch: drained, w
+// is as good as new. A waiter Close has closed is never reused.
+func (c *Conn) release(reqNum uint32, w *waiter) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	delete(c.pending, reqNum)
-	c.mu.Unlock()
+	if w.timer != nil && !w.timer.Stop() {
+		// With go.mod at 1.22 a timer's channel is buffered: a tick may be
+		// waiting in it. One still in flight after this drain is stamped
+		// before the next arming, and QueryAllFunc skips it.
+		select {
+		case <-w.timer.C:
+		default:
+		}
+	}
+	if c.closed || len(c.free) >= maxFree {
+		return
+	}
+	for len(w.ch) > 0 {
+		<-w.ch
+	}
+	c.free = append(c.free, w)
 }
 
 // Query sends an ICP query for url to the peer and waits for its reply
@@ -253,17 +338,17 @@ func (c *Conn) unregister(reqNum uint32) {
 // exactly as Squid does.
 func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message, error) {
 	reqNum := c.NextReqNum()
-	ch := make(chan reply, 1)
-	if err := c.register(reqNum, ch); err != nil {
+	w, err := c.register(reqNum, 1)
+	if err != nil {
 		return Message{}, err
 	}
-	defer c.unregister(reqNum)
+	defer c.release(reqNum, w)
 
 	if err := c.Send(to, NewQuery(reqNum, url)); err != nil {
 		return Message{}, err
 	}
 	select {
-	case r, ok := <-ch:
+	case r, ok := <-w.ch:
 		if !ok {
 			return Message{}, ErrClosed
 		}
@@ -275,7 +360,7 @@ func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message,
 
 // QueryAllFunc fans one query out to several peers and returns the first
 // HIT or HIT_OBJ reply as win, from its sender; from is nil when every
-// peer replied MISS-class or the context expired (a timeout is an
+// peer replied MISS-class, timeout passed or ctx was done (a timeout is an
 // ordinary miss, as in Squid). The whole fan-out shares a single
 // RequestNumber, as Squid's sibling queries do; reqNum reports it so
 // callers can correlate the exchange (the tracing layer derives the
@@ -294,94 +379,120 @@ func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message,
 // the URL asked for; any other HIT_OBJ is taken as a plain HIT, its object
 // dropped. A reply from an address that was not asked is ignored and
 // counted (Stats.Unasked): reply routing keys on the request number alone,
-// which anyone reaching the socket can guess. onReply (when non-nil) is
-// invoked on the caller's goroutine for every reply that arrives before
-// the fan-out resolves, attributed to its sender; the tracing layer uses
-// it to record each peer's actual answer.
-func (c *Conn) QueryAllFunc(ctx context.Context, peers []*net.UDPAddr, url string, options uint32, onReply func(from *net.UDPAddr, op Opcode)) (win Message, from *net.UDPAddr, reqNum uint32, err error) {
+// which anyone reaching the socket can guess. Only a peer's first reply
+// counts; a repeat (a duplicated datagram) is ignored and counted as late
+// (Stats.LateReplies), so it cannot end the wait for the others. onReply
+// (when non-nil) is invoked on the caller's goroutine for every counted
+// reply that arrives before the fan-out resolves, attributed to its sender
+// (the entry of peers); the tracing layer uses it to record each peer's
+// actual answer.
+//
+// A steady-state fan-out to at most 16 peers allocates nothing: its reply
+// channel and timer are reused across queries.
+func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []*net.UDPAddr, url string, options uint32, onReply func(from *net.UDPAddr, op Opcode)) (win Message, from *net.UDPAddr, reqNum uint32, err error) {
 	if len(peers) == 0 {
 		return Message{}, nil, 0, nil
 	}
 	reqNum = c.NextReqNum()
-	ch := make(chan reply, len(peers))
-	if err := c.register(reqNum, ch); err != nil {
+	w, err := c.register(reqNum, len(peers))
+	if err != nil {
 		return Message{}, nil, reqNum, err
 	}
-	defer c.unregister(reqNum)
+	defer c.release(reqNum, w)
+	start := w.arm(timeout)
+	armed := start // a timer tick stamped before this is left from an earlier arming
 
+	// answered marks the peers whose reply was counted; a peer whose query
+	// could not be sent is marked up front, so nothing is awaited from it.
+	var answeredBuf [16]bool
+	answered := answeredBuf[:min(len(peers), len(answeredBuf))]
+	if len(peers) > len(answeredBuf) {
+		answered = make([]bool, len(peers))
+	}
 	q := NewQuery(reqNum, url)
 	q.Options = options
-	var objPeer *net.UDPAddr // the one peer asked for the object, until it answers
-	start := time.Now()
-	sent := 0
+	objPeer := -1 // index of the one peer asked for the object, until it answers
+	waiting := 0
 	var lastErr error
-	for _, p := range peers {
+	for i, p := range peers {
 		if err := c.Send(p, q); err != nil {
 			lastErr = err
+			answered[i] = true
 			continue
 		}
 		if q.Options&FlagHitObj != 0 {
-			objPeer = p
+			objPeer = i
 			q.Options &^= FlagHitObj
 		}
-		sent++
+		waiting++
 	}
-	if sent == 0 {
+	if waiting == 0 {
 		return Message{}, nil, reqNum, lastErr
 	}
-	var held reply             // a plain HIT waiting on objPeer
-	var grace <-chan time.Time // fires when held stops waiting
-	for sent > 0 {
+	var held reply // a plain HIT waiting on objPeer
+	for waiting > 0 {
 		select {
-		case r, ok := <-ch:
+		case r, ok := <-w.ch:
 			if !ok {
 				return Message{}, nil, reqNum, ErrClosed
 			}
-			p := findAddr(peers, r.from)
-			if p == nil {
+			i := findAddr(peers, r.from)
+			if i < 0 {
 				c.unasked.Add(1)
 				continue
 			}
-			sent--
-			if r.m.Op == OpHitObj && (p != objPeer || r.m.URL != url) {
+			if answered[i] {
+				c.late.Add(1)
+				continue
+			}
+			answered[i] = true
+			waiting--
+			p := peers[i]
+			if r.m.Op == OpHitObj && (i != objPeer || r.m.URL != url) {
 				r.m.Op, r.m.Object, r.m.OptionData = OpHit, nil, 0
 			}
 			if onReply != nil {
 				onReply(p, r.m.Op)
 			}
 			switch {
-			case r.m.Op == OpHitObj || (r.m.Op == OpHit && (objPeer == nil || p == objPeer)):
+			case r.m.Op == OpHitObj || (r.m.Op == OpHit && (objPeer < 0 || i == objPeer)):
 				return r.m, p, reqNum, nil
 			case r.m.Op == OpHit:
 				if held.from == nil {
 					held = reply{m: r.m, from: p}
-					t := time.NewTimer(time.Since(start))
-					defer t.Stop()
-					grace = t.C
+					// Hold it as long again as it took to arrive, unless the
+					// deadline comes first (or its tick already has).
+					if grace := time.Since(start); 2*grace < timeout && w.timer.Stop() {
+						armed = w.arm(grace)
+					}
 				}
-			case p == objPeer:
-				objPeer = nil
+			case i == objPeer:
+				objPeer = -1
 				if held.from != nil {
 					return held.m, held.from, reqNum, nil
 				}
 			}
-		case <-grace:
-			return held.m, held.from, reqNum, nil
+		case t := <-w.timer.C:
+			if t.Before(armed) {
+				continue
+			}
+			return held.m, held.from, reqNum, nil // deadline or grace: a timeout without a HIT is an ordinary miss
 		case <-ctx.Done():
-			return held.m, held.from, reqNum, nil // a timeout without a HIT is an ordinary miss
+			return held.m, held.from, reqNum, nil
 		}
 	}
 	return held.m, held.from, reqNum, nil
 }
 
-// findAddr returns the entry of peers that addr names, nil if none does.
-func findAddr(peers []*net.UDPAddr, addr *net.UDPAddr) *net.UDPAddr {
-	for _, p := range peers {
+// findAddr returns the index of the entry of peers that addr names, -1 if
+// none does.
+func findAddr(peers []*net.UDPAddr, addr *net.UDPAddr) int {
+	for i, p := range peers {
 		if p.Port == addr.Port && p.IP.Equal(addr.IP) {
-			return p
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 func (c *Conn) readLoop() {
@@ -416,18 +527,22 @@ func (c *Conn) readLoop() {
 			// crossing to the waiting goroutine holds only owned data (the
 			// URL string and a HIT_OBJ's object, both copied out of buf);
 			// the decoder scratch never escapes.
+			// The send happens under c.mu, so a query's release knows no
+			// reply reaches its channel once the entry is gone. It never
+			// blocks: a full channel drops the surplus copy.
 			c.mu.Lock()
 			ch := c.pending[m.ReqNum]
-			c.mu.Unlock()
 			if ch != nil {
 				select {
 				//lint:ignore sclint/borrow-escape reply opcodes carry no DirUpdate; only the owned URL string and copied HIT_OBJ object cross, never decoder scratch
 				case ch <- reply{m: m, from: from}:
 				default:
 				}
-				continue
 			}
-			c.late.Add(1) // its query already resolved or timed out
+			c.mu.Unlock()
+			if ch == nil {
+				c.late.Add(1) // its query already resolved or timed out
+			}
 			continue
 		}
 		if c.handler != nil {

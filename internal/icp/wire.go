@@ -29,7 +29,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"summarycache/internal/bloom"
 	"summarycache/internal/hashing"
@@ -136,31 +135,6 @@ const MaxDatagram = 65507
 
 // MaxFlipsPerMessage is the most flip records one DIRUPDATE datagram holds.
 const MaxFlipsPerMessage = (MaxDatagram - HeaderLen - DirUpdateHeaderLen) / 4
-
-// bufPool recycles datagram-sized scratch buffers across the package's hot
-// paths: Conn.Send encodes into them.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, MaxDatagram)
-		return &b
-	},
-}
-
-// getBuf borrows an empty datagram-capacity buffer from the pool.
-func getBuf() *[]byte {
-	bp := bufPool.Get().(*[]byte)
-	*bp = (*bp)[:0]
-	return bp
-}
-
-// putBuf returns a buffer to the pool. Buffers that grew past the pooled
-// capacity (none of this package's callers do that) are dropped rather
-// than poisoning the pool with odd sizes.
-func putBuf(bp *[]byte) {
-	if cap(*bp) == MaxDatagram {
-		bufPool.Put(bp)
-	}
-}
 
 // Wire format errors.
 var (

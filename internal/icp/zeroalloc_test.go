@@ -1,9 +1,11 @@
 package icp
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
+	"time"
 
 	"summarycache/internal/bloom"
 	"summarycache/internal/hashing"
@@ -158,5 +160,35 @@ func TestMessageClone(t *testing.T) {
 		if f != (bloom.Flip{Index: uint32(i * 37), Set: i%3 != 0}) {
 			t.Fatalf("clone flip %d corrupted: %+v", i, f)
 		}
+	}
+}
+
+// TestQueryAllAllocBudget pins what one fan-out over loopback allocates.
+// The flagged peer answers MISS and the other a plain HIT, so every run
+// waits for both replies (and, when the HIT comes first, re-arms the timer
+// for the grace). The reply channel, the timer and the encoding buffers are
+// reused, so only decoding and receive costs remain. AllocsPerRun counts
+// every goroutine, the responders' read loops included.
+func TestQueryAllAllocBudget(t *testing.T) {
+	const url = "http://example.com/doc"
+	miss := echoResponder(t, nil)
+	hit := echoResponder(t, map[string]bool{url: true})
+	cli := client(t)
+	peers := []*net.UDPAddr{miss.Addr(), hit.Addr()}
+	ctx := context.Background()
+	query := func() {
+		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, peers, url, FlagHitObj, nil)
+		if err != nil || from != peers[1] || win.Op != OpHit {
+			t.Fatalf("%v from %v (%v), want the HIT from %v", win.Op, from, err, peers[1])
+		}
+	}
+	query() // the first fan-out makes the reply channel and timer
+	// Left per fan-out, twelve allocations, all in read loops: each of the
+	// two queries and two replies costs its receive address (a
+	// *net.UDPAddr and the copy of its IP that net makes) and its decoded
+	// URL string.
+	const budget = 12
+	if n := testing.AllocsPerRun(200, query); n != budget {
+		t.Fatalf("QueryAllFunc allocated %v times per fan-out, want %d", n, budget)
 	}
 }
