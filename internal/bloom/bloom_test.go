@@ -456,3 +456,55 @@ func TestProbeZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// With journaling on, Add and Remove also append every flip to the
+// filter's one journal, which keeps its array across drains: once a
+// publication cycle has sized it, journaling allocates nothing either.
+func TestJournalingZeroAlloc(t *testing.T) {
+	url := "http://example.com/" + strings.Repeat("j", 181)
+	c := MustNewCountingFilter(1<<20, DefaultCounterBits, testSpec)
+	c.EnableJournal()
+	flips := make([]Flip, 0, 2*testSpec.FunctionNum)
+	cycle := func() {
+		flips = c.Add(url, flips[:0])
+		flips = c.Remove(url, flips)
+	}
+	for i := 0; i < 200; i++ {
+		cycle()
+	}
+	c.DrainJournal() // one publication; the journal keeps its array
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("journaling Add/Remove allocated %v times per run, want 0", n)
+	}
+	if got, want := c.PendingFlips(), 101*len(flips); got != want {
+		t.Fatalf("%d flips journaled over 101 cycles, want %d", got, want)
+	}
+}
+
+// TestJournalBurstReleased: a burst of flips far past journalRetainCap (a
+// directory rebuilt from a recovered cache's keys, a mass purge) drains
+// whole, and the journal does not keep the burst's array afterwards; a
+// cycle below the cap keeps its array for the next one.
+func TestJournalBurstReleased(t *testing.T) {
+	c := MustNewCountingFilter(1<<16, DefaultCounterBits, testSpec)
+	c.EnableJournal()
+	var scratch [2 * stackK]Flip
+	for i := 0; c.PendingFlips() < 1<<20; i++ {
+		key := fmt.Sprintf("http://burst/%d", i)
+		c.Add(key, scratch[:0])
+		c.Remove(key, scratch[:0])
+	}
+	n := c.PendingFlips()
+	if got := len(c.DrainJournal()); got != n || c.PendingFlips() != 0 {
+		t.Fatalf("drained %d of %d flips, %d left pending", got, n, c.PendingFlips())
+	}
+	if got := cap(c.journal); got > journalRetainCap {
+		t.Fatalf("journal keeps capacity %d after draining a %d-flip burst, want at most %d",
+			got, n, journalRetainCap)
+	}
+	c.Add("http://steady/", scratch[:0])
+	c.DrainJournal()
+	if cap(c.journal) == 0 {
+		t.Fatal("a drain below the cap released the journal's array")
+	}
+}

@@ -16,12 +16,11 @@ const DefaultCounterBits = 4
 // ErrBadCounterBits reports an unsupported counter width.
 var ErrBadCounterBits = errors.New("bloom: counter width must be in [1,16] bits")
 
-// maxStripes bounds the counter-lock striping (power of two). Stripes are
-// keyed by counter-word index, so two updates contend only when their
-// counters share a word whose stripe is also claimed by the other — with 64
-// stripes the collision probability under a handful of writer threads is
-// a few percent.
-const maxStripes = 64
+// journalRetainCap bounds the flip-journal capacity kept across drains. A
+// publication cycle below it reuses one backing array, so journaling a flip
+// allocates nothing; a burst past it (a directory rebuilt from keys, a mass
+// purge) is released at its drain instead of pinned for the filter's life.
+const journalRetainCap = 1 << 16
 
 // CountingFilter is the paper's counting Bloom filter: alongside each bit
 // of the array it keeps a small saturating counter of how many inserted
@@ -35,22 +34,18 @@ const maxStripes = 64
 // CounterOverflowProbability — for fixed memory. CountingFilter is safe for
 // concurrent use.
 //
-// Concurrency: counters live in atomic words read lock-free by Test; writes
-// stripe-lock by word index, so Add and Remove on different regions of the
-// array proceed in parallel. When journaling is enabled (EnableJournal),
-// each bit transition is appended to its stripe's journal segment under the
-// same stripe lock that performed the transition — flips for one bit are
-// therefore always journaled in their true temporal order (set-then-clear
-// can never be drained as clear-then-set), while flips for different bits
-// commute because the wire format is absolute.
+// Concurrency: counters live in atomic words read lock-free by Test; every
+// writer (Add, Remove, Reset, RestoreState, DrainJournal) holds one mutex.
+// A cache's writers already arrive one at a time, so finer locking would buy
+// no parallelism. When journaling is enabled (EnableJournal), each bit
+// transition is appended to the one flip journal under that mutex, so the
+// journal holds the flips in the order they happened.
 type CountingFilter struct {
 	m        uint64
 	cbits    uint   // counter width in bits
 	cmax     uint64 // saturation value (2^cbits - 1)
 	counters []atomic.Uint64
 	perWord  uint // counters packed per 64-bit word
-	smask    uint64
-	stripes  []cfStripe
 	ones     atomic.Int64
 	n        atomic.Int64 // net insertions (adds - removes), for load accounting
 	family   *hashing.Family
@@ -58,21 +53,10 @@ type CountingFilter struct {
 	saturations atomic.Uint64 // counters that ever hit cmax
 	underflows  atomic.Uint64 // decrement attempts on a zero counter
 
+	mu         sync.Mutex   // held by every writer; guards journal
 	journaling bool         // set once by EnableJournal before concurrent use
-	pending    atomic.Int64 // total flips across stripe journals
-}
-
-// cfStripe is one lock stripe plus its segment of the flip journal.
-//
-// Whole-filter operations (Reset, RestoreState) hold every stripe lock at
-// once; they always acquire in ascending index order, so nested same-class
-// acquisition cannot deadlock.
-//
-//lint:lockorder bloom.cfStripe.mu < bloom.cfStripe.mu stripes are always locked in ascending index order
-type cfStripe struct {
-	mu      sync.Mutex
-	journal []Flip
-	_       [40]byte // pad toward a cache line to curb false sharing
+	journal    []Flip       // undrained flips, oldest first
+	pending    atomic.Int64 // len(journal), for lock-free readers
 }
 
 // NewCountingFilter creates a counting filter of mBits positions with
@@ -90,24 +74,14 @@ func NewCountingFilter(mBits uint64, counterBits uint, spec hashing.Spec) (*Coun
 	}
 	perWord := uint(64 / counterBits)
 	words := (mBits + uint64(perWord) - 1) / uint64(perWord)
-	stripes := maxStripes
-	for uint64(stripes) > words {
-		stripes >>= 1
-	}
-	if stripes < 1 {
-		stripes = 1
-	}
-	c := &CountingFilter{
+	return &CountingFilter{
 		m:        mBits,
 		cbits:    counterBits,
 		cmax:     (uint64(1) << counterBits) - 1,
 		counters: make([]atomic.Uint64, words),
 		perWord:  perWord,
-		smask:    uint64(stripes - 1),
-		stripes:  make([]cfStripe, stripes),
 		family:   fam,
-	}
-	return c, nil
+	}, nil
 }
 
 // MustNewCountingFilter is NewCountingFilter, panicking on error.
@@ -144,55 +118,54 @@ func (c *CountingFilter) get(i uint64) uint64 {
 	return (c.counters[w].Load() >> sh) & c.cmax
 }
 
-// setLocked writes counter i; the caller holds i's stripe lock, which
-// exclusively owns every counter in i's word.
+// setLocked writes counter i; the caller holds mu, so no other writer can
+// touch i's word between the load and the store.
 func (c *CountingFilter) setLocked(i, v uint64) {
 	w, sh := c.locate(i)
 	c.counters[w].Store(c.counters[w].Load()&^(c.cmax<<sh) | v<<sh)
 }
 
-// stripeOf returns the lock stripe owning counter i's word.
-func (c *CountingFilter) stripeOf(i uint64) *cfStripe {
-	w, _ := c.locate(i)
-	return &c.stripes[w&c.smask]
-}
-
 // EnableJournal turns on internal flip journaling: every subsequent bit
-// transition is recorded (in per-bit temporal order) for DrainJournal.
+// transition is recorded, in the order it happened, for DrainJournal.
 // Call once, before the filter is shared between goroutines.
 func (c *CountingFilter) EnableJournal() { c.journaling = true }
 
 // PendingFlips returns the number of journaled flips not yet drained.
-func (c *CountingFilter) PendingFlips() int {
-	n := c.pending.Load()
-	if n < 0 {
-		return 0
-	}
-	return int(n)
-}
+func (c *CountingFilter) PendingFlips() int { return int(c.pending.Load()) }
 
-// DrainJournal removes and returns all journaled flips. Flips touching the
-// same bit appear in their true temporal order; flips for different bits
-// are in no particular order (they commute — the wire format is absolute).
+// DrainJournal removes and returns all journaled flips, oldest first (nil
+// when there are none). The returned slice is a copy the caller owns.
 func (c *CountingFilter) DrainJournal() []Flip {
-	var out []Flip
-	for s := range c.stripes {
-		st := &c.stripes[s]
-		st.mu.Lock()
-		if len(st.journal) > 0 {
-			out = append(out, st.journal...)
-			c.pending.Add(-int64(len(st.journal)))
-			st.journal = nil
-		}
-		st.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.journal) == 0 {
+		return nil
 	}
+	out := append([]Flip(nil), c.journal...)
+	c.clearJournalLocked()
 	return out
 }
 
-// journalLocked records one transition under its stripe's lock.
-func (st *cfStripe) journalLocked(c *CountingFilter, fl Flip) {
-	st.journal = append(st.journal, fl)
-	c.pending.Add(1)
+// clearJournalLocked empties the journal, keeping its backing array for
+// the next flips unless a burst grew it past journalRetainCap. The caller
+// holds mu.
+func (c *CountingFilter) clearJournalLocked() {
+	if cap(c.journal) > journalRetainCap {
+		c.journal = nil
+	} else {
+		c.journal = c.journal[:0]
+	}
+	c.pending.Store(0)
+}
+
+// flipLocked records one bit transition: appended to flips, which it
+// returns, and to the journal when journaling. The caller holds mu.
+func (c *CountingFilter) flipLocked(flips []Flip, fl Flip) []Flip {
+	if c.journaling {
+		c.journal = append(c.journal, fl)
+		c.pending.Store(int64(len(c.journal)))
+	}
+	return append(flips, fl)
 }
 
 // indexes appends key's k counter positions to dst.
@@ -202,31 +175,26 @@ func (c *CountingFilter) indexes(dst []uint64, key string) []uint64 {
 }
 
 // Add inserts key, incrementing its k counters. Bit transitions 0→1 are
-// appended to flips, which is returned (append semantics; pass nil to
-// discard-later or a reused buffer to avoid allocation).
+// appended to flips, which is returned (append semantics: pass a buffer
+// with room for k flips to avoid allocation).
 func (c *CountingFilter) Add(key string, flips []Flip) []Flip {
 	var buf [stackK]uint64
-	for _, i := range c.indexes(buf[:0], key) {
-		st := c.stripeOf(i)
-		st.mu.Lock()
-		v := c.get(i)
-		switch {
+	idx := c.indexes(buf[:0], key)
+	c.mu.Lock()
+	for _, i := range idx {
+		switch v := c.get(i); {
 		case v == c.cmax:
 			c.saturations.Add(1) // stuck; stays at cmax
 		case v == 0:
 			c.setLocked(i, 1)
 			c.ones.Add(1)
-			fl := Flip{Index: uint32(i), Set: true}
-			flips = append(flips, fl)
-			if c.journaling {
-				st.journalLocked(c, fl)
-			}
+			flips = c.flipLocked(flips, Flip{Index: uint32(i), Set: true})
 		default:
 			c.setLocked(i, v+1)
 		}
-		st.mu.Unlock()
 	}
 	c.n.Add(1)
+	c.mu.Unlock()
 	return flips
 }
 
@@ -236,21 +204,16 @@ func (c *CountingFilter) Add(key string, flips []Flip) []Flip {
 // guarantee delete-after-insert discipline.
 func (c *CountingFilter) Remove(key string, flips []Flip) []Flip {
 	var buf [stackK]uint64
-	for _, i := range c.indexes(buf[:0], key) {
-		st := c.stripeOf(i)
-		st.mu.Lock()
-		v := c.get(i)
-		switch {
+	idx := c.indexes(buf[:0], key)
+	c.mu.Lock()
+	for _, i := range idx {
+		switch v := c.get(i); {
 		case v == c.cmax:
 			// Saturated counters are never decremented; see type docs.
 		case v == 1:
 			c.setLocked(i, 0)
 			c.ones.Add(-1)
-			fl := Flip{Index: uint32(i), Set: false}
-			flips = append(flips, fl)
-			if c.journaling {
-				st.journalLocked(c, fl)
-			}
+			flips = c.flipLocked(flips, Flip{Index: uint32(i), Set: false})
 		case v > 1:
 			c.setLocked(i, v-1)
 		default:
@@ -261,14 +224,11 @@ func (c *CountingFilter) Remove(key string, flips []Flip) []Flip {
 			// replay), and the second decrement must be a counted no-op.
 			c.underflows.Add(1)
 		}
-		st.mu.Unlock()
 	}
-	for {
-		cur := c.n.Load()
-		if cur <= 0 || c.n.CompareAndSwap(cur, cur-1) {
-			break
-		}
+	if c.n.Load() > 0 {
+		c.n.Add(-1)
 	}
+	c.mu.Unlock()
 	return flips
 }
 
@@ -344,23 +304,16 @@ func (c *CountingFilter) BitFilter() *Filter {
 
 // Reset zeroes all counters and discards any journaled flips.
 func (c *CountingFilter) Reset() {
-	for s := range c.stripes {
-		c.stripes[s].mu.Lock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for i := range c.counters {
 		c.counters[i].Store(0)
 	}
-	for s := range c.stripes {
-		c.pending.Add(-int64(len(c.stripes[s].journal)))
-		c.stripes[s].journal = nil
-	}
+	c.clearJournalLocked()
 	c.ones.Store(0)
 	c.n.Store(0)
 	c.saturations.Store(0)
 	c.underflows.Store(0)
-	for s := len(c.stripes) - 1; s >= 0; s-- {
-		c.stripes[s].mu.Unlock()
-	}
 }
 
 // MaxCount returns the largest counter value currently stored. Exposed so

@@ -85,9 +85,8 @@ func (c *CountingFilter) RestoreState(data []byte) error {
 	if len(rest) != len(c.counters)*8 {
 		return fmt.Errorf("%w: %d counter bytes, want %d", ErrStateCorrupt, len(rest), len(c.counters)*8)
 	}
-	for s := range c.stripes {
-		c.stripes[s].mu.Lock()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var ones int64
 	for i := range c.counters {
 		c.counters[i].Store(binary.LittleEndian.Uint64(rest[i*8:]))
@@ -100,12 +99,6 @@ func (c *CountingFilter) RestoreState(data []byte) error {
 	c.ones.Store(ones)
 	c.n.Store(int64(entries))
 	c.saturations.Store(sat)
-	for s := range c.stripes {
-		c.pending.Add(-int64(len(c.stripes[s].journal)))
-		c.stripes[s].journal = nil
-	}
-	for s := len(c.stripes) - 1; s >= 0; s-- {
-		c.stripes[s].mu.Unlock()
-	}
+	c.clearJournalLocked()
 	return nil
 }

@@ -53,11 +53,12 @@ func (c *DirectoryConfig) applyDefaults() {
 // counting filter, plus the journal of bit flips not yet published to
 // peers. It is safe for concurrent use.
 //
-// There is no directory-wide mutex: Insert and Remove ride the counting
-// filter's striped word locks (which also order the flip journal per bit),
-// Contains is a lock-free probe, and the document counters driving the
-// publication threshold are atomics. Concurrent inserts through a loaded
-// proxy therefore never serialize on one lock.
+// Insert and Remove take the counting filter's one writer mutex, which
+// also appends their bit flips to its journal in the order they happened.
+// Behind a proxy they already arrive one at a time, from the cache's
+// ordered change stream, so that mutex is uncontended there. Contains is a
+// lock-free probe, and the document counters driving the publication
+// threshold are atomics, so deciding when to publish takes no lock.
 type Directory struct {
 	counting  *bloom.CountingFilter
 	spec      hashing.Spec
@@ -102,16 +103,22 @@ func (d *Directory) Docs() int {
 	return int(n)
 }
 
+// flipScratch receives the flips of one Insert or Remove on the stack; the
+// counting filter's journal keeps its own copy, so these are dropped.
+type flipScratch [16]bloom.Flip
+
 // Insert records a document entering the cache.
 func (d *Directory) Insert(url string) {
-	d.counting.Add(url, nil)
+	var flips flipScratch
+	d.counting.Add(url, flips[:0])
 	d.docs.Add(1)
 	d.newDocs.Add(1)
 }
 
 // Remove records a document leaving the cache.
 func (d *Directory) Remove(url string) {
-	d.counting.Remove(url, nil)
+	var flips flipScratch
+	d.counting.Remove(url, flips[:0])
 	for {
 		cur := d.docs.Load()
 		if cur <= 0 || d.docs.CompareAndSwap(cur, cur-1) {

@@ -414,20 +414,16 @@ func Start(cfg Config) (*Proxy, error) {
 	if p.breakerThreshold > 0 {
 		p.breakers = make(map[string]*breaker)
 	}
-	// The fetch client is bounded at every stage: dial, response headers
-	// (so an origin that accepts but never answers costs one timeout, not
-	// a wedged handler goroutine), and — via each attempt's context — the
-	// body. Config.Faults interposes its fault-injecting transport here;
-	// nil leaves the raw transport untouched.
-	transport := &http.Transport{
+	// Each fetch attempt runs under its own context.WithTimeout(fetchTimeout),
+	// which bounds dial, response headers and body alike: an origin that
+	// accepts but never answers costs one timeout, not a wedged handler
+	// goroutine. So the transport sets no timeouts of its own.
+	// Config.Faults interposes its fault-injecting transport here; nil
+	// leaves the raw transport untouched.
+	var rt http.RoundTripper = &http.Transport{
 		MaxIdleConnsPerHost: 64,
 		IdleConnTimeout:     30 * time.Second,
 	}
-	if p.fetchTimeout > 0 {
-		transport.DialContext = (&net.Dialer{Timeout: p.fetchTimeout}).DialContext
-		transport.ResponseHeaderTimeout = p.fetchTimeout
-	}
-	var rt http.RoundTripper = transport
 	if cfg.Faults != nil {
 		rt = cfg.Faults.Transport(rt)
 	}
@@ -1104,11 +1100,6 @@ func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request, target string
 // measure client errors rather than cache behavior). tr is nil for
 // untraced requests.
 func (p *Proxy) serveProxyClassified(w http.ResponseWriter, r *http.Request, target string, tr *tracing.Trace) string {
-	if _, err := url.Parse(target); err != nil {
-		http.Error(w, "bad target url", http.StatusBadRequest)
-		return ""
-	}
-
 	// In version-aware mode the cache identity is the target with the
 	// version parameter stripped; everywhere below — local lookup, ICP
 	// queries, summary probes, sibling fetches — operates on the key, so
@@ -1151,6 +1142,14 @@ func (p *Proxy) serveProxyClassified(w http.ResponseWriter, r *http.Request, tar
 			DurationUS: time.Since(lookupStart).Microseconds(),
 			Actual:     actual,
 		})
+	}
+
+	// Only a miss needs the target to parse: a cached key was fetched, so
+	// it parsed, and a local hit skips the check. A malformed target is
+	// refused before any sibling summary is probed or any sibling asked.
+	if _, err := url.Parse(target); err != nil {
+		http.Error(w, "bad target url", http.StatusBadRequest)
+		return ""
 	}
 
 	// Local miss: try siblings per the cooperation mode. The trace rides
@@ -1408,7 +1407,7 @@ func (p *Proxy) fetchPeerOnce(ctx context.Context, base, target string) (body []
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
+		io.CopyN(io.Discard, resp.Body, maxErrorDrain)
 		return nil, 0, false // race: sibling evicted it (a false hit after all)
 	}
 	body, err = readBody(resp)
@@ -1476,6 +1475,12 @@ func readBodyLimit(resp *http.Response, limit int64) ([]byte, error) {
 // bodies are read up to the cap and fail if they exceed it — the header
 // of a hostile server never sizes an allocation past this bound.
 const maxDeclaredBody = 64 << 20
+
+// maxErrorDrain bounds how much of an unwanted (non-200) response body is
+// read before the body is closed. An ordinary error page is read to its
+// end, so its connection goes back to the pool; a larger body closes its
+// connection instead of being read in full on every attempt.
+const maxErrorDrain = 4 << 10
 
 // fetchOrigin fetches a document from the origin (or the parent proxy),
 // retrying retryable failures — transport errors, 5xx statuses, truncated
@@ -1559,7 +1564,7 @@ func (p *Proxy) fetchOriginOnce(ctx context.Context, fetchURL string) (body []by
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
+		io.CopyN(io.Discard, resp.Body, maxErrorDrain)
 		return nil, 0, resp.StatusCode >= 500, fmt.Errorf("origin status %d", resp.StatusCode)
 	}
 	body, err = readBody(resp)

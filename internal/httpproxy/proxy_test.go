@@ -137,8 +137,8 @@ func TestAbsoluteFormProxying(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	m := newMesh(t, 1, ModeNone, 0)
-	p := m.proxies[0]
+	m := newMesh(t, 2, ModeSCICP, 0)
+	p := m.proxies[1]
 	resp, err := http.Get(p.URL() + ProxyPath)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +154,24 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("origin-form request: status %d", resp.StatusCode)
+	}
+
+	// A target that does not parse is refused before the summary probe,
+	// even when a sibling's summary claims it: no ICP query goes out.
+	const bad = "http://[::1/doc"
+	m.proxies[0].node.HandleInsert(bad)
+	m.proxies[0].FlushSummary()
+	waitForCandidate(t, p, bad)
+	resp, err = http.Get(p.URL() + ProxyPath + "?url=" + url.QueryEscape(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed target: status %d, want 400", resp.StatusCode)
+	}
+	if q := p.Stats().Node.QueriesSent; q != 0 {
+		t.Fatalf("a malformed target sent %d ICP queries, want 0", q)
 	}
 }
 

@@ -6,8 +6,10 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -173,6 +175,84 @@ func TestFetch4xxIsPermanent(t *testing.T) {
 	}
 	if st := p.Stats(); st.Retries != 0 {
 		t.Fatalf("Retries = %d, want 0", st.Retries)
+	}
+}
+
+// TestErrorBodyDrainBounded: a non-200 body is read only up to
+// maxErrorDrain. A small error page is read to its end, so every retry
+// reuses the one connection; a 503 carrying 8 MB is abandoned with its
+// connection, so the origin gets only what socket buffers absorb onto the
+// wire per attempt, not the whole body.
+func TestErrorBodyDrainBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		size      int
+		wantConns int64
+	}{
+		{"error page", 512, 1},
+		{"8 MB", 8 << 20, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				mu      sync.Mutex
+				written []int // body bytes the origin got onto the wire, per attempt
+				conns   atomic.Int64
+			)
+			chunk := make([]byte, 32<<10)
+			org := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.WriteHeader(http.StatusServiceUnavailable)
+				n := 0
+				for n < tc.size {
+					m, err := w.Write(chunk[:min(len(chunk), tc.size-n)])
+					n += m
+					if err != nil {
+						break
+					}
+				}
+				mu.Lock()
+				written = append(written, n)
+				mu.Unlock()
+			}))
+			org.Config.ConnState = func(c net.Conn, s http.ConnState) {
+				if s == http.StateNew {
+					conns.Add(1)
+					// A small send buffer keeps what the kernel takes
+					// after the proxy stops reading far below 8 MB.
+					_ = c.(*net.TCPConn).SetWriteBuffer(64 << 10)
+				}
+			}
+			org.Start()
+			p, err := Start(Config{
+				Mode: ModeNone, CacheBytes: 1 << 20,
+				FetchRetries: 2, FetchBackoff: time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { p.Close() })
+
+			resp, err := http.Get(p.URL() + ProxyPath + "?url=" + url.QueryEscape(org.URL+"/doc"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadGateway {
+				t.Fatalf("status %d, want 502", resp.StatusCode)
+			}
+			org.Close() // returns once every handler has
+			if len(written) != 3 {
+				t.Fatalf("origin saw %d attempts, want 3", len(written))
+			}
+			for i, n := range written {
+				if n > 1<<20 {
+					t.Fatalf("attempt %d: the origin wrote %d bytes of its %d-byte error body, want at most 1 MiB",
+						i, n, tc.size)
+				}
+			}
+			if got := conns.Load(); got != tc.wantConns {
+				t.Fatalf("%d connections for 3 attempts, want %d", got, tc.wantConns)
+			}
+		})
 	}
 }
 

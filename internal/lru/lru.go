@@ -7,14 +7,15 @@
 // marks the document as most-recently-accessed").
 //
 // The cache is one recency list over one byte budget under one mutex, so
-// replacement is exact global LRU. Writers (Put, Remove, Restore, Clear)
-// additionally serialize on a writer lock held until their changes have
-// been reported, which makes the OnChange hook one ordered stream: the
-// order of its notifications is the order the cache applied them.
+// replacement is exact global LRU. The list is intrusive: each document's
+// node carries its own links, so storing a new document allocates one
+// object. Writers (Put, Remove, Restore, Clear) additionally serialize on a
+// writer lock held until their changes have been reported, which makes the
+// OnChange hook one ordered stream: the order of its notifications is the
+// order the cache applied them.
 package lru
 
 import (
-	"container/list"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -90,6 +91,12 @@ const (
 // ErrBadCapacity reports a non-positive cache capacity.
 var ErrBadCapacity = errors.New("lru: capacity must be positive")
 
+// node is one cached document threaded on the recency list.
+type node struct {
+	Entry
+	prev, next *node
+}
+
 // Cache is a byte-budget LRU cache of documents. It is safe for concurrent
 // use.
 type Cache struct {
@@ -109,8 +116,8 @@ type Cache struct {
 	// that touches them, so they cost nothing on the hot path.
 	mu    sync.Mutex
 	bytes int64
-	ll    *list.List // of *Entry; front = most recently used
-	items map[string]*list.Element
+	root  node // list sentinel: root.next is the most recently used node
+	items map[string]*node
 
 	hits, misses                     uint64
 	evCapacity, evRemoved, evUpdated uint64
@@ -146,14 +153,15 @@ func NewCache(cfg Config) (*Cache, error) {
 	if maxObj == 0 {
 		maxObj = DefaultMaxObjectSize
 	}
-	return &Cache{
+	c := &Cache{
 		capacity: cfg.Capacity,
 		maxObj:   maxObj,
 		onChange: cfg.OnChange,
 		timing:   cfg.OpTiming,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element),
-	}, nil
+		items:    make(map[string]*node),
+	}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c, nil
 }
 
 // MustNewCache is NewCache, panicking on error.
@@ -163,6 +171,26 @@ func MustNewCache(cfg Config) *Cache {
 		panic(err)
 	}
 	return c
+}
+
+// linkAfter threads nd into the list right after at; the caller holds mu.
+func linkAfter(nd, at *node) {
+	nd.prev, nd.next = at, at.next
+	at.next.prev = nd
+	at.next = nd
+}
+
+// unlink takes nd out of the list; the caller holds mu.
+func unlink(nd *node) {
+	nd.prev.next, nd.next.prev = nd.next, nd.prev
+}
+
+// moveToFront makes nd the most recently used node; the caller holds mu.
+func (c *Cache) moveToFront(nd *node) {
+	if c.root.next != nd {
+		unlink(nd)
+		linkAfter(nd, &c.root)
+	}
 }
 
 // Capacity returns the byte budget.
@@ -175,7 +203,7 @@ func (c *Cache) MaxObjectSize() int64 { return c.maxObj }
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.items)
 }
 
 // Bytes returns the bytes currently cached.
@@ -209,14 +237,14 @@ func (c *Cache) Get(key string) (Entry, bool) {
 	if !c.mu.TryLock() {
 		c.lockSlow()
 	}
-	el, ok := c.items[key]
+	nd, ok := c.items[key]
 	if !ok {
 		c.misses++
 		c.mu.Unlock()
 		return Entry{}, false
 	}
-	c.ll.MoveToFront(el)
-	e := *el.Value.(*Entry)
+	c.moveToFront(nd)
+	e := nd.Entry
 	c.hits++
 	c.mu.Unlock()
 	return e, true
@@ -229,11 +257,11 @@ func (c *Cache) Peek(key string) (Entry, bool) {
 		c.lockSlow()
 	}
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	nd, ok := c.items[key]
 	if !ok {
 		return Entry{}, false
 	}
-	return *el.Value.(*Entry), true
+	return nd.Entry, true
 }
 
 // Contains reports presence without promotion or accounting.
@@ -250,9 +278,9 @@ func (c *Cache) Touch(key string) bool {
 		c.lockSlow()
 	}
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	nd, ok := c.items[key]
 	if ok {
-		c.ll.MoveToFront(el)
+		c.moveToFront(nd)
 	}
 	return ok
 }
@@ -297,24 +325,23 @@ func (c *Cache) Put(e Entry) (stored bool) {
 	if !c.mu.TryLock() {
 		c.lockSlow()
 	}
-	if el, ok := c.items[e.Key]; ok {
-		ep := el.Value.(*Entry)
-		c.bytes += e.Size - ep.Size
-		if ep.Version != e.Version {
+	if nd, ok := c.items[e.Key]; ok {
+		c.bytes += e.Size - nd.Size
+		if nd.Version != e.Version {
 			c.evUpdated++
 		}
-		*ep = e
-		c.ll.MoveToFront(el)
+		nd.Entry = e
+		c.moveToFront(nd)
 		c.note(e, Replaced)
 	} else {
 		c.bytes += e.Size
-		ep := new(Entry)
-		*ep = e
-		c.items[e.Key] = c.ll.PushFront(ep)
+		nd := &node{Entry: e}
+		linkAfter(nd, &c.root)
+		c.items[e.Key] = nd
 		c.note(e, Inserted)
 	}
 	for c.bytes > c.capacity {
-		c.removeLocked(c.ll.Back(), EvictCapacity)
+		c.removeLocked(c.root.prev, EvictCapacity)
 	}
 	c.mu.Unlock()
 	c.deliver()
@@ -328,35 +355,34 @@ func (c *Cache) Remove(key string) bool {
 	if !c.mu.TryLock() {
 		c.lockSlow()
 	}
-	el, ok := c.items[key]
+	nd, ok := c.items[key]
 	if ok {
-		c.removeLocked(el, EvictRemoved)
+		c.removeLocked(nd, EvictRemoved)
 	}
 	c.mu.Unlock()
 	c.deliver()
 	return ok
 }
 
-func (c *Cache) removeLocked(el *list.Element, why Event) {
-	e := *el.Value.(*Entry)
-	c.ll.Remove(el)
-	delete(c.items, e.Key)
-	c.bytes -= e.Size
+func (c *Cache) removeLocked(nd *node, why Event) {
+	unlink(nd)
+	delete(c.items, nd.Key)
+	c.bytes -= nd.Size
 	if why == EvictCapacity {
 		c.evCapacity++
 	} else {
 		c.evRemoved++
 	}
-	c.note(e, why)
+	c.note(nd.Entry, why)
 }
 
 // Keys returns all cached keys from most to least recently used.
 func (c *Cache) Keys() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]string, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*Entry).Key)
+	out := make([]string, 0, len(c.items))
+	for nd := c.root.next; nd != &c.root; nd = nd.next {
+		out = append(out, nd.Key)
 	}
 	return out
 }
@@ -365,9 +391,9 @@ func (c *Cache) Keys() []string {
 func (c *Cache) Entries() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Entry, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		out = append(out, *el.Value.(*Entry))
+	out := make([]Entry, 0, len(c.items))
+	for nd := c.root.next; nd != &c.root; nd = nd.next {
+		out = append(out, nd.Entry)
 	}
 	return out
 }
@@ -385,7 +411,7 @@ func (c *Cache) Restore(entries []Entry) (stored int, dropped []string) {
 	defer c.wmu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mark := c.ll.Front() // restored entries are inserted above it, in order
+	at := &c.root // each restored entry is linked after the previous one
 	for _, e := range entries {
 		if _, ok := c.items[e.Key]; ok {
 			stored++ // already cached: present is what Restore promises
@@ -395,13 +421,10 @@ func (c *Cache) Restore(entries []Entry) (stored int, dropped []string) {
 			dropped = append(dropped, e.Key)
 			continue
 		}
-		ep := new(Entry)
-		*ep = e
-		if mark == nil {
-			c.items[e.Key] = c.ll.PushBack(ep)
-		} else {
-			c.items[e.Key] = c.ll.InsertBefore(ep, mark)
-		}
+		nd := &node{Entry: e}
+		linkAfter(nd, at)
+		at = nd
+		c.items[e.Key] = nd
 		c.bytes += e.Size
 		stored++
 	}
@@ -442,7 +465,7 @@ func (c *Cache) Clear() {
 	defer c.wmu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
+	c.root.prev, c.root.next = &c.root, &c.root
+	c.items = make(map[string]*node)
 	c.bytes = 0
 }

@@ -48,9 +48,25 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // appendFrame appends one length+CRC framed payload to dst.
 func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-	return append(dst, payload...)
+	dst, start := openFrame(dst)
+	return sealFrame(append(dst, payload...), start)
+}
+
+// openFrame appends an empty frame header to dst and returns where the
+// frame starts. The writer encodes the payload straight after it and calls
+// sealFrame, so framing copies nothing.
+func openFrame(dst []byte) ([]byte, int) {
+	var hdr [frameHeaderLen]byte
+	return append(dst, hdr[:]...), len(dst)
+}
+
+// sealFrame fills in the header of the frame opened at dst[start], whose
+// payload runs to the end of dst.
+func sealFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeaderLen:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
+	return dst
 }
 
 // nextFrame parses the first frame of b, returning its payload and the
@@ -99,15 +115,16 @@ type journalRecord struct {
 	Version int64 // document version (journalInsert only)
 }
 
-// appendJournalRecord appends r to dst as one framed record.
+// appendJournalRecord appends r to dst as one framed record, encoded in
+// place: appending into a buffer with room allocates nothing.
 func appendJournalRecord(dst []byte, r journalRecord) []byte {
-	payload := make([]byte, 0, 1+2*binary.MaxVarintLen64+binary.MaxVarintLen32+len(r.Key))
-	payload = append(payload, r.Op)
-	payload = binary.AppendUvarint(payload, uint64(len(r.Key)))
-	payload = append(payload, r.Key...)
-	payload = binary.AppendVarint(payload, r.Size)
-	payload = binary.AppendVarint(payload, r.Version)
-	return appendFrame(dst, payload)
+	dst, start := openFrame(dst)
+	dst = append(dst, r.Op)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
+	dst = append(dst, r.Key...)
+	dst = binary.AppendVarint(dst, r.Size)
+	dst = binary.AppendVarint(dst, r.Version)
+	return sealFrame(dst, start)
 }
 
 // decodeJournalRecord parses one record payload (the frame's contents,

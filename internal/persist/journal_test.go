@@ -2,8 +2,28 @@ package persist
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
+
+// TestAppendZeroAlloc: a journal append encodes its record in place in the
+// store's reused buffer and writes it, so once that buffer has grown to the
+// record's size an insert and an evict allocate nothing.
+func TestAppendZeroAlloc(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	key := "http://example.com/" + strings.Repeat("j", 181)
+	appendPair := func() {
+		if err := s.AppendInsert(key, 4096, 7); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendEvict(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, appendPair); n != 0 {
+		t.Fatalf("AppendInsert+AppendEvict allocated %v times per pair, want 0", n)
+	}
+}
 
 // TestJournalRecordRoundTrip walks a framed record stream back out
 // byte-exactly.
