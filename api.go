@@ -535,32 +535,3 @@ func RunSynthetic(cfg SyntheticConfig) (BenchResult, error) { return bench.RunSy
 
 // RunReplay executes one trace-replay benchmark run on loopback.
 func RunReplay(cfg ReplayConfig) (BenchResult, error) { return bench.RunReplay(cfg) }
-
-// MicroConfig parameterizes the hot-path microbenchmarks.
-type MicroConfig = bench.MicroConfig
-
-// MicroResult is the microbenchmark report (the BENCH_PR3.json payload).
-type MicroResult = bench.MicroResult
-
-// RunMicro executes the concurrent-load microbenchmarks: the LRU and
-// lock-free summary probes against frozen single-lock baselines, plus
-// SC-ICP mesh throughput.
-func RunMicro(cfg MicroConfig) (MicroResult, error) { return bench.RunMicro(cfg) }
-
-// MicroDiff is a scenario-by-scenario comparison of two microbenchmark
-// runs (cmd/proxybench -benchdiff).
-type MicroDiff = bench.MicroDiff
-
-// DiffMicro pairs two runs' scenarios by name; scenarios present in only
-// one run are reported, not dropped.
-func DiffMicro(old, new MicroResult) MicroDiff { return bench.DiffMicro(old, new) }
-
-// LoadMicroResult reads a committed BENCH_*.json microbenchmark report.
-func LoadMicroResult(path string) (MicroResult, error) { return bench.LoadMicroResult(path) }
-
-// LatestBenchFile returns the lexically last BENCH_*.json in dir — the
-// most recent committed baseline under the BENCH_PR<n>.json convention —
-// skipping any file whose base name is in exclude.
-func LatestBenchFile(dir string, exclude ...string) (string, error) {
-	return bench.LatestBenchFile(dir, exclude...)
-}

@@ -5,15 +5,10 @@
 //
 // Usage:
 //
-//	proxybench -experiment=table2|table4|table5|micro|all [-latency=20ms] [-clients=30] [-requests=200]
+//	proxybench -experiment=table2|table4|table5|all [-latency=20ms] [-clients=30] [-requests=200]
 //
-// -experiment=micro runs the concurrent-load microbenchmarks (the LRU and
-// lock-free summary probes against the frozen single-lock baselines,
-// plus SC-ICP mesh throughput) and writes the results as JSON to -out
-// (default BENCH_PR3.json). -benchdiff runs them and diffs the fresh
-// numbers against the latest committed BENCH_*.json, exiting non-zero
-// when any scenario falls below -benchdiff-floor (it only writes -out
-// when given explicitly).
+// The per-layer and end-to-end speed of the mesh is measured by the
+// benchmark module in benchmark/, not here.
 //
 // With -admin set, an observability endpoint serves live /metrics,
 // /debug/vars and /debug/pprof/ for every proxy in the running mesh —
@@ -23,13 +18,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"sync/atomic"
 	"text/tabwriter"
 	"time"
@@ -38,12 +31,7 @@ import (
 )
 
 var (
-	experiment = flag.String("experiment", "all", "experiment: all, table2, table4, table5, micro (micro is not part of all)")
-	microOut   = flag.String("out", "BENCH_PR3.json", "output path for -experiment=micro JSON results")
-	microDur   = flag.Duration("micro-duration", 500*time.Millisecond, "per-scenario duration for -experiment=micro")
-	microSweep = flag.Int("micro-sweeps", 0, "full micro sweeps to merge best-of; 1 makes CI smoke runs cheap (0: default)")
-	benchdiff  = flag.Bool("benchdiff", false, "run the microbenchmarks and diff them against the latest committed BENCH_*.json; exits non-zero when a scenario regresses below -benchdiff-floor")
-	diffFloor  = flag.Float64("benchdiff-floor", 0.95, "minimum acceptable new/old ops-per-sec ratio for -benchdiff")
+	experiment = flag.String("experiment", "all", "experiment: all, table2, table4, table5")
 	latency    = flag.Duration("latency", 20*time.Millisecond, "origin latency (paper: 1s)")
 	clients    = flag.Int("clients", 30, "clients per proxy (paper: 30)")
 	requests   = flag.Int("requests", 200, "requests per client (paper: 200)")
@@ -152,6 +140,11 @@ func main() {
 }
 
 func run() error {
+	switch *experiment {
+	case "all", "table2", "table4", "table5":
+	default:
+		return fmt.Errorf("unknown -experiment %q (want all, table2, table4 or table5)", *experiment)
+	}
 	newRunRegistry()
 	if *adminAddr != "" {
 		ln, err := net.Listen("tcp", *adminAddr)
@@ -182,9 +175,6 @@ func run() error {
 			endpoints += " /debug/slo /debug/perf"
 		}
 		fmt.Fprintf(os.Stderr, "admin endpoint on http://%s (%s)\n", ln.Addr(), endpoints)
-	}
-	if *experiment == "micro" || *benchdiff {
-		return micro()
 	}
 	want := func(n string) bool { return *experiment == "all" || *experiment == n }
 	if want("table2") {
@@ -266,7 +256,6 @@ func table2(hitRatio float64) error {
 			ClientsPerProxy:   *clients,
 			RequestsPerClient: *requests,
 			InherentHitRatio:  hitRatio,
-			Disjoint:          true, // the paper's worst case: no remote hits
 			OriginLatency:     *latency,
 			Seed:              42, // "we use the same seeds ... to ensure comparable results"
 			Chaos:             chaosScenario(),
@@ -281,70 +270,6 @@ func table2(hitRatio float64) error {
 		checkSLO(m)
 	}
 	render(fmt.Sprintf("Table II: ICP overhead, 4 proxies, inherent hit ratio %.0f%%, no inter-proxy hits", 100*hitRatio), results)
-	return nil
-}
-
-func micro() error {
-	// Resolve the committed baseline before running, so a -benchdiff run
-	// that writes its own BENCH_*.json cannot diff against itself.
-	var committed string
-	var old sc.MicroResult
-	if *benchdiff {
-		var err error
-		if committed, err = sc.LatestBenchFile(".", *microOut); err != nil {
-			return fmt.Errorf("-benchdiff: %w", err)
-		}
-		if old, err = sc.LoadMicroResult(committed); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(os.Stderr, "running hot-path microbenchmarks at GOMAXPROCS=%d...\n", runtime.GOMAXPROCS(0))
-	res, err := sc.RunMicro(sc.MicroConfig{Duration: *microDur, Sweeps: *microSweep})
-	if err != nil {
-		return err
-	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "scenario\tgoroutines\tops/sec\tp99\tbaseline ops/sec\tbaseline p99\tspeedup")
-	for _, s := range res.Scenarios {
-		base, basep99, speedup := "-", "-", "-"
-		if s.Baseline != nil {
-			base = fmt.Sprintf("%.0f", s.Baseline.OpsPerSec)
-			basep99 = fmt.Sprintf("%.1fµs", s.Baseline.P99Micros)
-			speedup = fmt.Sprintf("%.2fx", s.Speedup)
-		}
-		fmt.Fprintf(w, "%s\t%d\t%.0f\t%.1fµs\t%s\t%s\t%s\n",
-			s.Name, s.Goroutines, s.Current.OpsPerSec, s.Current.P99Micros, base, basep99, speedup)
-	}
-	w.Flush()
-	// In -benchdiff mode the JSON is only written when -out was given
-	// explicitly; a plain diff run must not clobber the committed baseline.
-	outSet := !*benchdiff
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "out" {
-			outSet = true
-		}
-	})
-	if outSet {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*microOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *microOut)
-	}
-	if *benchdiff {
-		d := sc.DiffMicro(old, res)
-		fmt.Printf("== diff vs %s ==\n%s", committed, d.Format())
-		if regs := d.Regressions(*diffFloor); len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "regression: %s (%.2fx < %.2fx)\n", r.Name, r.GatedRatio(), *diffFloor)
-			}
-			return fmt.Errorf("%d scenario(s) below the %.2fx floor vs %s", len(regs), *diffFloor, committed)
-		}
-		fmt.Fprintf(os.Stderr, "all scenarios within noise of %s (floor %.2fx)\n", committed, *diffFloor)
-	}
 	return nil
 }
 

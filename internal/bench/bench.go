@@ -39,22 +39,6 @@ type SyntheticConfig struct {
 	// InherentHitRatio is the revisit probability in each client's request
 	// stream (the paper runs 25% and 45%).
 	InherentHitRatio float64
-	// WarmupRequests, when positive, has every client issue that many
-	// requests from the front of its stream before the measurement window
-	// opens: caches fill, TCP connections establish, and full-state
-	// summary pushes complete off the clock. All clients finish warming,
-	// then the mesh counters are snapshotted, the wall/CPU clocks start,
-	// and the clients resume in unison; Result reports only the timed
-	// window (counters are snapshot-subtracted). 0 (the default) keeps the
-	// legacy cold-start measurement, including setup traffic, exactly as
-	// earlier revisions reported it.
-	WarmupRequests int
-	// Disjoint keeps different clients' URL spaces non-overlapping ("the
-	// requests issued by different clients do not overlap; there is no
-	// remote cache hit. This is the worst-case scenario for ICP").
-	// Non-disjoint runs draw from one sharedUniverse-document universe so
-	// different clients' streams overlap and remote hits arise.
-	Disjoint bool
 	// Sizes draws document sizes (zero value: the benchmark's Pareto).
 	Sizes stats.Pareto
 	// OriginLatency delays origin replies (paper: 1 s; scale down here).
@@ -87,12 +71,6 @@ type SyntheticConfig struct {
 	// Tracer's sink to get the span-level stages. Nil: no timing hooks.
 	Perf *perfwatch.Watch
 }
-
-// sharedUniverse is the document count of the non-Disjoint synthetic
-// workload: one modest universe, small enough that different clients'
-// streams overlap (the source of remote hits) and the whole request table
-// can be precomputed before the clock starts.
-const sharedUniverse = 500
 
 func (c *SyntheticConfig) applyDefaults() {
 	if c.Proxies <= 0 {
@@ -239,8 +217,7 @@ func (tb *testbed) get(p *httpproxy.Proxy, target string) (time.Duration, error)
 }
 
 // getURL issues one pre-built proxy request and returns its latency; the
-// synthetic client loop builds (or reuses) its URLs up front so the timed
-// window measures the mesh, not the harness's string formatting.
+// synthetic client loop keeps each URL it builds so a revisit reuses it.
 func (tb *testbed) getURL(u string) (time.Duration, error) {
 	//lint:ignore sclint/determinism latency measurement is the benchmark's output, not a replayed decision
 	start := time.Now()
@@ -262,74 +239,44 @@ func (tb *testbed) getURL(u string) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-// meshSnapshot freezes the testbed's counters at the start of a timed
-// window so collect can report deltas; the zero value subtracts nothing
-// (the legacy whole-run accounting).
-type meshSnapshot struct {
-	proxies    []httpproxy.Stats
-	originReqs uint64
-	faults     uint64
-}
-
-// snapshot captures the current mesh-wide counters.
-func (tb *testbed) snapshot() meshSnapshot {
-	s := meshSnapshot{originReqs: tb.origin.Stats().Requests}
-	for _, p := range tb.proxies {
-		s.proxies = append(s.proxies, p.Stats())
-	}
-	for _, inj := range tb.injectors {
-		s.faults += inj.Total()
-	}
-	return s
-}
-
-// collect aggregates mesh-wide counters into r, subtracting base (taken
-// when the measurement window opened) so warmup traffic does not pollute
-// the reported figures.
-func (tb *testbed) collect(r *Result, base meshSnapshot) {
-	baseProxy := func(i int) httpproxy.Stats {
-		if i < len(base.proxies) {
-			return base.proxies[i]
-		}
-		return httpproxy.Stats{}
-	}
+// collect aggregates the mesh-wide counters of the whole run into r.
+func (tb *testbed) collect(r *Result) {
 	var clientReqs, localHits, remoteHits uint64
-	for i, p := range tb.proxies {
-		st, b := p.Stats(), baseProxy(i)
-		clientReqs += st.ClientRequests - b.ClientRequests
-		localHits += st.LocalHits - b.LocalHits
-		remoteHits += st.RemoteHits - b.RemoteHits
-		r.UDPSent += st.UDP.Sent - b.UDP.Sent
-		r.UDPReceived += st.UDP.Received - b.UDP.Received
-		r.UDPSentBytes += st.UDP.SentBytes - b.UDP.SentBytes
-		r.UDPRecvBytes += st.UDP.RecvBytes - b.UDP.RecvBytes
-		r.HTTPMessages += st.HTTPMessages - b.HTTPMessages
-		r.Retries += st.Retries - b.Retries
+	var w stats.Welford
+	for _, p := range tb.proxies {
+		st := p.Stats()
+		clientReqs += st.ClientRequests
+		localHits += st.LocalHits
+		remoteHits += st.RemoteHits
+		r.UDPSent += st.UDP.Sent
+		r.UDPReceived += st.UDP.Received
+		r.UDPSentBytes += st.UDP.SentBytes
+		r.UDPRecvBytes += st.UDP.RecvBytes
+		r.HTTPMessages += st.HTTPMessages
+		r.Retries += st.Retries
+		r.PerProxyRequests = append(r.PerProxyRequests, st.ClientRequests)
+		w.Add(float64(st.ClientRequests))
 	}
 	for _, inj := range tb.injectors {
 		r.FaultsInjected += inj.Total()
 	}
-	r.FaultsInjected -= base.faults
 	r.Requests = clientReqs
 	if clientReqs > 0 {
 		r.HitRatio = float64(localHits+remoteHits) / float64(clientReqs)
 		r.LocalHitRatio = float64(localHits) / float64(clientReqs)
 		r.RemoteHitRatio = float64(remoteHits) / float64(clientReqs)
 	}
-	r.OriginRequests = tb.origin.Stats().Requests - base.originReqs
-
-	var w stats.Welford
-	for i, p := range tb.proxies {
-		n := p.Stats().ClientRequests - baseProxy(i).ClientRequests
-		r.PerProxyRequests = append(r.PerProxyRequests, n)
-		w.Add(float64(n))
-	}
+	r.OriginRequests = tb.origin.Stats().Requests
 	if w.Mean() > 0 {
 		r.LoadCV = w.Stddev() / w.Mean()
 	}
 }
 
-// RunSynthetic executes one Table II-style benchmark run.
+// RunSynthetic executes one Table II-style benchmark run. Different
+// clients' URL spaces never overlap ("the requests issued by different
+// clients do not overlap; there is no remote cache hit. This is the
+// worst-case scenario for ICP"), and the counters cover the whole run
+// from a cold mesh, setup traffic included.
 func RunSynthetic(cfg SyntheticConfig) (Result, error) {
 	cfg.applyDefaults()
 	tb, err := newTestbed(cfg.Mode, cfg.Proxies, cfg.CacheBytes, cfg.OriginLatency, cfg.UpdateThreshold, cfg.MinUpdateFlips, cfg.Chaos, cfg.Metrics, cfg.Tracer, cfg.Perf)
@@ -338,85 +285,32 @@ func RunSynthetic(cfg SyntheticConfig) (Result, error) {
 	}
 	defer tb.Close()
 
-	warm := cfg.WarmupRequests
-	if warm < 0 {
-		warm = 0
-	}
 	var lat stats.LatencyRecorder
-	var wg, warmWG sync.WaitGroup
-	warmWG.Add(cfg.Proxies * cfg.ClientsPerProxy)
-	startTimed := make(chan struct{})
+	var wg sync.WaitGroup
+	start := make(chan struct{})
 	errCh := make(chan error, cfg.Proxies*cfg.ClientsPerProxy)
-
-	// Shared universe: every document's size and URL is a pure function of
-	// its index, so the whole request table — per proxy, down to the final
-	// escaped form — is built once here. Doing this per request (a PRNG
-	// re-seed, a Pareto sample, two Sprintfs and a QueryEscape) used to
-	// charge the harness's string formatting to the mesh's throughput.
-	var sharedReqs [][]string
-	if !cfg.Disjoint {
-		targets := make([]string, sharedUniverse)
-		for doc := range targets {
-			// A document's size must not vary with the requester, or each
-			// variant would be a distinct URL and overlap would vanish.
-			size := cfg.Sizes.Sample(rand.New(rand.NewSource(int64(doc) + 917)))
-			targets[doc] = origin.DocURL(tb.origin.URL(), fmt.Sprintf("c0/doc%d", doc), size, 0)
-		}
-		sharedReqs = make([][]string, cfg.Proxies)
-		for pi := range sharedReqs {
-			base := tb.proxies[pi].URL() + httpproxy.ProxyPath + "?url="
-			reqs := make([]string, len(targets))
-			for d, t := range targets {
-				reqs[d] = base + url.QueryEscape(t)
-			}
-			sharedReqs[pi] = reqs
-		}
-	}
-
 	clientID := 0
-	for pi := 0; pi < cfg.Proxies; pi++ {
+	for _, proxy := range tb.proxies {
 		for ci := 0; ci < cfg.ClientsPerProxy; ci++ {
 			wg.Add(1)
-			go func(proxy *httpproxy.Proxy, pi, id int) {
+			go func(proxy *httpproxy.Proxy, id int) {
 				defer wg.Done()
-				warmed := false
-				finishWarm := func() {
-					if !warmed {
-						warmed = true
-						warmWG.Done()
-					}
-				}
-				// An early error must still release the warmup barrier or
-				// the coordinator would wait forever.
-				defer finishWarm()
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
 				proxyBase := proxy.URL() + httpproxy.ProxyPath + "?url="
 				var history []string
-				for i := 0; i < warm+cfg.RequestsPerClient; i++ {
-					if i == warm {
-						// Warmup done: report in and hold until every
-						// client is ready, so the timed window measures
-						// only concurrent steady-state traffic.
-						finishWarm()
-						<-startTimed
-					}
+				<-start
+				for i := 0; i < cfg.RequestsPerClient; i++ {
 					var reqURL string
 					if len(history) > 0 && rng.Float64() < cfg.InherentHitRatio {
 						reqURL = history[rng.Intn(len(history))]
 					} else {
-						// Disjoint: per-client namespaces with effectively
-						// unique documents (the Table II worst case).
-						// Shared: one modest universe so different clients'
-						// streams overlap and remote hits arise.
-						if cfg.Disjoint {
-							doc := rng.Intn(1 << 30)
-							target := origin.DocURL(tb.origin.URL(),
-								fmt.Sprintf("c%d/doc%d", id, doc),
-								cfg.Sizes.Sample(rng), 0)
-							reqURL = proxyBase + url.QueryEscape(target)
-						} else {
-							reqURL = sharedReqs[pi][rng.Intn(sharedUniverse)]
-						}
+						// A per-client namespace of effectively unique
+						// documents.
+						doc := rng.Intn(1 << 30)
+						target := origin.DocURL(tb.origin.URL(),
+							fmt.Sprintf("c%d/doc%d", id, doc),
+							cfg.Sizes.Sample(rng), 0)
+						reqURL = proxyBase + url.QueryEscape(target)
 						history = append(history, reqURL)
 					}
 					d, err := tb.getURL(reqURL)
@@ -424,26 +318,18 @@ func RunSynthetic(cfg SyntheticConfig) (Result, error) {
 						errCh <- err
 						return
 					}
-					if i >= warm {
-						lat.Record(d)
-					}
+					lat.Record(d)
 				}
-			}(tb.proxies[pi], pi, clientID)
+			}(proxy, clientID)
 			clientID++
 		}
 	}
-	warmWG.Wait()
-	var base meshSnapshot
-	if warm > 0 {
-		// Only a warmed run subtracts a baseline: the legacy cold-start
-		// accounting (including mesh bootstrap traffic) stays bit-identical
-		// for WarmupRequests == 0.
-		base = tb.snapshot()
-	}
+	// Every client is spawned: start the clocks and release
+	// them in unison.
 	cpuStart := ReadCPU()
 	//lint:ignore sclint/determinism wall-clock throughput is the benchmark's measured output
 	wallStart := time.Now()
-	close(startTimed)
+	close(start)
 	wg.Wait()
 	close(errCh)
 	if err := <-errCh; err != nil {
@@ -455,7 +341,7 @@ func RunSynthetic(cfg SyntheticConfig) (Result, error) {
 	res.CPU = ReadCPU().Sub(cpuStart)
 	res.MeanLatency = lat.Mean()
 	res.P90Latency = lat.Percentile(90)
-	tb.collect(&res, base)
+	tb.collect(&res)
 	return res, nil
 }
 
@@ -476,10 +362,13 @@ const (
 
 // String implements fmt.Stringer.
 func (a Assignment) String() string {
-	if a == ClientBound {
+	switch a {
+	case ClientBound:
 		return "client-bound"
+	case RoundRobin:
+		return "round-robin"
 	}
-	return "round-robin"
+	return fmt.Sprintf("Assignment(%d)", int(a))
 }
 
 // ReplayConfig parameterizes a trace-replay run (Tables IV and V).
@@ -532,6 +421,9 @@ func RunReplay(cfg ReplayConfig) (Result, error) {
 	if len(cfg.Trace) == 0 {
 		return Result{}, fmt.Errorf("bench: empty trace")
 	}
+	if cfg.Assignment != ClientBound && cfg.Assignment != RoundRobin {
+		return Result{}, fmt.Errorf("bench: unknown assignment %v", cfg.Assignment)
+	}
 	tb, err := newTestbed(cfg.Mode, cfg.Proxies, cfg.CacheBytes, cfg.OriginLatency, cfg.UpdateThreshold, cfg.MinUpdateFlips, cfg.Chaos, cfg.Metrics, cfg.Tracer, cfg.Perf)
 	if err != nil {
 		return Result{}, err
@@ -552,8 +444,6 @@ func RunReplay(cfg ReplayConfig) (Result, error) {
 		for i, req := range cfg.Trace {
 			queues[i%cfg.Workers] = append(queues[i%cfg.Workers], req)
 		}
-	default:
-		return Result{}, fmt.Errorf("bench: unknown assignment %v", cfg.Assignment)
 	}
 
 	var lat stats.LatencyRecorder
@@ -592,6 +482,6 @@ func RunReplay(cfg ReplayConfig) (Result, error) {
 	res.CPU = ReadCPU().Sub(cpuStart)
 	res.MeanLatency = lat.Mean()
 	res.P90Latency = lat.Percentile(90)
-	tb.collect(&res, meshSnapshot{})
+	tb.collect(&res)
 	return res, nil
 }

@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"summarycache/internal/httpproxy"
+	"summarycache/internal/trace"
 	"summarycache/internal/tracegen"
 )
 
@@ -30,14 +33,13 @@ func TestReadCPU(t *testing.T) {
 }
 
 // smallSynthetic is a fast configuration shared by the mode tests.
-func smallSynthetic(mode httpproxy.Mode, hitRatio float64, disjoint bool) SyntheticConfig {
+func smallSynthetic(mode httpproxy.Mode, hitRatio float64) SyntheticConfig {
 	return SyntheticConfig{
 		Mode:              mode,
 		Proxies:           4,
 		ClientsPerProxy:   3,
 		RequestsPerClient: 30,
 		InherentHitRatio:  hitRatio,
-		Disjoint:          disjoint,
 		OriginLatency:     2 * time.Millisecond,
 		CacheBytes:        16 << 20,
 		Seed:              1,
@@ -45,7 +47,7 @@ func smallSynthetic(mode httpproxy.Mode, hitRatio float64, disjoint bool) Synthe
 }
 
 func TestSyntheticNoICP(t *testing.T) {
-	r, err := RunSynthetic(smallSynthetic(httpproxy.ModeNone, 0.45, true))
+	r, err := RunSynthetic(smallSynthetic(httpproxy.ModeNone, 0.45))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,15 +76,15 @@ func TestSyntheticNoICP(t *testing.T) {
 // hits), ICP's UDP overhead is pure waste — (N-1) queries per miss plus as
 // many replies — while SC-ICP sends almost nothing. Hit ratios match.
 func TestSyntheticICPOverheadVsSCICP(t *testing.T) {
-	icp, err := RunSynthetic(smallSynthetic(httpproxy.ModeICP, 0.25, true))
+	icp, err := RunSynthetic(smallSynthetic(httpproxy.ModeICP, 0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := RunSynthetic(smallSynthetic(httpproxy.ModeSCICP, 0.25, true))
+	sc, err := RunSynthetic(smallSynthetic(httpproxy.ModeSCICP, 0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
-	none, err := RunSynthetic(smallSynthetic(httpproxy.ModeNone, 0.25, true))
+	none, err := RunSynthetic(smallSynthetic(httpproxy.ModeNone, 0.25))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,20 +109,46 @@ func TestSyntheticICPOverheadVsSCICP(t *testing.T) {
 	}
 }
 
-func TestSyntheticSharedURLsProduceRemoteHits(t *testing.T) {
-	cfg := smallSynthetic(httpproxy.ModeICP, 0.3, false) // shared URL space
-	r, err := RunSynthetic(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.RemoteHitRatio == 0 {
-		t.Error("shared URL space produced no remote hits under ICP")
+// Table II is reproducible from its seed ("we use the same seeds ... to
+// ensure comparable results"): two runs of one configuration report the
+// same columns, and every request that missed locally reached the origin
+// exactly once, cold-start traffic included.
+func TestSyntheticReproducibleFromSeed(t *testing.T) {
+	for _, m := range []httpproxy.Mode{httpproxy.ModeNone, httpproxy.ModeICP} {
+		var runs [2]Result
+		for i := range runs {
+			r, err := RunSynthetic(smallSynthetic(m, 0.25))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = r
+		}
+		a, b := runs[0], runs[1]
+		if a.Requests != b.Requests || a.HitRatio != b.HitRatio ||
+			a.OriginRequests != b.OriginRequests || a.HTTPMessages != b.HTTPMessages ||
+			a.UDPSent != b.UDPSent || a.UDPReceived != b.UDPReceived {
+			t.Errorf("%v: runs differ:\n%+v\n%+v", m, a, b)
+		}
+		if m != httpproxy.ModeNone {
+			continue
+		}
+		localHits := uint64(math.Round(a.LocalHitRatio * float64(a.Requests)))
+		if a.OriginRequests != a.Requests-localHits {
+			t.Errorf("no-ICP origin requests = %d, want requests %d - local hits %d",
+				a.OriginRequests, a.Requests, localHits)
+		}
 	}
 }
 
 func TestAssignmentString(t *testing.T) {
-	if ClientBound.String() == "" || RoundRobin.String() == "" {
-		t.Fatal("empty assignment strings")
+	for a, want := range map[Assignment]string{
+		ClientBound:   "client-bound",
+		RoundRobin:    "round-robin",
+		Assignment(7): "Assignment(7)",
+	} {
+		if got := a.String(); got != want {
+			t.Errorf("Assignment(%d).String() = %q, want %q", int(a), got, want)
+		}
 	}
 }
 
@@ -154,9 +182,21 @@ func TestReplayBothAssignments(t *testing.T) {
 	}
 }
 
+// A bad configuration is refused before any origin or proxy starts.
 func TestReplayEmptyTrace(t *testing.T) {
-	if _, err := RunReplay(ReplayConfig{Mode: httpproxy.ModeNone}); err == nil {
-		t.Fatal("accepted empty trace")
+	one := []trace.Request{{URL: "http://example.test/a", Size: 1024}}
+	for _, tc := range []struct {
+		name    string
+		cfg     ReplayConfig
+		wantErr string
+	}{
+		{"empty trace", ReplayConfig{Mode: httpproxy.ModeNone}, "empty trace"},
+		{"unknown assignment", ReplayConfig{Mode: httpproxy.ModeNone, Assignment: Assignment(7), Trace: one}, "Assignment(7)"},
+	} {
+		_, err := RunReplay(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.wantErr)
+		}
 	}
 }
 

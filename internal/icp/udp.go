@@ -256,10 +256,16 @@ func (c *Conn) putBuf(buf []byte) {
 // Deprecated: use Send.
 func (c *Conn) SendAsync(to *net.UDPAddr, m Message) error { return c.Send(to, m) }
 
-// write transmits one encoded datagram and maintains the counters.
+// write transmits one encoded datagram and maintains the counters. The
+// datagram is counted before it is written: its receiver may act on it —
+// and a client see the result — before this goroutine runs again, and a
+// Stats read at that point must already include it.
 func (c *Conn) write(to *net.UDPAddr, buf []byte) error {
-	n, err := c.pc.WriteToUDP(buf, to)
-	if err != nil {
+	c.sent.Add(1)
+	c.sentB.Add(uint64(len(buf)))
+	if _, err := c.pc.WriteToUDP(buf, to); err != nil {
+		c.sent.Add(^uint64(0))
+		c.sentB.Add(-uint64(len(buf)))
 		c.mu.Lock()
 		closed := c.closed
 		c.mu.Unlock()
@@ -272,8 +278,6 @@ func (c *Conn) write(to *net.UDPAddr, buf []byte) error {
 		c.sendErrs.Add(1)
 		return fmt.Errorf("icp: send to %v: %w", to, err)
 	}
-	c.sent.Add(1)
-	c.sentB.Add(uint64(n))
 	return nil
 }
 

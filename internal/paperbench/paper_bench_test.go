@@ -279,7 +279,6 @@ func syntheticConfig(mode httpproxy.Mode, hitRatio float64) bench.SyntheticConfi
 		ClientsPerProxy:   8,
 		RequestsPerClient: 50,
 		InherentHitRatio:  hitRatio,
-		Disjoint:          true,
 		OriginLatency:     benchLatency,
 		CacheBytes:        32 << 20,
 		Seed:              42,
