@@ -54,7 +54,7 @@ var (
 	threshold = flag.Float64("threshold", 0.01, "summary update threshold (scicp)")
 	loadf     = flag.Float64("load-factor", 16, "Bloom filter bits per expected document (scicp)")
 	statsSec  = flag.Duration("stats-interval", 30*time.Second, "stats logging interval (0: off)")
-	healthSec = flag.Duration("health-interval", 0, "peer health-probe interval (scicp; 0: off)")
+	healthSec = flag.Duration("health-interval", 0, "peer health-probe interval (icp and scicp; 0: off)")
 	parentURL = flag.String("parent", "", "parent proxy HTTP base URL (hierarchical mode)")
 	logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat = flag.String("log-format", "text", "log format: text, json")

@@ -95,12 +95,14 @@ func TestSyntheticICPOverheadVsSCICP(t *testing.T) {
 			t.Errorf("%v hit ratio %.3f deviates from no-ICP %.3f", r.Mode, r.HitRatio, none.HitRatio)
 		}
 	}
-	// ICP sends ~2×(N-1)×misses datagrams (query+reply per peer).
-	misses := float64(icp.Requests) * (1 - icp.HitRatio)
-	wantQueries := misses * 3
-	if float64(icp.UDPSent) < wantQueries*0.8 {
-		t.Errorf("ICP UDP sent %d, want ≈%0.f queries (+replies received %d)",
-			icp.UDPSent, wantQueries, icp.UDPReceived)
+	// ICP sends exactly 2×(N-1) datagrams per origin request, a query and a
+	// reply per peer, and nothing else: no summary is ever published. The
+	// run is deterministic, so every one is received.
+	cfg := smallSynthetic(httpproxy.ModeICP, 0.25)
+	want := uint64(2*(cfg.Proxies-1)) * icp.OriginRequests
+	if icp.UDPSent != want || icp.UDPReceived != want {
+		t.Errorf("ICP UDP sent %d, received %d, want %d each (2×%d peers×%d origin requests)",
+			icp.UDPSent, icp.UDPReceived, want, cfg.Proxies-1, icp.OriginRequests)
 	}
 	// SC-ICP must slash UDP query traffic. Updates remain, so compare
 	// against ICP's total with a generous factor.

@@ -377,6 +377,135 @@ func TestNodeLookupObjectInline(t *testing.T) {
 	}
 }
 
+// TestHitObjOnlyForMembers: a registered peer's flagged query draws the
+// document inline. Anyone else's draws no object, and its reply is no
+// longer than the reply to an unflagged query, so a spoofed query cannot
+// reflect a document at its forged source.
+func TestHitObjOnlyForMembers(t *testing.T) {
+	const url = "http://members/doc"
+	body := bytes.Repeat([]byte("x"), 4096)
+	holder, err := NewNode(NodeConfig{
+		ListenAddr:   "127.0.0.1:0",
+		Directory:    DirectoryConfig{ExpectedDocs: 100},
+		HasDocument:  func(u string) bool { return u == url },
+		ReadDocument: func(u string) ([]byte, int64, bool) { return body, 1, u == url },
+		QueryTimeout: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { holder.Close() })
+	endpoint := func() *icp.Conn {
+		c, err := icp.Listen("127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	member, outsider := endpoint(), endpoint()
+	if err := holder.AddPeer(member.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	// ask queries the holder from c and returns its reply and the bytes c
+	// received for it.
+	ask := func(c *icp.Conn, options uint32) (icp.Message, uint64) {
+		t.Helper()
+		before := c.Stats().RecvBytes
+		win, from, _, err := c.QueryAllFunc(context.Background(), 2*time.Second,
+			[]*net.UDPAddr{holder.Addr()}, url, options, nil)
+		if err != nil || from == nil {
+			t.Fatalf("query (options %#x): from=%v err=%v, want a hit", options, from, err)
+		}
+		return win, c.Stats().RecvBytes - before
+	}
+	if m, _ := ask(member, icp.FlagHitObj); m.Op != icp.OpHitObj || !bytes.Equal(m.Object, body) {
+		t.Fatalf("member's flagged query: %v with %d-byte object, want HIT_OBJ with the document", m.Op, len(m.Object))
+	}
+	flagged, flaggedBytes := ask(outsider, icp.FlagHitObj)
+	if flagged.Op != icp.OpHit || flagged.Object != nil {
+		t.Fatalf("non-member's flagged query: %v with %d-byte object, want a plain HIT", flagged.Op, len(flagged.Object))
+	}
+	if _, plainBytes := ask(outsider, 0); flaggedBytes > plainBytes {
+		t.Fatalf("non-member's flagged query drew %d bytes, an unflagged one %d", flaggedBytes, plainBytes)
+	}
+}
+
+// TestQueryAllNode: a query-all node (classic ICP) asks every registered
+// peer, flags the first one added, counts an all-MISS round as an ordinary
+// miss, and neither sends nor keeps summaries.
+func TestQueryAllNode(t *testing.T) {
+	const url = "http://classic/doc"
+	var published []*Node // nodes that keep summaries, publishing to n
+	node := func(queryAll bool, holds bool) *Node {
+		n, err := NewNode(NodeConfig{
+			ListenAddr:        "127.0.0.1:0",
+			Directory:         DirectoryConfig{ExpectedDocs: 100},
+			HasDocument:       func(u string) bool { return holds && u == url },
+			ReadDocument:      func(u string) ([]byte, int64, bool) { return []byte("doc"), 0, holds && u == url },
+			MinFlipsToPublish: 1,
+			QueryTimeout:      2 * time.Second,
+			QueryAll:          queryAll,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		if !queryAll {
+			published = append(published, n)
+		}
+		return n
+	}
+	n := node(true, false)
+	first, second := node(false, false), node(false, true)
+	for _, p := range []*Node{first, second} {
+		if err := n.AddPeer(p.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddPeer(n.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		p.HandleInsert(url)
+		p.PublishNow()
+	}
+	// The first peer added is asked for the object but does not hold it;
+	// the second's plain HIT wins after the first's MISS.
+	res, err := n.LookupObject(context.Background(), url)
+	if err != nil || res.Candidates != 2 || res.PeerID != second.Addr().String() || res.Reply.Op != icp.OpHit {
+		t.Fatalf("resolution = %+v (%v), want a plain HIT from the second of two peers", res, err)
+	}
+	res, err = n.LookupObject(context.Background(), "http://classic/absent")
+	if err != nil || res.Peer != nil || res.Candidates != 2 || res.FalseHit {
+		t.Fatalf("all-MISS resolution = %+v (%v), want an ordinary miss after asking both", res, err)
+	}
+	n.HandleInsert(url)
+	n.PublishNow()
+	if err := n.ResyncPeers(); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.MarkPeerUp(first.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	st := n.Stats()
+	if st.UpdatesSent != 0 || st.FalseHits != 0 || st.RemoteHits != 1 || st.QueriesSent != 4 {
+		t.Fatalf("stats = %+v, want 4 queries, 1 remote hit, no false hit and no update sent", st)
+	}
+	// Both peers published to n (they sent it their full state on AddPeer
+	// too); none of it is kept.
+	for _, p := range published {
+		if p.Stats().UpdatesSent == 0 {
+			t.Fatal("a summary node sent no update to the query-all node")
+		}
+	}
+	if got := n.PeerSummaries().Len(); got != 0 || st.UpdatesReceived != 0 {
+		t.Fatalf("query-all node kept %d replicas from %d updates", got, st.UpdatesReceived)
+	}
+	if n.Directory().Docs() != 0 {
+		t.Fatal("query-all node's directory recorded a document")
+	}
+}
+
 // TestAuditQueriesNeverAskForObjects: the false-miss audit only asks
 // whether a copy exists, even under a lookup that wants the document.
 func TestAuditQueriesNeverAskForObjects(t *testing.T) {
@@ -576,6 +705,26 @@ func TestNodeRemovePeer(t *testing.T) {
 	hit, candidates, err := m.nodes[0].Lookup(context.Background(), url)
 	if err != nil || hit != nil || candidates != 0 {
 		t.Fatalf("lookup after removal: hit=%v candidates=%d err=%v", hit, candidates, err)
+	}
+	// Registration order survives removal: add A, B, C, remove B, add D.
+	// The addresses are in 16-byte form, as net.ResolveUDPAddr gives them.
+	addr := func(port int) *net.UDPAddr { return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: port} }
+	a, b, c, d := addr(9101), addr(9102), addr(9103), addr(9104)
+	for _, p := range []*net.UDPAddr{a, b, c} {
+		if err := m.nodes[0].AddPeer(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.nodes[0].RemovePeer(b)
+	if err := m.nodes[0].AddPeer(d); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range m.nodes[0].PeerAddrs() {
+		got = append(got, p.String())
+	}
+	if want := []string{a.String(), c.String(), d.String()}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("PeerAddrs = %v, want %v", got, want)
 	}
 }
 

@@ -40,16 +40,13 @@ func (c *HealthConfig) applyDefaults() {
 	}
 }
 
-// healthMonitor tracks per-peer probe state.
+// healthMonitor probes the registered peers; its verdicts live on their
+// records, so a removed peer takes its probe state with it.
 type healthMonitor struct {
 	node *Node
 	cfg  HealthConfig
-
-	mu     sync.Mutex
-	misses map[string]int
-	down   map[string]bool
-	stop   chan struct{}
-	done   chan struct{}
+	stop chan struct{}
+	done chan struct{}
 }
 
 // StartHealthChecks begins probing registered peers; it returns a stop
@@ -59,12 +56,10 @@ type healthMonitor struct {
 func (n *Node) StartHealthChecks(cfg HealthConfig) (stop func()) {
 	cfg.applyDefaults()
 	h := &healthMonitor{
-		node:   n,
-		cfg:    cfg,
-		misses: make(map[string]int),
-		down:   make(map[string]bool),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		node: n,
+		cfg:  cfg,
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	go h.loop()
 	var once sync.Once
@@ -91,62 +86,65 @@ func (h *healthMonitor) loop() {
 }
 
 func (h *healthMonitor) probeAll() {
-	peers := h.node.PeerAddrs()
 	var wg sync.WaitGroup
-	for _, addr := range peers {
+	for _, p := range h.node.memberList() {
 		wg.Add(1)
-		go func(addr *net.UDPAddr) {
+		go func(p *peer) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), h.cfg.Timeout)
 			defer cancel()
 			// An SECHO (or any query) answered within the timeout counts
 			// as alive; Squid uses the same probe.
-			_, err := h.node.conn.Query(ctx, addr, "summarycache:ping")
-			h.record(addr, err == nil)
-		}(addr)
+			_, err := h.node.conn.Query(ctx, p.addr, "summarycache:ping")
+			h.record(p, err == nil)
+		}(p)
 	}
 	wg.Wait()
 }
 
-func (h *healthMonitor) record(addr *net.UDPAddr, alive bool) {
-	id := addr.String()
-	h.mu.Lock()
+func (h *healthMonitor) record(p *peer, alive bool) {
+	n := h.node
+	n.mu.Lock()
+	if n.byAddr[addrKey(p.addr)] != p {
+		n.mu.Unlock()
+		return // removed while its probe was out
+	}
 	var becameUp, becameDown bool
 	if alive {
-		h.misses[id] = 0
-		if h.down[id] {
-			h.down[id] = false
+		p.misses = 0
+		if p.down {
+			p.down = false
 			becameUp = true
 		}
 	} else {
-		h.misses[id]++
-		if !h.down[id] && h.misses[id] >= h.cfg.FailureThreshold {
-			h.down[id] = true
+		p.misses++
+		if !p.down && p.misses >= h.cfg.FailureThreshold {
+			p.down = true
 			becameDown = true
 		}
 	}
-	h.mu.Unlock()
+	n.mu.Unlock()
 
 	switch {
 	case becameDown:
 		// A dead neighbor must not attract queries: drop its replica.
 		// (Its address registration stays; recovery re-learns the rest.)
-		h.node.peers.Drop(id)
-		h.node.health.SetPeer(id, false)
-		h.node.log.Warn("peer down", "peer", id,
+		n.peers.Drop(p.id)
+		n.health.SetPeer(p.id, false)
+		n.log.Warn("peer down", "peer", p.id,
 			"consecutive_misses", h.cfg.FailureThreshold)
 		if h.cfg.OnChange != nil {
-			h.cfg.OnChange(addr, false)
+			h.cfg.OnChange(p.addr, false)
 		}
 	case becameUp:
 		// The neighbor restarted with an empty replica of us: re-ship the
 		// full state ("reinitializes a failed neighbor's bit array when it
 		// recovers").
-		_ = h.node.publish(addr)
-		h.node.health.SetPeer(id, true)
-		h.node.log.Info("peer up", "peer", id)
+		_ = n.publish(p)
+		n.health.SetPeer(p.id, true)
+		n.log.Info("peer up", "peer", p.id)
 		if h.cfg.OnChange != nil {
-			h.cfg.OnChange(addr, true)
+			h.cfg.OnChange(p.addr, true)
 		}
 	}
 }

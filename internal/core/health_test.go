@@ -120,6 +120,41 @@ func TestHealthDetectsFailureAndRecovery(t *testing.T) {
 	})
 }
 
+// TestRemovedPeerForgetsProbeState: a peer the prober marked down, then
+// removed and re-added while still dead, is presumed up by AddPeer and found
+// down again. Its probe verdict left with it, so the prober judges it
+// afresh.
+func TestRemovedPeerForgetsProbeState(t *testing.T) {
+	var mu sync.Mutex
+	a := newHealthNode(t, map[string]bool{}, &mu)
+	b := newHealthNode(t, map[string]bool{}, &mu)
+	bAddr := b.Addr()
+	if err := a.AddPeer(bAddr); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	stop := a.StartHealthChecks(HealthConfig{
+		Interval:         20 * time.Millisecond,
+		Timeout:          10 * time.Millisecond,
+		FailureThreshold: 2,
+	})
+	defer stop()
+	down := func() bool {
+		_, down := a.Health().Snapshot()
+		return len(down) == 1
+	}
+	waitFor(t, "the dead peer marked down", down)
+
+	a.RemovePeer(bAddr)
+	if err := a.AddPeer(bAddr); err != nil {
+		t.Fatal(err)
+	}
+	if a.Health().UpCount() != 1 && !down() {
+		t.Fatal("re-added peer is neither up nor already found down")
+	}
+	waitFor(t, "the re-added dead peer marked down again", down)
+}
+
 func TestHealthStopIdempotent(t *testing.T) {
 	var mu sync.Mutex
 	n := newHealthNode(t, map[string]bool{}, &mu)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"net/netip"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -113,6 +114,13 @@ type NodeConfig struct {
 	// per sampled lookup and never changes the lookup result; it is
 	// accounting only. 0 (default): disabled.
 	FalseMissAuditEvery int
+	// QueryAll makes the node classic ICP, the paper's "query always": it
+	// keeps no summary and asks every registered peer on every lookup, in
+	// registration order, so the first peer added is the one asked for the
+	// object. It sends no DIRUPDATE and ignores those it receives, and an
+	// all-MISS round is an ordinary miss. No summary predicts anything, so
+	// Directory, Decisions and FalseMissAuditEvery are unused.
+	QueryAll bool
 }
 
 // NodeStats counts a node's protocol activity.
@@ -202,30 +210,31 @@ func newNodeMetrics(reg *obs.Registry, labels obs.Labels) nodeMetrics {
 // from the local cache, maintains the local Directory and publishes its
 // deltas when the update threshold trips, replicates peer summaries from
 // incoming DIRUPDATEs, and resolves local misses by querying only the
-// peers whose summaries show promise.
+// peers whose summaries show promise. With NodeConfig.QueryAll it is a
+// classic ICP endpoint instead.
 type Node struct {
 	cfg   NodeConfig
 	conn  *icp.Conn
+	self  string // the bound address, as every series and trace names it
 	dir   *Directory
 	peers *PeerTable
 
-	mu        sync.RWMutex
-	peerAddrs map[string]*net.UDPAddr
+	// mu guards the registered peers: members in registration order, and
+	// byAddr finding one from a datagram's source without allocating.
+	mu      sync.RWMutex
+	members []*peer
+	byAddr  map[netip.AddrPort]*peer
 
 	// The publisher goroutine is the only sender of DIRUPDATEs. wake (one
 	// slot) carries threshold trips from the cache's change hook without
 	// blocking it. jobs and results carry the synchronous publications (see
 	// publish). stop closes on Close, and pubDone once the publisher exits.
 	wake    chan struct{}
-	jobs    chan *net.UDPAddr
+	jobs    chan *peer
 	results chan error
 	stop    chan struct{}
 	pubDone chan struct{}
 
-	// Per-peer outbound update accounting (updates and bytes sent to each
-	// registered neighbor).
-	outMu   sync.Mutex
-	peerOut map[string]*peerOutCounters
 	// lastAdvert is when this node last shipped any summary state (delta
 	// publication or full-state bootstrap), unix nanos; 0 = never.
 	lastAdvert atomic.Int64
@@ -256,24 +265,29 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.QueryTimeout <= 0 {
 		cfg.QueryTimeout = DefaultQueryTimeout
 	}
+	if cfg.QueryAll {
+		// The smallest directory stands in for the summary a query-all node
+		// does not keep: nothing ever writes it, so it reads empty.
+		cfg.Directory = DirectoryConfig{}
+		cfg.Decisions, cfg.FalseMissAuditEvery = nil, 0
+	}
 	dir, err := NewDirectory(cfg.Directory)
 	if err != nil {
 		return nil, err
 	}
 	n := &Node{
-		cfg:       cfg,
-		dir:       dir,
-		peers:     NewPeerTable(),
-		peerAddrs: make(map[string]*net.UDPAddr),
-		peerOut:   make(map[string]*peerOutCounters),
-		health:    obs.NewHealth(),
-		log:       obs.OrNop(cfg.Logger),
-		tracer:    cfg.Tracer,
-		wake:      make(chan struct{}, 1),
-		jobs:      make(chan *net.UDPAddr),
-		results:   make(chan error),
-		stop:      make(chan struct{}),
-		pubDone:   make(chan struct{}),
+		cfg:     cfg,
+		dir:     dir,
+		peers:   NewPeerTable(),
+		byAddr:  make(map[netip.AddrPort]*peer),
+		health:  obs.NewHealth(),
+		log:     obs.OrNop(cfg.Logger),
+		tracer:  cfg.Tracer,
+		wake:    make(chan struct{}, 1),
+		jobs:    make(chan *peer),
+		results: make(chan error),
+		stop:    make(chan struct{}),
+		pubDone: make(chan struct{}),
 	}
 	conn, err := icp.ListenWith(cfg.ListenAddr, icp.ListenConfig{
 		Handler: n.handle,
@@ -283,6 +297,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	n.conn = conn
+	n.self = conn.Addr().String()
 	n.initMetrics(cfg.Metrics)
 	go n.publisher(cfg.PublishInterval)
 	conn.Start() // all handler dependencies are wired; begin serving
@@ -298,9 +313,9 @@ func (n *Node) initMetrics(reg *obs.Registry) {
 		reg = obs.NewRegistry()
 	}
 	n.reg = reg
-	labels := obs.L("node", n.Addr().String())
+	labels := obs.L("node", n.self)
 	n.metrics = newNodeMetrics(reg, labels)
-	n.log = n.log.With("node", n.Addr().String())
+	n.log = n.log.With("node", n.self)
 	st := func(f func(icp.Stats) uint64) func() uint64 {
 		return func() uint64 { return f(n.conn.Stats()) }
 	}
@@ -335,7 +350,7 @@ func (n *Node) initMetrics(reg *obs.Registry) {
 		func() float64 {
 			n.mu.RLock()
 			defer n.mu.RUnlock()
-			return float64(len(n.peerAddrs))
+			return float64(len(n.members))
 		})
 	reg.GaugeFunc("summarycache_node_peer_summary_bytes",
 		"memory held by peer summary replicas", labels,
@@ -399,7 +414,11 @@ func (n *Node) publisher(interval time.Duration) {
 // nil) or the full state to one peer, and returns the send error once the
 // datagrams are written and counted (icp.ErrClosed after Close). The
 // publisher takes no job before sending the last one's result to its caller.
-func (n *Node) publish(to *net.UDPAddr) error {
+// A query-all node has no summary to publish.
+func (n *Node) publish(to *peer) error {
+	if n.cfg.QueryAll {
+		return nil
+	}
 	select {
 	case n.jobs <- to:
 		return <-n.results
@@ -457,16 +476,75 @@ func (n *Node) Stats() NodeStats {
 	}
 }
 
+// peer is one registered neighbor: its address, its identifier (the
+// address string that keys its replica, its series and its health entry),
+// what this node's update stream has cost it, and the health prober's
+// verdict on it. RemovePeer drops the record, and every piece of state
+// with it.
+type peer struct {
+	addr *net.UDPAddr
+	id   string
+
+	updates, bytes atomic.Uint64 // DIRUPDATE messages and bytes sent to it
+
+	// The prober's consecutive unanswered probes and down verdict, under
+	// Node.mu.
+	misses int
+	down   bool
+}
+
+// addrKey names a UDP address as the peer records are keyed: an IPv4
+// address in its 4-byte form, as a datagram's source carries it, whatever
+// form it was registered in.
+func addrKey(a *net.UDPAddr) netip.AddrPort {
+	ap := a.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
+}
+
+// member returns the registered peer at addr (nil: not a member).
+func (n *Node) member(addr *net.UDPAddr) *peer {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.byAddr[addrKey(addr)]
+}
+
+// memberByID returns the registered peer whose address string is id (nil:
+// none). The caller holds n.mu.
+func (n *Node) memberByID(id string) *peer {
+	ap, err := netip.ParseAddrPort(id)
+	if err != nil {
+		return nil
+	}
+	return n.byAddr[netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())]
+}
+
+// memberList returns the registered peers in registration order.
+func (n *Node) memberList() []*peer {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return slices.Clone(n.members)
+}
+
 // AddPeer registers a neighbor and bootstraps it with this node's full
 // summary state so its replica starts correct. It returns once that state
-// is sent.
+// is sent. Re-adding a registered neighbor marks it up, so the health
+// prober judges it afresh, and bootstraps it again.
 func (n *Node) AddPeer(addr *net.UDPAddr) error {
+	key := addrKey(addr)
 	n.mu.Lock()
-	n.peerAddrs[addr.String()] = addr
+	p, known := n.byAddr[key]
+	if !known {
+		p = &peer{addr: addr, id: addr.String()}
+		n.byAddr[key] = p
+		n.members = append(n.members, p)
+	}
+	p.misses, p.down = 0, false
 	n.mu.Unlock()
-	n.health.SetPeer(addr.String(), true)
-	n.registerPeerMetrics(addr.String())
-	return n.publish(addr)
+	n.health.SetPeer(p.id, true)
+	if !known {
+		n.registerPeerMetrics(p)
+	}
+	return n.publish(p)
 }
 
 // MarkPeerDown records an externally detected failure of a registered
@@ -475,24 +553,30 @@ func (n *Node) AddPeer(addr *net.UDPAddr) error {
 // dropped so a sibling that cannot deliver documents stops attracting
 // nominations, and /healthz reports it down. The peer stays registered:
 // its next directory update (proof of life) rebuilds the replica, and
-// MarkPeerUp restores it fully.
+// MarkPeerUp restores it fully. An unregistered address is ignored.
 func (n *Node) MarkPeerDown(addr *net.UDPAddr) {
-	id := addr.String()
-	n.peers.Drop(id)
-	n.health.SetPeer(id, false)
-	n.log.Warn("peer marked down", "peer", id, "source", "external")
+	p := n.member(addr)
+	if p == nil {
+		return
+	}
+	n.peers.Drop(p.id)
+	n.health.SetPeer(p.id, false)
+	n.log.Warn("peer marked down", "peer", p.id, "source", "external")
 }
 
 // MarkPeerUp records an externally detected recovery (a circuit breaker's
 // half-open probe succeeding): /healthz reports the peer up again and
 // this node re-ships its full summary state so the recovered neighbor's
 // replica of us restarts correct — the same resync path the health
-// prober's recovery transition uses.
+// prober's recovery transition uses. An unregistered address is ignored.
 func (n *Node) MarkPeerUp(addr *net.UDPAddr) error {
-	id := addr.String()
-	n.health.SetPeer(id, true)
-	n.log.Info("peer marked up", "peer", id, "source", "external")
-	return n.publish(addr)
+	p := n.member(addr)
+	if p == nil {
+		return nil
+	}
+	n.health.SetPeer(p.id, true)
+	n.log.Info("peer marked up", "peer", p.id, "source", "external")
+	return n.publish(p)
 }
 
 // ResyncPeers re-ships this node's full summary state to every registered
@@ -500,72 +584,99 @@ func (n *Node) MarkPeerUp(addr *net.UDPAddr) error {
 // network episode ends and replicas across the mesh must reconverge.
 func (n *Node) ResyncPeers() error {
 	var firstErr error
-	for _, addr := range n.PeerAddrs() {
-		if err := n.publish(addr); err != nil && firstErr == nil {
+	for _, p := range n.memberList() {
+		if err := n.publish(p); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// NoteRecovery records that this node's directory and peer replicas were
-// restored from a warm-restart snapshot (summarycache_node_recoveries_total
-// and the event log). The proxy layer calls it once after applying a
-// recovered state, before the reset-flagged full DIRUPDATE re-announce.
-func (n *Node) NoteRecovery(entries, replicas int) {
+// ExportState returns what a warm restart needs to restore this node: the
+// directory's counting filter (Directory.StateSnapshot) and the peer
+// replicas (PeerTable.ExportReplicas). A query-all node keeps neither.
+func (n *Node) ExportState() (directory []byte, replicas []ReplicaState) {
+	if n.cfg.QueryAll {
+		return nil, nil
+	}
+	return n.dir.StateSnapshot(), n.peers.ExportReplicas()
+}
+
+// Recover installs the state ExportState saved before a restart, before the
+// node's first lookup. directory is restored and then the documents in
+// removed, which left the cache after it was saved, are taken out; when it
+// is missing or does not fit this directory's geometry, the directory is
+// rebuilt from keys, the documents the cache readmitted, instead. The saved
+// replicas are reinstalled. summarycache_node_recoveries_total counts the
+// recovery. A query-all node keeps no summary and only counts it.
+func (n *Node) Recover(directory []byte, removed []string, keys func() []string, replicas []ReplicaState) {
 	n.metrics.recoveries.Inc()
-	if n.log != nil {
-		n.log.Info("node recovered from snapshot",
-			"entries", entries, "replicas", replicas)
+	n.log.Info("node recovered from snapshot", "replicas", len(replicas))
+	if n.cfg.QueryAll {
+		return
+	}
+	restored := false
+	if directory != nil {
+		err := n.dir.RestoreState(directory)
+		restored = err == nil
+		if err != nil {
+			n.log.Warn("directory state not restorable; rebuilding from keys", "err", err)
+		}
+	}
+	if restored {
+		// The counting filter's underflow guard absorbs a removal the
+		// snapshot already reflects (the journal's overlap window).
+		for _, key := range removed {
+			n.dir.Remove(key)
+		}
+	} else {
+		for _, key := range keys() {
+			n.dir.Insert(key)
+		}
+	}
+	for _, st := range replicas {
+		if err := n.peers.RestoreReplica(st); err != nil {
+			n.log.Warn("peer replica not restorable", "peer", st.Peer, "err", err)
+		}
 	}
 }
 
-// RemovePeer forgets a neighbor and its summary. Every peer-labeled
-// series the node registered for it is retired with it — peer churn must
-// not leave stale series in the exposition.
+// RemovePeer forgets a neighbor: its record, its summary and its health
+// entry. Every peer-labeled series the node registered for it is retired
+// with it — peer churn must not leave stale series in the exposition.
 func (n *Node) RemovePeer(addr *net.UDPAddr) {
+	key := addrKey(addr)
 	n.mu.Lock()
-	delete(n.peerAddrs, addr.String())
+	p := n.byAddr[key]
+	if p != nil {
+		delete(n.byAddr, key)
+		n.members = slices.DeleteFunc(n.members, func(q *peer) bool { return q == p })
+	}
 	n.mu.Unlock()
-	n.health.RemovePeer(addr.String())
-	n.peers.Drop(addr.String())
-	n.outMu.Lock()
-	delete(n.peerOut, addr.String())
-	n.outMu.Unlock()
-	n.reg.Unregister(obs.L("node", n.Addr().String(), "peer", addr.String()))
+	id := addr.String()
+	n.health.RemovePeer(id)
+	n.peers.Drop(id)
+	n.reg.Unregister(obs.L("node", n.self, "peer", id))
 }
 
-// PeerAddrs returns the registered neighbor addresses.
+// PeerAddrs returns the registered neighbor addresses in registration
+// order.
 func (n *Node) PeerAddrs() []*net.UDPAddr {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	out := make([]*net.UDPAddr, 0, len(n.peerAddrs))
-	for _, a := range n.peerAddrs {
-		out = append(out, a)
+	out := make([]*net.UDPAddr, len(n.members))
+	for i, p := range n.members {
+		out[i] = p.addr
 	}
 	return out
 }
 
-// peerOutCounters accumulates what this node's update stream costs one
-// registered neighbor on the wire.
-type peerOutCounters struct {
-	updates uint64
-	bytes   uint64
-}
-
-// noteSent charges one successfully sent update message to the node, to a
-// peer and to the node-level full/delta byte split.
-func (n *Node) noteSent(id string, wire int, full bool) {
+// noteSent charges one successfully sent update message to the node, to
+// its peer and to the node-level full/delta byte split.
+func (n *Node) noteSent(p *peer, wire int, full bool) {
 	n.metrics.updatesSent.Inc()
-	n.outMu.Lock()
-	po := n.peerOut[id]
-	if po == nil {
-		po = &peerOutCounters{}
-		n.peerOut[id] = po
-	}
-	po.updates++
-	po.bytes += uint64(wire)
-	n.outMu.Unlock()
+	p.updates.Add(1)
+	p.bytes.Add(uint64(wire))
 	if full {
 		n.metrics.updateFullBytes.Add(uint64(wire))
 	} else {
@@ -574,14 +685,15 @@ func (n *Node) noteSent(id string, wire int, full bool) {
 }
 
 // PeerOut returns the update messages and bytes this node has sent to one
-// registered neighbor.
+// registered neighbor, named by its address string (0, 0 when unknown).
 func (n *Node) PeerOut(id string) (updates, bytes uint64) {
-	n.outMu.Lock()
-	defer n.outMu.Unlock()
-	if po := n.peerOut[id]; po != nil {
-		return po.updates, po.bytes
+	n.mu.RLock()
+	p := n.memberByID(id)
+	n.mu.RUnlock()
+	if p == nil {
+		return 0, 0
 	}
-	return 0, 0
+	return p.updates.Load(), p.bytes.Load()
 }
 
 // LastAdvertAge returns how long ago this node last shipped summary state
@@ -596,10 +708,11 @@ func (n *Node) LastAdvertAge() (time.Duration, bool) {
 
 // registerPeerMetrics exposes a registered neighbor's replica health and
 // wire accounting as peer-labeled series. All series are scrape-time
-// callbacks reading the peer table (one source of truth), so they carry no
-// probe-path cost. RemovePeer retires them.
-func (n *Node) registerPeerMetrics(id string) {
-	ls := obs.L("node", n.Addr().String(), "peer", id)
+// callbacks reading the peer table and the peer's record (one source of
+// truth each), so they carry no probe-path cost. RemovePeer retires them.
+func (n *Node) registerPeerMetrics(p *peer) {
+	id := p.id
+	ls := obs.L("node", n.self, "peer", id)
 	pt := n.peers
 	health := func(read func(PeerHealth) float64) func() float64 {
 		return func() float64 {
@@ -639,28 +752,29 @@ func (n *Node) registerPeerMetrics(id string) {
 		})
 	n.reg.CounterFunc("summarycache_peer_updates_sent_total",
 		"update messages sent to this peer", ls,
-		func() uint64 {
-			u, _ := n.PeerOut(id)
-			return u
-		})
+		func() uint64 { return p.updates.Load() })
 	n.reg.CounterFunc("summarycache_peer_update_bytes_out_total",
 		"update bytes sent to this peer", ls,
-		func() uint64 {
-			_, b := n.PeerOut(id)
-			return b
-		})
+		func() uint64 { return p.bytes.Load() })
 }
 
 // HandleInsert records a document entering the local cache and wakes the
 // publisher if the update threshold trips. It never blocks: it runs inside
-// the cache's change hook, on every writer's path.
+// the cache's change hook, on every writer's path. A query-all node keeps
+// no summary to record it in.
 func (n *Node) HandleInsert(url string) {
+	if n.cfg.QueryAll {
+		return
+	}
 	n.dir.Insert(url)
 	n.wakeIfReady()
 }
 
 // HandleEvict records a document leaving the local cache.
 func (n *Node) HandleEvict(url string) {
+	if n.cfg.QueryAll {
+		return
+	}
 	n.dir.Remove(url)
 	n.wakeIfReady()
 }
@@ -697,10 +811,10 @@ func (n *Node) publishDeltas() {
 	msgs := n.splitUpdate(flips)
 	n.log.Info("summary published", "flips", len(flips), "messages", len(msgs))
 	n.lastAdvert.Store(time.Now().UnixNano())
-	for _, addr := range n.PeerAddrs() {
+	for _, p := range n.memberList() {
 		for _, m := range msgs {
-			if err := n.conn.Send(addr, m); err == nil {
-				n.noteSent(addr.String(), m.EncodedLen(), false)
+			if err := n.conn.Send(p.addr, m); err == nil {
+				n.noteSent(p, m.EncodedLen(), false)
 			}
 		}
 	}
@@ -743,22 +857,23 @@ func (n *Node) applyUpdate(peer string, u *icp.DirUpdate, full bool) error {
 // sendFullState ships the entire filter to one peer, flagged so the peer
 // resets its replica first. Only the publisher calls it, so no delta can
 // overtake the reset.
-func (n *Node) sendFullState(addr *net.UDPAddr) error {
+func (n *Node) sendFullState(p *peer) error {
 	msgs := n.splitUpdate(n.dir.SnapshotFlips())
 	msgs[0].Options |= icp.OptionFullUpdate
 	for _, m := range msgs {
-		if err := n.conn.Send(addr, m); err != nil {
+		if err := n.conn.Send(p.addr, m); err != nil {
 			return err
 		}
-		n.noteSent(addr.String(), m.EncodedLen(), true)
+		n.noteSent(p, m.EncodedLen(), true)
 	}
 	n.lastAdvert.Store(time.Now().UnixNano())
 	return nil
 }
 
 // Lookup resolves a local miss: probe the peer summaries, ICP-query only
-// the candidate peers, and return the address of the first peer that
-// confirmed a hit (nil when the document must be fetched from the origin).
+// the candidate peers (every registered peer under QueryAll), and return
+// the address of the first peer that confirmed a hit (nil when the
+// document must be fetched from the origin).
 // candidates reports how many peers were queried (0 means the summaries
 // ruled everyone out and no message was sent).
 //
@@ -786,6 +901,10 @@ type Resolution struct {
 	// Candidates is how many peers were queried (0: the summaries ruled
 	// everyone out and no message was sent).
 	Candidates int
+	// FalseHit reports that summaries nominated the peers queried and none
+	// confirmed: the paper's false hit. It is never set under QueryAll,
+	// where no summary predicted anything.
+	FalseHit bool
 }
 
 // LookupObject is Lookup for a caller that can use the document itself:
@@ -807,53 +926,36 @@ const stackPeers = 16
 func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resolution, error) {
 	tr := tracing.FromContext(ctx)
 	var probes []SummaryProbe
-	var idBuf [stackPeers]string
-	ids := idBuf[:0]
-	probeStart := time.Now()
-	if tr != nil {
-		probes = n.peers.ProbeAll(url)
-		for _, pr := range probes {
-			if pr.Match {
-				ids = append(ids, pr.Peer)
-			}
-		}
-	} else {
-		ids = n.peers.AppendCandidates(ids, url)
-	}
-	sink := n.cfg.Decisions
-	if len(ids) == 0 {
-		n.traceLookup(tr, false, probes, probeStart, nil, nil, 0, 0, Resolution{})
-		n.auditFalseMiss(ctx, url, nil, tr)
-		return Resolution{}, nil
-	}
-	if sink != nil {
-		for _, id := range ids {
-			sink.Nominated(id)
-		}
-	}
-	// qids[i] names addrs[i]: registered peers first, in candidate order,
-	// so the first candidate is the one asked for the object.
-	var qidBuf [stackPeers]string
+	// ids are the peers the summaries nominated; qids[i] names addrs[i], a
+	// peer to query.
+	var idBuf, qidBuf [stackPeers]string
 	var addrBuf [stackPeers]*net.UDPAddr
-	qids, addrs := qidBuf[:0], addrBuf[:0]
-	n.mu.RLock()
-	for _, id := range ids {
-		if a := n.peerAddrs[id]; a != nil {
-			qids, addrs = append(qids, id), append(addrs, a)
+	ids, qids, addrs := idBuf[:0], qidBuf[:0], addrBuf[:0]
+	probeStart := time.Now()
+	sink := n.cfg.Decisions
+	if n.cfg.QueryAll {
+		n.mu.RLock()
+		for _, p := range n.members {
+			qids, addrs = append(qids, p.id), append(addrs, p.addr)
 		}
-	}
-	n.mu.RUnlock()
-	if len(qids) < len(ids) {
-		// Summaries can arrive from peers we never registered (a neighbor
-		// that added us one-way); the replica is keyed by the datagram's
-		// source address, so the key is itself the address to query.
-		for _, id := range ids {
-			if !slices.Contains(qids, id) {
-				if a, err := net.ResolveUDPAddr("udp", id); err == nil {
-					qids, addrs = append(qids, id), append(addrs, a)
+		n.mu.RUnlock()
+	} else {
+		if tr != nil {
+			probes = n.peers.ProbeAll(url)
+			for _, pr := range probes {
+				if pr.Match {
+					ids = append(ids, pr.Peer)
 				}
 			}
+		} else {
+			ids = n.peers.AppendCandidates(ids, url)
 		}
+		if sink != nil {
+			for _, id := range ids {
+				sink.Nominated(id)
+			}
+		}
+		qids, addrs = n.appendAddrs(qids, addrs, ids)
 	}
 	if len(addrs) == 0 {
 		n.traceLookup(tr, false, probes, probeStart, nil, nil, 0, 0, Resolution{})
@@ -894,7 +996,11 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 		}
 		return res, nil
 	}
-	n.metrics.falseHits.Inc()
+	// Only a summary's nomination can be false; classic ICP asked everyone.
+	res.FalseHit = !n.cfg.QueryAll
+	if res.FalseHit {
+		n.metrics.falseHits.Inc()
+	}
 	answered := 0
 	for i, op := range ops {
 		if op == icp.OpInvalid {
@@ -915,6 +1021,33 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 	}
 	n.auditFalseMiss(ctx, url, ids, tr)
 	return res, nil
+}
+
+// appendAddrs appends the address of each nominated peer in ids to addrs,
+// and its ID to qids: registered peers first, in candidate order, so the
+// first candidate is the one asked for the object.
+func (n *Node) appendAddrs(qids []string, addrs []*net.UDPAddr, ids []string) ([]string, []*net.UDPAddr) {
+	start := len(qids)
+	n.mu.RLock()
+	for _, id := range ids {
+		if p := n.memberByID(id); p != nil {
+			qids, addrs = append(qids, id), append(addrs, p.addr)
+		}
+	}
+	n.mu.RUnlock()
+	if len(qids)-start < len(ids) {
+		// Summaries can arrive from peers we never registered (a neighbor
+		// that added us one-way); the replica is keyed by the datagram's
+		// source address, so the key is itself the address to query.
+		for _, id := range ids {
+			if !slices.Contains(qids[start:], id) {
+				if a, err := net.ResolveUDPAddr("udp", id); err == nil {
+					qids, addrs = append(qids, id), append(addrs, a)
+				}
+			}
+		}
+	}
+	return qids, addrs
 }
 
 // traceID returns tr's current ID as a hex string ("" when untraced) —
@@ -943,9 +1076,9 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []strin
 	var ids []string
 	var addrs []*net.UDPAddr
 	n.mu.RLock()
-	for id, a := range n.peerAddrs {
-		if !slices.Contains(nominated, id) {
-			ids, addrs = append(ids, id), append(addrs, a)
+	for _, p := range n.members {
+		if !slices.Contains(nominated, p.id) {
+			ids, addrs = append(ids, p.id), append(addrs, p.addr)
 		}
 	}
 	n.mu.RUnlock()
@@ -975,7 +1108,7 @@ func (n *Node) traceLookup(tr *tracing.Trace, queried bool, probes []SummaryProb
 		return
 	}
 	if queried {
-		tr.SetICPExchange(n.Addr().String(), reqNum)
+		tr.SetICPExchange(n.self, reqNum)
 	}
 	probeDur := time.Since(probeStart).Microseconds()
 	for _, pr := range probes {
@@ -1021,26 +1154,48 @@ func (n *Node) traceLookup(tr *tracing.Trace, queried bool, probes []SummaryProb
 
 // handle serves incoming unsolicited messages.
 func (n *Node) handle(from *net.UDPAddr, m icp.Message) {
+	p := n.member(from)
 	switch m.Op {
 	case icp.OpQuery:
 		start := time.Now()
 		n.metrics.queriesRecv.Inc()
-		reply := icp.Answer(m, n.cfg.HasDocument, n.cfg.ReadDocument)
-		_ = n.conn.Send(from, reply)
-		if n.tracer != nil {
-			// Under SC-ICP a query only arrives because the querier's
-			// replica of our summary predicted a hit; a MISS answer is
-			// therefore a false hit seen from the answering side —
-			// anomalous, tail-kept.
-			n.tracer.ICPAnswer(n.Addr().String(), from.String(), m.ReqNum, m.URL,
-				reply.Op.Verdict(), start, true)
+		read := n.cfg.ReadDocument
+		if p == nil {
+			// Only a member may draw a document: a spoofed ~60-byte flagged
+			// query would otherwise reflect up to icp.MaxHitObjLen body
+			// bytes at its forged source. A non-member gets a plain answer.
+			read = nil
 		}
+		reply := icp.Answer(m, n.cfg.HasDocument, read)
+		if n.tracer != nil {
+			// Recorded before the reply leaves, so the querier, once
+			// answered, finds this side of the exchange. Under SC-ICP a
+			// query only arrives because the querier's replica of our
+			// summary predicted a hit; a MISS answer is therefore a false
+			// hit seen from the answering side — anomalous, tail-kept.
+			// Classic ICP asks everyone, so there a MISS is ordinary.
+			n.tracer.ICPAnswer(n.self, peerID(p, from), m.ReqNum, m.URL,
+				reply.Op.Verdict(), start, !n.cfg.QueryAll)
+		}
+		_ = n.conn.Send(from, reply)
 	case icp.OpDirUpdate:
+		if n.cfg.QueryAll {
+			return // no summaries are kept
+		}
 		full := m.Options&icp.OptionFullUpdate != 0
-		if err := n.applyUpdate(from.String(), m.Update, full); err != nil {
+		if err := n.applyUpdate(peerID(p, from), m.Update, full); err != nil {
 			n.metrics.updatesRejected.Inc()
 			return
 		}
 		n.metrics.updatesRecv.Inc()
 	}
+}
+
+// peerID names a datagram's sender as the peer table does: a member by its
+// registered ID, anyone else by the source address.
+func peerID(p *peer, from *net.UDPAddr) string {
+	if p != nil {
+		return p.id
+	}
+	return from.String()
 }

@@ -13,10 +13,10 @@ import (
 // fetches stop, requests go straight to the origin (still counted as
 // false hits, never surfaced as client errors) — and after
 // BreakerCooldown it admits a single half-open probe fetch; success
-// closes it again. Trips and recoveries feed the SC-ICP node's health
-// monitor (Node.MarkPeerDown / MarkPeerUp), so a tripped sibling's
-// summary replica is dropped and it stops attracting nominations until
-// it proves itself alive again.
+// closes it again. Trips and recoveries feed the protocol node's health
+// monitor (Node.MarkPeerDown / MarkPeerUp); under SC-ICP a tripped
+// sibling's summary replica is dropped, so it stops attracting
+// nominations until it proves itself alive again.
 
 // BreakerState is a circuit's position, exposed by the
 // summarycache_proxy_breaker_state gauge.

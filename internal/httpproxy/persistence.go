@@ -1,6 +1,7 @@
 package httpproxy
 
 import (
+	"slices"
 	"time"
 
 	"summarycache/internal/obs"
@@ -57,42 +58,12 @@ func (p *Proxy) startPersistence(reg *obs.Registry, labels obs.Labels) error {
 // journal-replay removals applied), and the persisted peer replicas into
 // the summary table.
 func (p *Proxy) installRecovered(rec *persist.Recovered) {
-	stored, dropped := p.cache.Restore(rec.Entries)
+	_, dropped := p.cache.Restore(rec.Entries)
 	if p.node != nil {
-		dir := p.node.Directory()
-		restored := false
-		if rec.Directory != nil {
-			if err := dir.RestoreState(rec.Directory); err == nil {
-				restored = true
-			} else if p.cfg.Logger != nil {
-				p.cfg.Logger.Warn("directory state not restorable; rebuilding from keys", "err", err)
-			}
-		}
-		if restored {
-			// The blob claims the snapshot's documents; retire the ones the
-			// journal evicted or staled (rec.Removed) and the ones the
-			// current cache geometry could not readmit (dropped). The
-			// counting filter's underflow guard absorbs any overlap-window
-			// double-removal.
-			for _, key := range rec.Removed {
-				dir.Remove(key)
-			}
-			for _, key := range dropped {
-				dir.Remove(key)
-			}
-		} else {
-			// No blob, or the filter geometry changed across the restart:
-			// rebuild the directory from the documents actually readmitted.
-			for _, key := range p.cache.Keys() {
-				dir.Insert(key)
-			}
-		}
-		for _, st := range rec.Replicas {
-			if err := p.node.PeerSummaries().RestoreReplica(st); err != nil && p.cfg.Logger != nil {
-				p.cfg.Logger.Warn("peer replica not restorable", "peer", st.Peer, "err", err)
-			}
-		}
-		p.node.NoteRecovery(stored, len(rec.Replicas))
+		// The saved directory claims the snapshot's documents: retire the
+		// ones the journal evicted or staled (rec.Removed) and the ones the
+		// current cache geometry could not readmit (dropped).
+		p.node.Recover(rec.Directory, slices.Concat(rec.Removed, dropped), p.cache.Keys, rec.Replicas)
 	}
 }
 
@@ -133,8 +104,7 @@ func (p *Proxy) registerPersistMetrics(reg *obs.Registry, labels obs.Labels) {
 func (p *Proxy) captureSnapshot() persist.SnapshotData {
 	data := persist.SnapshotData{Entries: p.cache.Entries()}
 	if p.node != nil {
-		data.Directory = p.node.Directory().StateSnapshot()
-		data.Replicas = p.node.PeerSummaries().ExportReplicas()
+		data.Directory, data.Replicas = p.node.ExportState()
 	}
 	return data
 }

@@ -17,6 +17,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -193,7 +194,7 @@ type Config struct {
 	// register in the metrics registry. Nil: zero-overhead passthrough —
 	// no wrapper is interposed at all.
 	Faults *faultnet.Injector
-	// Metrics, when set, is the registry the proxy (and its SC-ICP node)
+	// Metrics, when set, is the registry the proxy (and its protocol node)
 	// instruments itself against; series carry a proxy="<http addr>"
 	// label so a whole mesh can share one registry and one /metrics
 	// exposition. Nil: a private registry is created.
@@ -263,7 +264,7 @@ type Stats struct {
 	RequestSeconds obs.HistogramSnapshot
 	// UDP mirrors the paper's netstat UDP counters (zero in ModeNone).
 	UDP icp.Stats
-	// Node carries summary-protocol counters (ModeSCICP only).
+	// Node carries the protocol node's counters (zero in ModeNone).
 	Node core.NodeStats
 }
 
@@ -329,17 +330,13 @@ type Proxy struct {
 	cfg   Config
 	cache *lru.Cache // entries carry their document bodies (lru.Entry.Body)
 
-	node    *core.Node // ModeSCICP
-	icpConn *icp.Conn  // ModeICP
+	// node is the ICP endpoint of both cooperating modes (nil in ModeNone):
+	// ModeICP's queries every registered sibling, ModeSCICP's only those
+	// its summaries nominate.
+	node *core.Node
 
-	peerMu   sync.RWMutex
-	icpPeers []*net.UDPAddr
-	peerHTTP map[string]string // ICP addr string -> sibling HTTP base URL
-
-	// breakers holds one circuit per sibling (nil map entries never
-	// exist; a nil breakers map means the breaker is disabled).
-	brMu     sync.Mutex
-	breakers map[string]*breaker
+	sibMu    sync.RWMutex
+	siblings map[string]sibling // by ICP address string
 
 	// Resolved resilience knobs (Config defaults applied once at Start).
 	fetchTimeout     time.Duration // 0: unbounded
@@ -354,7 +351,6 @@ type Proxy struct {
 
 	metrics   proxyMetrics
 	reg       *obs.Registry
-	health    *obs.Health            // non-node modes; ModeSCICP delegates to the node
 	tracer    *tracing.Tracer        // nil: tracing disabled
 	decisions *meshhealth.Accounting // per-peer decision taxonomy
 
@@ -364,6 +360,12 @@ type Proxy struct {
 	snapStop    chan struct{} // nil: no periodic snapshot loop
 	snapDone    chan struct{}
 	persistOnce sync.Once // shutdownPersist runs at most once
+}
+
+// sibling is one registered peer as the HTTP layer sees it.
+type sibling struct {
+	url string   // HTTP base URL for cache-only fetches
+	br  *breaker // its circuit; nil when the breaker is disabled
 }
 
 // resolveDuration applies the 0=default / negative=disabled convention.
@@ -404,15 +406,12 @@ func Start(cfg Config) (*Proxy, error) {
 	}
 	p := &Proxy{
 		cfg:              cfg,
-		peerHTTP:         make(map[string]string),
+		siblings:         make(map[string]sibling),
 		fetchTimeout:     resolveDuration(cfg.FetchTimeout, DefaultFetchTimeout),
 		fetchRetries:     resolveCount(cfg.FetchRetries, DefaultFetchRetries),
 		fetchBackoff:     resolveDuration(cfg.FetchBackoff, DefaultFetchBackoff),
 		breakerThreshold: resolveCount(cfg.BreakerThreshold, DefaultBreakerThreshold),
 		breakerCooldown:  resolveDuration(cfg.BreakerCooldown, DefaultBreakerCooldown),
-	}
-	if p.breakerThreshold > 0 {
-		p.breakers = make(map[string]*breaker)
 	}
 	// Each fetch attempt runs under its own context.WithTimeout(fetchTimeout),
 	// which bounds dial, response headers and body alike: an origin that
@@ -485,18 +484,7 @@ func Start(cfg Config) (*Proxy, error) {
 	switch cfg.Mode {
 	case ModeNone:
 		// no protocol endpoint
-	case ModeICP:
-		conn, err := icp.ListenWith(cfg.ICPAddr, icp.ListenConfig{
-			Handler: p.handleICP,
-			Wrap:    sockWrap,
-		})
-		if err != nil {
-			_ = ln.Close() // the ICP listen failure is the error worth reporting
-			return nil, err
-		}
-		p.icpConn = conn
-		conn.Start()
-	case ModeSCICP:
+	case ModeICP, ModeSCICP:
 		nodeCfg := core.NodeConfig{
 			ListenAddr:          cfg.ICPAddr,
 			Directory:           cfg.Summary,
@@ -510,6 +498,7 @@ func Start(cfg Config) (*Proxy, error) {
 			Tracer:              cfg.Tracer,
 			Decisions:           p.decisions,
 			FalseMissAuditEvery: cfg.FalseMissAuditEvery,
+			QueryAll:            cfg.Mode == ModeICP,
 		}
 		if cfg.Perf != nil {
 			// Only set for a live Watch: the node gates on a nil func, so
@@ -525,9 +514,6 @@ func Start(cfg Config) (*Proxy, error) {
 	default:
 		_ = ln.Close() // the unknown-mode error is the one worth reporting
 		return nil, fmt.Errorf("httpproxy: unknown mode %v", cfg.Mode)
-	}
-	if p.node == nil {
-		p.health = obs.NewHealth()
 	}
 
 	// Persistence comes after the protocol endpoint exists (recovery
@@ -580,29 +566,30 @@ func (p *Proxy) registerCacheMetrics(reg *obs.Registry, labels obs.Labels) {
 // what an admin endpoint serves.
 func (p *Proxy) Registry() *obs.Registry { return p.reg }
 
-// Health returns the peer up/down tracker backing /healthz. In ModeSCICP
-// it is the protocol node's tracker (driven by StartHealthChecks); in the
-// other modes peers are registered but never probed, so they stay up.
+// Health returns the peer up/down tracker backing /healthz: the protocol
+// node's, which sibling registration, StartHealthChecks and the circuit
+// breakers all drive. Nil in ModeNone, which has no peers.
 func (p *Proxy) Health() *obs.Health {
-	if p.node != nil {
-		return p.node.Health()
+	if p.node == nil {
+		return nil
 	}
-	return p.health
+	return p.node.Health()
 }
 
-// StartHealthChecks begins probing SC-ICP peers (no-op stop function in
-// the other modes, which have no prober). The prober's verdicts are fed
-// to the per-sibling circuit breakers — a peer found down by UDP probing
-// has its breaker forced open (no point attempting HTTP fetches), and a
-// recovery resets it (the probe round-trip is the mesh-level half-open
-// trial) — before any caller-supplied OnChange observes the transition.
+// StartHealthChecks begins probing the siblings over ICP, in both
+// cooperating modes (no-op stop function in ModeNone, which has no
+// siblings). The prober's verdicts are fed to the per-sibling circuit
+// breakers — a peer found down by UDP probing has its breaker forced open
+// (no point attempting HTTP fetches), and a recovery resets it (the probe
+// round-trip is the mesh-level half-open trial) — before any
+// caller-supplied OnChange observes the transition.
 func (p *Proxy) StartHealthChecks(cfg core.HealthConfig) (stop func()) {
 	if p.node == nil {
 		return func() {}
 	}
 	user := cfg.OnChange
 	cfg.OnChange = func(peer *net.UDPAddr, up bool) {
-		if br := p.breakerFor(peer.String()); br != nil {
+		if br := p.sibling(peer.String()).br; br != nil {
 			if up {
 				br.Reset()
 			} else {
@@ -617,16 +604,10 @@ func (p *Proxy) StartHealthChecks(cfg core.HealthConfig) (stop func()) {
 }
 
 func (p *Proxy) closeProtocol() error {
-	var firstErr error
-	if p.icpConn != nil {
-		firstErr = p.icpConn.Close()
+	if p.node == nil {
+		return nil
 	}
-	if p.node != nil {
-		if err := p.node.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return p.node.Close()
 }
 
 // Close shuts the proxy down. Both the HTTP listener and the protocol
@@ -667,13 +648,10 @@ func (p *Proxy) URL() string { return "http://" + p.ln.Addr().String() }
 
 // ICPAddr returns the proxy's ICP endpoint (nil in ModeNone).
 func (p *Proxy) ICPAddr() *net.UDPAddr {
-	switch p.cfg.Mode {
-	case ModeICP:
-		return p.icpConn.Addr()
-	case ModeSCICP:
-		return p.node.Addr()
+	if p.node == nil {
+		return nil
 	}
-	return nil
+	return p.node.Addr()
 }
 
 // Mode returns the cooperation mode.
@@ -682,22 +660,25 @@ func (p *Proxy) Mode() Mode { return p.cfg.Mode }
 // AddPeer registers a sibling by its ICP endpoint and HTTP base URL.
 // Re-adding a known ICP endpoint updates its HTTP URL in place.
 func (p *Proxy) AddPeer(icpAddr *net.UDPAddr, httpURL string) error {
-	if p.cfg.Mode == ModeNone {
+	if p.node == nil {
 		return errors.New("httpproxy: ModeNone proxies have no peers")
 	}
 	id := icpAddr.String()
-	p.peerMu.Lock()
-	if _, known := p.peerHTTP[id]; !known {
-		p.icpPeers = append(p.icpPeers, icpAddr)
+	p.sibMu.Lock()
+	s, known := p.siblings[id]
+	if !known && p.breakerThreshold > 0 {
+		s.br = newBreaker(p.breakerThreshold, p.breakerCooldown)
 	}
-	p.peerHTTP[id] = httpURL
-	p.peerMu.Unlock()
-	p.registerBreaker(id)
-	if p.cfg.Mode == ModeSCICP {
-		return p.node.AddPeer(icpAddr)
+	s.url = httpURL
+	p.siblings[id] = s
+	p.sibMu.Unlock()
+	if br := s.br; !known && br != nil {
+		p.reg.GaugeFunc("summarycache_proxy_breaker_state",
+			"sibling circuit state (0 closed, 1 open, 2 half-open)",
+			obs.L("proxy", p.ln.Addr().String(), "peer", id),
+			func() float64 { return float64(br.State()) })
 	}
-	p.health.SetPeer(id, true)
-	return nil
+	return p.node.AddPeer(icpAddr)
 }
 
 // RemovePeer drops a sibling: its ICP endpoint, HTTP mapping, circuit
@@ -706,27 +687,11 @@ func (p *Proxy) AddPeer(icpAddr *net.UDPAddr, httpURL string) error {
 // with the departed peer, so /metrics stops exposing stale series.
 func (p *Proxy) RemovePeer(icpAddr *net.UDPAddr) {
 	id := icpAddr.String()
-	p.peerMu.Lock()
-	if _, known := p.peerHTTP[id]; known {
-		delete(p.peerHTTP, id)
-		kept := p.icpPeers[:0]
-		for _, a := range p.icpPeers {
-			if a.String() != id {
-				kept = append(kept, a)
-			}
-		}
-		p.icpPeers = kept
-	}
-	p.peerMu.Unlock()
-	if p.breakers != nil {
-		p.brMu.Lock()
-		delete(p.breakers, id)
-		p.brMu.Unlock()
-	}
+	p.sibMu.Lock()
+	delete(p.siblings, id)
+	p.sibMu.Unlock()
 	if p.node != nil {
 		p.node.RemovePeer(icpAddr)
-	} else if p.health != nil {
-		p.health.RemovePeer(id)
 	}
 	p.decisions.RemovePeer(id)
 	// Sweep anything else labeled for this peer under the proxy's label
@@ -734,69 +699,27 @@ func (p *Proxy) RemovePeer(icpAddr *net.UDPAddr) {
 	p.reg.Unregister(obs.L("proxy", p.ln.Addr().String(), "peer", id))
 }
 
-// registerBreaker creates the sibling's circuit (once) and exposes its
-// state as a gauge: 0 closed, 1 open, 2 half-open.
-func (p *Proxy) registerBreaker(id string) {
-	if p.breakers == nil {
-		return
-	}
-	p.brMu.Lock()
-	_, exists := p.breakers[id]
-	if !exists {
-		p.breakers[id] = newBreaker(p.breakerThreshold, p.breakerCooldown)
-	}
-	br := p.breakers[id]
-	p.brMu.Unlock()
-	if !exists {
-		p.reg.GaugeFunc("summarycache_proxy_breaker_state",
-			"sibling circuit state (0 closed, 1 open, 2 half-open)",
-			obs.L("proxy", p.ln.Addr().String(), "peer", id),
-			func() float64 { return float64(br.State()) })
-	}
-}
-
-// breakerFor returns the sibling's circuit, or nil when disabled/unknown.
-func (p *Proxy) breakerFor(id string) *breaker {
-	if p.breakers == nil {
-		return nil
-	}
-	p.brMu.Lock()
-	defer p.brMu.Unlock()
-	return p.breakers[id]
+// sibling returns the registered sibling with ICP address string id (the
+// zero sibling when unknown).
+func (p *Proxy) sibling(id string) sibling {
+	p.sibMu.RLock()
+	defer p.sibMu.RUnlock()
+	return p.siblings[id]
 }
 
 // BreakerState reports the sibling's circuit position (BreakerClosed for
 // unknown peers or when the breaker is disabled) — diagnostics and tests.
 func (p *Proxy) BreakerState(icpAddr string) BreakerState {
-	if br := p.breakerFor(icpAddr); br != nil {
+	if br := p.sibling(icpAddr).br; br != nil {
 		return br.State()
 	}
 	return BreakerClosed
 }
 
-// markPeerDown feeds an externally detected sibling failure (a tripped
-// breaker) to whichever health tracker this mode carries.
-func (p *Proxy) markPeerDown(peer *net.UDPAddr) {
-	if p.node != nil {
-		p.node.MarkPeerDown(peer)
-		return
-	}
-	p.health.SetPeer(peer.String(), false)
-}
-
-// markPeerUp feeds a recovery (a successful half-open probe).
-func (p *Proxy) markPeerUp(peer *net.UDPAddr) {
-	if p.node != nil {
-		_ = p.node.MarkPeerUp(peer)
-		return
-	}
-	p.health.SetPeer(peer.String(), true)
-}
-
 // Resync re-ships this proxy's full summary state to every SC-ICP peer —
 // the full-resync path invoked wholesale after a lossy episode clears, so
 // replicas across the mesh reconverge without waiting for organic update
-// traffic. No-op in the other modes.
+// traffic. No-op in the other modes, which keep no summary.
 func (p *Proxy) Resync() error {
 	if p.node == nil {
 		return nil
@@ -828,10 +751,7 @@ func (p *Proxy) Stats() Stats {
 		s.RequestSeconds.Sum += snap.Sum
 	}
 	s.HTTPMessages = 2 * (s.ClientRequests + s.OriginFetches + s.PeerFetches)
-	switch p.cfg.Mode {
-	case ModeICP:
-		s.UDP = p.icpConn.Stats()
-	case ModeSCICP:
+	if p.node != nil {
 		s.Node = p.node.Stats()
 		s.UDP = s.Node.UDP
 	}
@@ -841,7 +761,8 @@ func (p *Proxy) Stats() Stats {
 // CacheLen returns the number of cached documents (tests/diagnostics).
 func (p *Proxy) CacheLen() int { return p.cache.Len() }
 
-// FlushSummary forces publication of pending summary deltas (ModeSCICP).
+// FlushSummary forces publication of pending summary deltas (ModeSCICP;
+// no-op in the other modes).
 func (p *Proxy) FlushSummary() {
 	if p.node != nil {
 		p.node.PublishNow()
@@ -873,9 +794,6 @@ func (p *Proxy) MeshReport() meshhealth.Report {
 		Proxy: p.ln.Addr().String(),
 		Mode:  p.cfg.Mode.String(),
 	}
-	if a := p.ICPAddr(); a != nil {
-		rep.Node = a.String()
-	}
 	rep.Local.CacheEntries = p.cache.Len()
 	rep.Local.CacheBytes = p.cache.Bytes()
 	rep.Local.LastAdvertAgeMS = -1
@@ -883,8 +801,8 @@ func (p *Proxy) MeshReport() meshhealth.Report {
 		rep.Local.Recoveries = 1 // refined from node accounting below
 		rep.Local.RecoveredEntries = p.recovery.Entries
 	}
-	var replicas map[string]core.PeerHealth
 	if p.node != nil {
+		rep.Node = p.node.Addr().String()
 		st := p.node.Stats()
 		rep.Local.DirectoryDocs = int64(p.node.Directory().Docs())
 		rep.Local.PendingFlips = p.node.Directory().PendingFlips()
@@ -896,43 +814,34 @@ func (p *Proxy) MeshReport() meshhealth.Report {
 		if age, ok := p.node.LastAdvertAge(); ok {
 			rep.Local.LastAdvertAgeMS = float64(age.Microseconds()) / 1e3
 		}
-		all := p.node.PeerSummaries().HealthAll()
-		replicas = make(map[string]core.PeerHealth, len(all))
-		for _, h := range all {
+		replicas := make(map[string]core.PeerHealth)
+		for _, h := range p.node.PeerSummaries().HealthAll() {
 			replicas[h.Peer] = h
 		}
-	}
-	upSet := make(map[string]bool)
-	up, _ := p.Health().Snapshot()
-	for _, id := range up {
-		upSet[id] = true
-	}
-	p.peerMu.RLock()
-	peers := append([]*net.UDPAddr(nil), p.icpPeers...)
-	p.peerMu.RUnlock()
-	for _, peer := range peers {
-		id := peer.String()
-		pr := meshhealth.PeerReport{Peer: id, Up: upSet[id]}
-		if p.breakers != nil {
-			pr.Breaker = p.BreakerState(id).String()
-		}
-		if h, ok := replicas[id]; ok {
-			pr.HasReplica = true
-			pr.Generation = h.Generation
-			pr.UpdateAgeMS = float64(h.UpdateAge.Microseconds()) / 1e3
-			pr.FillRatio = h.FillRatio
-			pr.EstFalsePositive = h.EstFalsePositive
-			pr.FilterBits = h.FilterBits
-			pr.FullUpdates = h.FullUpdates
-			pr.DeltaUpdates = h.DeltaUpdates
-			pr.BytesIn = h.BytesIn
-		}
-		if p.node != nil {
+		up, _ := p.node.Health().Snapshot() // sorted
+		for _, addr := range p.node.PeerAddrs() {
+			id := addr.String()
+			_, isUp := slices.BinarySearch(up, id)
+			pr := meshhealth.PeerReport{Peer: id, Up: isUp}
+			if br := p.sibling(id).br; br != nil {
+				pr.Breaker = br.State().String()
+			}
+			if h, ok := replicas[id]; ok {
+				pr.HasReplica = true
+				pr.Generation = h.Generation
+				pr.UpdateAgeMS = float64(h.UpdateAge.Microseconds()) / 1e3
+				pr.FillRatio = h.FillRatio
+				pr.EstFalsePositive = h.EstFalsePositive
+				pr.FilterBits = h.FilterBits
+				pr.FullUpdates = h.FullUpdates
+				pr.DeltaUpdates = h.DeltaUpdates
+				pr.BytesIn = h.BytesIn
+			}
 			pr.UpdatesSent, pr.BytesOut = p.node.PeerOut(id)
+			pr.Decisions = p.decisions.PeerStats(id)
+			pr.Divergence = pr.Decisions.Divergence()
+			rep.Peers = append(rep.Peers, pr)
 		}
-		pr.Decisions = p.decisions.PeerStats(id)
-		pr.Divergence = pr.Decisions.Divergence()
-		rep.Peers = append(rep.Peers, pr)
 	}
 	rep.RecentFalse = p.decisions.Recent()
 	return rep
@@ -989,25 +898,6 @@ func (p *Proxy) storeBody(key string, version int64, body []byte) {
 	// is refused by Put and simply dropped; onCacheChange journals what
 	// was stored.
 	p.cache.Put(lru.Entry{Key: key, Size: int64(len(body)), Version: version, Body: body})
-}
-
-// --- ICP handling (ModeICP) ---
-
-func (p *Proxy) handleICP(from *net.UDPAddr, m icp.Message) {
-	if m.Op != icp.OpQuery {
-		return
-	}
-	start := time.Now()
-	// The same answer an SC-ICP node gives (core.NodeConfig.ReadDocument is
-	// cachedBody too), so the two modes differ only in whom they ask.
-	reply := icp.Answer(m, p.cache.Contains, p.cachedBody)
-	_ = p.icpConn.Send(from, reply)
-	if p.tracer != nil {
-		// Classic ICP queries every sibling on every miss, so a MISS
-		// answer is ordinary — not the anomaly it is under SC-ICP.
-		p.tracer.ICPAnswer(p.icpConn.Addr().String(), from.String(), m.ReqNum,
-			m.URL, reply.Op.Verdict(), start, false)
-	}
 }
 
 // --- HTTP serving ---
@@ -1242,58 +1132,21 @@ func writeDoc(w http.ResponseWriter, body []byte) {
 // falseHit reports a failed indication — a claimed HIT that was not
 // delivered, or summary candidates that all replied MISS (the paper's
 // false hits) — and staleHit a delivered copy of the wrong version
-// (version-aware mode; the paper's remote stale hits). Both modes ask the
-// first peer they query for the object inline, so a small document it
-// holds arrives in its HIT_OBJ reply. Under SC-ICP that peer is the first
-// summary candidate; classic ICP knows no holder and asks the first peer
-// added, so a document held only by another sibling still takes the HTTP
-// leg.
+// (version-aware mode; the paper's remote stale hits). The node asks the
+// first peer it queries for the object inline, so a small document that
+// peer holds arrives in its HIT_OBJ reply. Under SC-ICP that peer is the
+// first summary candidate; classic ICP knows no holder and asks the first
+// peer added, so a document held only by another sibling still takes the
+// HTTP leg.
 func (p *Proxy) tryRemote(ctx context.Context, key string, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
-	switch p.cfg.Mode {
-	case ModeICP:
-		var peerBuf [16]*net.UDPAddr
-		p.peerMu.RLock()
-		peers := append(peerBuf[:0], p.icpPeers...)
-		p.peerMu.RUnlock()
-		if len(peers) == 0 {
-			return nil, false, false, false
-		}
-		qstart := time.Now()
-		win, from, reqNum, err := p.icpConn.QueryAllFunc(ctx, p.cfg.QueryTimeout, peers, key, icp.FlagHitObj, nil)
-		if tr := tracing.FromContext(ctx); tr != nil {
-			// Adopt the exchange's derived ID so the answering proxies'
-			// traces join this one.
-			tr.SetICPExchange(p.icpConn.Addr().String(), reqNum)
-			s := tracing.Span{
-				Name:       tracing.SpanICPQuery,
-				Start:      qstart,
-				DurationUS: time.Since(qstart).Microseconds(),
-				ReqNum:     reqNum,
-				Actual:     tracing.QueryActual(from, win.Op.Verdict()),
-			}
-			if err != nil {
-				s.Err = err.Error()
-			}
-			tr.AddSpan(s)
-		}
-		if err != nil || from == nil {
-			// Classic ICP asked everyone; an all-miss round is an
-			// ordinary miss, not a false indication.
-			return nil, false, false, false
-		}
-		return p.finishRemoteHit(ctx, from.String(), from, win, key, wanted)
-	case ModeSCICP:
-		res, err := p.node.LookupObject(ctx, key)
-		if err != nil {
-			return nil, false, false, false
-		}
-		if res.Peer == nil {
-			// Summaries nominated candidates but every reply was MISS.
-			return nil, false, res.Candidates > 0, false
-		}
-		return p.finishRemoteHit(ctx, res.PeerID, res.Peer, res.Reply, key, wanted)
+	if p.node == nil {
+		return nil, false, false, false
 	}
-	return nil, false, false, false
+	res, err := p.node.LookupObject(ctx, key)
+	if err != nil || res.Peer == nil {
+		return nil, false, err == nil && res.FalseHit, false
+	}
+	return p.finishRemoteHit(ctx, res.PeerID, res.Peer, res.Reply, key, wanted)
 }
 
 // finishRemoteHit takes the document a sibling claimed to have — from its
@@ -1346,7 +1199,8 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 			})
 		}()
 	}
-	br := p.breakerFor(id)
+	sib := p.sibling(id)
+	br := sib.br
 	if br != nil && !br.Allow() {
 		// The sibling's circuit is open: skip the doomed fetch and let the
 		// caller fall through to the origin (a false hit, not an error).
@@ -1357,26 +1211,23 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 		}
 		return nil, 0, false
 	}
-	p.peerMu.RLock()
-	base := p.peerHTTP[id]
-	p.peerMu.RUnlock()
-	if base == "" {
+	if sib.url == "" {
 		return nil, 0, false
 	}
 	p.metrics.peerFetches.Inc()
-	body, version, ok = p.fetchPeerOnce(ctx, base, target)
+	body, version, ok = p.fetchPeerOnce(ctx, sib.url, target)
 	if br != nil {
 		if ok {
 			if br.Success() {
 				// The half-open probe delivered: restore the sibling in the
 				// health tracker (and, under SC-ICP, re-ship full state so
 				// its replica of us reconverges).
-				p.markPeerUp(peer)
+				_ = p.node.MarkPeerUp(peer)
 			}
 		} else if br.Failure() {
 			// Threshold crossed: under SC-ICP this also drops the sibling's
 			// summary replica, so it stops attracting nominations while dark.
-			p.markPeerDown(peer)
+			p.node.MarkPeerDown(peer)
 		}
 	}
 	if ok {

@@ -6,7 +6,7 @@ package meshhealth
 // /debug/mesh renders it as JSON or HTML.
 type Report struct {
 	// Proxy is the HTTP listen address; Node the ICP address (empty when
-	// the proxy runs without a summary node, e.g. ModeNone/ModeICP).
+	// the proxy runs without a protocol node, in ModeNone).
 	Proxy string `json:"proxy"`
 	Node  string `json:"node,omitempty"`
 	Mode  string `json:"mode"`
