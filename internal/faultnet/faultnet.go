@@ -1,8 +1,8 @@
 // Package faultnet is a deterministic fault-injection layer for the
 // mesh's two network paths: a net-socket wrapper for the ICP UDP traffic
 // (drop, delay, duplicate — and, through delayed sends overtaken by later
-// ones, reorder) and an http.RoundTripper wrapper for origin and sibling
-// HTTP fetches (connect failures, stalls, truncated bodies, 5xx bursts).
+// ones, reorder) and a per-attempt verdict for origin and sibling HTTP
+// fetches (connect failures, stalls, truncated bodies, 5xx bursts).
 //
 // Everything is driven by a Scenario: a seed plus per-direction fault
 // rates. The same Scenario always produces the same per-event fault
@@ -13,8 +13,9 @@
 // reproducible storm instead of hopes about a flaky network.
 //
 // A nil *Injector everywhere means zero-overhead passthrough: the icp,
-// core and httpproxy layers only interpose the wrappers when one is
-// configured, so production and benchmark hot paths are untouched.
+// core and httpproxy layers only interpose the socket wrapper or consult
+// an HTTP schedule when one is configured, so production and benchmark hot
+// paths are untouched.
 package faultnet
 
 import (
@@ -23,8 +24,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
-	"net/http"
-	"strings"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,15 +85,13 @@ type Rates struct {
 	DelayMin, DelayMax time.Duration
 }
 
-func (r Rates) zero() bool { return r.Drop == 0 && r.Duplicate == 0 && r.Delay == 0 }
-
-// HTTPRates are the per-request fault probabilities for the HTTP
-// transport wrapper. As with Rates, at most one fault fires per request.
+// HTTPRates are the per-attempt fault probabilities of an HTTP fault
+// schedule. As with Rates, at most one fault fires per attempt.
 type HTTPRates struct {
 	// ConnectFail is the probability a request errors immediately, as if
 	// the remote refused the connection.
 	ConnectFail float64
-	// Stall is the probability the transport sits silent for StallFor
+	// Stall is the probability the attempt sits silent for StallFor
 	// before proceeding — long stalls trip the caller's per-attempt
 	// timeout, which is the point.
 	Stall    float64
@@ -110,22 +108,18 @@ type HTTPRates struct {
 	Burst int
 }
 
-func (r HTTPRates) zero() bool {
-	return r.ConnectFail == 0 && r.Stall == 0 && r.Truncate == 0 && r.Err5xx == 0
-}
-
 // Scenario is a complete, replayable fault schedule: a seed plus the
 // rates for each path. Two Injectors built from equal Scenarios make
 // identical per-event decisions.
 type Scenario struct {
-	// Seed drives every random decision. Sockets and transports wrapped
-	// by one Injector get independent streams derived from (Seed, ordinal),
+	// Seed drives every random decision. Sockets and HTTP schedules handed
+	// out by one Injector get independent streams derived from (Seed, ordinal),
 	// so the n-th datagram through the first-wrapped socket meets the same
 	// fate on every run.
 	Seed int64
 	// Inbound and Outbound are the UDP fault rates per direction.
 	Inbound, Outbound Rates
-	// HTTP are the transport fault rates.
+	// HTTP are the fetch-attempt fault rates.
 	HTTP HTTPRates
 }
 
@@ -158,7 +152,7 @@ var Kinds = []string{
 
 // decider turns a seeded random stream plus rates into a deterministic
 // verdict sequence. One decider serves one direction of one socket (or
-// one transport); callers hold no other lock while consulting it.
+// one HTTP schedule); callers hold no other lock while consulting it.
 type decider struct {
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -230,8 +224,8 @@ func (d *httpDecider) verdict() Verdict {
 	return v
 }
 
-// Injector instantiates a Scenario: it hands out socket and transport
-// wrappers that share the kill switch and the injected-fault accounting.
+// Injector instantiates a Scenario: it hands out socket wrappers and HTTP
+// schedules that share the kill switch and the injected-fault accounting.
 type Injector struct {
 	scenario Scenario
 	enabled  atomic.Bool
@@ -259,12 +253,9 @@ func New(s Scenario) *Injector {
 	return inj
 }
 
-// Scenario returns the schedule this injector replays.
-func (inj *Injector) Scenario() Scenario { return inj.scenario }
-
-// SetEnabled flips the kill switch: disabled, every wrapper is a pure
-// passthrough (the "faults clear" phase of a chaos run). The decision
-// streams are not consumed while disabled.
+// SetEnabled flips the kill switch: disabled, every wrapper and HTTP
+// schedule is a pure passthrough (the "faults clear" phase of a chaos
+// run). The decision streams are not consumed while disabled.
 func (inj *Injector) SetEnabled(v bool) { inj.enabled.Store(v) }
 
 // Enabled reports the kill switch.
@@ -281,17 +272,6 @@ func (inj *Injector) Count(kind string) uint64 {
 		return 0
 	}
 	return inj.counts[i].Load()
-}
-
-// Counts snapshots every non-zero fault counter by kind.
-func (inj *Injector) Counts() map[string]uint64 {
-	out := make(map[string]uint64)
-	for i, k := range Kinds {
-		if v := inj.counts[i].Load(); v > 0 {
-			out[k] = v
-		}
-	}
-	return out
 }
 
 // Total returns the total number of injected faults.
@@ -392,117 +372,78 @@ func (c *udpConn) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 
 // --- HTTP path ---
 
-// ErrInjectedConnect is the error an injected connect failure surfaces
-// (wrapped in *url.Error by http.Client, like a real refused connection).
+// ErrInjectedConnect is the error an injected connect failure surfaces in
+// place of the dial it suppresses.
 var ErrInjectedConnect = errors.New("faultnet: injected connect failure")
 
-// Transport decorates an http.RoundTripper with this injector's HTTP
-// schedule. A nil injector returns base unchanged.
-func (inj *Injector) Transport(base http.RoundTripper) http.RoundTripper {
+// HTTPFaults is one fetcher's HTTP fault schedule: a seeded verdict per
+// fetch attempt, which the fetcher applies itself.
+type HTTPFaults struct {
+	inj *Injector
+	d   *httpDecider
+}
+
+// HTTPFaults hands out an HTTP fault schedule with its own decision
+// stream. A nil injector returns nil, whose Attempt always passes.
+func (inj *Injector) HTTPFaults() *HTTPFaults {
 	if inj == nil {
-		return base
-	}
-	if base == nil {
-		base = http.DefaultTransport
+		return nil
 	}
 	d := &httpDecider{rates: inj.scenario.HTTP}
-	// Transports draw from a stream family disjoint from the sockets'.
+	// HTTP schedules draw from a stream family disjoint from the sockets'.
 	d.rng = rand.New(rand.NewPCG(uint64(inj.scenario.Seed), (1<<32)+inj.ordinal.Add(1)))
-	return &faultTransport{base: base, inj: inj, d: d}
+	return &HTTPFaults{inj: inj, d: d}
 }
 
-type faultTransport struct {
-	base http.RoundTripper
-	inj  *Injector
-	d    *httpDecider
-}
-
-func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if !t.inj.Enabled() {
-		return t.base.RoundTrip(req)
+// Attempt draws the fate of the next fetch attempt, counts an injected
+// fault, and applies the two that need no connection: ConnectFail returns
+// ErrInjectedConnect, and the caller must not dial; Stall sleeps StallFor,
+// or only budget (the attempt's time limit, when positive) when that is
+// shorter, and then returns os.ErrDeadlineExceeded. The caller applies the
+// other two: Err5xx is a 503 answered without network I/O, and Truncate
+// cuts the response body with TruncateBody and closes the connection. A nil
+// or disabled schedule returns Pass.
+func (f *HTTPFaults) Attempt(budget time.Duration) (Verdict, error) {
+	if f == nil || !f.inj.Enabled() {
+		return Pass, nil
 	}
-	switch t.d.verdict() {
+	v := f.d.verdict()
+	switch v {
 	case ConnectFail:
-		t.inj.count(kindIndex(KindHTTPConnect))
-		return nil, ErrInjectedConnect
+		f.inj.count(kindIndex(KindHTTPConnect))
+		return v, ErrInjectedConnect
 	case Stall:
-		t.inj.count(kindIndex(KindHTTPStall))
-		stall := t.d.rates.StallFor
+		f.inj.count(kindIndex(KindHTTPStall))
+		stall := f.d.rates.StallFor
 		if stall <= 0 {
 			stall = 5 * time.Second
 		}
-		select {
-		case <-time.After(stall):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
+		if budget > 0 && budget < stall {
+			time.Sleep(budget)
+			return v, os.ErrDeadlineExceeded
 		}
+		time.Sleep(stall)
 	case Err5xx:
-		t.inj.count(kindIndex(KindHTTP5xx))
-		return synthesized503(req), nil
+		f.inj.count(kindIndex(KindHTTP5xx))
 	case Truncate:
-		t.inj.count(kindIndex(KindHTTPTrunc))
-		resp, err := t.base.RoundTrip(req)
-		if err != nil || resp.Body == nil {
-			return resp, err
-		}
-		// Cut the body at half its announced length (or after one byte
-		// when unknown): the reader sees a mid-stream unexpected EOF,
-		// exactly what a reset origin connection produces.
-		cut := int64(1)
-		if resp.ContentLength > 1 {
-			cut = resp.ContentLength / 2
-		}
-		resp.Body = &truncatedBody{rc: resp.Body, remaining: cut}
-		return resp, nil
+		f.inj.count(kindIndex(KindHTTPTrunc))
 	}
-	return t.base.RoundTrip(req)
+	return v, nil
 }
 
-func synthesized503(req *http.Request) *http.Response {
-	body := "faultnet: injected 503"
-	return &http.Response{
-		Status:        "503 Service Unavailable",
-		StatusCode:    http.StatusServiceUnavailable,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        http.Header{"Content-Type": []string{"text/plain"}},
-		Body:          io.NopCloser(strings.NewReader(body)),
-		ContentLength: int64(len(body)),
-		Request:       req,
+// TruncateBody cuts a response body at half its declared length (after one
+// byte when the length is unknown) and then fails with
+// io.ErrUnexpectedEOF, as a connection reset mid-body does. A body that
+// ends before the cut fails the same way.
+func TruncateBody(body io.Reader, declared int64) io.Reader {
+	cut := int64(1)
+	if declared > 1 {
+		cut = declared / 2
 	}
+	return io.MultiReader(io.LimitReader(body, cut), cutReader{})
 }
 
-// truncatedBody yields the first remaining bytes then fails with
-// io.ErrUnexpectedEOF, closing the underlying body so the connection is
-// not reused with stale bytes in flight.
-type truncatedBody struct {
-	rc        io.ReadCloser
-	remaining int64
-	failed    bool
-}
+// cutReader is where a truncated body ends.
+type cutReader struct{}
 
-func (t *truncatedBody) Read(p []byte) (int, error) {
-	if t.remaining <= 0 {
-		if !t.failed {
-			t.failed = true
-			// The injected truncation is the error being delivered; the
-			// underlying body's close error is noise beside it.
-			_ = t.rc.Close()
-		}
-		return 0, io.ErrUnexpectedEOF
-	}
-	if int64(len(p)) > t.remaining {
-		p = p[:t.remaining]
-	}
-	n, err := t.rc.Read(p)
-	t.remaining -= int64(n)
-	if err == io.EOF {
-		// The real body ended before the cut: still report the truncation
-		// the schedule called for.
-		err = io.ErrUnexpectedEOF
-	}
-	return n, err
-}
-
-func (t *truncatedBody) Close() error { return t.rc.Close() }
+func (cutReader) Read([]byte) (int, error) { return 0, io.ErrUnexpectedEOF }

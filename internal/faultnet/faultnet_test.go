@@ -1,11 +1,11 @@
 package faultnet
 
 import (
-	"context"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -175,59 +175,55 @@ func TestInjectorDisabledPassthrough(t *testing.T) {
 	}
 }
 
-// countingRT is a base transport recording calls and serving fixed bodies.
-type countingRT struct {
+// countingOrigin is a fake remote serving a fixed body and counting the
+// fetches that reach it.
+type countingOrigin struct {
 	calls int
 	body  string
 }
 
-func (c *countingRT) RoundTrip(req *http.Request) (*http.Response, error) {
-	c.calls++
-	return &http.Response{
-		StatusCode:    http.StatusOK,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        http.Header{},
-		Body:          io.NopCloser(strings.NewReader(c.body)),
-		ContentLength: int64(len(c.body)),
-		Request:       req,
-	}, nil
-}
-
-func testReq(t *testing.T, ctx context.Context) *http.Request {
-	t.Helper()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://origin.test/doc", nil)
+// fetch runs one attempt under f the way a fetcher must apply its verdict:
+// no dial after an Attempt error, a 503 without network I/O for Err5xx,
+// and TruncateBody over the response body for Truncate.
+func (o *countingOrigin) fetch(f *HTTPFaults, budget time.Duration) (status int, body io.Reader, err error) {
+	v, err := f.Attempt(budget)
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
-	return req
+	if v == Err5xx {
+		return http.StatusServiceUnavailable, strings.NewReader(""), nil
+	}
+	o.calls++
+	body = strings.NewReader(o.body)
+	if v == Truncate {
+		body = TruncateBody(body, int64(len(o.body)))
+	}
+	return http.StatusOK, body, nil
 }
 
 func TestTransportConnectFail(t *testing.T) {
-	base := &countingRT{body: "hello"}
-	rt := New(Scenario{Seed: 3, HTTP: HTTPRates{ConnectFail: 1}}).Transport(base)
-	_, err := rt.RoundTrip(testReq(t, context.Background()))
+	base := &countingOrigin{body: "hello"}
+	f := New(Scenario{Seed: 3, HTTP: HTTPRates{ConnectFail: 1}}).HTTPFaults()
+	_, _, err := base.fetch(f, 0)
 	if !errors.Is(err, ErrInjectedConnect) {
 		t.Fatalf("err = %v, want ErrInjectedConnect", err)
 	}
 	if base.calls != 0 {
-		t.Errorf("base transport reached %d times through a connect failure", base.calls)
+		t.Errorf("origin reached %d times through a connect failure", base.calls)
 	}
 }
 
 func TestTransport5xxBurst(t *testing.T) {
-	base := &countingRT{body: "hello"}
+	base := &countingOrigin{body: "hello"}
 	inj := New(Scenario{Seed: 3, HTTP: HTTPRates{Err5xx: 0.3, Burst: 3}})
-	rt := inj.Transport(base)
+	f := inj.HTTPFaults()
 	var codes []int
 	for i := 0; i < 60; i++ {
-		resp, err := rt.RoundTrip(testReq(t, context.Background()))
+		status, _, err := base.fetch(f, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		codes = append(codes, resp.StatusCode)
-		resp.Body.Close()
+		codes = append(codes, status)
 	}
 	// Every injected 503 must come in runs of exactly Burst (or end the
 	// sequence early).
@@ -248,14 +244,13 @@ func TestTransport5xxBurst(t *testing.T) {
 }
 
 func TestTransportTruncate(t *testing.T) {
-	base := &countingRT{body: strings.Repeat("x", 1000)}
-	rt := New(Scenario{Seed: 3, HTTP: HTTPRates{Truncate: 1}}).Transport(base)
-	resp, err := rt.RoundTrip(testReq(t, context.Background()))
+	base := &countingOrigin{body: strings.Repeat("x", 1000)}
+	f := New(Scenario{Seed: 3, HTTP: HTTPRates{Truncate: 1}}).HTTPFaults()
+	_, resp, err := base.fetch(f, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(resp)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("read err = %v, want ErrUnexpectedEOF", err)
 	}
@@ -264,26 +259,27 @@ func TestTransportTruncate(t *testing.T) {
 	}
 }
 
-func TestTransportStallRespectsContext(t *testing.T) {
-	base := &countingRT{body: "hello"}
-	rt := New(Scenario{Seed: 3, HTTP: HTTPRates{Stall: 1, StallFor: time.Minute}}).Transport(base)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
+func TestTransportStallRespectsDeadline(t *testing.T) {
+	base := &countingOrigin{body: "hello"}
+	f := New(Scenario{Seed: 3, HTTP: HTTPRates{Stall: 1, StallFor: time.Minute}}).HTTPFaults()
 	start := time.Now()
-	_, err := rt.RoundTrip(testReq(t, ctx))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	_, _, err := base.fetch(f, 20*time.Millisecond)
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want os.ErrDeadlineExceeded", err)
 	}
 	if time.Since(start) > 5*time.Second {
-		t.Error("stall ignored the request context")
+		t.Error("stall ignored the attempt's time limit")
 	}
 }
 
 func TestNilInjectorPassthrough(t *testing.T) {
 	var inj *Injector
-	base := &countingRT{body: "b"}
-	if got := inj.Transport(base); got != http.RoundTripper(base) {
-		t.Error("nil injector did not return the base transport unchanged")
+	f := inj.HTTPFaults()
+	if f != nil {
+		t.Error("nil injector handed out an HTTP fault schedule")
+	}
+	if v, err := f.Attempt(time.Second); v != Pass || err != nil {
+		t.Errorf("nil schedule: Attempt = %v, %v; want pass", v, err)
 	}
 	raw := &scriptConn{}
 	if got := inj.WrapUDP(raw); got != PacketConn(raw) {

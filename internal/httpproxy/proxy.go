@@ -159,9 +159,9 @@ type Config struct {
 	// QueryTimeout bounds ICP query waits.
 	QueryTimeout time.Duration
 	// FetchTimeout bounds each HTTP fetch attempt — origin, parent, or
-	// sibling — covering dial, response headers, and body. One hung
-	// origin must cost at most one timeout, never a wedged handler
-	// goroutine. 0: DefaultFetchTimeout; negative: unbounded.
+	// sibling — covering dial, response headers, and body, which a client
+	// hanging up does not cut short. One hung origin costs at most one
+	// timeout. 0: DefaultFetchTimeout; negative: unbounded.
 	FetchTimeout time.Duration
 	// FetchRetries is how many times a failed origin fetch is retried.
 	// Transport errors, 5xx statuses and truncated bodies are retryable;
@@ -189,7 +189,7 @@ type Config struct {
 	IdleTimeout time.Duration
 	// Faults, when set, injects that scenario's faults into this proxy's
 	// network edges: its ICP UDP socket (loss, delay, duplication,
-	// reordering) and its outbound HTTP transport (connect failures,
+	// reordering) and its outbound HTTP fetches (connect failures,
 	// stalls, truncated bodies, 5xx bursts). The injected-fault counters
 	// register in the metrics registry. Nil: zero-overhead passthrough —
 	// no wrapper is interposed at all.
@@ -345,9 +345,9 @@ type Proxy struct {
 	breakerThreshold int // <= 0: disabled
 	breakerCooldown  time.Duration
 
-	ln     net.Listener
-	srv    *http.Server
-	client *http.Client
+	ln  net.Listener
+	srv *http.Server
+	up  *fetcher // origin, parent and sibling fetches
 
 	metrics   proxyMetrics
 	reg       *obs.Registry
@@ -413,20 +413,9 @@ func Start(cfg Config) (*Proxy, error) {
 		breakerThreshold: resolveCount(cfg.BreakerThreshold, DefaultBreakerThreshold),
 		breakerCooldown:  resolveDuration(cfg.BreakerCooldown, DefaultBreakerCooldown),
 	}
-	// Each fetch attempt runs under its own context.WithTimeout(fetchTimeout),
-	// which bounds dial, response headers and body alike: an origin that
-	// accepts but never answers costs one timeout, not a wedged handler
-	// goroutine. So the transport sets no timeouts of its own.
-	// Config.Faults interposes its fault-injecting transport here; nil
-	// leaves the raw transport untouched.
-	var rt http.RoundTripper = &http.Transport{
-		MaxIdleConnsPerHost: 64,
-		IdleConnTimeout:     30 * time.Second,
-	}
-	if cfg.Faults != nil {
-		rt = cfg.Faults.Transport(rt)
-	}
-	p.client = &http.Client{Transport: rt}
+	// The HTTP fault schedule is drawn before the node wraps its socket, so
+	// a scenario's seeded streams keep their order.
+	p.up = &fetcher{timeout: p.fetchTimeout, faults: cfg.Faults.HTTPFaults(), idle: make(map[poolKey][]*upConn)}
 	cacheCfg := lru.Config{
 		Capacity:      cfg.CacheBytes,
 		MaxObjectSize: cfg.MaxObjectSize,
@@ -610,20 +599,11 @@ func (p *Proxy) closeProtocol() error {
 	return p.node.Close()
 }
 
-// Close shuts the proxy down. Both the HTTP listener and the protocol
-// endpoint are torn down regardless of errors; the first failure is
-// reported. With persistence enabled, a final checkpoint captures the
-// complete state so the next boot replays no journal.
-func (p *Proxy) Close() error {
-	err := p.srv.Close()
-	if perr := p.closeProtocol(); err == nil {
-		err = perr
-	}
-	if serr := p.shutdownPersist(true); err == nil {
-		err = serr
-	}
-	return err
-}
+// Close shuts the proxy down. The HTTP listener, the upstream connection
+// pool and the protocol endpoint are torn down regardless of errors; the
+// first failure is reported. With persistence enabled, a final checkpoint
+// captures the complete state so the next boot replays no journal.
+func (p *Proxy) Close() error { return p.shutdown(true) }
 
 // CloseAbrupt tears the proxy down without the final checkpoint — the
 // crash persistence is built for, usable in-process where a real kill -9
@@ -632,12 +612,15 @@ func (p *Proxy) Close() error {
 // unsynced appends survive it just as they survive this). The next Start
 // on the same persist directory must recover by snapshot-plus-journal
 // replay.
-func (p *Proxy) CloseAbrupt() error {
+func (p *Proxy) CloseAbrupt() error { return p.shutdown(false) }
+
+func (p *Proxy) shutdown(checkpoint bool) error {
 	err := p.srv.Close()
+	p.up.close()
 	if perr := p.closeProtocol(); err == nil {
 		err = perr
 	}
-	if serr := p.shutdownPersist(false); err == nil {
+	if serr := p.shutdownPersist(checkpoint); err == nil {
 		err = serr
 	}
 	return err
@@ -1215,7 +1198,11 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 		return nil, 0, false
 	}
 	p.metrics.peerFetches.Inc()
-	body, version, ok = p.fetchPeerOnce(ctx, sib.url, target)
+	// One bounded cache-only fetch, never retried: the origin fallback is
+	// always available and strictly cheaper than a second trip to a flaky
+	// sibling. A non-200 is the eviction race, a false hit after all.
+	status, body, version, err := p.up.get(sib.url + CacheOnlyPath + "?url=" + url.QueryEscape(target))
+	ok = err == nil && status == http.StatusOK
 	if br != nil {
 		if ok {
 			if br.Success() {
@@ -1236,61 +1223,20 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 	return body, version, ok
 }
 
-// fetchPeerOnce issues one bounded cache-only fetch against a sibling,
-// reporting the delivered document's version (0 when the sibling sent
-// none). Sibling fetches are never retried — the origin fallback is
-// always available and strictly cheaper than a second trip to a flaky
-// sibling.
-func (p *Proxy) fetchPeerOnce(ctx context.Context, base, target string) (body []byte, version int64, ok bool) {
-	if p.fetchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.fetchTimeout)
-		defer cancel()
-	}
-	u := base + CacheOnlyPath + "?url=" + url.QueryEscape(target)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, 0, false
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, 0, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.CopyN(io.Discard, resp.Body, maxErrorDrain)
-		return nil, 0, false // race: sibling evicted it (a false hit after all)
-	}
-	body, err = readBody(resp)
-	if err != nil {
-		return nil, 0, false
-	}
-	if v := resp.Header.Get(docVersionHeader); v != "" {
-		version, _ = strconv.ParseInt(v, 10, 64)
-	}
-	return body, version, true
-}
-
-// readBody slurps a response body, sizing the buffer from Content-Length
-// when the server declared one — one exact allocation instead of
-// io.ReadAll's grow-and-copy doublings. A body shorter than declared
-// surfaces as io.ReadFull's unexpected-EOF error, the same truncation
-// signal io.ReadAll's callers already classify as retryable. The cap
-// applies identically to declared and unknown-length (chunked / -1)
-// bodies: anything past it is an error, never a silently truncated body
-// that would be cached or forwarded as complete.
-func readBody(resp *http.Response) ([]byte, error) {
-	return readBodyLimit(resp, maxDeclaredBody)
-}
-
 // errBodyTooLarge marks a response whose body exceeds the cache's body
 // cap. Callers classify it as transient (retryable / fall back to the
 // origin), exactly like a truncated read: in both cases the proxy does
 // not hold a complete document it could serve or cache.
 var errBodyTooLarge = errors.New("httpproxy: response body exceeds cap")
 
-// readBodyLimit is readBody with the cap as a parameter, so tests can
-// exercise the over-cap paths without materializing 64 MB bodies.
+// readBodyLimit slurps a response body of at most limit bytes (a
+// parameter, so tests need not materialize 64 MB bodies), sizing the
+// buffer from Content-Length when the server declared one — one exact
+// allocation instead of io.ReadAll's grow-and-copy doublings. A body
+// shorter than declared surfaces as io.ReadFull's unexpected-EOF error, a
+// retryable truncation. The cap applies identically to declared and
+// unknown-length (chunked / -1) bodies: anything past it is an error,
+// never a silently truncated body cached or forwarded as complete.
 func readBodyLimit(resp *http.Response, limit int64) ([]byte, error) {
 	n := resp.ContentLength
 	if n > limit {
@@ -1328,9 +1274,9 @@ func readBodyLimit(resp *http.Response, limit int64) ([]byte, error) {
 const maxDeclaredBody = 64 << 20
 
 // maxErrorDrain bounds how much of an unwanted (non-200) response body is
-// read before the body is closed. An ordinary error page is read to its
-// end, so its connection goes back to the pool; a larger body closes its
-// connection instead of being read in full on every attempt.
+// read. An ordinary error page is read to its end, so its connection goes
+// back to the pool; a larger body closes its connection instead of being
+// read in full on every attempt.
 const maxErrorDrain = 4 << 10
 
 // fetchOrigin fetches a document from the origin (or the parent proxy),
@@ -1338,6 +1284,8 @@ const maxErrorDrain = 4 << 10
 // bodies — up to fetchRetries times with capped exponential backoff and
 // ±50% jitter. Each attempt is individually bounded by fetchTimeout, so a
 // hung origin costs at most (retries+1) × timeout, never a wedged handler.
+// A client that hangs up does not abort the attempt in flight, whose
+// document is still cached, but no retry starts after it.
 func (p *Proxy) fetchOrigin(ctx context.Context, target string) (body []byte, version int64, err error) {
 	retried := 0
 	if tr := tracing.FromContext(ctx); tr != nil {
@@ -1361,9 +1309,15 @@ func (p *Proxy) fetchOrigin(ctx context.Context, target string) (body []byte, ve
 	if p.cfg.ParentURL != "" {
 		fetchURL = p.cfg.ParentURL + ProxyPath + "?url=" + url.QueryEscape(target)
 	}
-	var retryable bool
 	for attempt := 0; ; attempt++ {
-		body, version, retryable, err = p.fetchOriginOnce(ctx, fetchURL)
+		var status int
+		status, body, version, err = p.up.get(fetchURL)
+		// Transport errors, truncated bodies and 5xx are retryable; any other
+		// status is permanent (a 404 will not improve on retry).
+		retryable := err != nil || status >= 500
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("origin status %d", status)
+		}
 		if err == nil || !retryable || attempt >= p.fetchRetries {
 			return body, version, err
 		}
@@ -1380,6 +1334,9 @@ func (p *Proxy) fetchOrigin(ctx context.Context, target string) (body []byte, ve
 // recovering from a shared origin outage does not retry in lockstep. It
 // returns early with the context's error if the client goes away.
 func (p *Proxy) backoff(ctx context.Context, attempt int) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	factor := int64(1) << min(attempt, 30)
 	if factor > maxBackoffFactor {
 		factor = maxBackoffFactor
@@ -1394,36 +1351,4 @@ func (p *Proxy) backoff(ctx context.Context, attempt int) error {
 	case <-time.After(d):
 		return nil
 	}
-}
-
-// fetchOriginOnce issues one bounded fetch attempt and classifies any
-// failure: retryable (transport error, 5xx, truncated body) or permanent
-// (any other non-200 status — a 404 will not improve on retry).
-func (p *Proxy) fetchOriginOnce(ctx context.Context, fetchURL string) (body []byte, version int64, retryable bool, err error) {
-	if p.fetchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.fetchTimeout)
-		defer cancel()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fetchURL, nil)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return nil, 0, true, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.CopyN(io.Discard, resp.Body, maxErrorDrain)
-		return nil, 0, resp.StatusCode >= 500, fmt.Errorf("origin status %d", resp.StatusCode)
-	}
-	body, err = readBody(resp)
-	if err != nil {
-		return nil, 0, true, err
-	}
-	if v := resp.Header.Get(docVersionHeader); v != "" {
-		version, _ = strconv.ParseInt(v, 10, 64)
-	}
-	return body, version, false, nil
 }
