@@ -225,14 +225,12 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // NewAdminHandler.
 type Mount = obs.Mount
 
-// Health tracks component up/down state for /healthz.
-type Health = obs.Health
-
 // NewAdminHandler builds the admin endpoint: Prometheus text exposition at
 // /metrics, expvar-style JSON at /debug/vars, net/http/pprof at
-// /debug/pprof/, /healthz when health is non-nil, plus any extra mounts.
-func NewAdminHandler(r *Registry, health *Health, mounts ...Mount) http.Handler {
-	return obs.NewHandler(r, health, mounts...)
+// /debug/pprof/, /healthz (503 while peers reports a peer down; nil: no
+// peers), plus any extra mounts.
+func NewAdminHandler(r *Registry, peers func() (up, down []string), mounts ...Mount) http.Handler {
+	return obs.NewHandler(r, peers, mounts...)
 }
 
 // RegisterRuntimeMetrics exposes Go runtime health at /metrics —

@@ -272,7 +272,7 @@ func run() error {
 		}
 		mounts = append(mounts, sc.Mount{Pattern: "/debug/mesh", Handler: p.MeshHandler()})
 		endpoints += " /debug/mesh"
-		admin := &http.Server{Handler: sc.NewAdminHandler(reg, p.Health(), mounts...)}
+		admin := &http.Server{Handler: sc.NewAdminHandler(reg, p.Health, mounts...)}
 		go admin.Serve(ln)
 		defer admin.Close()
 		log.Info("admin endpoint up", "addr", ln.Addr().String(),

@@ -484,9 +484,10 @@ func TestQueryAllNode(t *testing.T) {
 	if err := n.ResyncPeers(); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.MarkPeerUp(first.Addr()); err != nil {
-		t.Fatal(err)
+	for i := 0; i < DefaultBreakerThreshold; i++ {
+		n.FetchDone(first.Addr(), false)
 	}
+	n.FetchDone(first.Addr(), true) // coming back up publishes nothing either
 	st := n.Stats()
 	if st.UpdatesSent != 0 || st.FalseHits != 0 || st.RemoteHits != 1 || st.QueriesSent != 4 {
 		t.Fatalf("stats = %+v, want 4 queries, 1 remote hit, no false hit and no update sent", st)

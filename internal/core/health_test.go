@@ -1,7 +1,6 @@
 package core
 
 import (
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -63,17 +62,9 @@ func TestHealthDetectsFailureAndRecovery(t *testing.T) {
 		return len(a.PeerSummaries().Candidates(url)) == 1
 	})
 
-	var mu sync.Mutex
-	events := []bool{}
 	stop := a.StartHealthChecks(HealthConfig{
 		Interval:         50 * time.Millisecond,
-		Timeout:          40 * time.Millisecond,
 		FailureThreshold: 2,
-		OnChange: func(_ *net.UDPAddr, up bool) {
-			mu.Lock()
-			events = append(events, up)
-			mu.Unlock()
-		},
 	})
 	defer stop()
 
@@ -81,9 +72,7 @@ func TestHealthDetectsFailureAndRecovery(t *testing.T) {
 	bAddr := b.Addr()
 	b.Close()
 	waitFor(t, "failure detection", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(events) >= 1 && !events[0]
+		return a.PeerState(bAddr) == PeerDown
 	})
 	waitFor(t, "summary drop", func() bool {
 		return len(a.PeerSummaries().Candidates(url)) == 0
@@ -104,9 +93,7 @@ func TestHealthDetectsFailureAndRecovery(t *testing.T) {
 	defer b2.Close()
 
 	waitFor(t, "recovery detection", func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(events) >= 2 && events[len(events)-1]
+		return a.PeerState(bAddr) == PeerUp
 	})
 	// On recovery, a re-ships its full state to b2: b2's replica of a gets
 	// initialized even though b2 never called AddPeer.
@@ -135,12 +122,11 @@ func TestRemovedPeerForgetsProbeState(t *testing.T) {
 	b.Close()
 	stop := a.StartHealthChecks(HealthConfig{
 		Interval:         20 * time.Millisecond,
-		Timeout:          10 * time.Millisecond,
 		FailureThreshold: 2,
 	})
 	defer stop()
 	down := func() bool {
-		_, down := a.Health().Snapshot()
+		_, down := a.Health()
 		return len(down) == 1
 	}
 	waitFor(t, "the dead peer marked down", down)
@@ -149,7 +135,7 @@ func TestRemovedPeerForgetsProbeState(t *testing.T) {
 	if err := a.AddPeer(bAddr); err != nil {
 		t.Fatal(err)
 	}
-	if a.Health().UpCount() != 1 && !down() {
+	if up, _ := a.Health(); len(up) != 1 && !down() {
 		t.Fatal("re-added peer is neither up nor already found down")
 	}
 	waitFor(t, "the re-added dead peer marked down again", down)
@@ -166,10 +152,141 @@ func TestHealthStopIdempotent(t *testing.T) {
 func TestHealthConfigDefaults(t *testing.T) {
 	cfg := HealthConfig{}
 	cfg.applyDefaults()
-	if cfg.Interval <= 0 || cfg.Timeout <= 0 || cfg.FailureThreshold <= 0 {
+	if cfg.Interval <= 0 || cfg.FailureThreshold <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if cfg.Timeout >= cfg.Interval {
-		t.Fatalf("timeout %v should be below interval %v", cfg.Timeout, cfg.Interval)
+}
+
+// TestRevivedPeerFoundDownAgain: a peer the prober took down and a
+// delivered fetch brought back up is judged afresh, so a peer that is
+// still dead is found down again.
+func TestRevivedPeerFoundDownAgain(t *testing.T) {
+	var mu sync.Mutex
+	a := newHealthNode(t, map[string]bool{}, &mu)
+	b := newHealthNode(t, map[string]bool{}, &mu)
+	bAddr := b.Addr()
+	if err := a.AddPeer(bAddr); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	stop := a.StartHealthChecks(HealthConfig{
+		Interval:         20 * time.Millisecond,
+		FailureThreshold: 2,
+	})
+	defer stop()
+	waitFor(t, "the dead peer marked down", func() bool { return a.PeerState(bAddr) == PeerDown })
+
+	a.FetchDone(bAddr, true)
+	if got := a.PeerState(bAddr); got != PeerUp {
+		t.Fatalf("after a delivered fetch the peer is %v, want up", got)
+	}
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for a.PeerState(bAddr) != PeerDown {
+		if time.Now().After(deadline) {
+			t.Fatal("the revived dead peer was not found down again within 500ms")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPeerStateMachine walks one peer through every liveness transition,
+// from both evidence sources: fetch failures trip it at the threshold,
+// a down peer admits exactly one probing fetch per cooldown, a failed
+// probing fetch takes it back down and a delivered one brings it up;
+// missed probes take it down, and a probe answer revives only a peer the
+// prober took down. Every revival re-ships the full state.
+func TestPeerStateMachine(t *testing.T) {
+	const cooldown = 50 * time.Millisecond
+	n, err := NewNode(NodeConfig{
+		ListenAddr:       "127.0.0.1:0",
+		HasDocument:      func(string) bool { return false },
+		BreakerThreshold: 3,
+		BreakerCooldown:  cooldown,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	n.StartHealthChecks(HealthConfig{Interval: time.Hour, FailureThreshold: 2})() // sets the probe threshold only
+	addr := sinkAddr(t)
+	if err := n.AddPeer(addr); err != nil {
+		t.Fatal(err)
+	}
+	p := n.member(addr)
+
+	steps := []struct {
+		op    string // admit, refuse, ok, fail, wait, miss, answer, readd
+		want  PeerState
+		ships bool // the step re-shipped the full state
+	}{
+		{"admit", PeerUp, false},
+		{"fail", PeerUp, false},
+		{"fail", PeerUp, false},
+		{"ok", PeerUp, false}, // restarts the run; not a recovery
+		{"fail", PeerUp, false},
+		{"fail", PeerUp, false},
+		{"fail", PeerDown, false}, // the third consecutive failure trips
+		{"refuse", PeerDown, false},
+		{"wait", PeerDown, false},
+		{"admit", PeerProbing, false}, // one probing fetch after the cooldown
+		{"refuse", PeerProbing, false},
+		{"fail", PeerDown, false}, // a failed probing fetch re-opens
+		{"refuse", PeerDown, false},
+		{"answer", PeerDown, false}, // fetch-down: an ICP answer does not revive
+		{"wait", PeerDown, false},
+		{"admit", PeerProbing, false},
+		{"ok", PeerUp, true}, // a delivered probing fetch closes
+		{"admit", PeerUp, false},
+		{"miss", PeerUp, false},
+		{"miss", PeerDown, false}, // FailureThreshold missed probes
+		{"refuse", PeerDown, false},
+		{"answer", PeerUp, true}, // prober-down: an answer revives
+		{"miss", PeerUp, false},  // both counts restarted
+		{"fail", PeerUp, false},
+		{"fail", PeerUp, false},
+		{"miss", PeerDown, false},
+		{"wait", PeerDown, false},
+		{"admit", PeerProbing, false},
+		{"ok", PeerUp, true}, // a delivered fetch revives a prober-down peer
+		{"fail", PeerUp, false},
+		{"fail", PeerUp, false},
+		{"fail", PeerDown, false},
+		{"readd", PeerUp, true}, // AddPeer resets it
+		{"fail", PeerUp, false},
+	}
+	for i, s := range steps {
+		sent := n.Stats().UpdatesSent
+		switch s.op {
+		case "admit", "refuse":
+			if got := n.AdmitFetch(addr); got != (s.op == "admit") {
+				t.Fatalf("step %d: AdmitFetch = %v, want %s", i, got, s.op)
+			}
+		case "ok", "fail":
+			n.FetchDone(addr, s.op == "ok")
+		case "wait":
+			time.Sleep(cooldown + 10*time.Millisecond)
+		case "miss":
+			n.observe(p, probeMissed)
+		case "answer":
+			n.observe(p, probeAnswered)
+		case "readd":
+			if err := n.AddPeer(addr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := n.PeerState(addr); got != s.want {
+			t.Fatalf("step %d (%s): state %v, want %v", i, s.op, got, s.want)
+		}
+		if shipped := n.Stats().UpdatesSent > sent; shipped != s.ships {
+			t.Fatalf("step %d (%s): re-shipped %v, want %v", i, s.op, shipped, s.ships)
+		}
+		if up, down := n.Health(); (len(up) == 1) != (s.want == PeerUp) || len(up)+len(down) != 1 {
+			t.Fatalf("step %d (%s): health up=%v down=%v disagrees with %v", i, s.op, up, down, s.want)
+		}
+	}
+	for _, s := range []PeerState{PeerUp, PeerDown, PeerProbing, PeerState(7)} {
+		if s.String() == "" {
+			t.Errorf("empty string for state %d", int(s))
+		}
 	}
 }

@@ -110,16 +110,18 @@ func TestNodeCloseWithoutTimer(t *testing.T) {
 	}
 }
 
-// TestMarkPeerDownUp exercises the external failure feed the HTTP circuit
-// breaker drives: down drops the replica (no more nominations) and flips
-// health; up restores health and re-ships full state so the peer's
+// TestMarkPeerDownUp exercises the fetch verdicts the HTTP layer reports:
+// a failed fetch at the threshold takes the peer down, which drops the
+// replica (no more nominations) and flips health; a delivered one brings
+// it up, restoring health and re-shipping full state so the peer's
 // replica of us reconverges.
 func TestMarkPeerDownUp(t *testing.T) {
 	mk := func() *Node {
 		n, err := NewNode(NodeConfig{
-			ListenAddr:  "127.0.0.1:0",
-			Directory:   DirectoryConfig{ExpectedDocs: 200, UpdateThreshold: 0.01},
-			HasDocument: func(string) bool { return true },
+			ListenAddr:       "127.0.0.1:0",
+			Directory:        DirectoryConfig{ExpectedDocs: 200, UpdateThreshold: 0.01},
+			HasDocument:      func(string) bool { return true },
+			BreakerThreshold: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -142,21 +144,19 @@ func TestMarkPeerDownUp(t *testing.T) {
 	})
 
 	bID := b.Addr().String()
-	a.MarkPeerDown(b.Addr())
+	a.FetchDone(b.Addr(), false)
 	if got := a.PeerSummaries().Candidates(doc); len(got) != 0 {
-		t.Fatalf("candidates after MarkPeerDown = %v, want none", got)
+		t.Fatalf("candidates after a failed fetch = %v, want none", got)
 	}
-	if up, down := a.Health().Snapshot(); len(down) != 1 || down[0] != bID {
+	if up, down := a.Health(); len(down) != 1 || down[0] != bID {
 		t.Fatalf("health after down: up=%v down=%v", up, down)
 	}
 
-	if err := a.MarkPeerUp(b.Addr()); err != nil {
-		t.Fatal(err)
+	a.FetchDone(b.Addr(), true)
+	if up, _ := a.Health(); len(up) != 1 {
+		t.Fatal("health not restored by a delivered fetch")
 	}
-	if a.Health().UpCount() != 1 {
-		t.Fatal("health not restored by MarkPeerUp")
-	}
-	// MarkPeerUp re-ships A's full state: B's replica of A must converge
+	// Coming up re-ships A's full state: B's replica of A must converge
 	// to A's own filter.
 	waitFor(t, "b's replica of a to converge", func() bool {
 		snap, ok := b.PeerSummaries().ReplicaSnapshot(a.Addr().String())

@@ -121,6 +121,13 @@ type NodeConfig struct {
 	// all-MISS round is an ordinary miss. No summary predicts anything, so
 	// Directory, Decisions and FalseMissAuditEvery are unused.
 	QueryAll bool
+	// BreakerThreshold takes an up peer down after this many consecutive
+	// failed fetches reported to FetchDone. 0: DefaultBreakerThreshold;
+	// negative: AdmitFetch admits every fetch and FetchDone records nothing.
+	BreakerThreshold int
+	// BreakerCooldown is how long a down peer waits before AdmitFetch admits
+	// one probing fetch. 0: DefaultBreakerCooldown; negative: no wait.
+	BreakerCooldown time.Duration
 }
 
 // NodeStats counts a node's protocol activity.
@@ -219,11 +226,13 @@ type Node struct {
 	dir   *Directory
 	peers *PeerTable
 
-	// mu guards the registered peers: members in registration order, and
-	// byAddr finding one from a datagram's source without allocating.
-	mu      sync.RWMutex
-	members []*peer
-	byAddr  map[netip.AddrPort]*peer
+	// mu guards the registered peers: members in registration order,
+	// byAddr finding one from a datagram's source without allocating, and
+	// their liveness; probeLimit is the running prober's FailureThreshold.
+	mu         sync.RWMutex
+	members    []*peer
+	byAddr     map[netip.AddrPort]*peer
+	probeLimit int
 
 	// The publisher goroutine is the only sender of DIRUPDATEs. wake (one
 	// slot) carries threshold trips from the cache's change hook without
@@ -243,7 +252,6 @@ type Node struct {
 
 	metrics nodeMetrics
 	reg     *obs.Registry
-	health  *obs.Health
 	log     *slog.Logger
 	tracer  *tracing.Tracer // nil: tracing disabled
 
@@ -265,6 +273,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.QueryTimeout <= 0 {
 		cfg.QueryTimeout = DefaultQueryTimeout
 	}
+	if cfg.BreakerThreshold == 0 {
+		cfg.BreakerThreshold = DefaultBreakerThreshold
+	}
+	if cfg.BreakerCooldown == 0 {
+		cfg.BreakerCooldown = DefaultBreakerCooldown
+	}
 	if cfg.QueryAll {
 		// The smallest directory stands in for the summary a query-all node
 		// does not keep: nothing ever writes it, so it reads empty.
@@ -280,7 +294,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		dir:     dir,
 		peers:   NewPeerTable(),
 		byAddr:  make(map[netip.AddrPort]*peer),
-		health:  obs.NewHealth(),
 		log:     obs.OrNop(cfg.Logger),
 		tracer:  cfg.Tracer,
 		wake:    make(chan struct{}, 1),
@@ -344,7 +357,10 @@ func (n *Node) initMetrics(reg *obs.Registry) {
 		st(func(s icp.Stats) uint64 { return s.SendErrors }))
 	reg.GaugeFunc("summarycache_node_peers_up",
 		"registered peers currently believed up", labels,
-		func() float64 { return float64(n.health.UpCount()) })
+		func() float64 {
+			up, _ := n.Health()
+			return float64(len(up))
+		})
 	reg.GaugeFunc("summarycache_node_peers_known",
 		"registered peer addresses", labels,
 		func() float64 {
@@ -372,10 +388,6 @@ func (n *Node) initMetrics(reg *obs.Registry) {
 
 // Metrics returns the registry the node instruments itself against.
 func (n *Node) Metrics() *obs.Registry { return n.reg }
-
-// Health returns the peer up/down tracker backing /healthz. Peers are
-// presumed up when registered; StartHealthChecks drives transitions.
-func (n *Node) Health() *obs.Health { return n.health }
 
 // publisher is the node's only sender of DIRUPDATEs, so deltas and
 // full-state resets reach each peer in publication order: flip records
@@ -477,20 +489,22 @@ func (n *Node) Stats() NodeStats {
 }
 
 // peer is one registered neighbor: its address, its identifier (the
-// address string that keys its replica, its series and its health entry),
-// what this node's update stream has cost it, and the health prober's
-// verdict on it. RemovePeer drops the record, and every piece of state
-// with it.
+// address string that keys its replica and its series), what this node's
+// update stream has cost it, and its liveness. RemovePeer drops the record,
+// and every piece of state with it.
 type peer struct {
 	addr *net.UDPAddr
 	id   string
 
 	updates, bytes atomic.Uint64 // DIRUPDATE messages and bytes sent to it
 
-	// The prober's consecutive unanswered probes and down verdict, under
-	// Node.mu.
-	misses int
-	down   bool
+	// Liveness, under Node.mu (see observe): the state; since when the
+	// peer is down and whether the prober took it there; its consecutive
+	// unanswered probes and failed fetches.
+	state         PeerState
+	downSince     time.Time
+	probeDown     bool
+	misses, fails int
 }
 
 // addrKey names a UDP address as the peer records are keyed: an IPv4
@@ -527,8 +541,9 @@ func (n *Node) memberList() []*peer {
 
 // AddPeer registers a neighbor and bootstraps it with this node's full
 // summary state so its replica starts correct. It returns once that state
-// is sent. Re-adding a registered neighbor marks it up, so the health
-// prober judges it afresh, and bootstraps it again.
+// is sent. Re-adding a registered neighbor brings it up with both failure
+// counts restarted, so both evidence sources judge it afresh, and
+// bootstraps it again.
 func (n *Node) AddPeer(addr *net.UDPAddr) error {
 	key := addrKey(addr)
 	n.mu.Lock()
@@ -538,44 +553,12 @@ func (n *Node) AddPeer(addr *net.UDPAddr) error {
 		n.byAddr[key] = p
 		n.members = append(n.members, p)
 	}
-	p.misses, p.down = 0, false
 	n.mu.Unlock()
-	n.health.SetPeer(p.id, true)
 	if !known {
 		n.registerPeerMetrics(p)
+	} else if from, _, err := n.observe(p, reAdded); from != PeerUp {
+		return err // coming up re-shipped the full state
 	}
-	return n.publish(p)
-}
-
-// MarkPeerDown records an externally detected failure of a registered
-// neighbor — typically the HTTP layer's circuit breaker tripping on
-// consecutive failed sibling fetches. The peer's summary replica is
-// dropped so a sibling that cannot deliver documents stops attracting
-// nominations, and /healthz reports it down. The peer stays registered:
-// its next directory update (proof of life) rebuilds the replica, and
-// MarkPeerUp restores it fully. An unregistered address is ignored.
-func (n *Node) MarkPeerDown(addr *net.UDPAddr) {
-	p := n.member(addr)
-	if p == nil {
-		return
-	}
-	n.peers.Drop(p.id)
-	n.health.SetPeer(p.id, false)
-	n.log.Warn("peer marked down", "peer", p.id, "source", "external")
-}
-
-// MarkPeerUp records an externally detected recovery (a circuit breaker's
-// half-open probe succeeding): /healthz reports the peer up again and
-// this node re-ships its full summary state so the recovered neighbor's
-// replica of us restarts correct — the same resync path the health
-// prober's recovery transition uses. An unregistered address is ignored.
-func (n *Node) MarkPeerUp(addr *net.UDPAddr) error {
-	p := n.member(addr)
-	if p == nil {
-		return nil
-	}
-	n.health.SetPeer(p.id, true)
-	n.log.Info("peer marked up", "peer", p.id, "source", "external")
 	return n.publish(p)
 }
 
@@ -641,8 +624,8 @@ func (n *Node) Recover(directory []byte, removed []string, keys func() []string,
 	}
 }
 
-// RemovePeer forgets a neighbor: its record, its summary and its health
-// entry. Every peer-labeled series the node registered for it is retired
+// RemovePeer forgets a neighbor: its record, with its liveness, and its
+// summary. Every peer-labeled series the node registered for it is retired
 // with it — peer churn must not leave stale series in the exposition.
 func (n *Node) RemovePeer(addr *net.UDPAddr) {
 	key := addrKey(addr)
@@ -654,7 +637,6 @@ func (n *Node) RemovePeer(addr *net.UDPAddr) {
 	}
 	n.mu.Unlock()
 	id := addr.String()
-	n.health.RemovePeer(id)
 	n.peers.Drop(id)
 	n.reg.Unregister(obs.L("node", n.self, "peer", id))
 }

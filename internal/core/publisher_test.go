@@ -232,8 +232,8 @@ func (s slowSocket) WriteToUDP(b []byte, to *net.UDPAddr) (int, error) {
 
 // TestPublicationCallsReturnAfterSending pins the flush barrier that the
 // benchmark and the e2e tests rely on (FlushSummary, then wait until
-// updates received ≥ updates sent): PublishNow, AddPeer, MarkPeerUp and
-// ResyncPeers return only once every datagram of their publication is
+// updates received ≥ updates sent): PublishNow, AddPeer, a peer's revival
+// by a delivered fetch (FetchDone) and ResyncPeers return only once every datagram of their publication is
 // written and counted, and a refused send is AddPeer's error.
 func TestPublicationCallsReturnAfterSending(t *testing.T) {
 	const maxFlips = 16
@@ -274,7 +274,10 @@ func TestPublicationCallsReturnAfterSending(t *testing.T) {
 	}
 	check("AddPeer(a)", func() error { return n.AddPeer(a) }, full)
 	check("AddPeer(b)", func() error { return n.AddPeer(b) }, full)
-	check("MarkPeerUp(a)", func() error { return n.MarkPeerUp(a) }, full)
+	for i := 0; i < DefaultBreakerThreshold; i++ {
+		n.FetchDone(a, false) // takes a down; going down sends nothing
+	}
+	check("FetchDone(a, true)", func() error { n.FetchDone(a, true); return nil }, full)
 	check("ResyncPeers", n.ResyncPeers, 2*full)
 	check("PublishNow", func() error { n.PublishNow(); return nil }, 2*messages(n.Directory().PendingFlips()))
 

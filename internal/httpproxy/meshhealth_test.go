@@ -48,7 +48,7 @@ func TestRemovePeerDropsMetricSeries(t *testing.T) {
 	if strings.Contains(after, `peer="`+peerID+`"`) {
 		t.Errorf("stale per-peer series survived RemovePeer:\n%s", after)
 	}
-	if got := p1.BreakerState(peerID); got != BreakerClosed {
+	if got := p1.BreakerState(peerID); got != core.PeerUp {
 		t.Errorf("BreakerState after removal = %v", got)
 	}
 

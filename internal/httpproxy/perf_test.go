@@ -117,7 +117,7 @@ func TestPerfSLOBreachEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	admin := httptest.NewServer(obs.NewHandler(reg, proxies[0].Health(),
+	admin := httptest.NewServer(obs.NewHandler(reg, proxies[0].Health,
 		obs.Mount{Pattern: "/debug/traces", Handler: tracer.Handler()},
 		obs.Mount{Pattern: "/debug/slo", Handler: watch.SLOHandler()},
 		obs.Mount{Pattern: "/debug/perf", Handler: watch.PerfHandler()},

@@ -17,7 +17,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,12 +56,6 @@ const (
 	// maxBackoffFactor caps the exponential growth (50ms default base
 	// tops out at 1.6s).
 	maxBackoffFactor = 32
-	// DefaultBreakerThreshold is the consecutive sibling-fetch failures
-	// that trip a peer's circuit breaker.
-	DefaultBreakerThreshold = 5
-	// DefaultBreakerCooldown is how long a tripped breaker stays open
-	// before admitting a half-open probe fetch.
-	DefaultBreakerCooldown = 5 * time.Second
 	// DefaultReadHeaderTimeout bounds a client's request-header write, so
 	// slow-header (slowloris-style) clients cannot pin handler resources.
 	DefaultReadHeaderTimeout = 10 * time.Second
@@ -172,14 +165,15 @@ type Config struct {
 	// capped, with ±50% jitter so a mesh recovering from a shared origin
 	// outage does not retry in lockstep. 0: DefaultFetchBackoff.
 	FetchBackoff time.Duration
-	// BreakerThreshold trips a sibling's circuit breaker after this many
-	// consecutive failed cache-only fetches; while open, nominated
-	// documents go straight to the origin (a false hit, not an error) and
-	// the SC-ICP node drops the sibling's summary so it stops attracting
-	// nominations. 0: DefaultBreakerThreshold; negative: breaker disabled.
+	// BreakerThreshold takes a sibling down after this many consecutive
+	// failed cache-only fetches; while it is down, nominated documents go
+	// straight to the origin (a false hit, not an error) and the SC-ICP
+	// node drops the sibling's summary so it stops attracting nominations.
+	// 0: core.DefaultBreakerThreshold; negative: fetches never take a
+	// sibling down and are never refused.
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before one
-	// half-open probe fetch is admitted. 0: DefaultBreakerCooldown.
+	// BreakerCooldown is how long a down sibling waits before one probing
+	// fetch is admitted. 0: core.DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
 	// ReadHeaderTimeout bounds how long the listener waits for a client's
 	// request headers. 0: DefaultReadHeaderTimeout; negative: unbounded.
@@ -249,8 +243,8 @@ type Stats struct {
 	// Retries counts additional origin fetch attempts after retryable
 	// failures (each logical fetch still counts once in OriginFetches).
 	Retries uint64
-	// BreakerSkips counts sibling fetches suppressed by an open circuit
-	// breaker (each becomes an origin fallback, classed a false hit).
+	// BreakerSkips counts sibling fetches refused because the sibling is
+	// down (each becomes an origin fallback, classed a false hit).
 	BreakerSkips uint64
 	// HTTPMessages approximates the paper's TCP packet accounting at the
 	// application level: every HTTP transaction is a request plus a
@@ -313,7 +307,7 @@ func newProxyMetrics(reg *obs.Registry, labels obs.Labels) proxyMetrics {
 		retries: reg.Counter("summarycache_proxy_retries_total",
 			"origin fetch attempts repeated after retryable failures", labels),
 		breakerSkips: reg.Counter("summarycache_proxy_breaker_skips_total",
-			"sibling fetches suppressed by an open circuit breaker", labels),
+			"sibling fetches refused because the sibling is down", labels),
 		inflight: reg.Gauge("summarycache_proxy_inflight_requests",
 			"client requests currently being served", labels),
 		latency: make(map[string]*obs.Histogram),
@@ -336,14 +330,12 @@ type Proxy struct {
 	node *core.Node
 
 	sibMu    sync.RWMutex
-	siblings map[string]sibling // by ICP address string
+	siblings map[string]string // HTTP base URL by ICP address string
 
 	// Resolved resilience knobs (Config defaults applied once at Start).
-	fetchTimeout     time.Duration // 0: unbounded
-	fetchRetries     int
-	fetchBackoff     time.Duration
-	breakerThreshold int // <= 0: disabled
-	breakerCooldown  time.Duration
+	fetchTimeout time.Duration // 0: unbounded
+	fetchRetries int
+	fetchBackoff time.Duration
 
 	ln  net.Listener
 	srv *http.Server
@@ -360,12 +352,6 @@ type Proxy struct {
 	snapStop    chan struct{} // nil: no periodic snapshot loop
 	snapDone    chan struct{}
 	persistOnce sync.Once // shutdownPersist runs at most once
-}
-
-// sibling is one registered peer as the HTTP layer sees it.
-type sibling struct {
-	url string   // HTTP base URL for cache-only fetches
-	br  *breaker // its circuit; nil when the breaker is disabled
 }
 
 // resolveDuration applies the 0=default / negative=disabled convention.
@@ -405,13 +391,11 @@ func Start(cfg Config) (*Proxy, error) {
 		cfg.QueryTimeout = core.DefaultQueryTimeout
 	}
 	p := &Proxy{
-		cfg:              cfg,
-		siblings:         make(map[string]sibling),
-		fetchTimeout:     resolveDuration(cfg.FetchTimeout, DefaultFetchTimeout),
-		fetchRetries:     resolveCount(cfg.FetchRetries, DefaultFetchRetries),
-		fetchBackoff:     resolveDuration(cfg.FetchBackoff, DefaultFetchBackoff),
-		breakerThreshold: resolveCount(cfg.BreakerThreshold, DefaultBreakerThreshold),
-		breakerCooldown:  resolveDuration(cfg.BreakerCooldown, DefaultBreakerCooldown),
+		cfg:          cfg,
+		siblings:     make(map[string]string),
+		fetchTimeout: resolveDuration(cfg.FetchTimeout, DefaultFetchTimeout),
+		fetchRetries: resolveCount(cfg.FetchRetries, DefaultFetchRetries),
+		fetchBackoff: resolveDuration(cfg.FetchBackoff, DefaultFetchBackoff),
 	}
 	// The HTTP fault schedule is drawn before the node wraps its socket, so
 	// a scenario's seeded streams keep their order.
@@ -488,6 +472,8 @@ func Start(cfg Config) (*Proxy, error) {
 			Decisions:           p.decisions,
 			FalseMissAuditEvery: cfg.FalseMissAuditEvery,
 			QueryAll:            cfg.Mode == ModeICP,
+			BreakerThreshold:    cfg.BreakerThreshold,
+			BreakerCooldown:     cfg.BreakerCooldown,
 		}
 		if cfg.Perf != nil {
 			// Only set for a live Watch: the node gates on a nil func, so
@@ -555,39 +541,22 @@ func (p *Proxy) registerCacheMetrics(reg *obs.Registry, labels obs.Labels) {
 // what an admin endpoint serves.
 func (p *Proxy) Registry() *obs.Registry { return p.reg }
 
-// Health returns the peer up/down tracker backing /healthz: the protocol
-// node's, which sibling registration, StartHealthChecks and the circuit
-// breakers all drive. Nil in ModeNone, which has no peers.
-func (p *Proxy) Health() *obs.Health {
+// Health returns the siblings' ICP addresses by liveness, sorted: up, and
+// down. It is what /healthz reports; ModeNone has no siblings.
+func (p *Proxy) Health() (up, down []string) {
 	if p.node == nil {
-		return nil
+		return nil, nil
 	}
 	return p.node.Health()
 }
 
 // StartHealthChecks begins probing the siblings over ICP, in both
 // cooperating modes (no-op stop function in ModeNone, which has no
-// siblings). The prober's verdicts are fed to the per-sibling circuit
-// breakers — a peer found down by UDP probing has its breaker forced open
-// (no point attempting HTTP fetches), and a recovery resets it (the probe
-// round-trip is the mesh-level half-open trial) — before any
-// caller-supplied OnChange observes the transition.
+// siblings). A sibling the prober finds down is refused fetches like one
+// its failed fetches took down.
 func (p *Proxy) StartHealthChecks(cfg core.HealthConfig) (stop func()) {
 	if p.node == nil {
 		return func() {}
-	}
-	user := cfg.OnChange
-	cfg.OnChange = func(peer *net.UDPAddr, up bool) {
-		if br := p.sibling(peer.String()).br; br != nil {
-			if up {
-				br.Reset()
-			} else {
-				br.ForceOpen()
-			}
-		}
-		if user != nil {
-			user(peer, up)
-		}
 	}
 	return p.node.StartHealthChecks(cfg)
 }
@@ -648,24 +617,20 @@ func (p *Proxy) AddPeer(icpAddr *net.UDPAddr, httpURL string) error {
 	}
 	id := icpAddr.String()
 	p.sibMu.Lock()
-	s, known := p.siblings[id]
-	if !known && p.breakerThreshold > 0 {
-		s.br = newBreaker(p.breakerThreshold, p.breakerCooldown)
-	}
-	s.url = httpURL
-	p.siblings[id] = s
+	_, known := p.siblings[id]
+	p.siblings[id] = httpURL
 	p.sibMu.Unlock()
-	if br := s.br; !known && br != nil {
+	if !known && p.cfg.BreakerThreshold >= 0 {
 		p.reg.GaugeFunc("summarycache_proxy_breaker_state",
-			"sibling circuit state (0 closed, 1 open, 2 half-open)",
+			"sibling liveness (0 up, 1 down, 2 probing)",
 			obs.L("proxy", p.ln.Addr().String(), "peer", id),
-			func() float64 { return float64(br.State()) })
+			func() float64 { return float64(p.node.PeerState(icpAddr)) })
 	}
 	return p.node.AddPeer(icpAddr)
 }
 
-// RemovePeer drops a sibling: its ICP endpoint, HTTP mapping, circuit
-// breaker, summary replica (ModeSCICP), decision accounting, and — the
+// RemovePeer drops a sibling: its ICP endpoint, HTTP mapping, liveness,
+// summary replica (ModeSCICP), decision accounting, and — the
 // part peer churn gets wrong by default — every metric series labeled
 // with the departed peer, so /metrics stops exposing stale series.
 func (p *Proxy) RemovePeer(icpAddr *net.UDPAddr) {
@@ -678,25 +643,26 @@ func (p *Proxy) RemovePeer(icpAddr *net.UDPAddr) {
 	}
 	p.decisions.RemovePeer(id)
 	// Sweep anything else labeled for this peer under the proxy's label
-	// set (the breaker-state gauge in particular).
+	// set (the liveness gauge in particular).
 	p.reg.Unregister(obs.L("proxy", p.ln.Addr().String(), "peer", id))
 }
 
-// sibling returns the registered sibling with ICP address string id (the
-// zero sibling when unknown).
-func (p *Proxy) sibling(id string) sibling {
+// siblingURL returns the HTTP base URL of the sibling with ICP address
+// string id ("" when unknown).
+func (p *Proxy) siblingURL(id string) string {
 	p.sibMu.RLock()
 	defer p.sibMu.RUnlock()
 	return p.siblings[id]
 }
 
-// BreakerState reports the sibling's circuit position (BreakerClosed for
-// unknown peers or when the breaker is disabled) — diagnostics and tests.
-func (p *Proxy) BreakerState(icpAddr string) BreakerState {
-	if br := p.sibling(icpAddr).br; br != nil {
-		return br.State()
+// BreakerState reports the sibling's liveness (core.PeerUp for unknown
+// peers) — diagnostics and tests.
+func (p *Proxy) BreakerState(icpAddr string) core.PeerState {
+	addr, err := net.ResolveUDPAddr("udp", icpAddr)
+	if p.node == nil || err != nil {
+		return core.PeerUp
 	}
-	return BreakerClosed
+	return p.node.PeerState(addr)
 }
 
 // Resync re-ships this proxy's full summary state to every SC-ICP peer —
@@ -770,7 +736,7 @@ func (p *Proxy) Tracer() *tracing.Tracer { return p.tracer }
 func (p *Proxy) Decisions() *meshhealth.Accounting { return p.decisions }
 
 // MeshReport assembles this proxy's mesh-health view: local advertisement
-// staleness, one row per sibling (replica health, breaker, wire bytes,
+// staleness, one row per sibling (replica health, liveness, wire bytes,
 // attributed decisions), and the recent false-decision trail.
 func (p *Proxy) MeshReport() meshhealth.Report {
 	rep := meshhealth.Report{
@@ -801,13 +767,12 @@ func (p *Proxy) MeshReport() meshhealth.Report {
 		for _, h := range p.node.PeerSummaries().HealthAll() {
 			replicas[h.Peer] = h
 		}
-		up, _ := p.node.Health().Snapshot() // sorted
 		for _, addr := range p.node.PeerAddrs() {
 			id := addr.String()
-			_, isUp := slices.BinarySearch(up, id)
-			pr := meshhealth.PeerReport{Peer: id, Up: isUp}
-			if br := p.sibling(id).br; br != nil {
-				pr.Breaker = br.State().String()
+			st := p.node.PeerState(addr)
+			pr := meshhealth.PeerReport{Peer: id, Up: st == core.PeerUp}
+			if p.cfg.BreakerThreshold >= 0 {
+				pr.Breaker = st.String()
 			}
 			if h, ok := replicas[id]; ok {
 				pr.HasReplica = true
@@ -1145,7 +1110,7 @@ func (p *Proxy) finishRemoteHit(ctx context.Context, id string, from *net.UDPAdd
 	}
 	if !ok {
 		// A claimed HIT that was not delivered (eviction race, dark
-		// sibling, open breaker) is a false hit charged to the claimer.
+		// sibling, sibling down) is a false hit charged to the claimer.
 		p.decisions.FalseHit(id, key, traceIDFrom(ctx))
 		return nil, false, true, false
 	}
@@ -1182,11 +1147,13 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 			})
 		}()
 	}
-	sib := p.sibling(id)
-	br := sib.br
-	if br != nil && !br.Allow() {
-		// The sibling's circuit is open: skip the doomed fetch and let the
-		// caller fall through to the origin (a false hit, not an error).
+	base := p.siblingURL(id)
+	if base == "" {
+		return nil, 0, false
+	}
+	if !p.node.AdmitFetch(peer) {
+		// The sibling is down: skip the doomed fetch and let the caller
+		// fall through to the origin (a false hit, not an error).
 		p.metrics.breakerSkips.Inc()
 		actual = "breaker_open"
 		if tr := tracing.FromContext(ctx); tr != nil {
@@ -1194,29 +1161,13 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 		}
 		return nil, 0, false
 	}
-	if sib.url == "" {
-		return nil, 0, false
-	}
 	p.metrics.peerFetches.Inc()
 	// One bounded cache-only fetch, never retried: the origin fallback is
 	// always available and strictly cheaper than a second trip to a flaky
 	// sibling. A non-200 is the eviction race, a false hit after all.
-	status, body, version, err := p.up.get(sib.url + CacheOnlyPath + "?url=" + url.QueryEscape(target))
+	status, body, version, err := p.up.get(base + CacheOnlyPath + "?url=" + url.QueryEscape(target))
 	ok = err == nil && status == http.StatusOK
-	if br != nil {
-		if ok {
-			if br.Success() {
-				// The half-open probe delivered: restore the sibling in the
-				// health tracker (and, under SC-ICP, re-ship full state so
-				// its replica of us reconverges).
-				_ = p.node.MarkPeerUp(peer)
-			}
-		} else if br.Failure() {
-			// Threshold crossed: under SC-ICP this also drops the sibling's
-			// summary replica, so it stops attracting nominations while dark.
-			p.node.MarkPeerDown(peer)
-		}
-	}
+	p.node.FetchDone(peer, ok)
 	if ok {
 		actual = "ok"
 	}

@@ -20,72 +20,113 @@ import (
 
 // --- breaker state machine ---
 
+// breakerGauge reads p's summarycache_proxy_breaker_state series for peer
+// off /metrics.
+func breakerGauge(t *testing.T, p *Proxy, peer string) string {
+	t.Helper()
+	prefix := `summarycache_proxy_breaker_state{peer="` + peer + `"`
+	for _, line := range strings.Split(scrape(t, p.Registry()), "\n") {
+		if strings.HasPrefix(line, prefix) {
+			return line[strings.LastIndexByte(line, ' ')+1:]
+		}
+	}
+	t.Fatalf("no breaker gauge for %s", peer)
+	return ""
+}
+
+// TestBreakerStateMachine drives a sibling's circuit through the fetch
+// path's two entry points (admission and result) as the proxy sees it:
+// BreakerState and the breaker gauge agree at every step.
 func TestBreakerStateMachine(t *testing.T) {
 	const cooldown = 50 * time.Millisecond
-	b := newBreaker(3, cooldown)
+	mk := func() *Proxy {
+		p, err := Start(Config{
+			Mode: ModeICP, CacheBytes: 8 << 20,
+			QueryTimeout:     time.Second,
+			BreakerThreshold: 3,
+			BreakerCooldown:  cooldown,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+	a, b := mk(), mk()
+	peer := b.ICPAddr()
+	id := peer.String()
+	if err := a.AddPeer(peer, b.URL()); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, want core.PeerState) {
+		t.Helper()
+		if got := a.BreakerState(id); got != want {
+			t.Fatalf("%s: breaker %v, want %v", what, got, want)
+		}
+		if got, want := breakerGauge(t, a, id), fmt.Sprint(int(want)); got != want {
+			t.Fatalf("%s: breaker gauge %s, want %s", what, got, want)
+		}
+	}
+	allow := func() bool { return a.node.AdmitFetch(peer) }
 
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatal("new breaker not closed/allowing")
+	check("new", core.PeerUp)
+	if !allow() {
+		t.Fatal("new breaker not allowing")
 	}
 	// Failures below the threshold keep it closed; a success resets the run.
-	b.Failure()
-	b.Failure()
-	if b.Success() {
-		t.Fatal("success in closed state reported a recovery")
-	}
-	b.Failure()
-	b.Failure()
-	if tripped := b.Failure(); !tripped {
-		t.Fatal("third consecutive failure did not trip")
-	}
-	if b.State() != BreakerOpen || b.Allow() {
+	a.node.FetchDone(peer, false)
+	a.node.FetchDone(peer, false)
+	a.node.FetchDone(peer, true)
+	check("success after two failures", core.PeerUp)
+	a.node.FetchDone(peer, false)
+	a.node.FetchDone(peer, false)
+	check("two failures after a success", core.PeerUp)
+	a.node.FetchDone(peer, false)
+	check("third consecutive failure", core.PeerDown)
+	if allow() {
 		t.Fatal("tripped breaker still allowing")
 	}
 
 	// Cooldown elapses: exactly one probe is admitted (half-open).
 	time.Sleep(cooldown + 10*time.Millisecond)
-	if !b.Allow() {
+	if !allow() {
 		t.Fatal("no probe admitted after cooldown")
 	}
-	if b.State() != BreakerHalfOpen || b.Allow() {
+	check("probe admitted", core.PeerProbing)
+	if allow() {
 		t.Fatal("second concurrent probe admitted in half-open")
 	}
-	// Failed probe: back to open, silently (peer already marked down).
-	if tripped := b.Failure(); tripped {
-		t.Fatal("failed half-open probe reported a fresh trip")
-	}
-	if b.State() != BreakerOpen {
-		t.Fatal("failed probe did not reopen")
+	// Failed probe: back to open.
+	a.node.FetchDone(peer, false)
+	check("failed probe", core.PeerDown)
+	if allow() {
+		t.Fatal("re-opened breaker allowing before the cooldown")
 	}
 
 	// Second probe succeeds: recovered.
 	time.Sleep(cooldown + 10*time.Millisecond)
-	if !b.Allow() {
+	if !allow() {
 		t.Fatal("no second probe admitted")
 	}
-	if recovered := b.Success(); !recovered {
-		t.Fatal("successful probe did not report recovery")
-	}
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatal("recovered breaker not closed")
-	}
-
-	// External control from the health prober.
-	b.ForceOpen()
-	if b.State() != BreakerOpen {
-		t.Fatal("ForceOpen did not open")
-	}
-	b.Reset()
-	if b.State() != BreakerClosed || !b.Allow() {
-		t.Fatal("Reset did not close")
+	a.node.FetchDone(peer, true)
+	check("successful probe", core.PeerUp)
+	if !allow() {
+		t.Fatal("recovered breaker not allowing")
 	}
 }
 
+// TestBreakerStateStrings: every state the breaker gauge can report, and
+// an unknown one, has a name, and the gauge values are 0 up, 1 down,
+// 2 probing.
 func TestBreakerStateStrings(t *testing.T) {
-	for _, s := range []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen, BreakerState(7)} {
+	for _, s := range []core.PeerState{core.PeerUp, core.PeerDown, core.PeerProbing, core.PeerState(7)} {
 		if s.String() == "" {
 			t.Errorf("empty string for state %d", int(s))
 		}
+	}
+	if core.PeerUp != 0 || core.PeerDown != 1 || core.PeerProbing != 2 {
+		t.Errorf("gauge values up=%d down=%d probing=%d, want 0, 1, 2",
+			core.PeerUp, core.PeerDown, core.PeerProbing)
 	}
 }
 
@@ -396,7 +437,7 @@ func TestBreakerSkipsAsFalseHits(t *testing.T) {
 	// First request through A: B claims HIT, fetch fails, breaker (threshold
 	// 1) trips; the request falls back to the origin and still succeeds.
 	fetchOK(a, u1)
-	if got := a.BreakerState(b.ICPAddr().String()); got != BreakerOpen {
+	if got := a.BreakerState(b.ICPAddr().String()); got != core.PeerDown {
 		t.Fatalf("breaker state after failed fetch = %v, want open", got)
 	}
 	st := a.Stats()
@@ -404,7 +445,7 @@ func TestBreakerSkipsAsFalseHits(t *testing.T) {
 		t.Fatalf("stats after trip = %+v, want 1 false hit / 1 peer fetch", st)
 	}
 	// The trip marked B down in the health tracker.
-	if up, down := a.Health().Snapshot(); len(up) != 0 || len(down) != 1 {
+	if up, down := a.Health(); len(up) != 0 || len(down) != 1 {
 		t.Fatalf("health after trip: up=%v down=%v", up, down)
 	}
 
@@ -423,11 +464,57 @@ func TestBreakerSkipsAsFalseHits(t *testing.T) {
 	}
 }
 
+// TestReAddedPeerFetchedAgain: re-adding a tripped sibling brings it back
+// up at once, so its next claimed hit is fetched instead of skipped until
+// the cooldown passes.
+func TestReAddedPeerFetchedAgain(t *testing.T) {
+	org, err := origin.Start(origin.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { org.Close() })
+	mk := func() *Proxy {
+		p, err := Start(Config{
+			Mode: ModeICP, CacheBytes: 8 << 20,
+			QueryTimeout:     time.Second,
+			BreakerThreshold: 1,
+			BreakerCooldown:  time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+	a, b := mk(), mk()
+	if err := a.AddPeer(b.ICPAddr(), "http://127.0.0.1:1"); err != nil {
+		t.Fatal(err)
+	}
+	m := &mesh{origin: org, proxies: []*Proxy{a, b}}
+	u1, u2 := m.docURL("readd/1", overInline), m.docURL("readd/2", overInline)
+	m.fetch(t, b, u1)
+	m.fetch(t, b, u2)
+	m.fetch(t, a, u1) // B's HIT meets the dead endpoint: tripped
+	if got := a.BreakerState(b.ICPAddr().String()); got != core.PeerDown {
+		t.Fatalf("breaker = %v, want down", got)
+	}
+
+	if err := a.AddPeer(b.ICPAddr(), b.URL()); err != nil {
+		t.Fatal(err)
+	}
+	m.fetch(t, a, u2)
+	if st := a.Stats(); st.RemoteHits != 1 || st.BreakerSkips != 0 {
+		up, _ := a.Health()
+		t.Fatalf("after re-adding: healthy=%v breaker=%v RemoteHits=%d BreakerSkips=%d, want one remote hit",
+			len(up) == 1, a.BreakerState(b.ICPAddr().String()), st.RemoteHits, st.BreakerSkips)
+	}
+}
+
 // TestBreakerTripRecoverySCICP walks the full failure/recovery loop under
 // SC-ICP: a tripped breaker drops the sibling's summary replica (no more
-// nominations, health down); after the sibling resyncs and the cooldown
-// passes, the half-open probe fetch succeeds, the breaker closes, and
-// MarkPeerUp restores health and replica convergence.
+// nominations, health down); re-adding the sibling with a working endpoint
+// brings it back up, and once it resyncs, its nomination is fetched and
+// served as a remote hit.
 func TestBreakerTripRecoverySCICP(t *testing.T) {
 	org, err := origin.Start(origin.Config{})
 	if err != nil {
@@ -481,14 +568,14 @@ func TestBreakerTripRecoverySCICP(t *testing.T) {
 
 	// Nomination → ICP HIT → fetch against the dead endpoint → trip.
 	fetchOK(a, u1)
-	if got := a.BreakerState(bID); got != BreakerOpen {
+	if got := a.BreakerState(bID); got != core.PeerDown {
 		t.Fatalf("breaker = %v, want open", got)
 	}
 	// The trip dropped B's replica: no candidates, health down.
 	if c := a.node.PeerSummaries().Candidates(u1); len(c) != 0 {
 		t.Fatalf("candidates after trip = %v, want none", c)
 	}
-	if a.Health().UpCount() != 0 {
+	if up, _ := a.Health(); len(up) != 0 {
 		t.Fatal("health still up after trip")
 	}
 
@@ -509,11 +596,11 @@ func TestBreakerTripRecoverySCICP(t *testing.T) {
 
 	// Half-open probe: nomination admitted, fetch succeeds, circuit closes.
 	fetchOK(a, u2)
-	if got := a.BreakerState(bID); got != BreakerClosed {
+	if got := a.BreakerState(bID); got != core.PeerUp {
 		t.Fatalf("breaker after successful probe = %v, want closed", got)
 	}
-	if a.Health().UpCount() != 1 {
-		t.Fatal("MarkPeerUp did not restore health")
+	if up, _ := a.Health(); len(up) != 1 {
+		t.Fatal("recovery did not restore health")
 	}
 	st := a.Stats()
 	if st.RemoteHits != 1 {
@@ -568,16 +655,15 @@ func TestInlineHitBypassesSiblingHTTP(t *testing.T) {
 			if st.RemoteHits != 1 || st.PeerFetches != 0 || st.FalseHits != 0 || st.OriginFetches != 0 {
 				t.Fatalf("stats = %+v, want one inline remote hit and no HTTP leg", st)
 			}
-			if got := a.BreakerState(b.ICPAddr().String()); got != BreakerClosed {
+			if got := a.BreakerState(b.ICPAddr().String()); got != core.PeerUp {
 				t.Fatalf("breaker = %v, want closed: an inline hit never tries the dead endpoint", got)
 			}
 		})
 	}
 }
 
-// TestHealthProberDrivesBreaker: the UDP health prober's down verdict
-// forces the breaker open, and its up verdict resets it — before any
-// caller-supplied OnChange observes the transition.
+// TestHealthProberDrivesBreaker: the UDP health prober's down verdict is
+// the state the fetch path reads, so /healthz and the breaker agree.
 func TestHealthProberDrivesBreaker(t *testing.T) {
 	org, err := origin.Start(origin.Config{})
 	if err != nil {
@@ -602,27 +688,26 @@ func TestHealthProberDrivesBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	transitions := make(chan bool, 8)
 	stop := a.StartHealthChecks(core.HealthConfig{
 		Interval:         20 * time.Millisecond,
-		Timeout:          50 * time.Millisecond,
 		FailureThreshold: 2,
-		OnChange:         func(_ *net.UDPAddr, up bool) { transitions <- up },
 	})
 	t.Cleanup(stop)
 
 	// Kill B outright: probes go unanswered, the prober marks it down, and
-	// the chained OnChange must have already forced the breaker open.
+	// the breaker must read open as soon as /healthz reads down.
 	b.Close()
-	select {
-	case up := <-transitions:
-		if up {
-			t.Fatal("first transition was up")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, down := a.Health(); len(down) == 1 {
+			break
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("prober never marked the dead peer down")
+		if time.Now().After(deadline) {
+			t.Fatal("prober never marked the dead peer down")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if got := a.BreakerState(bID); got != BreakerOpen {
+	if got := a.BreakerState(bID); got != core.PeerDown {
 		t.Fatalf("breaker after prober down = %v, want open", got)
 	}
 }
@@ -676,7 +761,7 @@ func TestBreakerDisabled(t *testing.T) {
 	if st.PeerFetches != 3 || st.BreakerSkips != 0 {
 		t.Fatalf("disabled breaker stats = %+v, want every fetch attempted", st)
 	}
-	if got := a.BreakerState(b.ICPAddr().String()); got != BreakerClosed {
+	if got := a.BreakerState(b.ICPAddr().String()); got != core.PeerUp {
 		t.Fatalf("disabled breaker reports %v", got)
 	}
 }

@@ -104,7 +104,7 @@ func TestFalseHitTraceAcrossMesh(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { p.Close() })
-		admin := httptest.NewServer(obs.NewHandler(reg, p.Health(),
+		admin := httptest.NewServer(obs.NewHandler(reg, p.Health,
 			obs.Mount{Pattern: "/debug/traces", Handler: tracer.Handler()}))
 		t.Cleanup(admin.Close)
 		proxies = append(proxies, p)

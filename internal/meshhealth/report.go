@@ -2,7 +2,7 @@ package meshhealth
 
 // Report is one node's complete mesh-health view: its own advertisement
 // state plus one row per peer. The httpproxy layer assembles it from the
-// core peer table, the circuit breakers, and the decision accounting;
+// core peer table, the node's peer liveness, and the decision accounting;
 // /debug/mesh renders it as JSON or HTML.
 type Report struct {
 	// Proxy is the HTTP listen address; Node the ICP address (empty when
@@ -47,13 +47,13 @@ type LocalReport struct {
 	RecoveredEntries int    `json:"recovered_entries"`
 }
 
-// PeerReport is one peer row of the mesh table: replica health, breaker
-// state, wire accounting, and attributed decisions.
+// PeerReport is one peer row of the mesh table: replica health, liveness,
+// wire accounting, and attributed decisions.
 type PeerReport struct {
 	Peer string `json:"peer"`
-	// Up is the health tracker's view; Breaker the circuit-breaker state
-	// ("closed", "open", "half-open"; empty when the proxy keeps no
-	// breaker for this peer).
+	// Up reports the peer's liveness state is up; Breaker names that state
+	// ("up", "down", "probing"; empty when the proxy's fetches never
+	// consult it).
 	Up      bool   `json:"up"`
 	Breaker string `json:"breaker,omitempty"`
 

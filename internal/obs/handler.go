@@ -62,11 +62,11 @@ type Mount struct {
 //	/healthz      200 when every known peer is up, 503 otherwise;
 //	              the body carries the binary's build info
 //
-// health may be nil (no peer state: always 200 ok). Extra mounts are
-// attached as given. The handler is meant for a loopback or otherwise
-// access-controlled admin listener — pprof exposes stacks and heap
-// contents.
-func NewHandler(r *Registry, health *Health, mounts ...Mount) http.Handler {
+// peers reports the peers up and down; nil means no peers (always 200 ok).
+// Extra mounts are attached as given. The handler is meant for a loopback
+// or otherwise access-controlled admin listener — pprof exposes stacks and
+// heap contents.
+func NewHandler(r *Registry, peers func() (up, down []string), mounts ...Mount) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -90,8 +90,8 @@ func NewHandler(r *Registry, health *Health, mounts ...Mount) http.Handler {
 		}
 		out := resp{Status: "ok", Build: ReadBuildInfo()}
 		code := http.StatusOK
-		if health != nil {
-			out.PeersUp, out.PeersDown = health.Snapshot()
+		if peers != nil {
+			out.PeersUp, out.PeersDown = peers()
 			if len(out.PeersDown) > 0 {
 				out.Status = "degraded"
 				code = http.StatusServiceUnavailable

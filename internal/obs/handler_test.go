@@ -93,34 +93,27 @@ func TestHandlerDebugVars(t *testing.T) {
 }
 
 func TestHandlerHealthz(t *testing.T) {
-	health := NewHealth()
-	srv := httptest.NewServer(NewHandler(NewRegistry(), health))
-	defer srv.Close()
-
-	get := func() (int, map[string]any) {
-		resp, err := http.Get(srv.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
+	get := func(peers func() (up, down []string)) (int, map[string]any) {
+		rec := httptest.NewRecorder()
+		NewHandler(NewRegistry(), peers).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
 		var out map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil {
 			t.Fatalf("/healthz not JSON: %v", err)
 		}
-		return resp.StatusCode, out
+		return rec.Code, out
+	}
+	peers := func(up, down []string) func() ([]string, []string) {
+		return func() ([]string, []string) { return up, down }
 	}
 
-	if code, out := get(); code != http.StatusOK || out["status"] != "ok" {
+	if code, out := get(nil); code != http.StatusOK || out["status"] != "ok" {
 		t.Fatalf("no peers: status %d %v, want 200 ok", code, out)
 	}
-	health.SetPeer("peer1", true)
-	health.SetPeer("peer2", false)
-	code, out := get()
+	code, out := get(peers([]string{"peer1"}, []string{"peer2"}))
 	if code != http.StatusServiceUnavailable || out["status"] != "degraded" {
 		t.Fatalf("with a down peer: status %d %v, want 503 degraded", code, out)
 	}
-	health.SetPeer("peer2", true)
-	if code, out := get(); code != http.StatusOK || out["status"] != "ok" {
+	if code, out := get(peers([]string{"peer1", "peer2"}, nil)); code != http.StatusOK || out["status"] != "ok" {
 		t.Fatalf("peer recovered: status %d %v, want 200 ok", code, out)
 	}
 }
