@@ -13,25 +13,10 @@ import (
 
 	"summarycache/internal/bloom"
 	"summarycache/internal/icp"
+	"summarycache/internal/meshhealth"
 	"summarycache/internal/obs"
 	"summarycache/internal/tracing"
 )
-
-// DecisionSink receives per-peer lookup attributions — the paper's
-// decision taxonomy pinned on the specific peer whose summary caused each
-// outcome. internal/meshhealth's Accounting implements it; the node calls
-// it only on decision events (after the ICP round trip), never on the
-// summary-probe fast path.
-type DecisionSink interface {
-	// Nominated: peer's summary matched, so the peer was queried.
-	Nominated(peer string)
-	// RemoteHit: peer confirmed the hit that resolved the lookup.
-	RemoteHit(peer string)
-	// FalseHit: peer's summary nominated url but the peer answered MISS.
-	FalseHit(peer, url, traceID string)
-	// FalseMiss: an audit query contradicted peer's negative probe.
-	FalseMiss(peer, url, traceID string)
-}
 
 // DefaultQueryTimeout bounds how long a node waits for ICP replies before
 // treating unanswered queries as misses (Squid behaves the same way).
@@ -97,10 +82,6 @@ type NodeConfig struct {
 	// correlated with the querier's trace via the ICP RequestNumber.
 	// Nil: tracing disabled; the lookup hot path is unchanged.
 	Tracer *tracing.Tracer
-	// Decisions, when set, receives per-peer lookup attributions (false
-	// hits pinned on the peer whose summary lied, remote hits on the peer
-	// that served them). Nil: no per-peer accounting.
-	Decisions DecisionSink
 	// StageTiming, when set, receives the sub-span stage timings the node
 	// owns, keyed by the perfwatch stage names: per-reply ICP RTT
 	// ("icp_reply"), DIRUPDATE encoding ("dirupdate_encode") and applying
@@ -119,7 +100,7 @@ type NodeConfig struct {
 	// registration order, so the first peer added is the one asked for the
 	// object. It sends no DIRUPDATE and ignores those it receives, and an
 	// all-MISS round is an ordinary miss. No summary predicts anything, so
-	// Directory, Decisions and FalseMissAuditEvery are unused.
+	// Directory and FalseMissAuditEvery are unused.
 	QueryAll bool
 	// BreakerThreshold takes an up peer down after this many consecutive
 	// failed fetches reported to FetchDone. 0: DefaultBreakerThreshold;
@@ -250,6 +231,12 @@ type Node struct {
 	// auditSeq drives FalseMissAuditEvery sampling.
 	auditSeq atomic.Uint64
 
+	// recent is the ring of the latest false decisions charged to peers;
+	// falseSeen counts every one, so the newest is at (falseSeen-1)%recentCap.
+	recentMu  sync.Mutex
+	recent    [recentCap]meshhealth.FalseDecision
+	falseSeen int
+
 	metrics nodeMetrics
 	reg     *obs.Registry
 	log     *slog.Logger
@@ -283,7 +270,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		// The smallest directory stands in for the summary a query-all node
 		// does not keep: nothing ever writes it, so it reads empty.
 		cfg.Directory = DirectoryConfig{}
-		cfg.Decisions, cfg.FalseMissAuditEvery = nil, 0
+		cfg.FalseMissAuditEvery = 0
 	}
 	dir, err := NewDirectory(cfg.Directory)
 	if err != nil {
@@ -490,13 +477,20 @@ func (n *Node) Stats() NodeStats {
 
 // peer is one registered neighbor: its address, its identifier (the
 // address string that keys its replica and its series), what this node's
-// update stream has cost it, and its liveness. RemovePeer drops the record,
-// and every piece of state with it.
+// update stream has cost it, the lookup decisions charged to its summary,
+// and its liveness. RemovePeer drops the record, and every piece of state
+// with it.
 type peer struct {
 	addr *net.UDPAddr
 	id   string
 
 	updates, bytes atomic.Uint64 // DIRUPDATE messages and bytes sent to it
+
+	// The decisions charged to it (see meshhealth.PeerStats): lookups its
+	// summary was nominated in, fresh copies it delivered, nominations it
+	// got wrong, audit answers contradicting its negative probes, and
+	// stale copies it delivered.
+	nominations, remoteHits, falseHits, falseMisses, staleHits atomic.Uint64
 
 	// Liveness, under Node.mu (see observe): the state; since when the
 	// peer is down and whether the prober took it there; its consecutive
@@ -666,18 +660,6 @@ func (n *Node) noteSent(p *peer, wire int, full bool) {
 	}
 }
 
-// PeerOut returns the update messages and bytes this node has sent to one
-// registered neighbor, named by its address string (0, 0 when unknown).
-func (n *Node) PeerOut(id string) (updates, bytes uint64) {
-	n.mu.RLock()
-	p := n.memberByID(id)
-	n.mu.RUnlock()
-	if p == nil {
-		return 0, 0
-	}
-	return p.updates.Load(), p.bytes.Load()
-}
-
 // LastAdvertAge returns how long ago this node last shipped summary state
 // to anyone (false: never).
 func (n *Node) LastAdvertAge() (time.Duration, bool) {
@@ -688,10 +670,11 @@ func (n *Node) LastAdvertAge() (time.Duration, bool) {
 	return time.Duration(time.Now().UnixNano() - ns), true
 }
 
-// registerPeerMetrics exposes a registered neighbor's replica health and
-// wire accounting as peer-labeled series. All series are scrape-time
-// callbacks reading the peer table and the peer's record (one source of
-// truth each), so they carry no probe-path cost. RemovePeer retires them.
+// registerPeerMetrics exposes a registered neighbor's replica health, wire
+// accounting and decisions as peer-labeled series. All series are
+// scrape-time callbacks reading the peer table and the peer's record (one
+// source of truth each), so they carry no probe-path cost. RemovePeer
+// retires them.
 func (n *Node) registerPeerMetrics(p *peer) {
 	id := p.id
 	ls := obs.L("node", n.self, "peer", id)
@@ -732,12 +715,23 @@ func (n *Node) registerPeerMetrics(p *peer) {
 			h, _ := pt.Health(id)
 			return h.DeltaUpdates
 		})
-	n.reg.CounterFunc("summarycache_peer_updates_sent_total",
-		"update messages sent to this peer", ls,
-		func() uint64 { return p.updates.Load() })
-	n.reg.CounterFunc("summarycache_peer_update_bytes_out_total",
-		"update bytes sent to this peer", ls,
-		func() uint64 { return p.bytes.Load() })
+	for _, c := range []struct {
+		name, help string
+		v          *atomic.Uint64
+	}{
+		{"summarycache_peer_updates_sent_total", "update messages sent to this peer", &p.updates},
+		{"summarycache_peer_update_bytes_out_total", "update bytes sent to this peer", &p.bytes},
+		{"summarycache_peer_nominations_total", "lookups in which this peer's summary matched (the peer was queried)", &p.nominations},
+		{"summarycache_peer_remote_hits_total", "fresh copies this peer delivered", &p.remoteHits},
+		{"summarycache_peer_false_hits_total", "nominations this peer's summary got wrong (peer answered MISS or failed to deliver)", &p.falseHits},
+		{"summarycache_peer_false_misses_total", "audit ICP answers contradicting this peer's negative summary probe", &p.falseMisses},
+		{"summarycache_peer_stale_hits_total", "stale-version deliveries by this peer", &p.staleHits},
+	} {
+		n.reg.CounterFunc(c.name, c.help, ls, c.v.Load)
+	}
+	n.reg.GaugeFunc("summarycache_peer_divergence",
+		"observed divergence of this peer's summary: false hits per nomination", ls,
+		func() float64 { return p.decisions().Divergence() })
 }
 
 // HandleInsert records a document entering the local cache and wakes the
@@ -902,23 +896,24 @@ func (n *Node) LookupObject(ctx context.Context, url string) (Resolution, error)
 const stackPeers = 16
 
 // lookup implements Lookup and LookupObject; options are the queries'.
-// Every per-peer list — candidate IDs, addresses queried (and their IDs),
-// each one's answer — is a slice of a stack array, so an untraced lookup
-// allocates nothing itself.
+// Every per-peer list — candidate IDs, addresses queried (and their IDs and
+// records), each one's answer — is a slice of a stack array, so an untraced
+// lookup allocates nothing itself.
 func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resolution, error) {
 	tr := tracing.FromContext(ctx)
 	var probes []SummaryProbe
 	// ids are the peers the summaries nominated; qids[i] names addrs[i], a
-	// peer to query.
+	// peer to query, and recs[i] is its record (nil when it is not
+	// registered).
 	var idBuf, qidBuf [stackPeers]string
 	var addrBuf [stackPeers]*net.UDPAddr
-	ids, qids, addrs := idBuf[:0], qidBuf[:0], addrBuf[:0]
+	var recBuf [stackPeers]*peer
+	ids, qids, addrs, recs := idBuf[:0], qidBuf[:0], addrBuf[:0], recBuf[:0]
 	probeStart := time.Now()
-	sink := n.cfg.Decisions
 	if n.cfg.QueryAll {
 		n.mu.RLock()
 		for _, p := range n.members {
-			qids, addrs = append(qids, p.id), append(addrs, p.addr)
+			qids, addrs, recs = append(qids, p.id), append(addrs, p.addr), append(recs, p)
 		}
 		n.mu.RUnlock()
 	} else {
@@ -932,12 +927,7 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 		} else {
 			ids = n.peers.AppendCandidates(ids, url)
 		}
-		if sink != nil {
-			for _, id := range ids {
-				sink.Nominated(id)
-			}
-		}
-		qids, addrs = n.appendAddrs(qids, addrs, ids)
+		qids, addrs, recs = n.appendAddrs(qids, addrs, recs, ids)
 	}
 	if len(addrs) == 0 {
 		n.traceLookup(tr, false, probes, probeStart, nil, nil, 0, 0, Resolution{})
@@ -973,9 +963,6 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 	}
 	if from != nil {
 		n.metrics.remoteHits.Inc()
-		if sink != nil {
-			sink.RemoteHit(res.PeerID)
-		}
 		return res, nil
 	}
 	// Only a summary's nomination can be false; classic ICP asked everyone.
@@ -989,11 +976,11 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 			continue
 		}
 		answered++
-		if sink != nil && op != icp.OpHit && op != icp.OpHitObj {
+		if p := recs[i]; res.FalseHit && p != nil && op != icp.OpHit && op != icp.OpHitObj {
 			// Every candidate that answered MISS was nominated by a summary
 			// that lied; unanswered candidates may just be down or lossy,
 			// so they are not charged.
-			sink.FalseHit(qids[i], url, traceID(tr))
+			n.noteFalse(p, &p.falseHits, "false_hit", url, tr)
 		}
 	}
 	if tr != nil && answered < len(qids) {
@@ -1005,15 +992,18 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 	return res, nil
 }
 
-// appendAddrs appends the address of each nominated peer in ids to addrs,
-// and its ID to qids: registered peers first, in candidate order, so the
-// first candidate is the one asked for the object.
-func (n *Node) appendAddrs(qids []string, addrs []*net.UDPAddr, ids []string) ([]string, []*net.UDPAddr) {
+// appendAddrs appends each nominated peer in ids to the query lists — its
+// ID to qids, its address to addrs and its record to recs (nil when it is
+// not registered) — registered peers first, in candidate order, so the
+// first candidate is the one asked for the object. Each registered one is
+// charged the nomination.
+func (n *Node) appendAddrs(qids []string, addrs []*net.UDPAddr, recs []*peer, ids []string) ([]string, []*net.UDPAddr, []*peer) {
 	start := len(qids)
 	n.mu.RLock()
 	for _, id := range ids {
 		if p := n.memberByID(id); p != nil {
-			qids, addrs = append(qids, id), append(addrs, p.addr)
+			p.nominations.Add(1)
+			qids, addrs, recs = append(qids, id), append(addrs, p.addr), append(recs, p)
 		}
 	}
 	n.mu.RUnlock()
@@ -1024,12 +1014,12 @@ func (n *Node) appendAddrs(qids []string, addrs []*net.UDPAddr, ids []string) ([
 		for _, id := range ids {
 			if !slices.Contains(qids[start:], id) {
 				if a, err := net.ResolveUDPAddr("udp", id); err == nil {
-					qids, addrs = append(qids, id), append(addrs, a)
+					qids, addrs, recs = append(qids, id), append(addrs, a), append(recs, nil)
 				}
 			}
 		}
 	}
-	return qids, addrs
+	return qids, addrs, recs
 }
 
 // traceID returns tr's current ID as a hex string ("" when untraced) —
@@ -1055,12 +1045,12 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []strin
 	if c := n.auditSeq.Add(1); every > 1 && (c-1)%uint64(every) != 0 {
 		return
 	}
-	var ids []string
+	var recs []*peer
 	var addrs []*net.UDPAddr
 	n.mu.RLock()
 	for _, p := range n.members {
 		if !slices.Contains(nominated, p.id) {
-			ids, addrs = append(ids, p.id), append(addrs, p.addr)
+			recs, addrs = append(recs, p), append(addrs, p.addr)
 		}
 	}
 	n.mu.RUnlock()
@@ -1074,9 +1064,8 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []strin
 		return
 	}
 	n.metrics.falseMisses.Inc()
-	if n.cfg.Decisions != nil {
-		n.cfg.Decisions.FalseMiss(ids[slices.Index(addrs, from)], url, traceID(tr))
-	}
+	p := recs[slices.Index(addrs, from)]
+	n.noteFalse(p, &p.falseMisses, "false_miss", url, tr)
 }
 
 // traceLookup records the decision audit of one Lookup on tr: a

@@ -319,20 +319,6 @@ func (pt *PeerTable) Health(peer string) (PeerHealth, bool) {
 	return ps.health(peer), true
 }
 
-// HealthAll snapshots every initialized peer replica, sorted by peer id.
-// FillRatio costs a popcount over the replica (O(bits/64)); callers are
-// admin endpoints and scrapes, not the probe path.
-func (pt *PeerTable) HealthAll() []PeerHealth {
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	out := make([]PeerHealth, 0, len(pt.peers))
-	for id, ps := range pt.peers {
-		out = append(out, ps.health(id))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
-	return out
-}
-
 // Drop removes a peer's replica (Squid's neighbor-failure handling).
 func (pt *PeerTable) Drop(peer string) {
 	pt.mu.Lock()

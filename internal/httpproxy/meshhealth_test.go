@@ -31,9 +31,6 @@ func TestRemovePeerDropsMetricSeries(t *testing.T) {
 	p1, p2 := m.proxies[0], m.proxies[1]
 	peerID := p2.ICPAddr().String()
 
-	// Provoke decision series for the peer too.
-	p1.Decisions().FalseHit(peerID, "http://o/x", "")
-
 	before := scrape(t, p1.Registry())
 	if !strings.Contains(before, `peer="`+peerID+`"`) {
 		t.Fatalf("expected per-peer series before removal:\n%s", before)
@@ -59,6 +56,48 @@ func TestRemovePeerDropsMetricSeries(t *testing.T) {
 	if !strings.Contains(scrape(t, p1.Registry()), `summarycache_proxy_breaker_state{peer="`+peerID+`"`) {
 		t.Error("breaker gauge not re-registered after peer rejoined")
 	}
+}
+
+// TestRemovedPeerSeriesStayGone: a peer removed one way still has us
+// registered, so it keeps publishing, its replica is re-created and lookups
+// nominate it again. That must bring back none of its series.
+func TestRemovedPeerSeriesStayGone(t *testing.T) {
+	m := newMesh(t, 2, ModeSCICP, 0)
+	p1, p2 := m.proxies[0], m.proxies[1]
+	p1.RemovePeer(p2.ICPAddr())
+
+	u := m.docURL("doc", 1024)
+	m.fetch(t, p2, u)
+	waitForUpdates(t, p2, p1, u)
+	m.fetch(t, p1, u)
+	if st := p1.Stats(); st.RemoteHits != 1 {
+		t.Fatalf("RemoteHits = %d, want 1: the removed peer's replica must still nominate it", st.RemoteHits)
+	}
+	label := `peer="` + p2.ICPAddr().String() + `"`
+	for _, line := range strings.Split(scrape(t, p1.Registry()), "\n") {
+		if strings.Contains(line, label) {
+			t.Errorf("the removed peer's series came back: %s", line)
+		}
+	}
+}
+
+// peerDecisions returns the decisions p's mesh report charges to peer.
+func peerDecisions(p, peer *Proxy) meshhealth.PeerStats {
+	for _, r := range p.MeshReport().Peers {
+		if r.Peer == peer.ICPAddr().String() {
+			return r.Decisions
+		}
+	}
+	return meshhealth.PeerStats{}
+}
+
+// chargedRemoteHits sums the remote hits p's mesh report charges to its
+// peers.
+func chargedRemoteHits(p *Proxy) (sum uint64) {
+	for _, r := range p.MeshReport().Peers {
+		sum += r.Decisions.RemoteHits
+	}
+	return sum
 }
 
 // waitForUpdates publishes src's pending summary changes and waits until
@@ -115,9 +154,12 @@ func TestVersionAwareStaleClassification(t *testing.T) {
 	if st.RemoteHits != 0 {
 		t.Errorf("RemoteHits = %d, want 0: a stale delivery must not count as remote hit", st.RemoteHits)
 	}
-	ps := p2.Decisions().PeerStats(p1.ICPAddr().String())
+	ps := peerDecisions(p2, p1)
 	if ps.StaleHits != 1 {
 		t.Errorf("per-peer StaleHits = %d, want 1 (%+v)", ps.StaleHits, ps)
+	}
+	if got := chargedRemoteHits(p2); got != st.RemoteHits {
+		t.Errorf("per-peer RemoteHits sum to %d, proxy RemoteHits = %d: only a fresh delivery is a remote hit", got, st.RemoteHits)
 	}
 
 	// The fresh version 2 was stored; re-requesting it is a local hit,
@@ -189,7 +231,7 @@ func TestFalseMissAudit(t *testing.T) {
 	if st.RemoteHits != 0 {
 		t.Errorf("RemoteHits = %d: the audit must not change the lookup result", st.RemoteHits)
 	}
-	ps := p2.Decisions().PeerStats(p1.ICPAddr().String())
+	ps := peerDecisions(p2, p1)
 	if ps.FalseMisses != 1 {
 		t.Errorf("per-peer FalseMisses = %d, want 1 (%+v)", ps.FalseMisses, ps)
 	}
@@ -235,6 +277,9 @@ func TestDebugMeshEndpointLiveMesh(t *testing.T) {
 	}
 	if p1row.Decisions.Nominations == 0 || p1row.Decisions.RemoteHits == 0 {
 		t.Errorf("decision attribution missing: %+v", p1row.Decisions)
+	}
+	if got, want := chargedRemoteHits(p2), p2.Stats().RemoteHits; got != want {
+		t.Errorf("per-peer RemoteHits sum to %d, proxy RemoteHits = %d", got, want)
 	}
 
 	// The handler serves the same content at /debug/mesh.

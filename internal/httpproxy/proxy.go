@@ -341,10 +341,9 @@ type Proxy struct {
 	srv *http.Server
 	up  *fetcher // origin, parent and sibling fetches
 
-	metrics   proxyMetrics
-	reg       *obs.Registry
-	tracer    *tracing.Tracer        // nil: tracing disabled
-	decisions *meshhealth.Accounting // per-peer decision taxonomy
+	metrics proxyMetrics
+	reg     *obs.Registry
+	tracer  *tracing.Tracer // nil: tracing disabled
 
 	// Warm-restart persistence (nil store: disabled).
 	store       *persist.Store
@@ -439,7 +438,6 @@ func Start(cfg Config) (*Proxy, error) {
 	p.metrics = newProxyMetrics(reg, labels)
 	p.registerCacheMetrics(reg, labels)
 	p.tracer = cfg.Tracer
-	p.decisions = meshhealth.New(reg, labels)
 
 	var sockWrap icp.SocketWrapper
 	if cfg.Faults != nil {
@@ -469,7 +467,6 @@ func Start(cfg Config) (*Proxy, error) {
 			Metrics:             reg,
 			Logger:              cfg.Logger,
 			Tracer:              cfg.Tracer,
-			Decisions:           p.decisions,
 			FalseMissAuditEvery: cfg.FalseMissAuditEvery,
 			QueryAll:            cfg.Mode == ModeICP,
 			BreakerThreshold:    cfg.BreakerThreshold,
@@ -630,9 +627,9 @@ func (p *Proxy) AddPeer(icpAddr *net.UDPAddr, httpURL string) error {
 }
 
 // RemovePeer drops a sibling: its ICP endpoint, HTTP mapping, liveness,
-// summary replica (ModeSCICP), decision accounting, and — the
-// part peer churn gets wrong by default — every metric series labeled
-// with the departed peer, so /metrics stops exposing stale series.
+// summary replica (ModeSCICP), decision counts, and — the part peer churn
+// gets wrong by default — every metric series labeled with the departed
+// peer, so /metrics stops exposing stale series.
 func (p *Proxy) RemovePeer(icpAddr *net.UDPAddr) {
 	id := icpAddr.String()
 	p.sibMu.Lock()
@@ -641,7 +638,6 @@ func (p *Proxy) RemovePeer(icpAddr *net.UDPAddr) {
 	if p.node != nil {
 		p.node.RemovePeer(icpAddr)
 	}
-	p.decisions.RemovePeer(id)
 	// Sweep anything else labeled for this peer under the proxy's label
 	// set (the liveness gauge in particular).
 	p.reg.Unregister(obs.L("proxy", p.ln.Addr().String(), "peer", id))
@@ -731,10 +727,6 @@ func (p *Proxy) Purge(target string) bool {
 // when tracing is disabled) — what an admin mux serves at /debug/traces.
 func (p *Proxy) Tracer() *tracing.Tracer { return p.tracer }
 
-// Decisions returns the per-peer decision accounting (never nil after
-// Start) — the live false-hit/false-miss/stale-hit taxonomy.
-func (p *Proxy) Decisions() *meshhealth.Accounting { return p.decisions }
-
 // MeshReport assembles this proxy's mesh-health view: local advertisement
 // staleness, one row per sibling (replica health, liveness, wire bytes,
 // attributed decisions), and the recent false-decision trail.
@@ -763,35 +755,9 @@ func (p *Proxy) MeshReport() meshhealth.Report {
 		if age, ok := p.node.LastAdvertAge(); ok {
 			rep.Local.LastAdvertAgeMS = float64(age.Microseconds()) / 1e3
 		}
-		replicas := make(map[string]core.PeerHealth)
-		for _, h := range p.node.PeerSummaries().HealthAll() {
-			replicas[h.Peer] = h
-		}
-		for _, addr := range p.node.PeerAddrs() {
-			id := addr.String()
-			st := p.node.PeerState(addr)
-			pr := meshhealth.PeerReport{Peer: id, Up: st == core.PeerUp}
-			if p.cfg.BreakerThreshold >= 0 {
-				pr.Breaker = st.String()
-			}
-			if h, ok := replicas[id]; ok {
-				pr.HasReplica = true
-				pr.Generation = h.Generation
-				pr.UpdateAgeMS = float64(h.UpdateAge.Microseconds()) / 1e3
-				pr.FillRatio = h.FillRatio
-				pr.EstFalsePositive = h.EstFalsePositive
-				pr.FilterBits = h.FilterBits
-				pr.FullUpdates = h.FullUpdates
-				pr.DeltaUpdates = h.DeltaUpdates
-				pr.BytesIn = h.BytesIn
-			}
-			pr.UpdatesSent, pr.BytesOut = p.node.PeerOut(id)
-			pr.Decisions = p.decisions.PeerStats(id)
-			pr.Divergence = pr.Decisions.Divergence()
-			rep.Peers = append(rep.Peers, pr)
-		}
+		rep.Peers = p.node.PeerReports()
+		rep.RecentFalse = p.node.RecentFalse()
 	}
-	rep.RecentFalse = p.decisions.Recent()
 	return rep
 }
 
@@ -1100,9 +1066,8 @@ func (p *Proxy) tryRemote(ctx context.Context, key string, wanted int64) (body [
 // finishRemoteHit takes the document a sibling claimed to have — from its
 // HIT_OBJ reply when the object came inline, otherwise by a cache-only HTTP
 // fetch — and classifies the result: delivered fresh, delivered stale, or
-// not delivered at all — the last two charged to the claiming sibling in
-// the per-peer decision accounting. id is from's peer identifier (its
-// address string).
+// not delivered at all, as the node charges it to the claiming sibling.
+// id is from's peer identifier (its address string).
 func (p *Proxy) finishRemoteHit(ctx context.Context, id string, from *net.UDPAddr, win icp.Message, key string, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
 	body, version, ok := win.Object, int64(win.OptionData), true
 	if win.Op != icp.OpHitObj {
@@ -1111,26 +1076,18 @@ func (p *Proxy) finishRemoteHit(ctx context.Context, id string, from *net.UDPAdd
 	if !ok {
 		// A claimed HIT that was not delivered (eviction race, dark
 		// sibling, sibling down) is a false hit charged to the claimer.
-		p.decisions.FalseHit(id, key, traceIDFrom(ctx))
+		p.node.Delivered(ctx, from, key, core.NotDelivered)
 		return nil, false, true, false
 	}
 	if p.cfg.VersionAware && version != wanted {
-		p.decisions.StaleHit(id, key, traceIDFrom(ctx))
+		p.node.Delivered(ctx, from, key, core.DeliveredStale)
 		if tr := tracing.FromContext(ctx); tr != nil {
 			tr.MarkAnomalous("stale_hit")
 		}
 		return nil, false, false, true
 	}
+	p.node.Delivered(ctx, from, key, core.DeliveredFresh)
 	return body, true, false, false
-}
-
-// traceIDFrom extracts the context's trace ID for decision attribution
-// ("" when untraced).
-func traceIDFrom(ctx context.Context) string {
-	if tr := tracing.FromContext(ctx); tr != nil {
-		return tr.ID().String()
-	}
-	return ""
 }
 
 func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, target string) (body []byte, version int64, ok bool) {

@@ -1,14 +1,13 @@
-// Package meshhealth is the live mesh-health observability layer: it
-// classifies every proxy lookup into the paper's decision taxonomy with
-// per-peer attribution, keeps the evidence as metric series in an obs
-// registry, and renders the combined peer-table view at /debug/mesh.
+// Package meshhealth is the live mesh-health view served at /debug/mesh:
+// the report types one proxy's peer table is rendered from, and the handler
+// that renders them as HTML or JSON.
 //
 // The paper's evaluation (Figs. 4–8) rests on four quantities — false
 // hits, false misses, stale hits, and inter-proxy message/byte overhead.
-// The node layer counts them globally; this package pins each event on
-// the specific peer whose summary caused it, which is what an operator
-// needs to see *which* replica has drifted and what its update stream
-// costs.
+// The node layer counts them globally, and charges each event to the
+// registered peer whose summary caused it (core's peer record), which is
+// what an operator needs to see *which* replica has drifted and what its
+// update stream costs.
 //
 // Taxonomy (per lookup, as observed live):
 //
@@ -24,20 +23,15 @@
 //     the request — counted, then treated as a miss.
 package meshhealth
 
-import (
-	"sync"
-	"time"
+import "time"
 
-	"summarycache/internal/obs"
-)
-
-// PeerStats is the exported snapshot of one peer's decision counters —
-// the Stats() side of the Stats()==scrape parity contract for the
-// summarycache_peer_* families.
+// PeerStats is the snapshot of the decisions charged to one peer — the
+// Stats() side of the Stats()==scrape parity contract for the
+// summarycache_peer_* decision families.
 type PeerStats struct {
 	// Nominations counts lookups in which this peer's summary matched.
 	Nominations uint64 `json:"nominations"`
-	// RemoteHits counts remote hits served by this peer.
+	// RemoteHits counts fresh copies this peer delivered.
 	RemoteHits uint64 `json:"remote_hits"`
 	// FalseHits counts nominations this peer's summary got wrong.
 	FalseHits uint64 `json:"false_hits"`
@@ -67,176 +61,4 @@ type FalseDecision struct {
 	URL     string    `json:"url"`
 	TraceID string    `json:"trace_id,omitempty"`
 	Time    time.Time `json:"time"`
-}
-
-type peerCounters struct {
-	nominations *obs.Counter
-	remoteHits  *obs.Counter
-	falseHits   *obs.Counter
-	falseMisses *obs.Counter
-	staleHits   *obs.Counter
-}
-
-// recentCap bounds the false-decision ring.
-const recentCap = 64
-
-// Accounting is the per-peer decision accountant for one proxy. All event
-// methods are cheap (map lookup + atomic increment) and run only on
-// decision events — after the ICP round trip, never on the summary-probe
-// fast path. The zero-peer registration is lazy: series exist from a
-// peer's first event, and RemovePeer retires them so churn leaves no
-// stale series behind.
-type Accounting struct {
-	reg  *obs.Registry
-	base obs.Labels
-
-	mu     sync.Mutex
-	peers  map[string]*peerCounters
-	recent []FalseDecision // ring, newest at (next-1+cap)%cap
-	next   int
-	filled bool
-}
-
-// New creates an Accounting writing per-peer series into reg, labeled
-// base plus peer="<id>". reg must be non-nil.
-func New(reg *obs.Registry, base obs.Labels) *Accounting {
-	return &Accounting{
-		reg:    reg,
-		base:   base,
-		peers:  make(map[string]*peerCounters),
-		recent: make([]FalseDecision, recentCap),
-	}
-}
-
-func (a *Accounting) forPeer(id string) *peerCounters {
-	pc := a.peers[id]
-	if pc != nil {
-		return pc
-	}
-	ls := a.base.With("peer", id)
-	pc = &peerCounters{
-		nominations: a.reg.Counter("summarycache_peer_nominations_total",
-			"Lookups in which this peer's summary matched (the peer was queried).", ls),
-		remoteHits: a.reg.Counter("summarycache_peer_remote_hits_total",
-			"Remote hits served by this peer.", ls),
-		falseHits: a.reg.Counter("summarycache_peer_false_hits_total",
-			"Nominations this peer's summary got wrong (peer answered MISS or failed to deliver).", ls),
-		falseMisses: a.reg.Counter("summarycache_peer_false_misses_total",
-			"Audit ICP answers contradicting this peer's negative summary probe.", ls),
-		staleHits: a.reg.Counter("summarycache_peer_stale_hits_total",
-			"Stale-version deliveries by this peer.", ls),
-	}
-	a.peers[id] = pc
-	stats := pc
-	a.reg.GaugeFunc("summarycache_peer_divergence",
-		"Observed divergence of this peer's summary: false hits per nomination.", ls,
-		func() float64 {
-			return PeerStats{
-				Nominations: stats.nominations.Value(),
-				FalseHits:   stats.falseHits.Value(),
-			}.Divergence()
-		})
-	return pc
-}
-
-// Nominated records that peer's summary matched a lookup.
-func (a *Accounting) Nominated(peer string) {
-	a.mu.Lock()
-	pc := a.forPeer(peer)
-	a.mu.Unlock()
-	pc.nominations.Inc()
-}
-
-// RemoteHit records a remote hit served by peer.
-func (a *Accounting) RemoteHit(peer string) {
-	a.mu.Lock()
-	pc := a.forPeer(peer)
-	a.mu.Unlock()
-	pc.remoteHits.Inc()
-}
-
-func (a *Accounting) noteFalse(kind, peer, url, traceID string) *peerCounters {
-	a.mu.Lock()
-	pc := a.forPeer(peer)
-	a.recent[a.next] = FalseDecision{Kind: kind, Peer: peer, URL: url, TraceID: traceID, Time: time.Now()}
-	a.next++
-	if a.next == len(a.recent) {
-		a.next = 0
-		a.filled = true
-	}
-	a.mu.Unlock()
-	return pc
-}
-
-// FalseHit records that peer's summary nominated url but the peer had no
-// usable copy.
-func (a *Accounting) FalseHit(peer, url, traceID string) {
-	a.noteFalse("false_hit", peer, url, traceID).falseHits.Inc()
-}
-
-// FalseMiss records that an audit query contradicted peer's negative
-// summary probe for url.
-func (a *Accounting) FalseMiss(peer, url, traceID string) {
-	a.noteFalse("false_miss", peer, url, traceID).falseMisses.Inc()
-}
-
-// StaleHit records that peer delivered a stale version of url.
-func (a *Accounting) StaleHit(peer, url, traceID string) {
-	a.noteFalse("stale_hit", peer, url, traceID).staleHits.Inc()
-}
-
-// PeerStats snapshots one peer's decision counters (zero value for an
-// unseen peer).
-func (a *Accounting) PeerStats(peer string) PeerStats {
-	a.mu.Lock()
-	pc := a.peers[peer]
-	a.mu.Unlock()
-	if pc == nil {
-		return PeerStats{}
-	}
-	return PeerStats{
-		Nominations: pc.nominations.Value(),
-		RemoteHits:  pc.remoteHits.Value(),
-		FalseHits:   pc.falseHits.Value(),
-		FalseMisses: pc.falseMisses.Value(),
-		StaleHits:   pc.staleHits.Value(),
-	}
-}
-
-// Peers returns the ids with recorded decision activity.
-func (a *Accounting) Peers() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.peers))
-	for id := range a.peers {
-		out = append(out, id)
-	}
-	return out
-}
-
-// Recent returns the retained false decisions, newest first.
-func (a *Accounting) Recent() []FalseDecision {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := a.next
-	if a.filled {
-		n = len(a.recent)
-	}
-	out := make([]FalseDecision, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (a.next - 1 - i + len(a.recent)) % len(a.recent)
-		if !a.recent[idx].Time.IsZero() {
-			out = append(out, a.recent[idx])
-		}
-	}
-	return out
-}
-
-// RemovePeer retires peer's decision series — the metric-lifecycle hook
-// for peer churn. Counters restart from zero if the peer rejoins.
-func (a *Accounting) RemovePeer(peer string) {
-	a.mu.Lock()
-	delete(a.peers, peer)
-	a.mu.Unlock()
-	a.reg.Unregister(a.base.With("peer", peer))
 }

@@ -1,67 +1,11 @@
 package meshhealth
 
 import (
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"summarycache/internal/obs"
 )
-
-// TestPeerStatsScrapeParity is the Stats()==scrape contract for the
-// summarycache_peer_* decision families: every PeerStats field must equal
-// the value the registry exposes for the same peer label.
-func TestPeerStatsScrapeParity(t *testing.T) {
-	reg := obs.NewRegistry()
-	a := New(reg, obs.L("proxy", "p1"))
-
-	for i := 0; i < 7; i++ {
-		a.Nominated("peerA")
-	}
-	for i := 0; i < 4; i++ {
-		a.RemoteHit("peerA")
-	}
-	a.FalseHit("peerA", "http://o/x", "")
-	a.FalseHit("peerA", "http://o/y", "abc123")
-	a.FalseMiss("peerA", "http://o/z", "")
-	a.StaleHit("peerA", "http://o/w", "")
-	a.Nominated("peerB")
-
-	st := a.PeerStats("peerA")
-	want := PeerStats{Nominations: 7, RemoteHits: 4, FalseHits: 2, FalseMisses: 1, StaleHits: 1}
-	if st != want {
-		t.Fatalf("PeerStats(peerA) = %+v, want %+v", st, want)
-	}
-
-	rec := httptest.NewRecorder()
-	obs.NewHandler(reg, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	body := rec.Body.String()
-	for family, v := range map[string]uint64{
-		"summarycache_peer_nominations_total":  st.Nominations,
-		"summarycache_peer_remote_hits_total":  st.RemoteHits,
-		"summarycache_peer_false_hits_total":   st.FalseHits,
-		"summarycache_peer_false_misses_total": st.FalseMisses,
-		"summarycache_peer_stale_hits_total":   st.StaleHits,
-	} {
-		line := fmt.Sprintf(`%s{peer="peerA",proxy="p1"} %d`, family, v)
-		if !strings.Contains(body, line) {
-			t.Errorf("scrape missing %q\n%s", line, body)
-		}
-	}
-	div := fmt.Sprintf(`summarycache_peer_divergence{peer="peerA",proxy="p1"} %g`, 2.0/7.0)
-	if !strings.Contains(body, div) {
-		t.Errorf("scrape missing %q", div)
-	}
-
-	if got := a.PeerStats("peerB"); got.Nominations != 1 || got.FalseHits != 0 {
-		t.Errorf("PeerStats(peerB) = %+v", got)
-	}
-	if got := a.PeerStats("unknown"); got != (PeerStats{}) {
-		t.Errorf("PeerStats(unknown) = %+v, want zero", got)
-	}
-}
 
 func TestDivergence(t *testing.T) {
 	if d := (PeerStats{}).Divergence(); d != 0 {
@@ -69,55 +13,6 @@ func TestDivergence(t *testing.T) {
 	}
 	if d := (PeerStats{Nominations: 8, FalseHits: 2}).Divergence(); d != 0.25 {
 		t.Errorf("divergence = %v, want 0.25", d)
-	}
-}
-
-func TestRecentRingNewestFirstAndWrap(t *testing.T) {
-	a := New(obs.NewRegistry(), obs.L("proxy", "p1"))
-	for i := 0; i < recentCap+5; i++ {
-		a.FalseHit("peerA", fmt.Sprintf("http://o/%d", i), "")
-	}
-	rec := a.Recent()
-	if len(rec) != recentCap {
-		t.Fatalf("Recent() returned %d entries, want %d", len(rec), recentCap)
-	}
-	for i, d := range rec {
-		want := fmt.Sprintf("http://o/%d", recentCap+4-i)
-		if d.URL != want {
-			t.Fatalf("Recent()[%d].URL = %q, want %q", i, d.URL, want)
-		}
-	}
-}
-
-// TestRemovePeerRetiresSeries is the metric-lifecycle regression: after
-// RemovePeer a departed peer must leave no series behind, and only the
-// removing proxy's series may be touched when a registry is shared.
-func TestRemovePeerRetiresSeries(t *testing.T) {
-	reg := obs.NewRegistry()
-	a1 := New(reg, obs.L("proxy", "p1"))
-	a2 := New(reg, obs.L("proxy", "p2"))
-	a1.FalseHit("peerA", "http://o/x", "")
-	a2.FalseHit("peerA", "http://o/x", "")
-
-	a1.RemovePeer("peerA")
-
-	rec := httptest.NewRecorder()
-	obs.NewHandler(reg, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	body := rec.Body.String()
-	if strings.Contains(body, `proxy="p1"`) {
-		t.Errorf("p1's series survived RemovePeer:\n%s", body)
-	}
-	if !strings.Contains(body, `summarycache_peer_false_hits_total{peer="peerA",proxy="p2"} 1`) {
-		t.Errorf("p2's series about the same peer was collaterally removed:\n%s", body)
-	}
-	if got := a1.PeerStats("peerA"); got != (PeerStats{}) {
-		t.Errorf("PeerStats after RemovePeer = %+v, want zero", got)
-	}
-
-	// Rejoin restarts from zero with fresh series.
-	a1.Nominated("peerA")
-	if got := a1.PeerStats("peerA"); got.Nominations != 1 {
-		t.Errorf("rejoined peer Nominations = %d, want 1", got.Nominations)
 	}
 }
 

@@ -1,9 +1,9 @@
 package meshhealth
 
 // Report is one node's complete mesh-health view: its own advertisement
-// state plus one row per peer. The httpproxy layer assembles it from the
-// core peer table, the node's peer liveness, and the decision accounting;
-// /debug/mesh renders it as JSON or HTML.
+// state plus one row per peer. The httpproxy layer assembles it from its
+// cache and its node, whose peer records give the rows; /debug/mesh
+// renders it as JSON or HTML.
 type Report struct {
 	// Proxy is the HTTP listen address; Node the ICP address (empty when
 	// the proxy runs without a protocol node, in ModeNone).
