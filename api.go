@@ -37,7 +37,9 @@ type Directory = core.Directory
 // DirectoryConfig sizes a Directory.
 type DirectoryConfig = core.DirectoryConfig
 
-// PeerTable holds replicas of neighbors' summaries.
+// PeerTable is a standalone set of neighbors' summary replicas, for
+// replaying DIRUPDATEs without a Node. A Node keeps each registered peer's
+// replica on that peer's record and holds no PeerTable.
 type PeerTable = core.PeerTable
 
 // Node is a summary-cache enhanced ICP endpoint.

@@ -49,7 +49,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(b.PeerSummaries().Candidates(url)) > 0 {
+		if len(b.Candidates(url)) > 0 {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -9,8 +9,9 @@
 //     §V-C analysis (Figure 4)
 //   - internal/lru — the byte-budget proxy document cache
 //   - internal/icp — ICP v2 wire protocol + the ICP_OP_DIRUPDATE extension
-//   - internal/core — the summary-cache protocol engine (Directory,
-//     PeerTable, Node)
+//   - internal/core — the summary-cache protocol engine (Directory, and
+//     Node, which keeps each registered peer's summary replica on its
+//     peer record)
 //   - internal/httpproxy — a caching forward proxy with no-ICP / ICP /
 //     SC-ICP cooperation
 //   - internal/origin, internal/bench — the Wisconsin-benchmark-style

@@ -43,22 +43,21 @@ func TestLookupObjectAllocBudget(t *testing.T) {
 				return n
 			}
 			asker, holder := node(false), node(true)
-			// The holder answers the asker's flagged queries with the
-			// object only once the asker is its member.
+			// Each node answers and learns from its members only: one
+			// registered peer each way.
+			if err := asker.AddPeer(holder.Addr()); err != nil {
+				t.Fatal(err)
+			}
 			if err := holder.AddPeer(asker.Addr()); err != nil {
 				t.Fatal(err)
 			}
 			holder.HandleInsert(url)
 			holder.PublishNow()
-			for deadline := time.Now().Add(3 * time.Second); !tc.queryAll && len(asker.PeerSummaries().Candidates(url)) == 0; {
+			for deadline := time.Now().Add(3 * time.Second); !tc.queryAll && len(asker.Candidates(url)) == 0; {
 				if time.Now().After(deadline) {
 					t.Fatal("the holder's summary never reached the asker")
 				}
 				time.Sleep(5 * time.Millisecond)
-			}
-			// One registered peer: the asker knows the holder's address.
-			if err := asker.AddPeer(holder.Addr()); err != nil {
-				t.Fatal(err)
 			}
 			ctx, id := context.Background(), holder.Addr().String()
 			lookup := func() {

@@ -34,9 +34,7 @@ const (
 // claimed. Only a fresh copy counts as the peer's remote hit. The trace in
 // ctx, if any, is linked from the false-decision record.
 func (n *Node) Delivered(ctx context.Context, addr *net.UDPAddr, url string, d Delivery) {
-	n.mu.RLock()
-	p := n.byAddr[addrKey(addr)]
-	n.mu.RUnlock()
+	p := n.member(addr)
 	if p == nil {
 		return
 	}
@@ -98,25 +96,12 @@ func (n *Node) PeerReports() []meshhealth.PeerReport {
 			BytesOut:    p.bytes.Load(),
 			Decisions:   p.decisions(),
 		}
+		rows[i].Divergence = rows[i].Decisions.Divergence()
 		if n.cfg.BreakerThreshold >= 0 {
 			rows[i].Breaker = p.state.String()
 		}
+		p.rep.health(&rows[i])
 	}
 	n.mu.RUnlock()
-	for i := range rows {
-		r := &rows[i]
-		r.Divergence = r.Decisions.Divergence()
-		if h, ok := n.peers.Health(r.Peer); ok {
-			r.HasReplica = true
-			r.Generation = h.Generation
-			r.UpdateAgeMS = float64(h.UpdateAge.Microseconds()) / 1e3
-			r.FillRatio = h.FillRatio
-			r.EstFalsePositive = h.EstFalsePositive
-			r.FilterBits = h.FilterBits
-			r.FullUpdates = h.FullUpdates
-			r.DeltaUpdates = h.DeltaUpdates
-			r.BytesIn = h.BytesIn
-		}
-	}
 	return rows
 }

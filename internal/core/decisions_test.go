@@ -62,14 +62,14 @@ func TestPeerDecisionsScrapeParity(t *testing.T) {
 	if err := b.AddPeer(a.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	b.HandleInsert(hit)
-	b.HandleInsert(lie) // summarized, but b answers MISS: a lie
-	b.PublishNow()
 	if err := a.AddPeer(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
+	b.HandleInsert(hit)
+	b.HandleInsert(lie) // summarized, but b answers MISS: a lie
+	b.PublishNow()
 	waitFor(t, "b's summary at a", func() bool {
-		return len(a.PeerSummaries().Candidates(hit)) > 0 && len(a.PeerSummaries().Candidates(lie)) > 0
+		return len(a.Candidates(hit)) > 0 && len(a.Candidates(lie)) > 0
 	})
 
 	ctx := context.Background()

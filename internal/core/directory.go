@@ -1,7 +1,7 @@
 // Package core implements the summary-cache protocol of Fan, Cao, Almeida
 // and Broder (SIGCOMM '98) as a reusable library: each proxy maintains a
 // counting-Bloom-filter summary of its own cache directory (Directory),
-// holds plain-filter replicas of every peer's summary (PeerTable), and
+// holds a plain-filter replica of every registered peer's summary, and
 // binds the two to the ICP transport as the summary-cache enhanced ICP
 // node (Node). On a local miss the node probes the peer summaries and
 // queries only the proxies whose summaries show promise — the mechanism
@@ -166,7 +166,7 @@ func (d *Directory) Drain() []bloom.Flip {
 
 // FilterSnapshot returns a copy of the directory's plain bit array — the
 // authoritative state a peer's replica should equal once the mesh has
-// converged (see PeerTable.ReplicaSnapshot).
+// converged (see Node.ReplicaSnapshot).
 func (d *Directory) FilterSnapshot() []byte {
 	return d.counting.BitFilter().Snapshot()
 }

@@ -195,11 +195,11 @@ func replicaFilter(t testing.TB, pt *PeerTable, d *Directory) *bloom.Filter {
 	t.Helper()
 	pt.mu.RLock()
 	defer pt.mu.RUnlock()
-	ps := pt.peers["p"]
-	if ps == nil {
+	r := pt.reps["p"]
+	if r.filter == nil {
 		t.Fatal("replica missing")
 	}
-	return ps.filter
+	return r.filter
 }
 
 func snapshotDiffBits(a, b *bloom.Filter) int {
@@ -230,7 +230,7 @@ func TestSpecChangeIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pt.mu.RLock()
-	f := pt.peers["p"].filter
+	f := pt.reps["p"].filter
 	pt.mu.RUnlock()
 	if f.OnesCount() != 1 {
 		t.Fatalf("spec change merged old state: %d bits set", f.OnesCount())

@@ -77,6 +77,7 @@ func (n *Node) observe(p *peer, ev evidence) (from, to PeerState, err error) {
 	from = p.state
 	down := func(byProbe bool) {
 		p.state, p.downSince, p.probeDown = PeerDown, time.Now(), byProbe
+		p.rep = replica{}
 	}
 	revive := func() { p.state, p.misses, p.fails = PeerUp, 0, 0 }
 	switch ev {
@@ -118,7 +119,6 @@ func (n *Node) observe(p *peer, ev evidence) (from, to PeerState, err error) {
 
 	switch {
 	case from == PeerUp && to == PeerDown:
-		n.peers.Drop(p.id)
 		cause := "fetch"
 		if byProbe {
 			cause = "probe"

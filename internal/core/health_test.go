@@ -59,7 +59,7 @@ func TestHealthDetectsFailureAndRecovery(t *testing.T) {
 	b.HandleInsert(url)
 	b.PublishNow()
 	waitFor(t, "replication", func() bool {
-		return len(a.PeerSummaries().Candidates(url)) == 1
+		return len(a.Candidates(url)) == 1
 	})
 
 	stop := a.StartHealthChecks(HealthConfig{
@@ -75,7 +75,7 @@ func TestHealthDetectsFailureAndRecovery(t *testing.T) {
 		return a.PeerState(bAddr) == PeerDown
 	})
 	waitFor(t, "summary drop", func() bool {
-		return len(a.PeerSummaries().Candidates(url)) == 0
+		return len(a.Candidates(url)) == 0
 	})
 
 	// Restart a node on the same UDP address ("recovery").
@@ -91,19 +91,24 @@ func TestHealthDetectsFailureAndRecovery(t *testing.T) {
 		t.Skipf("could not rebind %v: %v", bAddr, err)
 	}
 	defer b2.Close()
+	// A restarted node registers its peers again; until then it answers
+	// none of a's probes.
+	if err := b2.AddPeer(a.Addr()); err != nil {
+		t.Fatal(err)
+	}
 
 	waitFor(t, "recovery detection", func() bool {
 		return a.PeerState(bAddr) == PeerUp
 	})
-	// On recovery, a re-ships its full state to b2: b2's replica of a gets
-	// initialized even though b2 never called AddPeer.
+	// On recovery, a re-ships its full state to b2, so later deltas land on
+	// a replica that starts correct.
 	muA.Lock()
 	docsA["http://a-doc/"] = true
 	muA.Unlock()
 	a.HandleInsert("http://a-doc/")
 	a.PublishNow()
 	waitFor(t, "reinitialization", func() bool {
-		return len(b2.PeerSummaries().Candidates("http://a-doc/")) == 1
+		return len(b2.Candidates("http://a-doc/")) == 1
 	})
 }
 

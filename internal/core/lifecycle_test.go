@@ -140,12 +140,12 @@ func TestMarkPeerDownUp(t *testing.T) {
 	b.HandleInsert(doc)
 	b.PublishNow()
 	waitFor(t, "b's summary to reach a", func() bool {
-		return len(a.PeerSummaries().Candidates(doc)) == 1
+		return len(a.Candidates(doc)) == 1
 	})
 
 	bID := b.Addr().String()
 	a.FetchDone(b.Addr(), false)
-	if got := a.PeerSummaries().Candidates(doc); len(got) != 0 {
+	if got := a.Candidates(doc); len(got) != 0 {
 		t.Fatalf("candidates after a failed fetch = %v, want none", got)
 	}
 	if up, down := a.Health(); len(down) != 1 || down[0] != bID {
@@ -159,7 +159,7 @@ func TestMarkPeerDownUp(t *testing.T) {
 	// Coming up re-ships A's full state: B's replica of A must converge
 	// to A's own filter.
 	waitFor(t, "b's replica of a to converge", func() bool {
-		snap, ok := b.PeerSummaries().ReplicaSnapshot(a.Addr().String())
+		snap, ok := b.ReplicaSnapshot(a.Addr())
 		if !ok {
 			return false
 		}

@@ -115,13 +115,14 @@ type NodeConfig struct {
 type NodeStats struct {
 	QueriesSent      uint64 // ICP queries issued by Lookup
 	QueriesReceived  uint64 // peer queries answered
+	QueriesRefused   uint64 // queries from unregistered addresses, dropped unanswered
 	RemoteHits       uint64 // Lookups resolved by a peer HIT
 	FalseHits        uint64 // Lookups whose candidates all replied MISS
 	FalseMisses      uint64 // audit answers contradicting a negative probe
 	AuditQueries     uint64 // extra ICP queries sent by the false-miss audit
 	UpdatesSent      uint64 // DIRUPDATE datagrams sent
 	UpdatesReceived  uint64 // DIRUPDATE datagrams applied
-	UpdatesRejected  uint64 // DIRUPDATE datagrams refused (bad geometry or flip index)
+	UpdatesRejected  uint64 // DIRUPDATE datagrams refused (unregistered sender, bad geometry or flip index)
 	UpdateEvents     uint64 // threshold-triggered publications
 	FlipsPublished   uint64 // bit flips shipped in updates
 	UpdateFullBytes  uint64 // advertised bytes in full-state shipments
@@ -145,6 +146,7 @@ type NodeStats struct {
 // so the two can never disagree.
 type nodeMetrics struct {
 	queriesSent, queriesRecv          *obs.Counter
+	queriesRefused                    *obs.Counter
 	remoteHits, falseHits             *obs.Counter
 	falseMisses, auditQueries         *obs.Counter
 	updatesSent, updatesRecv          *obs.Counter
@@ -163,6 +165,8 @@ func newNodeMetrics(reg *obs.Registry, labels obs.Labels) nodeMetrics {
 			"ICP queries issued by Lookup", labels),
 		queriesRecv: reg.Counter("summarycache_node_queries_received_total",
 			"peer ICP queries answered", labels),
+		queriesRefused: reg.Counter("summarycache_node_queries_refused_total",
+			"ICP queries from unregistered addresses, dropped unanswered", labels),
 		remoteHits: reg.Counter("summarycache_node_remote_hits_total",
 			"Lookups resolved by a peer HIT", labels),
 		falseHits: reg.Counter("summarycache_node_false_hits_total",
@@ -176,7 +180,7 @@ func newNodeMetrics(reg *obs.Registry, labels obs.Labels) nodeMetrics {
 		updatesRecv: reg.Counter("summarycache_node_updates_received_total",
 			"DIRUPDATE messages applied", labels),
 		updatesRejected: reg.Counter("summarycache_node_updates_rejected_total",
-			"DIRUPDATE messages refused without touching the sender's replica", labels),
+			"DIRUPDATE messages refused without touching a replica (unregistered sender, bad geometry or flip index)", labels),
 		updateEvents: reg.Counter("summarycache_node_update_events_total",
 			"threshold- or timer-triggered summary publications", labels),
 		flipsPublished: reg.Counter("summarycache_node_flips_published_total",
@@ -198,21 +202,24 @@ func newNodeMetrics(reg *obs.Registry, labels obs.Labels) nodeMetrics {
 // from the local cache, maintains the local Directory and publishes its
 // deltas when the update threshold trips, replicates peer summaries from
 // incoming DIRUPDATEs, and resolves local misses by querying only the
-// peers whose summaries show promise. With NodeConfig.QueryAll it is a
-// classic ICP endpoint instead.
+// peers whose summaries show promise. It learns from and answers only its
+// registered peers. With NodeConfig.QueryAll it is a classic ICP endpoint
+// instead.
 type Node struct {
-	cfg   NodeConfig
-	conn  *icp.Conn
-	self  string // the bound address, as every series and trace names it
-	dir   *Directory
-	peers *PeerTable
+	cfg  NodeConfig
+	conn *icp.Conn
+	self string // the bound address, as every series and trace names it
+	dir  *Directory
 
 	// mu guards the registered peers: members in registration order,
 	// byAddr finding one from a datagram's source without allocating, and
-	// their liveness; probeLimit is the running prober's FailureThreshold.
+	// their replicas and liveness; pending holds the replicas Recover
+	// restored, by peer id, until AddPeer claims them; probeLimit is the
+	// running prober's FailureThreshold.
 	mu         sync.RWMutex
 	members    []*peer
 	byAddr     map[netip.AddrPort]*peer
+	pending    map[string]replica
 	probeLimit int
 
 	// The publisher goroutine is the only sender of DIRUPDATEs. wake (one
@@ -279,8 +286,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		dir:     dir,
-		peers:   NewPeerTable(),
 		byAddr:  make(map[netip.AddrPort]*peer),
+		pending: make(map[string]replica),
 		log:     obs.OrNop(cfg.Logger),
 		tracer:  cfg.Tracer,
 		wake:    make(chan struct{}, 1),
@@ -357,7 +364,17 @@ func (n *Node) initMetrics(reg *obs.Registry) {
 		})
 	reg.GaugeFunc("summarycache_node_peer_summary_bytes",
 		"memory held by peer summary replicas", labels,
-		func() float64 { return float64(n.peers.MemoryBytes()) })
+		func() float64 {
+			n.mu.RLock()
+			defer n.mu.RUnlock()
+			var total uint64
+			for _, p := range n.members {
+				if f := p.rep.filter; f != nil {
+					total += (f.Size() + 7) / 8
+				}
+			}
+			return float64(total)
+		})
 	reg.GaugeFunc("summarycache_node_directory_docs",
 		"documents summarized in the local directory", labels,
 		func() float64 { return float64(n.dir.Docs()) })
@@ -367,14 +384,7 @@ func (n *Node) initMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("summarycache_node_pending_flips",
 		"unpublished bit flips in the directory journal", labels,
 		func() float64 { return float64(n.dir.PendingFlips()) })
-	n.peers.SetRebuildObserver(func(peer, reason string) {
-		n.metrics.filterRebuilds.Inc()
-		n.log.Info("peer filter rebuilt", "peer", peer, "reason", reason)
-	})
 }
-
-// Metrics returns the registry the node instruments itself against.
-func (n *Node) Metrics() *obs.Registry { return n.reg }
 
 // publisher is the node's only sender of DIRUPDATEs, so deltas and
 // full-state resets reach each peer in publication order: flip records
@@ -432,9 +442,6 @@ func (n *Node) Addr() *net.UDPAddr { return n.conn.Addr() }
 // Directory exposes the local summary (diagnostics and tests).
 func (n *Node) Directory() *Directory { return n.dir }
 
-// PeerSummaries exposes the peer replica table (diagnostics and tests).
-func (n *Node) PeerSummaries() *PeerTable { return n.peers }
-
 // Close shuts the node down and returns once its publisher has exited. It
 // is idempotent and safe to call concurrently: all callers observe the
 // first shutdown's result. Closing the socket first fails a send the
@@ -455,6 +462,7 @@ func (n *Node) Stats() NodeStats {
 	return NodeStats{
 		QueriesSent:      n.metrics.queriesSent.Value(),
 		QueriesReceived:  n.metrics.queriesRecv.Value(),
+		QueriesRefused:   n.metrics.queriesRefused.Value(),
 		RemoteHits:       n.metrics.remoteHits.Value(),
 		FalseHits:        n.metrics.falseHits.Value(),
 		FalseMisses:      n.metrics.falseMisses.Value(),
@@ -476,13 +484,15 @@ func (n *Node) Stats() NodeStats {
 }
 
 // peer is one registered neighbor: its address, its identifier (the
-// address string that keys its replica and its series), what this node's
-// update stream has cost it, the lookup decisions charged to its summary,
-// and its liveness. RemovePeer drops the record, and every piece of state
-// with it.
+// address string that names its series), this node's replica of its
+// summary, what this node's update stream has cost it, the lookup decisions
+// charged to its summary, and its liveness. RemovePeer drops the record,
+// and every piece of state with it.
 type peer struct {
 	addr *net.UDPAddr
 	id   string
+
+	rep replica // under Node.mu
 
 	updates, bytes atomic.Uint64 // DIRUPDATE messages and bytes sent to it
 
@@ -516,16 +526,6 @@ func (n *Node) member(addr *net.UDPAddr) *peer {
 	return n.byAddr[addrKey(addr)]
 }
 
-// memberByID returns the registered peer whose address string is id (nil:
-// none). The caller holds n.mu.
-func (n *Node) memberByID(id string) *peer {
-	ap, err := netip.ParseAddrPort(id)
-	if err != nil {
-		return nil
-	}
-	return n.byAddr[netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())]
-}
-
 // memberList returns the registered peers in registration order.
 func (n *Node) memberList() []*peer {
 	n.mu.RLock()
@@ -535,9 +535,14 @@ func (n *Node) memberList() []*peer {
 
 // AddPeer registers a neighbor and bootstraps it with this node's full
 // summary state so its replica starts correct. It returns once that state
-// is sent. Re-adding a registered neighbor brings it up with both failure
-// counts restarted, so both evidence sources judge it afresh, and
-// bootstraps it again.
+// is sent. A node that has shipped nothing and summarizes nothing sends no
+// bootstrap: its first delta starts the neighbor's replica correct, and in
+// a mesh coming up the neighbor may not have registered it yet, so would
+// refuse it. From then on the node applies the neighbor's summary updates
+// and answers its queries; a replica Recover restored for it is installed.
+// Re-adding a registered neighbor brings it up with both failure counts
+// restarted, so both evidence sources judge it afresh, and bootstraps it
+// again.
 func (n *Node) AddPeer(addr *net.UDPAddr) error {
 	key := addrKey(addr)
 	n.mu.Lock()
@@ -547,11 +552,22 @@ func (n *Node) AddPeer(addr *net.UDPAddr) error {
 		n.byAddr[key] = p
 		n.members = append(n.members, p)
 	}
+	r, restored := n.pending[p.id]
+	if restored {
+		p.rep = r
+		delete(n.pending, p.id)
+	}
 	n.mu.Unlock()
+	if restored {
+		n.noteRebuild(p.id, "restored")
+	}
 	if !known {
 		n.registerPeerMetrics(p)
 	} else if from, _, err := n.observe(p, reAdded); from != PeerUp {
 		return err // coming up re-shipped the full state
+	}
+	if n.lastAdvert.Load() == 0 && n.dir.Docs() == 0 {
+		return nil
 	}
 	return n.publish(p)
 }
@@ -570,22 +586,31 @@ func (n *Node) ResyncPeers() error {
 }
 
 // ExportState returns what a warm restart needs to restore this node: the
-// directory's counting filter (Directory.StateSnapshot) and the peer
-// replicas (PeerTable.ExportReplicas). A query-all node keeps neither.
+// directory's counting filter (Directory.StateSnapshot) and the registered
+// peers' replicas, in registration order. A query-all node keeps neither.
 func (n *Node) ExportState() (directory []byte, replicas []ReplicaState) {
 	if n.cfg.QueryAll {
 		return nil, nil
 	}
-	return n.dir.StateSnapshot(), n.peers.ExportReplicas()
+	n.mu.RLock()
+	for _, p := range n.members {
+		if p.rep.filter != nil {
+			replicas = append(replicas, p.rep.snapshot(p.id))
+		}
+	}
+	n.mu.RUnlock()
+	return n.dir.StateSnapshot(), replicas
 }
 
 // Recover installs the state ExportState saved before a restart, before the
-// node's first lookup. directory is restored and then the documents in
-// removed, which left the cache after it was saved, are taken out; when it
-// is missing or does not fit this directory's geometry, the directory is
-// rebuilt from keys, the documents the cache readmitted, instead. The saved
-// replicas are reinstalled. summarycache_node_recoveries_total counts the
-// recovery. A query-all node keeps no summary and only counts it.
+// node's first lookup and before its first AddPeer. directory is restored
+// and then the documents in removed, which left the cache after it was
+// saved, are taken out; when it is missing or does not fit this directory's
+// geometry, the directory is rebuilt from keys, the documents the cache
+// readmitted, instead. Each saved replica waits for AddPeer to register its
+// peer; until then it answers no lookup, and one never claimed is not
+// exported again. summarycache_node_recoveries_total counts the recovery. A
+// query-all node keeps no summary and only counts it.
 func (n *Node) Recover(directory []byte, removed []string, keys func() []string, replicas []ReplicaState) {
 	n.metrics.recoveries.Inc()
 	n.log.Info("node recovered from snapshot", "replicas", len(replicas))
@@ -611,15 +636,20 @@ func (n *Node) Recover(directory []byte, removed []string, keys func() []string,
 			n.dir.Insert(key)
 		}
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	for _, st := range replicas {
-		if err := n.peers.RestoreReplica(st); err != nil {
+		r, err := restore(st, n.dir.Bits())
+		if err != nil {
 			n.log.Warn("peer replica not restorable", "peer", st.Peer, "err", err)
+			continue
 		}
+		n.pending[st.Peer] = r
 	}
 }
 
-// RemovePeer forgets a neighbor: its record, with its liveness, and its
-// summary. Every peer-labeled series the node registered for it is retired
+// RemovePeer forgets a neighbor: its record, with its replica and its
+// liveness. Every peer-labeled series the node registered for it is retired
 // with it — peer churn must not leave stale series in the exposition.
 func (n *Node) RemovePeer(addr *net.UDPAddr) {
 	key := addrKey(addr)
@@ -630,9 +660,7 @@ func (n *Node) RemovePeer(addr *net.UDPAddr) {
 		n.members = slices.DeleteFunc(n.members, func(q *peer) bool { return q == p })
 	}
 	n.mu.Unlock()
-	id := addr.String()
-	n.peers.Drop(id)
-	n.reg.Unregister(obs.L("node", n.self, "peer", id))
+	n.reg.Unregister(obs.L("node", n.self, "peer", addr.String()))
 }
 
 // PeerAddrs returns the registered neighbor addresses in registration
@@ -672,62 +700,41 @@ func (n *Node) LastAdvertAge() (time.Duration, bool) {
 
 // registerPeerMetrics exposes a registered neighbor's replica health, wire
 // accounting and decisions as peer-labeled series. All series are
-// scrape-time callbacks reading the peer table and the peer's record (one
-// source of truth each), so they carry no probe-path cost. RemovePeer
-// retires them.
+// scrape-time callbacks reading the peer's record (the one source of
+// truth), so they carry no probe-path cost. RemovePeer retires them.
 func (n *Node) registerPeerMetrics(p *peer) {
-	id := p.id
-	ls := obs.L("node", n.self, "peer", id)
-	pt := n.peers
-	health := func(read func(PeerHealth) float64) func() float64 {
-		return func() float64 {
-			h, ok := pt.Health(id)
-			if !ok {
-				return 0
-			}
-			return read(h)
-		}
+	ls := obs.L("node", n.self, "peer", p.id)
+	row := func() (r meshhealth.PeerReport) {
+		n.mu.RLock()
+		p.rep.health(&r)
+		n.mu.RUnlock()
+		return r
 	}
 	n.reg.GaugeFunc("summarycache_peer_fill_ratio",
 		"fraction of set bits in the peer's summary replica", ls,
-		health(func(h PeerHealth) float64 { return h.FillRatio }))
+		func() float64 { return row().FillRatio })
 	n.reg.GaugeFunc("summarycache_peer_est_false_positive",
 		"estimated false-positive probability of the replica (fill^k)", ls,
-		health(func(h PeerHealth) float64 { return h.EstFalsePositive }))
+		func() float64 { return row().EstFalsePositive })
 	n.reg.GaugeFunc("summarycache_peer_update_age_seconds",
 		"seconds since the peer's last DIRUPDATE was applied", ls,
-		health(func(h PeerHealth) float64 { return h.UpdateAge.Seconds() }))
-	n.reg.CounterFunc("summarycache_peer_update_bytes_in_total",
-		"DIRUPDATE bytes applied from this peer", ls,
-		func() uint64 {
-			h, _ := pt.Health(id)
-			return h.BytesIn
-		})
-	n.reg.CounterFunc("summarycache_peer_updates_full_total",
-		"full-state updates applied from this peer", ls,
-		func() uint64 {
-			h, _ := pt.Health(id)
-			return h.FullUpdates
-		})
-	n.reg.CounterFunc("summarycache_peer_updates_delta_total",
-		"delta updates applied from this peer", ls,
-		func() uint64 {
-			h, _ := pt.Health(id)
-			return h.DeltaUpdates
-		})
+		func() float64 { return row().UpdateAgeMS / 1e3 })
 	for _, c := range []struct {
 		name, help string
-		v          *atomic.Uint64
+		read       func() uint64
 	}{
-		{"summarycache_peer_updates_sent_total", "update messages sent to this peer", &p.updates},
-		{"summarycache_peer_update_bytes_out_total", "update bytes sent to this peer", &p.bytes},
-		{"summarycache_peer_nominations_total", "lookups in which this peer's summary matched (the peer was queried)", &p.nominations},
-		{"summarycache_peer_remote_hits_total", "fresh copies this peer delivered", &p.remoteHits},
-		{"summarycache_peer_false_hits_total", "nominations this peer's summary got wrong (peer answered MISS or failed to deliver)", &p.falseHits},
-		{"summarycache_peer_false_misses_total", "audit ICP answers contradicting this peer's negative summary probe", &p.falseMisses},
-		{"summarycache_peer_stale_hits_total", "stale-version deliveries by this peer", &p.staleHits},
+		{"summarycache_peer_update_bytes_in_total", "DIRUPDATE bytes applied from this peer", func() uint64 { return row().BytesIn }},
+		{"summarycache_peer_updates_full_total", "full-state updates applied from this peer", func() uint64 { return row().FullUpdates }},
+		{"summarycache_peer_updates_delta_total", "delta updates applied from this peer", func() uint64 { return row().DeltaUpdates }},
+		{"summarycache_peer_updates_sent_total", "update messages sent to this peer", p.updates.Load},
+		{"summarycache_peer_update_bytes_out_total", "update bytes sent to this peer", p.bytes.Load},
+		{"summarycache_peer_nominations_total", "lookups in which this peer's summary matched (the peer was queried)", p.nominations.Load},
+		{"summarycache_peer_remote_hits_total", "fresh copies this peer delivered", p.remoteHits.Load},
+		{"summarycache_peer_false_hits_total", "nominations this peer's summary got wrong (peer answered MISS or failed to deliver)", p.falseHits.Load},
+		{"summarycache_peer_false_misses_total", "audit ICP answers contradicting this peer's negative summary probe", p.falseMisses.Load},
+		{"summarycache_peer_stale_hits_total", "stale-version deliveries by this peer", p.staleHits.Load},
 	} {
-		n.reg.CounterFunc(c.name, c.help, ls, c.v.Load)
+		n.reg.CounterFunc(c.name, c.help, ls, c.read)
 	}
 	n.reg.GaugeFunc("summarycache_peer_divergence",
 		"observed divergence of this peer's summary: false hits per nomination", ls,
@@ -816,20 +823,6 @@ func (n *Node) splitUpdate(flips []bloom.Flip) []icp.Message {
 	return msgs
 }
 
-// applyUpdate applies one received DIRUPDATE to the sender's replica,
-// reporting the apply time as the "dirupdate_apply" perfwatch stage when
-// a StageTiming hook is wired.
-func (n *Node) applyUpdate(peer string, u *icp.DirUpdate, full bool) error {
-	st := n.cfg.StageTiming
-	if st == nil {
-		return n.peers.ApplyUpdate(peer, u, full)
-	}
-	t0 := time.Now()
-	err := n.peers.ApplyUpdate(peer, u, full)
-	st("dirupdate_apply", time.Since(t0))
-	return err
-}
-
 // sendFullState ships the entire filter to one peer, flagged so the peer
 // resets its replica first. Only the publisher calls it, so no delta can
 // overtake the reset.
@@ -868,7 +861,7 @@ func (n *Node) Lookup(ctx context.Context, url string) (hit *net.UDPAddr, candid
 type Resolution struct {
 	// Peer confirmed the document; nil when it must come from the origin.
 	Peer *net.UDPAddr
-	// PeerID is Peer's identifier in the peer table (its UDP address
+	// PeerID is the registered Peer's identifier (its UDP address
 	// string); "" when Peer is nil.
 	PeerID string
 	// Reply is Peer's HIT or HIT_OBJ. A HIT_OBJ carries the document
@@ -896,42 +889,42 @@ func (n *Node) LookupObject(ctx context.Context, url string) (Resolution, error)
 const stackPeers = 16
 
 // lookup implements Lookup and LookupObject; options are the queries'.
-// Every per-peer list — candidate IDs, addresses queried (and their IDs and
-// records), each one's answer — is a slice of a stack array, so an untraced
-// lookup allocates nothing itself.
+// One pass over the registered peers, in registration order, picks the ones
+// to query: every one under QueryAll, else each whose replica matches, which
+// is charged the nomination. The first picked is the one asked for the
+// object. A traced lookup records each replica's evidence in the same pass.
+// Every per-peer list — the records queried, their addresses, each one's
+// answer — is a slice of a stack array, so an untraced lookup allocates
+// nothing itself.
 func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resolution, error) {
 	tr := tracing.FromContext(ctx)
 	var probes []SummaryProbe
-	// ids are the peers the summaries nominated; qids[i] names addrs[i], a
-	// peer to query, and recs[i] is its record (nil when it is not
-	// registered).
-	var idBuf, qidBuf [stackPeers]string
-	var addrBuf [stackPeers]*net.UDPAddr
 	var recBuf [stackPeers]*peer
-	ids, qids, addrs, recs := idBuf[:0], qidBuf[:0], addrBuf[:0], recBuf[:0]
+	var addrBuf [stackPeers]*net.UDPAddr
+	recs, addrs := recBuf[:0], addrBuf[:0] // addrs[i] is recs[i]'s address
+	var pr probe
 	probeStart := time.Now()
-	if n.cfg.QueryAll {
-		n.mu.RLock()
-		for _, p := range n.members {
-			qids, addrs, recs = append(qids, p.id), append(addrs, p.addr), append(recs, p)
-		}
-		n.mu.RUnlock()
-	} else {
-		if tr != nil {
-			probes = n.peers.ProbeAll(url)
-			for _, pr := range probes {
-				if pr.Match {
-					ids = append(ids, pr.Peer)
-				}
+	n.mu.RLock()
+	for _, p := range n.members {
+		match := n.cfg.QueryAll
+		if r := &p.rep; !match && r.filter != nil {
+			idx := pr.indexes(r, url)
+			match = r.filter.TestIndexes(idx)
+			if tr != nil {
+				probes = append(probes, r.probe(p.id, slices.Clone(idx), match, probeStart))
 			}
-		} else {
-			ids = n.peers.AppendCandidates(ids, url)
+			if match {
+				p.nominations.Add(1)
+			}
 		}
-		qids, addrs, recs = n.appendAddrs(qids, addrs, recs, ids)
+		if match {
+			recs, addrs = append(recs, p), append(addrs, p.addr)
+		}
 	}
-	if len(addrs) == 0 {
-		n.traceLookup(tr, false, probes, probeStart, nil, nil, 0, 0, Resolution{})
-		n.auditFalseMiss(ctx, url, ids, tr)
+	n.mu.RUnlock()
+	if len(recs) == 0 {
+		n.traceLookup(tr, false, probes, probeStart, nil, 0, 0, Resolution{})
+		n.auditFalseMiss(ctx, url, nil, tr)
 		return Resolution{}, nil
 	}
 	n.metrics.queriesSent.Add(uint64(len(addrs)))
@@ -955,9 +948,9 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 	n.metrics.queryRTT.ObserveDuration(rtt)
 	res := Resolution{Peer: from, Reply: win, Candidates: len(addrs)}
 	if from != nil {
-		res.PeerID = qids[slices.Index(addrs, from)]
+		res.PeerID = recs[slices.Index(addrs, from)].id
 	}
-	n.traceLookup(tr, true, probes, probeStart, qids, ops, reqNum, rtt, res)
+	n.traceLookup(tr, true, probes, probeStart, ops, reqNum, rtt, res)
 	if err != nil {
 		return res, err
 	}
@@ -976,50 +969,20 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 			continue
 		}
 		answered++
-		if p := recs[i]; res.FalseHit && p != nil && op != icp.OpHit && op != icp.OpHitObj {
+		if p := recs[i]; res.FalseHit && op != icp.OpHit && op != icp.OpHitObj {
 			// Every candidate that answered MISS was nominated by a summary
 			// that lied; unanswered candidates may just be down or lossy,
 			// so they are not charged.
 			n.noteFalse(p, &p.falseHits, "false_hit", url, tr)
 		}
 	}
-	if tr != nil && answered < len(qids) {
+	if tr != nil && answered < len(recs) {
 		// Some candidates never answered inside the timeout — the
 		// peer-down/timeout class of anomaly, kept by tail sampling.
 		tr.MarkAnomalous("query_timeout")
 	}
-	n.auditFalseMiss(ctx, url, ids, tr)
+	n.auditFalseMiss(ctx, url, recs, tr)
 	return res, nil
-}
-
-// appendAddrs appends each nominated peer in ids to the query lists — its
-// ID to qids, its address to addrs and its record to recs (nil when it is
-// not registered) — registered peers first, in candidate order, so the
-// first candidate is the one asked for the object. Each registered one is
-// charged the nomination.
-func (n *Node) appendAddrs(qids []string, addrs []*net.UDPAddr, recs []*peer, ids []string) ([]string, []*net.UDPAddr, []*peer) {
-	start := len(qids)
-	n.mu.RLock()
-	for _, id := range ids {
-		if p := n.memberByID(id); p != nil {
-			p.nominations.Add(1)
-			qids, addrs, recs = append(qids, id), append(addrs, p.addr), append(recs, p)
-		}
-	}
-	n.mu.RUnlock()
-	if len(qids)-start < len(ids) {
-		// Summaries can arrive from peers we never registered (a neighbor
-		// that added us one-way); the replica is keyed by the datagram's
-		// source address, so the key is itself the address to query.
-		for _, id := range ids {
-			if !slices.Contains(qids[start:], id) {
-				if a, err := net.ResolveUDPAddr("udp", id); err == nil {
-					qids, addrs, recs = append(qids, id), append(addrs, a), append(recs, nil)
-				}
-			}
-		}
-	}
-	return qids, addrs, recs
 }
 
 // traceID returns tr's current ID as a hex string ("" when untraced) —
@@ -1037,7 +1000,7 @@ func traceID(tr *tracing.Trace) string {
 // attributed to the answering peer. At most one false miss is counted per
 // audited lookup — the event is the lookup, not the peer count. The
 // lookup result is never changed; this is accounting only.
-func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []string, tr *tracing.Trace) {
+func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []*peer, tr *tracing.Trace) {
 	every := n.cfg.FalseMissAuditEvery
 	if every <= 0 {
 		return
@@ -1049,7 +1012,7 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []strin
 	var addrs []*net.UDPAddr
 	n.mu.RLock()
 	for _, p := range n.members {
-		if !slices.Contains(nominated, p.id) {
+		if !slices.Contains(nominated, p) {
 			recs, addrs = append(recs, p), append(addrs, p.addr)
 		}
 	}
@@ -1070,11 +1033,11 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []strin
 
 // traceLookup records the decision audit of one Lookup on tr: a
 // summary-probe span per consulted peer and (when a query was sent) the
-// ICP round-trip span. ops[i] is the actual answer of the peer ids[i]
-// (OpInvalid: none); res names the winning peer and its reply (Peer nil
-// when nobody confirmed).
+// ICP round-trip span. ops holds the actual answers of the matching probes'
+// peers, in probe order (OpInvalid: none); res names the winning peer and
+// its reply (Peer nil when nobody confirmed).
 func (n *Node) traceLookup(tr *tracing.Trace, queried bool, probes []SummaryProbe, probeStart time.Time,
-	ids []string, ops []icp.Opcode, reqNum uint32, rtt time.Duration, res Resolution) {
+	ops []icp.Opcode, reqNum uint32, rtt time.Duration, res Resolution) {
 	if tr == nil {
 		return
 	}
@@ -1082,6 +1045,7 @@ func (n *Node) traceLookup(tr *tracing.Trace, queried bool, probes []SummaryProb
 		tr.SetICPExchange(n.self, reqNum)
 	}
 	probeDur := time.Since(probeStart).Microseconds()
+	asked := 0 // the matching probes seen so far; ops[asked] is the next one's answer
 	for _, pr := range probes {
 		s := tracing.Span{
 			Name:       tracing.SpanSummaryProbe,
@@ -1100,15 +1064,16 @@ func (n *Node) traceLookup(tr *tracing.Trace, queried bool, probes []SummaryProb
 		if pr.Match {
 			s.Predicted = "hit"
 			if queried {
-				switch i := slices.Index(ids, pr.Peer); {
-				case i < 0 || ops[i] == icp.OpInvalid:
+				switch op := ops[asked]; op {
+				case icp.OpInvalid:
 					s.Actual = "no_reply"
-				case ops[i] == icp.OpHit || ops[i] == icp.OpHitObj:
+				case icp.OpHit, icp.OpHitObj:
 					s.Actual = "hit"
 				default:
 					s.Actual = "miss"
 				}
 			}
+			asked++
 		}
 		tr.AddSpan(s)
 	}
@@ -1123,21 +1088,22 @@ func (n *Node) traceLookup(tr *tracing.Trace, queried bool, probes []SummaryProb
 	}
 }
 
-// handle serves incoming unsolicited messages.
+// handle serves incoming unsolicited messages. Only a registered peer is
+// answered or learned from: a spoofed query would otherwise reflect a reply,
+// up to icp.MaxHitObjLen bytes with a document inline, at its forged source,
+// and a spoofed DIRUPDATE would build a replica that draws every lookup's
+// queries to that source.
 func (n *Node) handle(from *net.UDPAddr, m icp.Message) {
-	p := n.member(from)
 	switch m.Op {
 	case icp.OpQuery:
+		p := n.member(from)
+		if p == nil {
+			n.metrics.queriesRefused.Inc()
+			return
+		}
 		start := time.Now()
 		n.metrics.queriesRecv.Inc()
-		read := n.cfg.ReadDocument
-		if p == nil {
-			// Only a member may draw a document: a spoofed ~60-byte flagged
-			// query would otherwise reflect up to icp.MaxHitObjLen body
-			// bytes at its forged source. A non-member gets a plain answer.
-			read = nil
-		}
-		reply := icp.Answer(m, n.cfg.HasDocument, read)
+		reply := icp.Answer(m, n.cfg.HasDocument, n.cfg.ReadDocument)
 		if n.tracer != nil {
 			// Recorded before the reply leaves, so the querier, once
 			// answered, finds this side of the exchange. Under SC-ICP a
@@ -1145,7 +1111,7 @@ func (n *Node) handle(from *net.UDPAddr, m icp.Message) {
 			// summary predicted a hit; a MISS answer is therefore a false
 			// hit seen from the answering side — anomalous, tail-kept.
 			// Classic ICP asks everyone, so there a MISS is ordinary.
-			n.tracer.ICPAnswer(n.self, peerID(p, from), m.ReqNum, m.URL,
+			n.tracer.ICPAnswer(n.self, p.id, m.ReqNum, m.URL,
 				reply.Op.Verdict(), start, !n.cfg.QueryAll)
 		}
 		_ = n.conn.Send(from, reply)
@@ -1153,20 +1119,10 @@ func (n *Node) handle(from *net.UDPAddr, m icp.Message) {
 		if n.cfg.QueryAll {
 			return // no summaries are kept
 		}
-		full := m.Options&icp.OptionFullUpdate != 0
-		if err := n.applyUpdate(peerID(p, from), m.Update, full); err != nil {
+		if err := n.applyUpdate(from, m.Update, m.Options&icp.OptionFullUpdate != 0); err != nil {
 			n.metrics.updatesRejected.Inc()
 			return
 		}
 		n.metrics.updatesRecv.Inc()
 	}
-}
-
-// peerID names a datagram's sender as the peer table does: a member by its
-// registered ID, anyone else by the source address.
-func peerID(p *peer, from *net.UDPAddr) string {
-	if p != nil {
-		return p.id
-	}
-	return from.String()
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"net"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -11,339 +13,151 @@ import (
 	"summarycache/internal/bloom"
 	"summarycache/internal/hashing"
 	"summarycache/internal/icp"
+	"summarycache/internal/meshhealth"
 )
 
-// PeerTable holds this proxy's replicas of every neighbor's summary — "an
-// additional bit array is added to the data structure for each neighbor.
-// The structure is initialized when the first summary update message is
-// received from the neighbor." Keys are opaque peer identifiers (the node
-// layer uses UDP address strings). PeerTable is safe for concurrent use.
-type PeerTable struct {
-	mu        sync.RWMutex
-	peers     map[string]*peerSummary
-	onRebuild func(peer, reason string)
+// Bounds on the geometry a peer's summary may announce (see checkGeometry).
+// Every lookup probes every replica, hashing the URL once per function, and
+// one datagram sizes the replica's bit array, so an unbounded announcement
+// lets one peer slow every lookup or make this node allocate up to
+// bloom.MaxBits/8 bytes.
+const (
+	maxReplicaK  = 16 // hash functions: the probe memo's size; §V-E recommends 4
+	maxBitsRatio = 16 // a member's bit array against the local directory's, both ways
+)
+
+// errNotMember rejects a DIRUPDATE from an address that is not registered.
+var errNotMember = errors.New("core: update from an unregistered peer")
+
+// replica is this node's copy of one neighbor's summary: "an additional bit
+// array is added to the data structure for each neighbor. The structure is
+// initialized when the first summary update message is received from the
+// neighbor" (§VI). A registered peer's replica lives on its record, under
+// Node.mu; the zero value is no replica.
+type replica struct {
+	filter *bloom.Filter // nil until the first update
+	// gen counts the updates applied to this filter; it is the replica's
+	// generation in decision audits (a stale prediction names the
+	// generation it was made against).
+	gen     uint64
+	changed time.Time // when the last update was applied: the replica's age
+	// What the peer's update stream has cost on the wire and how it arrives
+	// (the paper's Figs. 6–8 overhead, per peer). A rebuilt filter keeps
+	// them: they describe the relationship, not one filter.
+	full, delta, bytesIn uint64
 }
 
-type peerSummary struct {
-	filter *bloom.Filter
-	spec   hashing.Spec
-	// updates counts applied DIRUPDATE messages; it doubles as the
-	// replica's generation in decision audits (a stale prediction names
-	// the generation it was made against).
-	updates uint64
-	// changed is when the last update was applied — the replica's age.
-	changed time.Time
-	// Mesh-health accounting, per the paper's overhead quantities
-	// (Figs. 6–8): what each peer's summary stream costs on the wire and
-	// how it arrives. These survive geometry changes and full resets —
-	// they describe the peer relationship, not one replica incarnation.
-	fullUpdates  uint64
-	deltaUpdates uint64
-	bytesIn      uint64
-	flipsApplied uint64
-	rebuilds     uint64
-}
-
-// NewPeerTable creates an empty table.
-func NewPeerTable() *PeerTable {
-	return &PeerTable{peers: make(map[string]*peerSummary)}
-}
-
-// SetRebuildObserver installs a callback fired (outside the table lock)
-// whenever a peer's replica filter is built from scratch: first contact,
-// a geometry change announced in an update, or a full-state reset. The
-// node layer uses it for the filter-rebuild counter and event log.
-func (pt *PeerTable) SetRebuildObserver(fn func(peer, reason string)) {
-	pt.mu.Lock()
-	pt.onRebuild = fn
-	pt.mu.Unlock()
-}
-
-// Len returns the number of peers with initialized summaries.
-func (pt *PeerTable) Len() int {
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	return len(pt.peers)
-}
-
-// Peers returns the known peer identifiers, sorted.
-func (pt *PeerTable) Peers() []string {
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	out := make([]string, 0, len(pt.peers))
-	for id := range pt.peers {
-		out = append(out, id)
+// checkGeometry rejects an announced hash family or bit-array size no
+// replica may take: more than maxReplicaK functions, an empty bit array,
+// or, unless local is 0, one more than maxBitsRatio times larger or smaller
+// than local, the size of the local directory's.
+func checkGeometry(spec hashing.Spec, bits, local uint64) error {
+	if err := spec.Validate(); err != nil {
+		return err
 	}
-	sort.Strings(out)
-	return out
-}
-
-// ApplyUpdate folds a decoded directory update from peer into its replica,
-// creating or re-creating the replica when the update announces a new
-// geometry (every update message carries the full hash specification "so
-// that receivers can verify the information"). When full is true the
-// replica is reset before applying — the full-state bootstrap a recovered
-// neighbor sends. A rejected update changes nothing: every check, including
-// each flip index against the announced bit array, runs before the table
-// is touched.
-func (pt *PeerTable) ApplyUpdate(peer string, u *icp.DirUpdate, full bool) error {
-	if u == nil {
-		return icp.ErrNotDirUpdate
+	if spec.FunctionNum > maxReplicaK {
+		return fmt.Errorf("core: %d hash functions announced, at most %d", spec.FunctionNum, maxReplicaK)
 	}
-	if err := u.Spec.Validate(); err != nil {
-		return fmt.Errorf("core: update from %s: %w", peer, err)
-	}
-	if u.Bits == 0 {
-		return fmt.Errorf("core: update from %s announces empty bit array", peer)
-	}
-	for _, fl := range u.Flips {
-		if fl.Index >= u.Bits {
-			return fmt.Errorf("core: update from %s: %w: %d >= %d", peer, bloom.ErrIndexRange, fl.Index, u.Bits)
-		}
-	}
-	pt.mu.Lock()
-	rebuilt := ""
-	ps := pt.peers[peer]
-	if ps == nil || ps.spec != u.Spec || ps.filter.Size() != uint64(u.Bits) {
-		f, err := bloom.NewFilter(uint64(u.Bits), u.Spec)
-		if err != nil {
-			pt.mu.Unlock()
-			return fmt.Errorf("core: update from %s: %w", peer, err)
-		}
-		next := &peerSummary{filter: f, spec: u.Spec}
-		if ps == nil {
-			rebuilt = "first-contact"
-		} else {
-			rebuilt = "geometry-change"
-			// Keep the relationship-level health accounting across the
-			// replica rebuild; only the bit array starts over.
-			next.fullUpdates = ps.fullUpdates
-			next.deltaUpdates = ps.deltaUpdates
-			next.bytesIn = ps.bytesIn
-			next.flipsApplied = ps.flipsApplied
-			next.rebuilds = ps.rebuilds
-		}
-		ps = next
-		pt.peers[peer] = ps
-	} else if full {
-		ps.filter.Reset()
-		rebuilt = "full-reset"
-	}
-	if err := ps.filter.Apply(u.Flips); err != nil {
-		pt.mu.Unlock()
-		return fmt.Errorf("core: update from %s: %w", peer, err)
-	}
-	ps.updates++
-	ps.changed = time.Now()
-	if full {
-		ps.fullUpdates++
-	} else {
-		ps.deltaUpdates++
-	}
-	ps.bytesIn += uint64(u.WireBytes())
-	ps.flipsApplied += uint64(len(u.Flips))
-	if rebuilt != "" {
-		ps.rebuilds++
-	}
-	fn := pt.onRebuild
-	pt.mu.Unlock()
-	if rebuilt != "" && fn != nil {
-		fn(peer, rebuilt)
+	if bits == 0 || local != 0 && (bits > local*maxBitsRatio || bits*maxBitsRatio < local) {
+		return fmt.Errorf("core: %d bits announced, local directory has %d", bits, local)
 	}
 	return nil
 }
 
-// Candidates returns the peers whose summaries indicate url may be cached
-// there — the set the node will actually query — sorted. Peers without an
-// initialized summary are never candidates (no false misses result beyond
-// those the delayed summary already causes: an uninitialized peer is
-// treated as unknown, matching the prototype).
-func (pt *PeerTable) Candidates(url string) []string {
-	return pt.AppendCandidates(nil, url)
-}
-
-// AppendCandidates is Candidates appending into dst: with room in dst it
-// allocates nothing.
-func (pt *PeerTable) AppendCandidates(dst []string, url string) []string {
-	start := len(dst)
-	var p probe
-	pt.mu.RLock()
-	for id, ps := range pt.peers {
-		if ps.filter.TestIndexes(p.indexes(ps, url)) {
-			dst = append(dst, id)
+// apply folds a decoded directory update into r, building the filter afresh
+// when the update announces a new geometry (every update carries the full
+// hash specification "so that receivers can verify the information"), or
+// resetting it first when full is set: the full-state bootstrap a recovered
+// neighbor sends. The geometry is checked against local (see
+// checkGeometry). It returns why the filter was built afresh ("" when it
+// was not). A rejected update changes nothing: every check, each flip index
+// included, runs before r is touched.
+func (r *replica) apply(u *icp.DirUpdate, full bool, local uint64) (rebuilt string, err error) {
+	if u == nil {
+		return "", icp.ErrNotDirUpdate
+	}
+	if err := checkGeometry(u.Spec, uint64(u.Bits), local); err != nil {
+		return "", err
+	}
+	for _, fl := range u.Flips {
+		if fl.Index >= u.Bits {
+			return "", fmt.Errorf("core: %w: %d >= %d", bloom.ErrIndexRange, fl.Index, u.Bits)
 		}
 	}
-	pt.mu.RUnlock()
-	slices.Sort(dst[start:])
-	return dst
-}
-
-// probe derives a URL's probe indices once for the first replica geometry
-// (size and spec) it meets and reuses them for every replica of that
-// geometry — every replica, once the mesh agrees on (m, k). A replica of
-// any other geometry, or of more than len(buf) functions, is hashed on its
-// own.
-type probe struct {
-	bits uint64
-	spec hashing.Spec
-	n    int // indices memoized in buf; 0 until the first replica
-	buf  [16]uint64
-}
-
-// indexes returns url's probe indices under ps's geometry. The slice may be
-// shared by every replica of the memoized geometry; callers must not modify
-// it.
-func (p *probe) indexes(ps *peerSummary, url string) []uint64 {
-	if p.n == 0 && ps.spec.FunctionNum <= len(p.buf) {
-		p.bits, p.spec = ps.filter.Size(), ps.spec
-		p.n = len(ps.filter.Indexes(p.buf[:0], url))
+	switch {
+	case r.filter == nil || r.filter.Spec() != u.Spec || r.filter.Size() != uint64(u.Bits):
+		f, err := bloom.NewFilter(uint64(u.Bits), u.Spec)
+		if err != nil {
+			return "", err
+		}
+		rebuilt = "geometry-change"
+		if r.filter == nil {
+			rebuilt = "first-contact"
+		}
+		r.filter, r.gen = f, 0
+	case full:
+		r.filter.Reset()
+		rebuilt = "full-reset"
 	}
-	if p.n > 0 && p.bits == ps.filter.Size() && p.spec == ps.spec {
-		return p.buf[:p.n]
+	_ = r.filter.Apply(u.Flips) // cannot fail: every index was checked above
+	r.gen++
+	r.changed = time.Now()
+	if full {
+		r.full++
+	} else {
+		r.delta++
 	}
-	return ps.filter.Indexes(nil, url)
+	r.bytesIn += uint64(u.WireBytes())
+	return rebuilt, nil
 }
 
-// SummaryProbe is the audited result of consulting one peer summary for
-// one URL: the full evidence behind the nominate/skip decision, recorded
-// in a trace's summary-probe span.
-type SummaryProbe struct {
-	// Peer is the replica's identifier (the node layer's UDP address).
-	Peer string
-	// Match is the summary's verdict: all probed bits set.
-	Match bool
-	// BitIndexes are the k bit positions probed, under the replica's
-	// geometry.
-	BitIndexes []uint64
-	// Generation is the number of updates applied to the replica when it
-	// was probed.
-	Generation uint64
-	// Age is how long ago the replica last changed.
-	Age time.Duration
-	// FilterBits is the replica's bit-array size.
-	FilterBits uint64
-}
-
-// ProbeAll consults every initialized peer summary for url and returns
-// the full audit: one SummaryProbe per peer, sorted, matching and
-// non-matching alike. It is the traced sibling of Candidates — it
-// allocates the evidence Candidates deliberately avoids, so the node only
-// calls it for requests that carry a trace.
-func (pt *PeerTable) ProbeAll(url string) []SummaryProbe {
-	var p probe
-	now := time.Now()
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	out := make([]SummaryProbe, 0, len(pt.peers))
-	for id, ps := range pt.peers {
-		idx := p.indexes(ps, url)
-		out = append(out, SummaryProbe{
-			Peer:       id,
-			Match:      ps.filter.TestIndexes(idx),
-			BitIndexes: idx,
-			Generation: ps.updates,
-			Age:        now.Sub(ps.changed),
-			FilterBits: ps.filter.Size(),
-		})
-	}
-	slices.SortFunc(out, func(a, b SummaryProbe) int { return strings.Compare(a.Peer, b.Peer) })
-	return out
-}
-
-// PeerHealth is the mesh-health snapshot of one peer's summary replica:
-// how full (and therefore how trustworthy) the filter is, how stale it may
-// be, and what the peer's update stream has cost on the wire. Fields map
-// onto the paper's evaluation quantities — EstFalsePositive is the
-// fill-ratio^k bound behind the false-hit rows of Tables 4–5, and the
-// byte counts are the Fig. 7–8 overhead, measured per peer.
-type PeerHealth struct {
-	// Peer is the replica's identifier (the node layer's UDP address).
-	Peer string `json:"peer"`
-	// Generation is the number of updates applied to the current replica
-	// incarnation (reset when the geometry changes).
-	Generation uint64 `json:"generation"`
-	// UpdateAge is how long ago the last DIRUPDATE was applied.
-	UpdateAge time.Duration `json:"update_age"`
-	// FillRatio is the fraction of set bits in the replica.
-	FillRatio float64 `json:"fill_ratio"`
-	// EstFalsePositive is FillRatio^k — the replica's estimated
-	// false-positive probability, hence this peer's expected false-hit
-	// contribution per negative document.
-	EstFalsePositive float64 `json:"est_false_positive"`
-	// FilterBits is the replica's bit-array size; K its hash count.
-	FilterBits uint64 `json:"filter_bits"`
-	K          int    `json:"k"`
-	// FullUpdates / DeltaUpdates split applied updates by kind; BytesIn is
-	// their total wire cost; FlipsApplied the total bit-flip records.
-	FullUpdates  uint64 `json:"full_updates"`
-	DeltaUpdates uint64 `json:"delta_updates"`
-	BytesIn      uint64 `json:"bytes_in"`
-	FlipsApplied uint64 `json:"flips_applied"`
-	// Rebuilds counts replica re-creations (first contact, geometry
-	// change, full reset).
-	Rebuilds uint64 `json:"rebuilds"`
-}
-
-func (ps *peerSummary) health(id string) PeerHealth {
-	fill := ps.filter.FillRatio()
-	k := ps.filter.K()
-	est := 1.0
-	for i := 0; i < k; i++ {
-		est *= fill
-	}
-	return PeerHealth{
-		Peer:             id,
-		Generation:       ps.updates,
-		UpdateAge:        time.Since(ps.changed),
-		FillRatio:        fill,
-		EstFalsePositive: est,
-		FilterBits:       ps.filter.Size(),
-		K:                k,
-		FullUpdates:      ps.fullUpdates,
-		DeltaUpdates:     ps.deltaUpdates,
-		BytesIn:          ps.bytesIn,
-		FlipsApplied:     ps.flipsApplied,
-		Rebuilds:         ps.rebuilds,
+// probe returns the audit of consulting r for one URL, whose indices idx
+// the replica matched or not.
+func (r *replica) probe(id string, idx []uint64, match bool, now time.Time) SummaryProbe {
+	return SummaryProbe{
+		Peer:       id,
+		Match:      match,
+		BitIndexes: idx,
+		Generation: r.gen,
+		Age:        now.Sub(r.changed),
+		FilterBits: r.filter.Size(),
 	}
 }
 
-// Health returns the mesh-health snapshot for one peer (false when the
-// peer has no initialized replica).
-func (pt *PeerTable) Health(peer string) (PeerHealth, bool) {
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	ps := pt.peers[peer]
-	if ps == nil {
-		return PeerHealth{}, false
+// health fills row's replica columns: how full (and therefore how
+// trustworthy) the filter is, how stale it may be, and what the peer's
+// update stream has cost. EstFalsePositive is the fill-ratio^k bound
+// behind the false-hit rows of Tables 4–5. Without a replica row is left
+// as it is.
+func (r *replica) health(row *meshhealth.PeerReport) {
+	if r.filter == nil {
+		return
 	}
-	return ps.health(peer), true
+	fill := r.filter.FillRatio()
+	row.HasReplica = true
+	row.Generation = r.gen
+	row.UpdateAgeMS = float64(time.Since(r.changed).Microseconds()) / 1e3
+	row.FillRatio = fill
+	row.EstFalsePositive = math.Pow(fill, float64(r.filter.K()))
+	row.FilterBits = r.filter.Size()
+	row.FullUpdates, row.DeltaUpdates, row.BytesIn = r.full, r.delta, r.bytesIn
 }
 
-// Drop removes a peer's replica (Squid's neighbor-failure handling).
-func (pt *PeerTable) Drop(peer string) {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	delete(pt.peers, peer)
-}
-
-// ReplicaSnapshot returns a copy of the peer's replica bit array (and
-// whether a replica exists). Chaos tests compare it against the peer's
-// own Directory.FilterSnapshot to prove the mesh reconverged after a
-// lossy episode.
-func (pt *PeerTable) ReplicaSnapshot(peer string) ([]byte, bool) {
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	ps := pt.peers[peer]
-	if ps == nil {
-		return nil, false
+// snapshot serializes r for warm-restart persistence under the peer's id.
+func (r *replica) snapshot(id string) ReplicaState {
+	return ReplicaState{
+		Peer:       id,
+		Spec:       r.filter.Spec(),
+		Bits:       r.filter.Size(),
+		Generation: r.gen,
+		Filter:     r.filter.Snapshot(),
 	}
-	return ps.filter.Snapshot(), true
 }
 
 // ReplicaState is one peer replica serialized for warm-restart
-// persistence: enough to rebuild the peerSummary so a restarted proxy
-// resumes nominating peers immediately instead of treating every
-// neighbor as unknown until its next full update.
+// persistence: enough to rebuild the replica so a restarted proxy resumes
+// nominating peers immediately instead of treating every neighbor as
+// unknown until its next full update.
 type ReplicaState struct {
 	Peer       string       // peer identifier (UDP address string)
 	Spec       hashing.Spec // replica hash family
@@ -352,84 +166,201 @@ type ReplicaState struct {
 	Filter     []byte       // bit array, bloom.Filter.Snapshot layout
 }
 
-// ExportReplicas serializes every initialized peer replica, sorted by
-// peer id.
-func (pt *PeerTable) ExportReplicas() []ReplicaState {
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	out := make([]ReplicaState, 0, len(pt.peers))
-	for id, ps := range pt.peers {
-		out = append(out, ReplicaState{
-			Peer:       id,
-			Spec:       ps.spec,
-			Bits:       ps.filter.Size(),
-			Generation: ps.updates,
-			Filter:     ps.filter.Snapshot(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
-	return out
-}
-
-// RestoreReplica installs a persisted replica for st.Peer, replacing any
-// existing one. The restored replica may be stale — the peer kept
-// publishing while this node was down — but a stale replica only costs
-// the usual false hits/misses the protocol already tolerates, and the
-// next full or delta update repairs it. The rebuild observer fires with
-// reason "restored".
-func (pt *PeerTable) RestoreReplica(st ReplicaState) error {
-	if err := st.Spec.Validate(); err != nil {
-		return fmt.Errorf("core: restore replica %s: %w", st.Peer, err)
+// restore rebuilds the replica st saved, checking its geometry against
+// local. It may be stale (the peer kept publishing while this node was
+// down), but a stale replica only costs the false hits and misses the
+// protocol already tolerates, and the next update repairs it.
+func restore(st ReplicaState, local uint64) (replica, error) {
+	if err := checkGeometry(st.Spec, st.Bits, local); err != nil {
+		return replica{}, err
 	}
 	f, err := bloom.NewFilter(st.Bits, st.Spec)
 	if err != nil {
-		return fmt.Errorf("core: restore replica %s: %w", st.Peer, err)
+		return replica{}, err
 	}
 	if err := f.LoadSnapshot(st.Filter); err != nil {
-		return fmt.Errorf("core: restore replica %s: %w", st.Peer, err)
+		return replica{}, err
 	}
+	return replica{filter: f, gen: st.Generation, changed: time.Now()}, nil
+}
+
+// probe derives a URL's probe indices once for the first replica geometry
+// (size and spec) it meets and reuses them for every replica of that
+// geometry — every replica, once the mesh agrees on (m, k). A replica of
+// any other geometry is hashed on its own.
+type probe struct {
+	bits uint64
+	spec hashing.Spec
+	n    int // indices memoized in buf; 0 until the first replica
+	buf  [maxReplicaK]uint64
+}
+
+// indexes returns url's probe indices under r's geometry. The slice may be
+// shared by every replica of the memoized geometry; callers must not modify
+// it.
+func (p *probe) indexes(r *replica, url string) []uint64 {
+	f := r.filter
+	if p.n == 0 {
+		p.bits, p.spec = f.Size(), f.Spec()
+		p.n = len(f.Indexes(p.buf[:0], url))
+	}
+	if p.bits == f.Size() && p.spec == f.Spec() {
+		return p.buf[:p.n]
+	}
+	return f.Indexes(nil, url)
+}
+
+// SummaryProbe is the audited result of consulting one peer summary for
+// one URL: the full evidence behind the nominate/skip decision, recorded
+// in a trace's summary-probe span.
+type SummaryProbe struct {
+	Peer       string        // the replica's identifier (the node layer's UDP address)
+	Match      bool          // the summary's verdict: all probed bits set
+	BitIndexes []uint64      // the k bit positions probed, under the replica's geometry
+	Generation uint64        // updates applied to the replica when it was probed
+	Age        time.Duration // how long ago the replica last changed
+	FilterBits uint64        // the replica's bit-array size
+}
+
+// PeerTable is a standalone set of summary replicas keyed by opaque peer
+// names, for a caller that replays DIRUPDATEs without a Node. A Node keeps
+// each registered peer's replica on that peer's record and holds no table.
+// PeerTable is safe for concurrent use.
+type PeerTable struct {
+	mu   sync.RWMutex
+	reps map[string]replica
+	node *Node // set on Node.PeerSummaries's view: Candidates reads it
+}
+
+// NewPeerTable creates an empty table.
+func NewPeerTable() *PeerTable {
+	return &PeerTable{reps: make(map[string]replica)}
+}
+
+// ApplyUpdate folds a decoded directory update from peer into its replica,
+// creating it on first contact. A rejected update changes nothing.
+func (pt *PeerTable) ApplyUpdate(peer string, u *icp.DirUpdate, full bool) error {
 	pt.mu.Lock()
-	ps := &peerSummary{
-		filter:  f,
-		spec:    st.Spec,
-		updates: st.Generation,
-		changed: time.Now(),
+	defer pt.mu.Unlock()
+	r := pt.reps[peer]
+	if _, err := r.apply(u, full, 0); err != nil {
+		return fmt.Errorf("core: update from %s: %w", peer, err)
 	}
-	if prev := pt.peers[st.Peer]; prev != nil {
-		ps.fullUpdates = prev.fullUpdates
-		ps.deltaUpdates = prev.deltaUpdates
-		ps.bytesIn = prev.bytesIn
-		ps.flipsApplied = prev.flipsApplied
-		ps.rebuilds = prev.rebuilds
-	}
-	ps.rebuilds++
-	pt.peers[st.Peer] = ps
-	fn := pt.onRebuild
-	pt.mu.Unlock()
-	if fn != nil {
-		fn(st.Peer, "restored")
-	}
+	pt.reps[peer] = r
 	return nil
 }
 
-// Updates returns how many update messages have been applied for peer.
-func (pt *PeerTable) Updates(peer string) uint64 {
-	pt.mu.RLock()
-	defer pt.mu.RUnlock()
-	if ps := pt.peers[peer]; ps != nil {
-		return ps.updates
+// Candidates returns the peers whose summaries indicate url may be cached
+// there, sorted. A peer no update has reached is never a candidate.
+func (pt *PeerTable) Candidates(url string) []string {
+	if pt.node != nil {
+		return pt.node.Candidates(url)
 	}
-	return 0
+	var out []string
+	for _, pr := range pt.ProbeAll(url) {
+		if pr.Match {
+			out = append(out, pr.Peer)
+		}
+	}
+	return out
 }
 
-// MemoryBytes returns the total bytes of all peer summary replicas — the
+// ProbeAll consults every peer summary for url and returns the full audit:
+// one SummaryProbe per peer, sorted, matching and non-matching alike.
+func (pt *PeerTable) ProbeAll(url string) []SummaryProbe {
+	var p probe
+	now := time.Now()
+	pt.mu.RLock()
+	out := make([]SummaryProbe, 0, len(pt.reps))
+	for id, r := range pt.reps {
+		idx := p.indexes(&r, url)
+		out = append(out, r.probe(id, idx, r.filter.TestIndexes(idx), now))
+	}
+	pt.mu.RUnlock()
+	slices.SortFunc(out, func(a, b SummaryProbe) int { return strings.Compare(a.Peer, b.Peer) })
+	return out
+}
+
+// MemoryBytes returns the total bytes of the table's replicas — the
 // quantity the paper's §V-F extrapolates to ~200 MB for 100 proxies.
 func (pt *PeerTable) MemoryBytes() uint64 {
 	pt.mu.RLock()
 	defer pt.mu.RUnlock()
 	var total uint64
-	for _, ps := range pt.peers {
-		total += (ps.filter.Size() + 7) / 8
+	for _, r := range pt.reps {
+		total += (r.filter.Size() + 7) / 8
 	}
 	return total
+}
+
+// PeerSummaries returns a table whose Candidates answers live from the
+// registered peers' replicas.
+//
+// Deprecated: use Node.Candidates. The table's other methods see none of
+// the node's replicas.
+func (n *Node) PeerSummaries() *PeerTable {
+	pt := NewPeerTable()
+	pt.node = n
+	return pt
+}
+
+// Candidates returns the registered peers whose replicas indicate url may
+// be cached there, in registration order: the peers a lookup would query.
+func (n *Node) Candidates(url string) []string {
+	var p probe
+	var out []string
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	for _, m := range n.members {
+		if r := &m.rep; r.filter != nil && r.filter.TestIndexes(p.indexes(r, url)) {
+			out = append(out, m.id)
+		}
+	}
+	return out
+}
+
+// ReplicaSnapshot returns a copy of the bit array of this node's replica of
+// the registered peer at addr, and whether there is one. Chaos tests
+// compare it against the peer's own Directory.FilterSnapshot to prove the
+// mesh reconverged.
+func (n *Node) ReplicaSnapshot(addr *net.UDPAddr) ([]byte, bool) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if p := n.byAddr[addrKey(addr)]; p != nil && p.rep.filter != nil {
+		return p.rep.filter.Snapshot(), true
+	}
+	return nil, false
+}
+
+// applyUpdate folds one received DIRUPDATE into the replica of its sender,
+// which must be registered and announce a geometry inside the bounds for
+// this node's directory. It reports the apply time as the "dirupdate_apply"
+// perfwatch stage when a StageTiming hook is wired.
+func (n *Node) applyUpdate(from *net.UDPAddr, u *icp.DirUpdate, full bool) error {
+	var t0 time.Time
+	st := n.cfg.StageTiming
+	if st != nil {
+		t0 = time.Now()
+	}
+	rebuilt, err := "", errNotMember
+	n.mu.Lock()
+	p := n.byAddr[addrKey(from)]
+	if p != nil {
+		rebuilt, err = p.rep.apply(u, full, n.dir.Bits())
+	}
+	n.mu.Unlock()
+	if st != nil {
+		st("dirupdate_apply", time.Since(t0))
+	}
+	if rebuilt != "" {
+		n.noteRebuild(p.id, rebuilt)
+	}
+	return err
+}
+
+// noteRebuild counts and logs a replica filter built from scratch: first
+// contact, a geometry change, a full-state reset, or a restored snapshot.
+func (n *Node) noteRebuild(id, reason string) {
+	n.metrics.filterRebuilds.Inc()
+	n.log.Info("peer filter rebuilt", "peer", id, "reason", reason)
 }

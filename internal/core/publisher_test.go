@@ -104,6 +104,9 @@ func TestGatedSocketNeverBlocksPuts(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { receiver.Close() })
+	if err := receiver.AddPeer(sender.Addr()); err != nil {
+		t.Fatal(err)
+	}
 	if err := sender.AddPeer(receiver.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +202,7 @@ func TestGatedSocketNeverBlocksPuts(t *testing.T) {
 	waitFor(t, "the receiver to apply every update", func() bool {
 		return receiver.Stats().UpdatesReceived == sender.Stats().UpdatesSent
 	})
-	replica, ok := receiver.PeerSummaries().ReplicaSnapshot(sender.Addr().String())
+	replica, ok := receiver.ReplicaSnapshot(sender.Addr())
 	if !ok || !bytes.Equal(replica, live.FilterSnapshot()) {
 		t.Fatal("the receiver's replica differs from the sender's filter")
 	}

@@ -184,7 +184,7 @@ func TestChaosWarmRestartSCICP(t *testing.T) {
 	b.FlushSummary()
 	deadline := time.Now().Add(10 * time.Second)
 	converged := func(p, q *Proxy) bool {
-		snap, ok := p.node.PeerSummaries().ReplicaSnapshot(q.ICPAddr().String())
+		snap, ok := p.node.ReplicaSnapshot(q.ICPAddr())
 		return ok && bytes.Equal(snap, q.node.Directory().FilterSnapshot())
 	}
 	for !converged(a2, b) || !converged(b, a2) {

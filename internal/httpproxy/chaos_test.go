@@ -159,9 +159,8 @@ func TestChaosSoakSCICP(t *testing.T) {
 			if i == j {
 				continue
 			}
-			qID := q.ICPAddr().String()
 			for {
-				snap, ok := p.node.PeerSummaries().ReplicaSnapshot(qID)
+				snap, ok := p.node.ReplicaSnapshot(q.ICPAddr())
 				if ok && bytes.Equal(snap, q.node.Directory().FilterSnapshot()) {
 					break
 				}

@@ -59,8 +59,9 @@ func TestRemovePeerDropsMetricSeries(t *testing.T) {
 }
 
 // TestRemovedPeerSeriesStayGone: a peer removed one way still has us
-// registered, so it keeps publishing, its replica is re-created and lookups
-// nominate it again. That must bring back none of its series.
+// registered, so it keeps publishing. Its updates are refused, no replica
+// is re-created and no lookup nominates it, and none of its series come
+// back.
 func TestRemovedPeerSeriesStayGone(t *testing.T) {
 	m := newMesh(t, 2, ModeSCICP, 0)
 	p1, p2 := m.proxies[0], m.proxies[1]
@@ -68,10 +69,19 @@ func TestRemovedPeerSeriesStayGone(t *testing.T) {
 
 	u := m.docURL("doc", 1024)
 	m.fetch(t, p2, u)
-	waitForUpdates(t, p2, p1, u)
+	rejected := p1.Stats().Node.UpdatesRejected
+	p2.FlushSummary()
+	deadline := time.Now().Add(3 * time.Second)
+	for p1.Stats().Node.UpdatesRejected == rejected {
+		if time.Now().After(deadline) {
+			t.Fatal("the removed peer's update was never refused")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	m.fetch(t, p1, u)
-	if st := p1.Stats(); st.RemoteHits != 1 {
-		t.Fatalf("RemoteHits = %d, want 1: the removed peer's replica must still nominate it", st.RemoteHits)
+	if st := p1.Stats(); st.RemoteHits != 0 || st.Node.QueriesSent != 0 {
+		t.Fatalf("RemoteHits = %d, queries = %d, want none: the removed peer must not be nominated",
+			st.RemoteHits, st.Node.QueriesSent)
 	}
 	label := `peer="` + p2.ICPAddr().String() + `"`
 	for _, line := range strings.Split(scrape(t, p1.Registry()), "\n") {

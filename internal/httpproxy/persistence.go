@@ -55,8 +55,8 @@ func (p *Proxy) startPersistence(reg *obs.Registry, labels obs.Labels) error {
 
 // installRecovered loads recovered state into the live structures:
 // documents into the cache, the counting filter into the directory (with
-// journal-replay removals applied), and the persisted peer replicas into
-// the summary table.
+// journal-replay removals applied), and the persisted peer replicas, which
+// wait for AddPeer to register their peers.
 func (p *Proxy) installRecovered(rec *persist.Recovered) {
 	_, dropped := p.cache.Restore(rec.Entries)
 	if p.node != nil {

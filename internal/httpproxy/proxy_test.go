@@ -252,7 +252,7 @@ func waitForCandidate(t *testing.T, p *Proxy, u string) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(p.node.PeerSummaries().Candidates(u)) > 0 {
+		if len(p.node.Candidates(u)) > 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

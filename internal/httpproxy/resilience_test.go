@@ -490,6 +490,9 @@ func TestReAddedPeerFetchedAgain(t *testing.T) {
 	if err := a.AddPeer(b.ICPAddr(), "http://127.0.0.1:1"); err != nil {
 		t.Fatal(err)
 	}
+	if err := b.AddPeer(a.ICPAddr(), a.URL()); err != nil {
+		t.Fatal(err)
+	}
 	m := &mesh{origin: org, proxies: []*Proxy{a, b}}
 	u1, u2 := m.docURL("readd/1", overInline), m.docURL("readd/2", overInline)
 	m.fetch(t, b, u1)
@@ -572,7 +575,7 @@ func TestBreakerTripRecoverySCICP(t *testing.T) {
 		t.Fatalf("breaker = %v, want open", got)
 	}
 	// The trip dropped B's replica: no candidates, health down.
-	if c := a.node.PeerSummaries().Candidates(u1); len(c) != 0 {
+	if c := a.node.Candidates(u1); len(c) != 0 {
 		t.Fatalf("candidates after trip = %v, want none", c)
 	}
 	if up, _ := a.Health(); len(up) != 0 {

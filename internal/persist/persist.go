@@ -112,7 +112,7 @@ type SnapshotData struct {
 	// (core.Directory.StateSnapshot); nil when the proxy runs without a
 	// summary directory.
 	Directory []byte
-	// Replicas are the peer summary replicas (PeerTable.ExportReplicas).
+	// Replicas are the peer summary replicas (core.Node.ExportState).
 	Replicas []core.ReplicaState
 }
 

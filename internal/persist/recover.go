@@ -60,7 +60,7 @@ type Recovered struct {
 	// restored cache. The underflow guard absorbs any overlap-window
 	// double-removal.
 	Removed []string
-	// Replicas are the persisted peer summaries (PeerTable.RestoreReplica).
+	// Replicas are the persisted peer summaries (core.Node.Recover).
 	Replicas []core.ReplicaState
 	// Stats is the reconciliation accounting, also retained on the store
 	// (Store.Recovery).
