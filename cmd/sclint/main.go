@@ -2,8 +2,8 @@
 // suite (internal/analysis) over the module: invariants go vet cannot
 // see — atomic-mixing, replay determinism, Stats()/scrape drift,
 // discarded Close errors, stray printing in library code, lock-order
-// cycles across the call graph, goroutines without a shutdown path, and
-// decoder borrows escaping their handler (see internal/analysis).
+// cycles across the call graph, and goroutines without a shutdown path
+// (see internal/analysis).
 //
 // Usage:
 //

@@ -145,9 +145,12 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0; stderr: %s", code, stderr.String())
 	}
-	for _, rule := range []string{"lock-order", "goroutine-lifecycle", "borrow-escape", "determinism", "atomic-mixing"} {
+	for _, rule := range []string{"lock-order", "goroutine-lifecycle", "determinism", "atomic-mixing"} {
 		if !strings.Contains(stdout.String(), rule) {
 			t.Fatalf("-list output missing %s:\n%s", rule, stdout.String())
 		}
+	}
+	if strings.Contains(stdout.String(), "borrow-escape") {
+		t.Fatalf("-list output still names the removed borrow-escape rule:\n%s", stdout.String())
 	}
 }

@@ -46,7 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := peers.ApplyUpdate("proxyA", decoded.Update, false); err != nil {
+		if err := peers.ApplyUpdate("proxyA", &decoded.Update, false); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -21,7 +21,6 @@ const (
 	RuleStrayPrinting      = "stray-printing"
 	RuleLockOrder          = "lock-order"
 	RuleGoroutineLifecycle = "goroutine-lifecycle"
-	RuleBorrowEscape       = "borrow-escape"
 	// RuleLintDirective is the analyzer's own hygiene rule: a
 	// //lint:ignore directive without a reason neither suppresses nor
 	// passes silently.
@@ -64,7 +63,6 @@ func Rules() []Rule {
 		&strayPrintingRule{},
 		&lockOrderRule{},
 		&goroutineLifecycleRule{},
-		&borrowEscapeRule{},
 	}
 }
 

@@ -20,6 +20,12 @@
 //   - stray-printing — fmt.Print*/log.Print*/println in library code;
 //     only main packages (cmd/, examples/) may write to process streams,
 //     libraries report through log/slog and internal/obs.
+//   - lock-order — mutex acquisition order must be acyclic across the
+//     whole module's static call graph; an intended hierarchy is declared
+//     with //lint:lockorder A < B <reason>.
+//   - goroutine-lifecycle — a goroutine spawned from library code must
+//     have a reachable shutdown path, not an unconditional loop without
+//     an exit anywhere down its call chain.
 //
 // Findings print as "file:line: [rule] message" and are suppressed, one
 // site at a time, with an in-source directive that must carry a reason:

@@ -31,8 +31,8 @@ type Package struct {
 	// (the rules still run on everything that resolved).
 	SoftErrors []error
 	// Universe links back to the run this package was loaded into, so
-	// whole-program rules (lock-order, goroutine-lifecycle, borrow-escape)
-	// can reach the shared call-graph summaries from a per-package Check.
+	// whole-program rules (lock-order, goroutine-lifecycle) can reach the
+	// shared call-graph summaries from a per-package Check.
 	Universe *Universe
 }
 

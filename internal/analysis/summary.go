@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the intra-module summary layer the whole-program rules
-// (lock-order, goroutine-lifecycle, borrow-escape) share: one pass over
+// (lock-order, goroutine-lifecycle) share: one pass over
 // every type-checked function body extracts a resolved static call
 // graph, lock-acquisition facts and loop-termination facts. Because the
 // loader's chainImporter serves universe-internal imports from the
@@ -47,7 +47,6 @@ type callSite struct {
 
 // funcInfo is the per-function summary.
 type funcInfo struct {
-	obj  *types.Func // nil for function literals
 	pkg  *Package
 	name string // rendered name for diagnostics
 
@@ -104,7 +103,7 @@ func buildSummaries(u *Universe) *summaries {
 				if !ok {
 					continue
 				}
-				fi := &funcInfo{obj: obj, pkg: pkg, name: funcName(obj)}
+				fi := &funcInfo{pkg: pkg, name: funcName(obj)}
 				scanBody(pkg, fd.Body, fi)
 				s.funcs[obj] = fi
 			}

@@ -59,7 +59,7 @@ func replicaFromMessages(t testing.TB, msgs []icp.Message) *PeerTable {
 	t.Helper()
 	pt := NewPeerTable()
 	for _, m := range msgs {
-		if err := pt.ApplyUpdate("p", m.Update, false); err != nil {
+		if err := pt.ApplyUpdate("p", &m.Update, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestQuickLossRecoveryConverges(t *testing.T) {
 			if rng.Float64() < p {
 				continue
 			}
-			if err := pt.ApplyUpdate("p", m.Update, false); err != nil {
+			if err := pt.ApplyUpdate("p", &m.Update, false); err != nil {
 				return false
 			}
 		}

@@ -1119,7 +1119,7 @@ func (n *Node) handle(from *net.UDPAddr, m icp.Message) {
 		if n.cfg.QueryAll {
 			return // no summaries are kept
 		}
-		if err := n.applyUpdate(from, m.Update, m.Options&icp.OptionFullUpdate != 0); err != nil {
+		if err := n.applyUpdate(from, &m.Update, m.Options&icp.OptionFullUpdate != 0); err != nil {
 			n.metrics.updatesRejected.Inc()
 			return
 		}

@@ -79,10 +79,8 @@ func (r *replica) apply(u *icp.DirUpdate, full bool, local uint64) (rebuilt stri
 	if err := checkGeometry(u.Spec, uint64(u.Bits), local); err != nil {
 		return "", err
 	}
-	for _, fl := range u.Flips {
-		if fl.Index >= u.Bits {
-			return "", fmt.Errorf("core: %w: %d >= %d", bloom.ErrIndexRange, fl.Index, u.Bits)
-		}
+	if err := u.Validate(); err != nil {
+		return "", err
 	}
 	switch {
 	case r.filter == nil || r.filter.Spec() != u.Spec || r.filter.Size() != uint64(u.Bits):
@@ -99,7 +97,7 @@ func (r *replica) apply(u *icp.DirUpdate, full bool, local uint64) (rebuilt stri
 		r.filter.Reset()
 		rebuilt = "full-reset"
 	}
-	_ = r.filter.Apply(u.Flips) // cannot fail: every index was checked above
+	_ = u.ApplyTo(r.filter) // cannot fail: every index was checked above
 	r.gen++
 	r.changed = time.Now()
 	if full {

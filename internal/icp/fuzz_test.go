@@ -2,6 +2,8 @@ package icp
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -58,6 +60,7 @@ func FuzzDecoder(f *testing.F) {
 	for _, tamper := range hitObjTampers {
 		f.Add(tamper(mustWire(f, mustHitObj(f, 11, "http://example.com/t", []byte("payload"), 1))))
 	}
+	f.Add(overflowingDirUpdate(f))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		want, wantErr := Parse(b)
@@ -71,14 +74,21 @@ func FuzzDecoder(f *testing.F) {
 			return
 		}
 		checkEqual(t, "fresh decoder", got, want)
+		if got.Update.Flips != nil {
+			t.Fatalf("Decode filled Flips: %v", got.Update.Flips)
+		}
 
 		// A reused decoder must behave identically: decode something else
-		// first so the scratch is dirty, then decode b again.
+		// first so the scratch is dirty, then decode b again. The first
+		// decode's update borrowed that scratch, so reading it now panics.
 		scrap := mustWire(t, NewDirUpdate(9, hashing.DefaultSpec, 1<<20, []bloom.Flip{
 			{Index: 7, Set: true}, {Index: 8, Set: false}, {Index: 9, Set: true},
 		}))
 		if _, err := dec.Decode(scrap); err != nil {
 			t.Fatalf("decode scrap: %v", err)
+		}
+		if got.Op == OpDirUpdate {
+			mustPanicStale(t, func() { got.Update.Len() })
 		}
 		again, err := dec.Decode(b)
 		if err != nil {
@@ -86,10 +96,9 @@ func FuzzDecoder(f *testing.F) {
 		}
 		checkEqual(t, "reused decoder", again, want)
 
-		// Round-trip stability: re-encoding a successful decode must
+		// Round-trip stability: re-encoding the borrowed decode must
 		// reproduce the canonical wire form of the parsed message.
-		kept := again.Clone()
-		re, err := kept.MarshalBinary()
+		re, err := again.MarshalBinary()
 		if err != nil {
 			t.Fatalf("re-encode: %v", err)
 		}
@@ -113,22 +122,42 @@ func checkEqual(t *testing.T, label string, got, want Message) {
 		got.RequesterAddr != want.RequesterAddr || !bytes.Equal(got.Object, want.Object) {
 		t.Fatalf("%s: message mismatch:\n got  %+v\n want %+v", label, got, want)
 	}
-	gu, wu := got.Update, want.Update
-	if (gu == nil) != (wu == nil) {
-		t.Fatalf("%s: update presence mismatch: got %v want %v", label, gu, wu)
-	}
-	if gu == nil {
+	if got.Op != OpDirUpdate {
 		return
 	}
+	gu, wu := &got.Update, &want.Update
 	if gu.Spec != wu.Spec || gu.Bits != wu.Bits {
 		t.Fatalf("%s: update header mismatch:\n got  %+v\n want %+v", label, gu, wu)
 	}
-	if len(gu.Flips) != len(wu.Flips) {
-		t.Fatalf("%s: flip count mismatch: got %d want %d", label, len(gu.Flips), len(wu.Flips))
+	if gu.Len() != wu.Len() {
+		t.Fatalf("%s: flip count mismatch: got %d want %d", label, gu.Len(), wu.Len())
 	}
-	for i := range gu.Flips {
-		if gu.Flips[i] != wu.Flips[i] {
-			t.Fatalf("%s: flip %d mismatch: got %+v want %+v", label, i, gu.Flips[i], wu.Flips[i])
+	for i := 0; i < gu.Len(); i++ {
+		if gu.At(i) != wu.At(i) {
+			t.Fatalf("%s: flip %d mismatch: got %+v want %+v", label, i, gu.At(i), wu.At(i))
 		}
+	}
+}
+
+// overflowingDirUpdate is a 40-byte DIRUPDATE that declares 2^30+2 flip
+// records and carries 2. Where int is 32 bits, 4*(2^30+2) wraps to the 8
+// record bytes present.
+func overflowingDirUpdate(tb testing.TB) []byte {
+	b := mustWire(tb, NewDirUpdate(12, hashing.DefaultSpec, 1<<20, []bloom.Flip{{Index: 1, Set: true}, {Index: 2}}))
+	binary.BigEndian.PutUint32(b[HeaderLen+8:], 1<<30+2)
+	return b
+}
+
+// A flip count whose record bytes overflow int is a length mismatch, on
+// every architecture: Parse and Decode reject it rather than index past
+// the datagram or size a slice from the count.
+func TestFlipCountOverflowRejected(t *testing.T) {
+	b := overflowingDirUpdate(t)
+	if _, err := Parse(b); !errors.Is(err, ErrBadLength) {
+		t.Fatalf("Parse: %v, want ErrBadLength", err)
+	}
+	var dec Decoder
+	if _, err := dec.Decode(b); !errors.Is(err, ErrBadLength) {
+		t.Fatalf("Decode: %v, want ErrBadLength", err)
 	}
 }

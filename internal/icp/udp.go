@@ -34,10 +34,12 @@ type Stats struct {
 // and never reach the handler. Handlers run on the receive goroutine;
 // blocking ones stall the socket.
 //
-// The Message is decoded in place: its Update field (and the Flips inside)
-// borrow scratch owned by the receive loop and are only valid for the
-// duration of the call. A handler that needs the update past its return
-// must copy it (URL strings are owned and safe to retain).
+// The Message is decoded in place: a DIRUPDATE's flip records borrow
+// scratch owned by the receive loop and are readable only during the call.
+// Read after the next datagram is decoded, a kept copy of the Message or
+// its Update panics (see DirUpdate); a handler that needs the records
+// later copies them out. Every other field, URL strings included, is owned
+// and safe to retain.
 type Handler func(from *net.UDPAddr, m Message)
 
 // ListenConfig parameterizes ListenWith — the canonical configured form of
@@ -529,8 +531,7 @@ func (c *Conn) readLoop() {
 		if isReply(m.Op) {
 			// Reply opcodes carry no DirUpdate payload, so the Message
 			// crossing to the waiting goroutine holds only owned data (the
-			// URL string and a HIT_OBJ's object, both copied out of buf);
-			// the decoder scratch never escapes.
+			// URL string and a HIT_OBJ's object, both copied out of buf).
 			// The send happens under c.mu, so a query's release knows no
 			// reply reaches its channel once the entry is gone. It never
 			// blocks: a full channel drops the surplus copy.
@@ -538,7 +539,6 @@ func (c *Conn) readLoop() {
 			ch := c.pending[m.ReqNum]
 			if ch != nil {
 				select {
-				//lint:ignore sclint/borrow-escape reply opcodes carry no DirUpdate; only the owned URL string and copied HIT_OBJ object cross, never decoder scratch
 				case ch <- reply{m: m, from: from}:
 				default:
 				}

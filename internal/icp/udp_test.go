@@ -197,11 +197,11 @@ func TestDirUpdateDelivery(t *testing.T) {
 	received := bloom.MustNewFilter(1<<12, hashing.DefaultSpec)
 	gotUpdate := make(chan struct{}, 16)
 	srv, err := Listen("127.0.0.1:0", func(from *net.UDPAddr, m Message) {
-		if m.Op != OpDirUpdate || m.Update == nil {
+		if m.Op != OpDirUpdate {
 			return
 		}
 		mu.Lock()
-		if err := received.Apply(m.Update.Flips); err != nil {
+		if err := m.Update.ApplyTo(received); err != nil {
 			t.Errorf("apply: %v", err)
 		}
 		mu.Unlock()

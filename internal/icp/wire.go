@@ -147,25 +147,70 @@ var (
 	ErrNotDirUpdate = errors.New("icp: message carries no directory update")
 )
 
-// DirUpdate is the decoded payload of an OpDirUpdate message.
+// DirUpdate is the payload of an OpDirUpdate message.
+//
+// An update from NewDirUpdate or Parse owns its records, in Flips. One a
+// Decoder produced borrows them: Flips is nil and the records sit in the
+// decoder's scratch until its next Decode. Len, At, Validate and ApplyTo
+// read either kind; on a borrowed update they panic with "icp: DirUpdate
+// read after its Decoder decoded another datagram" once the decoder has
+// moved on, so a borrow kept past its handler fails on first use instead
+// of reading another datagram's flips. None of them returns a slice, which
+// could be kept unchecked; copy records out through At to keep them.
 type DirUpdate struct {
 	Spec hashing.Spec // hash family (FunctionNum, FunctionBits)
 	Bits uint32       // peer's bit-array size in bits
-	// Flips are absolute set/clear records; applying them to a
-	// same-geometry bloom.Filter is idempotent, which is what lets these
-	// ride an unreliable transport.
+	// Flips are an owned update's absolute set/clear records; applying them
+	// to a same-geometry bloom.Filter is idempotent, which is what lets
+	// these ride an unreliable transport.
 	Flips []bloom.Flip
+
+	dec *Decoder // holds a borrowed update's records; nil when owned
+	gen uint64   // dec's generation when it decoded this update
 }
+
+// staleBorrow is the panic a borrowed DirUpdate raises once its Decoder has
+// decoded another datagram.
+const staleBorrow = "icp: DirUpdate read after its Decoder decoded another datagram"
+
+// records returns u's flip records, panicking if u is a borrow its decoder
+// has since overwritten. The slice is for reading in place, never keeping.
+func (u *DirUpdate) records() []bloom.Flip {
+	if u.dec == nil {
+		return u.Flips
+	}
+	if u.dec.gen != u.gen {
+		panic(staleBorrow)
+	}
+	return u.dec.flips
+}
+
+// Len returns the number of flip records.
+func (u *DirUpdate) Len() int { return len(u.records()) }
+
+// At returns flip record i.
+func (u *DirUpdate) At(i int) bloom.Flip { return u.records()[i] }
+
+// Validate returns an error wrapping bloom.ErrIndexRange for the first
+// record that indexes past Bits.
+func (u *DirUpdate) Validate() error {
+	for _, fl := range u.records() {
+		if fl.Index >= u.Bits {
+			return fmt.Errorf("icp: %w: %d >= %d", bloom.ErrIndexRange, fl.Index, u.Bits)
+		}
+	}
+	return nil
+}
+
+// ApplyTo applies the records to f in order (see bloom.Filter.Apply).
+func (u *DirUpdate) ApplyTo(f *bloom.Filter) error { return f.Apply(u.records()) }
 
 // WireBytes returns the size of the DIRUPDATE datagram that carried (or
 // would carry) u — ICP header, extension header, and flip records. This is
 // the per-peer byte accounting the mesh-health tracker charges for an
 // applied update.
 func (u *DirUpdate) WireBytes() int {
-	if u == nil {
-		return 0
-	}
-	return HeaderLen + DirUpdateHeaderLen + 4*len(u.Flips)
+	return HeaderLen + DirUpdateHeaderLen + 4*u.Len()
 }
 
 // Message is one ICP datagram.
@@ -185,21 +230,8 @@ type Message struct {
 	// rides in OptionData. Decoding copies it out of the datagram, so it is
 	// always owned.
 	Object []byte
-	// Update is the OpDirUpdate payload.
-	Update *DirUpdate
-}
-
-// Clone returns a deep copy of m that shares no memory with decoder
-// scratch: the DirUpdate and its flip slice are freshly allocated. Handlers
-// that must retain a borrowed Message past their return use this. (A
-// decoded Object is already owned and is shared, not copied.)
-func (m Message) Clone() Message {
-	if m.Update != nil {
-		u := *m.Update
-		u.Flips = append([]bloom.Flip(nil), m.Update.Flips...)
-		m.Update = &u
-	}
-	return m
+	// Update is the OpDirUpdate payload; zero for every other opcode.
+	Update DirUpdate
 }
 
 // NewQuery builds a query for url.
@@ -249,7 +281,7 @@ func Answer(q Message, has func(url string) bool, read func(url string) (body []
 func NewDirUpdate(reqNum uint32, spec hashing.Spec, bits uint32, flips []bloom.Flip) Message {
 	return Message{
 		Op: OpDirUpdate, Version: Version, ReqNum: reqNum,
-		Update: &DirUpdate{Spec: spec, Bits: bits, Flips: flips},
+		Update: DirUpdate{Spec: spec, Bits: bits, Flips: flips},
 	}
 }
 
@@ -266,8 +298,8 @@ func hasURLPayload(op Opcode) bool {
 func (m Message) EncodedLen() int {
 	n := HeaderLen
 	switch {
-	case m.Op == OpDirUpdate && m.Update != nil:
-		n += DirUpdateHeaderLen + 4*len(m.Update.Flips)
+	case m.Op == OpDirUpdate:
+		n += DirUpdateHeaderLen + 4*m.Update.Len()
 	case m.Op == OpQuery:
 		n += 4 + len(m.URL) + 1
 	case m.Op == OpHitObj:
@@ -295,13 +327,14 @@ func (m Message) Append(dst []byte) ([]byte, error) {
 	dst = binary.BigEndian.AppendUint32(dst, m.OptionData)
 	dst = binary.BigEndian.AppendUint32(dst, m.SenderAddr)
 	switch {
-	case m.Op == OpDirUpdate && m.Update != nil:
-		u := m.Update
+	case m.Op == OpDirUpdate:
+		u := &m.Update
+		flips := u.records()
 		dst = binary.BigEndian.AppendUint16(dst, uint16(u.Spec.FunctionNum))
 		dst = binary.BigEndian.AppendUint16(dst, uint16(u.Spec.FunctionBits))
 		dst = binary.BigEndian.AppendUint32(dst, u.Bits)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(u.Flips)))
-		for _, f := range u.Flips {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(flips)))
+		for _, f := range flips {
 			if f.Index >= 1<<31 {
 				return dst, fmt.Errorf("%w: %d", ErrFlipRange, f.Index)
 			}
@@ -368,12 +401,14 @@ func parseDirUpdateHeader(body []byte, u *DirUpdate) (rest []byte, n int, err er
 		FunctionBits: int(binary.BigEndian.Uint16(body[2:4])),
 	}
 	u.Bits = binary.BigEndian.Uint32(body[4:8])
-	n = int(binary.BigEndian.Uint32(body[8:12]))
+	declared := binary.BigEndian.Uint32(body[8:12])
 	rest = body[DirUpdateHeaderLen:]
-	if len(rest) != 4*n {
-		return nil, 0, fmt.Errorf("%w: %d flip records declared, %d bytes present", ErrBadLength, n, len(rest))
+	// Compared in 64 bits: where int is 32, 4*declared would wrap, and a
+	// count near 2^30 would pass for the few records present.
+	if uint64(len(rest)) != 4*uint64(declared) {
+		return nil, 0, fmt.Errorf("%w: %d flip records declared, %d bytes present", ErrBadLength, declared, len(rest))
 	}
-	return rest, n, nil
+	return rest, int(declared), nil
 }
 
 // decodeFlips appends the n flip records in rest onto dst.
@@ -386,9 +421,9 @@ func decodeFlips(dst []bloom.Flip, rest []byte, n int) []bloom.Flip {
 }
 
 // Parse decodes one datagram into a fully caller-owned Message: the flip
-// slice and DirUpdate are freshly allocated, so the result may be retained
-// indefinitely. Hot receive loops use a Decoder instead, which reuses its
-// scratch across messages.
+// slice is freshly allocated, so the result may be retained indefinitely.
+// Hot receive loops use a Decoder instead, which reuses its scratch across
+// messages.
 func Parse(b []byte) (Message, error) {
 	var m Message
 	body, err := parseHeader(b, &m)
@@ -398,13 +433,11 @@ func Parse(b []byte) (Message, error) {
 	if m.Op != OpDirUpdate {
 		return m, parseURLPayload(body, &m)
 	}
-	u := &DirUpdate{}
-	rest, n, err := parseDirUpdateHeader(body, u)
+	rest, n, err := parseDirUpdateHeader(body, &m.Update)
 	if err != nil {
 		return m, err
 	}
-	u.Flips = decodeFlips(make([]bloom.Flip, 0, n), rest, n)
-	m.Update = u
+	m.Update.Flips = decodeFlips(make([]bloom.Flip, 0, n), rest, n)
 	return m, nil
 }
 
@@ -453,26 +486,28 @@ func parseURLPayload(body []byte, m *Message) error {
 	return nil
 }
 
-// A Decoder parses datagrams in place, without per-message allocation: the
-// DirUpdate header and flip records decode into scratch the Decoder owns
-// and reuses across calls. The returned Message's Update (and its Flips)
-// are therefore only valid until the next Decode — exactly the borrow
-// contract Handler documents. A decoded URL is still one string allocation
-// and a HIT_OBJ's object one copy (both outlive the datagram: handlers
-// retain URLs, and a querier serves or stores the object, so a view into
-// the receive buffer would dangle); DIRUPDATE traffic, the mesh's volume
+// A Decoder parses datagrams in place, without per-message allocation: a
+// DIRUPDATE's flip records decode into scratch the Decoder owns and reuses
+// across calls, and the returned Update borrows them (see DirUpdate) until
+// the next Decode — exactly the borrow contract Handler documents. Each
+// Decode starts a new generation, and a borrowed update from an earlier one
+// panics when read. A decoded URL is still one string allocation and a
+// HIT_OBJ's object one copy (both outlive the datagram: handlers retain
+// URLs, and a querier serves or stores the object, so a view into the
+// receive buffer would dangle); DIRUPDATE traffic, the mesh's volume
 // driver, decodes with zero allocations steady-state.
 //
 // A Decoder must not be shared between goroutines without external
 // serialization; each receive loop owns one.
 type Decoder struct {
-	upd   DirUpdate
+	gen   uint64 // bumped by every Decode, before the scratch is overwritten
 	flips []bloom.Flip
 }
 
 // Decode parses one datagram. See the Decoder contract for the lifetime of
 // the result.
 func (d *Decoder) Decode(b []byte) (Message, error) {
+	d.gen++
 	var m Message
 	body, err := parseHeader(b, &m)
 	if err != nil {
@@ -481,13 +516,12 @@ func (d *Decoder) Decode(b []byte) (Message, error) {
 	if m.Op != OpDirUpdate {
 		return m, parseURLPayload(body, &m)
 	}
-	rest, n, err := parseDirUpdateHeader(body, &d.upd)
+	rest, n, err := parseDirUpdateHeader(body, &m.Update)
 	if err != nil {
 		return m, err
 	}
 	d.flips = decodeFlips(d.flips[:0], rest, n)
-	d.upd.Flips = d.flips
-	m.Update = &d.upd
+	m.Update.dec, m.Update.gen = d, d.gen
 	return m, nil
 }
 

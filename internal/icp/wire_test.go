@@ -81,7 +81,7 @@ func TestDirUpdateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Update == nil {
+	if got.Op != OpDirUpdate {
 		t.Fatal("no update decoded")
 	}
 	u := got.Update
@@ -111,7 +111,7 @@ func TestDirUpdateEmptyFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Update == nil || len(got.Update.Flips) != 0 {
+	if got.Op != OpDirUpdate || len(got.Update.Flips) != 0 {
 		t.Fatalf("bad empty update: %+v", got)
 	}
 }
@@ -194,7 +194,7 @@ func TestSplitUpdate(t *testing.T) {
 	var total int
 	seen := map[uint32]bool{}
 	for _, m := range msgs {
-		if m.Op != OpDirUpdate || m.Update == nil {
+		if m.Op != OpDirUpdate {
 			t.Fatalf("bad split message: %+v", m)
 		}
 		if len(m.Update.Flips) > 300 {
