@@ -56,10 +56,12 @@ const (
 	// maxBackoffFactor caps the exponential growth (50ms default base
 	// tops out at 1.6s).
 	maxBackoffFactor = 32
-	// DefaultReadHeaderTimeout bounds a client's request-header write, so
-	// slow-header (slowloris-style) clients cannot pin handler resources.
+	// DefaultReadHeaderTimeout bounds how long a client may take to send a
+	// request head, from its first byte, so slow-header (slowloris-style)
+	// clients cannot pin a connection.
 	DefaultReadHeaderTimeout = 10 * time.Second
-	// DefaultIdleTimeout reclaims idle keep-alive client connections.
+	// DefaultIdleTimeout bounds how long a keep-alive client connection
+	// waits for its next request.
 	DefaultIdleTimeout = 2 * time.Minute
 )
 
@@ -175,11 +177,14 @@ type Config struct {
 	// BreakerCooldown is how long a down sibling waits before one probing
 	// fetch is admitted. 0: core.DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// ReadHeaderTimeout bounds how long the listener waits for a client's
-	// request headers. 0: DefaultReadHeaderTimeout; negative: unbounded.
+	// ReadHeaderTimeout bounds how long a client may take to send a request
+	// head, counted from its first byte (on a new connection, from accept);
+	// a client that overruns it is disconnected without a reply.
+	// 0: DefaultReadHeaderTimeout; negative: unbounded.
 	ReadHeaderTimeout time.Duration
-	// IdleTimeout reclaims idle keep-alive client connections.
-	// 0: DefaultIdleTimeout; negative: unbounded.
+	// IdleTimeout bounds how long a keep-alive client connection waits for
+	// its next request before it is closed. 0: DefaultIdleTimeout;
+	// negative: unbounded.
 	IdleTimeout time.Duration
 	// Faults, when set, injects that scenario's faults into this proxy's
 	// network edges: its ICP UDP socket (loss, delay, duplication,
@@ -194,8 +199,8 @@ type Config struct {
 	// exposition. Nil: a private registry is created.
 	Metrics *obs.Registry
 	// Logger, when set, receives structured events from the proxy's
-	// protocol node (peer transitions, summary publications). Nil:
-	// events are discarded.
+	// protocol node (peer transitions, summary publications) and the
+	// panics its client handlers recover from. Nil: events are discarded.
 	Logger *slog.Logger
 	// Tracer, when set, records a distributed trace per client request —
 	// spans for the local lookup, each peer summary consulted (with its
@@ -337,9 +342,15 @@ type Proxy struct {
 	fetchRetries int
 	fetchBackoff time.Duration
 
-	ln  net.Listener
-	srv *http.Server
-	up  *fetcher // origin, parent and sibling fetches
+	up *fetcher // origin, parent and sibling fetches
+
+	// The client listener and its connections (serve.go).
+	ln                             net.Listener
+	readHeaderTimeout, idleTimeout time.Duration   // 0: unbounded
+	ctx                            context.Context // handlers' context; Close cancels it
+	cancel                         context.CancelFunc
+	connMu                         sync.Mutex
+	conns                          map[*clientConn]struct{} // nil once closed
 
 	metrics proxyMetrics
 	reg     *obs.Registry
@@ -390,12 +401,16 @@ func Start(cfg Config) (*Proxy, error) {
 		cfg.QueryTimeout = core.DefaultQueryTimeout
 	}
 	p := &Proxy{
-		cfg:          cfg,
-		siblings:     make(map[string]string),
-		fetchTimeout: resolveDuration(cfg.FetchTimeout, DefaultFetchTimeout),
-		fetchRetries: resolveCount(cfg.FetchRetries, DefaultFetchRetries),
-		fetchBackoff: resolveDuration(cfg.FetchBackoff, DefaultFetchBackoff),
+		cfg:               cfg,
+		siblings:          make(map[string]string),
+		fetchTimeout:      resolveDuration(cfg.FetchTimeout, DefaultFetchTimeout),
+		fetchRetries:      resolveCount(cfg.FetchRetries, DefaultFetchRetries),
+		fetchBackoff:      resolveDuration(cfg.FetchBackoff, DefaultFetchBackoff),
+		readHeaderTimeout: resolveDuration(cfg.ReadHeaderTimeout, DefaultReadHeaderTimeout),
+		idleTimeout:       resolveDuration(cfg.IdleTimeout, DefaultIdleTimeout),
+		conns:             make(map[*clientConn]struct{}),
 	}
+	p.ctx, p.cancel = context.WithCancel(context.Background())
 	// The HTTP fault schedule is drawn before the node wraps its socket, so
 	// a scenario's seeded streams keep their order.
 	p.up = &fetcher{timeout: p.fetchTimeout, faults: cfg.Faults.HTTPFaults(), idle: make(map[poolKey][]*upConn)}
@@ -497,15 +512,7 @@ func Start(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 
-	// The listener is hardened against slow-header clients and idle
-	// connection buildup; both bounds are configurable, neither can be
-	// accidentally unbounded.
-	p.srv = &http.Server{
-		Handler:           p,
-		ReadHeaderTimeout: resolveDuration(cfg.ReadHeaderTimeout, DefaultReadHeaderTimeout),
-		IdleTimeout:       resolveDuration(cfg.IdleTimeout, DefaultIdleTimeout),
-	}
-	go p.srv.Serve(ln)
+	go p.acceptLoop()
 	return p, nil
 }
 
@@ -565,8 +572,9 @@ func (p *Proxy) closeProtocol() error {
 	return p.node.Close()
 }
 
-// Close shuts the proxy down. The HTTP listener, the upstream connection
-// pool and the protocol endpoint are torn down regardless of errors; the
+// Close shuts the proxy down. The HTTP listener and every client
+// connection, the upstream connection pool and the protocol endpoint are
+// torn down regardless of errors, and in-flight retry backoffs end; the
 // first failure is reported. With persistence enabled, a final checkpoint
 // captures the complete state so the next boot replays no journal.
 func (p *Proxy) Close() error { return p.shutdown(true) }
@@ -581,7 +589,7 @@ func (p *Proxy) Close() error { return p.shutdown(true) }
 func (p *Proxy) CloseAbrupt() error { return p.shutdown(false) }
 
 func (p *Proxy) shutdown(checkpoint bool) error {
-	err := p.srv.Close()
+	err := p.closeClients()
 	p.up.close()
 	if perr := p.closeProtocol(); err == nil {
 		err = perr
@@ -816,23 +824,25 @@ func (p *Proxy) storeBody(key string, version int64, body []byte) {
 
 // --- HTTP serving ---
 
-// ServeHTTP implements http.Handler: absolute-form requests are proxied;
-// ProxyPath?url= is the explicit form; CacheOnlyPath?url= serves siblings.
-func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+// handle serves one client request, given its target's path and raw query
+// (u is set for a target that was not origin-form): absolute-form requests
+// are proxied; ProxyPath?url= is the explicit form; CacheOnlyPath?url=
+// serves siblings.
+func (p *Proxy) handle(c *clientConn, path, rawQuery string, u *url.URL) {
 	switch {
-	case r.URL.Path == CacheOnlyPath:
-		p.serveCacheOnly(w, r)
-	case r.URL.Path == ProxyPath:
-		target := urlParam(r.URL.RawQuery)
+	case path == CacheOnlyPath:
+		p.serveCacheOnly(c, rawQuery)
+	case path == ProxyPath:
+		target := urlParam(rawQuery)
 		if target == "" {
-			http.Error(w, "missing url parameter", http.StatusBadRequest)
+			c.writeError(http.StatusBadRequest, "missing url parameter")
 			return
 		}
-		p.serveProxy(w, r, target)
-	case r.URL.IsAbs():
-		p.serveProxy(w, r, r.URL.String())
+		p.serveProxy(c, target)
+	case u != nil && u.IsAbs():
+		p.serveProxy(c, u.String())
 	default:
-		http.Error(w, "not a proxy request", http.StatusBadRequest)
+		c.writeError(http.StatusBadRequest, "not a proxy request")
 	}
 }
 
@@ -864,22 +874,18 @@ func urlParam(rawQuery string) string {
 	return ""
 }
 
-func (p *Proxy) serveCacheOnly(w http.ResponseWriter, r *http.Request) {
-	key := urlParam(r.URL.RawQuery)
-	body, version, ok := p.cachedBody(key)
+func (p *Proxy) serveCacheOnly(c *clientConn, rawQuery string) {
+	body, version, ok := p.cachedBody(urlParam(rawQuery))
 	if !ok {
-		http.Error(w, "not cached", http.StatusNotFound)
+		c.writeError(http.StatusNotFound, "not cached")
 		return
 	}
-	if version != 0 {
-		// The sibling compares this against the version it wants — the
-		// stale-hit detection of version-aware mode.
-		w.Header().Set(docVersionHeader, strconv.FormatInt(version, 10))
-	}
-	writeDoc(w, body)
+	// The sibling compares the version against the one it wants — the
+	// stale-hit detection of version-aware mode.
+	c.writeDoc(body, version)
 }
 
-func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request, target string) {
+func (p *Proxy) serveProxy(c *clientConn, target string) {
 	p.metrics.clientReqs.Inc()
 	p.metrics.inflight.Inc()
 	start := time.Now()
@@ -889,7 +895,7 @@ func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request, target string
 	if p.tracer != nil {
 		tr = p.tracer.StartRequest(p.ln.Addr().String(), target)
 	}
-	outcome := p.serveProxyClassified(w, r, target, tr)
+	outcome := p.serveProxyClassified(c, target, tr)
 	if outcome != "" {
 		p.metrics.latency[outcome].ObserveDuration(time.Since(start))
 		tr.Finish(outcome)
@@ -903,7 +909,7 @@ func (p *Proxy) serveProxy(w http.ResponseWriter, r *http.Request, target string
 // for the latency histogram ("" for malformed or failed requests, which
 // measure client errors rather than cache behavior). tr is nil for
 // untraced requests.
-func (p *Proxy) serveProxyClassified(w http.ResponseWriter, r *http.Request, target string, tr *tracing.Trace) string {
+func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.Trace) string {
 	// In version-aware mode the cache identity is the target with the
 	// version parameter stripped; everywhere below — local lookup, ICP
 	// queries, summary probes, sibling fetches — operates on the key, so
@@ -927,7 +933,7 @@ func (p *Proxy) serveProxyClassified(w http.ResponseWriter, r *http.Request, tar
 			})
 		}
 		p.metrics.localHits.Inc()
-		writeDoc(w, body)
+		c.writeDoc(body, 0)
 		return outcomeLocalHit
 	}
 	if staleLocal {
@@ -952,7 +958,7 @@ func (p *Proxy) serveProxyClassified(w http.ResponseWriter, r *http.Request, tar
 	// it parsed, and a local hit skips the check. A malformed target is
 	// refused before any sibling summary is probed or any sibling asked.
 	if _, err := url.Parse(target); err != nil {
-		http.Error(w, "bad target url", http.StatusBadRequest)
+		c.writeError(http.StatusBadRequest, "bad target url")
 		return ""
 	}
 
@@ -960,7 +966,7 @@ func (p *Proxy) serveProxyClassified(w http.ResponseWriter, r *http.Request, tar
 	// the context down through the node's lookup (summary probes, ICP
 	// round-trip) and the fetch helpers — attached only when tracing, so
 	// the untraced path skips the context allocation too.
-	ctx := r.Context()
+	ctx := c.ctx
 	if tr != nil {
 		ctx = tracing.NewContext(ctx, tr)
 	}
@@ -970,7 +976,7 @@ func (p *Proxy) serveProxyClassified(w http.ResponseWriter, r *http.Request, tar
 		if !p.cfg.SingleCopy {
 			p.storeBody(key, wanted, body) // simple sharing: cache the remote copy
 		}
-		writeDoc(w, body)
+		c.writeDoc(body, 0)
 		return outcomeRemoteHit
 	}
 	if falseHit {
@@ -980,7 +986,7 @@ func (p *Proxy) serveProxyClassified(w http.ResponseWriter, r *http.Request, tar
 
 	body, version, err := p.fetchOrigin(ctx, target)
 	if err != nil {
-		http.Error(w, "origin fetch failed: "+err.Error(), http.StatusBadGateway)
+		c.writeError(http.StatusBadGateway, "origin fetch failed: "+err.Error())
 		return ""
 	}
 	if p.cfg.VersionAware && version == 0 {
@@ -999,46 +1005,40 @@ func (p *Proxy) serveProxyClassified(w http.ResponseWriter, r *http.Request, tar
 		p.metrics.falseHits.Inc()
 		outcome = outcomeFalseHit
 	}
-	writeDoc(w, body)
+	c.writeDoc(body, 0)
 	return outcome
 }
 
 // splitVersion derives a target URL's version-aware cache identity: the
-// URL with the version parameter stripped, plus the wanted version (0 when
-// the target carries none or does not parse).
+// target with every versionParam pair removed from its raw query, every
+// other byte kept as it was, plus the version the first pair names (0 when
+// there is none or it is not a number). Re-encoding the query instead would
+// give URLs that differ only in pair order or escaping one cache entry.
 func splitVersion(target string) (key string, version int64) {
-	u, err := url.Parse(target)
-	if err != nil {
+	rest, frag, hasFrag := strings.Cut(target, "#")
+	head, query, _ := strings.Cut(rest, "?")
+	var kept []string
+	found := false
+	for _, pair := range strings.Split(query, "&") {
+		name, value, _ := strings.Cut(pair, "=")
+		if name != versionParam {
+			kept = append(kept, pair)
+		} else if !found {
+			found = true
+			version, _ = strconv.ParseInt(value, 10, 64)
+		}
+	}
+	if !found {
 		return target, 0
 	}
-	q := u.Query()
-	v := q.Get(versionParam)
-	if v == "" {
-		return target, 0
+	key = head
+	if len(kept) > 0 {
+		key += "?" + strings.Join(kept, "&")
 	}
-	version, err = strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return target, 0
+	if hasFrag {
+		key += "#" + frag
 	}
-	q.Del(versionParam)
-	u.RawQuery = q.Encode()
-	return u.String(), version
-}
-
-// smallDoc is net/http's response buffer size: a handler that writes at
-// most this much and returns gets Content-Length set by net/http itself.
-const smallDoc = 2048
-
-// writeDoc sends body as a 200 response with an exact Content-Length. A
-// small body leaves Header() alone and lets net/http count it: touching
-// Header() makes WriteHeader clone the header map, several allocations per
-// response. A larger one would be chunked unless the header is set.
-func writeDoc(w http.ResponseWriter, body []byte) {
-	if len(body) > smallDoc {
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	}
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	return key, version
 }
 
 // tryRemote resolves a local miss against the siblings. It returns the
@@ -1193,7 +1193,8 @@ const maxErrorDrain = 4 << 10
 // ±50% jitter. Each attempt is individually bounded by fetchTimeout, so a
 // hung origin costs at most (retries+1) × timeout, never a wedged handler.
 // A client that hangs up does not abort the attempt in flight, whose
-// document is still cached, but no retry starts after it.
+// document is still cached, but no retry starts after it: clientGone is
+// asked before each one.
 func (p *Proxy) fetchOrigin(ctx context.Context, target string) (body []byte, version int64, err error) {
 	retried := 0
 	if tr := tracing.FromContext(ctx); tr != nil {
@@ -1229,8 +1230,8 @@ func (p *Proxy) fetchOrigin(ctx context.Context, target string) (body []byte, ve
 		if err == nil || !retryable || attempt >= p.fetchRetries {
 			return body, version, err
 		}
-		if sleepErr := p.backoff(ctx, attempt); sleepErr != nil {
-			return nil, 0, err // the client gave up; report the fetch failure
+		if p.backoff(ctx, attempt) != nil || clientGone(ctx) {
+			return nil, 0, err // shutdown, or the client gave up; report the fetch failure
 		}
 		retried++
 		p.metrics.retries.Inc()
@@ -1240,7 +1241,7 @@ func (p *Proxy) fetchOrigin(ctx context.Context, target string) (body []byte, ve
 // backoff sleeps before retry number attempt+1: fetchBackoff doubled per
 // attempt (capped at maxBackoffFactor×) with ±50% jitter, so a mesh
 // recovering from a shared origin outage does not retry in lockstep. It
-// returns early with the context's error if the client goes away.
+// returns early with the context's error when the proxy closes.
 func (p *Proxy) backoff(ctx context.Context, attempt int) error {
 	if err := ctx.Err(); err != nil {
 		return err

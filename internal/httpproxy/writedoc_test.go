@@ -9,17 +9,17 @@ import (
 )
 
 // TestDocumentContentLength: every document response carries its exact
-// Content-Length and is never chunked, whether net/http counts a small body
-// itself (at most smallDoc bytes, Header() untouched) or the proxy sets the
-// header for a larger one. Both the proxy's local hit and the sibling
-// cache-only path are checked, the latter with and without a version header.
+// Content-Length and is never chunked, whether the body is copied behind
+// the head (at most smallBody bytes) or written beside it. Both the proxy's
+// local hit and the sibling cache-only path are checked, the latter with and
+// without a version header.
 func TestDocumentContentLength(t *testing.T) {
 	p, err := Start(Config{Mode: ModeNone, CacheBytes: 8 << 20, MaxObjectSize: 2 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	for _, size := range []int{0, 1, 1024, smallDoc - 1, smallDoc, smallDoc + 1, 1 << 20} {
+	for _, size := range []int{0, 1, 1024, smallBody - 1, smallBody, smallBody + 1, 1 << 20} {
 		for _, version := range []int64{0, 5} {
 			key := fmt.Sprintf("http://origin.invalid/doc-%d-v%d", size, version)
 			body := bytes.Repeat([]byte{'d'}, size)
