@@ -27,7 +27,13 @@ import (
 	"text/tabwriter"
 	"time"
 
-	sc "summarycache"
+	"summarycache/internal/bench"
+	"summarycache/internal/faultnet"
+	"summarycache/internal/httpproxy"
+	"summarycache/internal/obs"
+	"summarycache/internal/perfwatch"
+	"summarycache/internal/tracegen"
+	"summarycache/internal/tracing"
 )
 
 var (
@@ -50,23 +56,23 @@ var (
 // and stale series from a finished mesh would otherwise be inherited). The
 // admin endpoint always serves the live run.
 var (
-	current       atomic.Pointer[sc.Registry]
-	currentTracer atomic.Pointer[sc.Tracer]
-	currentWatch  atomic.Pointer[sc.PerfWatch]
+	current       atomic.Pointer[obs.Registry]
+	currentTracer atomic.Pointer[tracing.Tracer]
+	currentWatch  atomic.Pointer[perfwatch.Watch]
 	sloBreaches   int // mesh runs whose -slo objective breached
 )
 
 func tracingOn() bool { return *traceRate > 0 || *traceBuf > 0 }
 func perfOn() bool    { return *sloP99 > 0 }
 
-func newRunRegistry() *sc.Registry {
-	reg := sc.NewRegistry()
-	sc.RegisterRuntimeMetrics(reg)
+func newRunRegistry() *obs.Registry {
+	reg := obs.NewRegistry()
+	obs.RegisterRuntimeMetrics(reg)
 	current.Store(reg)
 	if perfOn() {
-		currentWatch.Store(sc.NewPerfWatch(sc.PerfConfig{
+		currentWatch.Store(perfwatch.New(perfwatch.Config{
 			Registry: reg,
-			Objectives: []sc.PerfObjective{{
+			Objectives: []perfwatch.Objective{{
 				Name:      "client_p99",
 				Threshold: *sloP99,
 				Budget:    0.01,
@@ -76,7 +82,7 @@ func newRunRegistry() *sc.Registry {
 	// A perf watch needs a tracer to feed it spans, even when no traces
 	// are retained (-trace-sample=0 keeps only anomalous ones).
 	if tracingOn() || perfOn() {
-		currentTracer.Store(sc.NewTracer(sc.TracerConfig{
+		currentTracer.Store(tracing.New(tracing.Config{
 			HeadRate: *traceRate,
 			Buffer:   *traceBuf,
 			Registry: reg,
@@ -87,40 +93,40 @@ func newRunRegistry() *sc.Registry {
 }
 
 // runTracer returns the live run's shared tracer (nil: tracing disabled).
-func runTracer() *sc.Tracer { return currentTracer.Load() }
+func runTracer() *tracing.Tracer { return currentTracer.Load() }
 
 // runWatch returns the live run's perf watch (nil: -slo disabled).
-func runWatch() *sc.PerfWatch { return currentWatch.Load() }
+func runWatch() *perfwatch.Watch { return currentWatch.Load() }
 
-// runWatchSink adapts runWatch for TracerConfig.Sink, whose interface a
-// typed-nil *PerfWatch would otherwise satisfy non-nil.
-func runWatchSink() sc.TracerSink {
+// runWatchSink adapts runWatch for tracing.Config.Sink, whose interface a
+// typed-nil *perfwatch.Watch would otherwise satisfy non-nil.
+func runWatchSink() tracing.SpanSink {
 	if w := runWatch(); w != nil {
 		return w
 	}
 	return nil
 }
 
-var modes = []sc.ProxyMode{sc.ProxyModeNone, sc.ProxyModeICP, sc.ProxyModeSCICP}
+var modes = []httpproxy.Mode{httpproxy.ModeNone, httpproxy.ModeICP, httpproxy.ModeSCICP}
 
 // chaosScenario derives the run's fault schedule from -chaos/-chaos-seed
 // (nil when -chaos is 0: the benchmark runs with no injection layer).
-func chaosScenario() *sc.FaultScenario {
+func chaosScenario() *faultnet.Scenario {
 	if *chaosRate <= 0 {
 		return nil
 	}
-	udp := sc.FaultRates{
+	udp := faultnet.Rates{
 		Drop:      *chaosRate,
 		Duplicate: *chaosRate / 3,
 		Delay:     *chaosRate / 2,
 		DelayMin:  time.Millisecond,
 		DelayMax:  10 * time.Millisecond,
 	}
-	return &sc.FaultScenario{
+	return &faultnet.Scenario{
 		Seed:     *chaosSeed,
 		Inbound:  udp,
 		Outbound: udp,
-		HTTP: sc.FaultHTTPRates{
+		HTTP: faultnet.HTTPRates{
 			ConnectFail: *chaosRate / 3,
 			Stall:       *chaosRate / 8,
 			StallFor:    50 * time.Millisecond,
@@ -154,16 +160,16 @@ func run() error {
 		srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			// Re-resolved per request: each run swaps in a fresh registry
 			// and tracer, and the admin plane must follow the live mesh.
-			var mounts []sc.Mount
+			var mounts []obs.Mount
 			if tr := runTracer(); tr != nil {
-				mounts = append(mounts, sc.Mount{Pattern: "/debug/traces", Handler: tr.Handler()})
+				mounts = append(mounts, obs.Mount{Pattern: "/debug/traces", Handler: tr.Handler()})
 			}
 			if pw := runWatch(); pw != nil {
 				mounts = append(mounts,
-					sc.Mount{Pattern: "/debug/slo", Handler: pw.SLOHandler()},
-					sc.Mount{Pattern: "/debug/perf", Handler: pw.PerfHandler()})
+					obs.Mount{Pattern: "/debug/slo", Handler: pw.SLOHandler()},
+					obs.Mount{Pattern: "/debug/perf", Handler: pw.PerfHandler()})
 			}
-			sc.NewAdminHandler(current.Load(), nil, mounts...).ServeHTTP(w, r)
+			obs.NewHandler(current.Load(), nil, mounts...).ServeHTTP(w, r)
 		})}
 		go srv.Serve(ln)
 		defer srv.Close()
@@ -185,12 +191,12 @@ func run() error {
 		}
 	}
 	if want("table4") {
-		if err := replay(sc.ClientBound, "Table IV (experiment 3: client-bound replay)"); err != nil {
+		if err := replay(bench.ClientBound, "Table IV (experiment 3: client-bound replay)"); err != nil {
 			return err
 		}
 	}
 	if want("table5") {
-		if err := replay(sc.RoundRobin, "Table V (experiment 4: round-robin replay)"); err != nil {
+		if err := replay(bench.RoundRobin, "Table V (experiment 4: round-robin replay)"); err != nil {
 			return err
 		}
 	}
@@ -203,7 +209,7 @@ func run() error {
 // checkSLO closes the finished run's SLO window, prints the per-stage
 // latency breakdown and objective verdict, and tallies a breach. No-op
 // without -slo.
-func checkSLO(mode sc.ProxyMode) {
+func checkSLO(mode httpproxy.Mode) {
 	pw := runWatch()
 	if pw == nil {
 		return
@@ -230,7 +236,7 @@ func checkSLO(mode sc.ProxyMode) {
 	fmt.Println()
 }
 
-func render(title string, results []sc.BenchResult) {
+func render(title string, results []bench.Result) {
 	fmt.Printf("== %s ==\n", title)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "mode\thit ratio\tremote hits\tlatency (mean)\tlatency (p90)\tuser CPU\tsys CPU\tUDP msgs\tHTTP msgs\torigin reqs\tload CV\tretries\tfaults")
@@ -248,9 +254,9 @@ func render(title string, results []sc.BenchResult) {
 
 func table2(hitRatio float64) error {
 	fmt.Fprintf(os.Stderr, "running Table II at inherent hit ratio %.0f%%...\n", 100*hitRatio)
-	var results []sc.BenchResult
+	var results []bench.Result
 	for _, m := range modes {
-		r, err := sc.RunSynthetic(sc.SyntheticConfig{
+		r, err := bench.RunSynthetic(bench.SyntheticConfig{
 			Mode:              m,
 			Proxies:           4,
 			ClientsPerProxy:   *clients,
@@ -273,19 +279,19 @@ func table2(hitRatio float64) error {
 	return nil
 }
 
-func replay(a sc.Assignment, title string) error {
+func replay(a bench.Assignment, title string) error {
 	fmt.Fprintf(os.Stderr, "generating UPisa trace for %v replay...\n", a)
-	reqs, _, err := sc.GeneratePreset(sc.PresetUPisa, *traceScale)
+	reqs, _, err := tracegen.GeneratePreset(tracegen.UPisa, *traceScale)
 	if err != nil {
 		return err
 	}
 	if len(reqs) > *replayN {
 		reqs = reqs[:*replayN]
 	}
-	var results []sc.BenchResult
+	var results []bench.Result
 	for _, m := range modes {
 		fmt.Fprintf(os.Stderr, "replaying %d requests under %v...\n", len(reqs), m)
-		r, err := sc.RunReplay(sc.ReplayConfig{
+		r, err := bench.RunReplay(bench.ReplayConfig{
 			Mode:          m,
 			Proxies:       4,
 			Workers:       80,

@@ -37,7 +37,12 @@ import (
 	"syscall"
 	"time"
 
-	sc "summarycache"
+	"summarycache/internal/core"
+	"summarycache/internal/httpproxy"
+	"summarycache/internal/obs"
+	"summarycache/internal/perfwatch"
+	"summarycache/internal/persist"
+	"summarycache/internal/tracing"
 )
 
 type peerList []string
@@ -90,14 +95,14 @@ func main() {
 	}
 }
 
-func parseMode(s string) (sc.ProxyMode, error) {
+func parseMode(s string) (httpproxy.Mode, error) {
 	switch strings.ToLower(s) {
 	case "none":
-		return sc.ProxyModeNone, nil
+		return httpproxy.ModeNone, nil
 	case "icp":
-		return sc.ProxyModeICP, nil
+		return httpproxy.ModeICP, nil
 	case "scicp", "sc-icp":
-		return sc.ProxyModeSCICP, nil
+		return httpproxy.ModeSCICP, nil
 	}
 	return 0, fmt.Errorf("unknown mode %q", s)
 }
@@ -137,25 +142,25 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	reg := sc.NewRegistry()
-	sc.RegisterRuntimeMetrics(reg)
+	reg := obs.NewRegistry()
+	obs.RegisterRuntimeMetrics(reg)
 
 	// The performance watch is built before the proxy (it wires into the
 	// tracer and the proxy config), so the false-hit ratio objective reads
 	// the proxy through a reference filled in after StartProxy.
-	var proxyRef *sc.Proxy
-	var watch *sc.PerfWatch
+	var proxyRef *httpproxy.Proxy
+	var watch *perfwatch.Watch
 	if *sloLatency > 0 || *sloFalseHit > 0 || *perfCapture {
-		var objectives []sc.PerfObjective
+		var objectives []perfwatch.Objective
 		if *sloLatency > 0 {
-			objectives = append(objectives, sc.PerfObjective{
+			objectives = append(objectives, perfwatch.Objective{
 				Name:      "client_p99",
 				Threshold: *sloLatency,
 				Budget:    0.01,
 			})
 		}
 		if *sloFalseHit > 0 {
-			objectives = append(objectives, sc.PerfObjective{
+			objectives = append(objectives, perfwatch.Objective{
 				Name:   "false_hit_ratio",
 				Budget: *sloFalseHit,
 				Num: func() uint64 {
@@ -172,15 +177,15 @@ func run() error {
 				},
 			})
 		}
-		watch = sc.NewPerfWatch(sc.PerfConfig{
+		watch = perfwatch.New(perfwatch.Config{
 			Registry:   reg,
 			Logger:     log,
 			Objectives: objectives,
-			Capture:    sc.PerfCaptureConfig{Enabled: *perfCapture},
+			Capture:    perfwatch.CaptureConfig{Enabled: *perfCapture},
 		})
 	}
 
-	var tracer *sc.Tracer
+	var tracer *tracing.Tracer
 	if *traceRate > 0 || *traceBuf > 0 || watch != nil {
 		if *traceRate < 0 || *traceRate > 1 {
 			return fmt.Errorf("-trace-sample %v outside [0,1]", *traceRate)
@@ -189,7 +194,7 @@ func run() error {
 		// tracing flags are set: at head rate 0 only SLO-breaching
 		// (anomalous) traces are retained, but every span still feeds the
 		// per-stage histograms.
-		cfg := sc.TracerConfig{
+		cfg := tracing.Config{
 			HeadRate: *traceRate,
 			Buffer:   *traceBuf,
 			Registry: reg,
@@ -198,15 +203,15 @@ func run() error {
 		if watch != nil {
 			cfg.Sink = watch
 		}
-		tracer = sc.NewTracer(cfg)
+		tracer = tracing.New(cfg)
 	}
-	var persistCfg *sc.PersistConfig
+	var persistCfg *persist.Config
 	if *persistDir != "" {
-		policy, err := sc.ParsePersistFsyncPolicy(*persistFsync)
+		policy, err := persist.ParseFsyncPolicy(*persistFsync)
 		if err != nil {
 			return err
 		}
-		persistCfg = &sc.PersistConfig{
+		persistCfg = &persist.Config{
 			Dir:              *persistDir,
 			Fsync:            policy,
 			FsyncInterval:    *persistFsyncSec,
@@ -214,12 +219,12 @@ func run() error {
 		}
 	}
 	cacheBytes := *cacheMB << 20
-	p, err := sc.StartProxy(sc.ProxyConfig{
+	p, err := httpproxy.Start(httpproxy.Config{
 		ListenAddr: *httpAddr,
 		ICPAddr:    *icpAddr,
 		Mode:       m,
 		CacheBytes: cacheBytes,
-		Summary: sc.DirectoryConfig{
+		Summary: core.DirectoryConfig{
 			ExpectedDocs:    uint64(cacheBytes / 8192),
 			LoadFactor:      *loadf,
 			UpdateThreshold: *threshold,
@@ -242,7 +247,7 @@ func run() error {
 		defer close(watchStop)
 	}
 	attrs := []any{"mode", m.String(), "http", p.URL()}
-	if m != sc.ProxyModeNone {
+	if m != httpproxy.ModeNone {
 		attrs = append(attrs, "icp", p.ICPAddr().String())
 	}
 	if rec := p.Recovery(); rec.Recovered {
@@ -258,21 +263,21 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("admin listen %q: %w", *adminAddr, err)
 		}
-		var mounts []sc.Mount
+		var mounts []obs.Mount
 		endpoints := "/metrics /debug/vars /debug/pprof/ /healthz"
 		if tracer != nil {
-			mounts = append(mounts, sc.Mount{Pattern: "/debug/traces", Handler: tracer.Handler()})
+			mounts = append(mounts, obs.Mount{Pattern: "/debug/traces", Handler: tracer.Handler()})
 			endpoints += " /debug/traces"
 		}
 		if watch != nil {
 			mounts = append(mounts,
-				sc.Mount{Pattern: "/debug/slo", Handler: watch.SLOHandler()},
-				sc.Mount{Pattern: "/debug/perf", Handler: watch.PerfHandler()})
+				obs.Mount{Pattern: "/debug/slo", Handler: watch.SLOHandler()},
+				obs.Mount{Pattern: "/debug/perf", Handler: watch.PerfHandler()})
 			endpoints += " /debug/slo /debug/perf"
 		}
-		mounts = append(mounts, sc.Mount{Pattern: "/debug/mesh", Handler: p.MeshHandler()})
+		mounts = append(mounts, obs.Mount{Pattern: "/debug/mesh", Handler: p.MeshHandler()})
 		endpoints += " /debug/mesh"
-		admin := &http.Server{Handler: sc.NewAdminHandler(reg, p.Health, mounts...)}
+		admin := &http.Server{Handler: obs.NewHandler(reg, p.Health, mounts...)}
 		go admin.Serve(ln)
 		defer admin.Close()
 		log.Info("admin endpoint up", "addr", ln.Addr().String(),
@@ -294,7 +299,7 @@ func run() error {
 		log.Info("peered", "icp", parts[0], "http", parts[1])
 	}
 	if *healthSec > 0 {
-		stop := p.StartHealthChecks(sc.HealthConfig{Interval: *healthSec})
+		stop := p.StartHealthChecks(core.HealthConfig{Interval: *healthSec})
 		defer stop()
 	}
 

@@ -18,7 +18,9 @@ import (
 	"path/filepath"
 	"text/tabwriter"
 
-	sc "summarycache"
+	"summarycache/internal/experiments"
+	"summarycache/internal/trace"
+	"summarycache/internal/tracegen"
 )
 
 var (
@@ -63,27 +65,27 @@ func main() {
 }
 
 func run() error {
-	var sets []sc.TraceSet
+	var sets []experiments.TraceSet
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		if err != nil {
 			return err
 		}
-		reqs, err := sc.ReadTraceAuto(f)
+		reqs, err := trace.ReadAllAuto(f)
 		f.Close()
 		if err != nil {
 			return fmt.Errorf("reading %s: %w", *traceFile, err)
 		}
 		name := filepath.Base(*traceFile)
 		fmt.Fprintf(os.Stderr, "loaded %d requests from %s\n", len(reqs), *traceFile)
-		sets = append(sets, sc.TraceSetFromRequests(name, reqs, *fileGroups))
+		sets = append(sets, experiments.LoadFromRequests(name, reqs, *fileGroups))
 	} else {
-		for _, p := range sc.TracePresets() {
+		for _, p := range tracegen.Presets() {
 			if *traceName != "" && string(p) != *traceName {
 				continue
 			}
 			fmt.Fprintf(os.Stderr, "generating %s trace (scale %g)...\n", p, *scale)
-			ts, err := sc.LoadTraceSet(p, *scale)
+			ts, err := experiments.Load(p, *scale)
 			if err != nil {
 				return err
 			}
@@ -138,13 +140,13 @@ func run() error {
 	return nil
 }
 
-func hierarchy(sets []sc.TraceSet) error {
+func hierarchy(sets []experiments.TraceSet) error {
 	fmt.Println("== Extension: parent/child hierarchy (paper §VIII, not simulated there) ==")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "trace\tparent?\tsibling hit\tparent hit\torigin traffic")
-	var all []sc.HierarchyRow
+	var all []experiments.HierarchyRow
 	for _, ts := range sets {
-		rows, err := sc.Hierarchy(ts)
+		rows, err := experiments.Hierarchy(ts)
 		if err != nil {
 			return err
 		}
@@ -157,17 +159,17 @@ func hierarchy(sets []sc.TraceSet) error {
 	w.Flush()
 	fmt.Println()
 	return emitCSV("hierarchy", func(out io.Writer) error {
-		return sc.HierarchyCSV(out, all)
+		return experiments.HierarchyCSV(out, all)
 	})
 }
 
-func ablations(sets []sc.TraceSet) error {
+func ablations(sets []experiments.TraceSet) error {
 	fmt.Println("== Ablation: delta vs whole-array (cache digest) updates, Bloom lf=16 ==")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "trace\tthreshold\tdelta B/req\tdigest B/req")
-	var allDigest []sc.DigestRow
+	var allDigest []experiments.DigestRow
 	for _, ts := range sets {
-		rows, err := sc.DigestVsDelta(ts, nil)
+		rows, err := experiments.DigestVsDelta(ts, nil)
 		if err != nil {
 			return err
 		}
@@ -181,9 +183,9 @@ func ablations(sets []sc.TraceSet) error {
 	fmt.Println("\n== Ablation: number of hash functions (Bloom lf=16, threshold=1%) ==")
 	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "trace\tk\toptimal?\tfalse hit\tanalytic fp\thit ratio")
-	var allK []sc.HashKRow
+	var allK []experiments.HashKRow
 	for _, ts := range sets {
-		rows, err := sc.HashKSweep(ts, nil)
+		rows, err := experiments.HashKSweep(ts, nil)
 		if err != nil {
 			return err
 		}
@@ -198,9 +200,9 @@ func ablations(sets []sc.TraceSet) error {
 	fmt.Println("\n== Ablation: counting-filter counter width (Bloom lf=16, threshold=1%) ==")
 	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "trace\tcounter bits\tsaturations\tfalse hit\tcounter memory (KB)")
-	var allC []sc.CounterRow
+	var allC []experiments.CounterRow
 	for _, ts := range sets {
-		rows, err := sc.CounterWidthSweep(ts, nil)
+		rows, err := experiments.CounterWidthSweep(ts, nil)
 		if err != nil {
 			return err
 		}
@@ -215,9 +217,9 @@ func ablations(sets []sc.TraceSet) error {
 	fmt.Println("\n== Ablation: Bloom load factor sweep (threshold=1%) ==")
 	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "trace\tload factor\tfalse hit\tmsgs/req\tmemory/cache")
-	var allLF []sc.LoadFactorRow
+	var allLF []experiments.LoadFactorRow
 	for _, ts := range sets {
-		rows, err := sc.LoadFactorSweep(ts, nil)
+		rows, err := experiments.LoadFactorSweep(ts, nil)
 		if err != nil {
 			return err
 		}
@@ -230,10 +232,10 @@ func ablations(sets []sc.TraceSet) error {
 	w.Flush()
 	fmt.Println()
 	for name, write := range map[string]func(io.Writer) error{
-		"ablation_digest":      func(out io.Writer) error { return sc.DigestCSV(out, allDigest) },
-		"ablation_hashk":       func(out io.Writer) error { return sc.HashKCSV(out, allK) },
-		"ablation_counter":     func(out io.Writer) error { return sc.CounterCSV(out, allC) },
-		"ablation_load_factor": func(out io.Writer) error { return sc.LoadFactorCSV(out, allLF) },
+		"ablation_digest":      func(out io.Writer) error { return experiments.DigestCSV(out, allDigest) },
+		"ablation_hashk":       func(out io.Writer) error { return experiments.HashKCSV(out, allK) },
+		"ablation_counter":     func(out io.Writer) error { return experiments.CounterCSV(out, allC) },
+		"ablation_load_factor": func(out io.Writer) error { return experiments.LoadFactorCSV(out, allLF) },
 	} {
 		if err := emitCSV(name, write); err != nil {
 			return err
@@ -242,15 +244,15 @@ func ablations(sets []sc.TraceSet) error {
 	return nil
 }
 
-func amortization(sets []sc.TraceSet) error {
+func amortization(sets []experiments.TraceSet) error {
 	fmt.Println("== Ablation: update-batch amortization (Bloom lf=16, threshold=1%) ==")
 	fmt.Println("   (batch≈90 is the prototype's fill-an-IP-packet rule; the paper's")
 	fmt.Println("    million-entry caches batch thousands of documents per update)")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "trace\tbatch (docs)\thit ratio\tmsgs/req\tbytes/req\tvs ICP")
-	var all []sc.AmortRow
+	var all []experiments.AmortRow
 	for _, ts := range sets {
-		rows, err := sc.UpdateAmortization(ts, nil)
+		rows, err := experiments.UpdateAmortization(ts, nil)
 		if err != nil {
 			return err
 		}
@@ -263,16 +265,16 @@ func amortization(sets []sc.TraceSet) error {
 	w.Flush()
 	fmt.Println()
 	return emitCSV("amortization", func(out io.Writer) error {
-		return sc.AmortCSV(out, all)
+		return experiments.AmortCSV(out, all)
 	})
 }
 
-func table1(sets []sc.TraceSet) error {
+func table1(sets []experiments.TraceSet) error {
 	fmt.Println("== Table I: trace statistics ==")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "trace\trequests\tclients\tgroups\tunique docs\tinf cache (MB)\tmax hit\tmax byte hit")
 	for _, ts := range sets {
-		s := sc.TableI(ts)
+		s := experiments.TableI(ts)
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%.1f\t%.1f%%\t%.1f%%\n",
 			s.Name, s.Requests, s.Clients, ts.Groups, s.UniqueDocs,
 			float64(s.InfiniteCacheSize)/(1<<20), 100*s.MaxHitRatio, 100*s.MaxByteHitRatio)
@@ -280,15 +282,15 @@ func table1(sets []sc.TraceSet) error {
 	w.Flush()
 	fmt.Println()
 	return emitCSV("table1", func(out io.Writer) error {
-		return sc.TableICSV(out, sets)
+		return experiments.TableICSV(out, sets)
 	})
 }
 
-func fig1(sets []sc.TraceSet) error {
+func fig1(sets []experiments.TraceSet) error {
 	fmt.Println("== Figure 1: hit ratios under cooperative caching schemes ==")
-	var all []sc.Fig1Row
+	var all []experiments.Fig1Row
 	for _, ts := range sets {
-		rows, err := sc.Fig1(ts, nil)
+		rows, err := experiments.Fig1(ts, nil)
 		if err != nil {
 			return err
 		}
@@ -296,13 +298,13 @@ func fig1(sets []sc.TraceSet) error {
 		fmt.Printf("-- %s --\n", ts.Name)
 		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprint(w, "cache size\t")
-		for _, s := range sc.Fig1Schemes {
+		for _, s := range experiments.Fig1Schemes {
 			fmt.Fprintf(w, "%v\t", s)
 		}
 		fmt.Fprintln(w)
-		for _, frac := range sc.Fig1CacheFracs {
+		for _, frac := range experiments.Fig1CacheFracs {
 			fmt.Fprintf(w, "%.1f%%\t", 100*frac)
-			for _, s := range sc.Fig1Schemes {
+			for _, s := range experiments.Fig1Schemes {
 				for _, r := range rows {
 					if r.CacheFrac == frac && r.Scheme == s {
 						fmt.Fprintf(w, "%.1f%%\t", 100*r.HitRatio)
@@ -315,17 +317,17 @@ func fig1(sets []sc.TraceSet) error {
 	}
 	fmt.Println()
 	return emitCSV("fig1", func(out io.Writer) error {
-		return sc.Fig1CSV(out, all)
+		return experiments.Fig1CSV(out, all)
 	})
 }
 
-func fig2(sets []sc.TraceSet) error {
+func fig2(sets []experiments.TraceSet) error {
 	fmt.Println("== Figure 2: impact of summary update delays (exact-directory, cache=10%) ==")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "trace\tthreshold\thit ratio\tfalse miss\tfalse hit\tremote stale hit")
-	var all []sc.Fig2Row
+	var all []experiments.Fig2Row
 	for _, ts := range sets {
-		rows, err := sc.Fig2(ts, nil)
+		rows, err := experiments.Fig2(ts, nil)
 		if err != nil {
 			return err
 		}
@@ -339,17 +341,17 @@ func fig2(sets []sc.TraceSet) error {
 	w.Flush()
 	fmt.Println()
 	return emitCSV("fig2", func(out io.Writer) error {
-		return sc.Fig2CSV(out, all)
+		return experiments.Fig2CSV(out, all)
 	})
 }
 
-func summaryComparison(sets []sc.TraceSet) error {
+func summaryComparison(sets []experiments.TraceSet) error {
 	fmt.Println("== Figures 5-8 + Table III: summary representations (threshold=1%, cache=10%) ==")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "trace\tsummary\thit ratio (F5)\tfalse hit (F6)\tmsgs/req (F7)\tbytes/req (F8)\tmemory/cache (T3)")
-	var all []sc.SummaryRow
+	var all []experiments.SummaryRow
 	for _, ts := range sets {
-		rows, err := sc.SummaryComparison(ts, nil)
+		rows, err := experiments.SummaryComparison(ts, nil)
 		if err != nil {
 			return err
 		}
@@ -363,13 +365,13 @@ func summaryComparison(sets []sc.TraceSet) error {
 	w.Flush()
 	fmt.Println()
 	return emitCSV("fig5678_table3", func(out io.Writer) error {
-		return sc.SummaryCSV(out, all)
+		return experiments.SummaryCSV(out, all)
 	})
 }
 
 func scalability() error {
 	fmt.Println("== §V-F: scalability with the number of proxies (Bloom lf=16, threshold=1%) ==")
-	rows, err := sc.Scalability(nil, 4000)
+	rows, err := experiments.Scalability(nil, 4000)
 	if err != nil {
 		return err
 	}
@@ -383,6 +385,6 @@ func scalability() error {
 	w.Flush()
 	fmt.Println()
 	return emitCSV("scalability", func(out io.Writer) error {
-		return sc.ScaleCSV(out, rows)
+		return experiments.ScaleCSV(out, rows)
 	})
 }

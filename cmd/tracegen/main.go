@@ -13,7 +13,8 @@ import (
 	"fmt"
 	"os"
 
-	sc "summarycache"
+	"summarycache/internal/trace"
+	"summarycache/internal/tracegen"
 )
 
 var (
@@ -43,24 +44,24 @@ func main() {
 }
 
 func run() error {
-	var reqs []sc.TraceRequest
+	var reqs []trace.Request
 	var name string
 	var err error
 	if *preset != "" {
-		var cfg sc.TraceGenConfig
-		reqs, cfg, err = sc.GeneratePreset(sc.TracePreset(*preset), *scale)
+		var cfg tracegen.Config
+		reqs, cfg, err = tracegen.GeneratePreset(tracegen.Preset(*preset), *scale)
 		if err != nil {
 			return err
 		}
 		name = cfg.Name
 	} else {
-		cfg := sc.TraceGenConfig{
+		cfg := tracegen.Config{
 			Name: "custom", Seed: *seed,
 			Requests: *requests, Clients: *clients, Groups: *groups,
 			Docs: *docs, ZipfAlpha: *zipf,
 			SharedFraction: *shared, LocalityProb: *locality, ModifyRate: *modify,
 		}
-		reqs, err = sc.GenerateTrace(cfg)
+		reqs, err = tracegen.Generate(cfg)
 		if err != nil {
 			return err
 		}
@@ -78,7 +79,7 @@ func run() error {
 	}
 	switch *format {
 	case "text":
-		w := sc.NewTraceWriter(dst)
+		w := trace.NewWriter(dst)
 		for _, r := range reqs {
 			if err := w.Write(r); err != nil {
 				return err
@@ -88,7 +89,7 @@ func run() error {
 			return err
 		}
 	case "binary":
-		w := sc.NewTraceBinaryWriter(dst)
+		w := trace.NewBinaryWriter(dst)
 		for _, r := range reqs {
 			if err := w.Write(r); err != nil {
 				return err
@@ -101,7 +102,7 @@ func run() error {
 		return fmt.Errorf("unknown -format %q", *format)
 	}
 	if *doStats {
-		fmt.Fprintln(os.Stderr, sc.ComputeTraceStats(name, reqs))
+		fmt.Fprintln(os.Stderr, trace.ComputeStats(name, reqs))
 	}
 	return nil
 }

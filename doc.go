@@ -2,7 +2,9 @@
 // Almeida and Broder, "Summary Cache: A Scalable Wide-Area Web Cache
 // Sharing Protocol" (SIGCOMM 1998 / IEEE ToN 8(3), 2000).
 //
-// The library lives under internal/ as one package per subsystem:
+// This package holds no code. The library lives under internal/ as one
+// package per subsystem, and the commands (cmd/) and examples
+// (examples/) import the packages they use:
 //
 //   - internal/hashing — the paper's MD5 hash-group derivation
 //   - internal/bloom — Bloom filters, counting Bloom filters, and the
@@ -14,6 +16,13 @@
 //     peer record)
 //   - internal/httpproxy — a caching forward proxy with no-ICP / ICP /
 //     SC-ICP cooperation
+//   - internal/persist — warm restarts: cache, directory and replica
+//     snapshots plus a journal of cache changes
+//   - internal/faultnet — deterministic fault injection on the ICP and
+//     HTTP paths
+//   - internal/obs, internal/tracing, internal/perfwatch,
+//     internal/meshhealth — metrics and the admin endpoint, request
+//     traces, per-stage latency and SLOs, and the /debug/mesh view
 //   - internal/origin, internal/bench — the Wisconsin-benchmark-style
 //     networked evaluation harness (Tables II, IV, V)
 //   - internal/trace, internal/tracegen, internal/stats — workload
@@ -21,10 +30,12 @@
 //     DESIGN.md §4)
 //   - internal/sim, internal/experiments — the trace-driven simulator and
 //     per-figure experiment drivers (Figures 1–2, 5–8, Tables I, III)
+//   - internal/analysis — the project's static analyzer, run by
+//     cmd/sclint
 //
-// bench_test.go in this directory regenerates every table and figure of
-// the paper's evaluation; EXPERIMENTS.md records measured-vs-published
-// values. Start with examples/quickstart.
+// The benchmarks in internal/paperbench regenerate every table and
+// figure of the paper's evaluation; EXPERIMENTS.md records
+// measured-vs-published values. Start with examples/quickstart.
 //
 // The tree is kept clean under the project's own analyzer (see
 // internal/analysis and README §Static analysis); CI enforces it, and

@@ -14,23 +14,25 @@ import (
 	"net/url"
 	"time"
 
-	sc "summarycache"
+	"summarycache/internal/core"
+	"summarycache/internal/httpproxy"
+	"summarycache/internal/origin"
 )
 
 func main() {
-	org, err := sc.StartOrigin(sc.OriginConfig{Latency: 100 * time.Millisecond})
+	org, err := origin.Start(origin.Config{Latency: 100 * time.Millisecond})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer org.Close()
 	fmt.Println("origin server:", org.URL(), "(100ms latency per fetch)")
 
-	var proxies []*sc.Proxy
+	var proxies []*httpproxy.Proxy
 	for i := 0; i < 3; i++ {
-		p, err := sc.StartProxy(sc.ProxyConfig{
-			Mode:       sc.ProxyModeSCICP,
+		p, err := httpproxy.Start(httpproxy.Config{
+			Mode:       httpproxy.ModeSCICP,
 			CacheBytes: 64 << 20,
-			Summary: sc.DirectoryConfig{
+			Summary: core.DirectoryConfig{
 				ExpectedDocs: 8000, LoadFactor: 16, UpdateThreshold: 0.01,
 			},
 			MinUpdateFlips: 1, // demo: propagate summaries immediately
@@ -52,9 +54,9 @@ func main() {
 		}
 	}
 
-	get := func(p *sc.Proxy, target string) time.Duration {
+	get := func(p *httpproxy.Proxy, target string) time.Duration {
 		start := time.Now()
-		resp, err := http.Get(p.URL() + sc.ProxyPath + "?url=" + url.QueryEscape(target))
+		resp, err := http.Get(p.URL() + httpproxy.ProxyPath + "?url=" + url.QueryEscape(target))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -63,7 +65,7 @@ func main() {
 		return time.Since(start)
 	}
 
-	doc := sc.DocURL(org.URL(), "popular/story.html", 16384, 0)
+	doc := origin.DocURL(org.URL(), "popular/story.html", 16384, 0)
 
 	fmt.Println("\n1. proxy 0 fetches the document (cold miss, pays origin latency):")
 	fmt.Printf("   latency %v\n", get(proxies[0], doc).Round(time.Millisecond))
@@ -79,7 +81,7 @@ func main() {
 
 	fmt.Println("4. a document nobody has: summaries rule all peers out → zero ICP queries:")
 	before := proxies[2].Stats().Node.QueriesSent
-	get(proxies[2], sc.DocURL(org.URL(), "obscure/page.html", 2048, 0))
+	get(proxies[2], origin.DocURL(org.URL(), "obscure/page.html", 2048, 0))
 	fmt.Printf("   ICP queries sent by proxy 2: %d\n", proxies[2].Stats().Node.QueriesSent-before)
 
 	fmt.Println("\nfinal accounting:")

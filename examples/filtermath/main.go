@@ -8,7 +8,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	sc "summarycache"
+	"summarycache/internal/bloom"
+	"summarycache/internal/hashing"
 )
 
 func main() {
@@ -18,25 +19,25 @@ func main() {
 	const n = 1 << 16
 	for _, r := range []float64{2, 4, 6, 8, 10, 12, 16, 20, 24, 32} {
 		m := uint64(r * n)
-		kOpt := sc.OptimalK(m, n)
+		kOpt := bloom.OptimalK(m, n)
 		fmt.Printf("%-12g %-12.2e k=%-11d %-10.2e %-12.2e\n",
 			r,
-			sc.FalsePositiveRate(m, n, 4),
+			bloom.FalsePositiveRate(m, n, 4),
 			kOpt,
-			sc.MinFalsePositiveRate(m, n),
-			sc.PowerBound(r),
+			bloom.MinFalsePositiveRate(m, n),
+			bloom.PowerBound(r),
 		)
 	}
 
 	fmt.Println("\n§V-C worked example (\"bit array 10 times larger than the entries\"):")
 	fmt.Printf("  k=4: %.4f (paper: 1.2%%)   k=5 (optimal): %.4f (paper: 0.9%%)\n",
-		sc.FalsePositiveRateApprox(10*n, n, 4),
-		sc.FalsePositiveRateApprox(10*n, n, 5))
+		bloom.FalsePositiveRateApprox(10*n, n, 4),
+		bloom.FalsePositiveRateApprox(10*n, n, 5))
 
 	fmt.Println("\nMonte-Carlo validation against the real filter (lf=8, k=4):")
 	rng := rand.New(rand.NewSource(1))
 	const members = 50_000
-	f := sc.MustNewFilter(8*members, sc.DefaultHashSpec)
+	f := bloom.MustNewFilter(8*members, hashing.DefaultSpec)
 	for i := 0; i < members; i++ {
 		f.Add(fmt.Sprintf("http://site%d.net/page%d", rng.Intn(5000), i))
 	}
@@ -48,7 +49,7 @@ func main() {
 	}
 	fmt.Printf("  empirical: %.4f   analytic: %.4f   fill ratio: %.3f\n",
 		float64(fps)/float64(trials),
-		sc.FalsePositiveRate(8*members, members, 4),
+		bloom.FalsePositiveRate(8*members, members, 4),
 		f.FillRatio())
 
 	fmt.Println("\ncounting-filter overflow (why 4-bit counters suffice, §V-C):")
@@ -56,8 +57,8 @@ func main() {
 	for _, bits := range []int{2, 3, 4, 5} {
 		j := 1 << bits
 		fmt.Printf("%-14d %.3g\n", bits,
-			sc.CounterOverflowProbability(16*(1<<20), 1<<20, 4, j))
+			bloom.CounterOverflowProbability(16*(1<<20), 1<<20, 4, j))
 	}
 	fmt.Println("\nexpected maximum counter at the paper's configuration (lf=16, k=4):",
-		sc.ExpectedMaxCount(16*(1<<20), 1<<20, 4))
+		bloom.ExpectedMaxCount(16*(1<<20), 1<<20, 4))
 }

@@ -11,12 +11,14 @@ import (
 	"net/url"
 	"time"
 
-	sc "summarycache"
+	"summarycache/internal/core"
+	"summarycache/internal/httpproxy"
+	"summarycache/internal/origin"
 )
 
 func main() {
 	// What would the paper configure for an 8 GB proxy? (§V-E/§V-F.)
-	rec, err := sc.Recommend(8<<30, 8192, 100, 0.5)
+	rec, err := core.Recommend(8<<30, 8192, 100, 0.5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -24,14 +26,14 @@ func main() {
 	fmt.Println(" ", rec)
 	fmt.Println()
 
-	org, err := sc.StartOrigin(sc.OriginConfig{Latency: 80 * time.Millisecond})
+	org, err := origin.Start(origin.Config{Latency: 80 * time.Millisecond})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer org.Close()
 
-	parent, err := sc.StartProxy(sc.ProxyConfig{
-		Mode: sc.ProxyModeNone, CacheBytes: 128 << 20,
+	parent, err := httpproxy.Start(httpproxy.Config{
+		Mode: httpproxy.ModeNone, CacheBytes: 128 << 20,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -39,12 +41,12 @@ func main() {
 	defer parent.Close()
 	fmt.Println("parent proxy:", parent.URL())
 
-	var children []*sc.Proxy
+	var children []*httpproxy.Proxy
 	for i := 0; i < 2; i++ {
-		c, err := sc.StartProxy(sc.ProxyConfig{
-			Mode:       sc.ProxyModeSCICP,
+		c, err := httpproxy.Start(httpproxy.Config{
+			Mode:       httpproxy.ModeSCICP,
 			CacheBytes: 32 << 20,
-			Summary:    sc.DirectoryConfig{ExpectedDocs: 4000, UpdateThreshold: 0.01},
+			Summary:    core.DirectoryConfig{ExpectedDocs: 4000, UpdateThreshold: 0.01},
 			ParentURL:  parent.URL(),
 		})
 		if err != nil {
@@ -64,9 +66,9 @@ func main() {
 		}
 	}
 
-	get := func(p *sc.Proxy, target string) time.Duration {
+	get := func(p *httpproxy.Proxy, target string) time.Duration {
 		start := time.Now()
-		resp, err := http.Get(p.URL() + sc.ProxyPath + "?url=" + url.QueryEscape(target))
+		resp, err := http.Get(p.URL() + httpproxy.ProxyPath + "?url=" + url.QueryEscape(target))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,8 +77,8 @@ func main() {
 		return time.Since(start)
 	}
 
-	docA := sc.DocURL(org.URL(), "dept-a/handbook.html", 30000, 0)
-	docB := sc.DocURL(org.URL(), "dept-b/schedule.html", 12000, 0)
+	docA := origin.DocURL(org.URL(), "dept-a/handbook.html", 30000, 0)
+	docB := origin.DocURL(org.URL(), "dept-b/schedule.html", 12000, 0)
 
 	fmt.Println("\n1. child 0 fetches doc A: miss everywhere → parent → origin:")
 	fmt.Printf("   %v (pays origin latency once; parent now caches A)\n",

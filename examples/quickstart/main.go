@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"log"
 
-	sc "summarycache"
+	"summarycache/internal/bloom"
+	"summarycache/internal/core"
+	"summarycache/internal/icp"
 )
 
 func main() {
 	// A proxy summarizes its cache directory with a counting Bloom filter.
-	dir, err := sc.NewDirectory(sc.DirectoryConfig{
+	dir, err := core.NewDirectory(core.DirectoryConfig{
 		ExpectedDocs:    10_000, // ≈ cache bytes / 8 KB average document
 		LoadFactor:      16,     // bits per document (paper's recommendation)
 		UpdateThreshold: 0.01,   // publish after 1% of the directory is new
@@ -30,19 +32,19 @@ func main() {
 
 	// Publication: drain the journal into ICP_OP_DIRUPDATE datagrams.
 	flips := dir.Drain()
-	msgs := sc.SplitUpdate(1, dir.Spec(), uint32(dir.Bits()), flips, 360)
+	msgs := icp.SplitUpdate(1, dir.Spec(), uint32(dir.Bits()), flips, 360)
 	fmt.Printf("directory of %d docs -> %d bit flips -> %d update datagrams\n",
 		dir.Docs(), len(flips), len(msgs))
 
 	// A peer replays the datagrams (possibly reordered or duplicated — the
 	// flips are absolute, so that is safe) into its replica.
-	peers := sc.NewPeerTable()
+	peers := core.NewPeerTable()
 	for _, m := range msgs {
 		wire, err := m.MarshalBinary() // what actually crosses the network
 		if err != nil {
 			log.Fatal(err)
 		}
-		decoded, err := sc.ParseICP(wire)
+		decoded, err := icp.Parse(wire)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,5 +67,5 @@ func main() {
 		peers.MemoryBytes(), dir.Docs(),
 		8*float64(peers.MemoryBytes())/float64(dir.Docs()))
 	fmt.Printf("analytic false-positive rate at this load: %.4f\n",
-		sc.FalsePositiveRate(dir.Bits(), uint64(dir.Docs()), dir.Spec().FunctionNum))
+		bloom.FalsePositiveRate(dir.Bits(), uint64(dir.Docs()), dir.Spec().FunctionNum))
 }

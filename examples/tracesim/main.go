@@ -8,12 +8,14 @@ import (
 	"fmt"
 	"log"
 
-	sc "summarycache"
+	"summarycache/internal/experiments"
+	"summarycache/internal/sim"
+	"summarycache/internal/tracegen"
 )
 
 func main() {
 	fmt.Println("generating a DEC-like trace (16 proxy groups)...")
-	ts, err := sc.LoadTraceSet(sc.PresetDEC, 0.25)
+	ts, err := experiments.Load(tracegen.DEC, 0.25)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -21,12 +23,12 @@ func main() {
 	fmt.Printf("  %d requests, %d clients, %d unique docs, infinite cache %.1f MB\n\n",
 		st.Requests, st.Clients, st.UniqueDocs, float64(st.InfiniteCacheSize)/(1<<20))
 
-	run := func(scheme sc.SimScheme, kind sc.SimSummaryKind, lf float64) sc.SimResult {
-		r, err := sc.RunSim(sc.SimConfig{
+	run := func(scheme sim.Scheme, kind sim.SummaryKind, lf float64) sim.Result {
+		r, err := sim.Run(sim.Config{
 			NumProxies: ts.Groups,
 			CacheBytes: ts.CacheBytesPerProxy(0.10),
 			Scheme:     scheme,
-			Summary: sc.SimSummaryConfig{
+			Summary: sim.SummaryConfig{
 				Kind: kind, UpdateThreshold: 0.01,
 				LoadFactor: lf, AvgDocBytes: ts.AvgDocBytes,
 			},
@@ -38,17 +40,17 @@ func main() {
 	}
 
 	fmt.Println("benefit of sharing (cache = 10% of infinite):")
-	noShare := run(sc.SimNoSharing, sc.SummaryOracle, 0)
-	shared := run(sc.SimSimpleSharing, sc.SummaryOracle, 0)
-	global := run(sc.SimGlobalCache, sc.SummaryOracle, 0)
+	noShare := run(sim.NoSharing, sim.Oracle, 0)
+	shared := run(sim.SimpleSharing, sim.Oracle, 0)
+	global := run(sim.GlobalCache, sim.Oracle, 0)
 	fmt.Printf("  no sharing:     %5.1f%% hit ratio\n", 100*noShare.HitRatio())
 	fmt.Printf("  simple sharing: %5.1f%% hit ratio (remote hits %4.1f%%)\n",
 		100*shared.HitRatio(), 100*float64(shared.RemoteHits)/float64(shared.Requests))
 	fmt.Printf("  global cache:   %5.1f%% hit ratio\n\n", 100*global.HitRatio())
 
 	fmt.Println("protocol cost of discovering those remote hits:")
-	icp := run(sc.SimSimpleSharing, sc.SummaryICP, 0)
-	blm := run(sc.SimSimpleSharing, sc.SummaryBloom, 8)
+	icp := run(sim.SimpleSharing, sim.ICP, 0)
+	blm := run(sim.SimpleSharing, sim.Bloom, 8)
 	fmt.Printf("  ICP:          %6.3f msgs/req, %6.1f bytes/req, hit %5.1f%%\n",
 		icp.MessagesPerRequest(), icp.BytesPerRequest(), 100*icp.HitRatio())
 	fmt.Printf("  summary cache: %6.3f msgs/req, %6.1f bytes/req, hit %5.1f%% (bloom lf=8)\n",

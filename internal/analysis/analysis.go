@@ -11,8 +11,8 @@ import (
 	"strings"
 )
 
-// Canonical rule names, exported so callers (cmd/sclint, the public
-// facade) and suppression directives refer to one spelling.
+// Canonical rule names, exported so cmd/sclint and suppression
+// directives refer to one spelling.
 const (
 	RuleAtomicMixing       = "atomic-mixing"
 	RuleDeterminism        = "determinism"

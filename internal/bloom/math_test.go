@@ -27,6 +27,10 @@ func TestPaperConstants(t *testing.T) {
 	if ex["lf8_k4"] < 0.01 || ex["lf8_k4"] > 0.03 {
 		t.Errorf("lf=8 k=4: got %.5f, want in the paper's 1-2%% band", ex["lf8_k4"])
 	}
+	// The exact form at the same configuration.
+	if p := FalsePositiveRate(8<<20, 1<<20, 4); p < 0.02 || p > 0.03 {
+		t.Errorf("exact lf=8 k=4 over 1M docs: got %.5f, want in [0.02, 0.03]", p)
+	}
 }
 
 func TestFalsePositiveRateEdges(t *testing.T) {
@@ -80,6 +84,10 @@ func TestOptimalK(t *testing.T) {
 				t.Errorf("OptimalK(lf=%v)=%d beaten by k=%d", c.lf, got, k)
 			}
 		}
+	}
+	// The paper's million-document cache at load factor 16.
+	if got := OptimalK(16<<20, 1<<20); got != 11 {
+		t.Errorf("OptimalK(16M bits, 1M docs) = %d, want 11", got)
 	}
 	if OptimalK(100, 0) != 1 {
 		t.Error("OptimalK with n=0 should return 1")

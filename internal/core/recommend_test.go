@@ -43,6 +43,14 @@ func TestRecommendPaperWorkedExample(t *testing.T) {
 	if !strings.Contains(rec.String(), "Bloom") {
 		t.Error("String() missing content")
 	}
+	// A zero average document size falls back to the paper's 8 KB.
+	dflt, err := Recommend(8<<30, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dflt.SummaryBytesPerPeer != 2<<20 {
+		t.Fatalf("default doc size: summary bytes = %d, want %d", dflt.SummaryBytesPerPeer, 2<<20)
+	}
 }
 
 func TestRecommendInterval(t *testing.T) {

@@ -2,7 +2,7 @@
 // exported function regenerates the data behind one figure or table
 // (Fig. 1, Fig. 2, Figs. 5–8, Tables I and III, and the §V-F scalability
 // extrapolation), returning structured rows that cmd/simulate renders and
-// bench_test.go replays as benchmarks. EXPERIMENTS.md records the measured
+// internal/paperbench replays as benchmarks. EXPERIMENTS.md records the measured
 // outputs next to the paper's published values.
 package experiments
 

@@ -61,7 +61,7 @@ const (
 	// clients cannot pin a connection.
 	DefaultReadHeaderTimeout = 10 * time.Second
 	// DefaultIdleTimeout bounds how long a keep-alive client connection
-	// waits for its next request.
+	// waits for its next request before it is closed.
 	DefaultIdleTimeout = 2 * time.Minute
 )
 
@@ -182,10 +182,6 @@ type Config struct {
 	// a client that overruns it is disconnected without a reply.
 	// 0: DefaultReadHeaderTimeout; negative: unbounded.
 	ReadHeaderTimeout time.Duration
-	// IdleTimeout bounds how long a keep-alive client connection waits for
-	// its next request before it is closed. 0: DefaultIdleTimeout;
-	// negative: unbounded.
-	IdleTimeout time.Duration
 	// Faults, when set, injects that scenario's faults into this proxy's
 	// network edges: its ICP UDP socket (loss, delay, duplication,
 	// reordering) and its outbound HTTP fetches (connect failures,
@@ -345,12 +341,12 @@ type Proxy struct {
 	up *fetcher // origin, parent and sibling fetches
 
 	// The client listener and its connections (serve.go).
-	ln                             net.Listener
-	readHeaderTimeout, idleTimeout time.Duration   // 0: unbounded
-	ctx                            context.Context // handlers' context; Close cancels it
-	cancel                         context.CancelFunc
-	connMu                         sync.Mutex
-	conns                          map[*clientConn]struct{} // nil once closed
+	ln                net.Listener
+	readHeaderTimeout time.Duration   // 0: unbounded
+	ctx               context.Context // handlers' context; Close cancels it
+	cancel            context.CancelFunc
+	connMu            sync.Mutex
+	conns             map[*clientConn]struct{} // nil once closed
 
 	metrics proxyMetrics
 	reg     *obs.Registry
@@ -407,7 +403,6 @@ func Start(cfg Config) (*Proxy, error) {
 		fetchRetries:      resolveCount(cfg.FetchRetries, DefaultFetchRetries),
 		fetchBackoff:      resolveDuration(cfg.FetchBackoff, DefaultFetchBackoff),
 		readHeaderTimeout: resolveDuration(cfg.ReadHeaderTimeout, DefaultReadHeaderTimeout),
-		idleTimeout:       resolveDuration(cfg.IdleTimeout, DefaultIdleTimeout),
 		conns:             make(map[*clientConn]struct{}),
 	}
 	p.ctx, p.cancel = context.WithCancel(context.Background())

@@ -114,12 +114,12 @@ func (p *Proxy) closeClients() error {
 	return err
 }
 
-// serve runs the connection's request loop: wait for a head (IdleTimeout
-// between requests; ReadHeaderTimeout on a new connection, as net/http),
+// serve runs the connection's request loop: wait for a head
+// (DefaultIdleTimeout between requests; ReadHeaderTimeout on a new connection, as net/http),
 // read it under ReadHeaderTimeout from its first byte, answer it, repeat.
 func (c *clientConn) serve() {
 	defer c.drop()
-	for wait := c.p.readHeaderTimeout; ; wait = c.p.idleTimeout {
+	for wait := c.p.readHeaderTimeout; ; wait = DefaultIdleTimeout {
 		if c.setReadDeadline(wait) != nil {
 			return
 		}

@@ -130,6 +130,9 @@ func TestParseErrors(t *testing.T) {
 	if _, err := Parse(short); err != ErrTruncated {
 		t.Errorf("short: err = %v", err)
 	}
+	if _, err := Parse([]byte{1, 2}); err != ErrTruncated {
+		t.Errorf("2-byte datagram: err = %v", err)
+	}
 
 	badVer := append([]byte(nil), valid...)
 	badVer[1] = 3

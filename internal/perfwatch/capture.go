@@ -27,12 +27,6 @@ type CaptureConfig struct {
 	// MinInterval rate-limits captures: triggers arriving sooner than
 	// this after the previous capture started are dropped (default 1m).
 	MinInterval time.Duration
-	// MutexFraction and BlockRateNS seed runtime.SetMutexProfileFraction
-	// and runtime.SetBlockProfileRate when capture is enabled, so the
-	// mutex/block profiles have data (defaults 100 and 1ms). Negative
-	// leaves the runtime setting untouched.
-	MutexFraction int
-	BlockRateNS   int
 }
 
 // Capture is one captured profile set.
@@ -73,7 +67,8 @@ type Capturer struct {
 }
 
 // newCapturer builds the capturer (nil when cfg.Enabled is false). It
-// enables mutex and block profiling so those profiles carry data.
+// enables mutex profiling (fraction 100) and block profiling (rate 1ms)
+// so those profiles carry data.
 func newCapturer(cfg CaptureConfig, reg *obs.Registry, ls obs.Labels, log *slog.Logger) *Capturer {
 	if !cfg.Enabled {
 		return nil
@@ -87,18 +82,8 @@ func newCapturer(cfg CaptureConfig, reg *obs.Registry, ls obs.Labels, log *slog.
 	if cfg.MinInterval <= 0 {
 		cfg.MinInterval = time.Minute
 	}
-	if cfg.MutexFraction == 0 {
-		cfg.MutexFraction = 100
-	}
-	if cfg.BlockRateNS == 0 {
-		cfg.BlockRateNS = int(time.Millisecond)
-	}
-	if cfg.MutexFraction > 0 {
-		runtime.SetMutexProfileFraction(cfg.MutexFraction)
-	}
-	if cfg.BlockRateNS > 0 {
-		runtime.SetBlockProfileRate(cfg.BlockRateNS)
-	}
+	runtime.SetMutexProfileFraction(100)
+	runtime.SetBlockProfileRate(int(time.Millisecond))
 	return &Capturer{
 		cfg: cfg,
 		log: obs.OrNop(log),

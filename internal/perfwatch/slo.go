@@ -24,7 +24,7 @@ const (
 // fraction (bad events / total events) is divided by the error Budget
 // (the bad fraction the objective tolerates); a burn rate of 1 means the
 // budget is being consumed exactly as fast as it accrues, and the
-// objective breaches when burn reaches BurnThreshold.
+// objective breaches when burn reaches 1.
 type Objective struct {
 	// Name identifies the objective in metrics ({slo="<name>"}), the
 	// /debug/slo report, breach logs and trace anomaly reasons.
@@ -44,9 +44,6 @@ type Objective struct {
 	// Num and Den are cumulative counter readers for ratio objectives
 	// (numerator = bad events, denominator = total events).
 	Num, Den func() uint64
-	// BurnThreshold is the burn rate at which the objective breaches
-	// (default 1: the window's bad fraction reached the budget).
-	BurnThreshold float64
 }
 
 // kind resolves the objective kind, inferring it when unset.
@@ -81,8 +78,8 @@ type SLOStatus struct {
 	// BurnRate is BadFraction/Budget: 1 means the error budget burns
 	// exactly as fast as it accrues.
 	BurnRate float64 `json:"burn_rate"`
-	// Breached reports whether BurnRate reached the objective's
-	// BurnThreshold in the last window.
+	// Breached reports whether BurnRate reached 1 (the window's bad
+	// fraction reached the budget) in the last window.
 	Breached bool `json:"breached"`
 	// Breaches counts evaluations that newly entered the breached state
 	// (rising edges) over the watch's lifetime.
@@ -113,9 +110,6 @@ type sloState struct {
 func newSLOState(o Objective, reg *obs.Registry, base obs.Labels) *sloState {
 	if o.Budget <= 0 {
 		o.Budget = 0.01
-	}
-	if o.BurnThreshold <= 0 {
-		o.BurnThreshold = 1
 	}
 	s := &sloState{
 		o:      o,
@@ -174,7 +168,7 @@ func (s *sloState) evaluate() SLOStatus {
 	}
 	burn := frac / s.o.Budget
 	s.burnBits.Store(math.Float64bits(burn))
-	breached := dTotal > 0 && burn >= s.o.BurnThreshold
+	breached := dTotal > 0 && burn >= 1
 	if breached && !s.breachedNow {
 		s.breachCount++
 		s.breaches.Inc()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary trace codec: the text format is greppable but costs ~60 bytes and
@@ -13,11 +14,14 @@ import (
 // records) benefits from a compact framing. The format is:
 //
 //	magic "SCTR" | version byte (1)
-//	per record: varint(timeDelta) varint(client) varint(size)
-//	            varint(versionDelta zig-zag) varint(len(url)) url bytes
+//	per record: uvarint(timeDelta) varint(client) uvarint(size)
+//	            varint(version) uvarint(len(url)) url bytes
 //
-// Deltas exploit monotone timestamps; URLs are stored verbatim (they
-// dominate the size either way, but dedup tables would hurt streamability).
+// uvarint is encoding/binary's unsigned varint and varint its zig-zag
+// signed one. timeDelta is the record's time minus the previous record's
+// (zero for the first); every other field is stored as is. Deltas exploit
+// monotone timestamps; URLs are stored verbatim (they dominate the size
+// either way, but dedup tables would hurt streamability).
 
 // binaryMagic identifies a binary trace stream.
 var binaryMagic = [5]byte{'S', 'C', 'T', 'R', 1}
@@ -133,6 +137,17 @@ func (r *BinaryReader) Read() (Request, error) {
 	urlLen, err := binary.ReadUvarint(r.br)
 	if err != nil {
 		return Request{}, unexpectedEOF(err)
+	}
+	// The writer never emits a time past math.MaxInt64, a size past it,
+	// or a client outside int; a stream that does is corrupt.
+	if dt > uint64(math.MaxInt64-r.lastTime) {
+		return Request{}, fmt.Errorf("%w: time delta %d overflows", ErrBadRecord, dt)
+	}
+	if size > math.MaxInt64 {
+		return Request{}, fmt.Errorf("%w: size %d", ErrBadRecord, size)
+	}
+	if int64(int(client)) != client {
+		return Request{}, fmt.Errorf("%w: client %d", ErrBadRecord, client)
 	}
 	if urlLen > maxBinaryURLLen {
 		return Request{}, fmt.Errorf("%w: URL length %d", ErrBadRecord, urlLen)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -81,6 +82,18 @@ func TestBinaryReaderErrors(t *testing.T) {
 	data = append(data, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)
 	if _, err := NewBinaryReader(bytes.NewReader(data)).Read(); err == nil {
 		t.Error("accepted absurd URL length")
+	}
+	// Fields the writer never emits: a size past math.MaxInt64, and a
+	// time delta that carries the time past it.
+	for name, stream := range map[string][]byte{
+		"size 2^63": binaryStream(rawRecord(0, 0, 1<<63, 0, "http://a/")),
+		"time delta 2^63": binaryStream(
+			rawRecord(5, 0, 10, 0, "http://a/"),
+			rawRecord(1<<63, 0, 10, 0, "http://b/")),
+	} {
+		if _, err := NewBinaryReader(bytes.NewReader(stream)).ReadAll(); !errors.Is(err, ErrBadRecord) {
+			t.Errorf("%s: err = %v, want ErrBadRecord", name, err)
+		}
 	}
 }
 
