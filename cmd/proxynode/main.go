@@ -37,6 +37,7 @@ import (
 	"syscall"
 	"time"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/core"
 	"summarycache/internal/httpproxy"
 	"summarycache/internal/obs"
@@ -224,7 +225,7 @@ func run() error {
 		ICPAddr:    *icpAddr,
 		Mode:       m,
 		CacheBytes: cacheBytes,
-		Summary: core.DirectoryConfig{
+		Summary: bloom.DirectoryConfig{
 			ExpectedDocs:    uint64(cacheBytes / 8192),
 			LoadFactor:      *loadf,
 			UpdateThreshold: *threshold,

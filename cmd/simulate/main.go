@@ -246,10 +246,10 @@ func ablations(sets []experiments.TraceSet) error {
 
 func amortization(sets []experiments.TraceSet) error {
 	fmt.Println("== Ablation: update-batch amortization (Bloom lf=16, threshold=1%) ==")
-	fmt.Println("   (batch≈90 is the prototype's fill-an-IP-packet rule; the paper's")
+	fmt.Println("   (batch=360 flips is the prototype's fill-an-IP-packet rule; the paper's")
 	fmt.Println("    million-entry caches batch thousands of documents per update)")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "trace\tbatch (docs)\thit ratio\tmsgs/req\tbytes/req\tvs ICP")
+	fmt.Fprintln(w, "trace\tbatch (flips)\thit ratio\tmsgs/req\tbytes/req\tvs ICP")
 	var all []experiments.AmortRow
 	for _, ts := range sets {
 		rows, err := experiments.UpdateAmortization(ts, nil)
@@ -259,7 +259,7 @@ func amortization(sets []experiments.TraceSet) error {
 		all = append(all, rows...)
 		for _, r := range rows {
 			fmt.Fprintf(w, "%s\t%d\t%.2f%%\t%.3f\t%.1f\t%.1fx\n",
-				r.Trace, r.MinUpdateDocs, 100*r.HitRatio, r.MsgsPerReq, r.BytesPerReq, r.ICPFactor)
+				r.Trace, r.MinPending, 100*r.HitRatio, r.MsgsPerReq, r.BytesPerReq, r.ICPFactor)
 		}
 	}
 	w.Flush()

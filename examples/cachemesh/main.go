@@ -14,7 +14,7 @@ import (
 	"net/url"
 	"time"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/httpproxy"
 	"summarycache/internal/origin"
 )
@@ -32,10 +32,10 @@ func main() {
 		p, err := httpproxy.Start(httpproxy.Config{
 			Mode:       httpproxy.ModeSCICP,
 			CacheBytes: 64 << 20,
-			Summary: core.DirectoryConfig{
+			Summary: bloom.DirectoryConfig{
 				ExpectedDocs: 8000, LoadFactor: 16, UpdateThreshold: 0.01,
+				MinPending: 1, // demo: propagate summaries immediately
 			},
-			MinUpdateFlips: 1, // demo: propagate summaries immediately
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"time"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/core"
 	"summarycache/internal/httpproxy"
 	"summarycache/internal/origin"
@@ -46,7 +47,7 @@ func main() {
 		c, err := httpproxy.Start(httpproxy.Config{
 			Mode:       httpproxy.ModeSCICP,
 			CacheBytes: 32 << 20,
-			Summary:    core.DirectoryConfig{ExpectedDocs: 4000, UpdateThreshold: 0.01},
+			Summary:    bloom.DirectoryConfig{ExpectedDocs: 4000, UpdateThreshold: 0.01},
 			ParentURL:  parent.URL(),
 		})
 		if err != nil {

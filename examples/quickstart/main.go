@@ -15,7 +15,7 @@ import (
 
 func main() {
 	// A proxy summarizes its cache directory with a counting Bloom filter.
-	dir, err := core.NewDirectory(core.DirectoryConfig{
+	dir, err := bloom.NewDirectory(bloom.DirectoryConfig{
 		ExpectedDocs:    10_000, // ≈ cache bytes / 8 KB average document
 		LoadFactor:      16,     // bits per document (paper's recommendation)
 		UpdateThreshold: 0.01,   // publish after 1% of the directory is new

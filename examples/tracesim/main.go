@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/experiments"
 	"summarycache/internal/sim"
 	"summarycache/internal/tracegen"
@@ -29,8 +30,8 @@ func main() {
 			CacheBytes: ts.CacheBytesPerProxy(0.10),
 			Scheme:     scheme,
 			Summary: sim.SummaryConfig{
-				Kind: kind, UpdateThreshold: 0.01,
-				LoadFactor: lf, AvgDocBytes: ts.AvgDocBytes,
+				Kind: kind, AvgDocBytes: ts.AvgDocBytes,
+				Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01, LoadFactor: lf},
 			},
 		}, ts.Requests)
 		if err != nil {

@@ -17,7 +17,7 @@ import (
 	"sync"
 	"time"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/faultnet"
 	"summarycache/internal/httpproxy"
 	"summarycache/internal/obs"
@@ -45,12 +45,11 @@ type SyntheticConfig struct {
 	OriginLatency time.Duration
 	// CacheBytes per proxy (paper: 75 MB).
 	CacheBytes int64
-	// UpdateThreshold for SC-ICP summaries (default 0.01).
-	UpdateThreshold float64
-	// MinUpdateFlips forwards to the SC-ICP packet-fill batching (0 keeps
-	// the prototype's one-IP-packet default).
-	MinUpdateFlips int
-	Seed           int64
+	// MinPending forwards to the SC-ICP summaries' publication floor (0
+	// keeps the prototype's one-IP-packet default); their threshold is the
+	// node's default 1%.
+	MinPending int
+	Seed       int64
 	// Chaos, when set, runs the benchmark under fault injection: each
 	// proxy wraps its network edges with an injector built from
 	// Chaos.Fork(i), and the proxies get a resilient fetch pipeline
@@ -87,9 +86,6 @@ func (c *SyntheticConfig) applyDefaults() {
 	}
 	if c.CacheBytes <= 0 {
 		c.CacheBytes = 75 << 20
-	}
-	if c.UpdateThreshold == 0 {
-		c.UpdateThreshold = 0.01
 	}
 }
 
@@ -145,7 +141,7 @@ type testbed struct {
 	client    *http.Client
 }
 
-func newTestbed(mode httpproxy.Mode, proxies int, cacheBytes int64, originLatency time.Duration, threshold float64, minFlips int, chaos *faultnet.Scenario, reg *obs.Registry, tracer *tracing.Tracer, perf *perfwatch.Watch) (*testbed, error) {
+func newTestbed(mode httpproxy.Mode, proxies int, cacheBytes int64, originLatency time.Duration, minPending int, chaos *faultnet.Scenario, reg *obs.Registry, tracer *tracing.Tracer, perf *perfwatch.Watch) (*testbed, error) {
 	org, err := origin.Start(origin.Config{Latency: originLatency})
 	if err != nil {
 		return nil, err
@@ -157,16 +153,15 @@ func newTestbed(mode httpproxy.Mode, proxies int, cacheBytes int64, originLatenc
 		cfg := httpproxy.Config{
 			Mode:       mode,
 			CacheBytes: cacheBytes,
-			Summary: core.DirectoryConfig{
-				ExpectedDocs:    uint64(cacheBytes / 8192),
-				LoadFactor:      16,
-				UpdateThreshold: threshold,
+			Summary: bloom.DirectoryConfig{
+				ExpectedDocs: uint64(cacheBytes / 8192),
+				LoadFactor:   16,
+				MinPending:   minPending,
 			},
-			MinUpdateFlips: minFlips,
-			QueryTimeout:   2 * time.Second,
-			Metrics:        reg,
-			Tracer:         tracer,
-			Perf:           perf,
+			QueryTimeout: 2 * time.Second,
+			Metrics:      reg,
+			Tracer:       tracer,
+			Perf:         perf,
 		}
 		if chaos != nil {
 			inj := faultnet.New(chaos.Fork(int64(i)))
@@ -279,7 +274,7 @@ func (tb *testbed) collect(r *Result) {
 // from a cold mesh, setup traffic included.
 func RunSynthetic(cfg SyntheticConfig) (Result, error) {
 	cfg.applyDefaults()
-	tb, err := newTestbed(cfg.Mode, cfg.Proxies, cfg.CacheBytes, cfg.OriginLatency, cfg.UpdateThreshold, cfg.MinUpdateFlips, cfg.Chaos, cfg.Metrics, cfg.Tracer, cfg.Perf)
+	tb, err := newTestbed(cfg.Mode, cfg.Proxies, cfg.CacheBytes, cfg.OriginLatency, cfg.MinPending, cfg.Chaos, cfg.Metrics, cfg.Tracer, cfg.Perf)
 	if err != nil {
 		return Result{}, err
 	}
@@ -386,10 +381,9 @@ type ReplayConfig struct {
 	Trace         []trace.Request
 	OriginLatency time.Duration
 	CacheBytes    int64
-	// UpdateThreshold for SC-ICP summaries (default 0.01).
-	UpdateThreshold float64
-	// MinUpdateFlips forwards to the SC-ICP packet-fill batching.
-	MinUpdateFlips int
+	// MinPending forwards to the SC-ICP summaries' publication floor
+	// (see SyntheticConfig.MinPending).
+	MinPending int
 	// Chaos runs the replay under fault injection (see
 	// SyntheticConfig.Chaos).
 	Chaos *faultnet.Scenario
@@ -415,16 +409,13 @@ func RunReplay(cfg ReplayConfig) (Result, error) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = 75 << 20
 	}
-	if cfg.UpdateThreshold == 0 {
-		cfg.UpdateThreshold = 0.01
-	}
 	if len(cfg.Trace) == 0 {
 		return Result{}, fmt.Errorf("bench: empty trace")
 	}
 	if cfg.Assignment != ClientBound && cfg.Assignment != RoundRobin {
 		return Result{}, fmt.Errorf("bench: unknown assignment %v", cfg.Assignment)
 	}
-	tb, err := newTestbed(cfg.Mode, cfg.Proxies, cfg.CacheBytes, cfg.OriginLatency, cfg.UpdateThreshold, cfg.MinUpdateFlips, cfg.Chaos, cfg.Metrics, cfg.Tracer, cfg.Perf)
+	tb, err := newTestbed(cfg.Mode, cfg.Proxies, cfg.CacheBytes, cfg.OriginLatency, cfg.MinPending, cfg.Chaos, cfg.Metrics, cfg.Tracer, cfg.Perf)
 	if err != nil {
 		return Result{}, err
 	}

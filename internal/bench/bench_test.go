@@ -219,7 +219,7 @@ func TestReplayICPvsSCICP(t *testing.T) {
 			// At this miniature scale the prototype's fill-an-IP-packet
 			// batching would delay summaries past the whole replay; batch
 			// every ~10 documents instead.
-			MinUpdateFlips: 40,
+			MinPending: 40,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -71,3 +71,26 @@ func ExampleOptimalK() {
 	// lf=10: k*=7 p*=0.0082 p(k=4)=0.0118
 	// lf=16: k*=11 p*=0.0005 p(k=4)=0.0024
 }
+
+// A directory journals its cache's changes as bit flips; a peer's replica
+// applies the drained flips once the publication rule says they are due.
+func ExampleDirectory() {
+	dir, _ := bloom.NewDirectory(bloom.DirectoryConfig{
+		ExpectedDocs: 1000, UpdateThreshold: 0.01,
+	})
+	dir.Insert("http://example.com/a")
+	dir.Insert("http://example.com/b")
+	dir.Remove("http://example.com/a")
+	fmt.Println(dir.ShouldPublish())
+
+	replica := bloom.MustNewFilter(dir.Bits(), dir.Spec())
+	if err := replica.Apply(dir.Drain()); err != nil {
+		panic(err)
+	}
+	fmt.Println(replica.Test("http://example.com/a"), replica.Test("http://example.com/b"))
+	fmt.Println(dir.ShouldPublish())
+	// Output:
+	// true
+	// false true
+	// false
+}

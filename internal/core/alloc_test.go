@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/icp"
 )
 
@@ -28,13 +29,12 @@ func TestLookupObjectAllocBudget(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			node := func(has bool) *Node {
 				n, err := NewNode(NodeConfig{
-					ListenAddr:        "127.0.0.1:0",
-					Directory:         DirectoryConfig{ExpectedDocs: 1000, LoadFactor: 16, UpdateThreshold: 0.01},
-					HasDocument:       func(u string) bool { return has && u == url },
-					ReadDocument:      func(u string) ([]byte, int64, bool) { return body, 7, has && u == url },
-					MinFlipsToPublish: 1,
-					QueryTimeout:      2 * time.Second,
-					QueryAll:          tc.queryAll,
+					ListenAddr:   "127.0.0.1:0",
+					Directory:    bloom.DirectoryConfig{ExpectedDocs: 1000, LoadFactor: 16, UpdateThreshold: 0.01, MinPending: 1},
+					HasDocument:  func(u string) bool { return has && u == url },
+					ReadDocument: func(u string) ([]byte, int64, bool) { return body, 7, has && u == url },
+					QueryTimeout: 2 * time.Second,
+					QueryAll:     tc.queryAll,
 				})
 				if err != nil {
 					t.Fatal(err)

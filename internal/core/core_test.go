@@ -14,91 +14,8 @@ import (
 	"summarycache/internal/icp"
 )
 
-func TestNewDirectoryValidation(t *testing.T) {
-	if _, err := NewDirectory(DirectoryConfig{UpdateThreshold: 2}); err == nil {
-		t.Error("accepted threshold > 1")
-	}
-	if _, err := NewDirectory(DirectoryConfig{UpdateThreshold: -0.5}); err == nil {
-		t.Error("accepted negative threshold")
-	}
-	d, err := NewDirectory(DirectoryConfig{ExpectedDocs: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Spec() != hashing.DefaultSpec {
-		t.Errorf("default spec = %v", d.Spec())
-	}
-	if d.Bits() < 16000 {
-		t.Errorf("bits = %d, want ≥ 16×1000", d.Bits())
-	}
-}
-
-func TestDirectoryInsertRemove(t *testing.T) {
-	d, err := NewDirectory(DirectoryConfig{ExpectedDocs: 100, UpdateThreshold: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Insert("http://a/")
-	if !d.Contains("http://a/") || d.Docs() != 1 {
-		t.Fatal("insert not reflected")
-	}
-	d.Remove("http://a/")
-	if d.Contains("http://a/") || d.Docs() != 0 {
-		t.Fatal("remove not reflected")
-	}
-	if d.PendingFlips() != 8 { // 4 set + 4 clear
-		t.Fatalf("pending flips = %d, want 8", d.PendingFlips())
-	}
-}
-
-func TestDirectoryThreshold(t *testing.T) {
-	d, err := NewDirectory(DirectoryConfig{ExpectedDocs: 1000, UpdateThreshold: 0.10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Build up a 100-document directory, then drain.
-	for i := 0; i < 100; i++ {
-		d.Insert(fmt.Sprintf("http://h/%d", i))
-	}
-	d.Drain()
-	// The threshold is newDocs/currentDocs ≥ 10%: with the directory
-	// growing as documents arrive, it trips at the 12th new document
-	// (12/112 ≈ 10.7%), and must not trip before the 10th (9/109 < 10%).
-	tripped := -1
-	for i := 0; i < 20 && tripped < 0; i++ {
-		d.Insert(fmt.Sprintf("http://new/%d", i))
-		if d.ShouldPublish() {
-			tripped = i + 1
-		}
-	}
-	if tripped < 10 || tripped > 13 {
-		t.Fatalf("threshold tripped after %d new docs, want ≈12", tripped)
-	}
-	flips := d.Drain()
-	if len(flips) == 0 {
-		t.Fatal("drain returned nothing")
-	}
-	if d.ShouldPublish() || d.PendingFlips() != 0 {
-		t.Fatal("drain did not reset state")
-	}
-}
-
-func TestDirectoryEmptyStartPublishes(t *testing.T) {
-	d, err := NewDirectory(DirectoryConfig{ExpectedDocs: 10, UpdateThreshold: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.ShouldPublish() {
-		t.Fatal("empty directory wants to publish")
-	}
-	d.Insert("http://first/")
-	if !d.ShouldPublish() {
-		t.Fatal("first document should trip any threshold (1 ≥ 1% of 1)")
-	}
-}
-
 func TestSnapshotFlipsReproduceFilter(t *testing.T) {
-	d, err := NewDirectory(DirectoryConfig{ExpectedDocs: 200})
+	d, err := bloom.NewDirectory(bloom.DirectoryConfig{ExpectedDocs: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +51,7 @@ func TestPeerTableApplyAndProbe(t *testing.T) {
 		t.Fatal("new table not empty")
 	}
 	// Build a directory to generate realistic flips.
-	d, _ := NewDirectory(DirectoryConfig{ExpectedDocs: 100})
+	d, _ := bloom.NewDirectory(bloom.DirectoryConfig{ExpectedDocs: 100})
 	d.Insert("http://x/")
 	u := &icp.DirUpdate{Spec: d.Spec(), Bits: uint32(d.Bits()), Flips: d.Drain()}
 	if err := pt.ApplyUpdate("peerA", u, false); err != nil {
@@ -200,7 +117,7 @@ func TestPeerTableRejectsBadUpdates(t *testing.T) {
 
 func TestPeerTableGeometryChangeReinitializes(t *testing.T) {
 	pt := NewPeerTable()
-	d, _ := NewDirectory(DirectoryConfig{ExpectedDocs: 100})
+	d, _ := bloom.NewDirectory(bloom.DirectoryConfig{ExpectedDocs: 100})
 	d.Insert("http://old/")
 	u := &icp.DirUpdate{Spec: d.Spec(), Bits: uint32(d.Bits()), Flips: d.Drain()}
 	if err := pt.ApplyUpdate("p", u, false); err != nil {
@@ -260,8 +177,9 @@ func newTestMesh(t *testing.T, n int, threshold float64) *testMesh {
 		m.docs[i] = make(map[string]bool)
 		node, err := NewNode(NodeConfig{
 			ListenAddr: "127.0.0.1:0",
-			Directory: DirectoryConfig{
+			Directory: bloom.DirectoryConfig{
 				ExpectedDocs: 1000, LoadFactor: 16, UpdateThreshold: threshold,
+				MinPending: 1, // tests want immediate propagation
 			},
 			HasDocument: func(url string) bool {
 				m.mus[i].Lock()
@@ -273,8 +191,7 @@ func newTestMesh(t *testing.T, n int, threshold float64) *testMesh {
 				defer m.mus[i].Unlock()
 				return []byte("body of " + url), 3, m.docs[i][url]
 			},
-			MinFlipsToPublish: 1, // tests want immediate propagation
-			QueryTimeout:      2 * time.Second,
+			QueryTimeout: 2 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -389,7 +306,7 @@ func TestHitObjOnlyForMembers(t *testing.T) {
 	body := bytes.Repeat([]byte("x"), 4096)
 	holder, err := NewNode(NodeConfig{
 		ListenAddr:   "127.0.0.1:0",
-		Directory:    DirectoryConfig{ExpectedDocs: 100},
+		Directory:    bloom.DirectoryConfig{ExpectedDocs: 100},
 		HasDocument:  func(u string) bool { return u == url },
 		ReadDocument: func(u string) ([]byte, int64, bool) { return body, 1, u == url },
 		QueryTimeout: 2 * time.Second,
@@ -448,13 +365,12 @@ func TestQueryAllNode(t *testing.T) {
 	var published []*Node // nodes that keep summaries, publishing to n
 	node := func(queryAll bool, holds bool) *Node {
 		n, err := NewNode(NodeConfig{
-			ListenAddr:        "127.0.0.1:0",
-			Directory:         DirectoryConfig{ExpectedDocs: 100},
-			HasDocument:       func(u string) bool { return holds && u == url },
-			ReadDocument:      func(u string) ([]byte, int64, bool) { return []byte("doc"), 0, holds && u == url },
-			MinFlipsToPublish: 1,
-			QueryTimeout:      2 * time.Second,
-			QueryAll:          queryAll,
+			ListenAddr:   "127.0.0.1:0",
+			Directory:    bloom.DirectoryConfig{ExpectedDocs: 100, MinPending: 1},
+			HasDocument:  func(u string) bool { return holds && u == url },
+			ReadDocument: func(u string) ([]byte, int64, bool) { return []byte("doc"), 0, holds && u == url },
+			QueryTimeout: 2 * time.Second,
+			QueryAll:     queryAll,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -535,7 +451,7 @@ func TestAuditQueriesNeverAskForObjects(t *testing.T) {
 	t.Cleanup(func() { peer.Close() })
 	n, err := NewNode(NodeConfig{
 		ListenAddr:          "127.0.0.1:0",
-		Directory:           DirectoryConfig{ExpectedDocs: 1000},
+		Directory:           bloom.DirectoryConfig{ExpectedDocs: 1000},
 		HasDocument:         func(string) bool { return false },
 		QueryTimeout:        2 * time.Second,
 		FalseMissAuditEvery: 1,
@@ -571,7 +487,7 @@ func TestAuditQueriesNeverAskForObjects(t *testing.T) {
 func TestNodeCountsRejectedUpdates(t *testing.T) {
 	n, err := NewNode(NodeConfig{
 		ListenAddr:  "127.0.0.1:0",
-		Directory:   DirectoryConfig{ExpectedDocs: 100},
+		Directory:   bloom.DirectoryConfig{ExpectedDocs: 100},
 		HasDocument: func(string) bool { return false },
 	})
 	if err != nil {
@@ -669,7 +585,7 @@ func TestNodeBootstrapBringsLatePeerUpToDate(t *testing.T) {
 	}
 	late, err := NewNode(NodeConfig{
 		ListenAddr:   "127.0.0.1:0",
-		Directory:    DirectoryConfig{ExpectedDocs: 1000},
+		Directory:    bloom.DirectoryConfig{ExpectedDocs: 1000},
 		HasDocument:  func(string) bool { return false },
 		QueryTimeout: 2 * time.Second,
 	})
@@ -767,13 +683,59 @@ func TestNodeConcurrentTraffic(t *testing.T) {
 	m.waitReplicated(t, 1, "http://g0/doc99", true)
 }
 
+// TestNodePublicationDefaults: a node's zero threshold becomes 1% and its
+// zero floor one full DIRUPDATE datagram of flips, so its directory holds a
+// tripped threshold until the flips fill a packet; set values are kept.
+func TestNodePublicationDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		dir           bloom.DirectoryConfig
+		maxFlips      int
+		wantThreshold float64
+		wantFloor     int
+	}{
+		{"zero values", bloom.DirectoryConfig{ExpectedDocs: 1000}, 0, 0.01, DefaultMaxFlipsPerUpdate},
+		{"floor follows the datagram bound", bloom.DirectoryConfig{ExpectedDocs: 1000}, 40, 0.01, 40},
+		{"set values kept", bloom.DirectoryConfig{ExpectedDocs: 1000, UpdateThreshold: 0.05, MinPending: 7}, 0, 0.05, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := NewNode(NodeConfig{
+				ListenAddr:        "127.0.0.1:0",
+				Directory:         tc.dir,
+				HasDocument:       func(string) bool { return false },
+				MaxFlipsPerUpdate: tc.maxFlips,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			if got := n.cfg.Directory; got.UpdateThreshold != tc.wantThreshold || got.MinPending != tc.wantFloor {
+				t.Fatalf("threshold %v, floor %d; want %v, %d", got.UpdateThreshold, got.MinPending, tc.wantThreshold, tc.wantFloor)
+			}
+			d := n.Directory()
+			for i := 0; d.PendingFlips() < tc.wantFloor-4; i++ {
+				d.Insert(fmt.Sprintf("http://d/%d", i))
+			}
+			if d.ShouldPublish() {
+				t.Fatalf("due with %d flips pending, floor %d", d.PendingFlips(), tc.wantFloor)
+			}
+			for i := 0; d.PendingFlips() < tc.wantFloor; i++ {
+				d.Insert(fmt.Sprintf("http://e/%d", i))
+			}
+			if !d.ShouldPublish() {
+				t.Fatalf("not due with %d flips pending, floor %d", d.PendingFlips(), tc.wantFloor)
+			}
+		})
+	}
+}
+
 // Time-based publication: pending deltas flow without any threshold trip.
 func TestNodePublishInterval(t *testing.T) {
 	docs := map[string]bool{}
 	var mu sync.Mutex
 	a, err := NewNode(NodeConfig{
 		ListenAddr: "127.0.0.1:0",
-		Directory:  DirectoryConfig{ExpectedDocs: 10000, UpdateThreshold: 0.9},
+		Directory:  bloom.DirectoryConfig{ExpectedDocs: 10000, UpdateThreshold: 0.9},
 		HasDocument: func(u string) bool {
 			mu.Lock()
 			defer mu.Unlock()
@@ -790,7 +752,7 @@ func TestNodePublishInterval(t *testing.T) {
 	defer a.Close()
 	b, err := NewNode(NodeConfig{
 		ListenAddr:  "127.0.0.1:0",
-		Directory:   DirectoryConfig{ExpectedDocs: 10000},
+		Directory:   bloom.DirectoryConfig{ExpectedDocs: 10000},
 		HasDocument: func(string) bool { return false },
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/meshhealth"
 	"summarycache/internal/obs"
 )
@@ -19,9 +20,8 @@ func decisionNode(t *testing.T, reg *obs.Registry, held map[string]bool) *Node {
 	t.Helper()
 	n, err := NewNode(NodeConfig{
 		ListenAddr:          "127.0.0.1:0",
-		Directory:           DirectoryConfig{ExpectedDocs: 1000, LoadFactor: 16, UpdateThreshold: 0.01},
+		Directory:           bloom.DirectoryConfig{ExpectedDocs: 1000, LoadFactor: 16, UpdateThreshold: 0.01, MinPending: 1},
 		HasDocument:         func(u string) bool { return held[u] },
-		MinFlipsToPublish:   1,
 		QueryTimeout:        2 * time.Second,
 		Metrics:             reg,
 		FalseMissAuditEvery: 1,

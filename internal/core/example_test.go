@@ -4,29 +4,7 @@ import (
 	"fmt"
 
 	"summarycache/internal/core"
-	"summarycache/internal/icp"
 )
-
-// The directory → wire → replica pipeline, without sockets.
-func ExampleDirectory() {
-	dir, _ := core.NewDirectory(core.DirectoryConfig{
-		ExpectedDocs: 1000, LoadFactor: 16, UpdateThreshold: 0.01,
-	})
-	dir.Insert("http://example.com/a")
-	dir.Insert("http://example.com/b")
-	dir.Remove("http://example.com/a")
-
-	peers := core.NewPeerTable()
-	update := &icp.DirUpdate{Spec: dir.Spec(), Bits: uint32(dir.Bits()), Flips: dir.Drain()}
-	if err := peers.ApplyUpdate("neighbor-1", update, false); err != nil {
-		panic(err)
-	}
-	fmt.Println(peers.Candidates("http://example.com/a"))
-	fmt.Println(peers.Candidates("http://example.com/b"))
-	// Output:
-	// []
-	// [neighbor-1]
-}
 
 // The paper's §V-E sizing rules for a given proxy.
 func ExampleRecommend() {

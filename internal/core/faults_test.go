@@ -18,9 +18,9 @@ import (
 
 // driveDirectory applies a random add/remove workload and returns the
 // update messages a node would emit, chunked like the wire protocol.
-func driveDirectory(t testing.TB, seed int64, ops int) (*Directory, []icp.Message) {
+func driveDirectory(t testing.TB, seed int64, ops int) (*bloom.Directory, []icp.Message) {
 	t.Helper()
-	d, err := NewDirectory(DirectoryConfig{ExpectedDocs: 500, UpdateThreshold: 0.01})
+	d, err := bloom.NewDirectory(bloom.DirectoryConfig{ExpectedDocs: 500, UpdateThreshold: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func contains(msgs []icp.Message, reqNum uint32) bool {
 
 // localBitFilter reconstructs the directory's current bit filter through
 // its snapshot flips (the same path a bootstrap uses).
-func localBitFilter(t testing.TB, d *Directory) *bloom.Filter {
+func localBitFilter(t testing.TB, d *bloom.Directory) *bloom.Filter {
 	t.Helper()
 	f := bloom.MustNewFilter(d.Bits(), d.Spec())
 	if err := f.Apply(d.SnapshotFlips()); err != nil {
@@ -191,7 +191,7 @@ func localBitFilter(t testing.TB, d *Directory) *bloom.Filter {
 }
 
 // replicaFilter reads peer "p"'s replica filter directly (same package).
-func replicaFilter(t testing.TB, pt *PeerTable, d *Directory) *bloom.Filter {
+func replicaFilter(t testing.TB, pt *PeerTable, d *bloom.Directory) *bloom.Filter {
 	t.Helper()
 	pt.mu.RLock()
 	defer pt.mu.RUnlock()

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"summarycache/internal/bloom"
 )
 
 // newHealthNode builds a node with fast health probing for tests.
@@ -11,14 +13,13 @@ func newHealthNode(t *testing.T, docs map[string]bool, mu *sync.Mutex) *Node {
 	t.Helper()
 	n, err := NewNode(NodeConfig{
 		ListenAddr: "127.0.0.1:0",
-		Directory:  DirectoryConfig{ExpectedDocs: 200},
+		Directory:  bloom.DirectoryConfig{ExpectedDocs: 200, MinPending: 1},
 		HasDocument: func(u string) bool {
 			mu.Lock()
 			defer mu.Unlock()
 			return docs[u]
 		},
-		MinFlipsToPublish: 1,
-		QueryTimeout:      time.Second,
+		QueryTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,11 +82,10 @@ func TestHealthDetectsFailureAndRecovery(t *testing.T) {
 	// Restart a node on the same UDP address ("recovery").
 	b2, err := NewNode(NodeConfig{
 		ListenAddr: bAddr.String(),
-		Directory:  DirectoryConfig{ExpectedDocs: 200},
+		Directory:  bloom.DirectoryConfig{ExpectedDocs: 200, MinPending: 1},
 		HasDocument: func(string) bool {
 			return false
 		},
-		MinFlipsToPublish: 1,
 	})
 	if err != nil {
 		t.Skipf("could not rebind %v: %v", bAddr, err)

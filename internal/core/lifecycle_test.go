@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/icp"
 	"summarycache/internal/testutil/leakcheck"
 )
@@ -21,11 +22,10 @@ func TestNodeCloseConcurrent(t *testing.T) {
 	peer := sinkAddr(t)
 	for i := 0; i < 20; i++ {
 		n, err := NewNode(NodeConfig{
-			ListenAddr:        "127.0.0.1:0",
-			Directory:         DirectoryConfig{ExpectedDocs: 100},
-			HasDocument:       func(string) bool { return false },
-			MinFlipsToPublish: 1,
-			PublishInterval:   time.Millisecond,
+			ListenAddr:      "127.0.0.1:0",
+			Directory:       bloom.DirectoryConfig{ExpectedDocs: 100, MinPending: 1},
+			HasDocument:     func(string) bool { return false },
+			PublishInterval: time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func returns(t *testing.T, what string, f func()) {
 func TestNodeCloseWithoutTimer(t *testing.T) {
 	n, err := NewNode(NodeConfig{
 		ListenAddr:  "127.0.0.1:0",
-		Directory:   DirectoryConfig{ExpectedDocs: 100},
+		Directory:   bloom.DirectoryConfig{ExpectedDocs: 100},
 		HasDocument: func(string) bool { return false },
 	})
 	if err != nil {
@@ -119,7 +119,7 @@ func TestMarkPeerDownUp(t *testing.T) {
 	mk := func() *Node {
 		n, err := NewNode(NodeConfig{
 			ListenAddr:       "127.0.0.1:0",
-			Directory:        DirectoryConfig{ExpectedDocs: 200, UpdateThreshold: 0.01},
+			Directory:        bloom.DirectoryConfig{ExpectedDocs: 200, UpdateThreshold: 0.01},
 			HasDocument:      func(string) bool { return true },
 			BreakerThreshold: 1,
 		})

@@ -58,7 +58,7 @@ func listener(t *testing.T) (c *icp.Conn, queries *atomic.Int64) {
 func TestNonMemberUpdateDrawsNoQuery(t *testing.T) {
 	n, err := NewNode(NodeConfig{
 		ListenAddr:   "127.0.0.1:0",
-		Directory:    DirectoryConfig{ExpectedDocs: 100},
+		Directory:    bloom.DirectoryConfig{ExpectedDocs: 100},
 		HasDocument:  func(string) bool { return false },
 		QueryTimeout: 200 * time.Millisecond,
 	})
@@ -95,7 +95,7 @@ func TestMemberAddedAfterBootAnswered(t *testing.T) {
 	const url = "http://late/doc"
 	n, err := NewNode(NodeConfig{
 		ListenAddr:  "127.0.0.1:0",
-		Directory:   DirectoryConfig{ExpectedDocs: 100},
+		Directory:   bloom.DirectoryConfig{ExpectedDocs: 100},
 		HasDocument: func(u string) bool { return u == url },
 	})
 	if err != nil {
@@ -139,7 +139,7 @@ func TestCandidatesInRegistrationOrder(t *testing.T) {
 				var self string
 				n, err := NewNode(NodeConfig{
 					ListenAddr:  "127.0.0.1:0",
-					Directory:   DirectoryConfig{ExpectedDocs: 100},
+					Directory:   bloom.DirectoryConfig{ExpectedDocs: 100, MinPending: 1},
 					HasDocument: func(u string) bool { return holds && u == url },
 					ReadDocument: func(u string) ([]byte, int64, bool) {
 						mu.Lock()
@@ -147,9 +147,8 @@ func TestCandidatesInRegistrationOrder(t *testing.T) {
 						mu.Unlock()
 						return []byte("doc"), 1, holds && u == url
 					},
-					MinFlipsToPublish: 1,
-					QueryTimeout:      2 * time.Second,
-					QueryAll:          queryAll,
+					QueryTimeout: 2 * time.Second,
+					QueryAll:     queryAll,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -202,7 +201,7 @@ func TestCandidatesInRegistrationOrder(t *testing.T) {
 func TestUpdateGeometryBounded(t *testing.T) {
 	n, err := NewNode(NodeConfig{
 		ListenAddr:  "127.0.0.1:0",
-		Directory:   DirectoryConfig{ExpectedDocs: 100},
+		Directory:   bloom.DirectoryConfig{ExpectedDocs: 100},
 		HasDocument: func(string) bool { return false },
 	})
 	if err != nil {
@@ -261,11 +260,10 @@ func TestRecoveredReplicaWaitsForAddPeer(t *testing.T) {
 	const url = "http://saved/doc"
 	node := func() *Node {
 		n, err := NewNode(NodeConfig{
-			ListenAddr:        "127.0.0.1:0",
-			Directory:         DirectoryConfig{ExpectedDocs: 100},
-			HasDocument:       func(string) bool { return false },
-			MinFlipsToPublish: 1,
-			QueryTimeout:      200 * time.Millisecond,
+			ListenAddr:   "127.0.0.1:0",
+			Directory:    bloom.DirectoryConfig{ExpectedDocs: 100, MinPending: 1},
+			HasDocument:  func(string) bool { return false },
+			QueryTimeout: 200 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -340,7 +338,7 @@ func wire(tb testing.TB, m icp.Message) []byte {
 func FuzzApplyUpdate(f *testing.F) {
 	n, err := NewNode(NodeConfig{
 		ListenAddr:  "127.0.0.1:0",
-		Directory:   DirectoryConfig{ExpectedDocs: 64},
+		Directory:   bloom.DirectoryConfig{ExpectedDocs: 64},
 		HasDocument: func(string) bool { return false },
 	})
 	if err != nil {

@@ -31,8 +31,12 @@ const DefaultMaxFlipsPerUpdate = 360
 type NodeConfig struct {
 	// ListenAddr is the UDP address to bind ("127.0.0.1:0" for tests).
 	ListenAddr string
-	// Directory sizes the local summary.
-	Directory DirectoryConfig
+	// Directory sizes the local summary and sets its publication rule. A
+	// zero UpdateThreshold becomes 0.01 and a zero MinPending becomes
+	// MaxFlipsPerUpdate (one full datagram), so a node publishes once 1%
+	// of its directory is new and the flips fill a packet. PublishNow
+	// always bypasses the rule.
+	Directory bloom.DirectoryConfig
 	// HasDocument answers peers' ICP queries against the real cache. It
 	// must be fast and non-blocking; it runs on the receive goroutine.
 	HasDocument func(url string) bool
@@ -44,13 +48,6 @@ type NodeConfig struct {
 	ReadDocument func(url string) (body []byte, version int64, ok bool)
 	// MaxFlipsPerUpdate bounds each DIRUPDATE datagram (default ~MTU).
 	MaxFlipsPerUpdate int
-	// MinFlipsToPublish delays threshold-triggered publication until at
-	// least this many bit flips are pending, mirroring the paper's
-	// prototype which "sends updates whenever there are enough changes to
-	// fill an IP packet". Default: MaxFlipsPerUpdate (one full packet).
-	// Set to 1 to publish on every threshold trip regardless of batch
-	// size. PublishNow always bypasses this.
-	MinFlipsToPublish int
 	// PublishInterval, when positive, additionally publishes pending
 	// deltas on a timer — the paper's alternative to the threshold rule
 	// ("the update can occur upon regular time intervals"). The paper
@@ -209,7 +206,7 @@ type Node struct {
 	cfg  NodeConfig
 	conn *icp.Conn
 	self string // the bound address, as every series and trace names it
-	dir  *Directory
+	dir  *bloom.Directory
 
 	// mu guards the registered peers: members in registration order,
 	// byAddr finding one from a datagram's source without allocating, and
@@ -261,8 +258,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.MaxFlipsPerUpdate <= 0 {
 		cfg.MaxFlipsPerUpdate = DefaultMaxFlipsPerUpdate
 	}
-	if cfg.MinFlipsToPublish <= 0 {
-		cfg.MinFlipsToPublish = cfg.MaxFlipsPerUpdate
+	if cfg.Directory.UpdateThreshold == 0 {
+		cfg.Directory.UpdateThreshold = 0.01
+	}
+	if cfg.Directory.MinPending <= 0 {
+		cfg.Directory.MinPending = cfg.MaxFlipsPerUpdate
 	}
 	if cfg.QueryTimeout <= 0 {
 		cfg.QueryTimeout = DefaultQueryTimeout
@@ -276,10 +276,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.QueryAll {
 		// The smallest directory stands in for the summary a query-all node
 		// does not keep: nothing ever writes it, so it reads empty.
-		cfg.Directory = DirectoryConfig{}
+		cfg.Directory = bloom.DirectoryConfig{}
 		cfg.FalseMissAuditEvery = 0
 	}
-	dir, err := NewDirectory(cfg.Directory)
+	dir, err := bloom.NewDirectory(cfg.Directory)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +401,7 @@ func (n *Node) publisher(interval time.Duration) {
 	for {
 		select {
 		case <-n.wake:
-			if n.ready() { // an earlier publication may have drained the trip
+			if n.dir.ShouldPublish() { // an earlier publication may have drained the trip
 				n.publishDeltas()
 			}
 		case <-tick:
@@ -440,7 +440,7 @@ func (n *Node) publish(to *peer) error {
 func (n *Node) Addr() *net.UDPAddr { return n.conn.Addr() }
 
 // Directory exposes the local summary (diagnostics and tests).
-func (n *Node) Directory() *Directory { return n.dir }
+func (n *Node) Directory() *bloom.Directory { return n.dir }
 
 // Close shuts the node down and returns once its publisher has exited. It
 // is idempotent and safe to call concurrently: all callers observe the
@@ -762,14 +762,8 @@ func (n *Node) HandleEvict(url string) {
 	n.wakeIfReady()
 }
 
-// ready reports whether the update threshold has tripped with enough
-// flips pending to publish.
-func (n *Node) ready() bool {
-	return n.dir.ShouldPublish() && n.dir.PendingFlips() >= n.cfg.MinFlipsToPublish
-}
-
 func (n *Node) wakeIfReady() {
-	if !n.ready() {
+	if !n.dir.ShouldPublish() {
 		return
 	}
 	select {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/icp"
 	"summarycache/internal/lru"
 )
@@ -78,14 +79,13 @@ func (g *gatedSocket) sent() []uint32 {
 // opens and PublishNow returns the peer's replica must be bit-exact, with
 // every DIRUPDATE on the wire in increasing ReqNum order.
 func TestGatedSocketNeverBlocksPuts(t *testing.T) {
-	dirCfg := DirectoryConfig{ExpectedDocs: 500, UpdateThreshold: 0.01}
+	dirCfg := bloom.DirectoryConfig{ExpectedDocs: 500, UpdateThreshold: 0.01, MinPending: 1}
 	gs := &gatedSocket{open: make(chan struct{})}
 	close(gs.open)
 	sender, err := NewNode(NodeConfig{
-		ListenAddr:        "127.0.0.1:0",
-		Directory:         dirCfg,
-		HasDocument:       func(string) bool { return false },
-		MinFlipsToPublish: 1,
+		ListenAddr:  "127.0.0.1:0",
+		Directory:   dirCfg,
+		HasDocument: func(string) bool { return false },
 		SocketWrapper: func(pc icp.PacketConn) icp.PacketConn {
 			gs.PacketConn = pc
 			return gs
@@ -182,7 +182,7 @@ func TestGatedSocketNeverBlocksPuts(t *testing.T) {
 
 	// directory == cache, key for key, while the publisher is still stuck.
 	cached := cache.Keys()
-	rebuilt, err := NewDirectory(dirCfg)
+	rebuilt, err := bloom.NewDirectory(dirCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +243,9 @@ func TestPublicationCallsReturnAfterSending(t *testing.T) {
 	refused := sinkAddr(t)
 	n, err := NewNode(NodeConfig{
 		ListenAddr:        "127.0.0.1:0",
-		Directory:         DirectoryConfig{ExpectedDocs: 1000},
+		Directory:         bloom.DirectoryConfig{ExpectedDocs: 1000, MinPending: 1 << 30},
 		HasDocument:       func(string) bool { return false },
 		MaxFlipsPerUpdate: maxFlips,
-		MinFlipsToPublish: 1 << 30, // only PublishNow ships deltas
 		SocketWrapper: func(pc icp.PacketConn) icp.PacketConn {
 			return slowSocket{PacketConn: pc, refuse: refused}
 		},

@@ -16,7 +16,7 @@ import (
 // functions, we recommend taking disjoint groups of bits from the 128-bit
 // MD5 signature of the URL."
 type Recommendation struct {
-	Directory DirectoryConfig
+	Directory bloom.DirectoryConfig
 	// ExpectedDocs is the entry estimate behind the sizing
 	// (cache bytes / average document size).
 	ExpectedDocs uint64
@@ -55,7 +55,7 @@ func Recommend(cacheBytes int64, avgDocBytes int64, requestsPerSecond, missRatio
 		loadFactor = 16   // paper: "between 8 and 16 works well"
 		threshold  = 0.01 // paper: "between 1% and 10%"; pick the safe end
 	)
-	dir := DirectoryConfig{
+	dir := bloom.DirectoryConfig{
 		ExpectedDocs:    docs,
 		LoadFactor:      loadFactor,
 		HashSpec:        hashing.DefaultSpec, // 4 × 32-bit MD5 groups

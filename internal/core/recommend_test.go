@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"summarycache/internal/bloom"
 )
 
 func TestRecommendValidation(t *testing.T) {
@@ -83,12 +85,12 @@ func TestRecommendTinyCache(t *testing.T) {
 		t.Fatalf("tiny cache recommendation degenerate: %+v", rec)
 	}
 	// The recommendation must build a working directory.
-	d, err := NewDirectory(rec.Directory)
+	d, err := bloom.NewDirectory(rec.Directory)
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Insert("http://x/")
-	if !d.Contains("http://x/") {
+	if d.Docs() != 1 || d.PendingFlips() == 0 {
 		t.Fatal("recommended directory unusable")
 	}
 }

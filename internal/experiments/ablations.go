@@ -41,8 +41,8 @@ func DigestVsDelta(ts TraceSet, thresholds []float64) ([]DigestRow, error) {
 		run := func(kind sim.SummaryKind) (sim.Result, error) {
 			cfg := base
 			cfg.Summary = sim.SummaryConfig{
-				Kind: kind, UpdateThreshold: th, LoadFactor: 16,
-				AvgDocBytes: ts.AvgDocBytes,
+				Kind: kind, AvgDocBytes: ts.AvgDocBytes,
+				Directory: bloom.DirectoryConfig{UpdateThreshold: th},
 			}
 			return sim.Run(cfg, ts.Requests)
 		}
@@ -96,9 +96,11 @@ func HashKSweep(ts TraceSet, ks []int) ([]HashKRow, error) {
 			CacheBytes: ts.CacheBytesPerProxy(0.10),
 			Scheme:     sim.SimpleSharing,
 			Summary: sim.SummaryConfig{
-				Kind: sim.Bloom, UpdateThreshold: 0.01, LoadFactor: lf,
-				AvgDocBytes: ts.AvgDocBytes,
-				HashSpec:    hashing.Spec{FunctionNum: k, FunctionBits: 32},
+				Kind: sim.Bloom, AvgDocBytes: ts.AvgDocBytes,
+				Directory: bloom.DirectoryConfig{
+					UpdateThreshold: 0.01, LoadFactor: lf,
+					HashSpec: hashing.Spec{FunctionNum: k, FunctionBits: 32},
+				},
 			},
 		}, ts.Requests)
 		if err != nil {
@@ -139,8 +141,8 @@ func CounterWidthSweep(ts TraceSet, widths []uint) ([]CounterRow, error) {
 			CacheBytes: ts.CacheBytesPerProxy(0.10),
 			Scheme:     sim.SimpleSharing,
 			Summary: sim.SummaryConfig{
-				Kind: sim.Bloom, UpdateThreshold: 0.01, LoadFactor: 16,
-				AvgDocBytes: ts.AvgDocBytes, CounterBits: w,
+				Kind: sim.Bloom, AvgDocBytes: ts.AvgDocBytes,
+				Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01, CounterBits: w},
 			},
 		}, ts.Requests)
 		if err != nil {
@@ -181,8 +183,8 @@ func LoadFactorSweep(ts TraceSet, lfs []float64) ([]LoadFactorRow, error) {
 			CacheBytes: ts.CacheBytesPerProxy(0.10),
 			Scheme:     sim.SimpleSharing,
 			Summary: sim.SummaryConfig{
-				Kind: sim.Bloom, UpdateThreshold: 0.01, LoadFactor: lf,
-				AvgDocBytes: ts.AvgDocBytes,
+				Kind: sim.Bloom, AvgDocBytes: ts.AvgDocBytes,
+				Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01, LoadFactor: lf},
 			},
 		}, ts.Requests)
 		if err != nil {

@@ -82,11 +82,11 @@ func AmortCSV(w io.Writer, rows []AmortRow) error {
 	recs := make([][]string, 0, len(rows))
 	for _, r := range rows {
 		recs = append(recs, []string{
-			r.Trace, d(r.MinUpdateDocs), f(r.HitRatio), f(r.MsgsPerReq),
+			r.Trace, d(r.MinPending), f(r.HitRatio), f(r.MsgsPerReq),
 			f(r.BytesPerReq), f(r.ICPFactor),
 		})
 	}
-	return writeCSV(w, []string{"trace", "batch_docs", "hit_ratio", "msgs_per_req", "bytes_per_req", "icp_factor"}, recs)
+	return writeCSV(w, []string{"trace", "batch_flips", "hit_ratio", "msgs_per_req", "bytes_per_req", "icp_factor"}, recs)
 }
 
 // DigestCSV writes delta-vs-digest ablation rows.

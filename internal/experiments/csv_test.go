@@ -78,7 +78,7 @@ func TestRemainingCSVEmitters(t *testing.T) {
 	parseCSV(t, &buf, 5, 1)
 
 	buf.Reset()
-	if err := AmortCSV(&buf, []AmortRow{{Trace: "DEC", MinUpdateDocs: 90, HitRatio: 0.36, MsgsPerReq: 0.58, BytesPerReq: 300, ICPFactor: 19.9}}); err != nil {
+	if err := AmortCSV(&buf, []AmortRow{{Trace: "DEC", MinPending: 360, HitRatio: 0.36, MsgsPerReq: 0.58, BytesPerReq: 300, ICPFactor: 19.9}}); err != nil {
 		t.Fatal(err)
 	}
 	parseCSV(t, &buf, 6, 1)

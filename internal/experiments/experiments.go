@@ -9,6 +9,7 @@ package experiments
 import (
 	"fmt"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/sim"
 	"summarycache/internal/trace"
 	"summarycache/internal/tracegen"
@@ -148,8 +149,8 @@ func Fig2(ts TraceSet, thresholds []float64) ([]Fig2Row, error) {
 			CacheBytes: ts.CacheBytesPerProxy(0.10),
 			Scheme:     sim.SimpleSharing,
 			Summary: sim.SummaryConfig{
-				Kind: sim.ExactDirectory, UpdateThreshold: th,
-				AvgDocBytes: ts.AvgDocBytes,
+				Kind: sim.ExactDirectory, AvgDocBytes: ts.AvgDocBytes,
+				Directory: bloom.DirectoryConfig{UpdateThreshold: th},
 			},
 		}, ts.Requests)
 		if err != nil {
@@ -219,10 +220,8 @@ func SummaryComparison(ts TraceSet, variants []SummaryVariant) ([]SummaryRow, er
 			CacheBytes: ts.CacheBytesPerProxy(0.10),
 			Scheme:     sim.SimpleSharing,
 			Summary: sim.SummaryConfig{
-				Kind:            v.Kind,
-				UpdateThreshold: 0.01,
-				LoadFactor:      v.LoadFactor,
-				AvgDocBytes:     ts.AvgDocBytes,
+				Kind: v.Kind, AvgDocBytes: ts.AvgDocBytes,
+				Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01, LoadFactor: v.LoadFactor},
 			},
 		}, ts.Requests)
 		if err != nil {
@@ -279,13 +278,13 @@ func Scalability(proxyCounts []int, requestsPerProxy int) ([]ScaleRow, error) {
 			return sim.Run(sim.Config{
 				NumProxies: n, CacheBytes: per, Scheme: sim.SimpleSharing,
 				Summary: sim.SummaryConfig{
-					Kind: kind, UpdateThreshold: 0.01, LoadFactor: 16,
-					AvgDocBytes: avg,
-					// The prototype's fill-an-IP-packet batching; without
-					// it, scaled-down caches make the (N−1)-fan-out update
-					// traffic grow linearly and mask the flat-vs-linear
-					// contrast §V-F predicts.
-					MinUpdateDocs: 90,
+					Kind: kind, AvgDocBytes: avg,
+					// The prototype's fill-an-IP-packet batching: 360
+					// flips, one DIRUPDATE datagram and the live node's
+					// default floor. Without it, scaled-down caches make
+					// the (N−1)-fan-out update traffic grow linearly and
+					// mask the flat-vs-linear contrast §V-F predicts.
+					Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01, MinPending: 360},
 				},
 			}, reqs)
 		}
@@ -314,23 +313,24 @@ func Scalability(proxyCounts []int, requestsPerProxy int) ([]ScaleRow, error) {
 // regime (million-entry caches where a 1% threshold batches thousands of
 // documents per update).
 type AmortRow struct {
-	Trace         string
-	MinUpdateDocs int
-	HitRatio      float64
-	MsgsPerReq    float64
-	BytesPerReq   float64
-	ICPFactor     float64 // ICP messages per request / this row's
+	Trace       string
+	MinPending  int // the publication floor, in bit flips
+	HitRatio    float64
+	MsgsPerReq  float64
+	BytesPerReq float64
+	ICPFactor   float64 // ICP messages per request / this row's
 }
 
 // UpdateAmortization sweeps the update batch size for Bloom summaries
 // (load factor 16, 1% threshold) on one trace, against the ICP baseline.
-// MinUpdateDocs = 1 is the pure threshold rule at simulation scale; ≈90 is
-// the prototype's fill-an-IP-packet rule; larger batches approximate the
-// paper's big-cache regime. The paper's 25–60× total message reduction
+// The batch is the publication floor in bit flips: 1 is the pure threshold
+// rule at simulation scale; 360 is the prototype's fill-an-IP-packet rule
+// and the live node's default; larger batches approximate the paper's
+// big-cache regime. The paper's 25–60× total message reduction
 // (Fig. 7) emerges as batches amortize the N−1 update fan-out.
 func UpdateAmortization(ts TraceSet, batches []int) ([]AmortRow, error) {
 	if batches == nil {
-		batches = []int{1, 10, 30, 90, 300}
+		batches = []int{1, 40, 120, 360, 1200}
 	}
 	base := sim.Config{
 		NumProxies: ts.Groups,
@@ -347,15 +347,15 @@ func UpdateAmortization(ts TraceSet, batches []int) ([]AmortRow, error) {
 	for _, b := range batches {
 		cfg := base
 		cfg.Summary = sim.SummaryConfig{
-			Kind: sim.Bloom, UpdateThreshold: 0.01, LoadFactor: 16,
-			AvgDocBytes: ts.AvgDocBytes, MinUpdateDocs: b,
+			Kind: sim.Bloom, AvgDocBytes: ts.AvgDocBytes,
+			Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01, MinPending: b},
 		}
 		r, err := sim.Run(cfg, ts.Requests)
 		if err != nil {
 			return nil, err
 		}
 		row := AmortRow{
-			Trace: ts.Name, MinUpdateDocs: b,
+			Trace: ts.Name, MinPending: b,
 			HitRatio:    r.HitRatio(),
 			MsgsPerReq:  r.MessagesPerRequest(),
 			BytesPerReq: r.BytesPerRequest(),
@@ -390,8 +390,8 @@ func Hierarchy(ts TraceSet) ([]HierarchyRow, error) {
 			CacheBytes: ts.CacheBytesPerProxy(0.10),
 			Scheme:     sim.SimpleSharing,
 			Summary: sim.SummaryConfig{
-				Kind: sim.Bloom, UpdateThreshold: 0.01, LoadFactor: 16,
-				AvgDocBytes: ts.AvgDocBytes,
+				Kind: sim.Bloom, AvgDocBytes: ts.AvgDocBytes,
+				Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01},
 			},
 		}
 		if withParent {

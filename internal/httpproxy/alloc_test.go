@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/persist"
 )
 
@@ -13,16 +13,15 @@ import (
 // allocation, the cache node that holds the document. The eviction it
 // forces, HandleInsert/HandleEvict's counting-filter and flip-journal
 // updates, and both journal records reuse memory. AllocsPerRun counts every
-// goroutine, so the publisher is kept asleep (MinUpdateFlips) and the
+// goroutine, so the publisher is kept asleep (Summary.MinPending) and the
 // journal is never fsynced.
 func TestStoreAllocBudget(t *testing.T) {
 	const docSize, docs = 1 << 10, 64
 	p, err := Start(Config{
-		Mode:           ModeSCICP,
-		CacheBytes:     docs * docSize,
-		Summary:        core.DirectoryConfig{ExpectedDocs: docs},
-		MinUpdateFlips: 1 << 30,
-		Persist:        &persist.Config{Dir: t.TempDir(), Fsync: persist.FsyncNever},
+		Mode:       ModeSCICP,
+		CacheBytes: docs * docSize,
+		Summary:    bloom.DirectoryConfig{ExpectedDocs: docs, MinPending: 1 << 30},
+		Persist:    &persist.Config{Dir: t.TempDir(), Fsync: persist.FsyncNever},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/faultnet"
 	"summarycache/internal/origin"
 	"summarycache/internal/persist"
@@ -39,7 +39,7 @@ func TestChaosWarmRestartSCICP(t *testing.T) {
 	mkConfig := func(inj *faultnet.Injector, withPersist bool) Config {
 		cfg := Config{
 			Mode: ModeSCICP, CacheBytes: 32 << 20,
-			Summary:          core.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
+			Summary:          bloom.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
 			QueryTimeout:     300 * time.Millisecond,
 			FetchTimeout:     2 * time.Second,
 			FetchRetries:     8,
@@ -210,7 +210,7 @@ func TestChaosWarmRestartCleanShutdown(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Mode: ModeSCICP, CacheBytes: 8 << 20,
-		Summary: core.DirectoryConfig{ExpectedDocs: 500, UpdateThreshold: 0.01},
+		Summary: bloom.DirectoryConfig{ExpectedDocs: 500, UpdateThreshold: 0.01},
 		Persist: &persist.Config{Dir: dir, Fsync: persist.FsyncNever},
 	}
 	p, err := Start(cfg)

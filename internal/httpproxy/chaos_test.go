@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/faultnet"
 	"summarycache/internal/origin"
 	"summarycache/internal/testutil/leakcheck"
@@ -64,7 +64,7 @@ func TestChaosSoakSCICP(t *testing.T) {
 		inj := faultnet.New(base.Fork(int64(i)))
 		p, err := Start(Config{
 			Mode: ModeSCICP, CacheBytes: 32 << 20,
-			Summary:      core.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
+			Summary:      bloom.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
 			QueryTimeout: 300 * time.Millisecond,
 			FetchTimeout: 2 * time.Second,
 			FetchRetries: 8,

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/faultnet"
 	"summarycache/internal/origin"
 	"summarycache/internal/sim"
@@ -74,10 +74,12 @@ func (c liveCounts) String() string {
 // and — because the trace URLs are the live cache keys — the exact hash
 // inputs, so after each request the mesh is driven to convergence
 // (FlushSummary + update-count equality) to make replicas bit-identical to
-// the simulator's. Residual divergence is inherent and bounded: the live
-// mesh picks the first ICP HIT (the simulator prefers fresh copies over
-// stale), its ICP answers are version-blind, and the false-miss audit only
-// runs on rounds with no ICP HIT. Hence tolerances, not equality.
+// the simulator's. Both sides publish under the same rule, with the floor
+// at one flip. Residual divergence is inherent and bounded: the live mesh
+// serves the earliest-registered peer that answers HIT, and its ICP answers
+// are version-blind, so a stale copy can win where the simulator prefers a
+// fresh one; and the false-miss audit only runs on rounds with no ICP HIT.
+// Hence tolerances, not equality.
 func TestE2EClassificationMatchesSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e comparison is slow")
@@ -104,10 +106,9 @@ func TestE2EClassificationMatchesSim(t *testing.T) {
 			CacheBytes: e2eCacheBytes,
 			Scheme:     sim.SimpleSharing,
 			Summary: sim.SummaryConfig{
-				Kind:            sim.Bloom,
-				UpdateThreshold: 0.01,
-				MinUpdateDocs:   1,
-				AvgDocBytes:     e2eAvgDocBytes,
+				Kind:        sim.Bloom,
+				AvgDocBytes: e2eAvgDocBytes,
+				Directory:   bloom.DirectoryConfig{UpdateThreshold: 0.01, MinPending: 1},
 			},
 		}, reqs)
 		if err != nil {
@@ -125,11 +126,11 @@ func TestE2EClassificationMatchesSim(t *testing.T) {
 			Mode:                ModeSCICP,
 			CacheBytes:          e2eCacheBytes,
 			VersionAware:        true,
-			MinUpdateFlips:      1,
 			FalseMissAuditEvery: 1,
-			Summary: core.DirectoryConfig{
+			Summary: bloom.DirectoryConfig{
 				ExpectedDocs:    e2eEntries,
 				UpdateThreshold: 0.01,
+				MinPending:      1,
 			},
 			QueryTimeout: 2 * time.Second,
 			Faults:       faultnet.New(faultnet.Scenario{}), // harness in path, zero faults

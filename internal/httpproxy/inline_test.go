@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/faultnet"
 	"summarycache/internal/icp"
 	"summarycache/internal/origin"
@@ -145,10 +145,9 @@ func TestInlineUnderUDPLoss(t *testing.T) {
 				inj := faultnet.New(base.Fork(int64(i)))
 				p, err := Start(Config{
 					Mode: mode, CacheBytes: 8 << 20,
-					Summary:        core.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
-					MinUpdateFlips: 1,
-					QueryTimeout:   50 * time.Millisecond,
-					Faults:         inj,
+					Summary:      bloom.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01, MinPending: 1},
+					QueryTimeout: 50 * time.Millisecond,
+					Faults:       inj,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/core"
 	"summarycache/internal/meshhealth"
 	"summarycache/internal/obs"
@@ -131,7 +132,7 @@ func TestVersionAwareStaleClassification(t *testing.T) {
 			Mode:         ModeSCICP,
 			CacheBytes:   8 << 20,
 			VersionAware: true,
-			Summary:      core.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
+			Summary:      bloom.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
 			QueryTimeout: 2 * time.Second,
 		})
 		if err != nil {
@@ -208,9 +209,8 @@ func TestFalseMissAudit(t *testing.T) {
 			// Never auto-publish: p2's replica of p1 stays empty, so p1's
 			// copies are invisible to the summary — every shared doc is a
 			// false miss.
-			MinUpdateFlips:      1 << 20,
+			Summary:             bloom.DirectoryConfig{ExpectedDocs: 2000, MinPending: 1 << 20},
 			FalseMissAuditEvery: 1,
-			Summary:             core.DirectoryConfig{ExpectedDocs: 2000},
 			QueryTimeout:        2 * time.Second,
 		})
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/obs"
 	"summarycache/internal/origin"
 )
@@ -83,7 +83,7 @@ func TestMetricsScrapeMatchesStats(t *testing.T) {
 		p, err := Start(Config{
 			Mode:       ModeSCICP,
 			CacheBytes: 8 << 20,
-			Summary: core.DirectoryConfig{
+			Summary: bloom.DirectoryConfig{
 				ExpectedDocs: 2000, UpdateThreshold: 0.01,
 			},
 			QueryTimeout: 2 * time.Second,

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/faultnet"
 	"summarycache/internal/obs"
 	"summarycache/internal/origin"
@@ -92,7 +92,7 @@ func TestPerfSLOBreachEndToEnd(t *testing.T) {
 		p, err := Start(Config{
 			Mode:       ModeSCICP,
 			CacheBytes: 8 << 20,
-			Summary: core.DirectoryConfig{
+			Summary: bloom.DirectoryConfig{
 				ExpectedDocs: 2000, UpdateThreshold: 0.01,
 			},
 			QueryTimeout: 2 * time.Second,

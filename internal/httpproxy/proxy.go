@@ -22,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/core"
 	"summarycache/internal/faultnet"
 	"summarycache/internal/icp"
@@ -118,13 +119,12 @@ type Config struct {
 	CacheBytes int64
 	// MaxObjectSize caps cacheable documents (0: the paper's 250 KB).
 	MaxObjectSize int64
-	// Summary configures the local directory summary (ModeSCICP).
-	Summary core.DirectoryConfig
-	// MinUpdateFlips forwards to core.NodeConfig.MinFlipsToPublish
-	// (ModeSCICP): 0 keeps the prototype's fill-an-IP-packet batching.
+	// Summary configures the local directory summary and its publication
+	// rule (ModeSCICP), with core.NodeConfig.Directory's defaults: zero
+	// MinPending keeps the prototype's fill-an-IP-packet batching.
 	// Publication runs on the SC-ICP node's publisher goroutine, so a slow
 	// ICP socket never delays a cache write.
-	MinUpdateFlips int
+	Summary bloom.DirectoryConfig
 	// ParentURL, when set, routes misses through a parent proxy's
 	// ProxyPath endpoint instead of contacting origins directly — the
 	// hierarchical configuration of the paper's §VIII ("a proxy ... can
@@ -471,7 +471,6 @@ func Start(cfg Config) (*Proxy, error) {
 			Directory:           cfg.Summary,
 			HasDocument:         p.cache.Contains,
 			ReadDocument:        p.cachedBody,
-			MinFlipsToPublish:   cfg.MinUpdateFlips,
 			QueryTimeout:        cfg.QueryTimeout,
 			SocketWrapper:       sockWrap,
 			Metrics:             reg,
@@ -720,7 +719,7 @@ func (p *Proxy) FlushSummary() {
 // Purge removes a document from the local cache, reporting whether it was
 // present. The removal flows through the normal eviction path, so the
 // summary directory records the deletion — though whether peers learn of
-// it depends on the publication policy (a high MinUpdateFlips leaves their
+// it depends on the publication policy (a high Summary.MinPending leaves their
 // replicas stale, the setup behind every false hit).
 func (p *Proxy) Purge(target string) bool {
 	return p.cache.Remove(target)

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/origin"
 )
 
@@ -30,7 +30,7 @@ func newMesh(t *testing.T, n int, mode Mode, originLatency time.Duration) *mesh 
 		p, err := Start(Config{
 			Mode:       mode,
 			CacheBytes: 8 << 20,
-			Summary: core.DirectoryConfig{
+			Summary: bloom.DirectoryConfig{
 				ExpectedDocs: 2000, UpdateThreshold: 0.01,
 			},
 			QueryTimeout: 2 * time.Second,

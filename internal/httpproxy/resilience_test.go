@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/core"
 	"summarycache/internal/origin"
 )
@@ -528,7 +529,7 @@ func TestBreakerTripRecoverySCICP(t *testing.T) {
 	mk := func() *Proxy {
 		p, err := Start(Config{
 			Mode: ModeSCICP, CacheBytes: 8 << 20,
-			Summary:          core.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
+			Summary:          bloom.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
 			QueryTimeout:     time.Second,
 			BreakerThreshold: 1,
 			BreakerCooldown:  cooldown,
@@ -626,7 +627,7 @@ func TestInlineHitBypassesSiblingHTTP(t *testing.T) {
 			mk := func() *Proxy {
 				p, err := Start(Config{
 					Mode: mode, CacheBytes: 8 << 20,
-					Summary:          core.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
+					Summary:          bloom.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
 					QueryTimeout:     time.Second,
 					BreakerThreshold: 1,
 					BreakerCooldown:  time.Hour,
@@ -676,7 +677,7 @@ func TestHealthProberDrivesBreaker(t *testing.T) {
 	mk := func() *Proxy {
 		p, err := Start(Config{
 			Mode: ModeSCICP, CacheBytes: 8 << 20,
-			Summary:      core.DirectoryConfig{ExpectedDocs: 500},
+			Summary:      bloom.DirectoryConfig{ExpectedDocs: 500},
 			QueryTimeout: time.Second,
 		})
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/origin"
 	"summarycache/internal/persist"
 	"summarycache/internal/testutil/leakcheck"
@@ -34,7 +34,7 @@ func TestDirectoryMatchesCacheUnderStorm(t *testing.T) {
 	cfg := Config{
 		Mode:       ModeSCICP,
 		CacheBytes: 48 << 10,
-		Summary:    core.DirectoryConfig{ExpectedDocs: 500, UpdateThreshold: 0.01},
+		Summary:    bloom.DirectoryConfig{ExpectedDocs: 500, UpdateThreshold: 0.01},
 		Persist: &persist.Config{
 			Dir:              t.TempDir(),
 			Fsync:            persist.FsyncNever,
@@ -91,7 +91,7 @@ func TestDirectoryMatchesCacheUnderStorm(t *testing.T) {
 	}
 
 	keys := p.cache.Keys()
-	rebuilt, err := core.NewDirectory(cfg.Summary)
+	rebuilt, err := bloom.NewDirectory(cfg.Summary)
 	if err != nil {
 		t.Fatal(err)
 	}

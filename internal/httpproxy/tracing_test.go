@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"summarycache/internal/core"
+	"summarycache/internal/bloom"
 	"summarycache/internal/obs"
 	"summarycache/internal/origin"
 	"summarycache/internal/tracing"
@@ -90,15 +90,15 @@ func TestFalseHitTraceAcrossMesh(t *testing.T) {
 		p, err := Start(Config{
 			Mode:       ModeSCICP,
 			CacheBytes: 8 << 20,
-			Summary: core.DirectoryConfig{
+			Summary: bloom.DirectoryConfig{
 				ExpectedDocs: 2000, UpdateThreshold: 0.01,
+				// Deletions must stay unpublished so A's replica of B goes
+				// stale: no threshold publication can ever trip.
+				MinPending: 1 << 20,
 			},
-			// Deletions must stay unpublished so A's replica of B goes
-			// stale: no threshold publication can ever trip.
-			MinUpdateFlips: 1 << 20,
-			QueryTimeout:   2 * time.Second,
-			Metrics:        reg,
-			Tracer:         tracer,
+			QueryTimeout: 2 * time.Second,
+			Metrics:      reg,
+			Tracer:       tracer,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -340,7 +340,7 @@ func tracedRemoteHit(t *testing.T, size int64) (req, answer *tracing.Trace, peer
 		p, err := Start(Config{
 			Mode:       ModeSCICP,
 			CacheBytes: 8 << 20,
-			Summary: core.DirectoryConfig{
+			Summary: bloom.DirectoryConfig{
 				ExpectedDocs: 2000, UpdateThreshold: 0.01,
 			},
 			QueryTimeout: 2 * time.Second,

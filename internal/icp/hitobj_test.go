@@ -8,6 +8,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"summarycache/internal/faultnet"
 )
 
 // mustHitObj builds a HIT_OBJ reply, failing the test when it cannot carry
@@ -226,8 +228,8 @@ func TestQueryAllInlineObject(t *testing.T) {
 	}
 }
 
-// TestQueryAllSilentFlaggedPeer: a flagged peer that never answers does not
-// delay a HIT from another peer.
+// TestQueryAllSilentFlaggedPeer: a flagged peer that never answers holds a
+// later peer's HIT until the deadline; the HIT is served then.
 func TestQueryAllSilentFlaggedPeer(t *testing.T) {
 	silent, err := Listen("127.0.0.1:0", nil)
 	if err != nil {
@@ -237,16 +239,14 @@ func TestQueryAllSilentFlaggedPeer(t *testing.T) {
 	t.Cleanup(func() { silent.Close() })
 	holder := hitObjResponder(t, "http://doc/", []byte("x"))
 	cli := client(t)
-	const deadline = 2 * time.Second
-	ctx, cancel := context.WithTimeout(context.Background(), deadline)
-	defer cancel()
+	const deadline = 200 * time.Millisecond
 	start := time.Now()
-	win, from, _, err := cli.QueryAllFunc(ctx, deadline, []*net.UDPAddr{silent.Addr(), holder.Addr()}, "http://doc/", FlagHitObj, nil)
+	win, from, _, err := cli.QueryAllFunc(context.Background(), deadline, []*net.UDPAddr{silent.Addr(), holder.Addr()}, "http://doc/", FlagHitObj, nil)
 	if err != nil || from == nil || from.Port != holder.Addr().Port || win.Op != OpHit {
 		t.Fatalf("%v from %v (%v), want a HIT from %v", win.Op, from, err, holder.Addr())
 	}
-	if waited := time.Since(start); waited > deadline/2 {
-		t.Fatalf("the HIT took %v: it waited on the silent flagged peer", waited)
+	if waited := time.Since(start); waited < deadline {
+		t.Fatalf("the HIT was served after %v, before the silent flagged peer's deadline", waited)
 	}
 }
 
@@ -262,34 +262,94 @@ func delayedReply(t *testing.T, delay time.Duration, op Opcode, body []byte) *ne
 	})
 }
 
-// TestQueryAllGraceForFlaggedPeer: a plain HIT that arrives after time T
-// waits up to another T for the flagged peer's object, and no longer.
+// TestQueryAllGraceForFlaggedPeer: a plain HIT from a later peer waits for
+// the flagged peer's object until the deadline, and no longer.
 func TestQueryAllGraceForFlaggedPeer(t *testing.T) {
 	body := []byte("inline")
 	for _, c := range []struct {
-		name        string
-		objDelay    time.Duration
-		want        Opcode
-		maxDuration time.Duration
+		name     string
+		objDelay time.Duration
+		deadline time.Duration
+		want     Opcode
 	}{
-		// HIT at 40ms, grace until 80ms: the object at 60ms wins.
-		{"object within the grace", 60 * time.Millisecond, OpHitObj, time.Second},
-		// The object at 1s misses the grace; the HIT resolves at 80ms.
-		{"object after the grace", time.Second, OpHit, 500 * time.Millisecond},
+		// HIT at 40ms: the object at 300ms still wins.
+		{"object before the deadline", 300 * time.Millisecond, 2 * time.Second, OpHitObj},
+		// The object at 1s misses the 300ms deadline; the HIT is served then.
+		{"object after the deadline", time.Second, 300 * time.Millisecond, OpHit},
 	} {
 		flagged := delayedReply(t, c.objDelay, OpHitObj, body)
 		other := delayedReply(t, 40*time.Millisecond, OpHit, nil)
 		cli := client(t)
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		start := time.Now()
-		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{flagged, other}, "http://doc/", FlagHitObj, nil)
+		win, from, _, err := cli.QueryAllFunc(context.Background(), c.deadline, []*net.UDPAddr{flagged, other}, "http://doc/", FlagHitObj, nil)
 		took := time.Since(start)
-		cancel()
 		if err != nil || from == nil || win.Op != c.want {
 			t.Fatalf("%s: %v from %v (%v), want %v", c.name, win.Op, from, err, c.want)
 		}
-		if took > c.maxDuration {
-			t.Fatalf("%s: resolved after %v, want under %v", c.name, took, c.maxDuration)
+		if took < min(c.objDelay, c.deadline) || took >= max(c.objDelay, c.deadline) {
+			t.Fatalf("%s: resolved after %v, want the earlier of the object (%v) and the deadline (%v)", c.name, took, c.objDelay, c.deadline)
+		}
+	}
+}
+
+// faultyResponder answers every query with op through a socket whose
+// outbound datagrams go through a faultnet schedule of out.
+func faultyResponder(t *testing.T, op Opcode, out faultnet.Rates) *net.UDPAddr {
+	t.Helper()
+	inj := faultnet.New(faultnet.Scenario{Seed: 1, Outbound: out})
+	var c *Conn
+	c, err := ListenWith("127.0.0.1:0", ListenConfig{
+		Handler: func(from *net.UDPAddr, m Message) {
+			if m.Op == OpQuery {
+				_ = c.Send(from, NewReply(op, m.ReqNum, m.URL))
+			}
+		},
+		Wrap: func(pc PacketConn) PacketConn { return inj.WrapUDP(pc) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Start()
+	t.Cleanup(func() { c.Close() })
+	return c.Addr()
+}
+
+// TestQueryAllWaitsForEarlierPeers: the winner is the earliest peer that
+// answers HIT. With the first peer's reply delayed by faultnet, the later
+// peers' HITs arrive first but are not served before that reply, or before
+// the deadline when the reply is lost.
+func TestQueryAllWaitsForEarlierPeers(t *testing.T) {
+	const delay, deadline = 100 * time.Millisecond, 400 * time.Millisecond
+	delayed := faultnet.Rates{Delay: 1, DelayMin: delay, DelayMax: delay}
+	for _, c := range []struct {
+		name      string
+		first     *net.UDPAddr
+		wantFirst bool
+		notBefore time.Duration
+	}{
+		{"delayed HIT", faultyResponder(t, OpHit, delayed), true, delay},
+		{"delayed MISS", faultyResponder(t, OpMiss, delayed), false, delay},
+		{"lost reply", faultyResponder(t, OpHit, faultnet.Rates{Drop: 1}), false, deadline},
+	} {
+		later := []*net.UDPAddr{echoResponder(t, map[string]bool{"http://doc/": true}).Addr(), echoResponder(t, map[string]bool{"http://doc/": true}).Addr()}
+		peers := append([]*net.UDPAddr{c.first}, later...)
+		var order []*net.UDPAddr
+		start := time.Now()
+		win, from, _, err := client(t).QueryAllFunc(context.Background(), deadline, peers, "http://doc/", 0,
+			func(from *net.UDPAddr, _ Opcode) { order = append(order, from) })
+		took := time.Since(start)
+		want := later[0]
+		if c.wantFirst {
+			want = c.first
+		}
+		if err != nil || win.Op != OpHit || from == nil || from.Port != want.Port {
+			t.Fatalf("%s: %v from %v (%v), want a HIT from %v", c.name, win.Op, from, err, want)
+		}
+		if took < c.notBefore {
+			t.Fatalf("%s: served after %v, before %v", c.name, took, c.notBefore)
+		}
+		if len(order) == 0 || order[0].Port == c.first.Port {
+			t.Fatalf("%s: replies arrived in order %v; the first peer's was not the late one", c.name, order)
 		}
 	}
 }

@@ -113,19 +113,17 @@ type Conn struct {
 // are reused, so a steady-state query allocates neither.
 type waiter struct {
 	ch    chan reply
-	timer *time.Timer // QueryAllFunc's deadline, then grace; nil until first armed
+	timer *time.Timer // QueryAllFunc's deadline; nil until first armed
 }
 
-// arm (re)starts w's timer to fire after d and returns the arming time. The
-// timer must be stopped with its channel drained, or freshly made.
-func (w *waiter) arm(d time.Duration) time.Time {
-	now := time.Now()
+// arm (re)starts w's timer to fire after d. The timer must be stopped with
+// its channel drained, or freshly made.
+func (w *waiter) arm(d time.Duration) {
 	if w.timer == nil {
 		w.timer = time.NewTimer(d)
 	} else {
 		w.timer.Reset(d)
 	}
-	return now
 }
 
 // Listen opens an ICP endpoint on addr ("127.0.0.1:0" for an ephemeral
@@ -322,11 +320,13 @@ func (c *Conn) release(reqNum uint32, w *waiter) {
 	delete(c.pending, reqNum)
 	if w.timer != nil && !w.timer.Stop() {
 		// With go.mod at 1.22 a timer's channel is buffered: a tick may be
-		// waiting in it. One still in flight after this drain is stamped
-		// before the next arming, and QueryAllFunc skips it.
+		// waiting in it. When none is, the tick was either taken by
+		// QueryAllFunc or is still in flight; the timer is dropped rather
+		// than reused, so no later query can receive a stale tick.
 		select {
 		case <-w.timer.C:
 		default:
+			w.timer = nil
 		}
 	}
 	if c.closed || len(c.free) >= maxFree {
@@ -364,37 +364,39 @@ func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message,
 	}
 }
 
-// QueryAllFunc fans one query out to several peers and returns the first
-// HIT or HIT_OBJ reply as win, from its sender; from is nil when every
-// peer replied MISS-class, timeout passed or ctx was done (a timeout is an
-// ordinary miss, as in Squid). The whole fan-out shares a single
+// QueryAllFunc fans one query out to several peers and returns the
+// winning HIT or HIT_OBJ reply as win, from its sender; from is nil when
+// every peer replied MISS-class, timeout passed or ctx was done (a timeout
+// is an ordinary miss, as in Squid). The whole fan-out shares a single
 // RequestNumber, as Squid's sibling queries do; reqNum reports it so
 // callers can correlate the exchange (the tracing layer derives the
 // cross-proxy trace ID from it).
 //
+// The winner is the earliest peer in peers that answers HIT, not the first
+// HIT to arrive: a HIT from peers[i] is returned once every peer before i
+// has replied, or at the deadline (or when ctx is done) if some have not.
+// Which peer serves therefore does not depend on scheduling. The cost is
+// that a lost or late reply from an earlier peer holds a later peer's HIT
+// until the deadline.
+//
 // options are the query's. With FlagHitObj only the first peer is asked
-// for the object itself, the rest only whether they hold it. A flagged
-// holder reads — and so refreshes — its copy to answer; if a plain HIT
-// from another sibling won, that sibling would be fetched from and
-// refreshed too, and the hit ratio would drift from a one-sibling-fetch
-// mesh's. So a plain HIT from another peer waits for the flagged peer's
-// answer, but only as long again as it took to arrive: a dead or lossy
-// flagged peer costs at most one more round trip, never the deadline. A
-// winning HIT_OBJ carries the document (Object, version in OptionData).
-// An object is used only when it comes from the flagged peer and names
-// the URL asked for; any other HIT_OBJ is taken as a plain HIT, its object
-// dropped. A reply from an address that was not asked is ignored and
-// counted (Stats.Unasked): reply routing keys on the request number alone,
-// which anyone reaching the socket can guess. Only a peer's first reply
-// counts; a repeat (a duplicated datagram) is ignored and counted as late
-// (Stats.LateReplies), so it cannot end the wait for the others. onReply
-// (when non-nil) is invoked on the caller's goroutine for every counted
-// reply that arrives before the fan-out resolves, attributed to its sender
-// (the entry of peers); the tracing layer uses it to record each peer's
-// actual answer.
+// for the object itself, the rest only whether they hold it, so a flagged
+// holder always wins. A winning HIT_OBJ carries the document (Object,
+// version in OptionData). An object is used only when it comes from the
+// flagged peer and names the URL asked for; any other HIT_OBJ is taken as
+// a plain HIT, its object dropped. A reply from an address that was not
+// asked is ignored and counted (Stats.Unasked): reply routing keys on the
+// request number alone, which anyone reaching the socket can guess. Only a
+// peer's first reply counts; a repeat (a duplicated datagram) is ignored
+// and counted as late (Stats.LateReplies), so it cannot stand in for
+// another peer's reply. onReply (when non-nil) is invoked on the caller's
+// goroutine for every counted reply that arrives before the fan-out
+// resolves, attributed to its sender (the entry of peers); the tracing
+// layer uses it to record each peer's actual answer.
 //
 // A steady-state fan-out to at most 16 peers allocates nothing: its reply
-// channel and timer are reused across queries.
+// channel and timer are reused across queries (after a query that ran to
+// its deadline, the next one makes a new timer).
 func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []*net.UDPAddr, url string, options uint32, onReply func(from *net.UDPAddr, op Opcode)) (win Message, from *net.UDPAddr, reqNum uint32, err error) {
 	if len(peers) == 0 {
 		return Message{}, nil, 0, nil
@@ -405,8 +407,7 @@ func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []
 		return Message{}, nil, reqNum, err
 	}
 	defer c.release(reqNum, w)
-	start := w.arm(timeout)
-	armed := start // a timer tick stamped before this is left from an earlier arming
+	w.arm(timeout)
 
 	// answered marks the peers whose reply was counted; a peer whose query
 	// could not be sent is marked up front, so nothing is awaited from it.
@@ -417,8 +418,8 @@ func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []
 	}
 	q := NewQuery(reqNum, url)
 	q.Options = options
-	objPeer := -1 // index of the one peer asked for the object, until it answers
-	waiting := 0
+	objPeer := -1 // index of the one peer asked for the object
+	sent := 0
 	var lastErr error
 	for i, p := range peers {
 		if err := c.Send(p, q); err != nil {
@@ -430,13 +431,21 @@ func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []
 			objPeer = i
 			q.Options &^= FlagHitObj
 		}
-		waiting++
+		sent++
 	}
-	if waiting == 0 {
+	if sent == 0 {
 		return Message{}, nil, reqNum, lastErr
 	}
-	var held reply // a plain HIT waiting on objPeer
-	for waiting > 0 {
+	var held reply // the HIT of the earliest peer that has answered one
+	heldAt := -1   // that peer's index in peers
+	awaited := 0   // the earliest peer whose reply is still awaited
+	for {
+		for awaited < len(peers) && answered[awaited] {
+			awaited++
+		}
+		if awaited == len(peers) || (heldAt >= 0 && heldAt < awaited) {
+			return held.m, held.from, reqNum, nil
+		}
 		select {
 		case r, ok := <-w.ch:
 			if !ok {
@@ -452,42 +461,21 @@ func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []
 				continue
 			}
 			answered[i] = true
-			waiting--
-			p := peers[i]
 			if r.m.Op == OpHitObj && (i != objPeer || r.m.URL != url) {
 				r.m.Op, r.m.Object, r.m.OptionData = OpHit, nil, 0
 			}
 			if onReply != nil {
-				onReply(p, r.m.Op)
+				onReply(peers[i], r.m.Op)
 			}
-			switch {
-			case r.m.Op == OpHitObj || (r.m.Op == OpHit && (objPeer < 0 || i == objPeer)):
-				return r.m, p, reqNum, nil
-			case r.m.Op == OpHit:
-				if held.from == nil {
-					held = reply{m: r.m, from: p}
-					// Hold it as long again as it took to arrive, unless the
-					// deadline comes first (or its tick already has).
-					if grace := time.Since(start); 2*grace < timeout && w.timer.Stop() {
-						armed = w.arm(grace)
-					}
-				}
-			case i == objPeer:
-				objPeer = -1
-				if held.from != nil {
-					return held.m, held.from, reqNum, nil
-				}
+			if (r.m.Op == OpHit || r.m.Op == OpHitObj) && (heldAt < 0 || i < heldAt) {
+				held, heldAt = reply{m: r.m, from: peers[i]}, i
 			}
-		case t := <-w.timer.C:
-			if t.Before(armed) {
-				continue
-			}
-			return held.m, held.from, reqNum, nil // deadline or grace: a timeout without a HIT is an ordinary miss
+		case <-w.timer.C:
+			return held.m, held.from, reqNum, nil // a timeout without a HIT is an ordinary miss
 		case <-ctx.Done():
 			return held.m, held.from, reqNum, nil
 		}
 	}
-	return held.m, held.from, reqNum, nil
 }
 
 // findAddr returns the index of the entry of peers that addr names, -1 if

@@ -137,8 +137,8 @@ func TestSendZeroAlloc(t *testing.T) {
 
 // TestQueryAllAllocBudget pins what one fan-out over loopback allocates.
 // The flagged peer answers MISS and the other a plain HIT, so every run
-// waits for both replies (and, when the HIT comes first, re-arms the timer
-// for the grace). The reply channel, the timer and the encoding buffers are
+// waits for both replies: the HIT is served only after the earlier peer's
+// MISS. The reply channel, the timer and the encoding buffers are
 // reused, so only decoding and receive costs remain. AllocsPerRun counts
 // every goroutine, the responders' read loops included.
 func TestQueryAllAllocBudget(t *testing.T) {

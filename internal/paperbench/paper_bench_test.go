@@ -238,7 +238,7 @@ func BenchmarkAmortization(b *testing.B) {
 		}
 	}
 	for _, r := range rows {
-		b.ReportMetric(r.ICPFactor, fmt.Sprintf("xICP_batch%d", r.MinUpdateDocs))
+		b.ReportMetric(r.ICPFactor, fmt.Sprintf("xICP_batch%d", r.MinPending))
 	}
 }
 
@@ -324,7 +324,7 @@ func replayBench(b *testing.B, a bench.Assignment) {
 			r, err := bench.RunReplay(bench.ReplayConfig{
 				Mode: m, Proxies: 4, Workers: 20, Assignment: a,
 				Trace: reqs, OriginLatency: benchLatency,
-				CacheBytes: 16 << 20, MinUpdateFlips: 40,
+				CacheBytes: 16 << 20, MinPending: 40,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -357,8 +357,8 @@ func BenchmarkSimThroughput(b *testing.B) {
 		CacheBytes: ts.CacheBytesPerProxy(0.10),
 		Scheme:     sim.SimpleSharing,
 		Summary: sim.SummaryConfig{
-			Kind: sim.Bloom, UpdateThreshold: 0.01, LoadFactor: 16,
-			AvgDocBytes: ts.AvgDocBytes,
+			Kind: sim.Bloom, AvgDocBytes: ts.AvgDocBytes,
+			Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01},
 		},
 	}
 	b.ResetTimer()

@@ -109,7 +109,7 @@ type SnapshotData struct {
 	// (lru.Cache.Entries order), bodies included.
 	Entries []lru.Entry
 	// Directory is the local counting filter's serialized state
-	// (core.Directory.StateSnapshot); nil when the proxy runs without a
+	// (bloom.Directory.StateSnapshot); nil when the proxy runs without a
 	// summary directory.
 	Directory []byte
 	// Replicas are the peer summary replicas (core.Node.ExportState).

@@ -3,21 +3,16 @@ package sim
 import (
 	"fmt"
 
-	"summarycache/internal/bloom"
 	"summarycache/internal/hashing"
 	"summarycache/internal/lru"
 	"summarycache/internal/trace"
 )
 
 // proxyState is one simulated proxy: its document cache plus its summary
-// pipeline and the new-document counter that drives the update threshold.
+// pipeline.
 type proxyState struct {
 	cache *lru.Cache
 	sum   summarizer
-	// newDocs counts documents added since the last summary publication —
-	// the paper delays updates "until the percentage of cached documents
-	// that are new ... reaches a threshold".
-	newDocs int
 }
 
 // Run replays reqs through a mesh configured by cfg and returns the
@@ -40,28 +35,29 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 
 	n := cfg.NumProxies
 	proxies := make([]*proxyState, n)
-	var family *hashing.Family
-	var filterBits uint64
-	if cfg.Summary.Kind == Bloom || cfg.Summary.Kind == BloomDigest {
-		entries := uint64(cfg.CacheBytes / cfg.Summary.AvgDocBytes)
-		filterBits = bloom.SizeForLoadFactor(entries, cfg.Summary.LoadFactor)
-		family = hashing.MustNew(cfg.Summary.HashSpec)
+	dirCfg := cfg.Summary.Directory
+	if dirCfg.ExpectedDocs == 0 {
+		dirCfg.ExpectedDocs = uint64(cfg.CacheBytes / cfg.Summary.AvgDocBytes)
 	}
+	var family *hashing.Family // the Bloom kinds' hashes, for probe keys
+	var filterBits uint64
 	for i := range proxies {
 		p := &proxyState{}
 		switch cfg.Summary.Kind {
-		case Oracle:
-			p.sum = oracleSummary{}
-		case ICP:
-			p.sum = icpSummary{}
-		case ExactDirectory:
-			p.sum = newExactDirSummary(PaperMessageModel)
-		case ServerName:
-			p.sum = newServerNameSummary(PaperMessageModel)
-		case Bloom:
-			p.sum = newBloomSummary(PaperMessageModel, filterBits, cfg.Summary.CounterBits, cfg.Summary.HashSpec, false)
-		case BloomDigest:
-			p.sum = newBloomSummary(PaperMessageModel, filterBits, cfg.Summary.CounterBits, cfg.Summary.HashSpec, true)
+		case Oracle, ICP:
+			p.sum = noSummary{}
+		case ExactDirectory, ServerName:
+			p.sum = newSetSummary(PaperMessageModel, cfg.Summary.Kind == ServerName, dirCfg)
+		case Bloom, BloomDigest:
+			b, err := newBloomSummary(PaperMessageModel, dirCfg, cfg.Summary.Kind == BloomDigest)
+			if err != nil {
+				return Result{}, err
+			}
+			p.sum = b
+			if family == nil {
+				family = hashing.MustNew(b.dir.Spec())
+				filterBits = b.dir.Bits()
+			}
 		default:
 			return Result{}, fmt.Errorf("sim: unknown summary kind %v", cfg.Summary.Kind)
 		}
@@ -86,7 +82,10 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 	}
 
 	trackTraffic := cfg.Summary.Kind != Oracle
-	idxBuf := make([]uint64, cfg.Summary.HashSpec.FunctionNum)
+	var idxBuf []uint64
+	if family != nil {
+		idxBuf = make([]uint64, family.Spec().FunctionNum)
+	}
 
 	var parent *lru.Cache
 	if cfg.ParentCacheBytes > 0 {
@@ -114,10 +113,10 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 
 		if cfg.Scheme != NoSharing && n > 1 {
 			// Prepare the probe key once for all peers.
-			pk := probeKey{url: req.URL}
+			pk := probeKey{key: req.URL}
 			switch cfg.Summary.Kind {
 			case ServerName:
-				pk.server = ServerOf(req.URL)
+				pk.key = ServerOf(req.URL)
 			case Bloom, BloomDigest:
 				if _, err := family.IndexesInto(idxBuf, req.URL, filterBits); err != nil {
 					return Result{}, err
@@ -168,7 +167,7 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 				// Serving a remote hit is an access on the owner.
 				proxies[freshPeer].cache.Touch(req.URL)
 				if cfg.Scheme == SimpleSharing {
-					insertDocument(&res, proxies, p, req, cfg, trackTraffic)
+					insertDocument(&res, proxies, p, req)
 				}
 				continue
 			}
@@ -213,7 +212,7 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 				parent.Put(lru.Entry{Key: req.URL, Size: req.Size, Version: req.Version})
 			}
 		}
-		insertDocument(&res, proxies, p, req, cfg, trackTraffic)
+		insertDocument(&res, proxies, p, req)
 	}
 
 	// Final memory accounting (per-peer summary copy + local counters).
@@ -225,44 +224,26 @@ func Run(cfg Config, reqs []trace.Request) (Result, error) {
 				res.BitsFlippedPerEvent = float64(bs.flipsTotal) / float64(bs.flipEvents)
 			}
 			for _, p := range proxies {
-				if b, ok := p.sum.(*bloomSummary); ok {
-					res.CounterSaturations += b.counting.Saturations()
-				}
+				res.CounterSaturations += p.sum.(*bloomSummary).dir.Saturations()
 			}
 		}
 	}
 	return res, nil
 }
 
-// insertDocument stores a fetched document in p's cache and, when the
-// update threshold is crossed, publishes p's summary to all peers.
-func insertDocument(res *Result, proxies []*proxyState, p *proxyState, req trace.Request, cfg Config, trackTraffic bool) {
+// insertDocument stores a fetched document in p's cache and, when p's
+// summary is due under the publication rule, publishes it to all peers.
+func insertDocument(res *Result, proxies []*proxyState, p *proxyState, req trace.Request) {
 	wasNew := !p.cache.Contains(req.URL)
 	stored := p.cache.Put(lru.Entry{Key: req.URL, Size: req.Size, Version: req.Version})
-	if !stored || !wasNew {
+	if !stored || !wasNew || !p.sum.due() {
 		return
 	}
-	p.newDocs++
-	if !trackTraffic || cfg.Summary.Kind == ICP {
-		return
-	}
-	// Publish when new documents reach the threshold fraction of the
-	// directory (threshold 0 publishes every change).
-	docs := p.cache.Len()
-	if docs == 0 {
-		return
-	}
-	if p.newDocs < cfg.Summary.MinUpdateDocs {
-		return
-	}
-	if float64(p.newDocs) >= cfg.Summary.UpdateThreshold*float64(docs) {
-		msgBytes := p.sum.publish()
-		p.newDocs = 0
-		peers := uint64(len(proxies) - 1)
-		res.UpdateEvents++
-		res.UpdateMessages += peers
-		res.UpdateBytes += peers * uint64(msgBytes)
-	}
+	msgBytes := p.sum.publish()
+	peers := uint64(len(proxies) - 1)
+	res.UpdateEvents++
+	res.UpdateMessages += peers
+	res.UpdateBytes += peers * uint64(msgBytes)
 }
 
 // runGlobal simulates the unified global cache (with optional 10% shrink).

@@ -9,7 +9,7 @@ package sim
 import (
 	"fmt"
 
-	"summarycache/internal/hashing"
+	"summarycache/internal/bloom"
 )
 
 // Scheme selects the cooperation model of §III.
@@ -101,42 +101,29 @@ func (k SummaryKind) String() string {
 // SummaryConfig parameterizes the summary representation.
 type SummaryConfig struct {
 	Kind SummaryKind
-	// UpdateThreshold delays summary propagation until this fraction of
-	// cached documents is new (paper's §V-A; e.g. 0.01 for 1%). Zero means
-	// summaries update on every directory change.
-	UpdateThreshold float64
-	// MinUpdateDocs additionally delays propagation until at least this
-	// many new documents have accumulated — the paper's prototype
-	// behaviour of sending updates "whenever there are enough changes to
-	// fill an IP packet" (≈90 documents at 4 flips each). Zero keeps the
-	// pure threshold rule. This matters at simulation scales where caches
-	// hold only hundreds of documents: in the paper's regime (million-
-	// entry caches) a 1% threshold already batches thousands of documents
-	// and the two rules coincide.
-	MinUpdateDocs int
-	// LoadFactor is the Bloom bits-per-expected-entry ratio (paper: 8, 16,
-	// 32). Only used by Bloom. Default 16.
-	LoadFactor float64
-	// HashSpec configures the Bloom hash family. Zero value means the
-	// paper's default (4 functions × 32 bits of MD5).
-	HashSpec hashing.Spec
-	// CounterBits configures the local counting filter (default 4).
-	CounterBits uint
-	// AvgDocBytes estimates entries = cacheBytes/AvgDocBytes when sizing
-	// the Bloom filter (paper: 8 KB). Default 8192.
+	// Directory sizes the Bloom kinds' filters and sets every kind's
+	// publication rule, bloom.PublishDue, read literally:
+	//   - UpdateThreshold delays an update until this fraction of cached
+	//     documents is new (§V-A; e.g. 0.01 for 1%); zero updates on
+	//     every new document;
+	//   - MinPending further delays it until at least this many changes
+	//     are pending (bit flips for the Bloom kinds, entries for
+	//     exact-directory and server-name); zero sets no floor. The
+	//     prototype's rule of sending updates "whenever there are enough
+	//     changes to fill an IP packet" is 360 flips. This matters at
+	//     simulation scales, where caches hold only hundreds of documents;
+	//     in the paper's regime of million-entry caches a 1% threshold
+	//     already batches thousands of documents.
+	// ExpectedDocs, when zero, is CacheBytes/AvgDocBytes; LoadFactor,
+	// HashSpec and CounterBits default as in bloom.NewDirectory (16, four
+	// 32-bit MD5 groups, 4 bits).
+	Directory bloom.DirectoryConfig
+	// AvgDocBytes estimates the expected entries as CacheBytes/AvgDocBytes
+	// when sizing the Bloom filter (paper: 8 KB). Default 8192.
 	AvgDocBytes int64
 }
 
 func (sc *SummaryConfig) applyDefaults() {
-	if sc.LoadFactor <= 0 {
-		sc.LoadFactor = 16
-	}
-	if sc.HashSpec == (hashing.Spec{}) {
-		sc.HashSpec = hashing.DefaultSpec
-	}
-	if sc.CounterBits == 0 {
-		sc.CounterBits = 4
-	}
 	if sc.AvgDocBytes <= 0 {
 		sc.AvgDocBytes = 8192
 	}
@@ -171,8 +158,8 @@ func (c Config) Validate() error {
 	if c.CacheBytes <= 0 {
 		return fmt.Errorf("sim: CacheBytes must be positive, got %d", c.CacheBytes)
 	}
-	if c.Summary.UpdateThreshold < 0 || c.Summary.UpdateThreshold > 1 {
-		return fmt.Errorf("sim: UpdateThreshold must be in [0,1], got %v", c.Summary.UpdateThreshold)
+	if th := c.Summary.Directory.UpdateThreshold; th < 0 || th > 1 {
+		return fmt.Errorf("sim: UpdateThreshold must be in [0,1], got %v", th)
 	}
 	return nil
 }

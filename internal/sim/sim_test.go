@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/trace"
 	"summarycache/internal/tracegen"
 )
@@ -34,7 +35,7 @@ func TestValidateConfig(t *testing.T) {
 	bad := []Config{
 		{NumProxies: 0, CacheBytes: 1},
 		{NumProxies: 1, CacheBytes: 0},
-		{NumProxies: 1, CacheBytes: 1, Summary: SummaryConfig{UpdateThreshold: 2}},
+		{NumProxies: 1, CacheBytes: 1, Summary: SummaryConfig{Directory: bloom.DirectoryConfig{UpdateThreshold: 2}}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -182,7 +183,7 @@ func TestExactDirectoryZeroThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact, err := Run(Config{NumProxies: 4, CacheBytes: per, Scheme: SimpleSharing,
-		Summary: SummaryConfig{Kind: ExactDirectory, UpdateThreshold: 0}}, reqs)
+		Summary: SummaryConfig{Kind: ExactDirectory, Directory: bloom.DirectoryConfig{UpdateThreshold: 0}}}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestFig2ThresholdDegradation(t *testing.T) {
 	hr := map[float64]float64{}
 	for _, th := range []float64{0, 0.01, 0.10} {
 		r, err := Run(Config{NumProxies: 4, CacheBytes: per, Scheme: SimpleSharing,
-			Summary: SummaryConfig{Kind: ExactDirectory, UpdateThreshold: th}}, reqs)
+			Summary: SummaryConfig{Kind: ExactDirectory, Directory: bloom.DirectoryConfig{UpdateThreshold: th}}}, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +241,7 @@ func TestSummaryRepresentationShape(t *testing.T) {
 	per := cacheSizeFor(t, reqs, 0.10, 4)
 	run := func(k SummaryKind, lf float64) Result {
 		r, err := Run(Config{NumProxies: 4, CacheBytes: per, Scheme: SimpleSharing,
-			Summary: SummaryConfig{Kind: k, UpdateThreshold: 0.01, LoadFactor: lf}}, reqs)
+			Summary: SummaryConfig{Kind: k, Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01, LoadFactor: lf}}}, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +320,7 @@ func TestRequestConservation(t *testing.T) {
 	per := cacheSizeFor(t, reqs, 0.10, 4)
 	for _, k := range []SummaryKind{Oracle, ICP, ExactDirectory, ServerName, Bloom} {
 		r, err := Run(Config{NumProxies: 4, CacheBytes: per, Scheme: SimpleSharing,
-			Summary: SummaryConfig{Kind: k, UpdateThreshold: 0.01}}, reqs)
+			Summary: SummaryConfig{Kind: k, Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01}}}, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +340,7 @@ func TestRequestConservation(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	reqs := testTrace(t, 10000)
 	cfg := Config{NumProxies: 4, CacheBytes: 1 << 22, Scheme: SimpleSharing,
-		Summary: SummaryConfig{Kind: Bloom, UpdateThreshold: 0.01, LoadFactor: 8}}
+		Summary: SummaryConfig{Kind: Bloom, Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01, LoadFactor: 8}}}
 	a, err := Run(cfg, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -359,12 +360,12 @@ func TestParentHierarchy(t *testing.T) {
 	reqs := testTrace(t, 30000)
 	per := cacheSizeFor(t, reqs, 0.05, 4)
 	flat, err := Run(Config{NumProxies: 4, CacheBytes: per, Scheme: SimpleSharing,
-		Summary: SummaryConfig{Kind: Bloom, UpdateThreshold: 0.01}}, reqs)
+		Summary: SummaryConfig{Kind: Bloom, Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01}}}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	withParent, err := Run(Config{NumProxies: 4, CacheBytes: per, Scheme: SimpleSharing,
-		Summary:          SummaryConfig{Kind: Bloom, UpdateThreshold: 0.01},
+		Summary:          SummaryConfig{Kind: Bloom, Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01}},
 		ParentCacheBytes: 4 * per}, reqs)
 	if err != nil {
 		t.Fatal(err)

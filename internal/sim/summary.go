@@ -4,15 +4,13 @@ import (
 	"strings"
 
 	"summarycache/internal/bloom"
-	"summarycache/internal/hashing"
 )
 
 // probeKey is a request URL prepared once per discovery so that probing
 // N-1 peer summaries does not recompute hashes or parse the URL N-1 times.
 type probeKey struct {
-	url    string
-	server string   // set for ServerName summaries
-	idx    []uint64 // Bloom indices, set for Bloom summaries
+	key string   // the set key: the URL, or its server name for ServerName
+	idx []uint64 // Bloom indices, set for Bloom summaries
 }
 
 // summarizer is one proxy's summary pipeline: the live side mirrors the
@@ -22,10 +20,9 @@ type probeKey struct {
 type summarizer interface {
 	insert(url string)
 	remove(url string)
-	// pending returns directory changes accumulated since the last publish
-	// (the quantity the update threshold is measured against counts only
-	// new documents; see proxyState.newDocs in the engine).
-	pending() int
+	// due reports whether the accumulated changes should be published now,
+	// under bloom.PublishDue.
+	due() bool
 	// publish applies pending changes to the published view and returns
 	// the size in bytes of one unicast update message carrying them.
 	publish() (msgBytes int)
@@ -54,189 +51,163 @@ func ServerOf(url string) string {
 	return s
 }
 
-// oracleSummary consults the true contents with zero traffic; the
-// discovery idealization used for the Fig. 1 scheme comparison. The engine
-// resolves oracle probes directly against peer caches, so probe here is
-// never called; the methods exist to satisfy the interface cheaply.
-type oracleSummary struct{}
+// noSummary keeps no state and publishes nothing. ICP uses it to answer
+// "maybe" for everything, querying every peer on every miss; Oracle
+// resolves probes against the peers' true contents in the engine, so its
+// probe is never called.
+type noSummary struct{}
 
-func (oracleSummary) insert(string)        {}
-func (oracleSummary) remove(string)        {}
-func (oracleSummary) pending() int         { return 0 }
-func (oracleSummary) publish() int         { return 0 }
-func (oracleSummary) probe(probeKey) bool  { return true }
-func (oracleSummary) memoryBytes() uint64  { return 0 }
-func (oracleSummary) counterBytes() uint64 { return 0 }
+func (noSummary) insert(string)        {}
+func (noSummary) remove(string)        {}
+func (noSummary) due() bool            { return false }
+func (noSummary) publish() int         { return 0 }
+func (noSummary) probe(probeKey) bool  { return true }
+func (noSummary) memoryBytes() uint64  { return 0 }
+func (noSummary) counterBytes() uint64 { return 0 }
 
-// icpSummary answers "maybe" for everything: ICP queries every peer on
-// every miss and keeps no state.
-type icpSummary struct{}
-
-func (icpSummary) insert(string)        {}
-func (icpSummary) remove(string)        {}
-func (icpSummary) pending() int         { return 0 }
-func (icpSummary) publish() int         { return 0 }
-func (icpSummary) probe(probeKey) bool  { return true }
-func (icpSummary) memoryBytes() uint64  { return 0 }
-func (icpSummary) counterBytes() uint64 { return 0 }
-
-// dirChange is one journal entry for directory-delta summaries.
+// dirChange is one journal entry of a set summary.
 type dirChange struct {
 	key string
 	add bool
 }
 
-// exactDirSummary is the exact-directory representation: the summary is
-// the cache directory itself, each URL represented on the wire and in
-// memory by its 16-byte MD5 signature.
-type exactDirSummary struct {
-	model     MessageModel
-	journal   []dirChange
-	published map[string]struct{}
-}
+// setSummary keeps a delayed copy of a set of keys: each cached URL (the
+// exact-directory representation, every entry a 16-byte MD5 signature on
+// the wire and in memory) or the server name of each (server-name). Many
+// URLs share a server, so the live side reference-counts keys and journals
+// only their 0↔1 transitions.
+type setSummary struct {
+	model      MessageModel
+	byServer   bool
+	threshold  float64
+	minPending int
 
-func newExactDirSummary(model MessageModel) *exactDirSummary {
-	return &exactDirSummary{model: model, published: make(map[string]struct{})}
-}
-
-func (s *exactDirSummary) insert(url string) { s.journal = append(s.journal, dirChange{url, true}) }
-func (s *exactDirSummary) remove(url string) { s.journal = append(s.journal, dirChange{url, false}) }
-func (s *exactDirSummary) pending() int      { return len(s.journal) }
-
-func (s *exactDirSummary) publish() int {
-	n := len(s.journal)
-	for _, ch := range s.journal {
-		if ch.add {
-			s.published[ch.key] = struct{}{}
-		} else {
-			delete(s.published, ch.key)
-		}
-	}
-	s.journal = s.journal[:0]
-	return s.model.DirUpdateHeader + n*s.model.DirUpdatePerEntry
-}
-
-func (s *exactDirSummary) probe(k probeKey) bool {
-	_, ok := s.published[k.url]
-	return ok
-}
-
-// memoryBytes: 16 bytes (MD5 signature) per published entry.
-func (s *exactDirSummary) memoryBytes() uint64  { return uint64(len(s.published)) * 16 }
-func (s *exactDirSummary) counterBytes() uint64 { return 0 }
-
-// serverNameSummary keeps the set of server names of cached URLs. Because
-// many URLs share a server, the live side reference-counts and only
-// journals 0↔1 transitions.
-type serverNameSummary struct {
-	model     MessageModel
 	refs      map[string]int
+	docs      int // documents in the directory
+	newDocs   int // documents added since the last publish
 	journal   []dirChange
 	published map[string]struct{}
+	pubBytes  uint64
 }
 
-func newServerNameSummary(model MessageModel) *serverNameSummary {
-	return &serverNameSummary{
-		model:     model,
-		refs:      make(map[string]int),
-		published: make(map[string]struct{}),
+func newSetSummary(model MessageModel, byServer bool, cfg bloom.DirectoryConfig) *setSummary {
+	return &setSummary{
+		model:      model,
+		byServer:   byServer,
+		threshold:  cfg.UpdateThreshold,
+		minPending: cfg.MinPending,
+		refs:       make(map[string]int),
+		published:  make(map[string]struct{}),
 	}
 }
 
-func (s *serverNameSummary) insert(url string) {
-	sv := ServerOf(url)
-	s.refs[sv]++
-	if s.refs[sv] == 1 {
-		s.journal = append(s.journal, dirChange{sv, true})
+func (s *setSummary) keyOf(url string) string {
+	if s.byServer {
+		return ServerOf(url)
+	}
+	return url
+}
+
+// entryBytes is the memory one published key takes: an MD5 signature, or
+// a server name plus small per-entry overhead.
+func (s *setSummary) entryBytes(key string) uint64 {
+	if s.byServer {
+		return uint64(len(key)) + 8
+	}
+	return 16
+}
+
+func (s *setSummary) insert(url string) {
+	k := s.keyOf(url)
+	s.docs++
+	s.newDocs++
+	s.refs[k]++
+	if s.refs[k] == 1 {
+		s.journal = append(s.journal, dirChange{k, true})
 	}
 }
 
-func (s *serverNameSummary) remove(url string) {
-	sv := ServerOf(url)
-	if s.refs[sv] == 0 {
+func (s *setSummary) remove(url string) {
+	k := s.keyOf(url)
+	if s.refs[k] == 0 {
 		return // remove without insert; ignore like counter underflow
 	}
-	s.refs[sv]--
-	if s.refs[sv] == 0 {
-		delete(s.refs, sv)
-		s.journal = append(s.journal, dirChange{sv, false})
+	s.docs--
+	s.refs[k]--
+	if s.refs[k] == 0 {
+		delete(s.refs, k)
+		s.journal = append(s.journal, dirChange{k, false})
 	}
 }
 
-func (s *serverNameSummary) pending() int { return len(s.journal) }
+func (s *setSummary) due() bool {
+	return bloom.PublishDue(s.newDocs, s.docs, len(s.journal), s.threshold, s.minPending)
+}
 
-func (s *serverNameSummary) publish() int {
+func (s *setSummary) publish() int {
 	n := len(s.journal)
+	// A key's journal entries alternate add and remove, the first one
+	// flipping what was published.
 	for _, ch := range s.journal {
 		if ch.add {
 			s.published[ch.key] = struct{}{}
+			s.pubBytes += s.entryBytes(ch.key)
 		} else {
 			delete(s.published, ch.key)
+			s.pubBytes -= s.entryBytes(ch.key)
 		}
 	}
 	s.journal = s.journal[:0]
+	s.newDocs = 0
 	return s.model.DirUpdateHeader + n*s.model.DirUpdatePerEntry
 }
 
-func (s *serverNameSummary) probe(k probeKey) bool {
-	_, ok := s.published[k.server]
+func (s *setSummary) probe(k probeKey) bool {
+	_, ok := s.published[k.key]
 	return ok
 }
 
-// memoryBytes: the name bytes plus small per-entry overhead.
-func (s *serverNameSummary) memoryBytes() uint64 {
-	var b uint64
-	//lint:ignore sclint/determinism summation commutes; iteration order cannot change the total
-	for name := range s.published {
-		b += uint64(len(name)) + 8
-	}
-	return b
-}
-func (s *serverNameSummary) counterBytes() uint64 { return 0 }
+func (s *setSummary) memoryBytes() uint64  { return s.pubBytes }
+func (s *setSummary) counterBytes() uint64 { return 0 }
 
-// bloomSummary is the paper's proposal: the live side is a counting Bloom
-// filter journaling bit flips; the published view is the plain bit filter
-// peers hold and probe.
+// bloomSummary is the paper's proposal: the live side is the same
+// bloom.Directory a live node keeps — a counting filter journaling bit
+// flips under the one publication rule — and the published view is the
+// plain bit filter peers hold and probe.
 type bloomSummary struct {
 	model      MessageModel
-	counting   *bloom.CountingFilter
-	journal    []bloom.Flip
+	dir        *bloom.Directory
 	published  *bloom.Filter
 	wholeArray bool // BloomDigest: updates ship the full bit array
 
-	flipEvents  uint64
-	flipsTotal  uint64
-	scratchFlip []bloom.Flip
+	flipEvents uint64
+	flipsTotal uint64
 }
 
-func newBloomSummary(model MessageModel, mBits uint64, counterBits uint, spec hashing.Spec, wholeArray bool) *bloomSummary {
+func newBloomSummary(model MessageModel, cfg bloom.DirectoryConfig, wholeArray bool) (*bloomSummary, error) {
+	dir, err := bloom.NewDirectory(cfg)
+	if err != nil {
+		return nil, err
+	}
 	return &bloomSummary{
 		model:      model,
-		counting:   bloom.MustNewCountingFilter(mBits, counterBits, spec),
-		published:  bloom.MustNewFilter(mBits, spec),
+		dir:        dir,
+		published:  bloom.MustNewFilter(dir.Bits(), dir.Spec()),
 		wholeArray: wholeArray,
-	}
+	}, nil
 }
 
-func (s *bloomSummary) insert(url string) {
-	s.scratchFlip = s.counting.Add(url, s.scratchFlip[:0])
-	s.journal = append(s.journal, s.scratchFlip...)
-}
-
-func (s *bloomSummary) remove(url string) {
-	s.scratchFlip = s.counting.Remove(url, s.scratchFlip[:0])
-	s.journal = append(s.journal, s.scratchFlip...)
-}
-
-func (s *bloomSummary) pending() int { return len(s.journal) }
+func (s *bloomSummary) insert(url string) { s.dir.Insert(url) }
+func (s *bloomSummary) remove(url string) { s.dir.Remove(url) }
+func (s *bloomSummary) due() bool         { return s.dir.ShouldPublish() }
 
 func (s *bloomSummary) publish() int {
-	n := len(s.journal)
-	// Apply cannot fail: flips come from a same-geometry counting filter.
-	if err := s.published.Apply(s.journal); err != nil {
+	flips := s.dir.Drain()
+	n := len(flips)
+	// Apply cannot fail: flips come from a same-geometry directory.
+	if err := s.published.Apply(flips); err != nil {
 		panic("sim: bloom flip out of range: " + err.Error())
 	}
-	s.journal = s.journal[:0]
 	if n > 0 {
 		s.flipEvents++
 		s.flipsTotal += uint64(n)
@@ -254,4 +225,4 @@ func (s *bloomSummary) probe(k probeKey) bool { return s.published.TestIndexes(k
 func (s *bloomSummary) memoryBytes() uint64 { return (s.published.Size() + 7) / 8 }
 
 // counterBytes: the local counting filter's counters.
-func (s *bloomSummary) counterBytes() uint64 { return s.counting.MemoryBytes() }
+func (s *bloomSummary) counterBytes() uint64 { return s.dir.MemoryBytes() }

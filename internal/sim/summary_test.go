@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"testing"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/hashing"
 )
 
-func pk(url string) probeKey { return probeKey{url: url, server: ServerOf(url)} }
+func pk(url string) probeKey { return probeKey{key: url} }
 
 func bloomPK(t *testing.T, url string, m uint64) probeKey {
 	t.Helper()
@@ -16,29 +17,29 @@ func bloomPK(t *testing.T, url string, m uint64) probeKey {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return probeKey{url: url, idx: idx}
+	return probeKey{key: url, idx: idx}
 }
 
 func TestExactDirSummaryLifecycle(t *testing.T) {
-	s := newExactDirSummary(PaperMessageModel)
-	if s.probe(pk("http://a/")) {
-		t.Fatal("empty summary probed true")
+	s := newSetSummary(PaperMessageModel, false, bloom.DirectoryConfig{})
+	if s.probe(pk("http://a/")) || s.due() {
+		t.Fatal("empty summary probed true or wants to publish")
 	}
 	s.insert("http://a/")
 	s.insert("http://b/")
 	if s.probe(pk("http://a/")) {
 		t.Fatal("unpublished insert visible (summaries are delayed by design)")
 	}
-	if s.pending() != 2 {
-		t.Fatalf("pending = %d", s.pending())
+	if len(s.journal) != 2 || !s.due() {
+		t.Fatalf("pending = %d, due = %v; threshold 0 publishes every new document", len(s.journal), s.due())
 	}
 	bytes := s.publish()
 	// 20-byte header + 16 bytes per change (the paper's cost model).
 	if bytes != 20+2*16 {
 		t.Fatalf("publish bytes = %d, want 52", bytes)
 	}
-	if !s.probe(pk("http://a/")) || !s.probe(pk("http://b/")) {
-		t.Fatal("published entries not visible")
+	if !s.probe(pk("http://a/")) || !s.probe(pk("http://b/")) || s.due() {
+		t.Fatal("published entries not visible, or still due")
 	}
 	if s.memoryBytes() != 2*16 {
 		t.Fatalf("memory = %d, want 32 (16B MD5 per entry)", s.memoryBytes())
@@ -53,25 +54,66 @@ func TestExactDirSummaryLifecycle(t *testing.T) {
 	}
 }
 
+// TestSetSummaryPublicationRule: a set summary publishes under the same
+// rule as a Bloom directory, its floor counted in journal entries.
+func TestSetSummaryPublicationRule(t *testing.T) {
+	s := newSetSummary(PaperMessageModel, false, bloom.DirectoryConfig{UpdateThreshold: 0.5, MinPending: 3})
+	for i := 0; i < 4; i++ {
+		s.insert(fmt.Sprintf("http://h/%d", i))
+	}
+	s.publish()
+	s.insert("http://new/1") // 1 new of 5 docs: under the threshold
+	if s.due() {
+		t.Fatal("due with 1 of 5 documents new at threshold 0.5")
+	}
+	s.insert("http://new/2")
+	s.insert("http://new/3") // 3 new of 7 docs: still under
+	s.insert("http://new/4") // 4 new of 8: at the threshold, 4 entries pending
+	if !s.due() {
+		t.Fatal("not due with 4 of 8 documents new and 4 entries pending")
+	}
+	s.publish()
+	for i := 0; i < 8; i++ {
+		s.remove(fmt.Sprintf("http://h/%d", i))
+	}
+	s.remove("http://new/1")
+	s.remove("http://new/2") // 2 docs left, 6 removals pending, nothing new
+	if s.due() {
+		t.Fatal("removals alone tripped a nonzero threshold")
+	}
+	s.insert("http://h/0") // 1 new of 3 docs, but 7 entries pending
+	if s.due() {
+		t.Fatal("due with 1 of 3 documents new at threshold 0.5")
+	}
+	s.insert("http://h/1")
+	if !s.due() {
+		t.Fatal("not due with 2 of 4 documents new")
+	}
+}
+
 func TestServerNameSummaryRefCounting(t *testing.T) {
-	s := newServerNameSummary(PaperMessageModel)
+	s := newSetSummary(PaperMessageModel, true, bloom.DirectoryConfig{})
+	pk := func(url string) probeKey { return probeKey{key: ServerOf(url)} }
 	s.insert("http://host.com/a")
 	s.insert("http://host.com/b") // same server: no new journal entry
-	if s.pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (one server)", s.pending())
+	if len(s.journal) != 1 || s.docs != 2 {
+		t.Fatalf("pending = %d, docs = %d, want 1 server of 2 documents", len(s.journal), s.docs)
 	}
 	s.publish()
 	if !s.probe(pk("http://host.com/anything")) {
 		t.Fatal("server not visible")
 	}
+	if want := uint64(len("host.com") + 8); s.memoryBytes() != want {
+		t.Fatalf("memory = %d, want %d", s.memoryBytes(), want)
+	}
 	// Removing one URL keeps the server; removing both drops it.
 	s.remove("http://host.com/a")
-	if s.pending() != 0 {
-		t.Fatalf("pending = %d after partial removal, want 0", s.pending())
+	if len(s.journal) != 0 {
+		t.Fatalf("pending = %d after partial removal, want 0", len(s.journal))
 	}
 	s.remove("http://host.com/b")
-	if s.pending() != 1 {
-		t.Fatalf("pending = %d after full removal, want 1", s.pending())
+	if len(s.journal) != 1 {
+		t.Fatalf("pending = %d after full removal, want 1", len(s.journal))
 	}
 	s.publish()
 	if s.probe(pk("http://host.com/anything")) {
@@ -79,7 +121,7 @@ func TestServerNameSummaryRefCounting(t *testing.T) {
 	}
 	// Underflow remove is ignored.
 	s.remove("http://never.com/x")
-	if s.pending() != 0 {
+	if len(s.journal) != 0 || s.docs != 0 {
 		t.Fatal("underflow journaled a change")
 	}
 	if s.memoryBytes() != 0 {
@@ -87,10 +129,21 @@ func TestServerNameSummaryRefCounting(t *testing.T) {
 	}
 }
 
+// newTestBloomSummary builds a Bloom summary of the default family over
+// 256 expected documents at load factor 16.
+func newTestBloomSummary(t *testing.T, cfg bloom.DirectoryConfig, wholeArray bool) (*bloomSummary, uint64) {
+	t.Helper()
+	cfg.ExpectedDocs = 256
+	s, err := newBloomSummary(PaperMessageModel, cfg, wholeArray)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, s.dir.Bits()
+}
+
 func TestBloomSummaryDeltaVsDigestCost(t *testing.T) {
-	const m = 1 << 12
-	delta := newBloomSummary(PaperMessageModel, m, 4, hashing.DefaultSpec, false)
-	digest := newBloomSummary(PaperMessageModel, m, 4, hashing.DefaultSpec, true)
+	delta, m := newTestBloomSummary(t, bloom.DirectoryConfig{}, false)
+	digest, _ := newTestBloomSummary(t, bloom.DirectoryConfig{}, true)
 	for i := 0; i < 10; i++ {
 		u := fmt.Sprintf("http://h/%d", i)
 		delta.insert(u)
@@ -103,7 +156,7 @@ func TestBloomSummaryDeltaVsDigestCost(t *testing.T) {
 		t.Fatalf("delta publish = %d bytes, want header+flips", db)
 	}
 	// Digest: header + whole array (m/8 bytes), regardless of change count.
-	if gb != 32+m/8 {
+	if gb != 32+int(m/8) {
 		t.Fatalf("digest publish = %d bytes, want %d", gb, 32+m/8)
 	}
 	// Probing behavior is identical.
@@ -120,15 +173,17 @@ func TestBloomSummaryDeltaVsDigestCost(t *testing.T) {
 }
 
 func TestBloomSummaryDelayedVisibility(t *testing.T) {
-	const m = 1 << 12
-	s := newBloomSummary(PaperMessageModel, m, 4, hashing.DefaultSpec, false)
+	s, m := newTestBloomSummary(t, bloom.DirectoryConfig{MinPending: 4}, false)
 	s.insert("http://x/")
 	if s.probe(bloomPK(t, "http://x/", m)) {
 		t.Fatal("unpublished insert visible")
 	}
+	if !s.due() {
+		t.Fatal("a first document's 4 flips are not due at floor 4")
+	}
 	s.publish()
-	if !s.probe(bloomPK(t, "http://x/", m)) {
-		t.Fatal("published insert invisible")
+	if !s.probe(bloomPK(t, "http://x/", m)) || s.due() {
+		t.Fatal("published insert invisible, or still due")
 	}
 	s.remove("http://x/")
 	if !s.probe(bloomPK(t, "http://x/", m)) {
@@ -141,15 +196,14 @@ func TestBloomSummaryDelayedVisibility(t *testing.T) {
 }
 
 func TestOracleAndICPSummariesAreStateless(t *testing.T) {
-	for name, s := range map[string]summarizer{"oracle": oracleSummary{}, "icp": icpSummary{}} {
-		s.insert("http://a/")
-		s.remove("http://a/")
-		if s.pending() != 0 || s.publish() != 0 || s.memoryBytes() != 0 || s.counterBytes() != 0 {
-			t.Errorf("%s summary is not stateless", name)
-		}
-		if !s.probe(pk("http://anything/")) {
-			t.Errorf("%s summary must always answer maybe", name)
-		}
+	var s summarizer = noSummary{}
+	s.insert("http://a/")
+	s.remove("http://a/")
+	if s.due() || s.publish() != 0 || s.memoryBytes() != 0 || s.counterBytes() != 0 {
+		t.Error("the oracle and ICP summary is not stateless")
+	}
+	if !s.probe(pk("http://anything/")) {
+		t.Error("the ICP summary must always answer maybe")
 	}
 }
 
@@ -160,7 +214,7 @@ func TestEngineBloomDigestEquivalence(t *testing.T) {
 	per := cacheSizeFor(t, reqs, 0.10, 4)
 	run := func(kind SummaryKind) Result {
 		r, err := Run(Config{NumProxies: 4, CacheBytes: per, Scheme: SimpleSharing,
-			Summary: SummaryConfig{Kind: kind, UpdateThreshold: 0.01, LoadFactor: 16}}, reqs)
+			Summary: SummaryConfig{Kind: kind, Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01}}}, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,22 +236,23 @@ func TestEngineBloomDigestEquivalence(t *testing.T) {
 	}
 }
 
-// MinUpdateDocs batches updates without affecting correctness categories
-// other than the expected added staleness.
+// TestEngineMinUpdateDocs: the publication floor (Directory.MinPending,
+// counted in bit flips) batches updates without affecting correctness
+// categories other than the expected added staleness.
 func TestEngineMinUpdateDocs(t *testing.T) {
 	reqs := testTrace(t, 20000)
 	per := cacheSizeFor(t, reqs, 0.10, 4)
-	run := func(minDocs int) Result {
+	run := func(minPending int) Result {
 		r, err := Run(Config{NumProxies: 4, CacheBytes: per, Scheme: SimpleSharing,
-			Summary: SummaryConfig{Kind: Bloom, UpdateThreshold: 0.01, LoadFactor: 16,
-				MinUpdateDocs: minDocs}}, reqs)
+			Summary: SummaryConfig{Kind: Bloom,
+				Directory: bloom.DirectoryConfig{UpdateThreshold: 0.01, MinPending: minPending}}}, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
 	fine := run(0)
-	coarse := run(50)
+	coarse := run(200)
 	if coarse.UpdateEvents >= fine.UpdateEvents {
 		t.Errorf("batching did not reduce update events: %d vs %d",
 			coarse.UpdateEvents, fine.UpdateEvents)
@@ -208,5 +263,8 @@ func TestEngineMinUpdateDocs(t *testing.T) {
 	}
 	if coarse.FalseMisses < fine.FalseMisses {
 		t.Errorf("coarser updates should not reduce false misses")
+	}
+	if per := float64(coarse.UpdateBytes) / float64(coarse.UpdateMessages); per < 32+200*4 {
+		t.Errorf("an update carries %.0f bytes, want at least the 200-flip floor's %d", per, 32+200*4)
 	}
 }
