@@ -1,19 +1,18 @@
 // Command sclint runs the repository's project-specific static analysis
-// suite (internal/analysis) over the module: invariants go vet cannot
-// see — atomic-mixing, replay determinism, Stats()/scrape drift,
-// discarded Close errors, stray printing in library code, lock-order
-// cycles across the call graph, and goroutines without a shutdown path
+// suite (internal/analysis) over the module: the invariants no compiler,
+// go vet or test already enforces — discarded Close errors, stray
+// printing in library code, and lock-order cycles across the call graph
 // (see internal/analysis).
 //
 // Usage:
 //
 //	go run ./cmd/sclint ./...          # whole module, plain output
 //	go run ./cmd/sclint -json ./...    # machine-readable findings
-//	go run ./cmd/sclint -rules stats-drift,determinism ./internal/bench
+//	go run ./cmd/sclint -rules lock-order,unchecked-close ./internal/core
 //	go run ./cmd/sclint -list          # rule catalog
 //
 // Package arguments are module-relative path prefixes ("./..." or "" is
-// everything; "./internal/bench" restricts findings to that subtree).
+// everything; "./internal/core" restricts findings to that subtree).
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 //
 // Suppress a finding at one site with an in-source directive carrying a
@@ -132,7 +131,7 @@ func moduleRoot() (string, error) {
 }
 
 // filterByArgs keeps findings under the requested module-relative path
-// prefixes. "./..." and "" mean everything; "./internal/bench" (with or
+// prefixes. "./..." and "" mean everything; "./internal/core" (with or
 // without a trailing /...) keeps that subtree.
 func filterByArgs(findings []analysis.Finding, args []string) []analysis.Finding {
 	var prefixes []string

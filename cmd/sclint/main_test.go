@@ -70,9 +70,9 @@ func TestRunFindingsJSON(t *testing.T) {
 		"go.mod": "module tmpdirty\n\ngo 1.22\n",
 		"internal/sim/sim.go": `package sim
 
-import "time"
+import "fmt"
 
-func Step() int64 { return time.Now().UnixNano() }
+func Step() { fmt.Println("step") }
 `,
 	})
 	chdir(t, root)
@@ -96,7 +96,7 @@ func Step() int64 { return time.Now().UnixNano() }
 		t.Fatalf("got %d findings, want 1:\n%s", len(findings), stdout.String())
 	}
 	f := findings[0]
-	if f.Rule != "determinism" || f.File != "internal/sim/sim.go" || f.Line != 5 || f.Col == 0 || f.Message == "" {
+	if f.Rule != "stray-printing" || f.File != "internal/sim/sim.go" || f.Line != 5 || f.Col == 0 || f.Message == "" {
 		t.Fatalf("finding = %+v", f)
 	}
 
@@ -139,18 +139,21 @@ func TestRunBadFlag(t *testing.T) {
 	}
 }
 
-// TestRunList checks the catalog includes the concurrency suite.
+// TestRunList checks the catalog names every rule of the suite and none
+// of the retired ones.
 func TestRunList(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit code = %d, want 0; stderr: %s", code, stderr.String())
 	}
-	for _, rule := range []string{"lock-order", "goroutine-lifecycle", "determinism", "atomic-mixing"} {
+	for _, rule := range []string{"lock-order", "unchecked-close", "stray-printing"} {
 		if !strings.Contains(stdout.String(), rule) {
 			t.Fatalf("-list output missing %s:\n%s", rule, stdout.String())
 		}
 	}
-	if strings.Contains(stdout.String(), "borrow-escape") {
-		t.Fatalf("-list output still names the removed borrow-escape rule:\n%s", stdout.String())
+	for _, retired := range []string{"borrow-escape", "atomic-mixing", "stats-drift", "goroutine-lifecycle", "determinism"} {
+		if strings.Contains(stdout.String(), retired) {
+			t.Fatalf("-list output still names the retired %s rule:\n%s", retired, stdout.String())
+		}
 	}
 }

@@ -14,16 +14,12 @@ import (
 // Canonical rule names, exported so cmd/sclint and suppression
 // directives refer to one spelling.
 const (
-	RuleAtomicMixing       = "atomic-mixing"
-	RuleDeterminism        = "determinism"
-	RuleStatsDrift         = "stats-drift"
-	RuleUncheckedClose     = "unchecked-close"
-	RuleStrayPrinting      = "stray-printing"
-	RuleLockOrder          = "lock-order"
-	RuleGoroutineLifecycle = "goroutine-lifecycle"
+	RuleUncheckedClose = "unchecked-close"
+	RuleStrayPrinting  = "stray-printing"
+	RuleLockOrder      = "lock-order"
 	// RuleLintDirective is the analyzer's own hygiene rule: a
-	// //lint:ignore directive without a reason neither suppresses nor
-	// passes silently.
+	// //lint:ignore directive without a reason, or naming a rule the
+	// suite does not have, neither suppresses nor passes silently.
 	RuleLintDirective = "lint-directive"
 )
 
@@ -56,13 +52,9 @@ type ReportFunc func(pos token.Pos, format string, args ...any)
 // Rules returns the full default rule suite in stable order.
 func Rules() []Rule {
 	return []Rule{
-		&atomicMixingRule{},
-		&determinismRule{},
-		&statsDriftRule{},
 		&uncheckedCloseRule{},
 		&strayPrintingRule{},
 		&lockOrderRule{},
-		&goroutineLifecycleRule{},
 	}
 }
 
@@ -120,24 +112,43 @@ func parseIgnores(fset *token.FileSet, f *ast.File) []ignoreDirective {
 
 // Run executes rules over every package of the universe, applies
 // //lint:ignore suppressions, and returns the surviving findings sorted
-// by file, line and rule. Directives missing a reason are themselves
-// reported under the lint-directive rule.
+// by file, line and rule. Directives missing a reason, or naming a rule
+// the default suite does not have, are themselves reported under the
+// lint-directive rule and suppress nothing.
 func Run(u *Universe, rules []Rule) []Finding {
 	type lineKey struct {
 		file string
 		line int
 	}
+	known := map[string]bool{}
+	for _, name := range RuleNames() {
+		known[name] = true
+	}
 	suppress := map[lineKey]map[string]bool{}
 	var findings []Finding
+	directive := func(d ignoreDirective, format string, args ...any) {
+		findings = append(findings, Finding{
+			Rule: RuleLintDirective,
+			File: u.relFile(d.file), Line: d.line,
+			Message: fmt.Sprintf(format, args...),
+		})
+	}
 	for _, pkg := range u.Pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range parseIgnores(u.Fset, f) {
 				if d.reason == "" || len(d.rules) == 0 {
-					findings = append(findings, Finding{
-						Rule: RuleLintDirective,
-						File: u.relFile(d.file), Line: d.line,
-						Message: "//lint:ignore needs a rule and a reason: //lint:ignore sclint/<rule> <why>",
-					})
+					directive(d, "//lint:ignore needs a rule and a reason: //lint:ignore sclint/<rule> <why>")
+					continue
+				}
+				var unknown []string
+				for r := range d.rules {
+					if !known[r] {
+						unknown = append(unknown, r)
+					}
+				}
+				if len(unknown) > 0 {
+					sort.Strings(unknown)
+					directive(d, "//lint:ignore names unknown rule %s; see sclint -list", strings.Join(unknown, ", "))
 					continue
 				}
 				for _, l := range []int{d.line, d.line + 1} {

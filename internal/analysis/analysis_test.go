@@ -66,10 +66,9 @@ func TestGoldenFixtures(t *testing.T) {
 		}
 	}
 
-	// Negative fixtures (ok/, okmain/, nostats/, determinism/ok) must be
-	// completely silent.
+	// Negative fixtures (ok/, okmain/) must be completely silent.
 	for _, f := range findings {
-		for _, quiet := range []string{"/ok/", "/okmain/", "/nostats/"} {
+		for _, quiet := range []string{"/ok/", "/okmain/"} {
 			if strings.Contains("/"+f.File, quiet) {
 				t.Errorf("negative fixture produced a finding: %s", f)
 			}
@@ -90,35 +89,16 @@ func TestModuleTreeIsClean(t *testing.T) {
 	}
 }
 
-func TestMetricFieldName(t *testing.T) {
-	cases := []struct{ metric, want string }{
-		{"summarycache_node_queries_sent_total", "QueriesSent"},
-		{"summarycache_proxy_requests_total", "Requests"},
-		{"summarycache_pos_frames_dropped_total", "FramesDropped"},
-		{"summarycache_hits_total", "Hits"},                          // single word: nothing to strip
-		{"summarycache_proxy_cache_hits", "CacheHits"},               // no _total suffix
-		{"plain_name_total", "Name"},                                 // no summarycache_ prefix
-		{"summarycache_node_query_rtt_seconds", "QueryRTTSeconds"},   // initialism uppercased
-		{"summarycache_proxy_inflight_requests", "InflightRequests"}, // gauge, no _total
-		{"summarycache_icp_udp_send_errors_total", "UDPSendErrors"},  // leading initialism
-	}
-	for _, c := range cases {
-		if got := metricFieldName(c.metric); got != c.want {
-			t.Errorf("metricFieldName(%q) = %q, want %q", c.metric, got, c.want)
-		}
-	}
-}
-
 func TestParseIgnores(t *testing.T) {
 	const src = `package p
 
-//lint:ignore sclint/determinism wall clock is the measurement
+//lint:ignore sclint/lock-order nesting order is fixed by construction
 var a int
 
 //lint:ignore sclint/stray-printing,sclint/unchecked-close two rules one reason
 var b int
 
-//lint:ignore sclint/atomic-mixing
+//lint:ignore sclint/unchecked-close
 var c int
 `
 	fset := token.NewFileSet()
@@ -130,7 +110,7 @@ var c int
 	if len(ds) != 3 {
 		t.Fatalf("got %d directives, want 3", len(ds))
 	}
-	if !ds[0].rules["determinism"] || ds[0].reason != "wall clock is the measurement" {
+	if !ds[0].rules["lock-order"] || ds[0].reason != "nesting order is fixed by construction" {
 		t.Errorf("directive 0 parsed as %+v", ds[0])
 	}
 	if !ds[1].rules["stray-printing"] || !ds[1].rules["unchecked-close"] {
@@ -168,8 +148,8 @@ func TestWriteJSON(t *testing.T) {
 }
 
 func TestFindingString(t *testing.T) {
-	f := Finding{Rule: RuleDeterminism, File: "internal/sim/sim.go", Line: 42, Message: "time.Now in replay path"}
-	const want = "internal/sim/sim.go:42: [determinism] time.Now in replay path"
+	f := Finding{Rule: RuleStrayPrinting, File: "internal/sim/sim.go", Line: 42, Message: "fmt.Println in library code"}
+	const want = "internal/sim/sim.go:42: [stray-printing] fmt.Println in library code"
 	if got := f.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}

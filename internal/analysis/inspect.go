@@ -1,37 +1,19 @@
 package analysis
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/types"
+)
 
-// walkStack traverses root in source order invoking fn for every node
-// with the stack of enclosing nodes (outermost first, not including n
-// itself). The stdlib has no parent links on ast nodes; several rules
-// need "what context is this expression used in", which is exactly the
-// enclosing-node stack.
-func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node)) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		fn(n, stack)
-		stack = append(stack, n)
-		return true
-	})
-}
-
-// parent returns the immediate enclosing node, or nil at the root.
-func parent(stack []ast.Node) ast.Node {
-	if len(stack) == 0 {
-		return nil
+// calleeOf resolves the object a call expression invokes, seeing through
+// parenthesization. Returns nil for calls it cannot resolve (builtins,
+// function-typed variables, conversions).
+func calleeOf(pkg *Package, call *ast.CallExpr) types.Object {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		return pkg.Info.Uses[fun.Sel]
+	case *ast.Ident:
+		return pkg.Info.Uses[fun]
 	}
-	return stack[len(stack)-1]
-}
-
-// grandparent returns the second enclosing node, or nil.
-func grandparent(stack []ast.Node) ast.Node {
-	if len(stack) < 2 {
-		return nil
-	}
-	return stack[len(stack)-2]
+	return nil
 }

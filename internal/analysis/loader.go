@@ -31,8 +31,8 @@ type Package struct {
 	// (the rules still run on everything that resolved).
 	SoftErrors []error
 	// Universe links back to the run this package was loaded into, so
-	// whole-program rules (lock-order, goroutine-lifecycle) can reach the
-	// shared call-graph summaries from a per-package Check.
+	// the whole-program lock-order rule can reach every package's call
+	// graph from a per-package Check.
 	Universe *Universe
 }
 
@@ -45,8 +45,6 @@ type Universe struct {
 	Root string // filesystem root; finding paths are relative to it
 	Fset *token.FileSet
 	Pkgs []*Package // dependency (topological) order
-
-	sums *summaries // lazily built per-function summary layer
 }
 
 // skipDir reports directories never descended into: VCS and tool state,

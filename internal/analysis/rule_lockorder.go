@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -77,7 +78,7 @@ type lockOrderDecl struct {
 
 func (r *lockOrderRule) analyze(u *Universe) {
 	r.perPkg = map[*Package][]pendingFinding{}
-	s := u.summaries()
+	s := buildSummaries(u)
 	emit := func(pkg *Package, pos token.Pos, format string, args ...any) {
 		r.perPkg[pkg] = append(r.perPkg[pkg], pendingFinding{pos: pos, msg: fmt.Sprintf(format, args...)})
 	}
@@ -209,7 +210,7 @@ func (r *lockOrderRule) viaSuffix(u *Universe, e lockEdge) string {
 		return ""
 	}
 	p := u.Fset.Position(e.deepPos)
-	return fmt.Sprintf(" (via call to %s, which locks at %s:%d)", e.via, filepathBase(p.Filename), p.Line)
+	return fmt.Sprintf(" (via call to %s, which locks at %s:%d)", e.via, filepath.Base(p.Filename), p.Line)
 }
 
 // --- cycle detection --------------------------------------------------

@@ -4,17 +4,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// This file is the intra-module summary layer the whole-program rules
-// (lock-order, goroutine-lifecycle) share: one pass over
-// every type-checked function body extracts a resolved static call
-// graph, lock-acquisition facts and loop-termination facts. Because the
-// loader's chainImporter serves universe-internal imports from the
-// freshly checked packages, *types.Func objects are pointer-identical
-// across packages, so the graph spans the whole universe without any
-// name-based matching.
+// This file is the intra-module summary layer behind the whole-program
+// lock-order rule: one pass over every type-checked function body
+// extracts a resolved static call graph and lock-acquisition facts.
+// Because the loader's chainImporter serves universe-internal imports
+// from the freshly checked packages, *types.Func objects are
+// pointer-identical across packages, so the graph spans the whole
+// universe without any name-based matching.
 //
 // The facts are deliberately lexical: held-lock tracking follows source
 // order inside a body (a Lock pushes, the matching Unlock pops, a
@@ -52,43 +50,20 @@ type funcInfo struct {
 
 	acquires []lockAcq
 	calls    []callSite
-	badLoop  token.Pos // first loop/select that provably never exits (NoPos: none)
 
-	// Lazily memoised transitive facts (0 unset, 1 computing, 2 done).
-	mayAcqState  int
-	mayAcq       map[*types.Var]token.Pos
-	foreverState int
-	foreverPos   token.Pos
-	foreverChain []string
+	// Lazily memoised transitive fact (0 unset, 1 computing, 2 done).
+	mayAcqState int
+	mayAcq      map[*types.Var]token.Pos
 }
 
-// summaries is the universe-wide summary table, built once per Universe
-// and shared by every rule that needs the call graph.
+// summaries is the universe-wide summary table.
 type summaries struct {
-	u     *Universe
 	funcs map[*types.Func]*funcInfo
 	lits  map[*ast.FuncLit]*funcInfo
-	// goStmts records every go statement in non-main library code with
-	// the package it appears in, so the lifecycle rule does not re-walk.
-	goStmts []goSite
-}
-
-type goSite struct {
-	pkg  *Package
-	stmt *ast.GoStmt
-}
-
-// summaries returns the lazily built summary layer for this universe.
-func (u *Universe) summaries() *summaries {
-	if u.sums == nil {
-		u.sums = buildSummaries(u)
-	}
-	return u.sums
 }
 
 func buildSummaries(u *Universe) *summaries {
 	s := &summaries{
-		u:     u,
 		funcs: map[*types.Func]*funcInfo{},
 		lits:  map[*ast.FuncLit]*funcInfo{},
 	}
@@ -113,15 +88,10 @@ func buildSummaries(u *Universe) *summaries {
 			// not carry in. Nested literals each get their own entry; the
 			// enclosing body scan prunes them, so nothing double-counts.
 			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.FuncLit:
+				if lit, ok := n.(*ast.FuncLit); ok {
 					fi := &funcInfo{pkg: pkg, name: "func literal"}
-					scanBody(pkg, n.Body, fi)
-					s.lits[n] = fi
-				case *ast.GoStmt:
-					if !pkg.IsMain() {
-						s.goStmts = append(s.goStmts, goSite{pkg: pkg, stmt: n})
-					}
+					scanBody(pkg, lit.Body, fi)
+					s.lits[lit] = fi
 				}
 				return true
 			})
@@ -152,7 +122,7 @@ func funcName(fn *types.Func) string {
 
 // --- body scanning ---------------------------------------------------
 
-// scanBody fills fi's acquires, calls and badLoop facts from body.
+// scanBody fills fi's acquires and calls from body.
 func scanBody(pkg *Package, body *ast.BlockStmt, fi *funcInfo) {
 	var held []heldLock
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -192,19 +162,10 @@ func scanBody(pkg *Package, body *ast.BlockStmt, fi *funcInfo) {
 		return true
 	})
 
-	// Labels for labeled-break resolution, then loop facts.
-	labels := map[ast.Stmt]string{}
 	ast.Inspect(body, func(n ast.Node) bool {
-		if l, ok := n.(*ast.LabeledStmt); ok {
-			labels[l.Stmt] = l.Label.Name
-		}
-		return true
-	})
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
 		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
 		case *ast.ForStmt:
 			// Same-class locks taken inside a loop body without a
 			// matching release in the same iteration pile up across
@@ -212,21 +173,9 @@ func scanBody(pkg *Package, body *ast.BlockStmt, fi *funcInfo) {
 			// while lock N is held). The striped-filter reset pattern —
 			// lock all stripes ascending, then unlock — is exactly this
 			// and is sanctioned by annotation, not by silence.
-			for _, acq := range loopImbalance(pkg, n.Body) {
-				fi.acquires = append(fi.acquires, acq)
-			}
-			if n.Cond == nil && fi.badLoop == token.NoPos && !loopHasExit(pkg, n.Body, labels[n]) {
-				fi.badLoop = n.Pos()
-			}
+			fi.acquires = append(fi.acquires, loopImbalance(pkg, n.Body)...)
 		case *ast.RangeStmt:
-			for _, acq := range loopImbalance(pkg, n.Body) {
-				fi.acquires = append(fi.acquires, acq)
-			}
-		case *ast.SelectStmt:
-			// select{} blocks forever by definition.
-			if len(n.Body.List) == 0 && fi.badLoop == token.NoPos {
-				fi.badLoop = n.Pos()
-			}
+			fi.acquires = append(fi.acquires, loopImbalance(pkg, n.Body)...)
 		}
 		return true
 	})
@@ -383,76 +332,6 @@ func loopImbalance(pkg *Package, body ast.Node) []lockAcq {
 	return out
 }
 
-// --- loop termination ------------------------------------------------
-
-// loopHasExit reports whether an unconditional for-loop's body contains
-// a reachable way out: a return, a break that binds to this loop (or
-// names its label), a goto, or a terminating call (panic, os.Exit,
-// runtime.Goexit, log.Fatal*). Breaks inside nested for/range/select/
-// switch statements bind to those, not to this loop — the classic
-// leak-on-Close bug is `for { select { case <-stop: break } }`.
-func loopHasExit(pkg *Package, body *ast.BlockStmt, label string) bool {
-	exit := false
-	walkStack(body, func(n ast.Node, stack []ast.Node) {
-		if exit {
-			return
-		}
-		depth := 0
-		for _, a := range stack {
-			switch a.(type) {
-			case *ast.FuncLit:
-				return // a nested closure's returns do not exit this loop
-			case *ast.ForStmt, *ast.RangeStmt, *ast.SelectStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt:
-				depth++
-			}
-		}
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			exit = true
-		case *ast.BranchStmt:
-			switch n.Tok {
-			case token.BREAK:
-				if n.Label != nil {
-					if label != "" && n.Label.Name == label {
-						exit = true
-					}
-				} else if depth == 0 {
-					exit = true
-				}
-			case token.GOTO:
-				exit = true // conservatively assume the target leaves the loop
-			}
-		case *ast.CallExpr:
-			if isTerminalCall(pkg, n) {
-				exit = true
-			}
-		}
-	})
-	return exit
-}
-
-// isTerminalCall reports calls that never return.
-func isTerminalCall(pkg *Package, call *ast.CallExpr) bool {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := pkg.Info.Uses[id].(*types.Builtin); ok && b.Name() == "panic" {
-			return true
-		}
-	}
-	fn, ok := calleeOf(pkg, call).(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return false
-	}
-	switch fn.Pkg().Path() {
-	case "os":
-		return fn.Name() == "Exit"
-	case "runtime":
-		return fn.Name() == "Goexit"
-	case "log":
-		return strings.HasPrefix(fn.Name(), "Fatal") || strings.HasPrefix(fn.Name(), "Panic")
-	}
-	return false
-}
-
 // --- transitive closures ---------------------------------------------
 
 // mayAcquire returns every lock class fn (or anything it statically
@@ -488,39 +367,4 @@ func (s *summaries) mayAcquire(fn *types.Func) map[*types.Var]token.Pos {
 	fi.mayAcq = out
 	fi.mayAcqState = 2
 	return out
-}
-
-// foreverOf reports whether fi can never exit once entered: it contains
-// a no-exit unconditional loop, or (transitively) calls a function that
-// does. The chain names the calls from fi down to the looping function.
-func (s *summaries) foreverOf(fi *funcInfo) (token.Pos, []string) {
-	if fi.badLoop != token.NoPos {
-		return fi.badLoop, nil
-	}
-	for _, c := range fi.calls {
-		if pos, chain := s.loopsForever(c.callee); pos != token.NoPos {
-			return pos, append([]string{funcName(c.callee)}, chain...)
-		}
-	}
-	return token.NoPos, nil
-}
-
-// loopsForever is foreverOf keyed by *types.Func, memoised, with a
-// cycle guard (recursion is not a proof of non-termination).
-func (s *summaries) loopsForever(fn *types.Func) (token.Pos, []string) {
-	fi := s.funcs[fn]
-	if fi == nil {
-		return token.NoPos, nil
-	}
-	switch fi.foreverState {
-	case 2:
-		return fi.foreverPos, fi.foreverChain
-	case 1:
-		return token.NoPos, nil
-	}
-	fi.foreverState = 1
-	pos, chain := s.foreverOf(fi)
-	fi.foreverPos, fi.foreverChain = pos, chain
-	fi.foreverState = 2
-	return pos, chain
 }

@@ -12,4 +12,6 @@ func mixed(n int) {
 	fmt.Println("quiet inline") //lint:ignore sclint/stray-printing fixture: trailing form covers its own line
 	//lint:ignore sclint/stray-printing
 	fmt.Println("still loud") // want stray-printing (directive above has no reason)
+	//lint:ignore sclint/determinism fixture: naming a rule the suite does not have is itself a finding
+	n++
 }

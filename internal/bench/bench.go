@@ -214,7 +214,6 @@ func (tb *testbed) get(p *httpproxy.Proxy, target string) (time.Duration, error)
 // getURL issues one pre-built proxy request and returns its latency; the
 // synthetic client loop keeps each URL it builds so a revisit reuses it.
 func (tb *testbed) getURL(u string) (time.Duration, error) {
-	//lint:ignore sclint/determinism latency measurement is the benchmark's output, not a replayed decision
 	start := time.Now()
 	resp, err := tb.client.Get(u)
 	if err != nil {
@@ -230,7 +229,6 @@ func (tb *testbed) getURL(u string) (time.Duration, error) {
 	if resp.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("bench: proxy status %d for %s", resp.StatusCode, u)
 	}
-	//lint:ignore sclint/determinism per-request wall latency is the benchmark's measured output
 	return time.Since(start), nil
 }
 
@@ -322,7 +320,6 @@ func RunSynthetic(cfg SyntheticConfig) (Result, error) {
 	// Every client is spawned: start the clocks and release
 	// them in unison.
 	cpuStart := ReadCPU()
-	//lint:ignore sclint/determinism wall-clock throughput is the benchmark's measured output
 	wallStart := time.Now()
 	close(start)
 	wg.Wait()
@@ -331,7 +328,6 @@ func RunSynthetic(cfg SyntheticConfig) (Result, error) {
 		return Result{}, err
 	}
 
-	//lint:ignore sclint/determinism wall-clock run time is the benchmark's measured output
 	res := Result{Mode: cfg.Mode, Wall: time.Since(wallStart)}
 	res.CPU = ReadCPU().Sub(cpuStart)
 	res.MeanLatency = lat.Mean()
@@ -441,7 +437,6 @@ func RunReplay(cfg ReplayConfig) (Result, error) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, cfg.Workers)
 	cpuStart := ReadCPU()
-	//lint:ignore sclint/determinism wall-clock throughput is the benchmark's measured output
 	wallStart := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
 		if len(queues[w]) == 0 {
@@ -468,7 +463,6 @@ func RunReplay(cfg ReplayConfig) (Result, error) {
 		return Result{}, err
 	}
 
-	//lint:ignore sclint/determinism wall-clock run time is the benchmark's measured output
 	res := Result{Mode: cfg.Mode, Wall: time.Since(wallStart)}
 	res.CPU = ReadCPU().Sub(cpuStart)
 	res.MeanLatency = lat.Mean()

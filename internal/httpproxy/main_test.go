@@ -1,0 +1,9 @@
+package httpproxy
+
+import (
+	"testing"
+
+	"summarycache/internal/testutil/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

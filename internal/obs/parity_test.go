@@ -42,9 +42,9 @@ func scrapeFamilies(t *testing.T, reg *Registry) map[string]bool {
 }
 
 // TestStatsScrapeParity pins the registration==exposition invariant from
-// the other side of sclint's stats-drift rule: every name the registry
-// has ever seen appears in a /metrics scrape, and the scrape invents no
-// families the registry does not know about. A metric silently dropped
+// the other side of httpproxy's TestMetricsScrapeMatchesStats: every name
+// the registry has ever seen appears in a /metrics scrape, and the scrape
+// invents no families the registry does not know about. A metric silently dropped
 // from the exposition path (or leaked into it) fails here.
 func TestStatsScrapeParity(t *testing.T) {
 	reg := NewRegistry()

@@ -39,6 +39,29 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	reg.Gauge("z_total", "z", nil)
 }
 
+// TestRegistryFuncSeriesRefuseInstrument: a series read at scrape time
+// is not an instrument the registry owns, so asking for one in its place
+// panics instead of handing back a counter or gauge nothing exposes.
+// httpproxy's scrape-vs-Stats test tells the two kinds apart this way.
+func TestRegistryFuncSeriesRefuseInstrument(t *testing.T) {
+	reg := NewRegistry()
+	reg.CounterFunc("fc_total", "fc", L("a", "1"), func() uint64 { return 1 })
+	reg.GaugeFunc("fg", "fg", L("a", "1"), func() float64 { return 1 })
+	for name, get := range map[string]func(){
+		"Counter": func() { reg.Counter("fc_total", "fc", L("a", "1")) },
+		"Gauge":   func() { reg.Gauge("fg", "fg", L("a", "1")) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a func-backed series should panic", name)
+				}
+			}()
+			get()
+		}()
+	}
+}
+
 // TestRegistryConcurrency exercises registration, updates and exposition
 // from many goroutines at once; run under -race it is the registry's
 // thread-safety proof.

@@ -1,0 +1,9 @@
+package perfwatch
+
+import (
+	"testing"
+
+	"summarycache/internal/testutil/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -1,0 +1,9 @@
+package persist
+
+import (
+	"testing"
+
+	"summarycache/internal/testutil/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"summarycache/internal/core"
 	"summarycache/internal/hashing"
@@ -334,7 +335,8 @@ func TestCheckpointPrunes(t *testing.T) {
 	}
 }
 
-// TestFsyncPolicies: always syncs per append; never leaves it to close.
+// TestFsyncPolicies: always syncs per append; interval syncs on its
+// ticker and stops it at close; never leaves it to close.
 func TestFsyncPolicies(t *testing.T) {
 	always, err := Open(Config{Dir: t.TempDir(), Fsync: FsyncAlways})
 	if err != nil {
@@ -354,6 +356,24 @@ func TestFsyncPolicies(t *testing.T) {
 	}
 	if got := always.Stats().JournalFsyncs; got != 3 {
 		t.Fatalf("always: %d fsyncs, want 3", got)
+	}
+
+	interval, err := Open(Config{Dir: t.TempDir(), Fsync: FsyncInterval, FsyncInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer interval.Close()
+	mustRecover(t, interval)
+	if err := interval.Checkpoint(SnapshotData{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := interval.AppendInsert("k", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); interval.Stats().JournalFsyncs == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("interval: the ticker never synced the appended record")
+		}
 	}
 
 	never := openStore(t, t.TempDir())

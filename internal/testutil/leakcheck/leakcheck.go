@@ -10,6 +10,10 @@
 //		...
 //	}
 //
+// or once per package, covering every test, from TestMain:
+//
+//	func TestMain(m *testing.M) { leakcheck.Main(m) }
+//
 // Goroutines belonging to the runtime, the testing framework, or
 // net/http's shared transport pool are filtered as benign; everything
 // else that outlives the test is reported with its full stack.
@@ -17,6 +21,7 @@ package leakcheck
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -57,6 +62,26 @@ func Check(t testing.TB, snap Snapshot) {
 	for _, g := range leaked {
 		t.Errorf("leaked goroutine %d [%s]:\n%s", g.id, g.state, g.stack)
 	}
+}
+
+// Main runs a package's tests and exits with their status, or non-zero
+// when a goroutine they started outlives them all: it snapshots the
+// goroutines before m.Run, waits out shutdown as Check does, and prints
+// every survivor's stack to stderr. Call it from TestMain.
+func Main(m *testing.M) {
+	snap := Take()
+	code := m.Run()
+	leaked := wait(snap, 5*time.Second)
+	for _, g := range leaked {
+		fmt.Fprintf(os.Stderr, "leaked goroutine %d [%s]:\n%s\n\n", g.id, g.state, g.stack)
+	}
+	if len(leaked) > 0 {
+		fmt.Fprintf(os.Stderr, "FAIL: leakcheck: %d goroutine(s) outlived the package's tests\n", len(leaked))
+		if code == 0 {
+			code = 1
+		}
+	}
+	os.Exit(code)
 }
 
 // wait polls with backoff until no leaks remain or the deadline passes,

@@ -1,10 +1,16 @@
 package leakcheck
 
 import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
 )
+
+func TestMain(m *testing.M) { Main(m) }
 
 func TestParseBlock(t *testing.T) {
 	cases := []struct {
@@ -64,6 +70,33 @@ func TestDetectsLeak(t *testing.T) {
 	if leaked := wait(snap, 2*time.Second); len(leaked) != 0 {
 		t.Errorf("leak still reported after goroutine exit: %+v", leaked)
 	}
+}
+
+// TestMainFailsOnLeak runs TestLeakForMain in a child test process: the
+// goroutine it leaves behind must make Main print its stack and exit
+// non-zero although the test itself passed.
+func TestMainFailsOnLeak(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=^TestLeakForMain$")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("child exited with %v, want a non-zero status:\n%s", err, out)
+	}
+	for _, want := range []string{"PASS\n", "leakcheck.TestLeakForMain", "FAIL: leakcheck: 1 goroutine(s) outlived the package's tests"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("child output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestLeakForMain leaks a goroutine parked on a channel nothing closes. It
+// runs only when asked for by name, as TestMainFailsOnLeak does.
+func TestLeakForMain(t *testing.T) {
+	if flag.Lookup("test.run").Value.String() != "^TestLeakForMain$" {
+		t.Skip("run only as TestMainFailsOnLeak's child")
+	}
+	block := make(chan struct{})
+	go func() { <-block }()
 }
 
 // TestWaitRidesOutSlowShutdown: a goroutine that exits shortly after
