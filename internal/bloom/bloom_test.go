@@ -252,6 +252,31 @@ func TestCountingUnderflowIgnored(t *testing.T) {
 	}
 }
 
+// TestRemoveUnderflowSaturates pins the underflow guard: decrementing a
+// counter already at zero is a counted no-op, never a wrap to cmax that
+// would assert membership for unrelated keys. The double removal here is a
+// caller breaking delete-after-insert discipline.
+func TestRemoveUnderflowSaturates(t *testing.T) {
+	c := MustNewCountingFilter(256, 4, testSpec)
+	c.Add("doc", nil)
+	c.Remove("doc", nil)
+	if got := c.Underflows(); got != 0 {
+		t.Fatalf("clean add/remove recorded %d underflows", got)
+	}
+	c.Remove("doc", nil) // double-applied removal
+	if got := c.Underflows(); got == 0 {
+		t.Fatal("double removal recorded no underflows")
+	}
+	if c.Test("doc") {
+		t.Fatal("underflow wrapped a counter: phantom membership")
+	}
+	for i := uint64(0); i < c.Size(); i++ {
+		if v, _ := c.Count(i); v != 0 {
+			t.Fatalf("counter %d nonzero (%d) after underflow", i, v)
+		}
+	}
+}
+
 func TestCountingCountAccess(t *testing.T) {
 	c := MustNewCountingFilter(128, 4, testSpec)
 	if _, err := c.Count(128); err != ErrIndexRange {

@@ -35,7 +35,7 @@ const journalRetainCap = 1 << 16
 // concurrent use.
 //
 // Concurrency: counters live in atomic words read lock-free by Test; every
-// writer (Add, Remove, Reset, RestoreState, DrainJournal) holds one mutex.
+// writer (Add, Remove, Reset, DrainJournal) holds one mutex.
 // A cache's writers already arrive one at a time, so finer locking would buy
 // no parallelism. When journaling is enabled (EnableJournal), each bit
 // transition is appended to the one flip journal under that mutex, so the
@@ -219,9 +219,7 @@ func (c *CountingFilter) Remove(key string, flips []Flip) []Flip {
 		default:
 			// v == 0: underflow attempt. Saturate at zero — wrapping to
 			// cmax would assert membership for up to perWord unrelated
-			// keys. Crash recovery hits this legitimately: the journal
-			// overlap window can double-apply an eviction (restore +
-			// replay), and the second decrement must be a counted no-op.
+			// keys.
 			c.underflows.Add(1)
 		}
 	}
@@ -281,10 +279,9 @@ func (c *CountingFilter) FillRatio() float64 {
 func (c *CountingFilter) Saturations() uint64 { return c.saturations.Load() }
 
 // Underflows returns how many decrement attempts found a zero counter and
-// were saturated at zero instead of wrapping. Steady-state operation keeps
-// this at 0 (the cache guarantees delete-after-insert discipline); crash
-// recovery may raise it when the journal's overlap window double-applies
-// an eviction.
+// were saturated at zero instead of wrapping. A caller that keeps
+// delete-after-insert discipline (the cache does) keeps it at 0; anything
+// else counts a removal of a key that was not there.
 func (c *CountingFilter) Underflows() uint64 { return c.underflows.Load() }
 
 // BitFilter materializes the derived plain filter (bit i set iff counter i

@@ -149,32 +149,25 @@ func (d *Directory) FilterSnapshot() []byte {
 	return d.counting.BitFilter().Snapshot()
 }
 
-// StateSnapshot serializes the directory's counting filter (counter
-// words, entry count, saturation state) for warm-restart persistence.
-// Under concurrent writers the capture is weakly consistent; journal
-// replay and the protocol's tolerance of summary slop absorb the skew.
-func (d *Directory) StateSnapshot() []byte {
-	return d.counting.StateSnapshot()
-}
-
-// RestoreState loads a StateSnapshot blob taken by a previous run,
-// replacing the directory's contents. The blob's filter geometry must
-// match this directory's configuration (ErrStateMismatch otherwise — the
-// caller then rebuilds by re-inserting the restored keys instead). The
-// document count comes back with the filter's entry accounting; the
-// publication journal restarts empty, as a recovered node re-announces
-// full state anyway.
-func (d *Directory) RestoreState(data []byte) error {
-	if err := d.counting.RestoreState(data); err != nil {
-		return err
+// Equal reports whether o summarizes the same documents as d, counter for
+// counter: the same geometry, document count and counter words. Under
+// concurrent writers the comparison is weakly consistent.
+func (d *Directory) Equal(o *Directory) bool {
+	a, b := d.counting, o.counting
+	if a.m != b.m || a.cbits != b.cbits || a.Spec() != b.Spec() || a.Entries() != b.Entries() {
+		return false
 	}
-	d.newDocs.Store(0)
-	return nil
+	for i := range a.counters {
+		if a.counters[i].Load() != b.counters[i].Load() {
+			return false
+		}
+	}
+	return true
 }
 
 // Underflows reports decrement attempts that found a zero counter (see
-// CountingFilter.Underflows) — nonzero only when crash recovery
-// double-applied an eviction in the journal's overlap window.
+// CountingFilter.Underflows). Fed by the cache's ordered change stream, and
+// rebuilt from the cache's keys on a warm restart, the directory keeps it 0.
 func (d *Directory) Underflows() uint64 { return d.counting.Underflows() }
 
 // Saturations reports increments that found a saturated counter (see

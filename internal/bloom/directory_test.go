@@ -122,7 +122,8 @@ func TestDirectoryEmptyStartPublishes(t *testing.T) {
 }
 
 // TestDirectoryFloorAndRestore: MinPending holds a due threshold until enough flips
-// are pending, and a restored directory starts with nothing new.
+// are pending, and a directory rebuilt from the same keys and drained, as a
+// warm restart rebuilds one, equals it and has nothing due.
 func TestDirectoryFloorAndRestore(t *testing.T) {
 	d, err := NewDirectory(DirectoryConfig{ExpectedDocs: 1000, UpdateThreshold: 0.01, MinPending: 9})
 	if err != nil {
@@ -139,14 +140,58 @@ func TestDirectoryFloorAndRestore(t *testing.T) {
 	if !d.ShouldPublish() {
 		t.Fatalf("held with %d flips pending, floor 9", d.PendingFlips())
 	}
-	restored, err := NewDirectory(DirectoryConfig{ExpectedDocs: 1000, UpdateThreshold: 0.01})
+	rebuilt, err := NewDirectory(DirectoryConfig{ExpectedDocs: 1000, UpdateThreshold: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := restored.RestoreState(d.StateSnapshot()); err != nil {
+	rebuilt.Insert("http://a/")
+	rebuilt.Insert("http://b/")
+	for i := 0; rebuilt.Docs() < d.Docs(); i++ {
+		rebuilt.Insert(fmt.Sprintf("http://c/%d", i))
+	}
+	if !rebuilt.ShouldPublish() {
+		t.Fatal("a rebuild is due before its drain")
+	}
+	rebuilt.Drain()
+	if !rebuilt.Equal(d) || rebuilt.ShouldPublish() || rebuilt.PendingFlips() != 0 {
+		t.Fatalf("rebuilt: equal %v, %d docs (want %d), due %v, %d flips pending",
+			rebuilt.Equal(d), rebuilt.Docs(), d.Docs(), rebuilt.ShouldPublish(), rebuilt.PendingFlips())
+	}
+}
+
+// TestDirectoryEqual: Equal compares counters, not only bits — two
+// directories whose bit arrays agree but whose counts differ are unequal.
+func TestDirectoryEqual(t *testing.T) {
+	cfg := DirectoryConfig{ExpectedDocs: 100}
+	a, err := NewDirectory(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Docs() != d.Docs() || restored.ShouldPublish() {
-		t.Fatalf("restored: %d docs (want %d), due %v", restored.Docs(), d.Docs(), restored.ShouldPublish())
+	b, err := NewDirectory(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Insert("http://x/")
+	b.Insert("http://x/")
+	if !a.Equal(b) {
+		t.Fatal("same documents, unequal")
+	}
+	// One counter apart: the same bits and the same document count.
+	i := b.counting.indexes(nil, "http://x/")[0]
+	b.counting.mu.Lock()
+	b.counting.setLocked(i, 2)
+	b.counting.mu.Unlock()
+	if string(a.FilterSnapshot()) != string(b.FilterSnapshot()) || a.Docs() != b.Docs() {
+		t.Fatal("set-up: the bit arrays or document counts differ")
+	}
+	if a.Equal(b) {
+		t.Fatal("different counters compare equal")
+	}
+	other, err := NewDirectory(DirectoryConfig{ExpectedDocs: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Equal(other) {
+		t.Fatal("different geometries compare equal")
 	}
 }

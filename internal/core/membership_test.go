@@ -281,14 +281,14 @@ func TestRecoveredReplicaWaitsForAddPeer(t *testing.T) {
 	b.HandleInsert(url)
 	b.PublishNow()
 	waitFor(t, "b's summary at a", func() bool { return len(a.Candidates(url)) == 1 })
-	dir, saved := a.ExportState()
+	saved := a.ExportState()
 	if len(saved) != 1 || saved[0].Peer != b.Addr().String() {
 		t.Fatalf("exported replicas %+v, want b's", saved)
 	}
 	stranger := saved[0]
 	stranger.Peer = "127.0.0.1:9"
 	a2 := node()
-	a2.Recover(dir, nil, func() []string { return nil }, append(saved, stranger))
+	a2.Recover(nil, append(saved, stranger))
 
 	if got := a2.Candidates(url); len(got) != 0 {
 		t.Fatalf("candidates before AddPeer = %v, want none", got)
@@ -306,11 +306,61 @@ func TestRecoveredReplicaWaitsForAddPeer(t *testing.T) {
 	if got := a2.Candidates(url); !slices.Equal(got, []string{b.Addr().String()}) {
 		t.Fatalf("candidates after AddPeer = %v, want b", got)
 	}
-	if _, again := a2.ExportState(); len(again) != 1 || again[0].Peer != b.Addr().String() {
+	if again := a2.ExportState(); len(again) != 1 || again[0].Peer != b.Addr().String() {
 		t.Fatalf("exported after restart: %+v, want only b's replica", again)
 	}
 	if st := a2.Stats(); st.FilterRebuilds != 1 {
 		t.Fatalf("filter rebuilds = %d, want the one restored replica", st.FilterRebuilds)
+	}
+}
+
+// TestRecoverRebuildsFromKeys: Recover rebuilds the directory from the
+// cache's keys with nothing left pending, and re-peering ships that state
+// once, as a full update, with no delta repeating it.
+func TestRecoverRebuildsFromKeys(t *testing.T) {
+	dirCfg := bloom.DirectoryConfig{ExpectedDocs: 100, MinPending: 1}
+	node := func() *Node {
+		n, err := NewNode(NodeConfig{
+			ListenAddr:   "127.0.0.1:0",
+			Directory:    dirCfg,
+			HasDocument:  func(string) bool { return false },
+			QueryTimeout: 200 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	keys := []string{"http://saved/1", "http://saved/2", "http://saved/3"}
+	a, b := node(), node()
+	a.Recover(keys, nil)
+	rebuilt, err := bloom.NewDirectory(dirCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		rebuilt.Insert(k)
+	}
+	dir := a.Directory()
+	if !dir.Equal(rebuilt) || dir.PendingFlips() != 0 || dir.ShouldPublish() {
+		t.Fatalf("recovered directory: equal %v, %d flips pending, due %v",
+			dir.Equal(rebuilt), dir.PendingFlips(), dir.ShouldPublish())
+	}
+	if err := b.AddPeer(a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddPeer(b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a's summary at b", func() bool {
+		_, bits := replicaState(b, a.Addr())
+		return bytes.Equal(bits, dir.FilterSnapshot())
+	})
+	a.PublishNow()
+	if st := a.Stats(); st.UpdatesSent != 1 || st.UpdateFullBytes == 0 || st.UpdateDeltaBytes != 0 || st.Recoveries != 1 {
+		t.Fatalf("sent %d updates (full %d B, delta %d B), %d recoveries; want one full update after one recovery",
+			st.UpdatesSent, st.UpdateFullBytes, st.UpdateDeltaBytes, st.Recoveries)
 	}
 }
 

@@ -127,8 +127,8 @@ type NodeStats struct {
 	FilterRebuilds   uint64 // peer replicas created, re-created or reset
 	Recoveries       uint64 // warm-restart recoveries applied to this node
 	// DirectoryUnderflows counts directory removals that found a zero
-	// counter (Directory.Underflows). An ordered cache change stream keeps
-	// it 0; only crash recovery's journal overlap window may raise it.
+	// counter (Directory.Underflows). The cache's ordered change stream,
+	// and a warm restart's rebuild from the cache's keys, keep it 0.
 	DirectoryUnderflows uint64
 	// QueryRTTSeconds summarizes the Lookup ICP fan-out round-trip-time
 	// histogram (summarycache_node_query_rtt_seconds).
@@ -585,57 +585,42 @@ func (n *Node) ResyncPeers() error {
 	return firstErr
 }
 
-// ExportState returns what a warm restart needs to restore this node: the
-// directory's counting filter (Directory.StateSnapshot) and the registered
-// peers' replicas, in registration order. A query-all node keeps neither.
-func (n *Node) ExportState() (directory []byte, replicas []ReplicaState) {
+// ExportState returns what a warm restart needs that the cache cannot
+// rebuild: the registered peers' replicas, in registration order. A
+// query-all node keeps none.
+func (n *Node) ExportState() []ReplicaState {
 	if n.cfg.QueryAll {
-		return nil, nil
+		return nil
 	}
 	n.mu.RLock()
+	defer n.mu.RUnlock()
+	var replicas []ReplicaState
 	for _, p := range n.members {
 		if p.rep.filter != nil {
 			replicas = append(replicas, p.rep.snapshot(p.id))
 		}
 	}
-	n.mu.RUnlock()
-	return n.dir.StateSnapshot(), replicas
+	return replicas
 }
 
-// Recover installs the state ExportState saved before a restart, before the
-// node's first lookup and before its first AddPeer. directory is restored
-// and then the documents in removed, which left the cache after it was
-// saved, are taken out; when it is missing or does not fit this directory's
-// geometry, the directory is rebuilt from keys, the documents the cache
-// readmitted, instead. Each saved replica waits for AddPeer to register its
-// peer; until then it answers no lookup, and one never claimed is not
-// exported again. summarycache_node_recoveries_total counts the recovery. A
-// query-all node keeps no summary and only counts it.
-func (n *Node) Recover(directory []byte, removed []string, keys func() []string, replicas []ReplicaState) {
+// Recover installs a warm restart's state before the node's first lookup
+// and before its first AddPeer. The directory is rebuilt from keys, the
+// documents the cache readmitted, and its journal is drained: AddPeer ships
+// each peer the rebuilt state in one full update, so no delta repeats it.
+// Each saved replica waits for AddPeer to register its peer; until then it
+// answers no lookup, and one never claimed is not exported again.
+// summarycache_node_recoveries_total counts the recovery. A query-all node
+// keeps no summary and only counts it.
+func (n *Node) Recover(keys []string, replicas []ReplicaState) {
 	n.metrics.recoveries.Inc()
-	n.log.Info("node recovered from snapshot", "replicas", len(replicas))
+	n.log.Info("node recovered from snapshot", "docs", len(keys), "replicas", len(replicas))
 	if n.cfg.QueryAll {
 		return
 	}
-	restored := false
-	if directory != nil {
-		err := n.dir.RestoreState(directory)
-		restored = err == nil
-		if err != nil {
-			n.log.Warn("directory state not restorable; rebuilding from keys", "err", err)
-		}
+	for _, key := range keys {
+		n.dir.Insert(key)
 	}
-	if restored {
-		// The counting filter's underflow guard absorbs a removal the
-		// snapshot already reflects (the journal's overlap window).
-		for _, key := range removed {
-			n.dir.Remove(key)
-		}
-	} else {
-		for _, key := range keys() {
-			n.dir.Insert(key)
-		}
-	}
+	n.dir.Drain()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for _, st := range replicas {

@@ -190,7 +190,7 @@ func TestGatedSocketNeverBlocksPuts(t *testing.T) {
 		rebuilt.Insert(k)
 	}
 	live := sender.Directory()
-	if live.Docs() != len(cached) || !bytes.Equal(live.StateSnapshot(), rebuilt.StateSnapshot()) {
+	if live.Docs() != len(cached) || !live.Equal(rebuilt) {
 		t.Fatalf("directory (%d docs) differs from one rebuilt from the cache's %d keys", live.Docs(), len(cached))
 	}
 	if u := sender.Stats().DirectoryUnderflows; u != 0 {

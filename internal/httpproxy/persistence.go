@@ -1,7 +1,6 @@
 package httpproxy
 
 import (
-	"slices"
 	"time"
 
 	"summarycache/internal/obs"
@@ -9,11 +8,11 @@ import (
 )
 
 // startPersistence opens the persist store, recovers whatever a previous
-// run left behind, installs it (cache bodies, directory filter, peer
-// replicas), takes a fresh boot checkpoint, and starts the periodic
-// snapshot loop. Called from Start with the protocol endpoint already
-// up; a persistence failure fails the boot — a proxy asked to be durable
-// must not come up silently amnesiac.
+// run left behind, installs it (cache bodies, peer replicas) and rebuilds
+// the directory from the restored cache, takes a fresh boot checkpoint,
+// and starts the periodic snapshot loop. Called from Start with the
+// protocol endpoint already up; a persistence failure fails the boot — a
+// proxy asked to be durable must not come up silently amnesiac.
 func (p *Proxy) startPersistence(reg *obs.Registry, labels obs.Labels) error {
 	if p.cfg.Persist == nil {
 		return nil
@@ -54,16 +53,13 @@ func (p *Proxy) startPersistence(reg *obs.Registry, labels obs.Labels) error {
 }
 
 // installRecovered loads recovered state into the live structures:
-// documents into the cache, the counting filter into the directory (with
-// journal-replay removals applied), and the persisted peer replicas, which
-// wait for AddPeer to register their peers.
+// documents into the cache, then the directory rebuilt from the documents
+// the cache readmitted, and the persisted peer replicas, which wait for
+// AddPeer to register their peers.
 func (p *Proxy) installRecovered(rec *persist.Recovered) {
-	_, dropped := p.cache.Restore(rec.Entries)
+	p.restored, _ = p.cache.Restore(rec.Entries)
 	if p.node != nil {
-		// The saved directory claims the snapshot's documents: retire the
-		// ones the journal evicted or staled (rec.Removed) and the ones the
-		// current cache geometry could not readmit (dropped).
-		p.node.Recover(rec.Directory, slices.Concat(rec.Removed, dropped), p.cache.Keys, rec.Replicas)
+		p.node.Recover(p.cache.Keys(), rec.Replicas)
 	}
 }
 
@@ -94,7 +90,7 @@ func (p *Proxy) registerPersistMetrics(reg *obs.Registry, labels obs.Labels) {
 		func() uint64 { return p.store.Stats().JournalErrors })
 	reg.GaugeFunc("summarycache_persist_recovered_entries",
 		"documents reinstalled by this boot's warm recovery", labels,
-		func() float64 { return float64(p.recovery.Entries) })
+		func() float64 { return float64(p.restored) })
 }
 
 // captureSnapshot assembles one checkpoint's state from the live
@@ -104,7 +100,7 @@ func (p *Proxy) registerPersistMetrics(reg *obs.Registry, labels obs.Labels) {
 func (p *Proxy) captureSnapshot() persist.SnapshotData {
 	data := persist.SnapshotData{Entries: p.cache.Entries()}
 	if p.node != nil {
-		data.Directory, data.Replicas = p.node.ExportState()
+		data.Replicas = p.node.ExportState()
 	}
 	return data
 }

@@ -355,6 +355,7 @@ type Proxy struct {
 	// Warm-restart persistence (nil store: disabled).
 	store       *persist.Store
 	recovery    persist.RecoveryStats
+	restored    int           // recovered documents the cache readmitted
 	snapStop    chan struct{} // nil: no periodic snapshot loop
 	snapDone    chan struct{}
 	persistOnce sync.Once // shutdownPersist runs at most once
@@ -742,7 +743,7 @@ func (p *Proxy) MeshReport() meshhealth.Report {
 	rep.Local.LastAdvertAgeMS = -1
 	if p.recovery.Recovered {
 		rep.Local.Recoveries = 1 // refined from node accounting below
-		rep.Local.RecoveredEntries = p.recovery.Entries
+		rep.Local.RecoveredEntries = p.restored
 	}
 	if p.node != nil {
 		rep.Node = p.node.Addr().String()

@@ -400,11 +400,11 @@ func (c *Cache) Entries() []Entry {
 
 // Restore bulk-loads entries captured by Entries on a previous run,
 // given most-recently-used first — the warm-restart boot path. It reports
-// nothing to OnChange (recovery reconciles the directory itself) and never
-// evicts: when the snapshot does not fit the current capacity or
+// nothing to OnChange (the caller rebuilds its directory from Keys after)
+// and never evicts: when the snapshot does not fit the current capacity or
 // object-size limit, the least recently used entries are the ones
-// dropped, and their keys are returned so the caller can reconcile the
-// restored directory. Restored entries rank above anything already
+// dropped. It returns how many entries the cache holds from the snapshot
+// and the keys it dropped. Restored entries rank above anything already
 // cached. Keys already present are left untouched and count as stored.
 func (c *Cache) Restore(entries []Entry) (stored int, dropped []string) {
 	c.wmu.Lock()

@@ -12,17 +12,17 @@ import (
 // fuzzGen is the generation every snapshot seed is written and decoded at.
 const fuzzGen = 3
 
-// snapshotSeeds are encodeSnapshot images from empty to every frame kind.
-func snapshotSeeds() [][]byte {
+// snapshotSeeds are encodeSnapshot images from empty to every frame kind,
+// and a snapshot with the directory frame older versions wrote.
+func snapshotSeeds(t testing.TB) [][]byte {
 	full := SnapshotData{
-		Entries:   []lru.Entry{entry(1), {Key: "http://origin/empty", Size: 0, Version: -1}},
-		Directory: []byte("dirblob"),
+		Entries: []lru.Entry{entry(1), {Key: "http://origin/empty", Size: 0, Version: -1}},
 		Replicas: []core.ReplicaState{{
 			Peer: "127.0.0.1:4001", Spec: hashing.DefaultSpec,
 			Bits: 64, Generation: 9, Filter: []byte{0xA5, 0, 0, 0, 0, 0, 0, 1},
 		}},
 	}
-	return [][]byte{encodeSnapshot(fuzzGen, SnapshotData{}), encodeSnapshot(fuzzGen, full)}
+	return [][]byte{encodeSnapshot(fuzzGen, SnapshotData{}), encodeSnapshot(fuzzGen, full), legacySnapshot(t)}
 }
 
 // journalSeed is a journal image as Store.append writes it.
@@ -50,7 +50,7 @@ func addDamaged(f *testing.F, img []byte) {
 // FuzzDecodeSnapshot: decodeSnapshot never panics, and a snapshot it
 // accepts re-encodes to an image that decodes to the same state.
 func FuzzDecodeSnapshot(f *testing.F) {
-	for _, img := range snapshotSeeds() {
+	for _, img := range snapshotSeeds(f) {
 		addDamaged(f, img)
 	}
 	f.Add([]byte{})

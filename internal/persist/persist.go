@@ -1,8 +1,9 @@
 // Package persist implements warm restarts: a crash-consistent binary
-// snapshot of a proxy's cache state — the LRU entries (keys, bodies,
-// recency order), the local counting filter, and the per-peer replica
-// filters — plus an append-only journal of cache mutations, so hot-path
-// writes cost O(one record), never O(filter).
+// snapshot of what a proxy cannot derive — the LRU entries (keys, bodies,
+// recency order) and the per-peer replica filters — plus an append-only
+// journal of cache mutations, so hot-path writes cost O(one record), never
+// O(cache). The local directory summary is not saved: the caller rebuilds
+// it from the recovered cache.
 //
 // On-disk layout (all files length+CRC framed, see journal.go):
 //
@@ -15,14 +16,14 @@
 // the capture therefore appear in BOTH snap-<g+1> and jrnl-<g+1> — the
 // overlap window. Replay is idempotent against it: re-inserting a
 // present key at the same version is a no-op, and evicting an absent
-// key is a counted no-op (the counting filter's underflow guard makes
-// the corresponding decrement saturate at zero).
+// key is a counted no-op.
 //
 // Recovery loads the newest snapshot that validates end-to-end, then
 // replays every journal of that generation and newer, tolerating a torn
 // or corrupt tail (the expected shape of a crash). The caller installs
-// the result and re-announces a reset-flagged full DIRUPDATE so
-// siblings converge bit-exactly on the restored state.
+// the result, rebuilds its directory from the cache it restored, and
+// re-announces a reset-flagged full DIRUPDATE so siblings converge
+// bit-exactly on it.
 package persist
 
 import (
@@ -108,10 +109,6 @@ type SnapshotData struct {
 	// Entries is the cache content, most recently used first
 	// (lru.Cache.Entries order), bodies included.
 	Entries []lru.Entry
-	// Directory is the local counting filter's serialized state
-	// (bloom.Directory.StateSnapshot); nil when the proxy runs without a
-	// summary directory.
-	Directory []byte
 	// Replicas are the peer summary replicas (core.Node.ExportState).
 	Replicas []core.ReplicaState
 }

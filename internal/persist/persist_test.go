@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"summarycache/internal/bloom"
 	"summarycache/internal/core"
 	"summarycache/internal/hashing"
 	"summarycache/internal/lru"
@@ -42,8 +43,7 @@ func mustRecover(t *testing.T, s *Store) *Recovered {
 }
 
 // TestCheckpointRecoverRoundTrip: snapshot + journal replay reproduces
-// entries (bodies, versions, MRU order), the directory blob, and the
-// replica set.
+// entries (bodies, versions, MRU order) and the replica set.
 func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	leakcheck.Install(t)
 	dir := t.TempDir()
@@ -61,7 +61,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 		Bits: 256, Generation: 42, Filter: make([]byte, 32),
 	}
 	replica.Filter[3] = 0xA5
-	data := SnapshotData{Entries: entries, Directory: []byte("dirblob"), Replicas: []core.ReplicaState{replica}}
+	data := SnapshotData{Entries: entries, Replicas: []core.ReplicaState{replica}}
 	if err := s.Checkpoint(data); err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +99,79 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d: got %+v want %+v", i, e, want)
 		}
 	}
-	if len(rec.Removed) != 2 {
-		t.Fatalf("removed %v, want doc0+doc1", rec.Removed)
-	}
-	if string(rec.Directory) != "dirblob" {
-		t.Fatalf("directory blob %q", rec.Directory)
-	}
 	if len(rec.Replicas) != 1 || rec.Replicas[0].Peer != replica.Peer ||
 		rec.Replicas[0].Generation != 42 || rec.Replicas[0].Filter[3] != 0xA5 {
 		t.Fatalf("replicas: %+v", rec.Replicas)
+	}
+}
+
+// legacySnapshot is a generation-fuzzGen snapshot in the format that still
+// saved the directory: three entries, a 'D' frame whose counting filter
+// also claims a fourth document the entries lack (the skew of a capture
+// racing traffic), and one peer replica. encodeSnapshot wrote it before the
+// directory left the snapshot.
+func legacySnapshot(t testing.TB) []byte {
+	img, err := os.ReadFile(filepath.Join("testdata", "legacy-snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rest := img; ; {
+		var payload []byte
+		if payload, rest, err = nextFrame(rest); err != nil || payload == nil {
+			t.Fatal("testdata/legacy-snapshot carries no directory frame")
+		}
+		if payload[0] == frameDirectory {
+			return img
+		}
+	}
+}
+
+// TestRecoverSnapshotWithDirectoryFrame: a snapshot that saved the
+// directory still recovers. Its entries and replica come back, and the directory a node
+// rebuilds from them equals one rebuilt from the entries, not the saved
+// one.
+func TestRecoverSnapshotWithDirectoryFrame(t *testing.T) {
+	leakcheck.Install(t)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, genName(snapPrefix, fuzzGen)), legacySnapshot(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec := mustRecover(t, openStore(t, dir))
+	if rec.Stats.SnapshotGen != fuzzGen || rec.Stats.SnapshotsSkipped != 0 || len(rec.Entries) != 3 {
+		t.Fatalf("stats %+v, %d entries", rec.Stats, len(rec.Entries))
+	}
+	var keys []string
+	for i, e := range rec.Entries {
+		if want := entry(3 - i); e.Key != want.Key || e.Version != want.Version || string(e.Body) != string(want.Body) {
+			t.Fatalf("entry %d: got %+v want %+v", i, e, want)
+		}
+		keys = append(keys, e.Key)
+	}
+	if len(rec.Replicas) != 1 || rec.Replicas[0].Peer != "127.0.0.1:4001" || rec.Replicas[0].Generation != 7 {
+		t.Fatalf("replicas: %+v", rec.Replicas)
+	}
+
+	dirCfg := bloom.DirectoryConfig{ExpectedDocs: 100}
+	node, err := core.NewNode(core.NodeConfig{
+		ListenAddr:  "127.0.0.1:0",
+		Directory:   dirCfg,
+		HasDocument: func(string) bool { return false },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	node.Recover(keys, rec.Replicas)
+	rebuilt, err := bloom.NewDirectory(dirCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		rebuilt.Insert(k)
+	}
+	if !node.Directory().Equal(rebuilt) {
+		t.Fatalf("recovered directory (%d docs) differs from one rebuilt from the %d entries",
+			node.Directory().Docs(), len(keys))
 	}
 }
 
@@ -215,9 +279,9 @@ func TestRecoverCorruptSnapshotFallsBack(t *testing.T) {
 		t.Fatalf("stats: %+v", rec.Stats)
 	}
 	// Base gen-1 snapshot has doc1. Journal gen-1: lost insert (extra).
-	// Journal gen-2: evict doc1. Final: empty, with doc1 removed.
-	if len(rec.Entries) != 0 || len(rec.Removed) != 1 || rec.Removed[0] != entry(1).Key {
-		t.Fatalf("entries=%v removed=%v", rec.Entries, rec.Removed)
+	// Journal gen-2: evict doc1. Final: empty.
+	if len(rec.Entries) != 0 {
+		t.Fatalf("entries=%v", rec.Entries)
 	}
 	if rec.Stats.LostInserts != 1 || rec.Stats.ReplayedEvicts != 1 {
 		t.Fatalf("stats: %+v", rec.Stats)
@@ -297,8 +361,8 @@ func TestRecoverOverlapWindowIdempotent(t *testing.T) {
 	}
 
 	rec := mustRecover(t, openStore(t, dir))
-	if len(rec.Entries) != 2 || len(rec.Removed) != 0 {
-		t.Fatalf("entries=%d removed=%v", len(rec.Entries), rec.Removed)
+	if len(rec.Entries) != 2 {
+		t.Fatalf("entries=%d", len(rec.Entries))
 	}
 	// The re-inserts refreshed recency: e2 was journaled last, so it is MRU.
 	if rec.Entries[0].Key != e2.Key || rec.Entries[1].Key != e1.Key {

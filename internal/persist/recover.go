@@ -27,8 +27,9 @@ type RecoveryStats struct {
 	// JournalRecords counts records replayed across all journals.
 	JournalRecords int
 	// LostInserts are journal inserts with no snapshot body to restore —
-	// documents cached after the last checkpoint. They are not restored
-	// and not claimed in the directory (a safe under-claim).
+	// documents cached after the last checkpoint. They are not restored,
+	// so the directory rebuilt from the restored cache does not claim them
+	// (a safe under-claim).
 	LostInserts int
 	// StaleVersions are snapshot entries whose journal shows a later
 	// version; the stale body is dropped for refetch.
@@ -44,22 +45,13 @@ type RecoveryStats struct {
 	TornTail bool
 }
 
-// Recovered is the state a caller installs after a warm restart.
+// Recovered is the state a caller installs after a warm restart. It holds
+// no directory summary: the caller rebuilds that from the cache it restores
+// (core.Node.Recover).
 type Recovered struct {
 	// Entries is the reconciled cache content, most recently used first —
 	// feed it to lru.Cache.Restore.
 	Entries []lru.Entry
-	// Directory is the counting-filter state blob from the snapshot (nil
-	// when none was captured). Restore it with Directory.RestoreState,
-	// then apply Removed; if geometry changed, rebuild by inserting the
-	// restored keys instead.
-	Directory []byte
-	// Removed lists keys that ARE claimed in the Directory blob but are
-	// NOT in Entries (journal evictions and stale versions): apply
-	// Directory.Remove for each so the restored filter matches the
-	// restored cache. The underflow guard absorbs any overlap-window
-	// double-removal.
-	Removed []string
 	// Replicas are the persisted peer summaries (core.Node.Recover).
 	Replicas []core.ReplicaState
 	// Stats is the reconciliation accounting, also retained on the store
@@ -119,7 +111,6 @@ func (s *Store) Recover() (*Recovered, error) {
 	}
 	st.SnapshotGen = baseGen
 	st.SnapshotEntries = len(base.Entries)
-	out.Directory = base.Directory
 	out.Replicas = base.Replicas
 
 	// Seed the replay table from the snapshot: MRU-first file order gets
@@ -133,13 +124,11 @@ func (s *Store) Recover() (*Recovered, error) {
 		entries[re.e.Key] = re
 		order = append(order, re)
 	}
-	removed := map[string]bool{}
-
 	for _, gen := range jrnls {
 		if gen < baseGen {
 			continue
 		}
-		s.replayJournal(gen, entries, removed, &seq, st)
+		s.replayJournal(gen, entries, &seq, st)
 	}
 
 	// Materialize MRU-first, skipping tombstoned keys.
@@ -151,10 +140,6 @@ func (s *Store) Recover() (*Recovered, error) {
 		out.Entries = append(out.Entries, re.e)
 	}
 	st.Entries = len(out.Entries)
-	for k := range removed {
-		out.Removed = append(out.Removed, k)
-	}
-	sort.Strings(out.Removed)
 	if st.JournalRecords > 0 {
 		st.Recovered = true
 	}
@@ -171,8 +156,7 @@ func (s *Store) Recover() (*Recovered, error) {
 
 // replayJournal folds one journal generation into the replay table,
 // stopping at the first torn or corrupt frame.
-func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry,
-	removed map[string]bool, seq *int, st *RecoveryStats) {
+func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry, seq *int, st *RecoveryStats) {
 	img, err := os.ReadFile(s.path(jrnlPrefix, gen))
 	if err != nil {
 		s.log.Warn("journal unreadable", "gen", gen, "err", err)
@@ -189,15 +173,12 @@ func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry,
 					// eviction also in this journal): the snapshot body is
 					// this version; just refresh recency.
 					re.seq = *seq
-					delete(removed, rec.Key)
 					return
 				}
 				// The document changed version after the snapshot; its
-				// persisted body is stale. Drop it for refetch and take its
-				// claim out of the restored filter.
+				// persisted body is stale. Drop it for refetch.
 				st.StaleVersions++
 				delete(entries, rec.Key)
-				removed[rec.Key] = true
 				return
 			}
 			// Inserted after the snapshot was captured: no body anywhere on
@@ -207,7 +188,6 @@ func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry,
 		case journalEvict:
 			if _, ok := entries[rec.Key]; ok {
 				delete(entries, rec.Key)
-				removed[rec.Key] = true
 				st.ReplayedEvicts++
 			} else {
 				st.DoubleEvicts++

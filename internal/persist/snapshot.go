@@ -17,7 +17,7 @@ import (
 const (
 	frameSnapHdr    byte = 'H' // magic + generation
 	frameEntry      byte = 'E' // one LRU entry, MRU→LRU file order
-	frameDirectory  byte = 'D' // counting-filter state blob
+	frameDirectory  byte = 'D' // counting-filter state, written by older versions
 	frameReplica    byte = 'R' // one peer replica
 	frameEnd        byte = 'Z' // commit marker: absent ⇒ torn snapshot
 	frameJournalHdr byte = 'J' // journal magic + generation
@@ -168,7 +168,6 @@ func encodeSnapshot(gen uint64, data SnapshotData) []byte {
 	for i := range data.Entries {
 		size += len(data.Entries[i].Key) + len(data.Entries[i].Body) + 32
 	}
-	size += len(data.Directory) + 16
 	for i := range data.Replicas {
 		size += len(data.Replicas[i].Peer) + len(data.Replicas[i].Filter) + 48
 	}
@@ -176,9 +175,6 @@ func encodeSnapshot(gen uint64, data SnapshotData) []byte {
 	out = appendFrame(out, snapHeader(gen))
 	for _, e := range data.Entries {
 		out = appendEntryFrame(out, e)
-	}
-	if data.Directory != nil {
-		out = appendFrame(out, append([]byte{frameDirectory}, data.Directory...))
 	}
 	for _, r := range data.Replicas {
 		out = appendReplicaFrame(out, r)
@@ -221,7 +217,7 @@ func decodeSnapshot(img []byte, wantGen uint64) (SnapshotData, error) {
 			}
 			data.Entries = append(data.Entries, e)
 		case frameDirectory:
-			data.Directory = append([]byte(nil), payload[1:]...)
+			// Older snapshots saved the directory; it is rebuilt from the entries.
 		case frameReplica:
 			r, err := decodeReplicaFrame(payload)
 			if err != nil {
