@@ -160,16 +160,15 @@ func run() error {
 		srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			// Re-resolved per request: each run swaps in a fresh registry
 			// and tracer, and the admin plane must follow the live mesh.
-			var mounts []obs.Mount
+			mux := obs.NewHandler(current.Load(), nil)
 			if tr := runTracer(); tr != nil {
-				mounts = append(mounts, obs.Mount{Pattern: "/debug/traces", Handler: tr.Handler()})
+				mux.Handle("/debug/traces", tr.Handler())
 			}
 			if pw := runWatch(); pw != nil {
-				mounts = append(mounts,
-					obs.Mount{Pattern: "/debug/slo", Handler: pw.SLOHandler()},
-					obs.Mount{Pattern: "/debug/perf", Handler: pw.PerfHandler()})
+				mux.Handle("/debug/slo", pw.SLOHandler())
+				mux.Handle("/debug/perf", pw.PerfHandler())
 			}
-			obs.NewHandler(current.Load(), nil, mounts...).ServeHTTP(w, r)
+			mux.ServeHTTP(w, r)
 		})}
 		go srv.Serve(ln)
 		defer srv.Close()

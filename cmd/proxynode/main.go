@@ -12,17 +12,17 @@
 //	    -admin=127.0.0.1:9129 \
 //	    -peer=127.0.0.1:3130,http://127.0.0.1:3128 &
 //
-// The -admin listener serves the observability plane: Prometheus metrics
-// at /metrics, expvar-style JSON at /debug/vars, pprof profiles at
-// /debug/pprof/, peer-health (with build info) at /healthz, mesh health
-// (per-peer summary divergence and false-decision accounting) at
-// /debug/mesh, and — when -trace-sample or -trace-buffer enables
-// tracing — request traces with summary-decision audits at /debug/traces.
-// The -slo-latency-p99 and -slo-false-hit flags add named service-level
-// objectives with error-budget burn-rate tracking at /debug/slo; with
-// -perf-profile-capture, an SLO breach additionally captures a
-// rate-limited ring of pprof profiles served at /debug/perf, and the
-// breaching requests' traces are always retained at /debug/traces.
+// The -admin listener serves the proxy's AdminHandler: Prometheus metrics
+// at /metrics, pprof profiles at /debug/pprof/, and JSON at /debug/vars
+// (the same metrics), /healthz (peer health and build info) and
+// /debug/mesh (per-peer summary divergence and false-decision
+// accounting). When -trace-sample or -trace-buffer enables tracing,
+// request traces with summary-decision audits are at /debug/traces. The
+// -slo-latency-p99 and -slo-false-hit flags add named service-level
+// objectives with error-budget burn-rate tracking at /debug/slo and a
+// capture ring at /debug/perf; with -perf-profile-capture, an SLO breach
+// captures a rate-limited set of pprof profiles there, and the breaching
+// requests' traces are always retained at /debug/traces.
 package main
 
 import (
@@ -54,7 +54,7 @@ func (p *peerList) Set(v string) error { *p = append(*p, v); return nil }
 var (
 	httpAddr  = flag.String("http", "127.0.0.1:3128", "HTTP listen address")
 	icpAddr   = flag.String("icp", "127.0.0.1:3130", "ICP (UDP) listen address")
-	adminAddr = flag.String("admin", "", "admin listen address serving /metrics, /debug/vars, /debug/pprof/ and /healthz (empty: disabled)")
+	adminAddr = flag.String("admin", "", "admin listen address serving /metrics, /debug/vars, /debug/pprof/, /healthz and /debug/mesh, plus /debug/traces with tracing and /debug/slo and /debug/perf with an -slo-* flag or -perf-profile-capture (empty: disabled)")
 	mode      = flag.String("mode", "scicp", "cooperation mode: none, icp, scicp")
 	cacheMB   = flag.Int64("cache-mb", 256, "cache capacity in MB")
 	threshold = flag.Float64("threshold", 0.01, "summary update threshold (scicp)")
@@ -264,25 +264,10 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("admin listen %q: %w", *adminAddr, err)
 		}
-		var mounts []obs.Mount
-		endpoints := "/metrics /debug/vars /debug/pprof/ /healthz"
-		if tracer != nil {
-			mounts = append(mounts, obs.Mount{Pattern: "/debug/traces", Handler: tracer.Handler()})
-			endpoints += " /debug/traces"
-		}
-		if watch != nil {
-			mounts = append(mounts,
-				obs.Mount{Pattern: "/debug/slo", Handler: watch.SLOHandler()},
-				obs.Mount{Pattern: "/debug/perf", Handler: watch.PerfHandler()})
-			endpoints += " /debug/slo /debug/perf"
-		}
-		mounts = append(mounts, obs.Mount{Pattern: "/debug/mesh", Handler: p.MeshHandler()})
-		endpoints += " /debug/mesh"
-		admin := &http.Server{Handler: obs.NewHandler(reg, p.Health, mounts...)}
+		admin := &http.Server{Handler: p.AdminHandler()}
 		go admin.Serve(ln)
 		defer admin.Close()
-		log.Info("admin endpoint up", "addr", ln.Addr().String(),
-			"endpoints", endpoints)
+		log.Info("admin endpoint up", "addr", ln.Addr().String())
 	}
 
 	for _, spec := range peers {

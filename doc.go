@@ -15,14 +15,13 @@
 //     Node, which keeps each registered peer's summary replica on its
 //     peer record)
 //   - internal/httpproxy — a caching forward proxy with no-ICP / ICP /
-//     SC-ICP cooperation
+//     SC-ICP cooperation, and its admin plane (AdminHandler)
 //   - internal/persist — warm restarts: cache, directory and replica
 //     snapshots plus a journal of cache changes
 //   - internal/faultnet — deterministic fault injection on the ICP and
 //     HTTP paths
-//   - internal/obs, internal/tracing, internal/perfwatch,
-//     internal/meshhealth — metrics and the admin endpoint, request
-//     traces, per-stage latency and SLOs, and the /debug/mesh view
+//   - internal/obs, internal/tracing, internal/perfwatch — metrics and
+//     the admin endpoints, request traces, per-stage latency and SLOs
 //   - internal/origin, internal/bench — the Wisconsin-benchmark-style
 //     networked evaluation harness (Tables II, IV, V)
 //   - internal/trace, internal/tracegen, internal/stats — workload

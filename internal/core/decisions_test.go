@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"summarycache/internal/bloom"
-	"summarycache/internal/meshhealth"
 	"summarycache/internal/obs"
 )
 
@@ -41,7 +40,7 @@ func scrapeLines(reg *obs.Registry) []string {
 
 // decisionsOf returns the decisions n charges to the registered peer id
 // (ok false: not registered).
-func decisionsOf(n *Node, id string) (d meshhealth.PeerStats, ok bool) {
+func decisionsOf(n *Node, id string) (d PeerStats, ok bool) {
 	for _, r := range n.PeerReports() {
 		if r.Peer == id {
 			return r.Decisions, true
@@ -91,7 +90,7 @@ func TestPeerDecisionsScrapeParity(t *testing.T) {
 
 	id := b.Addr().String()
 	st, ok := decisionsOf(a, id)
-	want := meshhealth.PeerStats{Nominations: 7, RemoteHits: 3, FalseHits: 3, FalseMisses: 1, StaleHits: 1}
+	want := PeerStats{Nominations: 7, RemoteHits: 3, FalseHits: 3, FalseMisses: 1, StaleHits: 1}
 	if !ok || st != want {
 		t.Fatalf("decisions charged to b = %+v (registered %v), want %+v", st, ok, want)
 	}
@@ -176,11 +175,20 @@ func TestPeerDecisionsRemoveRetires(t *testing.T) {
 	if err := a1.AddPeer(b.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if d, _ := decisionsOf(a1, id); d != (meshhealth.PeerStats{}) {
+	if d, _ := decisionsOf(a1, id); d != (PeerStats{}) {
 		t.Errorf("re-added peer starts at %+v, want zero", d)
 	}
 	a1.Delivered(ctx, b.Addr(), "http://o/x", NotDelivered)
 	if d, _ := decisionsOf(a1, id); d.FalseHits != 1 {
 		t.Errorf("re-added peer FalseHits = %d, want 1", d.FalseHits)
+	}
+}
+
+func TestDivergence(t *testing.T) {
+	if d := (PeerStats{}).Divergence(); d != 0 {
+		t.Errorf("zero-nomination divergence = %v, want 0", d)
+	}
+	if d := (PeerStats{Nominations: 8, FalseHits: 2}).Divergence(); d != 0.25 {
+		t.Errorf("divergence = %v, want 0.25", d)
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"summarycache/internal/bloom"
 	"summarycache/internal/icp"
-	"summarycache/internal/meshhealth"
 	"summarycache/internal/obs"
 	"summarycache/internal/tracing"
 )
@@ -238,7 +237,7 @@ type Node struct {
 	// recent is the ring of the latest false decisions charged to peers;
 	// falseSeen counts every one, so the newest is at (falseSeen-1)%recentCap.
 	recentMu  sync.Mutex
-	recent    [recentCap]meshhealth.FalseDecision
+	recent    [recentCap]FalseDecision
 	falseSeen int
 
 	metrics nodeMetrics
@@ -496,7 +495,7 @@ type peer struct {
 
 	updates, bytes atomic.Uint64 // DIRUPDATE messages and bytes sent to it
 
-	// The decisions charged to it (see meshhealth.PeerStats): lookups its
+	// The decisions charged to it (see PeerStats): lookups its
 	// summary was nominated in, fresh copies it delivered, nominations it
 	// got wrong, audit answers contradicting its negative probes, and
 	// stale copies it delivered.
@@ -689,7 +688,7 @@ func (n *Node) LastAdvertAge() (time.Duration, bool) {
 // truth), so they carry no probe-path cost. RemovePeer retires them.
 func (n *Node) registerPeerMetrics(p *peer) {
 	ls := obs.L("node", n.self, "peer", p.id)
-	row := func() (r meshhealth.PeerReport) {
+	row := func() (r PeerReport) {
 		n.mu.RLock()
 		p.rep.health(&r)
 		n.mu.RUnlock()

@@ -13,7 +13,6 @@ import (
 	"summarycache/internal/bloom"
 	"summarycache/internal/hashing"
 	"summarycache/internal/icp"
-	"summarycache/internal/meshhealth"
 )
 
 // Bounds on the geometry a peer's summary may announce (see checkGeometry).
@@ -127,7 +126,7 @@ func (r *replica) probe(id string, idx []uint64, match bool, now time.Time) Summ
 // update stream has cost. EstFalsePositive is the fill-ratio^k bound
 // behind the false-hit rows of Tables 4–5. Without a replica row is left
 // as it is.
-func (r *replica) health(row *meshhealth.PeerReport) {
+func (r *replica) health(row *PeerReport) {
 	if r.filter == nil {
 		return
 	}

@@ -1,8 +1,6 @@
 package httpproxy
 
 import (
-	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +9,6 @@ import (
 
 	"summarycache/internal/bloom"
 	"summarycache/internal/core"
-	"summarycache/internal/meshhealth"
 	"summarycache/internal/obs"
 	"summarycache/internal/origin"
 )
@@ -93,13 +90,13 @@ func TestRemovedPeerSeriesStayGone(t *testing.T) {
 }
 
 // peerDecisions returns the decisions p's mesh report charges to peer.
-func peerDecisions(p, peer *Proxy) meshhealth.PeerStats {
+func peerDecisions(p, peer *Proxy) core.PeerStats {
 	for _, r := range p.MeshReport().Peers {
 		if r.Peer == peer.ICPAddr().String() {
 			return r.Decisions
 		}
 	}
-	return meshhealth.PeerStats{}
+	return core.PeerStats{}
 }
 
 // chargedRemoteHits sums the remote hits p's mesh report charges to its
@@ -267,7 +264,7 @@ func TestDebugMeshEndpointLiveMesh(t *testing.T) {
 	if rep.Local.LastAdvertAgeMS < 0 && rep.Local.UpdatesSent > 0 {
 		t.Errorf("LastAdvertAgeMS = %v with UpdatesSent = %d", rep.Local.LastAdvertAgeMS, rep.Local.UpdatesSent)
 	}
-	var p1row *meshhealth.PeerReport
+	var p1row *core.PeerReport
 	for i := range rep.Peers {
 		if rep.Peers[i].Peer == p1.ICPAddr().String() {
 			p1row = &rep.Peers[i]
@@ -292,29 +289,14 @@ func TestDebugMeshEndpointLiveMesh(t *testing.T) {
 		t.Errorf("per-peer RemoteHits sum to %d, proxy RemoteHits = %d", got, want)
 	}
 
-	// The handler serves the same content at /debug/mesh.
-	srv := httptest.NewServer(p2.MeshHandler())
+	// The admin plane serves the same content at /debug/mesh.
+	srv := httptest.NewServer(p2.AdminHandler())
 	t.Cleanup(srv.Close)
-	resp, err := http.Get(srv.URL + "?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var got []meshhealth.Report
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
+	var got []Report
+	if code := getTraceJSON(t, srv.URL+"/debug/mesh", &got); code != http.StatusOK {
+		t.Fatalf("/debug/mesh status %d", code)
 	}
 	if len(got) != 1 || len(got[0].Peers) != 2 {
 		t.Fatalf("served report shape: %+v", got)
-	}
-
-	resp, err = http.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	html, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(html), p1.ICPAddr().String()) {
-		t.Errorf("HTML view missing peer row:\n%s", html)
 	}
 }

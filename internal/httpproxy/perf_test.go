@@ -117,11 +117,7 @@ func TestPerfSLOBreachEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	admin := httptest.NewServer(obs.NewHandler(reg, proxies[0].Health,
-		obs.Mount{Pattern: "/debug/traces", Handler: tracer.Handler()},
-		obs.Mount{Pattern: "/debug/slo", Handler: watch.SLOHandler()},
-		obs.Mount{Pattern: "/debug/perf", Handler: watch.PerfHandler()},
-	))
+	admin := httptest.NewServer(proxies[0].AdminHandler())
 	t.Cleanup(admin.Close)
 
 	m := &mesh{origin: org, proxies: proxies}
@@ -205,7 +201,7 @@ func TestPerfSLOBreachEndToEnd(t *testing.T) {
 	var slo struct {
 		Objectives []perfwatch.SLOStatus `json:"objectives"`
 	}
-	if code := getTraceJSON(t, admin.URL+"/debug/slo?format=json", &slo); code != http.StatusOK {
+	if code := getTraceJSON(t, admin.URL+"/debug/slo", &slo); code != http.StatusOK {
 		t.Fatalf("/debug/slo status %d", code)
 	}
 	if len(slo.Objectives) != 1 || !slo.Objectives[0].Breached {
@@ -215,7 +211,7 @@ func TestPerfSLOBreachEndToEnd(t *testing.T) {
 		Reason   string         `json:"reason"`
 		Profiles map[string]int `json:"profile_bytes"`
 	}
-	if code := getTraceJSON(t, admin.URL+"/debug/perf?format=json", &perfList); code != http.StatusOK {
+	if code := getTraceJSON(t, admin.URL+"/debug/perf", &perfList); code != http.StatusOK {
 		t.Fatalf("/debug/perf status %d", code)
 	}
 	if len(perfList) != 1 || perfList[0].Profiles["heap"] == 0 {

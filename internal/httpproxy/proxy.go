@@ -27,7 +27,6 @@ import (
 	"summarycache/internal/faultnet"
 	"summarycache/internal/icp"
 	"summarycache/internal/lru"
-	"summarycache/internal/meshhealth"
 	"summarycache/internal/obs"
 	"summarycache/internal/perfwatch"
 	"summarycache/internal/persist"
@@ -724,52 +723,6 @@ func (p *Proxy) FlushSummary() {
 // replicas stale, the setup behind every false hit).
 func (p *Proxy) Purge(target string) bool {
 	return p.cache.Remove(target)
-}
-
-// Tracer returns the tracer the proxy records request traces into (nil
-// when tracing is disabled) — what an admin mux serves at /debug/traces.
-func (p *Proxy) Tracer() *tracing.Tracer { return p.tracer }
-
-// MeshReport assembles this proxy's mesh-health view: local advertisement
-// staleness, one row per sibling (replica health, liveness, wire bytes,
-// attributed decisions), and the recent false-decision trail.
-func (p *Proxy) MeshReport() meshhealth.Report {
-	rep := meshhealth.Report{
-		Proxy: p.ln.Addr().String(),
-		Mode:  p.cfg.Mode.String(),
-	}
-	rep.Local.CacheEntries = p.cache.Len()
-	rep.Local.CacheBytes = p.cache.Bytes()
-	rep.Local.LastAdvertAgeMS = -1
-	if p.recovery.Recovered {
-		rep.Local.Recoveries = 1 // refined from node accounting below
-		rep.Local.RecoveredEntries = p.restored
-	}
-	if p.node != nil {
-		rep.Node = p.node.Addr().String()
-		st := p.node.Stats()
-		rep.Local.DirectoryDocs = int64(p.node.Directory().Docs())
-		rep.Local.PendingFlips = p.node.Directory().PendingFlips()
-		rep.Local.UpdatesSent = st.UpdatesSent
-		rep.Local.UpdateEvents = st.UpdateEvents
-		rep.Local.Recoveries = st.Recoveries
-		rep.Local.FullBytesOut = st.UpdateFullBytes
-		rep.Local.DeltaBytesOut = st.UpdateDeltaBytes
-		if age, ok := p.node.LastAdvertAge(); ok {
-			rep.Local.LastAdvertAgeMS = float64(age.Microseconds()) / 1e3
-		}
-		rep.Peers = p.node.PeerReports()
-		rep.RecentFalse = p.node.RecentFalse()
-	}
-	return rep
-}
-
-// MeshHandler serves MeshReport at /debug/mesh (HTML, or JSON with
-// ?format=json), rebuilt per request so the view is always live.
-func (p *Proxy) MeshHandler() http.Handler {
-	return meshhealth.NewHandler(func() []meshhealth.Report {
-		return []meshhealth.Report{p.MeshReport()}
-	})
 }
 
 // --- cache body bookkeeping ---

@@ -104,8 +104,7 @@ func TestFalseHitTraceAcrossMesh(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { p.Close() })
-		admin := httptest.NewServer(obs.NewHandler(reg, p.Health,
-			obs.Mount{Pattern: "/debug/traces", Handler: tracer.Handler()}))
+		admin := httptest.NewServer(p.AdminHandler())
 		t.Cleanup(admin.Close)
 		proxies = append(proxies, p)
 		tracers = append(tracers, tracer)

@@ -47,11 +47,14 @@ func ReadBuildInfo() BuildInfo {
 	return buildInfo
 }
 
-// Mount attaches an extra handler to the admin multiplexer — how a binary
-// adds endpoints NewHandler does not know about (e.g. /debug/traces).
-type Mount struct {
-	Pattern string
-	Handler http.Handler
+// ServeJSON writes v, indented, as a JSON response with status code: the
+// one rendering behind /healthz and every /debug/* view.
+func ServeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(code)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
 }
 
 // NewHandler builds the admin endpoint multiplexer:
@@ -63,10 +66,10 @@ type Mount struct {
 //	              the body carries the binary's build info
 //
 // peers reports the peers up and down; nil means no peers (always 200 ok).
-// Extra mounts are attached as given. The handler is meant for a loopback
-// or otherwise access-controlled admin listener — pprof exposes stacks and
-// heap contents.
-func NewHandler(r *Registry, peers func() (up, down []string), mounts ...Mount) http.Handler {
+// Callers attach further endpoints to the returned mux. It is meant for a
+// loopback or otherwise access-controlled admin listener — pprof exposes
+// stacks and heap contents.
+func NewHandler(r *Registry, peers func() (up, down []string)) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -97,12 +100,7 @@ func NewHandler(r *Registry, peers func() (up, down []string), mounts ...Mount) 
 				code = http.StatusServiceUnavailable
 			}
 		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.WriteHeader(code)
-		json.NewEncoder(w).Encode(out)
+		ServeJSON(w, code, out)
 	})
-	for _, m := range mounts {
-		mux.Handle(m.Pattern, m.Handler)
-	}
 	return mux
 }

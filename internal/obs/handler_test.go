@@ -148,8 +148,9 @@ func TestHandlerMounts(t *testing.T) {
 	extra := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("mounted"))
 	})
-	srv := httptest.NewServer(NewHandler(NewRegistry(), nil,
-		Mount{Pattern: "/debug/traces", Handler: extra}))
+	mux := NewHandler(NewRegistry(), nil)
+	mux.Handle("/debug/traces", extra)
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/debug/traces")
 	if err != nil {
@@ -160,14 +161,14 @@ func TestHandlerMounts(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || string(body) != "mounted" {
 		t.Fatalf("mounted handler: status %d body %q", resp.StatusCode, body)
 	}
-	// The built-in endpoints still work alongside the mount.
+	// The built-in endpoints still work alongside the added one.
 	resp2, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics alongside mount: status %d", resp2.StatusCode)
+		t.Fatalf("/metrics alongside an added endpoint: status %d", resp2.StatusCode)
 	}
 }
 

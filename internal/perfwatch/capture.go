@@ -39,9 +39,6 @@ type Capture struct {
 	// DurationMS is how long the whole capture took (dominated by the CPU
 	// profile window).
 	DurationMS float64 `json:"duration_ms"`
-	// Err records a wholly failed capture (individual profile failures
-	// just omit that profile).
-	Err string `json:"error,omitempty"`
 	// Profiles maps profile name (cpu, heap, mutex, block) to the raw
 	// pprof-format bytes, served by /debug/perf.
 	Profiles map[string][]byte `json:"-"`

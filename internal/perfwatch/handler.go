@@ -1,22 +1,13 @@
 package perfwatch
 
 import (
-	"encoding/json"
 	"fmt"
-	"html"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
-)
 
-// wantJSON applies the repository's debug-handler content negotiation:
-// ?format=json or an Accept header naming application/json.
-func wantJSON(req *http.Request) bool {
-	return req.URL.Query().Get("format") == "json" ||
-		strings.Contains(req.Header.Get("Accept"), "application/json")
-}
+	"summarycache/internal/obs"
+)
 
 // sloView is the JSON document /debug/slo serves.
 type sloView struct {
@@ -25,85 +16,15 @@ type sloView struct {
 	Stages      []StageSummary `json:"stages"`
 }
 
-// SLOHandler serves the SLO dashboard, meant to be mounted at /debug/slo
-// beside /debug/mesh:
-//
-//	GET /debug/slo              HTML objective + stage tables
-//	GET /debug/slo?format=json  the same as JSON
-//
-// It shows the most recent evaluation (the Run loop's window), never
-// evaluating on scrape — a dashboard refresh must not shrink the windows
-// the burn rates are computed over.
+// SLOHandler serves the objectives and the per-stage table as JSON at
+// /debug/slo. It shows the most recent evaluation (the Run loop's window),
+// never evaluating on scrape — a scrape must not shrink the windows the
+// burn rates are computed over.
 func (w *Watch) SLOHandler() http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 		statuses, when := w.Status()
-		v := sloView{EvaluatedAt: when, Objectives: statuses, Stages: w.Stages()}
-		if wantJSON(req) {
-			rw.Header().Set("Content-Type", "application/json; charset=utf-8")
-			enc := json.NewEncoder(rw)
-			enc.SetIndent("", "  ")
-			enc.Encode(v)
-			return
-		}
-		rw.Header().Set("Content-Type", "text/html; charset=utf-8")
-		writeSLOHTML(rw, v)
+		obs.ServeJSON(rw, http.StatusOK, sloView{EvaluatedAt: when, Objectives: statuses, Stages: w.Stages()})
 	})
-}
-
-func writeSLOHTML(w http.ResponseWriter, v sloView) {
-	fmt.Fprint(w, `<!DOCTYPE html><html><head><title>slo</title><style>
-body{font-family:monospace;margin:1.5em}
-table{border-collapse:collapse;margin:0.5em 0 1.5em}
-th,td{border:1px solid #999;padding:2px 8px;text-align:right}
-th{background:#eee}
-td.l,th.l{text-align:left}
-.bad{color:#b00;font-weight:bold}
-.dim{color:#777}
-</style></head><body><h1>service-level objectives</h1>
-`)
-	fmt.Fprintf(w, `<p class="dim">window closed %s; burn rate = window bad fraction / error budget (1 = budget consumed as fast as it accrues)</p>`,
-		html.EscapeString(v.EvaluatedAt.Format(time.RFC3339)))
-	fmt.Fprint(w, `<table><tr><th class="l">objective</th><th class="l">kind</th><th>threshold</th><th>budget</th><th>window bad/total</th><th>bad fraction</th><th>burn</th><th>breached</th><th>breaches</th><th>lifetime bad/total</th></tr>`)
-	for _, s := range v.Objectives {
-		thr := "—"
-		if s.ThresholdSeconds > 0 {
-			thr = time.Duration(s.ThresholdSeconds * float64(time.Second)).String()
-		}
-		breached := "no"
-		if s.Breached {
-			breached = `<span class="bad">YES</span>`
-		}
-		burn := fmt.Sprintf("%.3f", s.BurnRate)
-		if s.BurnRate >= 1 {
-			burn = `<span class="bad">` + burn + `</span>`
-		}
-		fmt.Fprintf(w,
-			`<tr><td class="l">%s</td><td class="l">%s</td><td>%s</td><td>%.4f</td><td>%d/%d</td><td>%.4f</td><td>%s</td><td>%s</td><td>%d</td><td>%d/%d</td></tr>`,
-			html.EscapeString(s.Name), html.EscapeString(s.Kind), thr, s.Budget,
-			s.WindowBad, s.WindowTotal, s.BadFraction, burn, breached, s.Breaches,
-			s.TotalBad, s.TotalEvents)
-	}
-	fmt.Fprint(w, "</table>\n")
-
-	fmt.Fprint(w, `<h2>latency by stage</h2><table><tr><th class="l">stage</th><th>count</th><th>total</th><th>p50</th><th>p99</th></tr>`)
-	for _, s := range v.Stages {
-		fmt.Fprintf(w, `<tr><td class="l">%s</td><td>%d</td><td>%.3fs</td><td>%s</td><td>%s</td></tr>`,
-			html.EscapeString(s.Stage), s.Count, s.Sum,
-			fmtSeconds(s.P50), fmtSeconds(s.P99))
-	}
-	fmt.Fprint(w, "</table>\n</body></html>\n")
-}
-
-func fmtSeconds(s float64) string {
-	d := time.Duration(s * float64(time.Second))
-	switch {
-	case d < time.Millisecond:
-		return fmt.Sprintf("%dµs", d.Microseconds())
-	case d < time.Second:
-		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
-	default:
-		return fmt.Sprintf("%.3fs", d.Seconds())
-	}
 }
 
 // captureView is one ring entry in the /debug/perf listing; profile bytes
@@ -113,23 +34,19 @@ type captureView struct {
 	Reason     string            `json:"reason"`
 	Start      time.Time         `json:"start"`
 	DurationMS float64           `json:"duration_ms"`
-	Err        string            `json:"error,omitempty"`
 	Profiles   map[string]int    `json:"profile_bytes"`
 	Links      map[string]string `json:"links"`
 }
 
-// PerfHandler serves the anomaly-triggered capture ring, meant to be
-// mounted at /debug/perf:
+// PerfHandler serves the anomaly-triggered capture ring at /debug/perf:
 //
-//	GET /debug/perf                           HTML capture listing
-//	GET /debug/perf?format=json               the same as JSON
+//	GET /debug/perf                           JSON capture listing
 //	GET /debug/perf?capture=3&profile=cpu     raw pprof bytes of one profile
 //
 // Raw profiles feed straight into `go tool pprof <url>`.
 func (w *Watch) PerfHandler() http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		c := w.Capturer()
-		caps := c.Captures()
+		caps := w.Capturer().Captures()
 		if seqStr := req.URL.Query().Get("capture"); seqStr != "" {
 			seq, err := strconv.Atoi(seqStr)
 			name := req.URL.Query().Get("profile")
@@ -161,7 +78,6 @@ func (w *Watch) PerfHandler() http.Handler {
 				Reason:     cp.Reason,
 				Start:      cp.Start,
 				DurationMS: cp.DurationMS,
-				Err:        cp.Err,
 				Profiles:   make(map[string]int, len(cp.Profiles)),
 				Links:      make(map[string]string, len(cp.Profiles)),
 			}
@@ -171,52 +87,6 @@ func (w *Watch) PerfHandler() http.Handler {
 			}
 			views = append(views, v)
 		}
-		if wantJSON(req) {
-			rw.Header().Set("Content-Type", "application/json; charset=utf-8")
-			enc := json.NewEncoder(rw)
-			enc.SetIndent("", "  ")
-			enc.Encode(views)
-			return
-		}
-		rw.Header().Set("Content-Type", "text/html; charset=utf-8")
-		writePerfHTML(rw, views, c != nil)
+		obs.ServeJSON(rw, http.StatusOK, views)
 	})
-}
-
-func writePerfHTML(w http.ResponseWriter, views []captureView, enabled bool) {
-	fmt.Fprint(w, `<!DOCTYPE html><html><head><title>perf captures</title><style>
-body{font-family:monospace;margin:1.5em}
-table{border-collapse:collapse;margin:0.5em 0 1.5em}
-th,td{border:1px solid #999;padding:2px 8px;text-align:right}
-th{background:#eee}
-td.l,th.l{text-align:left}
-.dim{color:#777}
-</style></head><body><h1>anomaly-triggered profile captures</h1>
-`)
-	if !enabled {
-		fmt.Fprint(w, `<p class="dim">capture disabled (-perf-profile-capture off)</p></body></html>`)
-		return
-	}
-	if len(views) == 0 {
-		fmt.Fprint(w, `<p class="dim">no captures yet — the ring fills when an SLO burn threshold trips</p></body></html>`)
-		return
-	}
-	fmt.Fprint(w, `<table><tr><th>seq</th><th class="l">reason</th><th class="l">start</th><th>took</th><th class="l">profiles</th></tr>`)
-	for _, v := range views {
-		names := make([]string, 0, len(v.Links))
-		for name := range v.Links {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		links := make([]string, 0, len(names))
-		for _, name := range names {
-			links = append(links, fmt.Sprintf(`<a href="%s">%s</a> (%d B)`,
-				html.EscapeString(v.Links[name]), html.EscapeString(name), v.Profiles[name]))
-		}
-		fmt.Fprintf(w, `<tr><td>%d</td><td class="l">%s</td><td class="l">%s</td><td>%.0fms</td><td class="l">%s</td></tr>`,
-			v.Seq, html.EscapeString(v.Reason),
-			html.EscapeString(v.Start.Format(time.RFC3339)), v.DurationMS,
-			strings.Join(links, " "))
-	}
-	fmt.Fprint(w, "</table>\n</body></html>\n")
 }

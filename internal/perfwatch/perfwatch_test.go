@@ -114,7 +114,7 @@ func TestRatioAndErrorRateObjectives(t *testing.T) {
 			Num:    func() uint64 { return num },
 			Den:    func() uint64 { return den },
 		},
-		{Name: "client_errors", Kind: KindErrorRate, Budget: 0.5},
+		{Name: "client_errors", Budget: 0.5},
 	}})
 	num, den = 2, 10 // ratio 0.2 over a 0.05 ceiling → burn 4
 	w.OnFinish("n1", tracing.KindRequest, "error", time.Millisecond)
@@ -193,6 +193,43 @@ func TestSLOBreachTriggersCapture(t *testing.T) {
 	}
 }
 
+// A scrape of /debug/slo before the first evaluation reports the
+// objectives unevaluated; it must not close the window, count a breach or
+// start a capture, so the next Evaluate still sees the slow request.
+func TestSLOScrapeDoesNotEvaluate(t *testing.T) {
+	w := New(Config{
+		Objectives: []Objective{{Name: "client_p99", Threshold: time.Millisecond}},
+		Capture:    CaptureConfig{Enabled: true, CPUDuration: time.Millisecond, MinInterval: time.Hour},
+	})
+	w.OnFinish("n1", tracing.KindRequest, "miss", 50*time.Millisecond)
+	for i := 0; i < 2; i++ {
+		rec := httptest.NewRecorder()
+		w.SLOHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slo", nil))
+		var v sloView
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+			t.Fatalf("slo json: %v", err)
+		}
+		if !v.EvaluatedAt.IsZero() || len(v.Objectives) != 1 {
+			t.Fatalf("scrape %d before evaluation = %+v, want one objective at the zero time", i, v)
+		}
+		if o := v.Objectives[0]; o.Name != "client_p99" || o.Kind != KindLatency ||
+			o.WindowTotal != 0 || o.Breached || o.Breaches != 0 {
+			t.Fatalf("scrape %d before evaluation: objective %+v, want an unevaluated row", i, o)
+		}
+	}
+	if n := len(w.Capturer().Captures()); n != 0 {
+		t.Fatalf("%d captures after scrapes alone, want 0", n)
+	}
+	st := w.Evaluate()
+	w.Capturer().Wait()
+	if st[0].WindowTotal != 1 || !st[0].Breached || st[0].Breaches != 1 {
+		t.Errorf("first Evaluate = %+v, want the slow request's window, breached once", st[0])
+	}
+	if n := len(w.Capturer().Captures()); n != 1 {
+		t.Errorf("%d captures after the breaching Evaluate, want 1", n)
+	}
+}
+
 func TestHandlers(t *testing.T) {
 	w := New(Config{
 		Objectives: []Objective{{Name: "client_p99", Threshold: 10 * time.Millisecond}},
@@ -204,7 +241,10 @@ func TestHandlers(t *testing.T) {
 
 	// /debug/slo JSON names the objective and carries the stage table.
 	rec := httptest.NewRecorder()
-	w.SLOHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slo?format=json", nil))
+	w.SLOHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slo", nil))
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("slo Content-Type = %q, want JSON", ct)
+	}
 	var v struct {
 		Objectives []SLOStatus    `json:"objectives"`
 		Stages     []StageSummary `json:"stages"`
@@ -215,16 +255,10 @@ func TestHandlers(t *testing.T) {
 	if len(v.Objectives) != 1 || v.Objectives[0].Name != "client_p99" || len(v.Stages) == 0 {
 		t.Errorf("slo view = %+v", v)
 	}
-	// HTML form renders too.
-	rec = httptest.NewRecorder()
-	w.SLOHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slo", nil))
-	if !strings.Contains(rec.Body.String(), "client_p99") {
-		t.Error("slo html missing objective name")
-	}
 
 	// /debug/perf lists the capture and serves raw profile bytes.
 	rec = httptest.NewRecorder()
-	w.PerfHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/perf?format=json", nil))
+	w.PerfHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/perf", nil))
 	var caps []struct {
 		Seq      int            `json:"seq"`
 		Profiles map[string]int `json:"profile_bytes"`

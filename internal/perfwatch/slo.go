@@ -29,11 +29,6 @@ type Objective struct {
 	// Name identifies the objective in metrics ({slo="<name>"}), the
 	// /debug/slo report, breach logs and trace anomaly reasons.
 	Name string
-	// Kind selects the event stream: KindLatency (bad = request slower
-	// than Threshold), KindErrorRate (bad = request with outcome "error"),
-	// or KindRatio (bad/total read from Num/Den). Inferred when empty:
-	// Num set → ratio, Threshold set → latency, otherwise error_rate.
-	Kind string
 	// Threshold is the per-request latency ceiling for latency objectives;
 	// a request slower than this is a bad event and its trace is marked
 	// anomalous ("slo:<name>") so tail sampling retains it.
@@ -46,11 +41,11 @@ type Objective struct {
 	Num, Den func() uint64
 }
 
-// kind resolves the objective kind, inferring it when unset.
+// kind names the event stream the objective's fields select: Num set →
+// KindRatio (bad/total read from Num/Den), Threshold set → KindLatency
+// (bad = request slower than Threshold), otherwise KindErrorRate (bad =
+// request with outcome "error").
 func (o Objective) kind() string {
-	if o.Kind != "" {
-		return o.Kind
-	}
 	if o.Num != nil {
 		return KindRatio
 	}
@@ -179,19 +174,22 @@ func (s *sloState) evaluate() SLOStatus {
 	} else {
 		s.breachedG.Set(0)
 	}
-	st := SLOStatus{
-		Name:        s.o.Name,
-		Kind:        s.kind,
-		Budget:      s.o.Budget,
-		WindowTotal: dTotal,
-		WindowBad:   dBad,
-		BadFraction: frac,
-		BurnRate:    burn,
-		Breached:    breached,
-		Breaches:    s.breachCount,
-		TotalEvents: total,
-		TotalBad:    bad,
-	}
+	st := s.status()
+	st.WindowTotal = dTotal
+	st.WindowBad = dBad
+	st.BadFraction = frac
+	st.BurnRate = burn
+	st.Breached = breached
+	st.Breaches = s.breachCount
+	st.TotalEvents = total
+	st.TotalBad = bad
+	return st
+}
+
+// status is the objective's row before any window has closed: what it is,
+// with a zero window that has not breached.
+func (s *sloState) status() SLOStatus {
+	st := SLOStatus{Name: s.o.Name, Kind: s.kind, Budget: s.o.Budget}
 	if s.kind == KindLatency {
 		st.ThresholdSeconds = s.o.Threshold.Seconds()
 	}
@@ -224,20 +222,17 @@ func (w *Watch) Evaluate() []SLOStatus {
 	return out
 }
 
-// Status returns the statuses of the most recent evaluation (evaluating
-// once if none has happened yet) and its timestamp.
+// Status returns the statuses of the most recent evaluation and its
+// timestamp. Before the first evaluation every objective reports a zero,
+// unbreached window evaluated at the zero time: reading never evaluates,
+// so it can neither close a window nor trigger a capture.
 func (w *Watch) Status() ([]SLOStatus, time.Time) {
 	if w == nil {
 		return nil, time.Time{}
 	}
 	w.evalMu.Lock()
-	have := w.last != nil
-	last, when := w.last, w.lastEval
-	w.evalMu.Unlock()
-	if !have {
-		return w.Evaluate(), time.Now()
-	}
-	return last, when
+	defer w.evalMu.Unlock()
+	return w.last, w.lastEval
 }
 
 // Run evaluates every interval (default 10s) until stop is closed. It is

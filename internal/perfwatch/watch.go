@@ -103,8 +103,8 @@ type Watch struct {
 	capturer *Capturer
 
 	evalMu   sync.Mutex
-	lastEval time.Time
-	last     []SLOStatus
+	lastEval time.Time   // zero until the first Evaluate
+	last     []SLOStatus // the first Evaluate replaces the unevaluated rows
 }
 
 // New builds a Watch from cfg.
@@ -125,8 +125,11 @@ func New(cfg Config) *Watch {
 	w.other = w.stages[StageOther]
 	w.reqH = w.stages[StageRequest]
 	w.capturer = newCapturer(cfg.Capture, reg, cfg.Labels, w.log)
+	w.last = make([]SLOStatus, 0, len(cfg.Objectives))
 	for _, o := range cfg.Objectives {
-		w.slos = append(w.slos, newSLOState(o, reg, cfg.Labels))
+		s := newSLOState(o, reg, cfg.Labels)
+		w.slos = append(w.slos, s)
+		w.last = append(w.last, s.status())
 	}
 	return w
 }

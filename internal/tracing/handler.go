@@ -1,12 +1,12 @@
 package tracing
 
 import (
-	"encoding/json"
 	"net/http"
+
+	"summarycache/internal/obs"
 )
 
-// Handler serves the trace store as JSON, meant to be mounted at
-// /debug/traces on the obs admin endpoint:
+// Handler serves the trace store as JSON at /debug/traces:
 //
 //	GET /debug/traces                 newest-first summary list
 //	GET /debug/traces?id=<hex>        every retained trace with that ID
@@ -18,10 +18,7 @@ import (
 // traces that share the exchange ID).
 func (t *Tracer) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		q := req.URL.Query()
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
 
 		if idStr := q.Get("id"); idStr != "" {
 			id, ok := ParseID(idStr)
@@ -38,7 +35,7 @@ func (t *Tracer) Handler() http.Handler {
 			for _, tr := range matches {
 				out = append(out, tr.snapshotView())
 			}
-			enc.Encode(out)
+			obs.ServeJSON(w, http.StatusOK, out)
 			return
 		}
 
@@ -69,7 +66,7 @@ func (t *Tracer) Handler() http.Handler {
 				DurationUS: v.DurationUS, Spans: len(v.Spans),
 			})
 		}
-		enc.Encode(struct {
+		obs.ServeJSON(w, http.StatusOK, struct {
 			Count  int       `json:"count"`
 			Traces []summary `json:"traces"`
 		}{len(list), list})
