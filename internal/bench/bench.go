@@ -65,9 +65,10 @@ type SyntheticConfig struct {
 	// /debug/traces on the admin endpoint shows correlated request and
 	// answer traces from the whole run. Nil: tracing disabled.
 	Tracer *tracing.Tracer
-	// Perf, when set, is shared by every proxy so the run's latency is
-	// decomposed per stage and its SLOs evaluated; wire the same Watch as
-	// Tracer's sink to get the span-level stages. Nil: no timing hooks.
+	// Perf, when set, is shared by every proxy and served on their admin
+	// surface. The Watch decomposes the run's latency per stage and
+	// evaluates its SLOs from spans alone, so it must also be Tracer's
+	// sink. Nil: no SLO or capture views.
 	Perf *perfwatch.Watch
 }
 

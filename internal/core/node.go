@@ -72,18 +72,15 @@ type NodeConfig struct {
 	// interposed call.
 	SocketWrapper icp.SocketWrapper
 	// Tracer, when set, records the node's side of distributed request
-	// traces: decision audits on traced Lookups (which summaries matched,
-	// at which bit indices and generation, and what each peer actually
-	// answered) and answering-side spans for incoming peer queries,
-	// correlated with the querier's trace via the ICP RequestNumber.
-	// Nil: tracing disabled; the lookup hot path is unchanged.
+	// traces: on a traced Lookup, the summary_probe span with its decision
+	// audit (which summaries matched, at which bit indices and generation,
+	// and what each peer actually answered), one icp_reply span per answer
+	// and the icp_query span; answering-side spans for incoming peer
+	// queries, correlated with the querier's trace via the ICP
+	// RequestNumber; and, through Tracer.Record, a dirupdate_encode span
+	// per publication and a dirupdate_apply span per member's DIRUPDATE.
+	// Nil: tracing disabled; no path reads the clock for it.
 	Tracer *tracing.Tracer
-	// StageTiming, when set, receives the sub-span stage timings the node
-	// owns, keyed by the perfwatch stage names: per-reply ICP RTT
-	// ("icp_reply"), DIRUPDATE encoding ("dirupdate_encode") and applying
-	// a received DIRUPDATE ("dirupdate_apply"). Nil (the default) leaves
-	// every path untouched beyond one nil check.
-	StageTiming func(stage string, d time.Duration)
 	// FalseMissAuditEvery, when positive, samples every Nth unresolved
 	// lookup (no remote hit) and ICP-queries the peers whose summaries
 	// said NO. A HIT answer contradicts the negative probe — the paper's
@@ -781,19 +778,18 @@ func (n *Node) publishDeltas() {
 	}
 }
 
-// splitUpdate encodes pending flips into DIRUPDATE messages, reporting
-// the encoding time as the "dirupdate_encode" perfwatch stage when a
-// StageTiming hook is wired. Each message takes its own request number,
-// so a peer sees the publisher's datagrams in increasing ReqNum order.
+// splitUpdate encodes pending flips into DIRUPDATE messages, recorded as
+// a dirupdate_encode span when the node is traced. Each message takes its
+// own request number, so a peer sees the publisher's datagrams in
+// increasing ReqNum order.
 func (n *Node) splitUpdate(flips []bloom.Flip) []icp.Message {
 	var t0 time.Time
-	st := n.cfg.StageTiming
-	if st != nil {
+	if n.tracer != nil {
 		t0 = time.Now()
 	}
 	msgs := icp.SplitUpdate(0, n.dir.Spec(), uint32(n.dir.Bits()), flips, n.cfg.MaxFlipsPerUpdate)
-	if st != nil {
-		st("dirupdate_encode", time.Since(t0))
+	if n.tracer != nil {
+		n.tracer.Record(n.self, tracing.Span{Name: tracing.SpanDirUpdateEncode, Start: t0, DurationUS: tracing.Micros(time.Since(t0))})
 	}
 	for i := range msgs {
 		msgs[i].ReqNum = n.conn.NextReqNum()
@@ -825,11 +821,12 @@ func (n *Node) sendFullState(p *peer) error {
 // ruled everyone out and no message was sent).
 //
 // When ctx carries a tracing.Trace (tracing.NewContext), Lookup records
-// the full decision audit on it: one summary-probe span per consulted
-// peer — probed bit indices, replica generation and age, predicted
-// verdict, and the peer's actual ICP answer — plus the query round-trip
-// span, and re-keys the trace to the exchange's shared ID so the
-// answering proxies' traces join it.
+// the full decision audit on it: one summary_probe span timing the probe
+// pass, with one audit per consulted peer — probed bit indices, replica
+// generation and age, predicted verdict, and the peer's actual ICP answer
+// — plus an icp_reply span per answer and the query round-trip span, and
+// re-keys the trace to the exchange's shared ID so the answering proxies'
+// traces join it.
 func (n *Node) Lookup(ctx context.Context, url string) (hit *net.UDPAddr, candidates int, err error) {
 	r, err := n.lookup(ctx, url, 0)
 	return r.Peer, r.Candidates, err
@@ -900,8 +897,12 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 		}
 	}
 	n.mu.RUnlock()
+	var probeDur time.Duration
+	if tr != nil {
+		probeDur = time.Since(probeStart)
+	}
 	if len(recs) == 0 {
-		n.traceLookup(tr, false, probes, probeStart, nil, 0, 0, Resolution{})
+		n.traceProbes(tr, probes, probeStart, probeDur, nil)
 		n.auditFalseMiss(ctx, url, nil, tr)
 		return Resolution{}, nil
 	}
@@ -912,14 +913,14 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 		ops = make([]icp.Opcode, len(addrs))
 	}
 	start := time.Now()
-	st := n.cfg.StageTiming
 	onReply := func(from *net.UDPAddr, op icp.Opcode) {
-		if st != nil {
-			// Each peer's answer latency is one "icp_reply" sample — finer
+		i := slices.Index(addrs, from)
+		if tr != nil {
+			// Each peer's answer latency is one icp_reply span — finer
 			// than the whole fan-out RTT the icp_query span reports.
-			st("icp_reply", time.Since(start))
+			tr.AddSpan(tracing.Span{Name: tracing.SpanICPReply, Peer: recs[i].id, Start: start, DurationUS: tracing.Micros(time.Since(start))})
 		}
-		ops[slices.Index(addrs, from)] = op
+		ops[i] = op
 	}
 	win, from, reqNum, err := n.conn.QueryAllFunc(ctx, n.cfg.QueryTimeout, addrs, url, options, onReply)
 	rtt := time.Since(start)
@@ -928,7 +929,17 @@ func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resoluti
 	if from != nil {
 		res.PeerID = recs[slices.Index(addrs, from)].id
 	}
-	n.traceLookup(tr, true, probes, probeStart, ops, reqNum, rtt, res)
+	if tr != nil {
+		n.traceProbes(tr, probes, probeStart, probeDur, ops)
+		tr.SetICPExchange(n.self, reqNum)
+		tr.AddSpan(tracing.Span{
+			Name:       tracing.SpanICPQuery,
+			Start:      start,
+			DurationUS: tracing.Micros(rtt),
+			ReqNum:     reqNum,
+			Actual:     tracing.QueryActual(res.Peer, res.Reply.Op.Verdict()),
+		})
+	}
 	if err != nil {
 		return res, err
 	}
@@ -1009,61 +1020,44 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []*peer
 	n.noteFalse(p, &p.falseMisses, "false_miss", url, tr)
 }
 
-// traceLookup records the decision audit of one Lookup on tr: a
-// summary-probe span per consulted peer and (when a query was sent) the
-// ICP round-trip span. ops holds the actual answers of the matching probes'
-// peers, in probe order (OpInvalid: none); res names the winning peer and
-// its reply (Peer nil when nobody confirmed).
-func (n *Node) traceLookup(tr *tracing.Trace, queried bool, probes []SummaryProbe, probeStart time.Time,
-	ops []icp.Opcode, reqNum uint32, rtt time.Duration, res Resolution) {
-	if tr == nil {
+// traceProbes records the summary_probe span of one lookup on tr: the
+// probe pass from start, lasting d, with an audit per consulted replica.
+// ops holds the answers of the matching probes' peers, in probe order
+// (OpInvalid: none); nil when no query was sent. Classic ICP consults no
+// summary and records no span.
+func (n *Node) traceProbes(tr *tracing.Trace, probes []SummaryProbe, start time.Time, d time.Duration, ops []icp.Opcode) {
+	if tr == nil || n.cfg.QueryAll {
 		return
 	}
-	if queried {
-		tr.SetICPExchange(n.self, reqNum)
-	}
-	probeDur := time.Since(probeStart).Microseconds()
+	audits := make([]tracing.Audit, len(probes))
 	asked := 0 // the matching probes seen so far; ops[asked] is the next one's answer
-	for _, pr := range probes {
-		s := tracing.Span{
-			Name:       tracing.SpanSummaryProbe,
+	for i, pr := range probes {
+		a := tracing.Audit{
 			Peer:       pr.Peer,
-			Start:      probeStart,
-			DurationUS: probeDur,
 			Predicted:  "miss",
 			Actual:     "not_queried",
-			Audit: &tracing.Audit{
-				BitIndexes: pr.BitIndexes,
-				Generation: pr.Generation,
-				AgeMS:      float64(pr.Age.Microseconds()) / 1e3,
-				FilterBits: pr.FilterBits,
-			},
+			BitIndexes: pr.BitIndexes,
+			Generation: pr.Generation,
+			AgeMS:      float64(pr.Age.Microseconds()) / 1e3,
+			FilterBits: pr.FilterBits,
 		}
 		if pr.Match {
-			s.Predicted = "hit"
-			if queried {
-				switch op := ops[asked]; op {
+			a.Predicted = "hit"
+			if ops != nil {
+				switch ops[asked] {
 				case icp.OpInvalid:
-					s.Actual = "no_reply"
+					a.Actual = "no_reply"
 				case icp.OpHit, icp.OpHitObj:
-					s.Actual = "hit"
+					a.Actual = "hit"
 				default:
-					s.Actual = "miss"
+					a.Actual = "miss"
 				}
 			}
 			asked++
 		}
-		tr.AddSpan(s)
+		audits[i] = a
 	}
-	if queried {
-		tr.AddSpan(tracing.Span{
-			Name:       tracing.SpanICPQuery,
-			Start:      probeStart,
-			DurationUS: rtt.Microseconds(),
-			ReqNum:     reqNum,
-			Actual:     tracing.QueryActual(res.Peer, res.Reply.Op.Verdict()),
-		})
-	}
+	tr.AddSpan(tracing.Span{Name: tracing.SpanSummaryProbe, Start: start, DurationUS: tracing.Micros(d), Audits: audits})
 }
 
 // handle serves incoming unsolicited messages. Only a registered peer is

@@ -13,6 +13,7 @@ import (
 	"summarycache/internal/bloom"
 	"summarycache/internal/hashing"
 	"summarycache/internal/icp"
+	"summarycache/internal/tracing"
 )
 
 // Bounds on the geometry a peer's summary may announce (see checkGeometry).
@@ -331,12 +332,11 @@ func (n *Node) ReplicaSnapshot(addr *net.UDPAddr) ([]byte, bool) {
 
 // applyUpdate folds one received DIRUPDATE into the replica of its sender,
 // which must be registered and announce a geometry inside the bounds for
-// this node's directory. It reports the apply time as the "dirupdate_apply"
-// perfwatch stage when a StageTiming hook is wired.
+// this node's directory. A member's update is recorded as a
+// dirupdate_apply span when the node is traced.
 func (n *Node) applyUpdate(from *net.UDPAddr, u *icp.DirUpdate, full bool) error {
 	var t0 time.Time
-	st := n.cfg.StageTiming
-	if st != nil {
+	if n.tracer != nil {
 		t0 = time.Now()
 	}
 	rebuilt, err := "", errNotMember
@@ -346,8 +346,8 @@ func (n *Node) applyUpdate(from *net.UDPAddr, u *icp.DirUpdate, full bool) error
 		rebuilt, err = p.rep.apply(u, full, n.dir.Bits())
 	}
 	n.mu.Unlock()
-	if st != nil {
-		st("dirupdate_apply", time.Since(t0))
+	if p != nil && n.tracer != nil {
+		n.tracer.Record(n.self, tracing.Span{Name: tracing.SpanDirUpdateApply, Peer: p.id, Start: t0, DurationUS: tracing.Micros(time.Since(t0))})
 	}
 	if rebuilt != "" {
 		n.noteRebuild(p.id, rebuilt)

@@ -34,7 +34,7 @@ func TestStoreAllocBudget(t *testing.T) {
 	}
 	next := 0
 	store := func() {
-		p.storeBody(keys[next%len(keys)], 1, body)
+		p.storeBody(nil, keys[next%len(keys)], 1, body)
 		next++
 	}
 	for range keys {

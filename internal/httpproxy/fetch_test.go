@@ -353,7 +353,7 @@ func TestRedirectsFollowed(t *testing.T) {
 		if status != tc.status {
 			t.Fatalf("%d redirects: status %d, want %d", tc.redirects, status, tc.status)
 		}
-		if _, _, cached := p.cachedBody(target); cached != (status == http.StatusOK) {
+		if _, _, cached := p.cachedBody(nil, target); cached != (status == http.StatusOK) {
 			t.Fatalf("%d redirects: cached under the asked-for key = %v", tc.redirects, cached)
 		}
 		if status == http.StatusOK && body != "doc" {

@@ -1,9 +1,11 @@
 package httpproxy
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,12 +220,99 @@ func TestPerfSLOBreachEndToEnd(t *testing.T) {
 		t.Fatalf("/debug/perf = %+v, want the capture with its heap profile", perfList)
 	}
 
-	// The sub-span stages only this layer feeds (LRU ops) saw traffic
-	// too: every request ran at least one cache lookup.
+	// The document-cache stages saw traffic too: every request ran at
+	// least one cache lookup.
 	if byStage[perfwatch.StageLRUGet].Count < docs {
 		t.Fatalf("lru_get count = %d, want >= %d", byStage[perfwatch.StageLRUGet].Count, docs)
 	}
 	if byStage[perfwatch.StageLRUInsert].Count < docs {
 		t.Fatalf("lru_insert count = %d, want >= %d", byStage[perfwatch.StageLRUInsert].Count, docs)
+	}
+}
+
+// countingSink counts what reaches a Watch through the tracer: every span
+// and every finished request trace.
+type countingSink struct {
+	w               *perfwatch.Watch
+	spans, requests atomic.Uint64
+}
+
+func (s *countingSink) OnSpan(node string, sp tracing.Span) {
+	s.spans.Add(1)
+	s.w.OnSpan(node, sp)
+}
+
+func (s *countingSink) OnFinish(node, kind, outcome string, d time.Duration) string {
+	if kind == tracing.KindRequest {
+		s.requests.Add(1)
+	}
+	return s.w.OnFinish(node, kind, outcome, d)
+}
+
+// TestPerfStageCoverage drives every kind of work through a traced
+// two-proxy mesh — misses, an inline HIT_OBJ hit, an HTTP sibling fetch and
+// a summary publication each way — and checks that every stage the Watch
+// registers, but "other", gets samples, and that the Watch counts exactly
+// the spans and request traces its tracer delivered: spans are its only
+// input.
+func TestPerfStageCoverage(t *testing.T) {
+	wreg := obs.NewRegistry()
+	sink := &countingSink{w: perfwatch.New(perfwatch.Config{Registry: wreg})}
+	tracer := tracing.New(tracing.Config{HeadRate: 0, Buffer: 64, Sink: sink})
+	m := pair(t, func(int) Config {
+		return Config{
+			Mode:         ModeSCICP,
+			CacheBytes:   8 << 20,
+			Summary:      bloom.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
+			QueryTimeout: 2 * time.Second,
+			Tracer:       tracer,
+			Perf:         sink.w,
+		}
+	})
+	a, b := m.proxies[0], m.proxies[1]
+	small, large := m.docURL("cover/inline", 2048), m.docURL("cover/http", overInline)
+	m.fetch(t, b, small) // misses at B
+	m.fetch(t, b, large)
+	b.FlushSummary() // B → A
+	waitForCandidate(t, a, small)
+	waitForCandidate(t, a, large)
+	m.fetch(t, a, small) // the HIT_OBJ hit
+	m.fetch(t, a, large) // the sibling fetch
+	if st := a.Stats(); st.RemoteHits != 2 {
+		t.Fatalf("A stats = %+v, want two remote hits", st)
+	}
+	a.FlushSummary() // A → B
+	waitForCandidate(t, b, small)
+
+	counts := func() (map[string]float64, float64) {
+		var buf bytes.Buffer
+		wreg.WritePrometheus(&buf)
+		byStage, total := map[string]float64{}, 0.0
+		for series, v := range parseProm(t, &buf) {
+			if stage, ok := strings.CutPrefix(series, `summarycache_perf_stage_seconds_count{stage="`); ok {
+				byStage[strings.TrimSuffix(stage, `"}`)] = v
+				total += v
+			}
+		}
+		return byStage, total
+	}
+	byStage, total := counts()
+	// Spans recorded after a reply (the answering side's trace, the
+	// request's Finish) may still be on their way; poll for quiescence.
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if byStage, total = counts(); total == float64(sink.spans.Load()+sink.requests.Load()) {
+			break
+		}
+	}
+	if delivered := sink.spans.Load() + sink.requests.Load(); total != float64(delivered) {
+		t.Errorf("Watch counted %v samples, the tracer delivered %d spans and request traces", total, delivered)
+	}
+	if len(byStage) != 13 { // request, other and the eleven span names
+		t.Fatalf("Watch registered %d stages: %v", len(byStage), byStage)
+	}
+	for stage, n := range byStage {
+		if (n == 0) != (stage == perfwatch.StageOther) {
+			t.Errorf("stage %q has %v samples", stage, n)
+		}
 	}
 }

@@ -198,12 +198,16 @@ type Config struct {
 	// panics its client handlers recover from. Nil: events are discarded.
 	Logger *slog.Logger
 	// Tracer, when set, records a distributed trace per client request —
-	// spans for the local lookup, each peer summary consulted (with its
-	// decision audit), the ICP round-trip, sibling fetches, and origin
+	// spans for the local lookup, every document-cache read and stored
+	// write, the summary probe (with a decision audit per peer consulted),
+	// the ICP round-trip and each reply, sibling fetches, and origin
 	// fetches — retained per the tracer's head/tail sampling policy and
-	// served at /debug/traces. A whole mesh may share one Tracer (as with
-	// Metrics) or each proxy may own one. Nil: tracing disabled; the
-	// local-hit hot path performs no extra allocation.
+	// served at /debug/traces. Cache reads outside a client request (a
+	// peer's HIT_OBJ answer, the cache-only handler) and the node's
+	// DIRUPDATE work go to the tracer's sink through Tracer.Record. The
+	// sink is how a perfwatch.Watch sees any of it. A whole mesh may share
+	// one Tracer (as with Metrics) or each proxy may own one. Nil: tracing
+	// disabled; the local-hit hot path performs no extra allocation.
 	Tracer *tracing.Tracer
 	// Persist, when set, enables warm restarts: the document cache, the
 	// local directory filter, and the peer summary replicas are
@@ -213,12 +217,9 @@ type Config struct {
 	// state before serving — see Recovery for what the boot found. Nil:
 	// persistence disabled, the seed's memory-only behavior.
 	Persist *persist.Config
-	// Perf, when set, receives the sub-span stage timings only this layer
-	// can see — document-cache get/insert and the SC-ICP node's DIRUPDATE
-	// encode/apply and per-reply RTT — completing the per-stage latency
-	// decomposition the Watch assembles from the tracer's spans. Wire the
-	// same Watch as Tracer's Config.Sink to get the span-level stages and
-	// the SLO engine. Nil: no timing hooks are installed at all.
+	// Perf, when set, is served on the admin surface as /debug/slo and
+	// /debug/perf. It never reaches the data path: the Watch is fed only
+	// as the Tracer's Config.Sink, so wire it there too.
 	Perf *perfwatch.Watch
 }
 
@@ -350,6 +351,7 @@ type Proxy struct {
 	metrics proxyMetrics
 	reg     *obs.Registry
 	tracer  *tracing.Tracer // nil: tracing disabled
+	self    string          // the listener address: this proxy's node name in traces
 
 	// Warm-restart persistence (nil store: disabled).
 	store       *persist.Store
@@ -409,24 +411,11 @@ func Start(cfg Config) (*Proxy, error) {
 	// The HTTP fault schedule is drawn before the node wraps its socket, so
 	// a scenario's seeded streams keep their order.
 	p.up = &fetcher{timeout: p.fetchTimeout, faults: cfg.Faults.HTTPFaults(), idle: make(map[poolKey][]*upConn)}
-	cacheCfg := lru.Config{
+	cache, err := lru.NewCache(lru.Config{
 		Capacity:      cfg.CacheBytes,
 		MaxObjectSize: cfg.MaxObjectSize,
 		OnChange:      p.onCacheChange,
-	}
-	if perf := cfg.Perf; perf != nil {
-		// Map the cache's op names onto perfwatch stages without a
-		// per-call string concatenation.
-		cacheCfg.OpTiming = func(op string, d time.Duration) {
-			switch op {
-			case lru.OpGet:
-				perf.StageTiming(perfwatch.StageLRUGet, d)
-			case lru.OpInsert:
-				perf.StageTiming(perfwatch.StageLRUInsert, d)
-			}
-		}
-	}
-	cache, err := lru.NewCache(cacheCfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -439,12 +428,13 @@ func Start(cfg Config) (*Proxy, error) {
 		return nil, fmt.Errorf("httpproxy: listen %q: %w", cfg.ListenAddr, err)
 	}
 	p.ln = ln
+	p.self = ln.Addr().String()
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	p.reg = reg
-	labels := obs.L("proxy", ln.Addr().String())
+	labels := obs.L("proxy", p.self)
 	p.metrics = newProxyMetrics(reg, labels)
 	p.registerCacheMetrics(reg, labels)
 	p.tracer = cfg.Tracer
@@ -470,7 +460,7 @@ func Start(cfg Config) (*Proxy, error) {
 			ListenAddr:          cfg.ICPAddr,
 			Directory:           cfg.Summary,
 			HasDocument:         p.cache.Contains,
-			ReadDocument:        p.cachedBody,
+			ReadDocument:        p.answerBody,
 			QueryTimeout:        cfg.QueryTimeout,
 			SocketWrapper:       sockWrap,
 			Metrics:             reg,
@@ -480,11 +470,6 @@ func Start(cfg Config) (*Proxy, error) {
 			QueryAll:            cfg.Mode == ModeICP,
 			BreakerThreshold:    cfg.BreakerThreshold,
 			BreakerCooldown:     cfg.BreakerCooldown,
-		}
-		if cfg.Perf != nil {
-			// Only set for a live Watch: the node gates on a nil func, so
-			// a disabled Watch must not install a non-nil method value.
-			nodeCfg.StageTiming = cfg.Perf.StageTiming
 		}
 		node, err := core.NewNode(nodeCfg)
 		if err != nil {
@@ -754,20 +739,50 @@ func (p *Proxy) onCacheChange(e lru.Entry, ev lru.Event) {
 	}
 }
 
-func (p *Proxy) cachedBody(key string) ([]byte, int64, bool) {
-	e, ok := p.cache.Get(key)
-	if !ok {
-		return nil, 0, false
+// cachedBody reads key from the document cache. A traced proxy records
+// the read as an lru_get span: on tr, the client request's trace, or with
+// tr nil straight to the tracer's sink.
+func (p *Proxy) cachedBody(tr *tracing.Trace, key string) ([]byte, int64, bool) {
+	if p.tracer == nil {
+		e, ok := p.cache.Get(key)
+		return e.Body, e.Version, ok
 	}
-	return e.Body, e.Version, true
+	start := time.Now()
+	e, ok := p.cache.Get(key)
+	p.record(tr, tracing.Span{Name: tracing.SpanLRUGet, Start: start, DurationUS: tracing.Micros(time.Since(start))})
+	return e.Body, e.Version, ok
 }
 
-func (p *Proxy) storeBody(key string, version int64, body []byte) {
+// answerBody is the node's ReadDocument: a peer's query asking for the
+// object inline reads the cache outside any client request.
+func (p *Proxy) answerBody(key string) ([]byte, int64, bool) { return p.cachedBody(nil, key) }
+
+// storeBody caches a fetched document. A traced proxy records a stored
+// write as an lru_insert span on tr.
+func (p *Proxy) storeBody(tr *tracing.Trace, key string, version int64, body []byte) {
 	// The payload rides the entry itself, so entry and body are stored —
 	// and later evicted — atomically. An uncacheable document (too large)
 	// is refused by Put and simply dropped; onCacheChange journals what
 	// was stored.
-	p.cache.Put(lru.Entry{Key: key, Size: int64(len(body)), Version: version, Body: body})
+	e := lru.Entry{Key: key, Size: int64(len(body)), Version: version, Body: body}
+	if p.tracer == nil {
+		p.cache.Put(e)
+		return
+	}
+	start := time.Now()
+	if p.cache.Put(e) {
+		p.record(tr, tracing.Span{Name: tracing.SpanLRUInsert, Start: start, DurationUS: tracing.Micros(time.Since(start))})
+	}
+}
+
+// record adds s to tr, or hands it to the tracer's sink when the work
+// belongs to no client request (tr nil).
+func (p *Proxy) record(tr *tracing.Trace, s tracing.Span) {
+	if tr != nil {
+		tr.AddSpan(s)
+		return
+	}
+	p.tracer.Record(p.self, s)
 }
 
 // --- HTTP serving ---
@@ -823,7 +838,7 @@ func urlParam(rawQuery string) string {
 }
 
 func (p *Proxy) serveCacheOnly(c *clientConn, rawQuery string) {
-	body, version, ok := p.cachedBody(urlParam(rawQuery))
+	body, version, ok := p.cachedBody(nil, urlParam(rawQuery))
 	if !ok {
 		c.writeError(http.StatusNotFound, "not cached")
 		return
@@ -837,11 +852,9 @@ func (p *Proxy) serveProxy(c *clientConn, target string) {
 	p.metrics.clientReqs.Inc()
 	p.metrics.inflight.Inc()
 	start := time.Now()
-	// The listener-address string is only materialized when a tracer is
-	// installed, so the disabled path adds no allocation.
 	var tr *tracing.Trace
 	if p.tracer != nil {
-		tr = p.tracer.StartRequest(p.ln.Addr().String(), target)
+		tr = p.tracer.StartRequest(p.self, target)
 	}
 	outcome := p.serveProxyClassified(c, target, tr)
 	if outcome != "" {
@@ -869,14 +882,14 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 	}
 
 	lookupStart := time.Now()
-	body, cachedVersion, cached := p.cachedBody(key)
+	body, cachedVersion, cached := p.cachedBody(tr, key)
 	staleLocal := cached && p.cfg.VersionAware && cachedVersion != wanted
 	if cached && !staleLocal {
 		if tr != nil {
 			tr.AddSpan(tracing.Span{
 				Name:       tracing.SpanLocalLookup,
 				Start:      lookupStart,
-				DurationUS: time.Since(lookupStart).Microseconds(),
+				DurationUS: tracing.Micros(time.Since(lookupStart)),
 				Actual:     "hit",
 			})
 		}
@@ -897,7 +910,7 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 		tr.AddSpan(tracing.Span{
 			Name:       tracing.SpanLocalLookup,
 			Start:      lookupStart,
-			DurationUS: time.Since(lookupStart).Microseconds(),
+			DurationUS: tracing.Micros(time.Since(lookupStart)),
 			Actual:     actual,
 		})
 	}
@@ -922,7 +935,7 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 	if ok {
 		p.metrics.remoteHits.Inc()
 		if !p.cfg.SingleCopy {
-			p.storeBody(key, wanted, body) // simple sharing: cache the remote copy
+			p.storeBody(tr, key, wanted, body) // simple sharing: cache the remote copy
 		}
 		c.writeDoc(body, 0)
 		return outcomeRemoteHit
@@ -941,7 +954,7 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 		version = wanted // origin did not echo a version header
 	}
 	p.metrics.misses.Inc()
-	p.storeBody(key, version, body)
+	p.storeBody(tr, key, version, body)
 	// Count before replying, as the hit paths do, so Stats already shows
 	// the request's class when the client has its response.
 	outcome := outcomeMiss
@@ -1047,7 +1060,7 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 				Name:       tracing.SpanPeerFetch,
 				Peer:       id,
 				Start:      start,
-				DurationUS: time.Since(start).Microseconds(),
+				DurationUS: tracing.Micros(time.Since(start)),
 				Actual:     actual,
 			})
 		}()
@@ -1151,7 +1164,7 @@ func (p *Proxy) fetchOrigin(ctx context.Context, target string) (body []byte, ve
 			s := tracing.Span{
 				Name:       tracing.SpanOriginFetch,
 				Start:      start,
-				DurationUS: time.Since(start).Microseconds(),
+				DurationUS: tracing.Micros(time.Since(start)),
 				Actual:     "ok",
 				Retries:    retried,
 			}

@@ -66,8 +66,8 @@ func TestWireProtocol(t *testing.T) {
 	p := startNoneProxy(t, Config{})
 	const key, key2 = "http://origin.invalid/doc", "http://origin.invalid/doc2"
 	doc := bytes.Repeat([]byte("d"), 1<<10)
-	p.storeBody(key, 0, doc)
-	p.storeBody(key2, 0, []byte("second"))
+	p.storeBody(nil, key, 0, doc)
+	p.storeBody(nil, key2, 0, []byte("second"))
 	get := func(target, proto, headers string) string {
 		return "GET " + target + " " + proto + "\r\n" + headers + "\r\n"
 	}
@@ -207,7 +207,7 @@ func TestWireProtocol(t *testing.T) {
 func localHitClient(tb testing.TB, p *Proxy) (hit func() []byte) {
 	const key = "http://origin.invalid/doc"
 	doc := bytes.Repeat([]byte("d"), 1<<10)
-	p.storeBody(key, 0, doc)
+	p.storeBody(nil, key, 0, doc)
 	conn, err := net.Dial("tcp", p.ln.Addr().String())
 	if err != nil {
 		tb.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"summarycache/internal/bloom"
+	"summarycache/internal/faultnet"
 	"summarycache/internal/obs"
 	"summarycache/internal/origin"
 	"summarycache/internal/tracing"
@@ -55,6 +56,30 @@ func findSpan(spans []tracing.Span, name, peer string) *tracing.Span {
 	for i := range spans {
 		if spans[i].Name == name && (peer == "" || spans[i].Peer == peer) {
 			return &spans[i]
+		}
+	}
+	return nil
+}
+
+// findAudit returns the audit of peer's summary in the request's one
+// summary_probe span (nil when either is missing).
+func findAudit(t *testing.T, spans []tracing.Span, peer string) *tracing.Audit {
+	t.Helper()
+	var probe *tracing.Span
+	for i := range spans {
+		if spans[i].Name == tracing.SpanSummaryProbe {
+			if probe != nil {
+				t.Fatalf("two summary_probe spans in one lookup: %+v", spans)
+			}
+			probe = &spans[i]
+		}
+	}
+	if probe == nil {
+		return nil
+	}
+	for i := range probe.Audits {
+		if probe.Audits[i].Peer == peer {
+			return &probe.Audits[i]
 		}
 	}
 	return nil
@@ -189,9 +214,9 @@ func TestFalseHitTraceAcrossMesh(t *testing.T) {
 		t.Errorf("local_lookup span = %+v, want actual=miss", s)
 	}
 	bID := b.ICPAddr().String()
-	probe := findSpan(spans, tracing.SpanSummaryProbe, bID)
+	probe := findAudit(t, spans, bID)
 	if probe == nil {
-		t.Fatalf("no summary_probe span for B (%s) in %+v", bID, spans)
+		t.Fatalf("no summary_probe audit for B (%s) in %+v", bID, spans)
 	}
 	// (b) The decision audit: the lie is fully attributed — predicted hit
 	// against a named replica generation, probed at named bit indices,
@@ -199,18 +224,15 @@ func TestFalseHitTraceAcrossMesh(t *testing.T) {
 	if probe.Predicted != "hit" || probe.Actual != "miss" {
 		t.Errorf("probe predicted=%q actual=%q, want hit/miss", probe.Predicted, probe.Actual)
 	}
-	if probe.Audit == nil {
-		t.Fatal("summary_probe span carries no audit")
-	}
-	if len(probe.Audit.BitIndexes) == 0 {
+	if len(probe.BitIndexes) == 0 {
 		t.Error("audit names no probed bit indices")
 	}
-	for _, idx := range probe.Audit.BitIndexes {
-		if idx >= probe.Audit.FilterBits {
-			t.Errorf("bit index %d outside filter of %d bits", idx, probe.Audit.FilterBits)
+	for _, idx := range probe.BitIndexes {
+		if idx >= probe.FilterBits {
+			t.Errorf("bit index %d outside filter of %d bits", idx, probe.FilterBits)
 		}
 	}
-	if probe.Audit.Generation == 0 {
+	if probe.Generation == 0 {
 		t.Error("audit names no replica generation (stale filter unattributable)")
 	}
 	q := findSpan(spans, tracing.SpanICPQuery, "")
@@ -297,7 +319,7 @@ func TestDisabledTracingLocalHitNoExtraAllocs(t *testing.T) {
 	}
 
 	baseline := testing.AllocsPerRun(500, func() {
-		if _, _, ok := p.cachedBody(u); !ok {
+		if _, _, ok := p.cachedBody(nil, u); !ok {
 			t.Fatal("document fell out of cache")
 		}
 	})
@@ -308,7 +330,7 @@ func TestDisabledTracingLocalHitNoExtraAllocs(t *testing.T) {
 		if p.tracer != nil {
 			tr = p.tracer.StartRequest("x", u)
 		}
-		if _, _, ok := p.cachedBody(u); !ok {
+		if _, _, ok := p.cachedBody(tr, u); !ok {
 			t.Fatal("document fell out of cache")
 		}
 		if tr != nil {
@@ -403,9 +425,9 @@ func tracedRemoteHit(t *testing.T, size int64) (req, answer *tracing.Trace, peer
 		}
 	}
 	peer = b.ICPAddr().String()
-	probe := findSpan(req.Spans(), tracing.SpanSummaryProbe, peer)
+	probe := findAudit(t, req.Spans(), peer)
 	if probe == nil || probe.Predicted != "hit" || probe.Actual != "hit" {
-		t.Errorf("probe span = %+v, want a confirmed hit prediction", probe)
+		t.Errorf("probe audit = %+v, want a confirmed hit prediction", probe)
 	}
 	if findSpan(req.Spans(), tracing.SpanOriginFetch, "") != nil {
 		t.Error("remote hit must not record an origin fetch")
@@ -508,5 +530,137 @@ func TestTracedClassicICP(t *testing.T) {
 		if tr.Outcome() == "icp_miss" && tr.Kept() != "head" {
 			t.Errorf("classic-ICP miss answer kept = %q, want head (not tail)", tr.Kept())
 		}
+	}
+}
+
+// pair starts two proxies, built from cfg(0) and cfg(1), that are each
+// other's registered peers, beside one origin.
+func pair(t *testing.T, cfg func(i int) Config) *mesh {
+	t.Helper()
+	org, err := origin.Start(origin.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { org.Close() })
+	m := &mesh{origin: org}
+	for i := 0; i < 2; i++ {
+		p, err := Start(cfg(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		m.proxies = append(m.proxies, p)
+	}
+	a, b := m.proxies[0], m.proxies[1]
+	if err := a.AddPeer(b.ICPAddr(), b.URL()); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddPeer(a.ICPAddr(), a.URL()); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// finishedTrace polls tracer for a retained request trace with outcome;
+// the proxy finishes a trace just after replying, so the client can get
+// here first.
+func finishedTrace(t *testing.T, tracer *tracing.Tracer, outcome string) *tracing.Trace {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		for _, tr := range tracer.Traces() {
+			if tr.Outcome() == outcome {
+				return tr
+			}
+		}
+	}
+	t.Fatalf("no %s trace retained", outcome)
+	return nil
+}
+
+// spanDuration is a span's length.
+func spanDuration(s *tracing.Span) time.Duration {
+	return time.Duration(float64(s.DurationUS) * 1e3)
+}
+
+// TestSummaryProbeExcludesQueryRoundTrip: the summary_probe span times the
+// pass over the peer summaries alone, and the icp_query span starts when
+// the query is sent. The answering proxy's every datagram is held back by
+// delay, so a traced remote hit's probe must be shorter than delay, its
+// query at least delay long, and the query must start after the probe
+// ends.
+func TestSummaryProbeExcludesQueryRoundTrip(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	tracer := tracing.New(tracing.Config{HeadRate: 1, Buffer: 64})
+	inj := faultnet.New(faultnet.Scenario{Seed: 1, Outbound: faultnet.Rates{Delay: 1, DelayMin: delay, DelayMax: delay}})
+	inj.SetEnabled(false) // B's summary reaches A undelayed
+	m := pair(t, func(i int) Config {
+		cfg := Config{
+			Mode:         ModeSCICP,
+			CacheBytes:   8 << 20,
+			Summary:      bloom.DirectoryConfig{ExpectedDocs: 2000, UpdateThreshold: 0.01},
+			QueryTimeout: 2 * time.Second,
+			Tracer:       tracer,
+		}
+		if i == 1 {
+			cfg.Faults = inj
+		}
+		return cfg
+	})
+	a, b := m.proxies[0], m.proxies[1]
+	doc := m.docURL("probe/delayed-answer", 2048)
+	m.fetch(t, b, doc)
+	b.FlushSummary()
+	waitForCandidate(t, a, doc)
+	inj.SetEnabled(true)
+	m.fetch(t, a, doc)
+
+	spans := finishedTrace(t, tracer, outcomeRemoteHit).Spans()
+	probe := findSpan(spans, tracing.SpanSummaryProbe, "")
+	query := findSpan(spans, tracing.SpanICPQuery, "")
+	if probe == nil || query == nil {
+		t.Fatalf("want summary_probe and icp_query spans, got %+v", spans)
+	}
+	if d := spanDuration(probe); d >= delay {
+		t.Errorf("summary_probe lasted %v, want under the %v reply delay: the probe pass alone", d, delay)
+	}
+	if d := spanDuration(query); d < delay {
+		t.Errorf("icp_query lasted %v, want at least the %v reply delay", d, delay)
+	}
+	if probeEnd := probe.Start.Add(spanDuration(probe)); query.Start.Before(probeEnd) {
+		t.Errorf("icp_query starts %v before summary_probe ends", probeEnd.Sub(query.Start))
+	}
+}
+
+// TestTracedLocalHitKeepsNanoseconds: a local hit's cache lookup takes
+// well under a microsecond, and its local_lookup span must still read
+// more than zero.
+func TestTracedLocalHitKeepsNanoseconds(t *testing.T) {
+	tracer := tracing.New(tracing.Config{HeadRate: 1, Buffer: 64})
+	org, err := origin.Start(origin.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { org.Close() })
+	m := &mesh{origin: org, proxies: []*Proxy{startNoneProxy(t, Config{Tracer: tracer})}}
+	doc := m.docURL("nanos/doc", 1024)
+	const hits = 20
+	for i := 0; i <= hits; i++ {
+		m.fetch(t, m.proxies[0], doc) // a miss, then local hits
+	}
+	for deadline := time.Now().Add(2 * time.Second); len(tracer.Traces()) <= hits && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	n := 0
+	for _, tr := range tracer.Traces() {
+		if tr.Outcome() != outcomeLocalHit {
+			continue
+		}
+		n++
+		if s := findSpan(tr.Spans(), tracing.SpanLocalLookup, ""); s == nil || s.DurationUS <= 0 {
+			t.Errorf("local hit's local_lookup span = %+v, want a duration above zero", s)
+		}
+	}
+	if n != hits {
+		t.Fatalf("%d local-hit traces retained, want %d", n, hits)
 	}
 }

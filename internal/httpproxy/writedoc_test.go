@@ -23,7 +23,7 @@ func TestDocumentContentLength(t *testing.T) {
 		for _, version := range []int64{0, 5} {
 			key := fmt.Sprintf("http://origin.invalid/doc-%d-v%d", size, version)
 			body := bytes.Repeat([]byte{'d'}, size)
-			p.storeBody(key, version, body)
+			p.storeBody(nil, key, version, body)
 			for _, path := range []string{ProxyPath, CacheOnlyPath} {
 				resp, err := http.Get(p.URL() + path + "?url=" + key)
 				if err != nil {

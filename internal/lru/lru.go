@@ -19,7 +19,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultMaxObjectSize is the paper's cacheability limit: 250 KB.
@@ -52,7 +51,9 @@ const (
 	EvictRemoved               // explicitly removed (e.g. consistency purge)
 )
 
-// Config customizes a Cache.
+// Config customizes a Cache. The cache times nothing: a caller that wants
+// its operations as latency stages (the HTTP proxy's lru_get and
+// lru_insert spans) times its own calls.
 type Config struct {
 	// Capacity is the cache's byte budget. NewCache requires it positive.
 	Capacity int64
@@ -75,18 +76,7 @@ type Config struct {
 	// It may read the cache (Get, Peek, Contains, Touch, Len, Keys, ...);
 	// it must not call Put, Remove, Restore or Clear, which would deadlock.
 	OnChange func(Entry, Event)
-	// OpTiming, if non-nil, observes the duration of every Get (op OpGet)
-	// and every stored Put (op OpInsert) — the perfwatch stage-timing
-	// hook. Nil (the default) leaves the hot path untouched: the timing
-	// branch costs one predictable nil check and zero allocations.
-	OpTiming func(op string, d time.Duration)
 }
-
-// Op names reported to Config.OpTiming.
-const (
-	OpGet    = "get"
-	OpInsert = "insert"
-)
 
 // ErrBadCapacity reports a non-positive cache capacity.
 var ErrBadCapacity = errors.New("lru: capacity must be positive")
@@ -103,7 +93,6 @@ type Cache struct {
 	capacity int64
 	maxObj   int64
 	onChange func(Entry, Event)
-	timing   func(op string, d time.Duration)
 
 	// wmu serializes writers from their first mutation through the
 	// delivery of their notifications; readers never take it. evs buffers
@@ -157,7 +146,6 @@ func NewCache(cfg Config) (*Cache, error) {
 		capacity: cfg.Capacity,
 		maxObj:   maxObj,
 		onChange: cfg.OnChange,
-		timing:   cfg.OpTiming,
 		items:    make(map[string]*node),
 	}
 	c.root.prev, c.root.next = &c.root, &c.root
@@ -228,12 +216,6 @@ func (c *Cache) Cacheable(size int64) bool {
 // The second result reports presence; it does not imply freshness — compare
 // Entry.Version against the request's expected version for that.
 func (c *Cache) Get(key string) (Entry, bool) {
-	if c.timing != nil {
-		// Conditional open-coded defer: when timing is off this costs one
-		// branch, not an extra call frame around the hot path.
-		start := time.Now()
-		defer func() { c.timing(OpGet, time.Since(start)) }()
-	}
 	if !c.mu.TryLock() {
 		c.lockSlow()
 	}
@@ -315,10 +297,6 @@ func (c *Cache) deliver() {
 func (c *Cache) Put(e Entry) (stored bool) {
 	if !c.Cacheable(e.Size) {
 		return false
-	}
-	if c.timing != nil {
-		start := time.Now()
-		defer func() { c.timing(OpInsert, time.Since(start)) }()
 	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()

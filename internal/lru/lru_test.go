@@ -39,6 +39,18 @@ func TestPutGet(t *testing.T) {
 	}
 }
 
+// TestGetZeroAlloc pins the read path's contract: a hit and a miss
+// allocate nothing.
+func TestGetZeroAlloc(t *testing.T) {
+	c := MustNewCache(Config{Capacity: 1 << 20, MaxObjectSize: -1})
+	c.Put(Entry{Key: "k", Size: 1})
+	for _, key := range []string{"k", "absent"} {
+		if n := testing.AllocsPerRun(100, func() { c.Get(key) }); n != 0 {
+			t.Errorf("Get(%q) allocs = %v, want 0", key, n)
+		}
+	}
+}
+
 func TestLRUEvictionOrder(t *testing.T) {
 	var evicted []string
 	c := MustNewCache(Config{Capacity: 300, OnChange: func(e Entry, ev Event) {

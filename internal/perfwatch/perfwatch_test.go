@@ -2,6 +2,7 @@ package perfwatch
 
 import (
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -18,8 +19,8 @@ func TestStageDecomposition(t *testing.T) {
 	w.OnSpan("n1", tracing.Span{Name: tracing.SpanLocalLookup, DurationUS: 100})
 	w.OnSpan("n1", tracing.Span{Name: tracing.SpanOriginFetch, DurationUS: 5000})
 	w.OnSpan("n1", tracing.Span{Name: "never_heard_of_it", DurationUS: 10})
-	w.StageTiming(StageLRUGet, 50*time.Microsecond)
-	w.StageTiming(StageDirUpdateApply, 20*time.Microsecond)
+	w.OnSpan("n1", tracing.Span{Name: StageLRUGet, DurationUS: 50})
+	w.OnSpan("n1", tracing.Span{Name: StageDirUpdateApply, DurationUS: 20})
 	w.OnFinish("n1", tracing.KindRequest, "miss", 6*time.Millisecond)
 
 	byStage := map[string]StageSummary{}
@@ -45,6 +46,18 @@ func TestStageDecomposition(t *testing.T) {
 	w.OnFinish("n1", tracing.KindICPAnswer, "icp_hit", time.Millisecond)
 	if got := w.stages[StageRequest].Count(); got != 1 {
 		t.Errorf("request stage count after icp_answer finish = %d, want 1", got)
+	}
+}
+
+// TestSubMicrosecondSpan: a span shorter than a microsecond keeps its
+// nanoseconds all the way into the stage histogram.
+func TestSubMicrosecondSpan(t *testing.T) {
+	w := New(Config{})
+	tracer := tracing.New(tracing.Config{Sink: w})
+	tracer.Record("n1", tracing.Span{Name: tracing.SpanLocalLookup, DurationUS: tracing.Micros(400 * time.Nanosecond)})
+	sum := w.stages[tracing.SpanLocalLookup].Sum()
+	if got := time.Duration(math.Round(sum * 1e9)); got != 400*time.Nanosecond {
+		t.Fatalf("local_lookup stage sum = %v, want 400ns", got)
 	}
 }
 
@@ -283,7 +296,6 @@ func TestHandlers(t *testing.T) {
 
 func TestNilWatchIsNoOp(t *testing.T) {
 	var w *Watch
-	w.StageTiming(StageLRUGet, time.Millisecond)
 	w.OnSpan("n", tracing.Span{Name: "x"})
 	if r := w.OnFinish("n", tracing.KindRequest, "miss", time.Second); r != "" {
 		t.Errorf("nil OnFinish = %q", r)
@@ -295,8 +307,8 @@ func TestNilWatchIsNoOp(t *testing.T) {
 	w.Capturer().Wait()
 }
 
-// The hot-path hooks must not allocate: they run on every request (and
-// on every LRU op) once a Watch is wired.
+// The hot-path hooks must not allocate: they run on every span (every LRU
+// op of a traced proxy) and every request once a Watch is wired.
 func TestHotPathAllocs(t *testing.T) {
 	w := New(Config{Objectives: []Objective{{
 		Name:      "client_p99",
@@ -307,11 +319,6 @@ func TestHotPathAllocs(t *testing.T) {
 		w.OnSpan("n1", span)
 	}); allocs != 0 {
 		t.Errorf("OnSpan allocates %v per call, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		w.StageTiming(StageLRUGet, time.Microsecond)
-	}); allocs != 0 {
-		t.Errorf("StageTiming allocates %v per call, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(1000, func() {
 		w.OnFinish("n1", tracing.KindRequest, "local_hit", time.Millisecond)

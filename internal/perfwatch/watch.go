@@ -11,9 +11,11 @@
 // implements tracing.SpanSink: every span of every trace — sampled or not,
 // retention is orthogonal — feeds one histogram per stage in the family
 // summarycache_perf_stage_seconds{stage=...}, and every completed request
-// trace feeds the end-to-end "request" stage plus the SLO windows. Layers
-// below tracing (the LRU cache, DIRUPDATE codec paths) report through the
-// StageTiming func instead, since they have no span of their own.
+// trace feeds the end-to-end "request" stage plus the SLO windows. The
+// span stream is the Watch's only input: work outside a request (a
+// DIRUPDATE encoded or applied, a peer's cache read) reaches it through
+// tracing.Tracer.Record, so a Watch sees nothing unless it is some
+// tracer's Config.Sink.
 //
 // Everything is stdlib-only and a nil *Watch is a valid disabled watch:
 // every method is a no-op, so wiring can thread one unconditionally.
@@ -29,44 +31,38 @@ import (
 	"summarycache/internal/tracing"
 )
 
-// Stage names beyond the tracing span names (which are stages too: a span
-// named local_lookup lands in stage "local_lookup"). These cover the
-// sub-span timings reported through StageTiming.
+// Stage names. Every stage but StageRequest and StageOther is the name of
+// the tracing span that feeds it; the aliases below keep the names the
+// benchmark reads.
 const (
 	// StageRequest is the end-to-end client request, observed at trace
 	// Finish — the total the other stages decompose.
-	StageRequest = "request"
-	// StageLRUGet / StageLRUInsert are document-cache operations.
-	StageLRUGet    = "lru_get"
-	StageLRUInsert = "lru_insert"
-	// StageDirUpdateEncode / StageDirUpdateApply are the DIRUPDATE codec
-	// halves: building outgoing summary deltas and applying received ones.
-	StageDirUpdateEncode = "dirupdate_encode"
-	StageDirUpdateApply  = "dirupdate_apply"
-	// StageICPReply is one peer's ICP answer round-trip as seen by the
-	// querier (per-reply RTT, finer than the whole icp_query fan-out).
-	StageICPReply = "icp_reply"
+	StageRequest         = "request"
+	StageLRUGet          = tracing.SpanLRUGet
+	StageLRUInsert       = tracing.SpanLRUInsert
+	StageDirUpdateEncode = tracing.SpanDirUpdateEncode
+	StageDirUpdateApply  = tracing.SpanDirUpdateApply
+	StageICPReply        = tracing.SpanICPReply
 	// StageOther absorbs stage names the watch was not built with, so a
 	// renamed span never silently drops samples.
 	StageOther = "other"
 )
 
-// knownStages is every stage the watch pre-registers: the tracing span
-// names plus the StageTiming-only stages above.
+// knownStages is every stage the watch pre-registers.
 func knownStages() []string {
 	return []string{
 		StageRequest,
 		tracing.SpanLocalLookup,
 		tracing.SpanSummaryProbe,
 		tracing.SpanICPQuery,
+		tracing.SpanICPReply,
 		tracing.SpanICPAnswer,
 		tracing.SpanPeerFetch,
 		tracing.SpanOriginFetch,
-		StageICPReply,
-		StageLRUGet,
-		StageLRUInsert,
-		StageDirUpdateEncode,
-		StageDirUpdateApply,
+		tracing.SpanLRUGet,
+		tracing.SpanLRUInsert,
+		tracing.SpanDirUpdateEncode,
+		tracing.SpanDirUpdateApply,
 		StageOther,
 	}
 }
@@ -142,23 +138,13 @@ func (w *Watch) hist(stage string) *obs.Histogram {
 	return w.other
 }
 
-// StageTiming records one sub-span stage sample (LRU ops, DIRUPDATE codec
-// halves, per-reply ICP RTT). Safe on a nil Watch and safe for concurrent
-// use; it allocates nothing, so hot paths may call it unconditionally.
-func (w *Watch) StageTiming(stage string, d time.Duration) {
-	if w == nil {
-		return
-	}
-	w.hist(stage).ObserveDuration(d)
-}
-
 // OnSpan implements tracing.SpanSink: every recorded span lands in its
 // stage histogram, regardless of the trace's sampling fate.
 func (w *Watch) OnSpan(node string, s tracing.Span) {
 	if w == nil {
 		return
 	}
-	w.hist(s.Name).Observe(float64(s.DurationUS) / 1e6)
+	w.hist(s.Name).Observe(s.DurationUS / 1e6)
 }
 
 // OnFinish implements tracing.SpanSink: completed request traces feed the

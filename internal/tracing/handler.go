@@ -41,15 +41,15 @@ func (t *Tracer) Handler() http.Handler {
 
 		outcome, kind := q.Get("outcome"), q.Get("kind")
 		type summary struct {
-			ID         string `json:"id"`
-			Node       string `json:"node"`
-			Kind       string `json:"kind"`
-			URL        string `json:"url"`
-			Outcome    string `json:"outcome"`
-			Anomaly    string `json:"anomaly,omitempty"`
-			Kept       string `json:"kept"`
-			DurationUS int64  `json:"duration_us"`
-			Spans      int    `json:"spans"`
+			ID         string  `json:"id"`
+			Node       string  `json:"node"`
+			Kind       string  `json:"kind"`
+			URL        string  `json:"url"`
+			Outcome    string  `json:"outcome"`
+			Anomaly    string  `json:"anomaly,omitempty"`
+			Kept       string  `json:"kept"`
+			DurationUS float64 `json:"duration_us"`
+			Spans      int     `json:"spans"`
 		}
 		var list []summary
 		for _, tr := range t.Traces() {

@@ -87,10 +87,10 @@ func TestHandlerSingleTraceView(t *testing.T) {
 
 	tr := tracer.StartRequest("n", "http://doc/")
 	tr.SetICPExchange("n:icp", 41)
-	tr.AddSpan(Span{
-		Name: SpanSummaryProbe, Peer: "p1", Predicted: "hit", Actual: "miss",
-		Audit: &Audit{BitIndexes: []uint64{3, 17, 99}, Generation: 5, AgeMS: 12.5},
-	})
+	tr.AddSpan(Span{Name: SpanSummaryProbe, Audits: []Audit{
+		{Peer: "p1", Predicted: "hit", Actual: "miss", BitIndexes: []uint64{3, 17, 99}, Generation: 5, AgeMS: 12.5},
+		{Peer: "p2", Predicted: "miss", Actual: "not_queried", BitIndexes: []uint64{8, 40, 71}, Generation: 2},
+	}})
 	tr.Finish("false_hit")
 	// An answering-side trace on the same exchange joins the view.
 	tracer.ICPAnswer("n2", "n:icp", 41, "http://doc/", "miss", time.Now(), true)
@@ -117,11 +117,12 @@ func TestHandlerSingleTraceView(t *testing.T) {
 			}
 		}
 	}
-	if probe == nil || probe.Audit == nil {
-		t.Fatal("summary-probe span with audit missing from id view")
+	if probe == nil || len(probe.Audits) != 2 {
+		t.Fatalf("summary-probe span with both audits missing from id view: %+v", probe)
 	}
-	if len(probe.Audit.BitIndexes) != 3 || probe.Audit.Generation != 5 {
-		t.Fatalf("audit = %+v", probe.Audit)
+	if a := probe.Audits[0]; a.Peer != "p1" || a.Predicted != "hit" || a.Actual != "miss" ||
+		len(a.BitIndexes) != 3 || a.Generation != 5 {
+		t.Fatalf("audit = %+v", a)
 	}
 
 	if code := getJSON(t, srv.URL+"?id=zz", new(any)); code != http.StatusBadRequest {

@@ -89,3 +89,24 @@ func TestSinkDoesNotOverrideEarlierAnomaly(t *testing.T) {
 		t.Fatalf("anomaly = %q, want the earlier false_hit to win", got)
 	}
 }
+
+// TestRecordIsTheOneDeliveryPath: Record hands a span to the sink without
+// storing a trace, AddSpan delivers through it, and Record is a no-op on
+// a nil tracer or one without a sink.
+func TestRecordIsTheOneDeliveryPath(t *testing.T) {
+	var nilTracer *Tracer
+	nilTracer.Record("n", Span{Name: SpanDirUpdateApply})
+	New(Config{}).Record("n", Span{Name: SpanDirUpdateApply})
+
+	sink := &recordingSink{threshold: time.Hour}
+	tracer := New(Config{HeadRate: 1, Buffer: 8, Sink: sink})
+	tracer.Record("n", Span{Name: SpanDirUpdateEncode, DurationUS: Micros(1500 * time.Nanosecond)})
+	tracer.StartRequest("n", "http://a/").AddSpan(Span{Name: SpanLRUGet})
+	if len(sink.spans) != 2 || sink.spans[0].Name != SpanDirUpdateEncode || sink.spans[0].DurationUS != 1.5 ||
+		sink.spans[1].Name != SpanLRUGet {
+		t.Fatalf("sink saw %+v, want dirupdate_encode (1.5us) then lru_get", sink.spans)
+	}
+	if n := len(tracer.Traces()); n != 0 {
+		t.Fatalf("Record stored %d traces, want none", n)
+	}
+}

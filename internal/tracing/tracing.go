@@ -1,12 +1,17 @@
 // Package tracing is a request-scoped distributed-tracing subsystem for
 // the SC-ICP mesh (stdlib-only). Every proxy request can carry a Trace
-// whose spans cover the local cache lookup, the per-peer summary probes,
-// the ICP query round-trip, the sibling fetch, and the origin fetch. The
-// summary-probe spans carry a decision audit — the exact Bloom bit
+// whose spans cover the local cache lookup and its cache reads and
+// writes, the summary probe, the ICP query round-trip and each peer's
+// reply, the sibling fetch, and the origin fetch. The summary-probe span
+// carries a decision audit per consulted peer — the exact Bloom bit
 // indices probed, the peer replica's generation and age at probe time,
 // the predicted verdict, and the actual outcome once the ICP reply
 // resolves — so every false hit and false miss in the mesh is
 // self-explaining rather than an anonymous tick of a counter.
+//
+// Spans are also the mesh's one stage-timing mechanism: every span, and
+// every span of work outside a request (Tracer.Record), reaches the
+// tracer's SpanSink, which perfwatch turns into per-stage histograms.
 //
 // Trace context crosses the wire without any protocol change: an ICP
 // query fan-out uses a single RequestNumber (see icp.Conn.QueryAllFunc),
@@ -25,10 +30,12 @@ package tracing
 
 import (
 	"context"
+	"encoding/binary"
 	"hash/fnv"
 	"log/slog"
 	"math/rand/v2"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,24 +78,8 @@ func (id ID) String() string {
 
 // ParseID parses the hex form produced by String.
 func ParseID(s string) (ID, bool) {
-	if s == "" || len(s) > 16 {
-		return 0, false
-	}
-	var v uint64
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= '0' && c <= '9':
-			v = v<<4 | uint64(c-'0')
-		case c >= 'a' && c <= 'f':
-			v = v<<4 | uint64(c-'a'+10)
-		case c >= 'A' && c <= 'F':
-			v = v<<4 | uint64(c-'A'+10)
-		default:
-			return 0, false
-		}
-	}
-	return ID(v), true
+	v, err := strconv.ParseUint(s, 16, 64)
+	return ID(v), err == nil && len(s) <= 16
 }
 
 // IDFromICP derives the shared trace ID of one ICP query exchange from
@@ -101,23 +92,29 @@ func IDFromICP(querier string, reqNum uint32) ID {
 	h := fnv.New64a()
 	h.Write([]byte(querier))
 	var b [4]byte
-	b[0] = byte(reqNum >> 24)
-	b[1] = byte(reqNum >> 16)
-	b[2] = byte(reqNum >> 8)
-	b[3] = byte(reqNum)
+	binary.BigEndian.PutUint32(b[:], reqNum)
 	h.Write(b[:])
 	return ID(h.Sum64())
 }
 
-// Span names used across the mesh.
+// Span names used across the mesh. Each is also a perfwatch stage: a
+// span's duration lands in the stage histogram of its name.
 const (
-	SpanLocalLookup  = "local_lookup"  // document cache probe
-	SpanSummaryProbe = "summary_probe" // one peer summary consulted
-	SpanICPQuery     = "icp_query"     // the ICP fan-out round-trip
-	SpanICPAnswer    = "icp_answer"    // answering side of a peer query
-	SpanPeerFetch    = "peer_fetch"    // sibling cache-only HTTP fetch
-	SpanOriginFetch  = "origin_fetch"  // origin (or parent) HTTP fetch
+	SpanLocalLookup     = "local_lookup"     // document cache probe
+	SpanSummaryProbe    = "summary_probe"    // the pass over the peer summaries
+	SpanICPQuery        = "icp_query"        // the ICP fan-out round-trip
+	SpanICPReply        = "icp_reply"        // one peer's answer, timed from the send
+	SpanICPAnswer       = "icp_answer"       // answering side of a peer query
+	SpanPeerFetch       = "peer_fetch"       // sibling cache-only HTTP fetch
+	SpanOriginFetch     = "origin_fetch"     // origin (or parent) HTTP fetch
+	SpanLRUGet          = "lru_get"          // one document-cache read
+	SpanLRUInsert       = "lru_insert"       // one stored document-cache write
+	SpanDirUpdateEncode = "dirupdate_encode" // building outgoing DIRUPDATE datagrams
+	SpanDirUpdateApply  = "dirupdate_apply"  // folding a received DIRUPDATE into a replica
 )
+
+// Micros converts d to a Span's DurationUS, keeping its nanoseconds.
+func Micros(d time.Duration) float64 { return float64(d) / 1e3 }
 
 // QueryActual is an icp_query span's Actual for a fan-out that winner
 // confirmed with answer (icp.Opcode.Verdict: "hit", or "hit_obj" when the
@@ -136,9 +133,13 @@ const (
 	KindICPAnswer = "icp_answer" // the answering side of a peer's query
 )
 
-// Audit is the decision audit attached to a summary-probe span: why this
-// peer was (or was not) nominated, against which replica state.
+// Audit is one consulted peer summary in a summary_probe span: why the
+// peer was (or was not) nominated, against which replica state, and what
+// the peer then answered.
 type Audit struct {
+	Peer      string `json:"peer"`
+	Predicted string `json:"predicted"` // the summary's verdict: "hit" or "miss"
+	Actual    string `json:"actual"`    // the answer: "hit", "miss", "no_reply" or "not_queried"
 	// BitIndexes are the k Bloom bit positions probed in the peer replica.
 	BitIndexes []uint64 `json:"bit_indexes"`
 	// Generation is the number of DIRUPDATE messages applied to the
@@ -152,30 +153,32 @@ type Audit struct {
 	FilterBits uint64 `json:"filter_bits,omitempty"`
 }
 
-// Span is one step of a trace.
+// Span is one timed step of a trace, or of a node's work outside any
+// request (Tracer.Record).
 type Span struct {
 	Name string `json:"name"`
-	// Peer is the remote party for per-peer spans (summary probes, ICP
-	// answers, sibling fetches).
+	// Peer is the remote party for per-peer spans (ICP replies and
+	// answers, sibling fetches, applied DIRUPDATEs).
 	Peer  string    `json:"peer,omitempty"`
 	Start time.Time `json:"start"`
-	// DurationUS is the span length in microseconds.
-	DurationUS int64 `json:"duration_us"`
+	// DurationUS is the span length in microseconds, to the nanosecond.
+	DurationUS float64 `json:"duration_us"`
 	// ReqNum is the ICP RequestNumber for query/answer spans — the
 	// correlation key IDFromICP hashes.
 	ReqNum uint32 `json:"icp_reqnum,omitempty"`
-	// Predicted is the verdict the summary gave ("hit"/"miss") before the
-	// network was consulted.
+	// Predicted is the verdict an answering peer was nominated with.
 	Predicted string `json:"predicted,omitempty"`
 	// Actual is what really happened once the ICP reply or fetch resolved
-	// ("hit", "hit_obj", "miss", "no_reply", "not_queried", "ok", "failed",
+	// ("hit", "hit_obj", "miss", "all_miss", "ok", "failed",
 	// "breaker_open").
 	Actual string `json:"actual,omitempty"`
 	// Retries is how many extra attempts an origin-fetch span needed after
 	// retryable failures (0 means it succeeded or died on the first try).
 	Retries int    `json:"retries,omitempty"`
 	Err     string `json:"error,omitempty"`
-	Audit   *Audit `json:"audit,omitempty"`
+	// Audits are a summary_probe span's consulted summaries, one per peer
+	// replica, in registration order.
+	Audits []Audit `json:"audits,omitempty"`
 }
 
 // Trace is one request's (or one answered query's) span collection. All
@@ -209,16 +212,16 @@ type view struct {
 	Outcome string    `json:"outcome"`
 	Anomaly string    `json:"anomaly,omitempty"`
 	Kept    string    `json:"kept"`
-	// DurationUS is start-to-Finish in microseconds.
-	DurationUS int64  `json:"duration_us"`
-	Spans      []Span `json:"spans"`
+	// DurationUS is start-to-Finish in microseconds, to the nanosecond.
+	DurationUS float64 `json:"duration_us"`
+	Spans      []Span  `json:"spans"`
 }
 
 // SpanSink observes every span and every completed trace as they happen,
 // regardless of the retention (sampling) decision — spans are recorded on
 // all traces, sampled or not, so a sink sees the full population. It is
-// the hook the perfwatch subsystem uses to decompose end-to-end latency
-// into per-stage histograms and to evaluate latency SLOs.
+// the only way the perfwatch subsystem is fed: it decomposes end-to-end
+// latency into per-stage histograms and evaluates latency SLOs from it.
 //
 // OnFinish runs before the retention decision and may return a non-empty
 // anomaly reason (e.g. "slo:client_p99") to force tail-based keep of the
@@ -227,7 +230,8 @@ type view struct {
 // back into the Trace or Tracer (OnFinish is invoked under the trace's
 // lock).
 type SpanSink interface {
-	// OnSpan is called once per recorded span.
+	// OnSpan is called once per span added to a trace or passed to
+	// Tracer.Record.
 	OnSpan(node string, s Span)
 	// OnFinish is called once per completed trace with its kind (request
 	// or icp_answer), final outcome and end-to-end duration. A non-empty
@@ -355,7 +359,7 @@ func (t *Tracer) ICPAnswer(node, querier string, reqNum uint32, url string, answ
 		Name:       SpanICPAnswer,
 		Peer:       querier,
 		Start:      start,
-		DurationUS: time.Since(start).Microseconds(),
+		DurationUS: Micros(time.Since(start)),
 		ReqNum:     reqNum,
 		Predicted:  "hit", // the querier's replica nominated us
 		Actual:     answer,
@@ -384,10 +388,20 @@ func (t *Tracer) Find(id ID) []*Trace {
 	return out
 }
 
+// Record delivers a span of node's work that belongs to no request trace
+// (a DIRUPDATE encoded or applied, a peer's cache read) to the tracer's
+// SpanSink. It does nothing on a nil Tracer or one without a sink.
+func (t *Tracer) Record(node string, s Span) {
+	if t == nil || t.sink == nil {
+		return
+	}
+	t.sink.OnSpan(node, s)
+}
+
 // --- Trace methods (all nil-safe) ---
 
-// AddSpan appends a span. When the tracer has a SpanSink, the span is
-// also delivered to it (outside the trace lock).
+// AddSpan appends a span and delivers it through the tracer's Record
+// (outside the trace lock).
 func (tr *Trace) AddSpan(s Span) {
 	if tr == nil {
 		return
@@ -396,9 +410,7 @@ func (tr *Trace) AddSpan(s Span) {
 	tr.spans = append(tr.spans, s)
 	node := tr.node
 	tr.mu.Unlock()
-	if sink := tr.tracer.sink; sink != nil {
-		sink.OnSpan(node, s)
-	}
+	tr.tracer.Record(node, s)
 }
 
 // SetICPExchange re-keys the trace to the shared ID of the ICP exchange
@@ -541,6 +553,6 @@ func (tr *Trace) snapshotView() view {
 		Kept:    tr.keptLabel,
 		Spans:   append([]Span(nil), tr.spans...),
 	}
-	v.DurationUS = tr.dur.Microseconds()
+	v.DurationUS = Micros(tr.dur)
 	return v
 }
