@@ -31,7 +31,6 @@ import (
 	"summarycache/internal/faultnet"
 	"summarycache/internal/httpproxy"
 	"summarycache/internal/obs"
-	"summarycache/internal/perfwatch"
 	"summarycache/internal/tracegen"
 	"summarycache/internal/tracing"
 )
@@ -48,7 +47,7 @@ var (
 	adminAddr  = flag.String("admin", "", "admin listen address serving /metrics, /debug/vars and /debug/pprof/ for the live mesh (empty: disabled)")
 	traceRate  = flag.Float64("trace-sample", 0, "head-sampling rate in [0,1] for request traces; anomalous traces are always kept once tracing is on")
 	traceBuf   = flag.Int("trace-buffer", 0, "trace ring-buffer capacity (0 with -trace-sample=0: tracing disabled)")
-	sloP99     = flag.Duration("slo", 0, "client latency SLO threshold: each mesh run gets a per-stage latency breakdown and a client_p99 objective at this threshold (budget 0.01), and proxybench exits non-zero when any run breaches (0: disabled)")
+	sloP99     = flag.Duration("slo", 0, "client latency SLO threshold: proxybench exits non-zero when any mesh run's client p99 latency exceeds it (0: disabled)")
 )
 
 // current is the registry (and tracer) of the mesh currently running; each
@@ -58,35 +57,20 @@ var (
 var (
 	current       atomic.Pointer[obs.Registry]
 	currentTracer atomic.Pointer[tracing.Tracer]
-	currentWatch  atomic.Pointer[perfwatch.Watch]
-	sloBreaches   int // mesh runs whose -slo objective breached
+	sloBreaches   int // mesh runs whose client p99 exceeded -slo
 )
 
 func tracingOn() bool { return *traceRate > 0 || *traceBuf > 0 }
-func perfOn() bool    { return *sloP99 > 0 }
 
 func newRunRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	obs.RegisterRuntimeMetrics(reg)
 	current.Store(reg)
-	if perfOn() {
-		currentWatch.Store(perfwatch.New(perfwatch.Config{
-			Registry: reg,
-			Objectives: []perfwatch.Objective{{
-				Name:      "client_p99",
-				Threshold: *sloP99,
-				Budget:    0.01,
-			}},
-		}))
-	}
-	// A perf watch needs a tracer to feed it spans, even when no traces
-	// are retained (-trace-sample=0 keeps only anomalous ones).
-	if tracingOn() || perfOn() {
+	if tracingOn() {
 		currentTracer.Store(tracing.New(tracing.Config{
 			HeadRate: *traceRate,
 			Buffer:   *traceBuf,
 			Registry: reg,
-			Sink:     runWatchSink(),
 		}))
 	}
 	return reg
@@ -94,18 +78,6 @@ func newRunRegistry() *obs.Registry {
 
 // runTracer returns the live run's shared tracer (nil: tracing disabled).
 func runTracer() *tracing.Tracer { return currentTracer.Load() }
-
-// runWatch returns the live run's perf watch (nil: -slo disabled).
-func runWatch() *perfwatch.Watch { return currentWatch.Load() }
-
-// runWatchSink adapts runWatch for tracing.Config.Sink, whose interface a
-// typed-nil *perfwatch.Watch would otherwise satisfy non-nil.
-func runWatchSink() tracing.SpanSink {
-	if w := runWatch(); w != nil {
-		return w
-	}
-	return nil
-}
 
 var modes = []httpproxy.Mode{httpproxy.ModeNone, httpproxy.ModeICP, httpproxy.ModeSCICP}
 
@@ -164,10 +136,6 @@ func run() error {
 			if tr := runTracer(); tr != nil {
 				mux.Handle("/debug/traces", tr.Handler())
 			}
-			if pw := runWatch(); pw != nil {
-				mux.Handle("/debug/slo", pw.SLOHandler())
-				mux.Handle("/debug/perf", pw.PerfHandler())
-			}
 			mux.ServeHTTP(w, r)
 		})}
 		go srv.Serve(ln)
@@ -175,9 +143,6 @@ func run() error {
 		endpoints := "/metrics /debug/vars /debug/pprof/"
 		if tracingOn() {
 			endpoints += " /debug/traces"
-		}
-		if perfOn() {
-			endpoints += " /debug/slo /debug/perf"
 		}
 		fmt.Fprintf(os.Stderr, "admin endpoint on http://%s (%s)\n", ln.Addr(), endpoints)
 	}
@@ -200,39 +165,24 @@ func run() error {
 		}
 	}
 	if sloBreaches > 0 {
-		return fmt.Errorf("%d run(s) breached the -slo=%v client_p99 objective", sloBreaches, *sloP99)
+		return fmt.Errorf("%d run(s) exceeded the -slo=%v client p99", sloBreaches, *sloP99)
 	}
 	return nil
 }
 
-// checkSLO closes the finished run's SLO window, prints the per-stage
-// latency breakdown and objective verdict, and tallies a breach. No-op
-// without -slo.
-func checkSLO(mode httpproxy.Mode) {
-	pw := runWatch()
-	if pw == nil {
+// checkSLO prints the finished run's client p99 against -slo and tallies
+// a breach. No-op without -slo.
+func checkSLO(r bench.Result) {
+	if *sloP99 <= 0 {
 		return
 	}
-	fmt.Printf("-- stage breakdown (%v) --\n", mode)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "stage\tcount\ttotal\tp50\tp99")
-	for _, s := range pw.Stages() {
-		fmt.Fprintf(w, "%s\t%d\t%.3fs\t%v\t%v\n",
-			s.Stage, s.Count, s.Sum,
-			time.Duration(s.P50*float64(time.Second)).Round(time.Microsecond),
-			time.Duration(s.P99*float64(time.Second)).Round(time.Microsecond))
+	verdict := "ok"
+	if r.P99Latency > *sloP99 {
+		verdict = "BREACHED"
+		sloBreaches++
 	}
-	w.Flush()
-	for _, st := range pw.Evaluate() {
-		verdict := "ok"
-		if st.Breached {
-			verdict = "BREACHED"
-			sloBreaches++
-		}
-		fmt.Printf("slo %s: %s (burn %.2f, %d/%d bad over budget %.4f)\n",
-			st.Name, verdict, st.BurnRate, st.WindowBad, st.WindowTotal, st.Budget)
-	}
-	fmt.Println()
+	fmt.Printf("slo client_p99 (%v): %s (p99 %v, threshold %v)\n",
+		r.Mode, verdict, r.P99Latency.Round(time.Microsecond), *sloP99)
 }
 
 func render(title string, results []bench.Result) {
@@ -266,13 +216,12 @@ func table2(hitRatio float64) error {
 			Chaos:             chaosScenario(),
 			Metrics:           newRunRegistry(),
 			Tracer:            runTracer(),
-			Perf:              runWatch(),
 		})
 		if err != nil {
 			return err
 		}
 		results = append(results, r)
-		checkSLO(m)
+		checkSLO(r)
 	}
 	render(fmt.Sprintf("Table II: ICP overhead, 4 proxies, inherent hit ratio %.0f%%, no inter-proxy hits", 100*hitRatio), results)
 	return nil
@@ -300,13 +249,12 @@ func replay(a bench.Assignment, title string) error {
 			Chaos:         chaosScenario(),
 			Metrics:       newRunRegistry(),
 			Tracer:        runTracer(),
-			Perf:          runWatch(),
 		})
 		if err != nil {
 			return err
 		}
 		results = append(results, r)
-		checkSLO(m)
+		checkSLO(r)
 	}
 	render(title, results)
 	return nil

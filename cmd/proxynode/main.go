@@ -17,12 +17,9 @@
 // (the same metrics), /healthz (peer health and build info) and
 // /debug/mesh (per-peer summary divergence and false-decision
 // accounting). When -trace-sample or -trace-buffer enables tracing,
-// request traces with summary-decision audits are at /debug/traces. The
-// -slo-latency-p99 and -slo-false-hit flags add named service-level
-// objectives with error-budget burn-rate tracking at /debug/slo and a
-// capture ring at /debug/perf; with -perf-profile-capture, an SLO breach
-// captures a rate-limited set of pprof profiles there, and the breaching
-// requests' traces are always retained at /debug/traces.
+// request traces with summary-decision audits are at /debug/traces, and
+// every span also feeds the per-stage latency histograms
+// summarycache_perf_stage_seconds{stage=...} at /metrics and /debug/vars.
 package main
 
 import (
@@ -54,7 +51,7 @@ func (p *peerList) Set(v string) error { *p = append(*p, v); return nil }
 var (
 	httpAddr  = flag.String("http", "127.0.0.1:3128", "HTTP listen address")
 	icpAddr   = flag.String("icp", "127.0.0.1:3130", "ICP (UDP) listen address")
-	adminAddr = flag.String("admin", "", "admin listen address serving /metrics, /debug/vars, /debug/pprof/, /healthz and /debug/mesh, plus /debug/traces with tracing and /debug/slo and /debug/perf with an -slo-* flag or -perf-profile-capture (empty: disabled)")
+	adminAddr = flag.String("admin", "", "admin listen address serving /metrics, /debug/vars, /debug/pprof/, /healthz and /debug/mesh, plus /debug/traces with tracing (empty: disabled)")
 	mode      = flag.String("mode", "scicp", "cooperation mode: none, icp, scicp")
 	cacheMB   = flag.Int64("cache-mb", 256, "cache capacity in MB")
 	threshold = flag.Float64("threshold", 0.01, "summary update threshold (scicp)")
@@ -68,16 +65,8 @@ var (
 		"head-sampling rate in [0,1] for request traces; anomalous traces (false hits, timeouts) are always kept once tracing is on")
 	traceBuf = flag.Int("trace-buffer", 0,
 		"trace ring-buffer capacity (0 with -trace-sample=0: tracing disabled entirely)")
-	sloLatency = flag.Duration("slo-latency-p99", 0,
-		"client latency SLO: requests slower than this are error-budget burn (budget 0.01) and their traces are always retained (0: no latency objective)")
-	sloFalseHit = flag.Float64("slo-false-hit", 0,
-		"false-hit ratio SLO ceiling: false hits over client requests above this ratio burn the error budget (0: no false-hit objective)")
-	perfCapture = flag.Bool("perf-profile-capture", false,
-		"on SLO breach, capture a rate-limited ring of pprof profiles (5s CPU + heap/mutex/block), served at /debug/perf")
-	sloEvalSec = flag.Duration("slo-interval", 10*time.Second,
-		"SLO evaluation window length")
 	persistDir = flag.String("persist-dir", "",
-		"warm-restart persistence directory: the cache, directory filter and peer replicas are checkpointed there and recovered on the next start (empty: persistence off)")
+		"warm-restart persistence directory: the cache and peer replicas are checkpointed there and recovered on the next start, and the directory filter is rebuilt from the recovered cache (empty: persistence off)")
 	persistFsync = flag.String("persist-fsync", "",
 		"journal fsync policy: always, interval, never (empty: interval)")
 	persistFsyncSec = flag.Duration("persist-fsync-interval", 0,
@@ -146,65 +135,19 @@ func run() error {
 	reg := obs.NewRegistry()
 	obs.RegisterRuntimeMetrics(reg)
 
-	// The performance watch is built before the proxy (it wires into the
-	// tracer and the proxy config), so the false-hit ratio objective reads
-	// the proxy through a reference filled in after StartProxy.
-	var proxyRef *httpproxy.Proxy
-	var watch *perfwatch.Watch
-	if *sloLatency > 0 || *sloFalseHit > 0 || *perfCapture {
-		var objectives []perfwatch.Objective
-		if *sloLatency > 0 {
-			objectives = append(objectives, perfwatch.Objective{
-				Name:      "client_p99",
-				Threshold: *sloLatency,
-				Budget:    0.01,
-			})
-		}
-		if *sloFalseHit > 0 {
-			objectives = append(objectives, perfwatch.Objective{
-				Name:   "false_hit_ratio",
-				Budget: *sloFalseHit,
-				Num: func() uint64 {
-					if proxyRef == nil {
-						return 0
-					}
-					return proxyRef.Stats().FalseHits
-				},
-				Den: func() uint64 {
-					if proxyRef == nil {
-						return 0
-					}
-					return proxyRef.Stats().ClientRequests
-				},
-			})
-		}
-		watch = perfwatch.New(perfwatch.Config{
-			Registry:   reg,
-			Logger:     log,
-			Objectives: objectives,
-			Capture:    perfwatch.CaptureConfig{Enabled: *perfCapture},
-		})
-	}
-
 	var tracer *tracing.Tracer
-	if *traceRate > 0 || *traceBuf > 0 || watch != nil {
+	if *traceRate > 0 || *traceBuf > 0 {
 		if *traceRate < 0 || *traceRate > 1 {
 			return fmt.Errorf("-trace-sample %v outside [0,1]", *traceRate)
 		}
-		// The watch needs the tracer's span stream even when no explicit
-		// tracing flags are set: at head rate 0 only SLO-breaching
-		// (anomalous) traces are retained, but every span still feeds the
-		// per-stage histograms.
-		cfg := tracing.Config{
+		// Every span, kept or not, feeds the per-stage latency histograms.
+		tracer = tracing.New(tracing.Config{
 			HeadRate: *traceRate,
 			Buffer:   *traceBuf,
 			Registry: reg,
 			Logger:   log,
-		}
-		if watch != nil {
-			cfg.Sink = watch
-		}
-		tracer = tracing.New(cfg)
+			Sink:     perfwatch.New(perfwatch.Config{Registry: reg}),
+		})
 	}
 	var persistCfg *persist.Config
 	if *persistDir != "" {
@@ -235,18 +178,11 @@ func run() error {
 		Metrics:   reg,
 		Logger:    log,
 		Tracer:    tracer,
-		Perf:      watch,
 	})
 	if err != nil {
 		return err
 	}
 	defer p.Close()
-	proxyRef = p
-	if watch != nil {
-		watchStop := make(chan struct{})
-		go watch.Run(*sloEvalSec, watchStop)
-		defer close(watchStop)
-	}
 	attrs := []any{"mode", m.String(), "http", p.URL()}
 	if m != httpproxy.ModeNone {
 		attrs = append(attrs, "icp", p.ICPAddr().String())

@@ -16,12 +16,13 @@
 //     peer record)
 //   - internal/httpproxy — a caching forward proxy with no-ICP / ICP /
 //     SC-ICP cooperation, and its admin plane (AdminHandler)
-//   - internal/persist — warm restarts: cache, directory and replica
-//     snapshots plus a journal of cache changes
+//   - internal/persist — warm restarts: cache and replica snapshots plus
+//     a journal of cache changes (the directory is rebuilt from the cache)
 //   - internal/faultnet — deterministic fault injection on the ICP and
 //     HTTP paths
 //   - internal/obs, internal/tracing, internal/perfwatch — metrics and
-//     the admin endpoints, request traces, per-stage latency and SLOs
+//     the admin endpoints, request traces, and per-stage latency
+//     histograms
 //   - internal/origin, internal/bench — the Wisconsin-benchmark-style
 //     networked evaluation harness (Tables II, IV, V)
 //   - internal/trace, internal/tracegen, internal/stats — workload

@@ -22,7 +22,6 @@ import (
 	"summarycache/internal/httpproxy"
 	"summarycache/internal/obs"
 	"summarycache/internal/origin"
-	"summarycache/internal/perfwatch"
 	"summarycache/internal/stats"
 	"summarycache/internal/trace"
 	"summarycache/internal/tracing"
@@ -65,11 +64,6 @@ type SyntheticConfig struct {
 	// /debug/traces on the admin endpoint shows correlated request and
 	// answer traces from the whole run. Nil: tracing disabled.
 	Tracer *tracing.Tracer
-	// Perf, when set, is shared by every proxy and served on their admin
-	// surface. The Watch decomposes the run's latency per stage and
-	// evaluates its SLOs from spans alone, so it must also be Tracer's
-	// sink. Nil: no SLO or capture views.
-	Perf *perfwatch.Watch
 }
 
 func (c *SyntheticConfig) applyDefaults() {
@@ -102,6 +96,7 @@ type Result struct {
 
 	MeanLatency time.Duration
 	P90Latency  time.Duration
+	P99Latency  time.Duration
 
 	CPU CPUSample // process CPU consumed during the run
 
@@ -142,7 +137,7 @@ type testbed struct {
 	client    *http.Client
 }
 
-func newTestbed(mode httpproxy.Mode, proxies int, cacheBytes int64, originLatency time.Duration, minPending int, chaos *faultnet.Scenario, reg *obs.Registry, tracer *tracing.Tracer, perf *perfwatch.Watch) (*testbed, error) {
+func newTestbed(mode httpproxy.Mode, proxies int, cacheBytes int64, originLatency time.Duration, minPending int, chaos *faultnet.Scenario, reg *obs.Registry, tracer *tracing.Tracer) (*testbed, error) {
 	org, err := origin.Start(origin.Config{Latency: originLatency})
 	if err != nil {
 		return nil, err
@@ -162,7 +157,6 @@ func newTestbed(mode httpproxy.Mode, proxies int, cacheBytes int64, originLatenc
 			QueryTimeout: 2 * time.Second,
 			Metrics:      reg,
 			Tracer:       tracer,
-			Perf:         perf,
 		}
 		if chaos != nil {
 			inj := faultnet.New(chaos.Fork(int64(i)))
@@ -273,7 +267,7 @@ func (tb *testbed) collect(r *Result) {
 // from a cold mesh, setup traffic included.
 func RunSynthetic(cfg SyntheticConfig) (Result, error) {
 	cfg.applyDefaults()
-	tb, err := newTestbed(cfg.Mode, cfg.Proxies, cfg.CacheBytes, cfg.OriginLatency, cfg.MinPending, cfg.Chaos, cfg.Metrics, cfg.Tracer, cfg.Perf)
+	tb, err := newTestbed(cfg.Mode, cfg.Proxies, cfg.CacheBytes, cfg.OriginLatency, cfg.MinPending, cfg.Chaos, cfg.Metrics, cfg.Tracer)
 	if err != nil {
 		return Result{}, err
 	}
@@ -333,6 +327,7 @@ func RunSynthetic(cfg SyntheticConfig) (Result, error) {
 	res.CPU = ReadCPU().Sub(cpuStart)
 	res.MeanLatency = lat.Mean()
 	res.P90Latency = lat.Percentile(90)
+	res.P99Latency = lat.Percentile(99)
 	tb.collect(&res)
 	return res, nil
 }
@@ -390,9 +385,6 @@ type ReplayConfig struct {
 	// Tracer, when set, is shared by every proxy (see
 	// SyntheticConfig.Tracer).
 	Tracer *tracing.Tracer
-	// Perf, when set, is shared by every proxy (see
-	// SyntheticConfig.Perf).
-	Perf *perfwatch.Watch
 }
 
 // RunReplay executes one trace-replay benchmark run.
@@ -412,7 +404,7 @@ func RunReplay(cfg ReplayConfig) (Result, error) {
 	if cfg.Assignment != ClientBound && cfg.Assignment != RoundRobin {
 		return Result{}, fmt.Errorf("bench: unknown assignment %v", cfg.Assignment)
 	}
-	tb, err := newTestbed(cfg.Mode, cfg.Proxies, cfg.CacheBytes, cfg.OriginLatency, cfg.MinPending, cfg.Chaos, cfg.Metrics, cfg.Tracer, cfg.Perf)
+	tb, err := newTestbed(cfg.Mode, cfg.Proxies, cfg.CacheBytes, cfg.OriginLatency, cfg.MinPending, cfg.Chaos, cfg.Metrics, cfg.Tracer)
 	if err != nil {
 		return Result{}, err
 	}
@@ -468,6 +460,7 @@ func RunReplay(cfg ReplayConfig) (Result, error) {
 	res.CPU = ReadCPU().Sub(cpuStart)
 	res.MeanLatency = lat.Mean()
 	res.P90Latency = lat.Percentile(90)
+	res.P99Latency = lat.Percentile(99)
 	tb.collect(&res)
 	return res, nil
 }

@@ -67,6 +67,10 @@ func TestSyntheticNoICP(t *testing.T) {
 	if r.MeanLatency <= 0 {
 		t.Error("no latency recorded")
 	}
+	// Over half the requests are misses, each paying the 2 ms origin delay.
+	if r.P99Latency < r.P90Latency || r.P90Latency < 2*time.Millisecond {
+		t.Errorf("p90 %v, p99 %v: want p99 >= p90 >= the origin delay", r.P90Latency, r.P99Latency)
+	}
 	if r.String() == "" {
 		t.Error("empty String()")
 	}

@@ -16,8 +16,6 @@ import (
 //	/healthz       sibling liveness (Health) and the binary's build info
 //	/debug/mesh    MeshReport, rebuilt per request
 //	/debug/traces  the trace store (only with Config.Tracer)
-//	/debug/slo     objectives and per-stage latencies (only with Config.Perf)
-//	/debug/perf    the profile-capture ring (only with Config.Perf)
 //
 // Every view but /metrics and the pprof handlers is JSON. Serve it on a
 // loopback or otherwise access-controlled listener: pprof exposes stacks
@@ -29,10 +27,6 @@ func (p *Proxy) AdminHandler() http.Handler {
 	})
 	if p.tracer != nil {
 		mux.Handle("/debug/traces", p.tracer.Handler())
-	}
-	if perf := p.cfg.Perf; perf != nil {
-		mux.Handle("/debug/slo", perf.SLOHandler())
-		mux.Handle("/debug/perf", perf.PerfHandler())
 	}
 	return mux
 }

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"summarycache/internal/bloom"
 	"summarycache/internal/core"
@@ -33,17 +32,19 @@ func get(t *testing.T, url string) (int, string, []byte) {
 }
 
 // TestAdminHandlerServesEveryEndpoint checks the one admin surface: every
-// endpoint a proxy with a tracer and a perf watch has answers, the /debug
-// views are JSON on a plain GET (a leftover ?format=json changes nothing),
-// and a proxy with neither serves no trace, SLO or capture view.
+// endpoint a traced proxy has answers, the /debug views are JSON on a
+// plain GET (a leftover ?format=json changes nothing), the stage
+// histograms of the tracer's perf watch are served with every other
+// series, a proxy without a tracer serves no trace view, and nothing is
+// served at /debug/slo or /debug/perf.
 func TestAdminHandlerServesEveryEndpoint(t *testing.T) {
-	start := func(tracer *tracing.Tracer, watch *perfwatch.Watch) *httptest.Server {
+	start := func(reg *obs.Registry, tracer *tracing.Tracer) *httptest.Server {
 		p, err := Start(Config{
 			Mode:       ModeSCICP,
 			CacheBytes: 1 << 20,
 			Summary:    bloom.DirectoryConfig{ExpectedDocs: 100, UpdateThreshold: 0.01},
+			Metrics:    reg,
 			Tracer:     tracer,
-			Perf:       watch,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -54,20 +55,26 @@ func TestAdminHandlerServesEveryEndpoint(t *testing.T) {
 		return srv
 	}
 
-	watch := perfwatch.New(perfwatch.Config{Objectives: []perfwatch.Objective{{
-		Name: "client_p99", Threshold: time.Second,
-	}}})
-	full := start(tracing.New(tracing.Config{HeadRate: 1, Sink: watch}), watch)
+	reg := obs.NewRegistry()
+	full := start(reg, tracing.New(tracing.Config{HeadRate: 1, Registry: reg,
+		Sink: perfwatch.New(perfwatch.Config{Registry: reg})}))
 	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/", "/healthz",
-		"/debug/mesh", "/debug/traces", "/debug/slo", "/debug/perf"} {
+		"/debug/mesh", "/debug/traces"} {
 		if code, _, body := get(t, full.URL+path); code != http.StatusOK {
 			t.Errorf("GET %s = %d, want 200: %s", path, code, body)
 		}
 	}
+	for path, want := range map[string]string{
+		"/metrics":    `summarycache_perf_stage_seconds_count{stage="request"}`,
+		"/debug/vars": `"summarycache_perf_stage_seconds{stage=\"request\"}"`,
+	} {
+		if _, _, body := get(t, full.URL+path); !bytes.Contains(body, []byte(want)) {
+			t.Errorf("GET %s lacks %s", path, want)
+		}
+	}
 	for path, v := range map[string]any{
-		"/debug/mesh": &[]Report{},
-		"/debug/slo":  &struct{ Objectives []perfwatch.SLOStatus }{},
-		"/debug/perf": &[]json.RawMessage{},
+		"/debug/mesh":   &[]Report{},
+		"/debug/traces": &json.RawMessage{},
 	} {
 		_, ct, body := get(t, full.URL+path)
 		if !strings.HasPrefix(ct, "application/json") {
@@ -83,15 +90,18 @@ func TestAdminHandlerServesEveryEndpoint(t *testing.T) {
 			t.Errorf("GET %s?format=json differs from the plain GET:\n%s\n%s", path, again, body)
 		}
 	}
+	for _, path := range []string{"/debug/slo", "/debug/perf"} {
+		if code, _, _ := get(t, full.URL+path); code != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", path, code)
+		}
+	}
 
 	bare := start(nil, nil)
 	if code, _, _ := get(t, bare.URL+"/debug/mesh"); code != http.StatusOK {
-		t.Errorf("GET /debug/mesh without tracer or watch = %d, want 200", code)
+		t.Errorf("GET /debug/mesh without tracer = %d, want 200", code)
 	}
-	for _, path := range []string{"/debug/traces", "/debug/slo", "/debug/perf"} {
-		if code, _, _ := get(t, bare.URL+path); code != http.StatusNotFound {
-			t.Errorf("GET %s without tracer or watch = %d, want 404", path, code)
-		}
+	if code, _, _ := get(t, bare.URL+"/debug/traces"); code != http.StatusNotFound {
+		t.Errorf("GET /debug/traces without tracer = %d, want 404", code)
 	}
 }
 

@@ -51,9 +51,42 @@ type poolKey struct {
 type upConn struct {
 	net.Conn
 	key   poolKey
-	br    *bufio.Reader
-	head  []byte    // request head, rebuilt per request
-	since time.Time // when it went idle
+	br    *bufio.Reader // reads the connection through Read
+	head  []byte        // request head, rebuilt per request
+	since time.Time     // when it went idle
+	// headLeft bounds a response-head read: the bytes br may still pull
+	// from the connection for it. Negative: no head read is armed.
+	headLeft int
+}
+
+// errUpstreamHeadTooLarge: a response head (a 1xx head included) that did
+// not end within maxHeadBytes of the connection.
+var errUpstreamHeadTooLarge = errors.New("httpproxy: upstream response head too large")
+
+// Read is the connection as br sees it: while a head read is armed, it
+// pulls at most headLeft more bytes and fails past them.
+func (c *upConn) Read(p []byte) (int, error) {
+	if c.headLeft < 0 {
+		return c.Conn.Read(p)
+	}
+	if c.headLeft == 0 {
+		return 0, errUpstreamHeadTooLarge
+	}
+	if len(p) > c.headLeft {
+		p = p[:c.headLeft]
+	}
+	n, err := c.Conn.Read(p)
+	c.headLeft -= n
+	return n, err
+}
+
+// readHead reads one response head from at most maxHeadBytes: what br
+// already holds and what it may still pull from the connection.
+func (c *upConn) readHead() (*http.Response, error) {
+	c.headLeft = maxHeadBytes - c.br.Buffered()
+	resp, err := http.ReadResponse(c.br, nil)
+	c.headLeft = -1
+	return resp, err
 }
 
 // get fetches rawURL in one attempt, bounded by one connection deadline
@@ -132,13 +165,13 @@ func (f *fetcher) roundTrip(u *url.URL, deadline time.Time) (*upConn, *http.Resp
 	if err != nil {
 		return nil, nil, err
 	}
-	resp, err := http.ReadResponse(c.br, nil)
+	resp, err := c.readHead()
 	for skipped := 0; err == nil && resp.StatusCode/100 == 1; skipped++ {
 		if skipped == max1xx {
 			err = errors.New("httpproxy: too many 1xx informational responses")
 			break
 		}
-		resp, err = http.ReadResponse(c.br, nil)
+		resp, err = c.readHead()
 	}
 	if err != nil {
 		_ = c.Close() // the read error is the one to report
@@ -211,7 +244,9 @@ func (f *fetcher) dial(key poolKey, serverName string, deadline time.Time) (*upC
 	if err != nil {
 		return nil, err
 	}
-	return &upConn{Conn: conn, key: key, br: bufio.NewReader(conn)}, nil
+	c := &upConn{Conn: conn, key: key, headLeft: -1}
+	c.br = bufio.NewReader(c)
+	return c, nil
 }
 
 // send writes the request head for u in one Write and waits for the first

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"crypto/x509"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -239,6 +241,69 @@ func TestResponseFramingAndReuse(t *testing.T) {
 			}
 			if got := o.accepts.Load(); got != tc.accepts {
 				t.Errorf("origin accepted %d connections, want %d", got, tc.accepts)
+			}
+		})
+	}
+}
+
+// TestUpstreamHeadBounded: an upstream that streams header lines — in
+// the final head, or in a 1xx head before it — is cut off once the head
+// passes maxHeadBytes. The fetch fails, and what it allocated stays near
+// that bound rather than growing with the stream: unbounded, such a head
+// is buffered until the fetch deadline, hundreds of MiB in 2 s.
+func TestUpstreamHeadBounded(t *testing.T) {
+	const streamed = 8 * maxHeadBytes // header bytes the upstream offers
+	for _, tc := range []struct{ name, first, rest string }{
+		{"final head", "HTTP/1.1 200 OK\r\n", "Content-Length: 5\r\n\r\nhello"},
+		{"1xx head", "HTTP/1.1 100 Continue\r\n", "\r\n" + helloReply},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				c.SetDeadline(time.Now().Add(10 * time.Second))
+				br := bufio.NewReader(c)
+				for line := ""; line != "\r\n"; {
+					if line, err = br.ReadString('\n'); err != nil {
+						return
+					}
+				}
+				pad := []byte("X-Pad: " + strings.Repeat("a", 4<<10) + "\r\n")
+				if _, err := io.WriteString(c, tc.first); err != nil {
+					return
+				}
+				for sent := 0; sent < streamed; sent += len(pad) {
+					if _, err := c.Write(pad); err != nil {
+						return // the fetcher hung up
+					}
+				}
+				io.WriteString(c, tc.rest)
+			}()
+			f := &fetcher{timeout: 5 * time.Second, idle: make(map[poolKey][]*upConn)}
+			t.Cleanup(func() {
+				f.close()
+				ln.Close()
+				<-done
+			})
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			status, _, _, err := f.get("http://" + ln.Addr().String() + "/doc")
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, errUpstreamHeadTooLarge) {
+				t.Errorf("fetch = status %d, err %v; want %v", status, err, errUpstreamHeadTooLarge)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 6*maxHeadBytes {
+				t.Errorf("the fetch allocated %d bytes for a head of at most %d", alloc, maxHeadBytes)
 			}
 		})
 	}

@@ -209,17 +209,21 @@ type Config struct {
 	// one Tracer (as with Metrics) or each proxy may own one. Nil: tracing
 	// disabled; the local-hit hot path performs no extra allocation.
 	Tracer *tracing.Tracer
-	// Persist, when set, enables warm restarts: the document cache, the
-	// local directory filter, and the peer summary replicas are
-	// checkpointed to Persist.Dir (every Persist.SnapshotInterval, and
-	// once more on a clean Close), with cache mutations journaled between
-	// checkpoints. A proxy restarted on the same directory recovers its
-	// state before serving — see Recovery for what the boot found. Nil:
-	// persistence disabled, the seed's memory-only behavior.
+	// Persist, when set, enables warm restarts: the document cache and
+	// the peer summary replicas are checkpointed to Persist.Dir (every
+	// Persist.SnapshotInterval, and once more on a clean Close), with
+	// cache mutations journaled between checkpoints. A proxy restarted on
+	// the same directory recovers its state before serving and rebuilds
+	// its local directory filter from the recovered cache — see Recovery
+	// for what the boot found. Nil: persistence disabled, the seed's
+	// memory-only behavior.
 	Persist *persist.Config
-	// Perf, when set, is served on the admin surface as /debug/slo and
-	// /debug/perf. It never reaches the data path: the Watch is fed only
-	// as the Tracer's Config.Sink, so wire it there too.
+	// Perf is read by nothing: a Watch is fed only as the Tracer's
+	// Config.Sink, and its stage histograms are served with every other
+	// series of Metrics. The field stays because benchmark/mesh.go, its
+	// last setter, compiles against it.
+	//
+	// Deprecated: make the Watch the Tracer's Config.Sink instead.
 	Perf *perfwatch.Watch
 }
 

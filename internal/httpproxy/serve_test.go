@@ -277,8 +277,8 @@ func BenchmarkServeLocalHit(b *testing.B) {
 // panicSink panics on every span.
 type panicSink struct{}
 
-func (panicSink) OnSpan(string, tracing.Span)                           { panic("sink panicked") }
-func (panicSink) OnFinish(string, string, string, time.Duration) string { return "" }
+func (panicSink) OnSpan(string, tracing.Span)                    { panic("sink panicked") }
+func (panicSink) OnFinish(string, string, string, time.Duration) {}
 
 // TestHandlerPanicRecovered: a panic in the request path is recovered and
 // logged, closes that client's connection, and leaves the proxy serving.

@@ -378,9 +378,16 @@ func TestDropReasonsCountedApart(t *testing.T) {
 	send(mustWire(t, NewReply(OpHit, cli.NextReqNum(), "http://doc/"))) // no query waits on this number
 	expect("a late reply", 2, Stats{Undecodable: 1, LateReplies: 1})
 
-	// The asked peer has the outsider answer the live request number first.
+	// The asked peer has the outsider answer the live request number first,
+	// and answers only once the client has read the forgery: datagrams
+	// from two sockets can reach the client in either order, and a MISS
+	// read first would resolve the query and make the forgery late.
 	asked := rawResponder(t, func(q Message) []byte {
+		before := cli.Stats().Received
 		_, _ = outsider.WriteToUDP(mustWire(t, NewReply(OpHit, q.ReqNum, q.URL)), cli.Addr()) // a lost forgery fails the count below
+		for deadline := time.Now().Add(2 * time.Second); cli.Stats().Received == before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
 		return mustWire(t, NewReply(OpMiss, q.ReqNum, q.URL))
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)

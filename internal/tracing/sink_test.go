@@ -5,31 +5,22 @@ import (
 	"time"
 )
 
-// recordingSink is a test SpanSink: it records every hook invocation and
-// returns a fixed anomaly reason for request traces slower than threshold.
+// recordingSink is a test SpanSink: it records every hook invocation.
 type recordingSink struct {
-	spans     []Span
-	finishes  int
-	threshold time.Duration
-	reason    string
+	spans    []Span
+	finishes int
 }
 
 func (s *recordingSink) OnSpan(node string, sp Span) { s.spans = append(s.spans, sp) }
 
-func (s *recordingSink) OnFinish(node, kind, outcome string, d time.Duration) string {
-	s.finishes++
-	if kind == KindRequest && d > s.threshold {
-		return s.reason
-	}
-	return ""
-}
+func (s *recordingSink) OnFinish(node, kind, outcome string, d time.Duration) { s.finishes++ }
 
 // TestSinkSeesAllTrafficAtHeadRateZero pins the decomposition contract:
 // a sink observes every span and every finish even when head sampling
 // would drop the trace, because metrics need the full population while
 // retention only governs what /debug/traces keeps.
 func TestSinkSeesAllTrafficAtHeadRateZero(t *testing.T) {
-	sink := &recordingSink{threshold: time.Hour}
+	sink := &recordingSink{}
 	tracer := New(Config{HeadRate: 0, Buffer: 8, Sink: sink})
 
 	tr := tracer.StartRequest("n", "http://a/")
@@ -44,49 +35,7 @@ func TestSinkSeesAllTrafficAtHeadRateZero(t *testing.T) {
 		t.Fatalf("sink saw %d finishes, want 1", sink.finishes)
 	}
 	if got := tr.Kept(); got != "" {
-		t.Fatalf("fast trace kept = %q, want dropped — the sink must not affect retention when it returns no reason", got)
-	}
-}
-
-// TestSinkAnomalyRetainsBreachingTrace is the SLO-breach retention
-// regression test: a request trace whose OnFinish returns an anomaly
-// reason (perfwatch returns "slo:<name>" past a latency threshold) must
-// survive head sampling at rate zero via the tail-keep path, carrying
-// that reason.
-func TestSinkAnomalyRetainsBreachingTrace(t *testing.T) {
-	sink := &recordingSink{threshold: 0, reason: "slo:client_p99"}
-	tracer := New(Config{HeadRate: 0, Buffer: 8, Sink: sink})
-
-	tr := tracer.StartRequest("n", "http://slow/")
-	tr.Finish("miss")
-
-	if got := tr.Kept(); got != "tail" {
-		t.Fatalf("breaching trace kept = %q, want tail", got)
-	}
-	stored := tracer.Traces()
-	if len(stored) != 1 {
-		t.Fatalf("stored %d traces, want the breaching one", len(stored))
-	}
-	if got := stored[0].snapshotView().Anomaly; got != "slo:client_p99" {
-		t.Fatalf("anomaly = %q, want slo:client_p99", got)
-	}
-}
-
-// TestSinkDoesNotOverrideEarlierAnomaly: an explicit MarkAnomalous reason
-// (e.g. false_hit) wins over the sink's SLO reason — first reason sticks.
-func TestSinkDoesNotOverrideEarlierAnomaly(t *testing.T) {
-	sink := &recordingSink{threshold: 0, reason: "slo:client_p99"}
-	tracer := New(Config{HeadRate: 0, Buffer: 8, Sink: sink})
-
-	tr := tracer.StartRequest("n", "http://a/")
-	tr.MarkAnomalous("false_hit")
-	tr.Finish("false_hit")
-
-	if got := tr.Kept(); got != "tail" {
-		t.Fatalf("kept = %q, want tail", got)
-	}
-	if got := tracer.Traces()[0].snapshotView().Anomaly; got != "false_hit" {
-		t.Fatalf("anomaly = %q, want the earlier false_hit to win", got)
+		t.Fatalf("trace kept = %q, want dropped — a sink never affects retention", got)
 	}
 }
 
@@ -98,7 +47,7 @@ func TestRecordIsTheOneDeliveryPath(t *testing.T) {
 	nilTracer.Record("n", Span{Name: SpanDirUpdateApply})
 	New(Config{}).Record("n", Span{Name: SpanDirUpdateApply})
 
-	sink := &recordingSink{threshold: time.Hour}
+	sink := &recordingSink{}
 	tracer := New(Config{HeadRate: 1, Buffer: 8, Sink: sink})
 	tracer.Record("n", Span{Name: SpanDirUpdateEncode, DurationUS: Micros(1500 * time.Nanosecond)})
 	tracer.StartRequest("n", "http://a/").AddSpan(Span{Name: SpanLRUGet})

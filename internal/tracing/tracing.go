@@ -221,22 +221,19 @@ type view struct {
 // regardless of the retention (sampling) decision — spans are recorded on
 // all traces, sampled or not, so a sink sees the full population. It is
 // the only way the perfwatch subsystem is fed: it decomposes end-to-end
-// latency into per-stage histograms and evaluates latency SLOs from it.
+// latency into per-stage histograms.
 //
-// OnFinish runs before the retention decision and may return a non-empty
-// anomaly reason (e.g. "slo:client_p99") to force tail-based keep of the
-// trace, so requests that breach an objective always survive the head
-// sampler. Implementations must be concurrency-safe and must not call
-// back into the Trace or Tracer (OnFinish is invoked under the trace's
-// lock).
+// A sink only observes: retention is decided by head sampling and the
+// trace's own anomaly marks. Implementations must be concurrency-safe and
+// must not call back into the Trace or Tracer (OnFinish is invoked under
+// the trace's lock).
 type SpanSink interface {
 	// OnSpan is called once per span added to a trace or passed to
 	// Tracer.Record.
 	OnSpan(node string, s Span)
 	// OnFinish is called once per completed trace with its kind (request
-	// or icp_answer), final outcome and end-to-end duration. A non-empty
-	// return marks the trace anomalous (first reason sticks).
-	OnFinish(node, kind, outcome string, d time.Duration) (anomaly string)
+	// or icp_answer), final outcome and end-to-end duration.
+	OnFinish(node, kind, outcome string, d time.Duration)
 }
 
 // Config parameterizes a Tracer.
@@ -259,7 +256,7 @@ type Config struct {
 	// completion (anomalous traces at Info, head-sampled ones at Debug).
 	Logger *slog.Logger
 	// Sink, when set, observes every span and completed trace (sampled or
-	// not) and may flag traces anomalous at Finish time — see SpanSink.
+	// not) — see SpanSink.
 	// Nil keeps the hot path exactly as before (zero extra work).
 	Sink SpanSink
 }
@@ -495,13 +492,10 @@ func (tr *Trace) Finish(outcome string) {
 	tr.finished = true
 	tr.outcome = outcome
 	tr.dur = time.Since(tr.start)
-	// The sink sees every completed trace before the retention decision,
-	// so it can both account the full population (per-stage histograms,
-	// SLO windows) and flag SLO-breaching traces for tail-based keep.
+	// The sink sees every completed trace, kept or not, so the per-stage
+	// histograms account the full population.
 	if sink := tr.tracer.sink; sink != nil {
-		if reason := sink.OnFinish(tr.node, tr.kind, outcome, tr.dur); reason != "" && tr.anomaly == "" {
-			tr.anomaly = reason
-		}
+		sink.OnFinish(tr.node, tr.kind, outcome, tr.dur)
 	}
 	keep := tr.headKeep || tr.anomaly != ""
 	switch {

@@ -91,6 +91,9 @@ func TestTailSamplingKeepsAnomaliesAtRateZero(t *testing.T) {
 	if len(stored) != 1 || stored[0].Outcome() != "false_hit" {
 		t.Fatalf("stored %v, want exactly the anomalous trace", stored)
 	}
+	if got := stored[0].snapshotView().Anomaly; got != "false_hit" {
+		t.Fatalf("anomaly = %q, want the first reason to stick", got)
+	}
 	if tracer.keptTail.Value() != 1 || tracer.dropped.Value() != 1 || tracer.sampled.Value() != 0 {
 		t.Fatalf("counters: sampled=%d tail=%d dropped=%d, want 0/1/1",
 			tracer.sampled.Value(), tracer.keptTail.Value(), tracer.dropped.Value())
