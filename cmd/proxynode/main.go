@@ -66,7 +66,7 @@ var (
 	traceBuf = flag.Int("trace-buffer", 0,
 		"trace ring-buffer capacity (0 with -trace-sample=0: tracing disabled entirely)")
 	persistDir = flag.String("persist-dir", "",
-		"warm-restart persistence directory: the cache and peer replicas are checkpointed there and recovered on the next start, and the directory filter is rebuilt from the recovered cache (empty: persistence off)")
+		"warm-restart persistence directory: the cache is checkpointed there and recovered on the next start, the directory filter is rebuilt from it, and each peer is asked for its summary (empty: persistence off)")
 	persistFsync = flag.String("persist-fsync", "",
 		"journal fsync policy: always, interval, never (empty: interval)")
 	persistFsyncSec = flag.Duration("persist-fsync-interval", 0,

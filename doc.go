@@ -16,8 +16,9 @@
 //     peer record)
 //   - internal/httpproxy — a caching forward proxy with no-ICP / ICP /
 //     SC-ICP cooperation, and its admin plane (AdminHandler)
-//   - internal/persist — warm restarts: cache and replica snapshots plus
-//     a journal of cache changes (the directory is rebuilt from the cache)
+//   - internal/persist — warm restarts: cache snapshots plus a journal of
+//     cache changes (the directory is rebuilt from the cache, and each
+//     peer replica comes from its peer)
 //   - internal/faultnet — deterministic fault injection on the ICP and
 //     HTTP paths
 //   - internal/obs, internal/tracing, internal/perfwatch — metrics and

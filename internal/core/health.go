@@ -12,7 +12,7 @@ import (
 // to detect failure and recovery of neighbor proxies, and reinitializes a
 // failed neighbor's bit array when it recovers". A registered peer's record
 // holds its one liveness state. Two sources feed it: the prober's periodic
-// ICP SECHO probes (StartHealthChecks), and the HTTP layer's sibling fetches
+// pings (StartHealthChecks), and the HTTP layer's sibling fetches
 // (AdmitFetch, FetchDone), which catch a sibling whose ICP endpoint answers
 // while its HTTP endpoint cannot deliver. Going down drops the peer's
 // summary replica, so a dead neighbor cannot attract queries; coming up
@@ -219,6 +219,10 @@ func (c *HealthConfig) applyDefaults() {
 	}
 }
 
+// pingURL is what the prober's ICP query asks for. A node answers it with a
+// MISS, counted and traced as no peer query.
+const pingURL = "summarycache:ping"
+
 // healthMonitor probes the registered peers; its verdicts live on their
 // records, so a removed peer takes its probe state with it.
 type healthMonitor struct {
@@ -274,10 +278,10 @@ func (h *healthMonitor) probeAll() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), h.cfg.Interval/2)
 			defer cancel()
-			// An SECHO (or any query) answered within the timeout counts
-			// as alive; Squid uses the same probe.
+			// A ping answered by the peer within the timeout counts as
+			// alive; Squid likewise takes any ICP reply as a sign of life.
 			ev := probeMissed
-			if _, err := h.node.conn.Query(ctx, p.addr, "summarycache:ping"); err == nil {
+			if _, err := h.node.conn.Query(ctx, p.addr, pingURL); err == nil {
 				ev = probeAnswered
 			}
 			_, _, _ = h.node.observe(p, ev) // a failed re-ship waits for the next recovery

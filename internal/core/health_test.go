@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"summarycache/internal/bloom"
+	"summarycache/internal/tracing"
 )
 
 // newHealthNode builds a node with fast health probing for tests.
@@ -293,5 +294,52 @@ func TestPeerStateMachine(t *testing.T) {
 		if s.String() == "" {
 			t.Errorf("empty string for state %d", int(s))
 		}
+	}
+}
+
+// TestPingIsNoPeerQuery: the prober's ping is answered but is not a peer
+// query. A traced two-node SC-ICP mesh with no client traffic runs at
+// least five probe rounds: neither node counts a query received, no
+// icp_answer trace (a tail-kept false_hit_answered each, otherwise) is
+// retained, and neither peer goes down.
+func TestPingIsNoPeerQuery(t *testing.T) {
+	tracer := tracing.New(tracing.Config{HeadRate: 1})
+	node := func() *Node {
+		n, err := NewNode(NodeConfig{
+			ListenAddr:  "127.0.0.1:0",
+			Directory:   bloom.DirectoryConfig{ExpectedDocs: 200},
+			HasDocument: func(string) bool { return false },
+			Tracer:      tracer,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		return n
+	}
+	a, b := node(), node()
+	if err := a.AddPeer(b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AddPeer(a.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*Node{a, b} {
+		t.Cleanup(n.StartHealthChecks(HealthConfig{Interval: 20 * time.Millisecond}))
+	}
+	// Each round a node receives its neighbor's ping and the answer to its own.
+	waitFor(t, "five probe rounds on each node", func() bool {
+		return a.Stats().UDP.Received >= 10 && b.Stats().UDP.Received >= 10
+	})
+	for _, n := range []*Node{a, b} {
+		if st := n.Stats(); st.QueriesReceived != 0 || st.QueriesRefused != 0 {
+			t.Errorf("%v: %d queries received, %d refused; pings are neither", n.Addr(), st.QueriesReceived, st.QueriesRefused)
+		}
+		if _, down := n.Health(); len(down) != 0 {
+			t.Errorf("%v: peers down %v", n.Addr(), down)
+		}
+	}
+	if got := len(tracer.Traces()); got != 0 {
+		t.Errorf("%d traces retained from ping answers, want none", got)
 	}
 }

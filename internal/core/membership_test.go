@@ -253,70 +253,10 @@ func TestUpdateGeometryBounded(t *testing.T) {
 	}
 }
 
-// TestRecoveredReplicaWaitsForAddPeer: a replica Recover restores answers
-// no lookup until AddPeer registers its peer, which installs it bit-exact;
-// one whose peer is never registered is not exported again.
-func TestRecoveredReplicaWaitsForAddPeer(t *testing.T) {
-	const url = "http://saved/doc"
-	node := func() *Node {
-		n, err := NewNode(NodeConfig{
-			ListenAddr:   "127.0.0.1:0",
-			Directory:    bloom.DirectoryConfig{ExpectedDocs: 100, MinPending: 1},
-			HasDocument:  func(string) bool { return false },
-			QueryTimeout: 200 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { n.Close() })
-		return n
-	}
-	a, b := node(), node()
-	if err := a.AddPeer(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddPeer(a.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	b.HandleInsert(url)
-	b.PublishNow()
-	waitFor(t, "b's summary at a", func() bool { return len(a.Candidates(url)) == 1 })
-	saved := a.ExportState()
-	if len(saved) != 1 || saved[0].Peer != b.Addr().String() {
-		t.Fatalf("exported replicas %+v, want b's", saved)
-	}
-	stranger := saved[0]
-	stranger.Peer = "127.0.0.1:9"
-	a2 := node()
-	a2.Recover(nil, append(saved, stranger))
-
-	if got := a2.Candidates(url); len(got) != 0 {
-		t.Fatalf("candidates before AddPeer = %v, want none", got)
-	}
-	if _, candidates, err := a2.Lookup(context.Background(), url); err != nil || candidates != 0 {
-		t.Fatalf("lookup before AddPeer: candidates=%d err=%v, want none", candidates, err)
-	}
-	if err := a2.AddPeer(b.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	r, bits := replicaState(a2, b.Addr())
-	if !bytes.Equal(bits, saved[0].Filter) || r.gen != saved[0].Generation || r.filter.Spec() != saved[0].Spec {
-		t.Fatal("the installed replica differs from the saved one")
-	}
-	if got := a2.Candidates(url); !slices.Equal(got, []string{b.Addr().String()}) {
-		t.Fatalf("candidates after AddPeer = %v, want b", got)
-	}
-	if again := a2.ExportState(); len(again) != 1 || again[0].Peer != b.Addr().String() {
-		t.Fatalf("exported after restart: %+v, want only b's replica", again)
-	}
-	if st := a2.Stats(); st.FilterRebuilds != 1 {
-		t.Fatalf("filter rebuilds = %d, want the one restored replica", st.FilterRebuilds)
-	}
-}
-
 // TestRecoverRebuildsFromKeys: Recover rebuilds the directory from the
 // cache's keys with nothing left pending, and re-peering ships that state
-// once, as a full update, with no delta repeating it.
+// once, as a full update asking for the peer's state, with no delta
+// repeating it.
 func TestRecoverRebuildsFromKeys(t *testing.T) {
 	dirCfg := bloom.DirectoryConfig{ExpectedDocs: 100, MinPending: 1}
 	node := func() *Node {
@@ -334,7 +274,7 @@ func TestRecoverRebuildsFromKeys(t *testing.T) {
 	}
 	keys := []string{"http://saved/1", "http://saved/2", "http://saved/3"}
 	a, b := node(), node()
-	a.Recover(keys, nil)
+	a.Recover(keys)
 	rebuilt, err := bloom.NewDirectory(dirCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -358,9 +298,87 @@ func TestRecoverRebuildsFromKeys(t *testing.T) {
 		return bytes.Equal(bits, dir.FilterSnapshot())
 	})
 	a.PublishNow()
-	if st := a.Stats(); st.UpdatesSent != 1 || st.UpdateFullBytes == 0 || st.UpdateDeltaBytes != 0 || st.Recoveries != 1 {
-		t.Fatalf("sent %d updates (full %d B, delta %d B), %d recoveries; want one full update after one recovery",
-			st.UpdatesSent, st.UpdateFullBytes, st.UpdateDeltaBytes, st.Recoveries)
+	if st := a.Stats(); st.UpdatesSent != 1 || st.UpdateFullBytes == 0 || st.UpdateDeltaBytes != 0 || st.Recoveries != 1 || st.ResyncRequestsSent != 1 {
+		t.Fatalf("sent %d updates (full %d B, delta %d B, %d resync requests), %d recoveries; want one full update asking for b's state after one recovery",
+			st.UpdatesSent, st.UpdateFullBytes, st.UpdateDeltaBytes, st.ResyncRequestsSent, st.Recoveries)
+	}
+}
+
+// TestResyncRequestBounded: a bootstrap from a node that holds no replica
+// of the peer asks for the peer's state, and a member's request is answered
+// with one full state from the publisher, even right after the bootstrap.
+// K requests inside the gap get that one answer; a non-member's request is
+// refused and gets none.
+func TestResyncRequestBounded(t *testing.T) {
+	n, err := NewNode(NodeConfig{
+		ListenAddr:  "127.0.0.1:0",
+		Directory:   bloom.DirectoryConfig{ExpectedDocs: 100},
+		HasDocument: func(string) bool { return false },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	// fulls records the Options of every full state a raw endpoint receives.
+	endpoint := func() (*icp.Conn, func() []uint32) {
+		var mu sync.Mutex
+		var fulls []uint32
+		c, err := icp.Listen("127.0.0.1:0", func(_ *net.UDPAddr, m icp.Message) {
+			if m.Op == icp.OpDirUpdate && m.Options&icp.OptionFullUpdate != 0 {
+				mu.Lock()
+				fulls = append(fulls, m.Options)
+				mu.Unlock()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Start()
+		t.Cleanup(func() { c.Close() })
+		return c, func() []uint32 {
+			mu.Lock()
+			defer mu.Unlock()
+			return slices.Clone(fulls)
+		}
+	}
+	member, memberFulls := endpoint()
+	outsider, outsiderFulls := endpoint()
+
+	n.HandleInsert("http://held/doc")
+	if err := n.AddPeer(member.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the bootstrap", func() bool { return len(memberFulls()) == 1 })
+	if got := memberFulls()[0]; got&icp.OptionResyncRequest == 0 {
+		t.Fatalf("bootstrap options %#x, want a resync request: the node holds no replica of the member", got)
+	}
+
+	const k = 5
+	req := icp.NewDirUpdate(0, n.Directory().Spec(), uint32(n.Directory().Bits()), nil)
+	req.Options = icp.OptionFullUpdate | icp.OptionResyncRequest
+	for i := 0; i < k; i++ {
+		req.ReqNum = member.NextReqNum()
+		if err := member.Send(n.Addr(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := outsider.Send(n.Addr(), req); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every request handled", func() bool {
+		st := n.Stats()
+		return st.UpdatesReceived == k && st.UpdatesRejected == 1
+	})
+	waitFor(t, "the answer", func() bool { return len(memberFulls()) >= 2 })
+	time.Sleep(100 * time.Millisecond) // room for a surplus answer to arrive
+	if got := memberFulls(); len(got) != 2 || got[1]&icp.OptionResyncRequest != 0 {
+		t.Fatalf("member got full states with options %#x, want the bootstrap and one answer asking nothing back", got)
+	}
+	if got := outsiderFulls(); len(got) != 0 {
+		t.Fatalf("the outsider got %d full states, want none", len(got))
+	}
+	if st := n.Stats(); st.ResyncRequestsSent != 1 || st.ResyncRequestsServed != 1 {
+		t.Fatalf("resync requests sent %d, served %d; want 1 and 1", st.ResyncRequestsSent, st.ResyncRequestsServed)
 	}
 }
 

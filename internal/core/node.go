@@ -122,6 +122,8 @@ type NodeStats struct {
 	UpdateDeltaBytes uint64 // advertised bytes in delta publications
 	FilterRebuilds   uint64 // peer replicas created, re-created or reset
 	Recoveries       uint64 // warm-restart recoveries applied to this node
+	// Resync requests (icp.OptionResyncRequest) sent and peers' ones answered.
+	ResyncRequestsSent, ResyncRequestsServed uint64
 	// DirectoryUnderflows counts directory removals that found a zero
 	// counter (Directory.Underflows). The cache's ordered change stream,
 	// and a warm restart's rebuild from the cache's keys, keep it 0.
@@ -149,6 +151,7 @@ type nodeMetrics struct {
 	updateFullBytes, updateDeltaBytes *obs.Counter
 	filterRebuilds                    *obs.Counter
 	recoveries                        *obs.Counter
+	resyncSent, resyncServed          *obs.Counter
 	queryRTT                          *obs.Histogram
 }
 
@@ -185,7 +188,11 @@ func newNodeMetrics(reg *obs.Registry, labels obs.Labels) nodeMetrics {
 		filterRebuilds: reg.Counter("summarycache_node_filter_rebuilds_total",
 			"peer summary replicas created, re-created or reset", labels),
 		recoveries: reg.Counter("summarycache_node_recoveries_total",
-			"warm-restart recoveries applied (directory and replicas restored from disk)", labels),
+			"warm-restart recoveries applied (directory rebuilt from the recovered cache)", labels),
+		resyncSent: reg.Counter("summarycache_node_resync_requests_sent_total",
+			"full-state shipments that asked the peer for its full state in return", labels),
+		resyncServed: reg.Counter("summarycache_node_resync_requests_served_total",
+			"peers' resync requests answered with this node's full state", labels),
 		queryRTT: reg.Histogram("summarycache_node_query_rtt_seconds",
 			"round-trip time of Lookup's ICP query fan-out", labels, nil),
 	}
@@ -206,19 +213,18 @@ type Node struct {
 
 	// mu guards the registered peers: members in registration order,
 	// byAddr finding one from a datagram's source without allocating, and
-	// their replicas and liveness; pending holds the replicas Recover
-	// restored, by peer id, until AddPeer claims them; probeLimit is the
+	// their replicas, resync requests and liveness; probeLimit is the
 	// running prober's FailureThreshold.
 	mu         sync.RWMutex
 	members    []*peer
 	byAddr     map[netip.AddrPort]*peer
-	pending    map[string]replica
 	probeLimit int
 
 	// The publisher goroutine is the only sender of DIRUPDATEs. wake (one
-	// slot) carries threshold trips from the cache's change hook without
-	// blocking it. jobs and results carry the synchronous publications (see
-	// publish). stop closes on Close, and pubDone once the publisher exits.
+	// slot) carries threshold trips from the cache's change hook and resync
+	// requests from the receive goroutine without blocking either. jobs and
+	// results carry the synchronous publications (see publish). stop closes
+	// on Close, and pubDone once the publisher exits.
 	wake    chan struct{}
 	jobs    chan *peer
 	results chan error
@@ -283,7 +289,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg:     cfg,
 		dir:     dir,
 		byAddr:  make(map[netip.AddrPort]*peer),
-		pending: make(map[string]replica),
 		log:     obs.OrNop(cfg.Logger),
 		tracer:  cfg.Tracer,
 		wake:    make(chan struct{}, 1),
@@ -400,6 +405,7 @@ func (n *Node) publisher(interval time.Duration) {
 			if n.dir.ShouldPublish() { // an earlier publication may have drained the trip
 				n.publishDeltas()
 			}
+			n.serveResyncs()
 		case <-tick:
 			n.publishDeltas()
 		case to := <-n.jobs:
@@ -456,24 +462,26 @@ func (n *Node) Close() error {
 // call taken at the same quiescent moment agree exactly.
 func (n *Node) Stats() NodeStats {
 	return NodeStats{
-		QueriesSent:      n.metrics.queriesSent.Value(),
-		QueriesReceived:  n.metrics.queriesRecv.Value(),
-		QueriesRefused:   n.metrics.queriesRefused.Value(),
-		RemoteHits:       n.metrics.remoteHits.Value(),
-		FalseHits:        n.metrics.falseHits.Value(),
-		FalseMisses:      n.metrics.falseMisses.Value(),
-		AuditQueries:     n.metrics.auditQueries.Value(),
-		UpdatesSent:      n.metrics.updatesSent.Value(),
-		UpdatesReceived:  n.metrics.updatesRecv.Value(),
-		UpdatesRejected:  n.metrics.updatesRejected.Value(),
-		UpdateEvents:     n.metrics.updateEvents.Value(),
-		FlipsPublished:   n.metrics.flipsPublished.Value(),
-		UpdateFullBytes:  n.metrics.updateFullBytes.Value(),
-		UpdateDeltaBytes: n.metrics.updateDeltaBytes.Value(),
-		FilterRebuilds:   n.metrics.filterRebuilds.Value(),
-		Recoveries:       n.metrics.recoveries.Value(),
-		QueryRTTSeconds:  n.metrics.queryRTT.Snapshot(),
-		UDP:              n.conn.Stats(),
+		QueriesSent:          n.metrics.queriesSent.Value(),
+		QueriesReceived:      n.metrics.queriesRecv.Value(),
+		QueriesRefused:       n.metrics.queriesRefused.Value(),
+		RemoteHits:           n.metrics.remoteHits.Value(),
+		FalseHits:            n.metrics.falseHits.Value(),
+		FalseMisses:          n.metrics.falseMisses.Value(),
+		AuditQueries:         n.metrics.auditQueries.Value(),
+		UpdatesSent:          n.metrics.updatesSent.Value(),
+		UpdatesReceived:      n.metrics.updatesRecv.Value(),
+		UpdatesRejected:      n.metrics.updatesRejected.Value(),
+		UpdateEvents:         n.metrics.updateEvents.Value(),
+		FlipsPublished:       n.metrics.flipsPublished.Value(),
+		UpdateFullBytes:      n.metrics.updateFullBytes.Value(),
+		UpdateDeltaBytes:     n.metrics.updateDeltaBytes.Value(),
+		FilterRebuilds:       n.metrics.filterRebuilds.Value(),
+		Recoveries:           n.metrics.recoveries.Value(),
+		ResyncRequestsSent:   n.metrics.resyncSent.Value(),
+		ResyncRequestsServed: n.metrics.resyncServed.Value(),
+		QueryRTTSeconds:      n.metrics.queryRTT.Snapshot(),
+		UDP:                  n.conn.Stats(),
 		// Read from the directory itself, as its scrape series is.
 		DirectoryUnderflows: n.dir.Underflows(),
 	}
@@ -489,6 +497,11 @@ type peer struct {
 	id   string
 
 	rep replica // under Node.mu
+
+	// Its resync request, under Node.mu: when one was last accepted, and
+	// whether the publisher has yet to answer it (see applyUpdate).
+	resyncAt  time.Time
+	resyncDue bool
 
 	updates, bytes atomic.Uint64 // DIRUPDATE messages and bytes sent to it
 
@@ -530,15 +543,16 @@ func (n *Node) memberList() []*peer {
 }
 
 // AddPeer registers a neighbor and bootstraps it with this node's full
-// summary state so its replica starts correct. It returns once that state
-// is sent. A node that has shipped nothing and summarizes nothing sends no
-// bootstrap: its first delta starts the neighbor's replica correct, and in
-// a mesh coming up the neighbor may not have registered it yet, so would
+// summary state so its replica starts correct. The bootstrap asks for the
+// neighbor's full state in return when this node holds no replica of it
+// (icp.OptionResyncRequest). It returns once that state is sent. A node
+// that has not run Recover, has shipped nothing and summarizes nothing sends
+// no bootstrap: its first delta starts the neighbor's replica correct, and
+// in a mesh coming up the neighbor may not have registered it yet, so would
 // refuse it. From then on the node applies the neighbor's summary updates
-// and answers its queries; a replica Recover restored for it is installed.
-// Re-adding a registered neighbor brings it up with both failure counts
-// restarted, so both evidence sources judge it afresh, and bootstraps it
-// again.
+// and answers its queries. Re-adding a registered neighbor brings it up
+// with both failure counts restarted, so both evidence sources judge it
+// afresh, and bootstraps it again.
 func (n *Node) AddPeer(addr *net.UDPAddr) error {
 	key := addrKey(addr)
 	n.mu.Lock()
@@ -548,21 +562,13 @@ func (n *Node) AddPeer(addr *net.UDPAddr) error {
 		n.byAddr[key] = p
 		n.members = append(n.members, p)
 	}
-	r, restored := n.pending[p.id]
-	if restored {
-		p.rep = r
-		delete(n.pending, p.id)
-	}
 	n.mu.Unlock()
-	if restored {
-		n.noteRebuild(p.id, "restored")
-	}
 	if !known {
 		n.registerPeerMetrics(p)
 	} else if from, _, err := n.observe(p, reAdded); from != PeerUp {
 		return err // coming up re-shipped the full state
 	}
-	if n.lastAdvert.Load() == 0 && n.dir.Docs() == 0 {
+	if n.metrics.recoveries.Value() == 0 && n.lastAdvert.Load() == 0 && n.dir.Docs() == 0 {
 		return nil
 	}
 	return n.publish(p)
@@ -581,35 +587,17 @@ func (n *Node) ResyncPeers() error {
 	return firstErr
 }
 
-// ExportState returns what a warm restart needs that the cache cannot
-// rebuild: the registered peers' replicas, in registration order. A
-// query-all node keeps none.
-func (n *Node) ExportState() []ReplicaState {
-	if n.cfg.QueryAll {
-		return nil
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	var replicas []ReplicaState
-	for _, p := range n.members {
-		if p.rep.filter != nil {
-			replicas = append(replicas, p.rep.snapshot(p.id))
-		}
-	}
-	return replicas
-}
-
 // Recover installs a warm restart's state before the node's first lookup
 // and before its first AddPeer. The directory is rebuilt from keys, the
-// documents the cache readmitted, and its journal is drained: AddPeer ships
-// each peer the rebuilt state in one full update, so no delta repeats it.
-// Each saved replica waits for AddPeer to register its peer; until then it
-// answers no lookup, and one never claimed is not exported again.
+// documents the cache readmitted, and its journal is drained. From then on
+// every AddPeer ships that state in one full update, an empty one included,
+// which resets the neighbor's replica of the previous run and asks for the
+// neighbor's own state: no replica survives a restart.
 // summarycache_node_recoveries_total counts the recovery. A query-all node
 // keeps no summary and only counts it.
-func (n *Node) Recover(keys []string, replicas []ReplicaState) {
+func (n *Node) Recover(keys []string) {
 	n.metrics.recoveries.Inc()
-	n.log.Info("node recovered from snapshot", "docs", len(keys), "replicas", len(replicas))
+	n.log.Info("node recovered from snapshot", "docs", len(keys))
 	if n.cfg.QueryAll {
 		return
 	}
@@ -617,16 +605,6 @@ func (n *Node) Recover(keys []string, replicas []ReplicaState) {
 		n.dir.Insert(key)
 	}
 	n.dir.Drain()
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, st := range replicas {
-		r, err := restore(st, n.dir.Bits())
-		if err != nil {
-			n.log.Warn("peer replica not restorable", "peer", st.Peer, "err", err)
-			continue
-		}
-		n.pending[st.Peer] = r
-	}
 }
 
 // RemovePeer forgets a neighbor: its record, with its replica and its
@@ -744,12 +722,17 @@ func (n *Node) HandleEvict(url string) {
 }
 
 func (n *Node) wakeIfReady() {
-	if !n.dir.ShouldPublish() {
-		return
+	if n.dir.ShouldPublish() {
+		n.wakePublisher()
 	}
+}
+
+// wakePublisher has the publisher publish what is due and answer the
+// pending resync requests. It never blocks.
+func (n *Node) wakePublisher() {
 	select {
 	case n.wake <- struct{}{}:
-	default: // a wake is already pending; its publication drains these flips too
+	default: // a wake is already pending; it serves this one too
 	}
 }
 
@@ -798,19 +781,48 @@ func (n *Node) splitUpdate(flips []bloom.Flip) []icp.Message {
 }
 
 // sendFullState ships the entire filter to one peer, flagged so the peer
-// resets its replica first. Only the publisher calls it, so no delta can
-// overtake the reset.
+// resets its replica first, and asks for the peer's own full state when
+// this node holds no replica of it. Only the publisher calls it, so no
+// delta can overtake the reset.
 func (n *Node) sendFullState(p *peer) error {
 	msgs := n.splitUpdate(n.dir.SnapshotFlips())
 	msgs[0].Options |= icp.OptionFullUpdate
+	n.mu.RLock()
+	ask := p.rep.filter == nil
+	n.mu.RUnlock()
+	if ask {
+		msgs[0].Options |= icp.OptionResyncRequest
+	}
 	for _, m := range msgs {
 		if err := n.conn.Send(p.addr, m); err != nil {
 			return err
 		}
 		n.noteSent(p, m.EncodedLen(), true)
 	}
+	if ask {
+		n.metrics.resyncSent.Inc()
+	}
 	n.lastAdvert.Store(time.Now().UnixNano())
 	return nil
+}
+
+// serveResyncs answers each member's pending resync request with one full
+// state. Only the publisher calls it.
+func (n *Node) serveResyncs() {
+	var due []*peer
+	n.mu.Lock()
+	for _, p := range n.members {
+		if p.resyncDue {
+			p.resyncDue = false
+			due = append(due, p)
+		}
+	}
+	n.mu.Unlock()
+	for _, p := range due {
+		if n.sendFullState(p) == nil {
+			n.metrics.resyncServed.Inc()
+		}
+	}
 }
 
 // Lookup resolves a local miss: probe the peer summaries, ICP-query only
@@ -1073,6 +1085,12 @@ func (n *Node) handle(from *net.UDPAddr, m icp.Message) {
 			n.metrics.queriesRefused.Inc()
 			return
 		}
+		if m.URL == pingURL {
+			// The prober's liveness ping: answered, but it is neither a peer
+			// query nor a traced exchange.
+			_ = n.conn.Send(from, icp.NewReply(icp.OpMiss, m.ReqNum, m.URL))
+			return
+		}
 		start := time.Now()
 		n.metrics.queriesRecv.Inc()
 		reply := icp.Answer(m, n.cfg.HasDocument, n.cfg.ReadDocument)
@@ -1091,7 +1109,7 @@ func (n *Node) handle(from *net.UDPAddr, m icp.Message) {
 		if n.cfg.QueryAll {
 			return // no summaries are kept
 		}
-		if err := n.applyUpdate(from, &m.Update, m.Options&icp.OptionFullUpdate != 0); err != nil {
+		if err := n.applyUpdate(from, &m.Update, m.Options); err != nil {
 			n.metrics.updatesRejected.Inc()
 			return
 		}

@@ -141,47 +141,6 @@ func (r *replica) health(row *PeerReport) {
 	row.FullUpdates, row.DeltaUpdates, row.BytesIn = r.full, r.delta, r.bytesIn
 }
 
-// snapshot serializes r for warm-restart persistence under the peer's id.
-func (r *replica) snapshot(id string) ReplicaState {
-	return ReplicaState{
-		Peer:       id,
-		Spec:       r.filter.Spec(),
-		Bits:       r.filter.Size(),
-		Generation: r.gen,
-		Filter:     r.filter.Snapshot(),
-	}
-}
-
-// ReplicaState is one peer replica serialized for warm-restart
-// persistence: enough to rebuild the replica so a restarted proxy resumes
-// nominating peers immediately instead of treating every neighbor as
-// unknown until its next full update.
-type ReplicaState struct {
-	Peer       string       // peer identifier (UDP address string)
-	Spec       hashing.Spec // replica hash family
-	Bits       uint64       // replica bit-array size
-	Generation uint64       // applied-update count (decision-audit generation)
-	Filter     []byte       // bit array, bloom.Filter.Snapshot layout
-}
-
-// restore rebuilds the replica st saved, checking its geometry against
-// local. It may be stale (the peer kept publishing while this node was
-// down), but a stale replica only costs the false hits and misses the
-// protocol already tolerates, and the next update repairs it.
-func restore(st ReplicaState, local uint64) (replica, error) {
-	if err := checkGeometry(st.Spec, st.Bits, local); err != nil {
-		return replica{}, err
-	}
-	f, err := bloom.NewFilter(st.Bits, st.Spec)
-	if err != nil {
-		return replica{}, err
-	}
-	if err := f.LoadSnapshot(st.Filter); err != nil {
-		return replica{}, err
-	}
-	return replica{filter: f, gen: st.Generation, changed: time.Now()}, nil
-}
-
 // probe derives a URL's probe indices once for the first replica geometry
 // (size and spec) it meets and reuses them for every replica of that
 // geometry — every replica, once the mesh agrees on (m, k). A replica of
@@ -330,22 +289,35 @@ func (n *Node) ReplicaSnapshot(addr *net.UDPAddr) ([]byte, bool) {
 	return nil, false
 }
 
+// resyncGap is the least time between two resync requests of one peer that
+// this node serves (see icp.OptionResyncRequest); a request inside the gap
+// is dropped.
+const resyncGap = time.Second
+
 // applyUpdate folds one received DIRUPDATE into the replica of its sender,
 // which must be registered and announce a geometry inside the bounds for
 // this node's directory. A member's update is recorded as a
-// dirupdate_apply span when the node is traced.
-func (n *Node) applyUpdate(from *net.UDPAddr, u *icp.DirUpdate, full bool) error {
+// dirupdate_apply span when the node is traced. An applied update that
+// carries a resync request outside the sender's gap marks the sender and
+// wakes the publisher, which answers with one full state.
+func (n *Node) applyUpdate(from *net.UDPAddr, u *icp.DirUpdate, options uint32) error {
 	var t0 time.Time
 	if n.tracer != nil {
 		t0 = time.Now()
 	}
-	rebuilt, err := "", errNotMember
+	rebuilt, err, resync := "", errNotMember, false
 	n.mu.Lock()
 	p := n.byAddr[addrKey(from)]
 	if p != nil {
-		rebuilt, err = p.rep.apply(u, full, n.dir.Bits())
+		rebuilt, err = p.rep.apply(u, options&icp.OptionFullUpdate != 0, n.dir.Bits())
+		if err == nil && options&icp.OptionResyncRequest != 0 && time.Since(p.resyncAt) >= resyncGap {
+			p.resyncAt, p.resyncDue, resync = time.Now(), true, true
+		}
 	}
 	n.mu.Unlock()
+	if resync {
+		n.wakePublisher()
+	}
 	if p != nil && n.tracer != nil {
 		n.tracer.Record(n.self, tracing.Span{Name: tracing.SpanDirUpdateApply, Peer: p.id, Start: t0, DurationUS: tracing.Micros(time.Since(t0))})
 	}
@@ -356,7 +328,7 @@ func (n *Node) applyUpdate(from *net.UDPAddr, u *icp.DirUpdate, full bool) error
 }
 
 // noteRebuild counts and logs a replica filter built from scratch: first
-// contact, a geometry change, a full-state reset, or a restored snapshot.
+// contact, a geometry change or a full-state reset.
 func (n *Node) noteRebuild(id, reason string) {
 	n.metrics.filterRebuilds.Inc()
 	n.log.Info("peer filter rebuilt", "peer", id, "reason", reason)

@@ -1,7 +1,6 @@
 package httpproxy
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,8 +23,8 @@ import (
 // the original working set from its recovered cache at least as well as
 // the cold boot did, (b) restore a directory that exactly matches the
 // recovered cache, and (c) reconverge bit-exactly with its sibling in
-// both directions after re-peering — all with zero client-visible
-// errors.
+// both directions after re-peering, with no Resync — all with zero
+// client-visible errors.
 func TestChaosWarmRestartSCICP(t *testing.T) {
 	leakcheck.Install(t)
 	org, err := origin.Start(origin.Config{})
@@ -151,19 +150,21 @@ func TestChaosWarmRestartSCICP(t *testing.T) {
 	}
 
 	// Re-peer both directions (A2's ports are new) and let the mesh
-	// settle with faults off.
+	// settle with faults off. No Resync: A2's bootstrap reaches B before B
+	// registers A2 and is refused, and B's bootstrap asks A2 for its full
+	// state, which is what B's replica of A2 is built from.
 	injB.SetEnabled(false)
 	b.RemovePeer(oldAAddr)
+	rejected := b.Stats().Node.UpdatesRejected
 	if err := a2.AddPeer(b.ICPAddr(), b.URL()); err != nil {
 		t.Fatal(err)
 	}
+	for deadline := time.Now().Add(5 * time.Second); b.Stats().Node.UpdatesRejected == rejected; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("B never refused A2's bootstrap")
+		}
+	}
 	if err := b.AddPeer(a2.ICPAddr(), a2.URL()); err != nil {
-		t.Fatal(err)
-	}
-	if err := a2.Resync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Resync(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,10 +184,6 @@ func TestChaosWarmRestartSCICP(t *testing.T) {
 	a2.FlushSummary()
 	b.FlushSummary()
 	deadline := time.Now().Add(10 * time.Second)
-	converged := func(p, q *Proxy) bool {
-		snap, ok := p.node.ReplicaSnapshot(q.ICPAddr())
-		return ok && bytes.Equal(snap, q.node.Directory().FilterSnapshot())
-	}
 	for !converged(a2, b) || !converged(b, a2) {
 		if time.Now().After(deadline) {
 			t.Fatalf("mesh never reconverged bit-exactly after the restart (a2->b %v, b->a2 %v)",

@@ -8,8 +8,8 @@ import (
 )
 
 // startPersistence opens the persist store, recovers whatever a previous
-// run left behind, installs it (cache bodies, peer replicas) and rebuilds
-// the directory from the restored cache, takes a fresh boot checkpoint,
+// run left behind, installs the cache bodies and rebuilds the directory
+// from the restored cache, takes a fresh boot checkpoint,
 // and starts the periodic snapshot loop. Called from Start with the
 // protocol endpoint already up; a persistence failure fails the boot — a
 // proxy asked to be durable must not come up silently amnesiac.
@@ -54,12 +54,12 @@ func (p *Proxy) startPersistence(reg *obs.Registry, labels obs.Labels) error {
 
 // installRecovered loads recovered state into the live structures:
 // documents into the cache, then the directory rebuilt from the documents
-// the cache readmitted, and the persisted peer replicas, which wait for
-// AddPeer to register their peers.
+// the cache readmitted. No peer replica is restored: AddPeer asks each
+// neighbor for its full state.
 func (p *Proxy) installRecovered(rec *persist.Recovered) {
 	p.restored, _ = p.cache.Restore(rec.Entries)
 	if p.node != nil {
-		p.node.Recover(p.cache.Keys(), rec.Replicas)
+		p.node.Recover(p.cache.Keys())
 	}
 }
 
@@ -98,11 +98,7 @@ func (p *Proxy) registerPersistMetrics(reg *obs.Registry, labels obs.Labels) {
 // traffic; the journal records written after the rotation that precedes
 // it reconcile the skew at replay.
 func (p *Proxy) captureSnapshot() persist.SnapshotData {
-	data := persist.SnapshotData{Entries: p.cache.Entries()}
-	if p.node != nil {
-		data.Replicas = p.node.ExportState()
-	}
-	return data
+	return persist.SnapshotData{Entries: p.cache.Entries()}
 }
 
 // Checkpoint forces a snapshot now (no-op without persistence) — what

@@ -209,14 +209,14 @@ type Config struct {
 	// one Tracer (as with Metrics) or each proxy may own one. Nil: tracing
 	// disabled; the local-hit hot path performs no extra allocation.
 	Tracer *tracing.Tracer
-	// Persist, when set, enables warm restarts: the document cache and
-	// the peer summary replicas are checkpointed to Persist.Dir (every
-	// Persist.SnapshotInterval, and once more on a clean Close), with
-	// cache mutations journaled between checkpoints. A proxy restarted on
-	// the same directory recovers its state before serving and rebuilds
-	// its local directory filter from the recovered cache — see Recovery
-	// for what the boot found. Nil: persistence disabled, the seed's
-	// memory-only behavior.
+	// Persist, when set, enables warm restarts: the document cache is
+	// checkpointed to Persist.Dir (every Persist.SnapshotInterval, and once
+	// more on a clean Close), with cache mutations journaled between
+	// checkpoints. A proxy restarted on the same directory recovers its
+	// cache before serving and rebuilds its local directory filter from it
+	// — see Recovery for what the boot found. No peer summary is saved:
+	// each AddPeer asks the peer for its full state. Nil: persistence
+	// disabled, the seed's memory-only behavior.
 	Persist *persist.Config
 	// Perf is read by nothing: a Watch is fed only as the Tracer's
 	// Config.Sink, and its stage histograms are served with every other

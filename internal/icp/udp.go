@@ -341,7 +341,8 @@ func (c *Conn) release(reqNum uint32, w *waiter) {
 // Query sends an ICP query for url to the peer and waits for its reply
 // (HIT, HIT_OBJ, MISS, MISS_NOFETCH, DENIED or ERR) until ctx is done. A lost
 // datagram surfaces as ctx expiry — the caller treats it as a miss,
-// exactly as Squid does.
+// exactly as Squid does. Only a reply from to counts: one from any other
+// address is ignored and counted (Stats.Unasked), as in QueryAllFunc.
 func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message, error) {
 	reqNum := c.NextReqNum()
 	w, err := c.register(reqNum, 1)
@@ -353,14 +354,19 @@ func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message,
 	if err := c.Send(to, NewQuery(reqNum, url)); err != nil {
 		return Message{}, err
 	}
-	select {
-	case r, ok := <-w.ch:
-		if !ok {
-			return Message{}, ErrClosed
+	for {
+		select {
+		case r, ok := <-w.ch:
+			if !ok {
+				return Message{}, ErrClosed
+			}
+			if sameAddr(r.from, to) {
+				return r.m, nil
+			}
+			c.unasked.Add(1)
+		case <-ctx.Done():
+			return Message{}, ctx.Err()
 		}
-		return r.m, nil
-	case <-ctx.Done():
-		return Message{}, ctx.Err()
 	}
 }
 
@@ -482,12 +488,15 @@ func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []
 // none does.
 func findAddr(peers []*net.UDPAddr, addr *net.UDPAddr) int {
 	for i, p := range peers {
-		if p.Port == addr.Port && p.IP.Equal(addr.IP) {
+		if sameAddr(p, addr) {
 			return i
 		}
 	}
 	return -1
 }
+
+// sameAddr reports whether a and b name the same UDP address.
+func sameAddr(a, b *net.UDPAddr) bool { return a.Port == b.Port && a.IP.Equal(b.IP) }
 
 func (c *Conn) readLoop() {
 	defer close(c.done)

@@ -397,3 +397,35 @@ func TestDropReasonsCountedApart(t *testing.T) {
 	}
 	expect("a reply from an unasked address", 4, Stats{Undecodable: 1, LateReplies: 1, Unasked: 1})
 }
+
+// TestQueryOnlyFromAskedPeer: Query takes its answer only from the address
+// it asked. A second socket answers the live request number first with a
+// HIT; it is counted as unasked, and the asked peer's MISS is the answer.
+// Otherwise a stray or spoofed datagram could answer a liveness probe.
+func TestQueryOnlyFromAskedPeer(t *testing.T) {
+	cli := client(t)
+	outsider, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { outsider.Close() })
+	// As in TestDropReasonsCountedApart, the asked peer answers only once
+	// the client has read the forgery.
+	asked := rawResponder(t, func(q Message) []byte {
+		before := cli.Stats().Received
+		_, _ = outsider.WriteToUDP(mustWire(t, NewReply(OpHit, q.ReqNum, q.URL)), cli.Addr()) // a lost forgery fails the count below
+		for deadline := time.Now().Add(2 * time.Second); cli.Stats().Received == before && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return mustWire(t, NewReply(OpMiss, q.ReqNum, q.URL))
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	m, err := cli.Query(ctx, asked, "http://doc/")
+	if err != nil || m.Op != OpMiss {
+		t.Fatalf("op %v err %v, want the asked peer's MISS", m.Op, err)
+	}
+	if st := cli.Stats(); st.Received != 2 || st.Unasked != 1 || st.LateReplies != 0 {
+		t.Fatalf("stats %+v, want 2 received and the forgery counted as unasked", st)
+	}
+}

@@ -107,6 +107,12 @@ const Version = 2
 // bootstrap a new neighbor or reinitialize a recovered one.
 const OptionFullUpdate uint32 = 1 << 0
 
+// OptionResyncRequest, set in a DIRUPDATE's Options field, asks the
+// receiver for its own full state in return: the sender holds no replica of
+// it, as after a restart. A node sets it on a full-state shipment, and
+// answers each member's request at most once per rate-limit gap.
+const OptionResyncRequest uint32 = 1 << 1
+
 // FlagHitObj, set in a QUERY's Options field, is RFC 2186's
 // ICP_FLAG_HIT_OBJ: the querier accepts the document itself in a HIT_OBJ
 // reply.

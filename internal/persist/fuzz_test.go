@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"summarycache/internal/core"
-	"summarycache/internal/hashing"
 	"summarycache/internal/lru"
 )
 
@@ -13,14 +11,11 @@ import (
 const fuzzGen = 3
 
 // snapshotSeeds are encodeSnapshot images from empty to every frame kind,
-// and a snapshot with the directory frame older versions wrote.
+// and a snapshot with the directory and replica frames older versions
+// wrote.
 func snapshotSeeds(t testing.TB) [][]byte {
 	full := SnapshotData{
 		Entries: []lru.Entry{entry(1), {Key: "http://origin/empty", Size: 0, Version: -1}},
-		Replicas: []core.ReplicaState{{
-			Peer: "127.0.0.1:4001", Spec: hashing.DefaultSpec,
-			Bits: 64, Generation: 9, Filter: []byte{0xA5, 0, 0, 0, 0, 0, 0, 1},
-		}},
 	}
 	return [][]byte{encodeSnapshot(fuzzGen, SnapshotData{}), encodeSnapshot(fuzzGen, full), legacySnapshot(t)}
 }

@@ -1,9 +1,10 @@
 // Package persist implements warm restarts: a crash-consistent binary
-// snapshot of what a proxy cannot derive — the LRU entries (keys, bodies,
-// recency order) and the per-peer replica filters — plus an append-only
-// journal of cache mutations, so hot-path writes cost O(one record), never
-// O(cache). The local directory summary is not saved: the caller rebuilds
-// it from the recovered cache.
+// snapshot of what a proxy cannot derive, the LRU entries (keys, bodies,
+// recency order), plus an append-only journal of cache mutations, so
+// hot-path writes cost O(one record), never O(cache). Nothing of the
+// summary protocol is saved: the caller rebuilds its directory from the
+// recovered cache, and its replicas of the peers' summaries come from the
+// peers themselves.
 //
 // On-disk layout (all files length+CRC framed, see journal.go):
 //
@@ -23,7 +24,8 @@
 // or corrupt tail (the expected shape of a crash). The caller installs
 // the result, rebuilds its directory from the cache it restored, and
 // re-announces a reset-flagged full DIRUPDATE so siblings converge
-// bit-exactly on it.
+// bit-exactly on it; that DIRUPDATE also asks each sibling for its own
+// full state.
 package persist
 
 import (
@@ -41,7 +43,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"summarycache/internal/core"
 	"summarycache/internal/lru"
 )
 
@@ -109,8 +110,6 @@ type SnapshotData struct {
 	// Entries is the cache content, most recently used first
 	// (lru.Cache.Entries order), bodies included.
 	Entries []lru.Entry
-	// Replicas are the peer summary replicas (core.Node.ExportState).
-	Replicas []core.ReplicaState
 }
 
 // Store owns one persistence directory: the current journal handle and

@@ -9,7 +9,6 @@ import (
 
 	"summarycache/internal/bloom"
 	"summarycache/internal/core"
-	"summarycache/internal/hashing"
 	"summarycache/internal/lru"
 	"summarycache/internal/testutil/leakcheck"
 )
@@ -43,7 +42,7 @@ func mustRecover(t *testing.T, s *Store) *Recovered {
 }
 
 // TestCheckpointRecoverRoundTrip: snapshot + journal replay reproduces
-// entries (bodies, versions, MRU order) and the replica set.
+// entries (bodies, versions, MRU order).
 func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	leakcheck.Install(t)
 	dir := t.TempDir()
@@ -56,12 +55,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	for i := 9; i >= 0; i-- { // MRU first
 		entries = append(entries, entry(i))
 	}
-	replica := core.ReplicaState{
-		Peer: "127.0.0.1:4001", Spec: hashing.DefaultSpec,
-		Bits: 256, Generation: 42, Filter: make([]byte, 32),
-	}
-	replica.Filter[3] = 0xA5
-	data := SnapshotData{Entries: entries, Replicas: []core.ReplicaState{replica}}
+	data := SnapshotData{Entries: entries}
 	if err := s.Checkpoint(data); err != nil {
 		t.Fatal(err)
 	}
@@ -99,37 +93,41 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 			t.Fatalf("entry %d: got %+v want %+v", i, e, want)
 		}
 	}
-	if len(rec.Replicas) != 1 || rec.Replicas[0].Peer != replica.Peer ||
-		rec.Replicas[0].Generation != 42 || rec.Replicas[0].Filter[3] != 0xA5 {
-		t.Fatalf("replicas: %+v", rec.Replicas)
-	}
 }
 
 // legacySnapshot is a generation-fuzzGen snapshot in the format that still
-// saved the directory: three entries, a 'D' frame whose counting filter
-// also claims a fourth document the entries lack (the skew of a capture
-// racing traffic), and one peer replica. encodeSnapshot wrote it before the
-// directory left the snapshot.
+// saved the directory and the peer replicas: three entries, a 'D' frame
+// whose counting filter also claims a fourth document the entries lack
+// (the skew of a capture racing traffic), and one peer replica in an 'R'
+// frame. encodeSnapshot wrote it before the directory and the replicas left
+// the snapshot.
 func legacySnapshot(t testing.TB) []byte {
 	img, err := os.ReadFile(filepath.Join("testdata", "legacy-snapshot"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	kinds := map[byte]int{}
 	for rest := img; ; {
 		var payload []byte
-		if payload, rest, err = nextFrame(rest); err != nil || payload == nil {
-			t.Fatal("testdata/legacy-snapshot carries no directory frame")
+		if payload, rest, err = nextFrame(rest); err != nil {
+			t.Fatal(err)
 		}
-		if payload[0] == frameDirectory {
-			return img
+		if payload == nil {
+			break
 		}
+		kinds[payload[0]]++
 	}
+	if kinds[frameDirectory] != 1 || kinds[frameReplica] != 1 {
+		t.Fatalf("testdata/legacy-snapshot carries %d directory and %d replica frames, want one of each",
+			kinds[frameDirectory], kinds[frameReplica])
+	}
+	return img
 }
 
 // TestRecoverSnapshotWithDirectoryFrame: a snapshot that saved the
-// directory still recovers. Its entries and replica come back, and the directory a node
-// rebuilds from them equals one rebuilt from the entries, not the saved
-// one.
+// directory and a peer replica still recovers. Its entries come back, both
+// older frames are skipped, and the directory a node rebuilds from the
+// entries equals one rebuilt from them, not the saved one.
 func TestRecoverSnapshotWithDirectoryFrame(t *testing.T) {
 	leakcheck.Install(t)
 	dir := t.TempDir()
@@ -147,9 +145,6 @@ func TestRecoverSnapshotWithDirectoryFrame(t *testing.T) {
 		}
 		keys = append(keys, e.Key)
 	}
-	if len(rec.Replicas) != 1 || rec.Replicas[0].Peer != "127.0.0.1:4001" || rec.Replicas[0].Generation != 7 {
-		t.Fatalf("replicas: %+v", rec.Replicas)
-	}
 
 	dirCfg := bloom.DirectoryConfig{ExpectedDocs: 100}
 	node, err := core.NewNode(core.NodeConfig{
@@ -161,7 +156,7 @@ func TestRecoverSnapshotWithDirectoryFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	node.Recover(keys, rec.Replicas)
+	node.Recover(keys)
 	rebuilt, err := bloom.NewDirectory(dirCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"os"
 	"sort"
 
-	"summarycache/internal/core"
 	"summarycache/internal/lru"
 )
 
@@ -52,8 +51,6 @@ type Recovered struct {
 	// Entries is the reconciled cache content, most recently used first —
 	// feed it to lru.Cache.Restore.
 	Entries []lru.Entry
-	// Replicas are the persisted peer summaries (core.Node.Recover).
-	Replicas []core.ReplicaState
 	// Stats is the reconciliation accounting, also retained on the store
 	// (Store.Recovery).
 	Stats RecoveryStats
@@ -111,7 +108,6 @@ func (s *Store) Recover() (*Recovered, error) {
 	}
 	st.SnapshotGen = baseGen
 	st.SnapshotEntries = len(base.Entries)
-	out.Replicas = base.Replicas
 
 	// Seed the replay table from the snapshot: MRU-first file order gets
 	// descending sequence numbers, journal activity appends above them.

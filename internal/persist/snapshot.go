@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"os"
 
-	"summarycache/internal/core"
-	"summarycache/internal/hashing"
 	"summarycache/internal/lru"
 )
 
@@ -18,7 +16,7 @@ const (
 	frameSnapHdr    byte = 'H' // magic + generation
 	frameEntry      byte = 'E' // one LRU entry, MRU→LRU file order
 	frameDirectory  byte = 'D' // counting-filter state, written by older versions
-	frameReplica    byte = 'R' // one peer replica
+	frameReplica    byte = 'R' // one peer replica, written by older versions
 	frameEnd        byte = 'Z' // commit marker: absent ⇒ torn snapshot
 	frameJournalHdr byte = 'J' // journal magic + generation
 )
@@ -66,13 +64,10 @@ func appendEntryFrame(dst []byte, e lru.Entry) []byte {
 	return appendFrame(dst, payload)
 }
 
+// decodeEntryFrame parses an 'E' frame's payload, kind byte included.
 func decodeEntryFrame(payload []byte) (lru.Entry, error) {
 	var e lru.Entry
-	rest, ok := takeBytesAfterKind(payload, frameEntry)
-	if !ok {
-		return e, fmt.Errorf("persist: not an entry frame")
-	}
-	key, rest, ok := takeString(rest)
+	key, rest, ok := takeString(payload[1:])
 	if !ok {
 		return e, fmt.Errorf("persist: entry key")
 	}
@@ -91,59 +86,6 @@ func decodeEntryFrame(payload []byte) (lru.Entry, error) {
 		e.Body = append([]byte(nil), rest[n:n+int(blen)]...)
 	}
 	return e, nil
-}
-
-// appendReplicaFrame serializes one peer replica:
-// 'R' key-string peer, uvarint k, uvarint funcbits, uvarint bits,
-// uvarint generation, uvarint len(filter), filter.
-func appendReplicaFrame(dst []byte, r core.ReplicaState) []byte {
-	payload := make([]byte, 0, 1+5*binary.MaxVarintLen64+len(r.Peer)+len(r.Filter))
-	payload = append(payload, frameReplica)
-	payload = binary.AppendUvarint(payload, uint64(len(r.Peer)))
-	payload = append(payload, r.Peer...)
-	payload = binary.AppendUvarint(payload, uint64(r.Spec.FunctionNum))
-	payload = binary.AppendUvarint(payload, uint64(r.Spec.FunctionBits))
-	payload = binary.AppendUvarint(payload, r.Bits)
-	payload = binary.AppendUvarint(payload, r.Generation)
-	payload = binary.AppendUvarint(payload, uint64(len(r.Filter)))
-	payload = append(payload, r.Filter...)
-	return appendFrame(dst, payload)
-}
-
-func decodeReplicaFrame(payload []byte) (core.ReplicaState, error) {
-	var r core.ReplicaState
-	rest, ok := takeBytesAfterKind(payload, frameReplica)
-	if !ok {
-		return r, fmt.Errorf("persist: not a replica frame")
-	}
-	if r.Peer, rest, ok = takeString(rest); !ok {
-		return r, fmt.Errorf("persist: replica peer")
-	}
-	var vals [4]uint64
-	for i := range vals {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return r, fmt.Errorf("persist: replica header")
-		}
-		vals[i] = v
-		rest = rest[n:]
-	}
-	r.Spec = hashing.Spec{FunctionNum: int(vals[0]), FunctionBits: int(vals[1])}
-	r.Bits = vals[2]
-	r.Generation = vals[3]
-	flen, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest)-n) < flen {
-		return r, fmt.Errorf("persist: replica filter")
-	}
-	r.Filter = append([]byte(nil), rest[n:n+int(flen)]...)
-	return r, nil
-}
-
-func takeBytesAfterKind(payload []byte, kind byte) ([]byte, bool) {
-	if len(payload) < 1 || payload[0] != kind {
-		return nil, false
-	}
-	return payload[1:], true
 }
 
 func takeString(b []byte) (s string, rest []byte, ok bool) {
@@ -168,16 +110,10 @@ func encodeSnapshot(gen uint64, data SnapshotData) []byte {
 	for i := range data.Entries {
 		size += len(data.Entries[i].Key) + len(data.Entries[i].Body) + 32
 	}
-	for i := range data.Replicas {
-		size += len(data.Replicas[i].Peer) + len(data.Replicas[i].Filter) + 48
-	}
 	out := make([]byte, 0, size)
 	out = appendFrame(out, snapHeader(gen))
 	for _, e := range data.Entries {
 		out = appendEntryFrame(out, e)
-	}
-	for _, r := range data.Replicas {
-		out = appendReplicaFrame(out, r)
 	}
 	out = appendFrame(out, []byte{frameEnd})
 	return out
@@ -216,14 +152,10 @@ func decodeSnapshot(img []byte, wantGen uint64) (SnapshotData, error) {
 				return data, err
 			}
 			data.Entries = append(data.Entries, e)
-		case frameDirectory:
-			// Older snapshots saved the directory; it is rebuilt from the entries.
-		case frameReplica:
-			r, err := decodeReplicaFrame(payload)
-			if err != nil {
-				return data, err
-			}
-			data.Replicas = append(data.Replicas, r)
+		case frameDirectory, frameReplica:
+			// Older snapshots saved the directory and the peer replicas. The
+			// directory is rebuilt from the entries, and each replica comes
+			// from its peer.
 		case frameEnd:
 			sealed = true
 		default:
@@ -301,7 +233,7 @@ func (s *Store) CheckpointFunc(capture func() SnapshotData) error {
 	s.snapshotBytes.Add(uint64(len(img)))
 	s.prune(gen)
 	s.log.Info("checkpoint written", "gen", gen,
-		"entries", len(data.Entries), "replicas", len(data.Replicas), "bytes", len(img))
+		"entries", len(data.Entries), "bytes", len(img))
 	return nil
 }
 
