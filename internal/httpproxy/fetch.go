@@ -2,6 +2,7 @@ package httpproxy
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/tls"
 	"crypto/x509"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httputil"
 	"net/url"
 	"strconv"
 	"strings"
@@ -31,7 +33,9 @@ const (
 
 // fetcher is the proxy's one HTTP client: every origin, parent and sibling
 // fetch is a GET it runs on the calling goroutine over a per-host pool of
-// keep-alive connections. net/http contributes only its response parser.
+// keep-alive connections. It reads each response head with readHead and
+// parseResponseHead; net/http contributes only its status constants and
+// httputil's chunked decoder.
 type fetcher struct {
 	timeout time.Duration        // per attempt: dial, headers and body; 0: unbounded
 	faults  *faultnet.HTTPFaults // nil: no fault injection
@@ -51,42 +55,167 @@ type poolKey struct {
 type upConn struct {
 	net.Conn
 	key   poolKey
-	br    *bufio.Reader // reads the connection through Read
-	head  []byte        // request head, rebuilt per request
-	since time.Time     // when it went idle
-	// headLeft bounds a response-head read: the bytes br may still pull
-	// from the connection for it. Negative: no head read is armed.
-	headLeft int
+	br    *bufio.Reader    // reads the connection
+	head  []byte           // request head, rebuilt per request
+	lr    io.LimitedReader // a Content-Length body, over br
+	since time.Time        // when it went idle
 }
 
-// errUpstreamHeadTooLarge: a response head (a 1xx head included) that did
-// not end within maxHeadBytes of the connection.
-var errUpstreamHeadTooLarge = errors.New("httpproxy: upstream response head too large")
+var (
+	// errUpstreamHeadTooLarge: a response head (a 1xx head included) that
+	// did not end within maxHeadBytes of the connection.
+	errUpstreamHeadTooLarge = errors.New("httpproxy: upstream response head too large")
+	// errBadResponseHead: a response head parseResponseHead refused.
+	errBadResponseHead = errors.New("httpproxy: malformed upstream response head")
+)
 
-// Read is the connection as br sees it: while a head read is armed, it
-// pulls at most headLeft more bytes and fails past them.
-func (c *upConn) Read(p []byte) (int, error) {
-	if c.headLeft < 0 {
-		return c.Conn.Read(p)
+// maxTrailerBytes bounds a chunked body's trailer, as net/http's 4 KiB
+// read buffer does.
+const maxTrailerBytes = 4 << 10
+
+// responseHead is what the fetcher reads of an upstream response head.
+type responseHead struct {
+	status   int
+	length   int64  // body bytes: 0 for 1xx, 204 and 304; -1: chunked or up to the close
+	chunked  bool   // Transfer-Encoding: chunked, whatever the status
+	close    bool   // the connection closes after the body
+	version  int64  // docVersionHeader; 0: none or not a number
+	location string // a 3xx's Location
+}
+
+// readResponseHead reads and parses one response head of at most
+// maxHeadBytes.
+func (c *upConn) readResponseHead() (responseHead, error) {
+	head, err := readHead(c.br, maxHeadBytes)
+	switch {
+	case errors.Is(err, errHeadTooLarge):
+		return responseHead{}, errUpstreamHeadTooLarge
+	case err == io.EOF:
+		return responseHead{}, io.ErrUnexpectedEOF // a response was due
+	case err != nil:
+		return responseHead{}, err
 	}
-	if c.headLeft == 0 {
-		return 0, errUpstreamHeadTooLarge
+	h, ok := parseResponseHead(head)
+	if !ok {
+		return h, errBadResponseHead
 	}
-	if len(p) > c.headLeft {
-		p = p[:c.headLeft]
+	return h, nil
+}
+
+// body returns h's body as a reader over the connection: exactly h.length
+// bytes, the chunked decoding, or everything up to the close.
+func (c *upConn) body(h responseHead) io.Reader {
+	switch {
+	case h.length >= 0:
+		c.lr = io.LimitedReader{R: c.br, N: h.length}
+		return &c.lr
+	case h.chunked:
+		return &chunkedBody{r: httputil.NewChunkedReader(c.br), br: c.br}
+	default:
+		return c.br
 	}
-	n, err := c.Conn.Read(p)
-	c.headLeft -= n
+}
+
+// chunkedBody decodes a chunked body and, after its last chunk, consumes
+// the trailer within maxTrailerBytes, so io.EOF leaves the connection at
+// the next response.
+type chunkedBody struct {
+	r  io.Reader     // the decoder over br
+	br *bufio.Reader // nil once the trailer is consumed
+}
+
+func (b *chunkedBody) Read(p []byte) (int, error) {
+	if b.br == nil {
+		return 0, io.EOF
+	}
+	n, err := b.r.Read(p)
+	if err == io.EOF {
+		if _, err := readHead(b.br, maxTrailerBytes); err != nil {
+			return n, fmt.Errorf("httpproxy: reading the upstream chunked trailer: %w", err)
+		}
+		b.br = nil
+	}
 	return n, err
 }
 
-// readHead reads one response head from at most maxHeadBytes: what br
-// already holds and what it may still pull from the connection.
-func (c *upConn) readHead() (*http.Response, error) {
-	c.headLeft = maxHeadBytes - c.br.Buffered()
-	resp, err := http.ReadResponse(c.br, nil)
-	c.headLeft = -1
-	return resp, err
+// parseResponseHead parses a response head that readHead returned and
+// frames its body as RFC 7230 §3.3.3 does for a GET. ok is false for a
+// head it refuses. It accepts only heads http.ReadResponse accepts, and
+// refuses more: another version than HTTP/1.0 or 1.1, a status line
+// without one space before a three-digit code from 100, obs-folded or
+// nameless header lines, a header name with spaces, more than one
+// Content-Length or Transfer-Encoding, both at once, a Transfer-Encoding
+// other than chunked or on HTTP/1.0, and a Trailer naming a framing header.
+func parseResponseHead(head []byte) (h responseHead, ok bool) {
+	line, rest := cutLine(head)
+	proto, line, _ := bytes.Cut(line, []byte(" "))
+	code, _, _ := bytes.Cut(line, []byte(" "))
+	http10 := string(proto) == "HTTP/1.0"
+	if !http10 && string(proto) != "HTTP/1.1" || len(code) != 3 {
+		return h, false
+	}
+	for _, d := range code {
+		if d < '0' || d > '9' {
+			return h, false
+		}
+		h.status = 10*h.status + int(d-'0')
+	}
+	if h.status < 100 {
+		return h, false
+	}
+	var lengths, encodings int
+	keepAlive := false
+	for {
+		line, rest = cutLine(rest)
+		if len(line) == 0 {
+			break
+		}
+		name, value, ok := bytes.Cut(line, []byte(":"))
+		value = bytes.Trim(value, " \t")
+		if !ok || !isToken(name) || hasCTL(value, true) {
+			return h, false
+		}
+		switch {
+		case equalFold(name, "Content-Length"):
+			lengths++
+			if len(value) == 0 || len(value) > 18 || len(bytes.TrimLeft(value, "0123456789")) > 0 {
+				return h, false // not a length net/http would parse
+			}
+			for _, d := range value {
+				h.length = 10*h.length + int64(d-'0')
+			}
+		case equalFold(name, "Transfer-Encoding"):
+			encodings++
+			if http10 || !equalFold(value, "chunked") {
+				return h, false
+			}
+			h.chunked = true
+		case equalFold(name, "Connection"):
+			h.close = h.close || hasToken(value, "close")
+			keepAlive = keepAlive || hasToken(value, "keep-alive")
+		case equalFold(name, "Trailer"):
+			if hasToken(value, "Content-Length") || hasToken(value, "Transfer-Encoding") || hasToken(value, "Trailer") {
+				return h, false // net/http refuses these as trailers
+			}
+		case equalFold(name, docVersionHeader):
+			h.version, _ = strconv.ParseInt(string(value), 10, 64)
+		case equalFold(name, "Location") && h.status/100 == 3:
+			h.location = string(value)
+		}
+	}
+	if lengths+encodings > 1 {
+		return h, false
+	}
+	h.close = h.close || http10 && !keepAlive
+	switch {
+	case h.status/100 == 1 || h.status == http.StatusNoContent || h.status == http.StatusNotModified:
+		h.length = 0
+	case h.chunked:
+		h.length = -1
+	case lengths == 0:
+		h.length, h.close = -1, true // the body runs to the close
+	}
+	return h, true
 }
 
 // get fetches rawURL in one attempt, bounded by one connection deadline
@@ -107,23 +236,23 @@ func (f *fetcher) get(rawURL string) (status int, body []byte, version int64, er
 		return http.StatusServiceUnavailable, nil, 0, err
 	}
 	for requests := 1; ; requests++ {
-		c, resp, err := f.roundTrip(u, deadline)
+		c, h, err := f.roundTrip(u, deadline)
 		if err != nil {
 			return 0, nil, 0, err
 		}
+		r := c.body(h)
 		if fault == faultnet.Truncate {
-			resp.Body = io.NopCloser(faultnet.TruncateBody(resp.Body, resp.ContentLength))
+			r = faultnet.TruncateBody(r, h.length)
 		}
-		if resp.StatusCode == http.StatusOK {
-			body, err = readBodyLimit(resp, maxDeclaredBody) // without error, read to its io.EOF
-			f.release(c, resp, err == nil && fault != faultnet.Truncate)
-			version, _ = strconv.ParseInt(resp.Header.Get(docVersionHeader), 10, 64)
-			return http.StatusOK, body, version, err
+		if h.status == http.StatusOK {
+			body, err = readBodyLimit(h, r, maxDeclaredBody) // without error, read to its io.EOF
+			f.release(c, h, err == nil && fault != faultnet.Truncate)
+			return http.StatusOK, body, h.version, err
 		}
-		_, err = io.CopyN(io.Discard, resp.Body, maxErrorDrain)
-		f.release(c, resp, err == io.EOF && fault != faultnet.Truncate)
+		_, err = io.CopyN(io.Discard, r, maxErrorDrain)
+		f.release(c, h, err == io.EOF && fault != faultnet.Truncate)
 		// Follow the redirects http.Client follows for a GET.
-		loc, s := resp.Header.Get("Location"), resp.StatusCode
+		loc, s := h.location, h.status
 		if loc == "" || s < 301 || s > 308 || s == 304 || s == 305 || s == 306 {
 			return s, nil, 0, nil
 		}
@@ -140,10 +269,10 @@ func (f *fetcher) get(rawURL string) (status int, body []byte, version int64, er
 // final response head. A pooled connection that fails before the first
 // response byte — the peer closed it while it sat idle — is replaced by one
 // fresh dial, which is not a retry.
-func (f *fetcher) roundTrip(u *url.URL, deadline time.Time) (*upConn, *http.Response, error) {
+func (f *fetcher) roundTrip(u *url.URL, deadline time.Time) (*upConn, responseHead, error) {
 	key, host, err := endpoint(u)
 	if err != nil {
-		return nil, nil, err
+		return nil, responseHead{}, err
 	}
 	c, err := f.take(key)
 	for reused := c != nil; err == nil; reused = false {
@@ -163,21 +292,21 @@ func (f *fetcher) roundTrip(u *url.URL, deadline time.Time) (*upConn, *http.Resp
 		}
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, responseHead{}, err
 	}
-	resp, err := c.readHead()
-	for skipped := 0; err == nil && resp.StatusCode/100 == 1; skipped++ {
+	h, err := c.readResponseHead()
+	for skipped := 0; err == nil && h.status/100 == 1; skipped++ {
 		if skipped == max1xx {
 			err = errors.New("httpproxy: too many 1xx informational responses")
 			break
 		}
-		resp, err = c.readHead()
+		h, err = c.readResponseHead()
 	}
 	if err != nil {
 		_ = c.Close() // the read error is the one to report
-		return nil, nil, err
+		return nil, responseHead{}, err
 	}
-	return c, resp, nil
+	return c, h, nil
 }
 
 // endpoint derives u's pool key and the Host header net/http would send.
@@ -244,9 +373,7 @@ func (f *fetcher) dial(key poolKey, serverName string, deadline time.Time) (*upC
 	if err != nil {
 		return nil, err
 	}
-	c := &upConn{Conn: conn, key: key, headLeft: -1}
-	c.br = bufio.NewReader(c)
-	return c, nil
+	return &upConn{Conn: conn, key: key, br: bufio.NewReader(conn)}, nil
 }
 
 // send writes the request head for u in one Write and waits for the first
@@ -285,11 +412,11 @@ func appendEscaped(b []byte, s string) []byte {
 	return b
 }
 
-// release pools c when resp was read cleanly to its end — the body reached
-// io.EOF (clean), the response did not ask to close, and no byte is
-// buffered past it — and closes it otherwise.
-func (f *fetcher) release(c *upConn, resp *http.Response, clean bool) {
-	if clean && !resp.Close && c.br.Buffered() == 0 {
+// release pools c when the response with head h was read cleanly to its
+// end — the body reached io.EOF (clean), the response did not ask to
+// close, and no byte is buffered past it — and closes it otherwise.
+func (f *fetcher) release(c *upConn, h responseHead, clean bool) {
+	if clean && !h.close && c.br.Buffered() == 0 {
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		if conns := f.idle[c.key]; !f.closed && len(conns) < maxIdlePerHost {

@@ -2,6 +2,8 @@ package httpproxy
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"context"
 	"crypto/x509"
 	"errors"
@@ -193,36 +195,55 @@ func TestRequestTargetOnTheWire(t *testing.T) {
 	}
 }
 
+// framingCases are the response framings TestResponseFramingAndReuse
+// drives, and FuzzResponseHead's seeds.
+var framingCases = []struct {
+	name    string
+	reply   string
+	hangup  bool
+	body    string // "" : each miss fails with 502
+	retries uint64 // over both misses
+	accepts int64  // over both misses
+}{
+	{"content-length", helloReply, false, "hello", 0, 1},
+	{"chunked with trailer",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum\r\n\r\n" +
+			"3\r\nhel\r\n2\r\nlo\r\n0\r\nX-Sum: 1\r\n\r\n", false, "hello", 0, 1},
+	{"close-delimited HTTP/1.0", "HTTP/1.0 200 OK\r\n\r\nhello", true, "hello", 0, 2},
+	{"connection close",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 5\r\n\r\nhello", true, "hello", 0, 2},
+	{"100 continue first",
+		"HTTP/1.1 100 Continue\r\n\r\n" + helloReply, false, "hello", 0, 1},
+	{"body longer than declared", helloReply + "EXTRA", false, "hello", 0, 2},
+	{"truncated body",
+		"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello", true, "", 4, 6},
+	{"declared length over cap",
+		fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", maxDeclaredBody+1), true, "", 4, 6},
+	// A pooled connection the origin closed is redialed, not retried.
+	{"origin closes idle connections", helloReply, true, "hello", 0, 2},
+	// A 204 or 304 has no body, whatever its head declares, and a miss
+	// answered so is permanent (no retry), on one pooled connection.
+	{"204 no body", "HTTP/1.1 204 No Content\r\n\r\n", false, "", 0, 1},
+	{"304 no body", "HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n", false, "", 0, 1},
+	{"HTTP/1.0 keep-alive",
+		"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 5\r\n\r\nhello", false, "hello", 0, 1},
+	{"no reason phrase", "HTTP/1.1 200\r\nContent-Length: 5\r\n\r\nhello", false, "hello", 0, 1},
+	{"LF line endings", "HTTP/1.1 200 OK\nContent-Length: 5\n\nhello", false, "hello", 0, 1},
+	// A refused head closes its connection and is retried like a truncation.
+	{"differing content-lengths",
+		"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello", false, "", 4, 6},
+	// Refused, as a request head with both is: net/http would ignore the
+	// length and read the chunks.
+	{"chunked with content-length",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\n5\r\nhello\r\n0\r\n\r\n", false, "", 4, 6},
+}
+
 // TestResponseFramingAndReuse drives each response framing a raw origin
 // can send through two misses and checks what the client gets, the retries
 // spent, and — from the origin's accept count — that a connection is
 // reused only after a response read cleanly to its end.
 func TestResponseFramingAndReuse(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		reply   string
-		hangup  bool
-		body    string // "" : each miss fails with 502
-		retries uint64 // over both misses
-		accepts int64  // over both misses
-	}{
-		{"content-length", helloReply, false, "hello", 0, 1},
-		{"chunked with trailer",
-			"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum\r\n\r\n" +
-				"3\r\nhel\r\n2\r\nlo\r\n0\r\nX-Sum: 1\r\n\r\n", false, "hello", 0, 1},
-		{"close-delimited HTTP/1.0", "HTTP/1.0 200 OK\r\n\r\nhello", true, "hello", 0, 2},
-		{"connection close",
-			"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 5\r\n\r\nhello", true, "hello", 0, 2},
-		{"100 continue first",
-			"HTTP/1.1 100 Continue\r\n\r\n" + helloReply, false, "hello", 0, 1},
-		{"body longer than declared", helloReply + "EXTRA", false, "hello", 0, 2},
-		{"truncated body",
-			"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhello", true, "", 4, 6},
-		{"declared length over cap",
-			fmt.Sprintf("HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", maxDeclaredBody+1), true, "", 4, 6},
-		// A pooled connection the origin closed is redialed, not retried.
-		{"origin closes idle connections", helloReply, true, "hello", 0, 2},
-	} {
+	for _, tc := range framingCases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := startRawOrigin(t, func(string) (string, bool) { return tc.reply, tc.hangup })
 			p := startNoneProxy(t, Config{FetchRetries: 2, FetchBackoff: time.Millisecond})
@@ -246,16 +267,63 @@ func TestResponseFramingAndReuse(t *testing.T) {
 	}
 }
 
+// FuzzResponseHead checks the fetcher's head reader and parser against
+// http.ReadResponse: it may refuse more, but never accepts a head net/http
+// refuses; on heads both accept, status, declared length, chunked and close
+// agree; and it never buffers past its bound.
+func FuzzResponseHead(f *testing.F) {
+	for _, tc := range framingCases {
+		f.Add([]byte(tc.reply))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const limit, bufSize = 256, 16
+		src := &countingReader{r: bytes.NewReader(data)}
+		head, err := readHead(bufio.NewReaderSize(src, bufSize), limit)
+		if src.n > limit+bufSize {
+			t.Fatalf("read %d bytes for a head bounded at %d", src.n, limit)
+		}
+		if err != nil {
+			return
+		}
+		if len(head) > limit || !bytes.HasPrefix(data, head) {
+			t.Fatalf("head %q is not a bounded prefix of the input", head)
+		}
+		h, ok := parseResponseHead(head)
+		resp, err := http.ReadResponse(bufio.NewReader(bytes.NewReader(head)), nil)
+		if !ok {
+			return
+		}
+		if err != nil {
+			t.Fatalf("accepted a head net/http refuses (%v): %q", err, head)
+		}
+		if h.status != resp.StatusCode || h.length != resp.ContentLength ||
+			h.chunked != (len(resp.TransferEncoding) > 0) || h.close != resp.Close {
+			t.Fatalf("parsed status %d length %d chunked=%v close=%v; net/http %d %d %v %v (%q)",
+				h.status, h.length, h.chunked, h.close,
+				resp.StatusCode, resp.ContentLength, resp.TransferEncoding, resp.Close, head)
+		}
+	})
+}
+
 // TestUpstreamHeadBounded: an upstream that streams header lines — in
 // the final head, or in a 1xx head before it — is cut off once the head
 // passes maxHeadBytes. The fetch fails, and what it allocated stays near
 // that bound rather than growing with the stream: unbounded, such a head
-// is buffered until the fetch deadline, hundreds of MiB in 2 s.
+// is buffered until the fetch deadline, hundreds of MiB in 2 s. The same
+// holds for the two other lines of a chunked body, its trailer and a
+// chunk-size line, each bounded at 4 KiB as net/http bounds them.
 func TestUpstreamHeadBounded(t *testing.T) {
-	const streamed = 8 * maxHeadBytes // header bytes the upstream offers
-	for _, tc := range []struct{ name, first, rest string }{
-		{"final head", "HTTP/1.1 200 OK\r\n", "Content-Length: 5\r\n\r\nhello"},
-		{"1xx head", "HTTP/1.1 100 Continue\r\n", "\r\n" + helloReply},
+	const streamed = 8 * maxHeadBytes // bytes the upstream offers after first
+	headerLine := "X-Pad: " + strings.Repeat("a", 4<<10) + "\r\n"
+	const chunkedHead = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+	for _, tc := range []struct {
+		name, first, pad, rest string
+		want                   error // nil: any error
+	}{
+		{"final head", "HTTP/1.1 200 OK\r\n", headerLine, "Content-Length: 5\r\n\r\nhello", errUpstreamHeadTooLarge},
+		{"1xx head", "HTTP/1.1 100 Continue\r\n", headerLine, "\r\n" + helloReply, errUpstreamHeadTooLarge},
+		{"chunked trailer", chunkedHead + "5\r\nhello\r\n0\r\n", headerLine, "\r\n", nil},
+		{"chunk-size line", chunkedHead, strings.Repeat("0", 4<<10), "5\r\nhello\r\n0\r\n\r\n", nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -277,7 +345,7 @@ func TestUpstreamHeadBounded(t *testing.T) {
 						return
 					}
 				}
-				pad := []byte("X-Pad: " + strings.Repeat("a", 4<<10) + "\r\n")
+				pad := []byte(tc.pad)
 				if _, err := io.WriteString(c, tc.first); err != nil {
 					return
 				}
@@ -299,8 +367,8 @@ func TestUpstreamHeadBounded(t *testing.T) {
 			runtime.ReadMemStats(&before)
 			status, _, _, err := f.get("http://" + ln.Addr().String() + "/doc")
 			runtime.ReadMemStats(&after)
-			if !errors.Is(err, errUpstreamHeadTooLarge) {
-				t.Errorf("fetch = status %d, err %v; want %v", status, err, errUpstreamHeadTooLarge)
+			if err == nil || tc.want != nil && !errors.Is(err, tc.want) {
+				t.Errorf("fetch = status %d, err %v; want %v", status, err, cmp.Or(tc.want, errors.New("an error")))
 			}
 			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 6*maxHeadBytes {
 				t.Errorf("the fetch allocated %d bytes for a head of at most %d", alloc, maxHeadBytes)
@@ -376,7 +444,7 @@ func TestPoolLimits(t *testing.T) {
 	var closed atomic.Int64
 	for range maxIdlePerHost + 1 {
 		c := &upConn{Conn: closeCounter{closed: &closed}, key: key, br: bufio.NewReader(strings.NewReader(""))}
-		f.release(c, &http.Response{}, true)
+		f.release(c, responseHead{}, true)
 	}
 	if n, c := len(f.idle[key]), closed.Load(); n != maxIdlePerHost || c != 1 {
 		t.Fatalf("%d idle and %d closed after %d releases, want %d and 1", n, c, maxIdlePerHost+1, maxIdlePerHost)

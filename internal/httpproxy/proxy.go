@@ -1102,16 +1102,16 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 // not hold a complete document it could serve or cache.
 var errBodyTooLarge = errors.New("httpproxy: response body exceeds cap")
 
-// readBodyLimit slurps a response body of at most limit bytes (a
-// parameter, so tests need not materialize 64 MB bodies), sizing the
-// buffer from Content-Length when the server declared one — one exact
+// readBodyLimit slurps the body of the response with head h, at most limit
+// bytes (a parameter, so tests need not materialize 64 MB bodies), sizing
+// the buffer from Content-Length when the server declared one — one exact
 // allocation instead of io.ReadAll's grow-and-copy doublings. A body
 // shorter than declared surfaces as io.ReadFull's unexpected-EOF error, a
 // retryable truncation. The cap applies identically to declared and
 // unknown-length (chunked / -1) bodies: anything past it is an error,
 // never a silently truncated body cached or forwarded as complete.
-func readBodyLimit(resp *http.Response, limit int64) ([]byte, error) {
-	n := resp.ContentLength
+func readBodyLimit(h responseHead, body io.Reader, limit int64) ([]byte, error) {
+	n := h.length
 	if n > limit {
 		// Don't read what we will refuse to serve: fail before burning
 		// bandwidth on a body the cache would have to throw away.
@@ -1122,22 +1122,22 @@ func readBodyLimit(resp *http.Response, limit int64) ([]byte, error) {
 		// limit one byte past the cap so overflow is detectable, and
 		// refuse the body rather than passing a truncated prefix off as
 		// the complete document.
-		body, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		b, err := io.ReadAll(io.LimitReader(body, limit+1))
 		if err != nil {
 			return nil, err
 		}
-		if int64(len(body)) > limit {
+		if int64(len(b)) > limit {
 			return nil, fmt.Errorf("%w: unknown length exceeds %d", errBodyTooLarge, limit)
 		}
-		return body, nil
+		return b, nil
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(resp.Body, body); err != nil {
+	b := make([]byte, n)
+	if _, err := io.ReadFull(body, b); err != nil {
 		return nil, err
 	}
-	// Content-Length overrun would mean a server bug; the transport already
-	// truncates reads at the declared length, so body is complete here.
-	return body, nil
+	// A Content-Length overrun would mean a server bug; the fetcher reads
+	// no further than the declared length, so b is complete here.
+	return b, nil
 }
 
 // maxDeclaredBody caps the size of any cached or relayed document body.

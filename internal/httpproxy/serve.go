@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -35,8 +36,9 @@ const (
 	hangUpProbe = time.Millisecond
 )
 
-// errHeadTooLarge: a request head longer than its limit (answered 431).
-var errHeadTooLarge = errors.New("httpproxy: request head too large")
+// errHeadTooLarge: a head longer than its limit: a request head (answered
+// 431), or an upstream response head or chunked trailer.
+var errHeadTooLarge = errors.New("httpproxy: head too large")
 
 // clientConn is one accepted client connection. Its goroutine reads each
 // request head, runs the handler inline and writes the response, so the
@@ -290,10 +292,11 @@ func (c *clientConn) flush() error {
 	return err
 }
 
-// readHead reads the next request head from br through its blank line and
-// consumes it, never more. A head that fits br's buffer is returned in
-// place, valid until br's next read; a longer one is copied out line by
-// line. A head over limit bytes is errHeadTooLarge.
+// readHead reads the next head — a request head, a response head or a
+// chunked trailer — from br through its blank line and consumes it, never
+// more. A head that fits br's buffer is returned in place, valid until
+// br's next read; a longer one is copied out line by line. A head over
+// limit bytes is errHeadTooLarge.
 func readHead(br *bufio.Reader, limit int) ([]byte, error) {
 	for scanned := 0; ; {
 		b, _ := br.Peek(br.Buffered())
@@ -323,6 +326,11 @@ func readHead(br *bufio.Reader, limit int) ([]byte, error) {
 		}
 		if atStart {
 			start = len(head)
+		}
+		if n := len(head) + len(line); n > cap(head) {
+			// Double, capped at limit: append's 1.25× growth would
+			// allocate about 5× limit for a head that reaches it.
+			head = slices.Grow(head, min(n, limit-len(head)))
 		}
 		head = append(head, line...)
 		if atStart = err == nil; err == bufio.ErrBufferFull {
