@@ -13,8 +13,9 @@ import (
 // TestLookupObjectAllocBudget pins what one inline remote hit allocates on a
 // two-node loopback pair, under either policy: the summary probe (or the
 // query-all peer list), the ICP fan-out (reply channel, timer, peer lists)
-// and the answer all reuse memory, and only the decoding and receive costs
-// below remain. AllocsPerRun counts every goroutine of the process, so both
+// and the answer all reuse memory, sockets are read into netip.AddrPort
+// values, and a reply's URL is the asker's own string, so only the two
+// copies below remain. AllocsPerRun counts every goroutine of the process, so both
 // nodes' read loops are in the count.
 func TestLookupObjectAllocBudget(t *testing.T) {
 	url := "http://example.com/" + strings.Repeat("d", 181) // a 200-byte URL
@@ -67,15 +68,11 @@ func TestLookupObjectAllocBudget(t *testing.T) {
 				}
 			}
 			lookup() // the first fan-out makes the reply channel and timer
-			// Left per remote hit, seven allocations, all in the two read
-			// loops:
-			//   - holder: the query's receive address (a *net.UDPAddr and the
-			//     copy of its IP that net makes) and the query's decoded URL
-			//     string;
-			//   - asker: the reply's receive address (the same two), its
-			//     decoded URL string and the object copied out of the
-			//     datagram.
-			const budget = 7
+			// Left per remote hit, two allocations, one in each read loop:
+			//   - holder: the query's decoded URL string, which its
+			//     handler keeps;
+			//   - asker: the object copied out of the datagram.
+			const budget = 2
 			if n := testing.AllocsPerRun(200, lookup); n != budget {
 				t.Fatalf("LookupObject allocated %v times per remote hit, want %d", n, budget)
 			}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -42,7 +43,7 @@ type gatedSocket struct {
 	reqNums []uint32
 }
 
-func (g *gatedSocket) WriteToUDP(b []byte, to *net.UDPAddr) (int, error) {
+func (g *gatedSocket) WriteToUDPAddrPort(b []byte, to netip.AddrPort) (int, error) {
 	g.mu.Lock()
 	open := g.open
 	g.mu.Unlock()
@@ -58,7 +59,7 @@ func (g *gatedSocket) WriteToUDP(b []byte, to *net.UDPAddr) (int, error) {
 	if m, err := icp.Parse(b); err == nil && m.Op == icp.OpDirUpdate {
 		g.reqNums = append(g.reqNums, m.ReqNum)
 	}
-	return g.PacketConn.WriteToUDP(b, to)
+	return g.PacketConn.WriteToUDPAddrPort(b, to)
 }
 
 // setGate opens or shuts the gate; it must alternate.
@@ -235,12 +236,12 @@ type slowSocket struct {
 	refuse *net.UDPAddr
 }
 
-func (s slowSocket) WriteToUDP(b []byte, to *net.UDPAddr) (int, error) {
+func (s slowSocket) WriteToUDPAddrPort(b []byte, to netip.AddrPort) (int, error) {
 	time.Sleep(2 * time.Millisecond)
 	if to.String() == s.refuse.String() {
 		return 0, errors.New("refused")
 	}
-	return s.PacketConn.WriteToUDP(b, to)
+	return s.PacketConn.WriteToUDPAddrPort(b, to)
 }
 
 // TestPublicationCallsReturnAfterSending pins the flush barrier that the

@@ -24,6 +24,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net"
+	"net/netip"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -287,9 +288,12 @@ func (inj *Injector) Total() uint64 {
 
 // PacketConn is the socket surface the UDP wrapper decorates;
 // *net.UDPConn implements it, and the icp package's endpoints accept it.
+// Addresses are netip.AddrPort values, as the icp endpoint reads and writes
+// them: neither *net.UDPConn nor the wrapper allocates one per datagram (a
+// delayed send copies its datagram, not its address).
 type PacketConn interface {
-	ReadFromUDP(b []byte) (int, *net.UDPAddr, error)
-	WriteToUDP(b []byte, addr *net.UDPAddr) (int, error)
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
 	Close() error
 	LocalAddr() net.Addr
 }
@@ -317,12 +321,12 @@ type udpConn struct {
 	in, out *decider
 }
 
-// ReadFromUDP applies the inbound schedule: dropped datagrams are
+// ReadFromUDPAddrPort applies the inbound schedule: dropped datagrams are
 // consumed and never surface; delayed ones hold the receive path (queueing
 // latency, as a congested NIC would).
-func (c *udpConn) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) {
+func (c *udpConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 	for {
-		n, from, err := c.PacketConn.ReadFromUDP(b)
+		n, from, err := c.PacketConn.ReadFromUDPAddrPort(b)
 		if err != nil || !c.inj.Enabled() {
 			return n, from, err
 		}
@@ -339,12 +343,12 @@ func (c *udpConn) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) {
 	}
 }
 
-// WriteToUDP applies the outbound schedule. A dropped datagram reports
-// success — the network ate it, not the sender. A delayed datagram is
-// sent from a timer goroutine, so later writes overtake it (reorder).
-func (c *udpConn) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
+// WriteToUDPAddrPort applies the outbound schedule. A dropped datagram
+// reports success — the network ate it, not the sender. A delayed datagram
+// is sent from a timer goroutine, so later writes overtake it (reorder).
+func (c *udpConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
 	if !c.inj.Enabled() {
-		return c.PacketConn.WriteToUDP(b, addr)
+		return c.PacketConn.WriteToUDPAddrPort(b, addr)
 	}
 	v, d := c.out.udpVerdict(c.inj.scenario.Outbound)
 	switch v {
@@ -353,21 +357,21 @@ func (c *udpConn) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
 		return len(b), nil
 	case Duplicate:
 		c.inj.count(kindIndex(KindUDPDup))
-		if n, err := c.PacketConn.WriteToUDP(b, addr); err != nil {
+		if n, err := c.PacketConn.WriteToUDPAddrPort(b, addr); err != nil {
 			return n, err
 		}
-		return c.PacketConn.WriteToUDP(b, addr)
+		return c.PacketConn.WriteToUDPAddrPort(b, addr)
 	case Delay:
 		c.inj.count(kindIndex(KindUDPDelayOut))
 		held := append([]byte(nil), b...)
 		time.AfterFunc(d, func() {
 			// A send error on a socket closed meanwhile is the same
 			// outcome as a drop; nothing to report to the original caller.
-			_, _ = c.PacketConn.WriteToUDP(held, addr)
+			_, _ = c.PacketConn.WriteToUDPAddrPort(held, addr)
 		})
 		return len(b), nil
 	}
-	return c.PacketConn.WriteToUDP(b, addr)
+	return c.PacketConn.WriteToUDPAddrPort(b, addr)
 }
 
 // --- HTTP path ---

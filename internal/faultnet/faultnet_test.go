@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/netip"
 	"os"
 	"strings"
 	"sync"
@@ -65,18 +66,18 @@ type scriptConn struct {
 	inbox  []string
 }
 
-func (s *scriptConn) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) {
+func (s *scriptConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.inbox) == 0 {
-		return 0, nil, io.EOF
+		return 0, netip.AddrPort{}, io.EOF
 	}
 	msg := s.inbox[0]
 	s.inbox = s.inbox[1:]
-	return copy(b, msg), &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}, nil
+	return copy(b, msg), netip.MustParseAddrPort("127.0.0.1:9"), nil
 }
 
-func (s *scriptConn) WriteToUDP(b []byte, _ *net.UDPAddr) (int, error) {
+func (s *scriptConn) WriteToUDPAddrPort(b []byte, _ netip.AddrPort) (int, error) {
 	s.mu.Lock()
 	s.writes = append(s.writes, string(b))
 	s.mu.Unlock()
@@ -101,10 +102,10 @@ func TestWrapUDPDeterministicSchedule(t *testing.T) {
 	run := func() []string {
 		raw := &scriptConn{}
 		c := New(scen).WrapUDP(raw)
-		addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1}
+		addr := netip.MustParseAddrPort("127.0.0.1:1")
 		for i := 0; i < 400; i++ {
 			msg := string(rune('a' + i%26))
-			if _, err := c.WriteToUDP([]byte(msg), addr); err != nil {
+			if _, err := c.WriteToUDPAddrPort([]byte(msg), addr); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -135,7 +136,7 @@ func TestWrapUDPInboundDrop(t *testing.T) {
 	buf := make([]byte, 16)
 	delivered := 0
 	for {
-		_, _, err := c.ReadFromUDP(buf)
+		_, _, err := c.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			break
 		}
@@ -157,9 +158,9 @@ func TestInjectorDisabledPassthrough(t *testing.T) {
 	inj.SetEnabled(false)
 	raw := &scriptConn{inbox: []string{"x"}}
 	c := inj.WrapUDP(raw)
-	addr := &net.UDPAddr{}
+	addr := netip.MustParseAddrPort("127.0.0.1:1")
 	for i := 0; i < 50; i++ {
-		if _, err := c.WriteToUDP([]byte("y"), addr); err != nil {
+		if _, err := c.WriteToUDPAddrPort([]byte("y"), addr); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +168,7 @@ func TestInjectorDisabledPassthrough(t *testing.T) {
 		t.Fatalf("disabled injector dropped writes: %d of 50 on the wire", got)
 	}
 	buf := make([]byte, 4)
-	if _, _, err := c.ReadFromUDP(buf); err != nil {
+	if _, _, err := c.ReadFromUDPAddrPort(buf); err != nil {
 		t.Fatalf("disabled injector ate the inbound datagram: %v", err)
 	}
 	if inj.Total() != 0 {

@@ -218,15 +218,12 @@ func parseResponseHead(head []byte) (h responseHead, ok bool) {
 	return h, true
 }
 
-// get fetches rawURL in one attempt, bounded by one connection deadline
-// and following redirects. It reports the final status, with the body and
+// get fetches u in one attempt, bounded by one connection deadline and
+// following redirects. It reports the final status, with the body and
 // version (docVersionHeader) of a 200; any other body is drained up to
-// maxErrorDrain and dropped. A non-nil error outranks the status.
-func (f *fetcher) get(rawURL string) (status int, body []byte, version int64, err error) {
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return 0, nil, 0, err
-	}
+// maxErrorDrain and dropped. A non-nil error outranks the status. u is
+// only read: a redirect's target is a new URL.
+func (f *fetcher) get(u *url.URL) (status int, body []byte, version int64, err error) {
 	var deadline time.Time
 	if f.timeout > 0 {
 		deadline = time.Now().Add(f.timeout)

@@ -363,9 +363,10 @@ func TestUpstreamHeadBounded(t *testing.T) {
 				<-done
 			})
 
+			u := &url.URL{Scheme: "http", Host: ln.Addr().String(), Path: "/doc"}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			status, _, _, err := f.get("http://" + ln.Addr().String() + "/doc")
+			status, _, _, err := f.get(u)
 			runtime.ReadMemStats(&after)
 			if err == nil || tc.want != nil && !errors.Is(err, tc.want) {
 				t.Errorf("fetch = status %d, err %v; want %v", status, err, cmp.Or(tc.want, errors.New("an error")))

@@ -8,6 +8,7 @@
 package httpproxy
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -343,6 +344,9 @@ type Proxy struct {
 	fetchBackoff time.Duration
 
 	up *fetcher // origin, parent and sibling fetches
+	// parent is ParentURL's ProxyPath endpoint, parsed once at Start with
+	// an empty url= parameter each miss completes (nil: no parent).
+	parent *url.URL
 
 	// The client listener and its connections (serve.go).
 	ln                net.Listener
@@ -402,6 +406,13 @@ func Start(cfg Config) (*Proxy, error) {
 	if cfg.QueryTimeout <= 0 {
 		cfg.QueryTimeout = core.DefaultQueryTimeout
 	}
+	var parent *url.URL
+	if cfg.ParentURL != "" {
+		var err error
+		if parent, err = url.Parse(cfg.ParentURL + ProxyPath + "?url="); err != nil {
+			return nil, fmt.Errorf("httpproxy: ParentURL: %w", err)
+		}
+	}
 	p := &Proxy{
 		cfg:               cfg,
 		siblings:          make(map[string]string),
@@ -410,6 +421,7 @@ func Start(cfg Config) (*Proxy, error) {
 		fetchBackoff:      resolveDuration(cfg.FetchBackoff, DefaultFetchBackoff),
 		readHeaderTimeout: resolveDuration(cfg.ReadHeaderTimeout, DefaultReadHeaderTimeout),
 		conns:             make(map[*clientConn]struct{}),
+		parent:            parent,
 	}
 	p.ctx, p.cancel = context.WithCancel(context.Background())
 	// The HTTP fault schedule is drawn before the node wraps its socket, so
@@ -795,11 +807,11 @@ func (p *Proxy) record(tr *tracing.Trace, s tracing.Span) {
 // (u is set for a target that was not origin-form): absolute-form requests
 // are proxied; ProxyPath?url= is the explicit form; CacheOnlyPath?url=
 // serves siblings.
-func (p *Proxy) handle(c *clientConn, path, rawQuery string, u *url.URL) {
+func (p *Proxy) handle(c *clientConn, path, rawQuery []byte, u *url.URL) {
 	switch {
-	case path == CacheOnlyPath:
+	case string(path) == CacheOnlyPath:
 		p.serveCacheOnly(c, rawQuery)
-	case path == ProxyPath:
+	case string(path) == ProxyPath:
 		target := urlParam(rawQuery)
 		if target == "" {
 			c.writeError(http.StatusBadRequest, "missing url parameter")
@@ -813,35 +825,22 @@ func (p *Proxy) handle(c *clientConn, path, rawQuery string, u *url.URL) {
 	}
 }
 
-// urlParam extracts the url query parameter without building the full
-// url.Values map (two allocations per request on the proxy's hottest
-// entrypoint). Unescaping only runs when the value actually contains
-// percent-escapes or '+'.
-func urlParam(rawQuery string) string {
+// urlParam extracts the first url query parameter, unescaped as
+// url.QueryUnescape does ("" when malformed), straight from the raw query's
+// bytes: no url.Values map, and one allocation, the target string itself.
+func urlParam(rawQuery []byte) string {
 	for len(rawQuery) > 0 {
-		pair := rawQuery
-		if i := strings.IndexByte(pair, '&'); i >= 0 {
-			pair, rawQuery = pair[:i], pair[i+1:]
-		} else {
-			rawQuery = ""
+		var pair []byte
+		pair, rawQuery, _ = bytes.Cut(rawQuery, []byte("&"))
+		if v, ok := bytes.CutPrefix(pair, []byte("url=")); ok {
+			target, _ := unescape(v, true)
+			return target
 		}
-		v, ok := strings.CutPrefix(pair, "url=")
-		if !ok {
-			continue
-		}
-		if strings.IndexByte(v, '%') < 0 && strings.IndexByte(v, '+') < 0 {
-			return v
-		}
-		dec, err := url.QueryUnescape(v)
-		if err != nil {
-			return ""
-		}
-		return dec
 	}
 	return ""
 }
 
-func (p *Proxy) serveCacheOnly(c *clientConn, rawQuery string) {
+func (p *Proxy) serveCacheOnly(c *clientConn, rawQuery []byte) {
 	body, version, ok := p.cachedBody(nil, urlParam(rawQuery))
 	if !ok {
 		c.writeError(http.StatusNotFound, "not cached")
@@ -921,8 +920,10 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 
 	// Only a miss needs the target to parse: a cached key was fetched, so
 	// it parsed, and a local hit skips the check. A malformed target is
-	// refused before any sibling summary is probed or any sibling asked.
-	if _, err := url.Parse(target); err != nil {
+	// refused before any sibling summary is probed or any sibling asked;
+	// the parsed URL is the one the origin fetch requests.
+	u, err := url.Parse(target)
+	if err != nil {
 		c.writeError(http.StatusBadRequest, "bad target url")
 		return ""
 	}
@@ -949,7 +950,7 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 		tr.MarkAnomalous("false_hit")
 	}
 
-	body, version, err := p.fetchOrigin(ctx, target)
+	body, version, err := p.fetchOrigin(ctx, target, u)
 	if err != nil {
 		c.writeError(http.StatusBadGateway, "origin fetch failed: "+err.Error())
 		return ""
@@ -1087,7 +1088,11 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 	// One bounded cache-only fetch, never retried: the origin fallback is
 	// always available and strictly cheaper than a second trip to a flaky
 	// sibling. A non-200 is the eviction race, a false hit after all.
-	status, body, version, err := p.up.get(base + CacheOnlyPath + "?url=" + url.QueryEscape(target))
+	u, err := url.Parse(base + CacheOnlyPath + "?url=" + url.QueryEscape(target))
+	var status int
+	if err == nil {
+		status, body, version, err = p.up.get(u)
+	}
 	ok = err == nil && status == http.StatusOK
 	p.node.FetchDone(peer, ok)
 	if ok {
@@ -1152,15 +1157,16 @@ const maxDeclaredBody = 64 << 20
 // read in full on every attempt.
 const maxErrorDrain = 4 << 10
 
-// fetchOrigin fetches a document from the origin (or the parent proxy),
-// retrying retryable failures — transport errors, 5xx statuses, truncated
-// bodies — up to fetchRetries times with capped exponential backoff and
-// ±50% jitter. Each attempt is individually bounded by fetchTimeout, so a
-// hung origin costs at most (retries+1) × timeout, never a wedged handler.
+// fetchOrigin fetches target, parsed as u, from the origin (or through
+// the parent proxy), retrying retryable failures — transport errors, 5xx
+// statuses, truncated bodies — up to fetchRetries times with capped
+// exponential backoff and ±50% jitter. Each attempt is individually
+// bounded by fetchTimeout, so a hung origin costs at most (retries+1) ×
+// timeout, never a wedged handler.
 // A client that hangs up does not abort the attempt in flight, whose
 // document is still cached, but no retry starts after it: clientGone is
 // asked before each one.
-func (p *Proxy) fetchOrigin(ctx context.Context, target string) (body []byte, version int64, err error) {
+func (p *Proxy) fetchOrigin(ctx context.Context, target string, u *url.URL) (body []byte, version int64, err error) {
 	retried := 0
 	if tr := tracing.FromContext(ctx); tr != nil {
 		start := time.Now()
@@ -1179,9 +1185,11 @@ func (p *Proxy) fetchOrigin(ctx context.Context, target string) (body []byte, ve
 		}()
 	}
 	p.metrics.originFetches.Inc()
-	fetchURL := target
-	if p.cfg.ParentURL != "" {
-		fetchURL = p.cfg.ParentURL + ProxyPath + "?url=" + url.QueryEscape(target)
+	fetchURL := u
+	if p.parent != nil {
+		via := *p.parent
+		via.RawQuery += url.QueryEscape(target)
+		fetchURL = &via
 	}
 	for attempt := 0; ; attempt++ {
 		var status int

@@ -92,6 +92,9 @@ func TestStartValidation(t *testing.T) {
 	if _, err := Start(Config{CacheBytes: 1 << 20, Mode: Mode(9)}); err == nil {
 		t.Error("accepted unknown mode")
 	}
+	if _, err := Start(Config{CacheBytes: 1 << 20, ParentURL: "http://[::1"}); err == nil {
+		t.Error("accepted a parent URL that does not parse")
+	}
 }
 
 func TestLocalHitAndMiss(t *testing.T) {

@@ -144,8 +144,7 @@ func (c *clientConn) serve() {
 			c.refuse(status)
 			return
 		}
-		target := string(h.target)
-		path, rawQuery, u, ok := requestTarget(target)
+		path, rawQuery, u, ok := requestTarget(h.target)
 		if !ok {
 			c.refuse(http.StatusBadRequest)
 			return
@@ -167,7 +166,7 @@ func (c *clientConn) serve() {
 
 // dispatch runs the handler. A panic is recovered and logged, and closes
 // the connection, as net/http does.
-func (c *clientConn) dispatch(path, rawQuery string, u *url.URL) (ok bool) {
+func (c *clientConn) dispatch(path, rawQuery []byte, u *url.URL) (ok bool) {
 	defer func() {
 		if v := recover(); v != nil && c.p.cfg.Logger != nil {
 			c.p.cfg.Logger.Error("panic serving client", "remote", c.nc.RemoteAddr().String(),
@@ -437,25 +436,80 @@ func parseHead(head []byte) (h requestHead, status int) {
 }
 
 // requestTarget splits a request-target as net/http's server does: an
-// origin-form target ("/path?query") by hand, unescaping the path only when
-// it has an escape; any other form through url.ParseRequestURI, returned as
-// u. ok is false for a target net/http refuses.
-func requestTarget(target string) (path, rawQuery string, u *url.URL, ok bool) {
+// origin-form target ("/path?query") by hand, in place in the head's bytes,
+// unescaping the path only when it has an escape; any other form through
+// url.ParseRequestURI, returned as u. ok is false for a target net/http
+// refuses. An origin-form target with an unescaped path allocates nothing.
+func requestTarget(target []byte) (path, rawQuery []byte, u *url.URL, ok bool) {
 	if target[0] != '/' {
-		u, err := url.ParseRequestURI(target)
+		u, err := url.ParseRequestURI(string(target))
 		if err != nil {
-			return "", "", nil, false
+			return nil, nil, nil, false
 		}
-		return u.Path, u.RawQuery, u, true
+		return []byte(u.Path), []byte(u.RawQuery), u, true
 	}
-	path, rawQuery, _ = strings.Cut(target, "?")
-	if strings.IndexByte(path, '%') >= 0 {
-		var err error
-		if path, err = url.PathUnescape(path); err != nil {
-			return "", "", nil, false
+	path, rawQuery, _ = bytes.Cut(target, []byte("?"))
+	if bytes.IndexByte(path, '%') >= 0 {
+		p, ok := unescape(path, false)
+		if !ok {
+			return nil, nil, nil, false
 		}
+		path = []byte(p)
 	}
 	return path, rawQuery, nil, true
+}
+
+// unescape decodes s as url.QueryUnescape (query) or url.PathUnescape
+// does, into one new string of exactly the decoded length (a target is
+// kept as a cache key): each %XX is the byte it names, and in a query
+// component '+' is a space. ok is false on a '%' not followed by two hex
+// digits.
+func unescape(s []byte, query bool) (_ string, ok bool) {
+	escapes, plus := 0, false
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '%':
+			if i+2 >= len(s) || !isHex(s[i+1]) || !isHex(s[i+2]) {
+				return "", false
+			}
+			escapes++
+			i += 2
+		case '+':
+			plus = plus || query
+		}
+	}
+	if escapes == 0 && !plus {
+		return string(s), true
+	}
+	var b strings.Builder
+	b.Grow(len(s) - 2*escapes)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == '%':
+			c = unhex(s[i+1])<<4 | unhex(s[i+2])
+			i += 2
+		case c == '+' && query:
+			c = ' '
+		}
+		b.WriteByte(c)
+	}
+	return b.String(), true
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+// unhex returns the value of the hex digit c.
+func unhex(c byte) byte {
+	switch {
+	case c <= '9':
+		return c - '0'
+	case c <= 'F':
+		return c - 'A' + 10
+	}
+	return c - 'a' + 10
 }
 
 // cutLine splits b after its first LF, dropping the line's "\n" or "\r\n".

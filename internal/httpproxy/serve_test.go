@@ -202,10 +202,15 @@ func TestWireProtocol(t *testing.T) {
 
 // localHitClient stores a 1 KiB document in p and returns a function that
 // fetches it as a local hit on one keep-alive connection without
-// allocating: it writes a fixed request and reads the response's fixed
-// length into a reused buffer. It returns the response it read last.
-func localHitClient(tb testing.TB, p *Proxy) (hit func() []byte) {
+// allocating: it writes a fixed request, whose url parameter is escaped as
+// url.QueryEscape escapes it when escaped is set, and reads the response's
+// fixed length into a reused buffer. It returns the response it read last.
+func localHitClient(tb testing.TB, p *Proxy, escaped bool) (hit func() []byte) {
 	const key = "http://origin.invalid/doc"
+	param := key
+	if escaped {
+		param = url.QueryEscape(key)
+	}
 	doc := bytes.Repeat([]byte("d"), 1<<10)
 	p.storeBody(nil, key, 0, doc)
 	conn, err := net.Dial("tcp", p.ln.Addr().String())
@@ -213,7 +218,7 @@ func localHitClient(tb testing.TB, p *Proxy) (hit func() []byte) {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { conn.Close() })
-	req := []byte("GET " + ProxyPath + "?url=" + key + " HTTP/1.1\r\nHost: proxy\r\n\r\n")
+	req := []byte("GET " + ProxyPath + "?url=" + param + " HTTP/1.1\r\nHost: proxy\r\n\r\n")
 	buf := make([]byte, 4<<10)
 	if _, err := conn.Write(req); err != nil {
 		tb.Fatal(err)
@@ -246,15 +251,26 @@ func localHitClient(tb testing.TB, p *Proxy) (hit func() []byte) {
 
 // TestServeLocalHitAllocBudget pins what one 1 KiB local hit costs the
 // server on a warm keep-alive connection, driven by a client that
-// allocates nothing: one allocation, the request-target string.
+// allocates nothing: one allocation, the target string read from the url
+// parameter, whether or not the client escaped it.
 func TestServeLocalHitAllocBudget(t *testing.T) {
-	hit := localHitClient(t, startNoneProxy(t, Config{}))
-	const budget = 1
-	if got := testing.AllocsPerRun(200, func() { hit() }); got != budget {
-		t.Fatalf("a local hit allocated %v times on the server, want %d", got, budget)
-	}
-	if resp := hit(); !bytes.HasSuffix(resp, bytes.Repeat([]byte("d"), 1<<10)) {
-		t.Fatal("the response did not carry the document")
+	for _, tc := range []struct {
+		name    string
+		escaped bool
+	}{
+		{"plain", false},
+		{"escaped", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hit := localHitClient(t, startNoneProxy(t, Config{}), tc.escaped)
+			const budget = 1
+			if got := testing.AllocsPerRun(200, func() { hit() }); got != budget {
+				t.Fatalf("a local hit allocated %v times on the server, want %d", got, budget)
+			}
+			if resp := hit(); !bytes.HasSuffix(resp, bytes.Repeat([]byte("d"), 1<<10)) {
+				t.Fatal("the response did not carry the document")
+			}
+		})
 	}
 }
 
@@ -266,7 +282,7 @@ func BenchmarkServeLocalHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { p.Close() })
-	hit := localHitClient(b, p)
+	hit := localHitClient(b, p, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -361,7 +377,7 @@ func FuzzRequestHead(f *testing.F) {
 		h, status := parseHead(head)
 		accepted := status == 0
 		if accepted {
-			_, _, _, accepted = requestTarget(string(h.target))
+			_, _, _, accepted = requestTarget(h.target)
 		}
 		req, err := http.ReadRequest(bufio.NewReader(bytes.NewReader(head)))
 		if !accepted {
@@ -391,4 +407,58 @@ func (c *countingReader) Read(b []byte) (int, error) {
 	n, err := c.r.Read(b)
 	c.n += n
 	return n, err
+}
+
+// urlParamString is urlParam as it read a string raw query, through
+// url.QueryUnescape: the reference FuzzURLParam holds the byte version to.
+func urlParamString(rawQuery string) string {
+	for len(rawQuery) > 0 {
+		pair := rawQuery
+		if i := strings.IndexByte(pair, '&'); i >= 0 {
+			pair, rawQuery = pair[:i], pair[i+1:]
+		} else {
+			rawQuery = ""
+		}
+		v, ok := strings.CutPrefix(pair, "url=")
+		if !ok {
+			continue
+		}
+		if strings.IndexByte(v, '%') < 0 && strings.IndexByte(v, '+') < 0 {
+			return v
+		}
+		dec, err := url.QueryUnescape(v)
+		if err != nil {
+			return ""
+		}
+		return dec
+	}
+	return ""
+}
+
+// FuzzURLParam holds urlParam, which unescapes the raw query's bytes
+// itself, to urlParamString, and unescape's path form to
+// url.PathUnescape.
+func FuzzURLParam(f *testing.F) {
+	for _, s := range []string{
+		"url=http://o/d",
+		"url=" + url.QueryEscape("http://o/d?size=1024&v=0"),
+		"a=1&url=x+y%2Bz&url=second",
+		"url=%zz",
+		"url=%4",
+		"url=%e2%82%AC",
+		"x=1&&url=",
+		"url",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		if got, want := urlParam([]byte(q)), urlParamString(q); got != want {
+			t.Fatalf("urlParam(%q) = %q, want %q", q, got, want)
+		}
+		got, ok := unescape([]byte(q), false)
+		want, err := url.PathUnescape(q)
+		if ok != (err == nil) || ok && got != want {
+			t.Fatalf("unescape(%q, path) = %q, %v; url.PathUnescape: %q, %v", q, got, ok, want, err)
+		}
+	})
 }

@@ -1,10 +1,12 @@
 package icp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -40,6 +42,11 @@ type Stats struct {
 // its Update panics (see DirUpdate); a handler that needs the records
 // later copies them out. Every other field, URL strings included, is owned
 // and safe to retain.
+//
+// from is shared: every datagram from one sender is handed the same
+// *net.UDPAddr (until the read loop's sender map, bounded at maxSenders,
+// fills and is emptied), so a handler must not modify it. An IPv4 sender
+// reaching a dual-stack socket is named in its 4-byte form.
 type Handler func(from *net.UDPAddr, m Message)
 
 // ListenConfig parameterizes ListenWith — the canonical configured form of
@@ -59,10 +66,11 @@ var ErrClosed = errors.New("icp: connection closed")
 // PacketConn is the UDP socket surface a Conn drives. *net.UDPConn
 // implements it; fault-injection wrappers (internal/faultnet) decorate it
 // to impose loss, delay, duplication and reordering on the ICP traffic
-// without the endpoint knowing.
+// without the endpoint knowing. Addresses travel as netip.AddrPort values,
+// which *net.UDPConn reads and writes without allocating.
 type PacketConn interface {
-	ReadFromUDP(b []byte) (int, *net.UDPAddr, error)
-	WriteToUDP(b []byte, addr *net.UDPAddr) (int, error)
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+	WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error)
 	Close() error
 	LocalAddr() net.Addr
 }
@@ -81,11 +89,19 @@ const maxFree = 16
 // A buffer grows to encode a HIT_OBJ and is recycled at its grown size.
 const sendBufLen = 2048
 
+// maxSenders bounds the read loop's map from a datagram's source to the
+// *net.UDPAddr the Handler is given. A source not in the map costs one
+// address; a full map is emptied first. A mesh member's queries and
+// DIRUPDATEs thus share one pointer, and spoofed sources cannot grow the
+// map past the bound.
+const maxSenders = 64
+
 // reply is one routed response to an in-flight query, attributed to its
-// sender so a shared-RequestNumber fan-out can tell the peers apart.
+// sender (in addrPort's form) so a shared-RequestNumber fan-out can tell
+// the peers apart.
 type reply struct {
 	m    Message
-	from *net.UDPAddr
+	from netip.AddrPort
 }
 
 // Conn is an ICP endpoint over UDP: it serves peer queries via a Handler
@@ -99,19 +115,25 @@ type Conn struct {
 	nextReq                            atomic.Uint32
 
 	mu      sync.Mutex
-	pending map[uint32]chan reply
+	pending map[uint32]*waiter
 	free    []*waiter // retired waiters, ready for reuse (see release)
 	closed  bool
 	started bool
 	done    chan struct{}
 
+	// senders names each datagram source for the Handler (see maxSenders).
+	// Only the read loop touches it.
+	senders map[netip.AddrPort]*net.UDPAddr
+
 	bufMu sync.Mutex
 	bufs  [][]byte // Send's retired encoding buffers
 }
 
-// waiter is one in-flight query's reply channel and timer. Retired waiters
-// are reused, so a steady-state query allocates neither.
+// waiter is one in-flight query's URL, reply channel and timer. Retired
+// waiters are reused, so a steady-state query allocates neither channel
+// nor timer.
 type waiter struct {
+	url   string // the URL asked: a reply naming it shares this string
 	ch    chan reply
 	timer *time.Timer // QueryAllFunc's deadline; nil until first armed
 }
@@ -154,8 +176,9 @@ func ListenWith(addr string, cfg ListenConfig) (*Conn, error) {
 	c := &Conn{
 		pc:      sock,
 		handler: cfg.Handler,
-		pending: make(map[uint32]chan reply),
+		pending: make(map[uint32]*waiter),
 		done:    make(chan struct{}),
+		senders: make(map[netip.AddrPort]*net.UDPAddr),
 	}
 	return c, nil
 }
@@ -201,10 +224,10 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	for _, ch := range c.pending {
-		close(ch)
+	for _, w := range c.pending {
+		close(w.ch)
 	}
-	c.pending = make(map[uint32]chan reply)
+	c.pending = make(map[uint32]*waiter)
 	started := c.started
 	c.mu.Unlock()
 	err := c.pc.Close()
@@ -263,7 +286,7 @@ func (c *Conn) SendAsync(to *net.UDPAddr, m Message) error { return c.Send(to, m
 func (c *Conn) write(to *net.UDPAddr, buf []byte) error {
 	c.sent.Add(1)
 	c.sentB.Add(uint64(len(buf)))
-	if _, err := c.pc.WriteToUDP(buf, to); err != nil {
+	if _, err := c.pc.WriteToUDPAddrPort(buf, addrPort(to)); err != nil {
 		c.sent.Add(^uint64(0))
 		c.sentB.Add(-uint64(len(buf)))
 		c.mu.Lock()
@@ -292,9 +315,10 @@ func (c *Conn) NextReqNum() uint32 { return c.nextReq.Add(1) }
 // issuing four billion queries.
 func (c *Conn) SeedReqNum(v uint32) { c.nextReq.Store(v) }
 
-// register enrolls a waiter for reqNum whose channel holds at least n
-// replies, reusing a retired one when it is big enough.
-func (c *Conn) register(reqNum uint32, n int) (*waiter, error) {
+// register enrolls a waiter for a query of url numbered reqNum whose
+// channel holds at least n replies, reusing a retired one when it is big
+// enough.
+func (c *Conn) register(reqNum uint32, n int, url string) (*waiter, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -307,7 +331,8 @@ func (c *Conn) register(reqNum uint32, n int) (*waiter, error) {
 	} else {
 		w = &waiter{ch: make(chan reply, max(n, 8))}
 	}
-	c.pending[reqNum] = w.ch
+	w.url = url
+	c.pending[reqNum] = w
 	return w, nil
 }
 
@@ -335,6 +360,7 @@ func (c *Conn) release(reqNum uint32, w *waiter) {
 	for len(w.ch) > 0 {
 		<-w.ch
 	}
+	w.url = ""
 	c.free = append(c.free, w)
 }
 
@@ -345,7 +371,7 @@ func (c *Conn) release(reqNum uint32, w *waiter) {
 // address is ignored and counted (Stats.Unasked), as in QueryAllFunc.
 func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message, error) {
 	reqNum := c.NextReqNum()
-	w, err := c.register(reqNum, 1)
+	w, err := c.register(reqNum, 1, url)
 	if err != nil {
 		return Message{}, err
 	}
@@ -360,7 +386,7 @@ func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message,
 			if !ok {
 				return Message{}, ErrClosed
 			}
-			if sameAddr(r.from, to) {
+			if r.from == addrPort(to) {
 				return r.m, nil
 			}
 			c.unasked.Add(1)
@@ -408,7 +434,7 @@ func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []
 		return Message{}, nil, 0, nil
 	}
 	reqNum = c.NextReqNum()
-	w, err := c.register(reqNum, len(peers))
+	w, err := c.register(reqNum, len(peers), url)
 	if err != nil {
 		return Message{}, nil, reqNum, err
 	}
@@ -442,15 +468,16 @@ func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []
 	if sent == 0 {
 		return Message{}, nil, reqNum, lastErr
 	}
-	var held reply // the HIT of the earliest peer that has answered one
-	heldAt := -1   // that peer's index in peers
-	awaited := 0   // the earliest peer whose reply is still awaited
+	var held Message        // the HIT of the earliest peer that has answered one
+	var holder *net.UDPAddr // that peer
+	heldAt := -1            // its index in peers
+	awaited := 0            // the earliest peer whose reply is still awaited
 	for {
 		for awaited < len(peers) && answered[awaited] {
 			awaited++
 		}
 		if awaited == len(peers) || (heldAt >= 0 && heldAt < awaited) {
-			return held.m, held.from, reqNum, nil
+			return held, holder, reqNum, nil
 		}
 		select {
 		case r, ok := <-w.ch:
@@ -474,36 +501,60 @@ func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []
 				onReply(peers[i], r.m.Op)
 			}
 			if (r.m.Op == OpHit || r.m.Op == OpHitObj) && (heldAt < 0 || i < heldAt) {
-				held, heldAt = reply{m: r.m, from: peers[i]}, i
+				held, holder, heldAt = r.m, peers[i], i
 			}
 		case <-w.timer.C:
-			return held.m, held.from, reqNum, nil // a timeout without a HIT is an ordinary miss
+			return held, holder, reqNum, nil // a timeout without a HIT is an ordinary miss
 		case <-ctx.Done():
-			return held.m, held.from, reqNum, nil
+			return held, holder, reqNum, nil
 		}
 	}
 }
 
-// findAddr returns the index of the entry of peers that addr names, -1 if
-// none does.
-func findAddr(peers []*net.UDPAddr, addr *net.UDPAddr) int {
+// findAddr returns the index of the entry of peers that addr (in
+// addrPort's form) names, -1 if none does.
+func findAddr(peers []*net.UDPAddr, addr netip.AddrPort) int {
 	for i, p := range peers {
-		if sameAddr(p, addr) {
+		if addrPort(p) == addr {
 			return i
 		}
 	}
 	return -1
 }
 
-// sameAddr reports whether a and b name the same UDP address.
-func sameAddr(a, b *net.UDPAddr) bool { return a.Port == b.Port && a.IP.Equal(b.IP) }
+// addrPort names a as the read loop names a datagram's source: an IPv4
+// address in its 4-byte form, whichever form a holds it in, so a reply
+// from an IPv4 peer matches on an IPv4 and on a dual-stack socket alike.
+// An address without an IP (":port") is IPv4's unspecified address, the
+// local host, as WriteToUDP sends to it.
+func addrPort(a *net.UDPAddr) netip.AddrPort {
+	ip, ok := netip.AddrFromSlice(a.IP)
+	if !ok {
+		ip = netip.IPv4Unspecified()
+	}
+	return netip.AddrPortFrom(ip.Unmap().WithZone(a.Zone), uint16(a.Port))
+}
+
+// sender returns the *net.UDPAddr the Handler is given for from, the same
+// one for every datagram of a sender while the map holds it.
+func (c *Conn) sender(from netip.AddrPort) *net.UDPAddr {
+	a := c.senders[from]
+	if a == nil {
+		if len(c.senders) >= maxSenders {
+			clear(c.senders)
+		}
+		a = net.UDPAddrFromAddrPort(from)
+		c.senders[from] = a
+	}
+	return a
+}
 
 func (c *Conn) readLoop() {
 	defer close(c.done)
 	buf := make([]byte, MaxDatagram)
 	var dec Decoder
 	for {
-		n, from, err := c.pc.ReadFromUDP(buf)
+		n, raw, err := c.pc.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			c.mu.Lock()
 			closed := c.closed
@@ -520,35 +571,47 @@ func (c *Conn) readLoop() {
 		}
 		c.recv.Add(1)
 		c.recvB.Add(uint64(n))
-		m, err := dec.Decode(buf[:n])
+		m, url, obj, err := dec.decode(buf[:n])
 		if err != nil {
 			c.undecodable.Add(1)
 			continue
 		}
+		from := netip.AddrPortFrom(raw.Addr().Unmap(), raw.Port())
 		if isReply(m.Op) {
-			// Reply opcodes carry no DirUpdate payload, so the Message
-			// crossing to the waiting goroutine holds only owned data (the
-			// URL string and a HIT_OBJ's object, both copied out of buf).
-			// The send happens under c.mu, so a query's release knows no
-			// reply reaches its channel once the entry is gone. It never
-			// blocks: a full channel drops the surplus copy.
-			c.mu.Lock()
-			ch := c.pending[m.ReqNum]
-			if ch != nil {
-				select {
-				case ch <- reply{m: m, from: from}:
-				default:
-				}
-			}
-			c.mu.Unlock()
-			if ch == nil {
-				c.late.Add(1) // its query already resolved or timed out
-			}
+			c.deliver(m, url, obj, from)
 			continue
 		}
 		if c.handler != nil {
-			c.handler(from, m)
+			m.URL = string(url)
+			c.handler(c.sender(from), m)
 		}
+	}
+}
+
+// deliver hands a reply to the query waiting on its request number, if one
+// is. Reply opcodes carry no DirUpdate payload, so the Message crossing to
+// the waiting goroutine holds only owned data: a URL naming the one asked
+// shares the waiter's string, any other URL is copied out of the datagram,
+// and so is a HIT_OBJ's object. The send happens under c.mu, so a query's
+// release knows no reply reaches its channel once the entry is gone. It
+// never blocks: a full channel drops the surplus copy.
+func (c *Conn) deliver(m Message, url, obj []byte, from netip.AddrPort) {
+	m.Object = bytes.Clone(obj)
+	c.mu.Lock()
+	w := c.pending[m.ReqNum]
+	if w != nil {
+		m.URL = w.url
+		if string(url) != w.url {
+			m.URL = string(url)
+		}
+		select {
+		case w.ch <- reply{m: m, from: from}:
+		default:
+		}
+	}
+	c.mu.Unlock()
+	if w == nil {
+		c.late.Add(1) // its query already resolved or timed out
 	}
 }
 

@@ -429,3 +429,59 @@ func TestQueryOnlyFromAskedPeer(t *testing.T) {
 		t.Fatalf("stats %+v, want 2 received and the forgery counted as unasked", st)
 	}
 }
+
+// TestSenderMapBounded: the read loop names each sender with one
+// *net.UDPAddr, handed to every Handler call for that sender, and keeps at
+// most maxSenders of them. maxSenders+8 sockets, one after another, each
+// send two queries: both reach the handler with the same pointer, naming
+// the socket, and the map never holds more than its bound.
+func TestSenderMapBounded(t *testing.T) {
+	type call struct {
+		from    *net.UDPAddr
+		senders int // the map's size during the call
+	}
+	calls := make(chan call, 2)
+	var srv *Conn
+	srv, err := Listen("127.0.0.1:0", func(from *net.UDPAddr, m Message) {
+		calls <- call{from, len(srv.senders)} // the handler runs on the read loop, which owns the map
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	t.Cleanup(func() { srv.Close() })
+	query := mustWire(t, NewQuery(1, "http://sender/doc"))
+	peak, emptied := 0, false
+	for i := 0; i < maxSenders+8; i++ {
+		pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pc.Close() }) // held open, so no later socket reuses its port
+		var got [2]call
+		for j := range got {
+			if _, err := pc.WriteToUDP(query, srv.Addr()); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case got[j] = <-calls:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("socket %d's query %d never reached the handler", i, j)
+			}
+		}
+		if got[0].from != got[1].from || got[0].from.String() != pc.LocalAddr().String() {
+			t.Fatalf("socket %v was handed %p (%v) and %p (%v), want one address naming it",
+				pc.LocalAddr(), got[0].from, got[0].from, got[1].from, got[1].from)
+		}
+		for _, c := range got {
+			if c.senders > maxSenders {
+				t.Fatalf("sender map holds %d addresses, bound %d", c.senders, maxSenders)
+			}
+			emptied = emptied || c.senders < peak
+			peak = max(peak, c.senders)
+		}
+	}
+	if peak != maxSenders || !emptied {
+		t.Fatalf("sender map peaked at %d (emptied: %v), want it to reach %d and be emptied", peak, emptied, maxSenders)
+	}
+}

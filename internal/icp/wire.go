@@ -437,7 +437,9 @@ func Parse(b []byte) (Message, error) {
 		return m, err
 	}
 	if m.Op != OpDirUpdate {
-		return m, parseURLPayload(body, &m)
+		url, obj, err := parseURLPayload(body, &m)
+		m.URL, m.Object = string(url), bytes.Clone(obj)
+		return m, err
 	}
 	rest, n, err := parseDirUpdateHeader(body, &m.Update)
 	if err != nil {
@@ -447,49 +449,42 @@ func Parse(b []byte) (Message, error) {
 	return m, nil
 }
 
-// parseURLPayload decodes the payload of every opcode but DIRUPDATE into m.
-// What it keeps — the URL string, a HIT_OBJ's object — is copied out of
-// body, so the result never aliases the receive buffer. A HIT_OBJ over
-// MaxHitObjLen, or whose size field disagrees with the bytes present, is
-// rejected before its URL or object is copied.
-func parseURLPayload(body []byte, m *Message) error {
+// parseURLPayload validates the payload of every opcode but DIRUPDATE,
+// sets a query's RequesterAddr in m, and returns the URL and, for a
+// HIT_OBJ, the object (non-nil, possibly empty) as views into body. It
+// copies nothing: the caller decides what to own. Parse and Decode copy
+// both out; the Conn's read loop copies a reply's URL only when it is not
+// the URL its query asked. A HIT_OBJ over MaxHitObjLen, or whose size field
+// disagrees with the bytes present, is rejected.
+func parseURLPayload(body []byte, m *Message) (url, obj []byte, err error) {
 	switch {
 	case m.Op == OpQuery:
 		if len(body) < 5 {
-			return ErrTruncated
+			return nil, nil, ErrTruncated
 		}
 		m.RequesterAddr = binary.BigEndian.Uint32(body[0:4])
-		url, err := cutNUL(body[4:])
-		if err != nil {
-			return err
-		}
-		m.URL = url
+		url, err = cutNUL(body[4:])
 	case m.Op == OpHitObj:
 		if HeaderLen+len(body) > MaxHitObjLen {
-			return fmt.Errorf("%w: HIT_OBJ of %d bytes", ErrTooLarge, HeaderLen+len(body))
+			return nil, nil, fmt.Errorf("%w: HIT_OBJ of %d bytes", ErrTooLarge, HeaderLen+len(body))
 		}
 		end := bytes.IndexByte(body, 0)
 		if end < 0 {
-			return ErrBadURL
+			return nil, nil, ErrBadURL
 		}
-		obj := body[end+1:]
+		obj = body[end+1:]
 		if len(obj) < hitObjSizeLen {
-			return ErrTruncated
+			return nil, nil, ErrTruncated
 		}
 		size := int(binary.BigEndian.Uint16(obj))
 		if obj = obj[hitObjSizeLen:]; size != len(obj) {
-			return fmt.Errorf("%w: object size %d, %d bytes present", ErrBadLength, size, len(obj))
+			return nil, nil, fmt.Errorf("%w: object size %d, %d bytes present", ErrBadLength, size, len(obj))
 		}
-		m.URL = string(body[:end])
-		m.Object = bytes.Clone(obj)
+		url = body[:end]
 	case hasURLPayload(m.Op):
-		url, err := cutNUL(body)
-		if err != nil {
-			return err
-		}
-		m.URL = url
+		url, err = cutNUL(body)
 	}
-	return nil
+	return url, obj, err
 }
 
 // A Decoder parses datagrams in place, without per-message allocation: a
@@ -497,11 +492,14 @@ func parseURLPayload(body []byte, m *Message) error {
 // across calls, and the returned Update borrows them (see DirUpdate) until
 // the next Decode — exactly the borrow contract Handler documents. Each
 // Decode starts a new generation, and a borrowed update from an earlier one
-// panics when read. A decoded URL is still one string allocation and a
-// HIT_OBJ's object one copy (both outlive the datagram: handlers retain
+// panics when read. Decode copies a URL out as one string allocation and a
+// HIT_OBJ's object as one copy (both outlive the datagram: handlers retain
 // URLs, and a querier serves or stores the object, so a view into the
-// receive buffer would dangle); DIRUPDATE traffic, the mesh's volume
-// driver, decodes with zero allocations steady-state.
+// receive buffer would dangle). The Conn's read loop decodes with the same
+// Decoder but owns the views itself: a reply naming the URL its query
+// asked shares the query's string and allocates nothing for it. DIRUPDATE
+// traffic, the mesh's volume driver, decodes with zero allocations
+// steady-state.
 //
 // A Decoder must not be shared between goroutines without external
 // serialization; each receive loop owns one.
@@ -513,29 +511,38 @@ type Decoder struct {
 // Decode parses one datagram. See the Decoder contract for the lifetime of
 // the result.
 func (d *Decoder) Decode(b []byte) (Message, error) {
+	m, url, obj, err := d.decode(b)
+	m.URL, m.Object = string(url), bytes.Clone(obj)
+	return m, err
+}
+
+// decode is Decode leaving the URL and a HIT_OBJ's object as views into b
+// (see parseURLPayload); m.URL and m.Object are unset.
+func (d *Decoder) decode(b []byte) (m Message, url, obj []byte, err error) {
 	d.gen++
-	var m Message
 	body, err := parseHeader(b, &m)
 	if err != nil {
-		return m, err
+		return m, nil, nil, err
 	}
 	if m.Op != OpDirUpdate {
-		return m, parseURLPayload(body, &m)
+		url, obj, err = parseURLPayload(body, &m)
+		return m, url, obj, err
 	}
 	rest, n, err := parseDirUpdateHeader(body, &m.Update)
 	if err != nil {
-		return m, err
+		return m, nil, nil, err
 	}
 	d.flips = decodeFlips(d.flips[:0], rest, n)
 	m.Update.dec, m.Update.gen = d, d.gen
-	return m, nil
+	return m, nil, nil, nil
 }
 
-func cutNUL(b []byte) (string, error) {
+// cutNUL returns b without its NUL terminator.
+func cutNUL(b []byte) ([]byte, error) {
 	if len(b) == 0 || b[len(b)-1] != 0 {
-		return "", ErrBadURL
+		return nil, ErrBadURL
 	}
-	return string(b[:len(b)-1]), nil
+	return b[:len(b)-1], nil
 }
 
 // SplitUpdate partitions flips into DIRUPDATE messages of at most

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -95,10 +96,10 @@ func TestDecoderURLSingleAlloc(t *testing.T) {
 // path's allocation behavior is measured without syscall noise.
 type discardPacketConn struct{}
 
-func (discardPacketConn) ReadFromUDP(b []byte) (int, *net.UDPAddr, error) {
-	return 0, nil, errors.New("not readable")
+func (discardPacketConn) ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error) {
+	return 0, netip.AddrPort{}, errors.New("not readable")
 }
-func (discardPacketConn) WriteToUDP(b []byte, addr *net.UDPAddr) (int, error) {
+func (discardPacketConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
 	return len(b), nil
 }
 func (discardPacketConn) Close() error        { return nil }
@@ -109,7 +110,7 @@ func (discardPacketConn) LocalAddr() net.Addr { return &net.UDPAddr{} }
 func stubConn() *Conn {
 	return &Conn{
 		pc:      discardPacketConn{},
-		pending: make(map[uint32]chan reply),
+		pending: make(map[uint32]*waiter),
 		done:    make(chan struct{}),
 	}
 }
@@ -138,9 +139,10 @@ func TestSendZeroAlloc(t *testing.T) {
 // TestQueryAllAllocBudget pins what one fan-out over loopback allocates.
 // The flagged peer answers MISS and the other a plain HIT, so every run
 // waits for both replies: the HIT is served only after the earlier peer's
-// MISS. The reply channel, the timer and the encoding buffers are
-// reused, so only decoding and receive costs remain. AllocsPerRun counts
-// every goroutine, the responders' read loops included.
+// MISS. The reply channel, the timer and the encoding buffers are reused,
+// receive addresses are netip.AddrPort values and a reply naming the asked
+// URL shares the asker's string, so only the query URLs remain.
+// AllocsPerRun counts every goroutine, the responders' read loops included.
 func TestQueryAllAllocBudget(t *testing.T) {
 	const url = "http://example.com/doc"
 	miss := echoResponder(t, nil)
@@ -155,11 +157,9 @@ func TestQueryAllAllocBudget(t *testing.T) {
 		}
 	}
 	query() // the first fan-out makes the reply channel and timer
-	// Left per fan-out, twelve allocations, all in read loops: each of the
-	// two queries and two replies costs its receive address (a
-	// *net.UDPAddr and the copy of its IP that net makes) and its decoded
-	// URL string.
-	const budget = 12
+	// Left per fan-out, two allocations: each responder's read loop
+	// decodes its query's URL string for its handler.
+	const budget = 2
 	if n := testing.AllocsPerRun(200, query); n != budget {
 		t.Fatalf("QueryAllFunc allocated %v times per fan-out, want %d", n, budget)
 	}
