@@ -187,12 +187,6 @@ func run() error {
 	if m != httpproxy.ModeNone {
 		attrs = append(attrs, "icp", p.ICPAddr().String())
 	}
-	if rec := p.Recovery(); rec.Recovered {
-		log.Info("warm restart: recovered persisted state",
-			"dir", *persistDir, "snapshot_gen", rec.SnapshotGen,
-			"entries", rec.Entries, "journal_records", rec.JournalRecords,
-			"torn_tail", rec.TornTail)
-	}
 	log.Info("proxy up", attrs...)
 
 	if *adminAddr != "" {

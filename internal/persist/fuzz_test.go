@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -22,10 +23,10 @@ func snapshotSeeds(t testing.TB) [][]byte {
 
 // journalSeed is a journal image as Store.append writes it.
 func journalSeed() []byte {
-	img := appendFrame(nil, journalHeader(fuzzGen))
-	img = appendJournalRecord(img, journalRecord{Op: journalInsert, Key: "http://a/1", Size: 2048, Version: 7})
-	img = appendJournalRecord(img, journalRecord{Op: journalEvict, Key: "http://a/1"})
-	return appendJournalRecord(img, journalRecord{Op: journalInsert, Key: "", Size: 1 << 40, Version: -3})
+	img := appendFrame(nil, fileHeader(frameJournalHdr, fuzzGen))
+	img = appendRecord(img, record{Op: journalInsert, Entry: lru.Entry{Key: "http://a/1", Size: 2048, Version: 7}})
+	img = appendRecord(img, record{Op: journalEvict, Entry: lru.Entry{Key: "http://a/1"}})
+	return appendRecord(img, record{Op: journalInsert, Entry: lru.Entry{Key: "", Size: 1 << 40, Version: -3}})
 }
 
 // addDamaged seeds f with img plus its torn, CRC-corrupt and zero-filled
@@ -49,6 +50,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		addDamaged(f, img)
 	}
 	f.Add([]byte{})
+	addDamaged(f, readGolden(f, "snapshot-golden"))
 	f.Fuzz(func(t *testing.T, img []byte) {
 		data, err := decodeSnapshot(img, fuzzGen)
 		if err != nil {
@@ -64,24 +66,25 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzJournal: decodeJournal never panics, and the records it delivers
-// re-encode to a journal that decodes, untorn, to the same records.
+// FuzzJournal: reading a journal never panics, and the records it
+// delivers before a torn or corrupt tail re-encode to a journal that
+// reads, untorn, to the same records.
 func FuzzJournal(f *testing.F) {
 	addDamaged(f, journalSeed())
 	f.Add([]byte{})
+	addDamaged(f, readGolden(f, "journal-golden"))
 	f.Fuzz(func(t *testing.T, img []byte) {
-		var recs []journalRecord
-		if _, err := decodeJournal(img, func(r journalRecord) { recs = append(recs, r) }); err != nil {
+		var recs []record
+		if _, err := readFile(img, frameJournalHdr, fuzzGen, func(r record) { recs = append(recs, r) }); errors.Is(err, errBadHeader) {
 			return
 		}
-		re := appendFrame(nil, journalHeader(fuzzGen))
+		re := appendFrame(nil, fileHeader(frameJournalHdr, fuzzGen))
 		for _, r := range recs {
-			re = appendJournalRecord(re, r)
+			re = appendRecord(re, r)
 		}
-		var again []journalRecord
-		torn, err := decodeJournal(re, func(r journalRecord) { again = append(again, r) })
-		if torn || err != nil {
-			t.Fatalf("re-encoded journal: torn=%v err=%v", torn, err)
+		var again []record
+		if _, err := readFile(re, frameJournalHdr, fuzzGen, func(r record) { again = append(again, r) }); err != nil {
+			t.Fatalf("re-encoded journal: %v", err)
 		}
 		if !reflect.DeepEqual(again, recs) {
 			t.Fatalf("round trip changed records:\n got  %+v\n want %+v", again, recs)

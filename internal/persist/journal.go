@@ -1,7 +1,9 @@
 package persist
 
-// The journal record codec and the length+CRC frame format shared by the
-// snapshot and journal files. The journal is the on-disk analog of the
+// The length+CRC frame format, the one record codec and the one file
+// reader shared by the snapshot and journal files. A snapshot entry is an
+// insert record that carries its body ('E'); a journal holds bodiless
+// insert and evict records. The journal is the on-disk analog of the
 // counting filter's in-memory flip journal: each cache mutation appends
 // one O(record) framed entry, so hot-path writes never serialize the
 // whole filter.
@@ -21,10 +23,13 @@ package persist
 // CRC-32C of nothing is 0.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"summarycache/internal/lru"
 )
 
 // frameHeaderLen is the fixed per-frame overhead: length + CRC.
@@ -94,60 +99,139 @@ func nextFrame(b []byte) (payload, rest []byte, err error) {
 	return payload, b[frameHeaderLen+int(n):], nil
 }
 
-// Journal record opcodes.
+// Frame kinds: the first byte of every frame payload. A file opens with
+// its header frame. A snapshot then holds entry records, MRU→LRU, and
+// ends with its end frame; a journal holds insert and evict records.
 const (
-	// journalInsert records a document entering the cache (or changing
-	// version in place). Replay treats an insert whose key already exists
-	// at the same version as confirmation; at a different version the
-	// snapshot body is stale and the entry is dropped for refetch.
-	journalInsert byte = 1
-	// journalEvict records a document leaving the cache. Replay of an
-	// eviction for an absent key is a counted no-op (the overlap window
-	// between journal rotation and snapshot capture can double-record).
-	journalEvict byte = 2
+	frameSnapHdr    byte = 'H' // snapshot magic + generation
+	frameJournalHdr byte = 'J' // journal magic + generation
+	frameEntry      byte = 'E' // an insert record with its body
+	frameDirectory  byte = 'D' // counting-filter state, written by older snapshots
+	frameReplica    byte = 'R' // one peer replica, written by older snapshots
+	frameEnd        byte = 'Z' // commit marker: absent ⇒ torn snapshot
+	journalInsert   byte = 1   // a document entering the cache, or changing version in place
+	journalEvict    byte = 2   // a document leaving the cache
 )
 
-// journalRecord is one cache mutation in the persistence journal.
-type journalRecord struct {
-	Op      byte
-	Key     string
-	Size    int64 // body size (journalInsert only)
-	Version int64 // document version (journalInsert only)
+// snapMagic/jrnlMagic brand the header frames (and version the format).
+const (
+	snapMagic = "scSNAP1"
+	jrnlMagic = "scJRNL1"
+)
+
+// fileHeader is the header frame payload of a snapshot (frameSnapHdr) or
+// journal (frameJournalHdr) of generation gen.
+func fileHeader(kind byte, gen uint64) []byte {
+	magic := snapMagic
+	if kind == frameJournalHdr {
+		magic = jrnlMagic
+	}
+	return binary.AppendUvarint(append([]byte{kind}, magic...), gen)
 }
 
-// appendJournalRecord appends r to dst as one framed record, encoded in
-// place: appending into a buffer with room allocates nothing.
-func appendJournalRecord(dst []byte, r journalRecord) []byte {
+// record is one framed record: a cache entry and what happened to it. Op
+// is frameEntry, journalInsert or journalEvict; only an entry record
+// carries Body, and an evict record's Size and Version are zero.
+type record struct {
+	Op byte
+	lru.Entry
+}
+
+// appendRecord appends r to dst as one framed record, encoded in place:
+// appending into a buffer with room allocates nothing. Layout: op,
+// uvarint key length, key, varint size, varint version and, for an entry
+// record, uvarint body length and body.
+func appendRecord(dst []byte, r record) []byte {
 	dst, start := openFrame(dst)
 	dst = append(dst, r.Op)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Key)))
 	dst = append(dst, r.Key...)
 	dst = binary.AppendVarint(dst, r.Size)
 	dst = binary.AppendVarint(dst, r.Version)
+	if r.Op == frameEntry {
+		dst = binary.AppendUvarint(dst, uint64(len(r.Body)))
+		dst = append(dst, r.Body...)
+	}
 	return sealFrame(dst, start)
 }
 
-// decodeJournalRecord parses one record payload (the frame's contents,
-// CRC already verified by nextFrame).
-func decodeJournalRecord(payload []byte) (journalRecord, error) {
-	var r journalRecord
-	if len(payload) < 1 {
-		return r, fmt.Errorf("%w: empty journal record", errCorruptFrame)
+// decodeRecord parses one record payload (the frame's contents, CRC
+// already verified by nextFrame). The body is copied out of the payload.
+func decodeRecord(payload []byte) (record, error) {
+	r := record{Op: payload[0]}
+	key, rest, ok := takeBytes(payload[1:])
+	r.Key = string(key)
+	if ok {
+		r.Size, rest, ok = takeVarint(rest)
 	}
-	r.Op = payload[0]
-	if r.Op != journalInsert && r.Op != journalEvict {
-		return r, fmt.Errorf("%w: unknown journal op %d", errCorruptFrame, r.Op)
+	if ok {
+		r.Version, rest, ok = takeVarint(rest)
 	}
-	key, rest, ok := takeString(payload[1:])
+	if ok && r.Op == frameEntry {
+		var body []byte
+		body, _, ok = takeBytes(rest)
+		r.Body = append([]byte(nil), body...)
+	}
 	if !ok {
-		return r, fmt.Errorf("%w: journal key length", errCorruptFrame)
-	}
-	r.Key = key
-	if r.Size, rest, ok = takeVarint(rest); !ok {
-		return r, fmt.Errorf("%w: journal size", errCorruptFrame)
-	}
-	if r.Version, _, ok = takeVarint(rest); !ok {
-		return r, fmt.Errorf("%w: journal version", errCorruptFrame)
+		return r, fmt.Errorf("%w: truncated record of kind %d", errCorruptFrame, r.Op)
 	}
 	return r, nil
+}
+
+func takeBytes(b []byte) (field, rest []byte, ok bool) {
+	l, n := binary.Uvarint(b)
+	if n <= 0 || uint64(len(b)-n) < l {
+		return nil, b, false
+	}
+	return b[n : n+int(l)], b[n+int(l):], true
+}
+
+func takeVarint(b []byte) (v int64, rest []byte, ok bool) {
+	v, n := binary.Varint(b)
+	if n <= 0 {
+		return 0, b, false
+	}
+	return v, b[n:], true
+}
+
+// errBadHeader reports a file whose first frame is intact but is not the
+// header its name promises: another kind, magic or generation.
+var errBadHeader = errors.New("persist: bad header frame")
+
+// readFile walks a snapshot (kind frameSnapHdr) or journal
+// (frameJournalHdr) image of generation gen: its header frame, then one
+// record per frame, calling fn for each. It stops at the clean end of img,
+// at a snapshot's end frame (sealed), or at the first frame that is torn,
+// corrupt or of a kind the file may not hold, which err reports; every
+// record before it has been delivered. An empty image delivers nothing and
+// no error. An older snapshot's directory and replica frames are skipped:
+// the directory is rebuilt from the entries, and each replica comes from
+// its peer.
+func readFile(img []byte, kind byte, gen uint64, fn func(record)) (sealed bool, err error) {
+	payload, rest, err := nextFrame(img)
+	if payload == nil {
+		return false, err
+	}
+	if !bytes.Equal(payload, fileHeader(kind, gen)) {
+		return false, errBadHeader
+	}
+	snapshot := kind == frameSnapHdr
+	for {
+		if payload, rest, err = nextFrame(rest); payload == nil {
+			return false, err
+		}
+		switch op := payload[0]; {
+		case snapshot && op == frameEnd:
+			return true, nil
+		case snapshot && (op == frameDirectory || op == frameReplica):
+			continue
+		case snapshot && op != frameEntry, !snapshot && op != journalInsert && op != journalEvict:
+			return false, fmt.Errorf("%w: frame kind %d in a %c file", errCorruptFrame, op, kind)
+		}
+		rec, err := decodeRecord(payload)
+		if err != nil {
+			return false, err
+		}
+		fn(rec)
+	}
 }

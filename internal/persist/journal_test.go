@@ -2,8 +2,11 @@ package persist
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"summarycache/internal/lru"
 )
 
 // TestAppendZeroAlloc: a journal append encodes its record in place in the
@@ -25,26 +28,27 @@ func TestAppendZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestJournalRecordRoundTrip walks a framed record stream back out
-// byte-exactly.
+// TestJournalRecordRoundTrip walks a framed record stream, journal records
+// and a snapshot entry, back out exactly.
 func TestJournalRecordRoundTrip(t *testing.T) {
-	recs := []journalRecord{
-		{Op: journalInsert, Key: "http://a/1", Size: 2048, Version: 7},
-		{Op: journalEvict, Key: "http://a/1"},
-		{Op: journalInsert, Key: "", Size: 0, Version: -3},
-		{Op: journalInsert, Key: "k", Size: 1 << 40, Version: 1},
+	recs := []record{
+		{Op: journalInsert, Entry: lru.Entry{Key: "http://a/1", Size: 2048, Version: 7}},
+		{Op: journalEvict, Entry: lru.Entry{Key: "http://a/1"}},
+		{Op: journalInsert, Entry: lru.Entry{Key: "", Size: 0, Version: -3}},
+		{Op: journalInsert, Entry: lru.Entry{Key: "k", Size: 1 << 40, Version: 1}},
+		{Op: frameEntry, Entry: lru.Entry{Key: "k", Size: 3, Version: 1, Body: []byte("abc")}},
 	}
 	var buf []byte
 	for _, r := range recs {
-		buf = appendJournalRecord(buf, r)
+		buf = appendRecord(buf, r)
 	}
-	var got []journalRecord
+	var got []record
 	for len(buf) > 0 {
 		payload, rest, err := nextFrame(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := decodeJournalRecord(payload)
+		r, err := decodeRecord(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +59,7 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
 	}
 	for i := range recs {
-		if got[i] != recs[i] {
+		if !reflect.DeepEqual(got[i], recs[i]) {
 			t.Fatalf("record %d: got %+v want %+v", i, got[i], recs[i])
 		}
 	}
@@ -65,16 +69,16 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 // frame then errTornFrame — the crash-recovery contract.
 func TestNextFrameTornTail(t *testing.T) {
 	var buf []byte
-	buf = appendJournalRecord(buf, journalRecord{Op: journalInsert, Key: "a", Size: 1, Version: 1})
+	buf = appendRecord(buf, record{Op: journalInsert, Entry: lru.Entry{Key: "a", Size: 1, Version: 1}})
 	whole := len(buf)
-	buf = appendJournalRecord(buf, journalRecord{Op: journalEvict, Key: "a"})
+	buf = appendRecord(buf, record{Op: journalEvict, Entry: lru.Entry{Key: "a"}})
 	for cut := whole + 1; cut < len(buf); cut++ {
 		b := buf[:cut]
 		payload, rest, err := nextFrame(b)
 		if err != nil {
 			t.Fatalf("cut %d: first frame should survive: %v", cut, err)
 		}
-		if _, err := decodeJournalRecord(payload); err != nil {
+		if _, err := decodeRecord(payload); err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if _, _, err := nextFrame(rest); !errors.Is(err, errTornFrame) {
@@ -86,7 +90,7 @@ func TestNextFrameTornTail(t *testing.T) {
 // TestNextFrameCorruption: flipped payload bytes, absurd lengths and
 // empty frames are errCorruptFrame, ending the valid prefix.
 func TestNextFrameCorruption(t *testing.T) {
-	buf := appendJournalRecord(nil, journalRecord{Op: journalInsert, Key: "abc", Size: 9, Version: 2})
+	buf := appendRecord(nil, record{Op: journalInsert, Entry: lru.Entry{Key: "abc", Size: 9, Version: 2}})
 	bad := append([]byte(nil), buf...)
 	bad[len(bad)-1] ^= 0xFF
 	if _, _, err := nextFrame(bad); !errors.Is(err, errCorruptFrame) {

@@ -12,20 +12,25 @@
 //	             marks a torn write (recovery falls back one generation)
 //	jrnl-<gen>   mutations appended since snapshot <gen> was BEGUN
 //
+// Both kinds hold the same records, written and read by one codec: a
+// snapshot entry ('E') is an insert record that carries its body, and a
+// journal holds bodiless insert and evict records. One reader walks either
+// file after its header frame.
+//
 // A checkpoint first rotates the journal to generation g+1, then writes
 // snap-<g+1> from live state. Records landing between the rotation and
 // the capture therefore appear in BOTH snap-<g+1> and jrnl-<g+1> — the
 // overlap window. Replay is idempotent against it: re-inserting a
-// present key at the same version is a no-op, and evicting an absent
-// key is a counted no-op.
+// present key at the same version only refreshes its recency, and
+// evicting an absent key is a counted no-op.
 //
 // Recovery loads the newest snapshot that validates end-to-end, then
-// replays every journal of that generation and newer, tolerating a torn
-// or corrupt tail (the expected shape of a crash). The caller installs
-// the result, rebuilds its directory from the cache it restored, and
-// re-announces a reset-flagged full DIRUPDATE so siblings converge
-// bit-exactly on it; that DIRUPDATE also asks each sibling for its own
-// full state.
+// feeds its entries and every journal of that generation and newer
+// through one replay, tolerating a journal's torn or corrupt tail (the
+// expected shape of a crash). The caller installs the result, rebuilds
+// its directory from the cache it restored, and re-announces a
+// reset-flagged full DIRUPDATE so siblings converge bit-exactly on it;
+// that DIRUPDATE also asks each sibling for its own full state.
 package persist
 
 import (
@@ -129,8 +134,6 @@ type Store struct {
 	journalRecords, journalBytes             atomic.Uint64
 	journalFsyncs, journalErrors             atomic.Uint64
 
-	recovered RecoveryStats
-
 	stopTick chan struct{}
 	tickDone chan struct{}
 }
@@ -222,15 +225,15 @@ func (s *Store) path(prefix string, gen uint64) string {
 // AppendInsert journals a document entering the cache (or changing
 // version in place). O(record): one framed append, no filter walk.
 func (s *Store) AppendInsert(key string, size, version int64) error {
-	return s.append(journalRecord{Op: journalInsert, Key: key, Size: size, Version: version})
+	return s.append(record{Op: journalInsert, Entry: lru.Entry{Key: key, Size: size, Version: version}})
 }
 
 // AppendEvict journals a document leaving the cache.
 func (s *Store) AppendEvict(key string) error {
-	return s.append(journalRecord{Op: journalEvict, Key: key})
+	return s.append(record{Op: journalEvict, Entry: lru.Entry{Key: key}})
 }
 
-func (s *Store) append(rec journalRecord) error {
+func (s *Store) append(rec record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -240,7 +243,7 @@ func (s *Store) append(rec journalRecord) error {
 		s.journalErrors.Add(1)
 		return err
 	}
-	s.jbuf = appendJournalRecord(s.jbuf[:0], rec)
+	s.jbuf = appendRecord(s.jbuf[:0], rec)
 	n, err := s.jf.Write(s.jbuf)
 	if err != nil {
 		s.journalErrors.Add(1)
@@ -272,7 +275,7 @@ func (s *Store) ensureJournalLocked() error {
 		return fmt.Errorf("persist: stat journal: %w", err)
 	}
 	if st.Size() == 0 {
-		hdr := appendFrame(nil, journalHeader(s.gen))
+		hdr := appendFrame(nil, fileHeader(frameJournalHdr, s.gen))
 		if _, err := f.Write(hdr); err != nil {
 			_ = f.Close() // header write failed; report that error
 			return fmt.Errorf("persist: journal header: %w", err)
@@ -326,14 +329,6 @@ func (s *Store) Stats() Stats {
 		JournalFsyncs:  s.journalFsyncs.Load(),
 		JournalErrors:  s.journalErrors.Load(),
 	}
-}
-
-// Recovery returns the stats of the Recover call that opened this store
-// (zero value if Recover has not run).
-func (s *Store) Recovery() RecoveryStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recovered
 }
 
 // Close syncs and closes the journal. It does not checkpoint — callers

@@ -3,7 +3,6 @@ package persist
 import (
 	"errors"
 	"os"
-	"sort"
 
 	"summarycache/internal/lru"
 )
@@ -51,16 +50,8 @@ type Recovered struct {
 	// Entries is the reconciled cache content, most recently used first —
 	// feed it to lru.Cache.Restore.
 	Entries []lru.Entry
-	// Stats is the reconciliation accounting, also retained on the store
-	// (Store.Recovery).
+	// Stats is the reconciliation accounting.
 	Stats RecoveryStats
-}
-
-// restoredEntry tracks one key through replay with its recency sequence
-// (higher = more recent).
-type restoredEntry struct {
-	e   lru.Entry
-	seq int
 }
 
 // Recover loads the newest valid snapshot and replays every journal of
@@ -109,37 +100,76 @@ func (s *Store) Recover() (*Recovered, error) {
 	st.SnapshotGen = baseGen
 	st.SnapshotEntries = len(base.Entries)
 
-	// Seed the replay table from the snapshot: MRU-first file order gets
-	// descending sequence numbers, journal activity appends above them.
-	entries := make(map[string]*restoredEntry, len(base.Entries))
-	order := make([]*restoredEntry, 0, len(base.Entries))
-	seq := 0
-	for i := len(base.Entries) - 1; i >= 0; i-- { // LRU first: lowest seq
-		seq++
-		re := &restoredEntry{e: base.Entries[i], seq: seq}
-		entries[re.e.Key] = re
-		order = append(order, re)
+	// One replay state for the snapshot and the journals. slots holds
+	// every entry in the order it was last used, least recent first; at
+	// points at each live key's latest slot, so a key's older slots, and
+	// those of a key evicted or dropped since, are not emitted.
+	slots := make([]lru.Entry, 0, len(base.Entries))
+	at := make(map[string]int, len(base.Entries))
+	put := func(e lru.Entry) {
+		at[e.Key] = len(slots)
+		slots = append(slots, e)
+	}
+	for i := len(base.Entries) - 1; i >= 0; i-- { // least recently used first
+		put(base.Entries[i])
+	}
+	apply := func(r record) {
+		st.JournalRecords++
+		j, live := at[r.Key]
+		switch {
+		case r.Op == journalEvict && live:
+			st.ReplayedEvicts++
+			delete(at, r.Key)
+		case r.Op == journalEvict:
+			// The overlap window can record an eviction twice.
+			st.DoubleEvicts++
+		case !live:
+			// Inserted after the snapshot was captured, or re-inserted
+			// after an eviction: no body anywhere on disk. Not restored,
+			// not claimed — a safe under-claim the next real fetch repairs.
+			st.LostInserts++
+		case slots[j].Version == r.Version:
+			// The overlap window's confirmation: the snapshot body is this
+			// version; only its recency is refreshed.
+			put(slots[j])
+		default:
+			// The document changed version after the snapshot; its
+			// persisted body is stale. Drop it for refetch.
+			st.StaleVersions++
+			delete(at, r.Key)
+		}
 	}
 	for _, gen := range jrnls {
 		if gen < baseGen {
 			continue
 		}
-		s.replayJournal(gen, entries, &seq, st)
+		img, err := os.ReadFile(s.path(jrnlPrefix, gen))
+		if err != nil {
+			s.log.Warn("journal unreadable", "gen", gen, "err", err)
+			continue
+		}
+		// A torn or corrupt frame ends the journal: the records before it
+		// are kept.
+		if _, err := readFile(img, frameJournalHdr, gen, apply); errors.Is(err, errBadHeader) {
+			s.log.Warn("journal header invalid", "gen", gen, "err", err)
+		} else if err != nil {
+			st.TornTail = true
+		}
 	}
 
-	// Materialize MRU-first, skipping tombstoned keys.
-	sort.Slice(order, func(i, j int) bool { return order[i].seq > order[j].seq })
-	for _, re := range order {
-		if entries[re.e.Key] != re {
-			continue // evicted, superseded, or re-inserted under a newer seq
+	// Emit most recently used first.
+	if len(at) > 0 {
+		out.Entries = make([]lru.Entry, 0, len(at))
+	}
+	for i := len(slots) - 1; i >= 0; i-- {
+		if j, ok := at[slots[i].Key]; ok && j == i {
+			out.Entries = append(out.Entries, slots[i])
 		}
-		out.Entries = append(out.Entries, re.e)
 	}
 	st.Entries = len(out.Entries)
 	if st.JournalRecords > 0 {
 		st.Recovered = true
 	}
-	s.recovered = *st
 	if st.Recovered {
 		s.log.Info("recovered persisted state",
 			"snapshot_gen", baseGen, "snapshot_entries", st.SnapshotEntries,
@@ -148,81 +178,4 @@ func (s *Store) Recover() (*Recovered, error) {
 			"torn_tail", st.TornTail)
 	}
 	return out, nil
-}
-
-// replayJournal folds one journal generation into the replay table,
-// stopping at the first torn or corrupt frame.
-func (s *Store) replayJournal(gen uint64, entries map[string]*restoredEntry, seq *int, st *RecoveryStats) {
-	img, err := os.ReadFile(s.path(jrnlPrefix, gen))
-	if err != nil {
-		s.log.Warn("journal unreadable", "gen", gen, "err", err)
-		return
-	}
-	torn, herr := decodeJournal(img, func(rec journalRecord) {
-		st.JournalRecords++
-		switch rec.Op {
-		case journalInsert:
-			*seq++
-			if re, ok := entries[rec.Key]; ok {
-				if re.e.Version == rec.Version {
-					// Overlap-window confirmation (or a re-insert after an
-					// eviction also in this journal): the snapshot body is
-					// this version; just refresh recency.
-					re.seq = *seq
-					return
-				}
-				// The document changed version after the snapshot; its
-				// persisted body is stale. Drop it for refetch.
-				st.StaleVersions++
-				delete(entries, rec.Key)
-				return
-			}
-			// Inserted after the snapshot was captured: no body anywhere on
-			// disk. Not restored, not claimed — a safe under-claim the next
-			// real fetch repairs.
-			st.LostInserts++
-		case journalEvict:
-			if _, ok := entries[rec.Key]; ok {
-				delete(entries, rec.Key)
-				st.ReplayedEvicts++
-			} else {
-				st.DoubleEvicts++
-			}
-		}
-	})
-	if herr != nil {
-		s.log.Warn("journal header invalid", "gen", gen, "err", herr)
-	}
-	if torn {
-		st.TornTail = true
-	}
-}
-
-// decodeJournal walks a journal file image — its header frame, then one
-// record per frame — calling fn for each record. It stops at the clean
-// end or at the first torn or corrupt frame (torn = true: the valid
-// prefix has been delivered). An invalid header frame delivers nothing
-// and is returned as err.
-func decodeJournal(img []byte, fn func(journalRecord)) (torn bool, err error) {
-	payload, rest, ferr := nextFrame(img)
-	if ferr != nil || payload == nil {
-		return ferr != nil, nil
-	}
-	if _, err := parseHeader(payload, frameJournalHdr, jrnlMagic); err != nil {
-		return false, err
-	}
-	for {
-		payload, rest, ferr = nextFrame(rest)
-		if ferr != nil {
-			return true, nil
-		}
-		if payload == nil {
-			return false, nil
-		}
-		rec, derr := decodeJournalRecord(payload)
-		if derr != nil {
-			return true, nil
-		}
-		fn(rec)
-	}
 }

@@ -1,108 +1,10 @@
 package persist
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
-
-	"summarycache/internal/lru"
 )
-
-// Snapshot frame kinds: the first byte of every frame payload in a
-// snap-<gen> file. A journal file instead opens with frameJournalHdr and
-// then carries raw journalRecord frames (whose first byte is the
-// record op, disjoint from these).
-const (
-	frameSnapHdr    byte = 'H' // magic + generation
-	frameEntry      byte = 'E' // one LRU entry, MRU→LRU file order
-	frameDirectory  byte = 'D' // counting-filter state, written by older versions
-	frameReplica    byte = 'R' // one peer replica, written by older versions
-	frameEnd        byte = 'Z' // commit marker: absent ⇒ torn snapshot
-	frameJournalHdr byte = 'J' // journal magic + generation
-)
-
-// snapMagic/jrnlMagic brand the header frames (and version the format).
-const (
-	snapMagic = "scSNAP1"
-	jrnlMagic = "scJRNL1"
-)
-
-func snapHeader(gen uint64) []byte {
-	b := append([]byte{frameSnapHdr}, snapMagic...)
-	return binary.AppendUvarint(b, gen)
-}
-
-func journalHeader(gen uint64) []byte {
-	b := append([]byte{frameJournalHdr}, jrnlMagic...)
-	return binary.AppendUvarint(b, gen)
-}
-
-// parseHeader validates a header frame of the given kind and returns its
-// generation.
-func parseHeader(payload []byte, kind byte, magic string) (uint64, error) {
-	if len(payload) < 1+len(magic) || payload[0] != kind || string(payload[1:1+len(magic)]) != magic {
-		return 0, fmt.Errorf("persist: bad header frame")
-	}
-	gen, n := binary.Uvarint(payload[1+len(magic):])
-	if n <= 0 {
-		return 0, fmt.Errorf("persist: bad header generation")
-	}
-	return gen, nil
-}
-
-// appendEntryFrame serializes one cache entry:
-// 'E' uvarint keylen, key, varint size, varint version, uvarint bodylen, body.
-func appendEntryFrame(dst []byte, e lru.Entry) []byte {
-	payload := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(e.Key)+len(e.Body)+16)
-	payload = append(payload, frameEntry)
-	payload = binary.AppendUvarint(payload, uint64(len(e.Key)))
-	payload = append(payload, e.Key...)
-	payload = binary.AppendVarint(payload, e.Size)
-	payload = binary.AppendVarint(payload, e.Version)
-	payload = binary.AppendUvarint(payload, uint64(len(e.Body)))
-	payload = append(payload, e.Body...)
-	return appendFrame(dst, payload)
-}
-
-// decodeEntryFrame parses an 'E' frame's payload, kind byte included.
-func decodeEntryFrame(payload []byte) (lru.Entry, error) {
-	var e lru.Entry
-	key, rest, ok := takeString(payload[1:])
-	if !ok {
-		return e, fmt.Errorf("persist: entry key")
-	}
-	e.Key = key
-	if e.Size, rest, ok = takeVarint(rest); !ok {
-		return e, fmt.Errorf("persist: entry size")
-	}
-	if e.Version, rest, ok = takeVarint(rest); !ok {
-		return e, fmt.Errorf("persist: entry version")
-	}
-	blen, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest)-n) < blen {
-		return e, fmt.Errorf("persist: entry body")
-	}
-	if blen > 0 {
-		e.Body = append([]byte(nil), rest[n:n+int(blen)]...)
-	}
-	return e, nil
-}
-
-func takeString(b []byte) (s string, rest []byte, ok bool) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < l {
-		return "", b, false
-	}
-	return string(b[n : n+int(l)]), b[n+int(l):], true
-}
-
-func takeVarint(b []byte) (v int64, rest []byte, ok bool) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, b, false
-	}
-	return v, b[n:], true
-}
 
 // encodeSnapshot renders a complete snapshot file image for gen.
 func encodeSnapshot(gen uint64, data SnapshotData) []byte {
@@ -111,58 +13,27 @@ func encodeSnapshot(gen uint64, data SnapshotData) []byte {
 		size += len(data.Entries[i].Key) + len(data.Entries[i].Body) + 32
 	}
 	out := make([]byte, 0, size)
-	out = appendFrame(out, snapHeader(gen))
+	out = appendFrame(out, fileHeader(frameSnapHdr, gen))
 	for _, e := range data.Entries {
-		out = appendEntryFrame(out, e)
+		out = appendRecord(out, record{Op: frameEntry, Entry: e})
 	}
 	out = appendFrame(out, []byte{frameEnd})
 	return out
 }
 
 // decodeSnapshot parses and validates a snapshot file image end-to-end.
-// Any framing violation, wrong generation, or missing end frame makes
-// the whole snapshot invalid — recovery then falls back one generation,
-// whose journal chain still reaches the present.
-func decodeSnapshot(img []byte, wantGen uint64) (SnapshotData, error) {
+// Any framing violation, wrong header, or missing end frame makes the
+// whole snapshot invalid — recovery then falls back one generation, whose
+// journal chain still reaches the present.
+func decodeSnapshot(img []byte, gen uint64) (SnapshotData, error) {
 	var data SnapshotData
-	payload, rest, err := nextFrame(img)
-	if err != nil || payload == nil {
-		return data, fmt.Errorf("persist: snapshot header: %v", err)
+	sealed, err := readFile(img, frameSnapHdr, gen, func(r record) {
+		data.Entries = append(data.Entries, r.Entry)
+	})
+	if err == nil && !sealed {
+		err = errors.New("persist: snapshot missing end frame (torn write)")
 	}
-	gen, err := parseHeader(payload, frameSnapHdr, snapMagic)
-	if err != nil {
-		return data, err
-	}
-	if gen != wantGen {
-		return data, fmt.Errorf("persist: snapshot generation %d, file named %d", gen, wantGen)
-	}
-	sealed := false
-	for !sealed {
-		payload, rest, err = nextFrame(rest)
-		if err != nil {
-			return data, fmt.Errorf("persist: snapshot frame: %w", err)
-		}
-		if payload == nil {
-			return data, fmt.Errorf("persist: snapshot missing end frame (torn write)")
-		}
-		switch payload[0] {
-		case frameEntry:
-			e, err := decodeEntryFrame(payload)
-			if err != nil {
-				return data, err
-			}
-			data.Entries = append(data.Entries, e)
-		case frameDirectory, frameReplica:
-			// Older snapshots saved the directory and the peer replicas. The
-			// directory is rebuilt from the entries, and each replica comes
-			// from its peer.
-		case frameEnd:
-			sealed = true
-		default:
-			return data, fmt.Errorf("persist: unknown snapshot frame kind %d", payload[0])
-		}
-	}
-	return data, nil
+	return data, err
 }
 
 // Checkpoint writes a new snapshot generation from data, which the caller
