@@ -13,6 +13,7 @@
 package bloom
 
 import (
+	"crypto/md5"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -120,13 +121,21 @@ func (f *Filter) Test(key string) bool {
 }
 
 // Indexes appends the k probe positions for key under this filter's
-// geometry (its hash family reduced modulo its size) to dst and returns the
-// extended slice; with room in dst it allocates nothing. Every filter of the
-// same size and spec yields the same positions, so a caller probing many
-// replicas for one URL derives them once (TestIndexes). The audited lookup
-// path records them so a false hit can name the exact bits that lied.
+// geometry to dst and returns the extended slice: IndexesSig of key's
+// signature.
 func (f *Filter) Indexes(dst []uint64, key string) []uint64 {
-	dst, _ = f.family.Indexes(dst, key, f.m) // cannot fail: f.m > 0
+	return f.IndexesSig(dst, key, hashing.Signature(key))
+}
+
+// IndexesSig appends the k probe positions for key, whose signature is sig,
+// under this filter's geometry (its hash family reduced modulo its size) to
+// dst and returns the extended slice; with room in dst it allocates
+// nothing. A caller probing many replicas for one URL hashes it once and
+// derives each replica's positions from the signature (TestIndexes). The
+// audited lookup path records them so a false hit can name the exact bits
+// that lied.
+func (f *Filter) IndexesSig(dst []uint64, key string, sig [md5.Size]byte) []uint64 {
+	dst, _ = f.family.IndexesSig(dst, key, sig, f.m) // cannot fail: f.m > 0
 	return dst
 }
 

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"crypto/md5"
 	"errors"
 	"fmt"
 	"sync"
@@ -168,18 +169,17 @@ func (c *CountingFilter) flipLocked(flips []Flip, fl Flip) []Flip {
 	return append(flips, fl)
 }
 
-// indexes appends key's k counter positions to dst.
-func (c *CountingFilter) indexes(dst []uint64, key string) []uint64 {
-	dst, _ = c.family.Indexes(dst, key, c.m) // cannot fail: c.m > 0
-	return dst
+// Add inserts key, incrementing its k counters: AddSig of key's signature.
+func (c *CountingFilter) Add(key string, flips []Flip) []Flip {
+	return c.AddSig(key, hashing.Signature(key), flips)
 }
 
-// Add inserts key, incrementing its k counters. Bit transitions 0→1 are
-// appended to flips, which is returned (append semantics: pass a buffer
-// with room for k flips to avoid allocation).
-func (c *CountingFilter) Add(key string, flips []Flip) []Flip {
+// AddSig inserts key, whose signature is sig, incrementing its k counters.
+// Bit transitions 0→1 are appended to flips, which is returned (append
+// semantics: pass a buffer with room for k flips to avoid allocation).
+func (c *CountingFilter) AddSig(key string, sig [md5.Size]byte, flips []Flip) []Flip {
 	var buf [stackK]uint64
-	idx := c.indexes(buf[:0], key)
+	idx, _ := c.family.IndexesSig(buf[:0], key, sig, c.m) // cannot fail: c.m > 0
 	c.mu.Lock()
 	for _, i := range idx {
 		switch v := c.get(i); {
@@ -198,13 +198,19 @@ func (c *CountingFilter) Add(key string, flips []Flip) []Flip {
 	return flips
 }
 
-// Remove deletes key, decrementing its k counters. Bit transitions 1→0 are
-// appended to flips. Removing a key that was never added corrupts the
-// filter, exactly as with any counting Bloom filter; callers (the cache)
-// guarantee delete-after-insert discipline.
+// Remove deletes key, decrementing its k counters: RemoveSig of key's
+// signature.
 func (c *CountingFilter) Remove(key string, flips []Flip) []Flip {
+	return c.RemoveSig(key, hashing.Signature(key), flips)
+}
+
+// RemoveSig deletes key, whose signature is sig, decrementing its k
+// counters. Bit transitions 1→0 are appended to flips. Removing a key that
+// was never added corrupts the filter, exactly as with any counting Bloom
+// filter; callers (the cache) guarantee delete-after-insert discipline.
+func (c *CountingFilter) RemoveSig(key string, sig [md5.Size]byte, flips []Flip) []Flip {
 	var buf [stackK]uint64
-	idx := c.indexes(buf[:0], key)
+	idx, _ := c.family.IndexesSig(buf[:0], key, sig, c.m) // cannot fail: c.m > 0
 	c.mu.Lock()
 	for _, i := range idx {
 		switch v := c.get(i); {
@@ -234,7 +240,8 @@ func (c *CountingFilter) Remove(key string, flips []Flip) []Flip {
 // Lock-free: k atomic loads.
 func (c *CountingFilter) Test(key string) bool {
 	var buf [stackK]uint64
-	for _, i := range c.indexes(buf[:0], key) {
+	idx, _ := c.family.Indexes(buf[:0], key, c.m) // cannot fail: c.m > 0
+	for _, i := range idx {
 		if c.get(i) == 0 {
 			return false
 		}

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"crypto/md5"
 	"fmt"
 	"sync/atomic"
 
@@ -108,17 +109,27 @@ func (d *Directory) Docs() int { return int(d.counting.Entries()) }
 // counting filter's journal keeps its own copy, so these are dropped.
 type flipScratch [16]Flip
 
-// Insert records a document entering the cache.
-func (d *Directory) Insert(url string) {
+// Insert records a document entering the cache: InsertSig of url's
+// signature.
+func (d *Directory) Insert(url string) { d.InsertSig(url, hashing.Signature(url)) }
+
+// InsertSig records a document entering the cache, given sig, its URL's
+// signature (hashing.Signature).
+func (d *Directory) InsertSig(url string, sig [md5.Size]byte) {
 	var flips flipScratch
-	d.counting.Add(url, flips[:0])
+	d.counting.AddSig(url, sig, flips[:0])
 	d.newDocs.Add(1)
 }
 
-// Remove records a document leaving the cache.
-func (d *Directory) Remove(url string) {
+// Remove records a document leaving the cache: RemoveSig of url's
+// signature.
+func (d *Directory) Remove(url string) { d.RemoveSig(url, hashing.Signature(url)) }
+
+// RemoveSig records a document leaving the cache, given sig, its URL's
+// signature.
+func (d *Directory) RemoveSig(url string, sig [md5.Size]byte) {
 	var flips flipScratch
-	d.counting.Remove(url, flips[:0])
+	d.counting.RemoveSig(url, sig, flips[:0])
 }
 
 // ShouldPublish reports whether the pending flips are due to peers under

@@ -1,6 +1,7 @@
 package bloom
 
 import (
+	"crypto/md5"
 	"fmt"
 	"testing"
 
@@ -177,9 +178,9 @@ func TestDirectoryEqual(t *testing.T) {
 		t.Fatal("same documents, unequal")
 	}
 	// One counter apart: the same bits and the same document count.
-	i := b.counting.indexes(nil, "http://x/")[0]
+	idx, _ := b.counting.family.Indexes(nil, "http://x/", b.counting.m)
 	b.counting.mu.Lock()
-	b.counting.setLocked(i, 2)
+	b.counting.setLocked(idx[0], 2)
 	b.counting.mu.Unlock()
 	if string(a.FilterSnapshot()) != string(b.FilterSnapshot()) || a.Docs() != b.Docs() {
 		t.Fatal("set-up: the bit arrays or document counts differ")
@@ -194,4 +195,51 @@ func TestDirectoryEqual(t *testing.T) {
 	if a.Equal(other) {
 		t.Fatal("different geometries compare equal")
 	}
+}
+
+// BenchmarkDirectoryInsertRemove times the directory's insert and removal
+// from a signature, as a proxy's change stream calls them: ns/op is one
+// InsertSig, or one RemoveSig, of a 4,096-document working set.
+func BenchmarkDirectoryInsertRemove(b *testing.B) {
+	const docs = 4096
+	d, err := NewDirectory(DirectoryConfig{ExpectedDocs: 1 << 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]string, docs)
+	sigs := make([][md5.Size]byte, docs)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("http://www.example.com/doc/%d.html", i)
+		sigs[i] = hashing.Signature(keys[i])
+	}
+	// reset empties the directory, filled with every document when full.
+	reset := func(b *testing.B, full bool) {
+		b.StopTimer()
+		d.counting.Reset()
+		for i := range keys {
+			if full {
+				d.InsertSig(keys[i], sigs[i])
+			}
+		}
+		d.Drain()
+		b.StartTimer()
+	}
+	b.Run("insert", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%docs == 0 {
+				reset(b, false)
+			}
+			d.InsertSig(keys[i%docs], sigs[i%docs])
+		}
+	})
+	b.Run("remove", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if i%docs == 0 {
+				reset(b, true)
+			}
+			d.RemoveSig(keys[i%docs], sigs[i%docs])
+		}
+	})
 }

@@ -2,11 +2,15 @@ package core
 
 import (
 	"context"
+	"crypto/md5"
+	"fmt"
+	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"summarycache/internal/bloom"
+	"summarycache/internal/hashing"
 	"summarycache/internal/icp"
 )
 
@@ -60,9 +64,9 @@ func TestLookupObjectAllocBudget(t *testing.T) {
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			ctx, id := context.Background(), holder.Addr().String()
+			ctx, id, sig := context.Background(), holder.Addr().String(), hashing.Signature(url)
 			lookup := func() {
-				res, err := asker.LookupObject(ctx, url)
+				res, err := asker.LookupObject(ctx, url, sig)
 				if err != nil || res.Reply.Op != icp.OpHitObj || res.PeerID != id {
 					t.Fatalf("resolution = %+v (%v), want a HIT_OBJ from the holder", res, err)
 				}
@@ -78,4 +82,54 @@ func TestLookupObjectAllocBudget(t *testing.T) {
 			}
 		})
 	}
+}
+
+// BenchmarkNodeCandidates times the candidate pass over four registered
+// replicas with each URL's signature given, as a lookup runs it, and
+// reports it per member (ns/member) beside filter-test: one
+// bloom.Filter.Test of the same URLs, which hashes each.
+func BenchmarkNodeCandidates(b *testing.B) {
+	const members, docs = 4, 1000
+	cfg := bloom.DirectoryConfig{ExpectedDocs: docs}
+	n, err := NewNode(NodeConfig{ListenAddr: "127.0.0.1:0", Directory: cfg, HasDocument: func(string) bool { return false }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { n.Close() })
+	for m := 0; m < members; m++ {
+		dir, err := bloom.NewDirectory(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < docs; i++ {
+			dir.Insert(fmt.Sprintf("http://peer%d.example.com/doc/%d.html", m, i))
+		}
+		addr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 1 + m}
+		if err := n.AddPeer(addr); err != nil {
+			b.Fatal(err)
+		}
+		u := &icp.DirUpdate{Spec: dir.Spec(), Bits: uint32(dir.Bits()), Flips: dir.SnapshotFlips()}
+		if err := n.applyUpdate(addr, u, icp.OptionFullUpdate); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Half the URLs are held by one member, half by none.
+	keys := make([]string, 1024)
+	sigs := make([][md5.Size]byte, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("http://peer%d.example.com/doc/%d.html", i%members, i%(2*docs))
+		sigs[i] = hashing.Signature(keys[i])
+	}
+	b.Run("candidates", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			n.candidates(keys[i&1023], sigs[i&1023])
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/members, "ns/member")
+	})
+	b.Run("filter-test", func(b *testing.B) {
+		f := n.members[0].rep.filter
+		for i := 0; i < b.N; i++ {
+			f.Test(keys[i&1023])
+		}
+	})
 }

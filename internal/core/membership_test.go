@@ -16,6 +16,7 @@ import (
 	"summarycache/internal/bloom"
 	"summarycache/internal/hashing"
 	"summarycache/internal/icp"
+	"summarycache/internal/lru"
 )
 
 // Registration is the gate for all summary traffic: a node learns summaries
@@ -180,7 +181,7 @@ func TestCandidatesInRegistrationOrder(t *testing.T) {
 					t.Fatalf("candidates = %v, want registration order %v", got, order)
 				}
 			}
-			res, err := asker.LookupObject(context.Background(), url)
+			res, err := asker.LookupObject(context.Background(), url, hashing.Signature(url))
 			if err != nil || res.Candidates != len(holders) || res.PeerID != order[0] || res.Reply.Op != icp.OpHitObj {
 				t.Fatalf("resolution = %+v (%v), want a HIT_OBJ from the first registered of %d", res, err, len(holders))
 			}
@@ -273,8 +274,12 @@ func TestRecoverRebuildsFromKeys(t *testing.T) {
 		return n
 	}
 	keys := []string{"http://saved/1", "http://saved/2", "http://saved/3"}
+	docs := make([]lru.Entry, len(keys))
+	for i, k := range keys {
+		docs[i] = lru.Entry{Key: k, Sig: hashing.Signature(k)}
+	}
 	a, b := node(), node()
-	a.Recover(keys)
+	a.Recover(docs)
 	rebuilt, err := bloom.NewDirectory(dirCfg)
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/md5"
 	"fmt"
 	"log/slog"
 	"net"
@@ -12,7 +13,9 @@ import (
 	"time"
 
 	"summarycache/internal/bloom"
+	"summarycache/internal/hashing"
 	"summarycache/internal/icp"
+	"summarycache/internal/lru"
 	"summarycache/internal/obs"
 	"summarycache/internal/tracing"
 )
@@ -588,21 +591,22 @@ func (n *Node) ResyncPeers() error {
 }
 
 // Recover installs a warm restart's state before the node's first lookup
-// and before its first AddPeer. The directory is rebuilt from keys, the
-// documents the cache readmitted, and its journal is drained. From then on
-// every AddPeer ships that state in one full update, an empty one included,
-// which resets the neighbor's replica of the previous run and asks for the
-// neighbor's own state: no replica survives a restart.
+// and before its first AddPeer. The directory is rebuilt from docs, the
+// documents the cache readmitted, each inserted under its Sig (the caller
+// hashed every restored key once), and its journal is drained. From then
+// on every AddPeer ships that state in one full update, an empty one
+// included, which resets the neighbor's replica of the previous run and
+// asks for the neighbor's own state: no replica survives a restart.
 // summarycache_node_recoveries_total counts the recovery. A query-all node
 // keeps no summary and only counts it.
-func (n *Node) Recover(keys []string) {
+func (n *Node) Recover(docs []lru.Entry) {
 	n.metrics.recoveries.Inc()
-	n.log.Info("node recovered from snapshot", "docs", len(keys))
+	n.log.Info("node recovered from snapshot", "docs", len(docs))
 	if n.cfg.QueryAll {
 		return
 	}
-	for _, key := range keys {
-		n.dir.Insert(key)
+	for _, e := range docs {
+		n.dir.InsertSig(e.Key, e.Sig)
 	}
 	n.dir.Drain()
 }
@@ -700,24 +704,32 @@ func (n *Node) registerPeerMetrics(p *peer) {
 		func() float64 { return p.decisions().Divergence() })
 }
 
-// HandleInsert records a document entering the local cache and wakes the
-// publisher if the update threshold trips. It never blocks: it runs inside
-// the cache's change hook, on every writer's path. A query-all node keeps
-// no summary to record it in.
-func (n *Node) HandleInsert(url string) {
+// HandleInsert is HandleInsertSig of url's signature.
+func (n *Node) HandleInsert(url string) { n.HandleInsertSig(url, hashing.Signature(url)) }
+
+// HandleEvict is HandleEvictSig of url's signature.
+func (n *Node) HandleEvict(url string) { n.HandleEvictSig(url, hashing.Signature(url)) }
+
+// HandleInsertSig records a document entering the local cache, given sig,
+// its URL's hashing.Signature, and wakes the publisher if the update
+// threshold trips. It never blocks: it runs inside the cache's change
+// hook, on every writer's path. A query-all node keeps no summary to
+// record it in.
+func (n *Node) HandleInsertSig(url string, sig [md5.Size]byte) {
 	if n.cfg.QueryAll {
 		return
 	}
-	n.dir.Insert(url)
+	n.dir.InsertSig(url, sig)
 	n.wakeIfReady()
 }
 
-// HandleEvict records a document leaving the local cache.
-func (n *Node) HandleEvict(url string) {
+// HandleEvictSig records a document leaving the local cache, given sig,
+// its URL's signature.
+func (n *Node) HandleEvictSig(url string, sig [md5.Size]byte) {
 	if n.cfg.QueryAll {
 		return
 	}
-	n.dir.Remove(url)
+	n.dir.RemoveSig(url, sig)
 	n.wakeIfReady()
 }
 
@@ -840,7 +852,7 @@ func (n *Node) serveResyncs() {
 // re-keys the trace to the exchange's shared ID so the answering proxies'
 // traces join it.
 func (n *Node) Lookup(ctx context.Context, url string) (hit *net.UDPAddr, candidates int, err error) {
-	r, err := n.lookup(ctx, url, 0)
+	r, err := n.lookup(ctx, url, hashing.Signature(url), 0)
 	return r.Peer, r.Candidates, err
 }
 
@@ -863,12 +875,14 @@ type Resolution struct {
 	FalseHit bool
 }
 
-// LookupObject is Lookup for a caller that can use the document itself:
-// the query to the first candidate carries icp.FlagHitObj, so if that peer
-// holds a small enough copy it answers with it inline (see
-// NodeConfig.ReadDocument and icp.Conn.QueryAllFunc).
-func (n *Node) LookupObject(ctx context.Context, url string) (Resolution, error) {
-	return n.lookup(ctx, url, icp.FlagHitObj)
+// LookupObject is Lookup for a caller that can use the document itself and
+// has already hashed its URL: sig is url's hashing.Signature, from which
+// every replica's probe indices are derived (a query-all node probes none
+// and ignores it). The query to the first candidate carries
+// icp.FlagHitObj, so if that peer holds a small enough copy it answers
+// with it inline (see NodeConfig.ReadDocument and icp.Conn.QueryAllFunc).
+func (n *Node) LookupObject(ctx context.Context, url string, sig [md5.Size]byte) (Resolution, error) {
+	return n.lookup(ctx, url, sig, icp.FlagHitObj)
 }
 
 // stackPeers is how many candidates a lookup keeps in stack arrays; a
@@ -877,25 +891,26 @@ const stackPeers = 16
 
 // lookup implements Lookup and LookupObject; options are the queries'.
 // One pass over the registered peers, in registration order, picks the ones
-// to query: every one under QueryAll, else each whose replica matches, which
-// is charged the nomination. The first picked is the one asked for the
+// to query: every one under QueryAll, else each whose replica matches at
+// the indices derived from sig, url's signature, which is charged the
+// nomination. The first picked is the one asked for the
 // object. A traced lookup records each replica's evidence in the same pass.
 // Every per-peer list — the records queried, their addresses, each one's
 // answer — is a slice of a stack array, so an untraced lookup allocates
 // nothing itself.
-func (n *Node) lookup(ctx context.Context, url string, options uint32) (Resolution, error) {
+func (n *Node) lookup(ctx context.Context, url string, sig [md5.Size]byte, options uint32) (Resolution, error) {
 	tr := tracing.FromContext(ctx)
 	var probes []SummaryProbe
 	var recBuf [stackPeers]*peer
 	var addrBuf [stackPeers]*net.UDPAddr
 	recs, addrs := recBuf[:0], addrBuf[:0] // addrs[i] is recs[i]'s address
-	var pr probe
+	var idxBuf [maxReplicaK]uint64
 	probeStart := time.Now()
 	n.mu.RLock()
 	for _, p := range n.members {
 		match := n.cfg.QueryAll
 		if r := &p.rep; !match && r.filter != nil {
-			idx := pr.indexes(r, url)
+			idx := r.filter.IndexesSig(idxBuf[:0], url, sig)
 			match = r.filter.TestIndexes(idx)
 			if tr != nil {
 				probes = append(probes, r.probe(p.id, slices.Clone(idx), match, probeStart))

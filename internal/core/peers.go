@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/md5"
 	"errors"
 	"fmt"
 	"math"
@@ -17,12 +18,13 @@ import (
 )
 
 // Bounds on the geometry a peer's summary may announce (see checkGeometry).
-// Every lookup probes every replica, hashing the URL once per function, and
-// one datagram sizes the replica's bit array, so an unbounded announcement
-// lets one peer slow every lookup or make this node allocate up to
-// bloom.MaxBits/8 bytes.
+// Every lookup probes every replica, deriving one index per function from
+// the URL's signature (and hashing the URL again for every 128 bits past
+// the first), and one datagram sizes the replica's bit array, so an
+// unbounded announcement lets one peer slow every lookup or make this node
+// allocate up to bloom.MaxBits/8 bytes.
 const (
-	maxReplicaK  = 16 // hash functions: the probe memo's size; §V-E recommends 4
+	maxReplicaK  = 16 // hash functions: the lookup's stack index buffer; §V-E recommends 4
 	maxBitsRatio = 16 // a member's bit array against the local directory's, both ways
 )
 
@@ -141,32 +143,6 @@ func (r *replica) health(row *PeerReport) {
 	row.FullUpdates, row.DeltaUpdates, row.BytesIn = r.full, r.delta, r.bytesIn
 }
 
-// probe derives a URL's probe indices once for the first replica geometry
-// (size and spec) it meets and reuses them for every replica of that
-// geometry — every replica, once the mesh agrees on (m, k). A replica of
-// any other geometry is hashed on its own.
-type probe struct {
-	bits uint64
-	spec hashing.Spec
-	n    int // indices memoized in buf; 0 until the first replica
-	buf  [maxReplicaK]uint64
-}
-
-// indexes returns url's probe indices under r's geometry. The slice may be
-// shared by every replica of the memoized geometry; callers must not modify
-// it.
-func (p *probe) indexes(r *replica, url string) []uint64 {
-	f := r.filter
-	if p.n == 0 {
-		p.bits, p.spec = f.Size(), f.Spec()
-		p.n = len(f.Indexes(p.buf[:0], url))
-	}
-	if p.bits == f.Size() && p.spec == f.Spec() {
-		return p.buf[:p.n]
-	}
-	return f.Indexes(nil, url)
-}
-
 // SummaryProbe is the audited result of consulting one peer summary for
 // one URL: the full evidence behind the nominate/skip decision, recorded
 // in a trace's summary-probe span.
@@ -225,12 +201,12 @@ func (pt *PeerTable) Candidates(url string) []string {
 // ProbeAll consults every peer summary for url and returns the full audit:
 // one SummaryProbe per peer, sorted, matching and non-matching alike.
 func (pt *PeerTable) ProbeAll(url string) []SummaryProbe {
-	var p probe
+	sig := hashing.Signature(url)
 	now := time.Now()
 	pt.mu.RLock()
 	out := make([]SummaryProbe, 0, len(pt.reps))
 	for id, r := range pt.reps {
-		idx := p.indexes(&r, url)
+		idx := r.filter.IndexesSig(nil, url, sig)
 		out = append(out, r.probe(id, idx, r.filter.TestIndexes(idx), now))
 	}
 	pt.mu.RUnlock()
@@ -263,13 +239,16 @@ func (n *Node) PeerSummaries() *PeerTable {
 
 // Candidates returns the registered peers whose replicas indicate url may
 // be cached there, in registration order: the peers a lookup would query.
-func (n *Node) Candidates(url string) []string {
-	var p probe
+func (n *Node) Candidates(url string) []string { return n.candidates(url, hashing.Signature(url)) }
+
+// candidates is Candidates given sig, url's signature.
+func (n *Node) candidates(url string, sig [md5.Size]byte) []string {
+	var buf [maxReplicaK]uint64
 	var out []string
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	for _, m := range n.members {
-		if r := &m.rep; r.filter != nil && r.filter.TestIndexes(p.indexes(r, url)) {
+		if r := &m.rep; r.filter != nil && r.filter.TestIndexes(r.filter.IndexesSig(buf[:0], url, sig)) {
 			out = append(out, m.id)
 		}
 	}

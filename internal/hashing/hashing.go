@@ -8,6 +8,12 @@
 // hash family needs more than 128 bits, further bits are produced by hashing
 // the key concatenated with itself (MD5(key||key), MD5(key||key||key), ...).
 //
+// The signature is the one input every filter shares, so it is computed
+// once per key (Signature) and passed on: IndexesSig, the one index
+// derivation, takes it and reads the key itself only for the digest
+// rounds past the first 128 bits. The key-taking forms (Indexes,
+// IndexesInto) hash the key and delegate to it.
+//
 // The family is fully described by two small integers — the number of
 // functions and the bits consumed per function — which is exactly what the
 // ICP_OP_DIRUPDATE header carries on the wire, so a receiver can verify it
@@ -99,46 +105,44 @@ func MustNew(spec Spec) *Family {
 func (f *Family) Spec() Spec { return f.spec }
 
 // Indexes appends the FunctionNum table indices for key, each in [0, m), to
-// dst and returns the extended slice. It is the probe/insert primitive used
-// by the Bloom filter layer: with room for FunctionNum more entries in dst,
-// it allocates nothing for any key stackKeyLen covers.
+// dst and returns the extended slice: IndexesSig of key's Signature.
 func (f *Family) Indexes(dst []uint64, key string, m uint64) ([]uint64, error) {
-	if m == 0 {
-		return dst, ErrZeroModulus
-	}
-	n := len(dst)
-	dst = slices.Grow(dst, f.spec.FunctionNum)[:n+f.spec.FunctionNum]
-	f.fill(dst[n:], key, m)
-	return dst, nil
+	return f.IndexesSig(dst, key, Signature(key), m)
 }
 
 // IndexesInto fills dst (which must have length ≥ FunctionNum) with the
 // indices for key and returns the number written. Like Indexes it allocates
 // nothing for any key stackKeyLen covers.
 func (f *Family) IndexesInto(dst []uint64, key string, m uint64) (int, error) {
-	if m == 0 {
-		return 0, ErrZeroModulus
-	}
 	if len(dst) < f.spec.FunctionNum {
 		return 0, fmt.Errorf("hashing: dst too short: %d < %d", len(dst), f.spec.FunctionNum)
 	}
-	f.fill(dst[:f.spec.FunctionNum], key, m)
-	return f.spec.FunctionNum, nil
+	out, err := f.IndexesSig(dst[:0], key, Signature(key), m)
+	return len(out), err
 }
 
-// fill writes one index per element of dst. Group i is the FunctionBits
-// bits starting at bit pos of the current digest, most significant first,
-// matching the paper's "taking bits 0 to b-1, b to 2b-1, etc. out of the MD5
-// signature". The digest is held as two big-endian words, so any group of
-// up to 64 bits is one or two shifts away. A group that would straddle a
-// digest boundary (128 % FunctionBits != 0) is drawn entirely from the next
-// digest, MD5 of the key repeated once more, keeping the wire-specified
-// layout unambiguous.
-func (f *Family) fill(dst []uint64, key string, m uint64) {
+// IndexesSig appends the FunctionNum table indices for key, each in [0, m),
+// to dst and returns the extended slice, given sig, key's Signature. It is
+// the probe/insert primitive used by the Bloom filter layer. Group i is the
+// FunctionBits bits starting at bit pos of the current digest, most
+// significant first, matching the paper's "taking bits 0 to b-1, b to 2b-1,
+// etc. out of the MD5 signature". The digest is held as two big-endian
+// words, so any group of up to 64 bits is one or two shifts away. A group
+// that would straddle a digest boundary (128 % FunctionBits != 0) is drawn
+// entirely from the next digest, MD5 of the key repeated once more, keeping
+// the wire-specified layout unambiguous. The first digest is sig, so key is
+// read only by a family of more than 128 bits. With room for FunctionNum
+// more entries in dst it allocates nothing for any key stackKeyLen covers.
+func (f *Family) IndexesSig(dst []uint64, key string, sig [md5.Size]byte, m uint64) ([]uint64, error) {
+	if m == 0 {
+		return dst, ErrZeroModulus
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, f.spec.FunctionNum)[:n+f.spec.FunctionNum]
 	b := uint(f.spec.FunctionBits)
-	var hi, lo uint64
-	pos, round := uint(128), 0
-	for i := range dst {
+	hi, lo := binary.BigEndian.Uint64(sig[:8]), binary.BigEndian.Uint64(sig[8:])
+	pos, round := uint(0), 1
+	for i := n; i < len(dst); i++ {
 		if pos+b > 128 {
 			round++
 			sum := digest(key, round)
@@ -154,6 +158,7 @@ func (f *Family) fill(dst []uint64, key string, m uint64) {
 		dst[i] = (w >> (64 - b)) % m
 		pos += b
 	}
+	return dst, nil
 }
 
 // stackKeyLen is the longest MD5 input hashed from a stack buffer: a digest
@@ -177,7 +182,8 @@ func digest(key string, round int) [md5.Size]byte {
 	return md5.Sum(buf[:n])
 }
 
-// Signature returns the first-round 128-bit MD5 signature of key. Exposed
-// for the exact-directory summary representation, which stores 16-byte MD5
-// digests of URLs (paper §V-B).
+// Signature returns the 128-bit MD5 signature of key, the first digest
+// round of every family: the value IndexesSig takes. A proxy computes it
+// once per local miss and carries it on the cache entry to the directory's
+// insert and removal.
 func Signature(key string) [md5.Size]byte { return digest(key, 1) }

@@ -1,8 +1,11 @@
 package httpproxy
 
 import (
+	"bytes"
 	"fmt"
+	"net/url"
 	"testing"
+	"time"
 
 	"summarycache/internal/bloom"
 	"summarycache/internal/persist"
@@ -34,7 +37,8 @@ func TestStoreAllocBudget(t *testing.T) {
 	}
 	next := 0
 	store := func() {
-		p.storeBody(nil, keys[next%len(keys)], 1, body)
+		key := keys[next%len(keys)]
+		p.storeBody(nil, key, p.signature(key), 1, body)
 		next++
 	}
 	for range keys {
@@ -48,5 +52,55 @@ func TestStoreAllocBudget(t *testing.T) {
 	}
 	if got := p.cache.Counters().EvictedCapacity - evicted; got != 201 {
 		t.Fatalf("%d evictions in 201 stores: the cache was not full", got)
+	}
+}
+
+// TestRemoteHitAllocBudget pins what one 1 KiB inline remote hit costs two
+// SC-ICP proxies under single-copy sharing, driven by a client that
+// allocates nothing (rawClient). AllocsPerRun counts every goroutine, so
+// both proxies' read loops are in the count; no insert happens on either
+// side, so neither publisher wakes. Left per remote hit, three
+// allocations:
+//   - the asker's target, read from the url parameter;
+//   - the holder's query URL, decoded from the datagram, which its handler
+//     keeps;
+//   - the asker's copy of the object carried by the HIT_OBJ reply.
+//
+// The target is in plainTarget's subset, so the asker builds no *url.URL,
+// and its signature is computed on the stack.
+func TestRemoteHitAllocBudget(t *testing.T) {
+	start := func() *Proxy {
+		p, err := Start(Config{
+			Mode:         ModeSCICP,
+			CacheBytes:   1 << 20,
+			SingleCopy:   true,
+			Summary:      bloom.DirectoryConfig{ExpectedDocs: 1000, MinPending: 1},
+			QueryTimeout: 2 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+	asker, holder := start(), start()
+	if err := asker.AddPeer(holder.ICPAddr(), holder.URL()); err != nil {
+		t.Fatal(err)
+	}
+	if err := holder.AddPeer(asker.ICPAddr(), asker.URL()); err != nil {
+		t.Fatal(err)
+	}
+	const target = "http://origin.invalid/doc?size=1024"
+	doc := bytes.Repeat([]byte("d"), 1<<10)
+	holder.storeBody(nil, target, holder.signature(target), 0, doc)
+	holder.FlushSummary()
+	waitForCandidate(t, asker, target)
+	get := rawClient(t, asker, url.QueryEscape(target), doc)
+	const budget = 3
+	if got := testing.AllocsPerRun(200, func() { get() }); got != budget {
+		t.Fatalf("a remote hit allocated %v times in the proxies, want %d", got, budget)
+	}
+	if st := asker.Stats(); st.RemoteHits != 202 || st.PeerFetches != 0 || st.OriginFetches != 0 || asker.CacheLen() != 0 {
+		t.Fatalf("asker stats = %+v, %d cached, want 202 inline remote hits and nothing cached", st, asker.CacheLen())
 	}
 }

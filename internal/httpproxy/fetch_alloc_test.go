@@ -15,8 +15,9 @@ import (
 // here is a raw-TCP responder that allocates nothing: it reads each
 // request into a fixed buffer and writes one prebuilt response. The count
 // is the fetcher's alone: the body. The target is parsed once, before the
-// fetch, as serveProxyClassified's validity check parses it, and the
-// response head is parsed in place, into no header map.
+// measured fetches (fetchOrigin parses a target it is not handed only when
+// the origin is asked), and the response head is parsed in place, into no
+// header map.
 func TestOriginFetchAllocBudget(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -53,13 +53,17 @@ func (p *Proxy) startPersistence(reg *obs.Registry, labels obs.Labels) error {
 }
 
 // installRecovered loads recovered state into the live structures:
-// documents into the cache, then the directory rebuilt from the documents
-// the cache readmitted. No peer replica is restored: AddPeer asks each
-// neighbor for its full state.
+// documents into the cache, each with its signature recomputed from its
+// key (no signature is persisted), then the directory rebuilt from the
+// documents the cache readmitted. No peer replica is restored: AddPeer
+// asks each neighbor for its full state.
 func (p *Proxy) installRecovered(rec *persist.Recovered) {
+	for i := range rec.Entries {
+		rec.Entries[i].Sig = p.signature(rec.Entries[i].Key)
+	}
 	p.restored, _ = p.cache.Restore(rec.Entries)
 	if p.node != nil {
-		p.node.Recover(p.cache.Keys())
+		p.node.Recover(p.cache.Entries())
 	}
 }
 

@@ -10,6 +10,7 @@ package httpproxy
 import (
 	"bytes"
 	"context"
+	"crypto/md5"
 	"errors"
 	"fmt"
 	"io"
@@ -26,6 +27,7 @@ import (
 	"summarycache/internal/bloom"
 	"summarycache/internal/core"
 	"summarycache/internal/faultnet"
+	"summarycache/internal/hashing"
 	"summarycache/internal/icp"
 	"summarycache/internal/lru"
 	"summarycache/internal/obs"
@@ -336,7 +338,7 @@ type Proxy struct {
 	node *core.Node
 
 	sibMu    sync.RWMutex
-	siblings map[string]string // HTTP base URL by ICP address string
+	siblings map[string]*url.URL // cache-only URL, query "url=", by ICP address string
 
 	// Resolved resilience knobs (Config defaults applied once at Start).
 	fetchTimeout time.Duration // 0: unbounded
@@ -415,7 +417,7 @@ func Start(cfg Config) (*Proxy, error) {
 	}
 	p := &Proxy{
 		cfg:               cfg,
-		siblings:          make(map[string]string),
+		siblings:          make(map[string]*url.URL),
 		fetchTimeout:      resolveDuration(cfg.FetchTimeout, DefaultFetchTimeout),
 		fetchRetries:      resolveCount(cfg.FetchRetries, DefaultFetchRetries),
 		fetchBackoff:      resolveDuration(cfg.FetchBackoff, DefaultFetchBackoff),
@@ -609,16 +611,22 @@ func (p *Proxy) ICPAddr() *net.UDPAddr {
 // Mode returns the cooperation mode.
 func (p *Proxy) Mode() Mode { return p.cfg.Mode }
 
-// AddPeer registers a sibling by its ICP endpoint and HTTP base URL.
-// Re-adding a known ICP endpoint updates its HTTP URL in place.
+// AddPeer registers a sibling by its ICP endpoint and HTTP base URL, which
+// must parse: it is parsed here, once, as the sibling's cache-only URL
+// every fetch from it copies. Re-adding a known ICP endpoint updates its
+// HTTP URL in place.
 func (p *Proxy) AddPeer(icpAddr *net.UDPAddr, httpURL string) error {
 	if p.node == nil {
 		return errors.New("httpproxy: ModeNone proxies have no peers")
 	}
+	cacheOnly, err := url.Parse(httpURL + CacheOnlyPath + "?url=")
+	if err != nil {
+		return fmt.Errorf("httpproxy: peer HTTP URL: %w", err)
+	}
 	id := icpAddr.String()
 	p.sibMu.Lock()
 	_, known := p.siblings[id]
-	p.siblings[id] = httpURL
+	p.siblings[id] = cacheOnly
 	p.sibMu.Unlock()
 	if !known && p.cfg.BreakerThreshold >= 0 {
 		p.reg.GaugeFunc("summarycache_proxy_breaker_state",
@@ -646,9 +654,9 @@ func (p *Proxy) RemovePeer(icpAddr *net.UDPAddr) {
 	p.reg.Unregister(obs.L("proxy", p.ln.Addr().String(), "peer", id))
 }
 
-// siblingURL returns the HTTP base URL of the sibling with ICP address
-// string id ("" when unknown).
-func (p *Proxy) siblingURL(id string) string {
+// siblingURL returns the cache-only URL, ending in "url=", of the sibling
+// with ICP address string id (nil when unknown).
+func (p *Proxy) siblingURL(id string) *url.URL {
 	p.sibMu.RLock()
 	defer p.sibMu.RUnlock()
 	return p.siblings[id]
@@ -737,7 +745,7 @@ func (p *Proxy) onCacheChange(e lru.Entry, ev lru.Event) {
 	switch ev {
 	case lru.Inserted, lru.Replaced:
 		if ev == lru.Inserted && p.node != nil {
-			p.node.HandleInsert(e.Key)
+			p.node.HandleInsertSig(e.Key, e.Sig)
 		}
 		if p.store != nil {
 			// The body lives only in snapshots: an insert newer than the
@@ -747,7 +755,7 @@ func (p *Proxy) onCacheChange(e lru.Entry, ev lru.Event) {
 		}
 	case lru.EvictCapacity, lru.EvictRemoved:
 		if p.node != nil {
-			p.node.HandleEvict(e.Key)
+			p.node.HandleEvictSig(e.Key, e.Sig)
 		}
 		if p.store != nil {
 			_ = p.store.AppendEvict(e.Key)
@@ -773,14 +781,16 @@ func (p *Proxy) cachedBody(tr *tracing.Trace, key string) ([]byte, int64, bool) 
 // object inline reads the cache outside any client request.
 func (p *Proxy) answerBody(key string) ([]byte, int64, bool) { return p.cachedBody(nil, key) }
 
-// storeBody caches a fetched document. A traced proxy records a stored
-// write as an lru_insert span on tr.
-func (p *Proxy) storeBody(tr *tracing.Trace, key string, version int64, body []byte) {
+// storeBody caches a fetched document under key, whose signature (see
+// signature) is sig. A traced proxy records a stored write as an
+// lru_insert span on tr.
+func (p *Proxy) storeBody(tr *tracing.Trace, key string, sig [md5.Size]byte, version int64, body []byte) {
 	// The payload rides the entry itself, so entry and body are stored —
-	// and later evicted — atomically. An uncacheable document (too large)
-	// is refused by Put and simply dropped; onCacheChange journals what
-	// was stored.
-	e := lru.Entry{Key: key, Size: int64(len(body)), Version: version, Body: body}
+	// and later evicted — atomically. So does the signature, which the
+	// change stream hands to the directory's insert and removal. An
+	// uncacheable document (too large) is refused by Put and simply
+	// dropped; onCacheChange journals what was stored.
+	e := lru.Entry{Key: key, Size: int64(len(body)), Version: version, Sig: sig, Body: body}
 	if p.tracer == nil {
 		p.cache.Put(e)
 		return
@@ -919,14 +929,22 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 	}
 
 	// Only a miss needs the target to parse: a cached key was fetched, so
-	// it parsed, and a local hit skips the check. A malformed target is
-	// refused before any sibling summary is probed or any sibling asked;
-	// the parsed URL is the one the origin fetch requests.
-	u, err := url.Parse(target)
-	if err != nil {
-		c.writeError(http.StatusBadRequest, "bad target url")
-		return ""
+	// it parsed, and a local hit skips the check. A target plainTarget
+	// vouches for parses, and it is not built here; any other is parsed
+	// now. Either way a malformed target is refused before any sibling
+	// summary is probed or any sibling asked, and the origin fetch parses
+	// it only when the origin is asked.
+	var u *url.URL
+	if !plainTarget(target) {
+		var err error
+		if u, err = url.Parse(target); err != nil {
+			c.writeError(http.StatusBadRequest, "bad target url")
+			return ""
+		}
 	}
+	// The key's signature is computed once per miss, here, and serves
+	// the summary probes and the directory's insert and later removal.
+	sig := p.signature(key)
 
 	// Local miss: try siblings per the cooperation mode. The trace rides
 	// the context down through the node's lookup (summary probes, ICP
@@ -936,11 +954,11 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 	if tr != nil {
 		ctx = tracing.NewContext(ctx, tr)
 	}
-	body, ok, falseHit, staleHit := p.tryRemote(ctx, key, wanted)
+	body, ok, falseHit, staleHit := p.tryRemote(ctx, key, sig, wanted)
 	if ok {
 		p.metrics.remoteHits.Inc()
 		if !p.cfg.SingleCopy {
-			p.storeBody(tr, key, wanted, body) // simple sharing: cache the remote copy
+			p.storeBody(tr, key, sig, wanted, body) // simple sharing: cache the remote copy
 		}
 		c.writeDoc(body, 0)
 		return outcomeRemoteHit
@@ -959,7 +977,7 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 		version = wanted // origin did not echo a version header
 	}
 	p.metrics.misses.Inc()
-	p.storeBody(tr, key, version, body)
+	p.storeBody(tr, key, sig, version, body)
 	// Count before replying, as the hit paths do, so Stats already shows
 	// the request's class when the client has its response.
 	outcome := outcomeMiss
@@ -974,6 +992,79 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 	c.writeDoc(body, 0)
 	return outcome
 }
+
+// signature returns key's hashing.Signature when this proxy keeps a
+// summary of its cache (ModeSCICP), and the zero signature, which nothing
+// reads, when it keeps none.
+func (p *Proxy) signature(key string) (sig [md5.Size]byte) {
+	if p.cfg.Mode == ModeSCICP {
+		sig = hashing.Signature(key)
+	}
+	return sig
+}
+
+// plainTarget reports whether target is in a subset of the absolute URLs
+// url.Parse accepts that it recognizes without building a *url.URL:
+// "http://", a host of letters, digits, '-', '.' and '_' with an optional
+// numeric port, then a path of RFC 3986 path characters ('%' only as a
+// two-hex-digit escape) and a query of visible ASCII but '#'. url.Parse
+// reads such a target with that host, the path as its EscapedPath and the
+// query as its RawQuery (FuzzTargetCheck). It allocates nothing.
+func plainTarget(target string) bool {
+	rest, ok := strings.CutPrefix(target, "http://")
+	if !ok {
+		return false
+	}
+	i := 0
+	for i < len(rest) && isHostByte(rest[i]) {
+		i++
+	}
+	if i == 0 {
+		return false
+	}
+	if i < len(rest) && rest[i] == ':' {
+		j := i + 1
+		for j < len(rest) && '0' <= rest[j] && rest[j] <= '9' {
+			j++
+		}
+		if j == i+1 {
+			return false
+		}
+		i = j
+	}
+	path, query, _ := strings.Cut(rest[i:], "?")
+	if path != "" && path[0] != '/' {
+		return false // userinfo, an IPv6 literal's bracket, or a byte no host has
+	}
+	for i := 0; i < len(path); i++ {
+		switch c := path[i]; {
+		case c == '%':
+			if i+2 >= len(path) || !isHex(path[i+1]) || !isHex(path[i+2]) {
+				return false
+			}
+			i += 2
+		case !isPathByte(c):
+			return false
+		}
+	}
+	for i := 0; i < len(query); i++ {
+		if c := query[i]; c <= ' ' || c >= 0x7f || c == '#' {
+			return false
+		}
+	}
+	return true
+}
+
+func isAlnum(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+}
+
+func isHostByte(c byte) bool { return isAlnum(c) || c == '-' || c == '.' || c == '_' }
+
+// isPathByte reports whether c stands for itself in a path url.Parse
+// keeps as written: an unreserved character, a sub-delimiter, ':', '@'
+// or '/'.
+func isPathByte(c byte) bool { return isAlnum(c) || strings.IndexByte("-._~!$&'()*+,;=:@/", c) >= 0 }
 
 // splitVersion derives a target URL's version-aware cache identity: the
 // target with every versionParam pair removed from its raw query, every
@@ -1007,7 +1098,8 @@ func splitVersion(target string) (key string, version int64) {
 	return key, version
 }
 
-// tryRemote resolves a local miss against the siblings. It returns the
+// tryRemote resolves a local miss on key, whose signature is sig, against
+// the siblings. It returns the
 // document when some sibling both claimed and delivered a usable copy;
 // falseHit reports a failed indication — a claimed HIT that was not
 // delivered, or summary candidates that all replied MISS (the paper's
@@ -1018,11 +1110,11 @@ func splitVersion(target string) (key string, version int64) {
 // first summary candidate; classic ICP knows no holder and asks the first
 // peer added, so a document held only by another sibling still takes the
 // HTTP leg.
-func (p *Proxy) tryRemote(ctx context.Context, key string, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
+func (p *Proxy) tryRemote(ctx context.Context, key string, sig [md5.Size]byte, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
 	if p.node == nil {
 		return nil, false, false, false
 	}
-	res, err := p.node.LookupObject(ctx, key)
+	res, err := p.node.LookupObject(ctx, key, sig)
 	if err != nil || res.Peer == nil {
 		return nil, false, err == nil && res.FalseHit, false
 	}
@@ -1071,7 +1163,7 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 		}()
 	}
 	base := p.siblingURL(id)
-	if base == "" {
+	if base == nil {
 		return nil, 0, false
 	}
 	if !p.node.AdmitFetch(peer) {
@@ -1088,11 +1180,9 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 	// One bounded cache-only fetch, never retried: the origin fallback is
 	// always available and strictly cheaper than a second trip to a flaky
 	// sibling. A non-200 is the eviction race, a false hit after all.
-	u, err := url.Parse(base + CacheOnlyPath + "?url=" + url.QueryEscape(target))
-	var status int
-	if err == nil {
-		status, body, version, err = p.up.get(u)
-	}
+	u := *base
+	u.RawQuery += url.QueryEscape(target)
+	status, body, version, err := p.up.get(&u)
 	ok = err == nil && status == http.StatusOK
 	p.node.FetchDone(peer, ok)
 	if ok {
@@ -1157,15 +1247,16 @@ const maxDeclaredBody = 64 << 20
 // read in full on every attempt.
 const maxErrorDrain = 4 << 10
 
-// fetchOrigin fetches target, parsed as u, from the origin (or through
-// the parent proxy), retrying retryable failures — transport errors, 5xx
+// fetchOrigin fetches target from the origin (or through the parent
+// proxy), retrying retryable failures — transport errors, 5xx
 // statuses, truncated bodies — up to fetchRetries times with capped
 // exponential backoff and ±50% jitter. Each attempt is individually
 // bounded by fetchTimeout, so a hung origin costs at most (retries+1) ×
 // timeout, never a wedged handler.
 // A client that hangs up does not abort the attempt in flight, whose
 // document is still cached, but no retry starts after it: clientGone is
-// asked before each one.
+// asked before each one. u is target parsed, or nil: then target is
+// parsed here, and only when the origin itself is asked.
 func (p *Proxy) fetchOrigin(ctx context.Context, target string, u *url.URL) (body []byte, version int64, err error) {
 	retried := 0
 	if tr := tracing.FromContext(ctx); tr != nil {
@@ -1190,6 +1281,10 @@ func (p *Proxy) fetchOrigin(ctx context.Context, target string, u *url.URL) (bod
 		via := *p.parent
 		via.RawQuery += url.QueryEscape(target)
 		fetchURL = &via
+	} else if fetchURL == nil {
+		if fetchURL, err = url.Parse(target); err != nil {
+			return nil, 0, err
+		}
 	}
 	for attempt := 0; ; attempt++ {
 		var status int

@@ -3,8 +3,10 @@ package httpproxy
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,6 +99,28 @@ func TestStartValidation(t *testing.T) {
 	}
 }
 
+// TestAddPeerRefusesBadURL: a sibling whose HTTP base URL does not parse is
+// refused and not registered, as Start refuses such a ParentURL.
+func TestAddPeerRefusesBadURL(t *testing.T) {
+	p, err := Start(Config{Mode: ModeSCICP, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	sib := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+	for _, bad := range []string{"http://[::1", "http://h:x", "%zz"} {
+		if err := p.AddPeer(sib, bad); err == nil {
+			t.Errorf("accepted the sibling URL %q", bad)
+		}
+	}
+	if peers := p.node.PeerAddrs(); len(peers) != 0 || p.siblingURL(sib.String()) != nil {
+		t.Fatalf("a refused sibling was registered: peers %v", peers)
+	}
+	if err := p.AddPeer(sib, "http://127.0.0.1:1"); err != nil || p.siblingURL(sib.String()) == nil {
+		t.Fatalf("refused a sibling URL that parses: %v", err)
+	}
+}
+
 func TestLocalHitAndMiss(t *testing.T) {
 	m := newMesh(t, 1, ModeNone, 0)
 	p := m.proxies[0]
@@ -176,6 +200,85 @@ func TestBadRequests(t *testing.T) {
 	if q := p.Stats().Node.QueriesSent; q != 0 {
 		t.Fatalf("a malformed target sent %d ICP queries, want 0", q)
 	}
+
+	// Targets outside plainTarget's subset that url.Parse accepts are
+	// parsed before the probe and served: here each as a remote hit on the
+	// sibling that caches it, so none needs an origin.
+	holder := m.proxies[0]
+	for i, target := range []string{
+		"https://origin.invalid/doc",
+		"http://[::1]:8080/doc",
+		"http://user@origin.invalid/doc",
+	} {
+		if plainTarget(target) {
+			t.Fatalf("%q is inside the fast subset", target)
+		}
+		holder.storeBody(nil, target, holder.signature(target), 0, []byte(target))
+		holder.FlushSummary()
+		waitForCandidate(t, p, target)
+		if body := m.fetch(t, p, target); string(body) != target {
+			t.Fatalf("%q: served %q", target, body)
+		}
+		if st := p.Stats(); st.RemoteHits != uint64(i+1) {
+			t.Fatalf("%q: stats %+v, want a remote hit", target, st)
+		}
+	}
+}
+
+// FuzzTargetCheck holds plainTarget to url.Parse: every target it accepts
+// url.Parse accepts too, as an http URL whose Host, EscapedPath and
+// RawQuery are the bytes between the target's delimiters.
+func FuzzTargetCheck(f *testing.F) {
+	for _, s := range []string{
+		// The targets of FuzzURLParam's and FuzzRequestHead's seeds.
+		"http://o/d",
+		"http://o/d?size=1024&v=0",
+		"x y+z",
+		"second",
+		"%zz",
+		"€",
+		"/__summarycache/proxy?url=http://o/d",
+		"/a%zz",
+		"p:443",
+		// What a mesh asks for, and escapes.
+		"http://127.0.0.1:8080/r/17?size=1024&v=0",
+		"http://Host_1.example-2.com/a%2Fb/%41;p=1,q@x:y/~!$&'()*+=?q=%zz&a=[]|{}",
+		"http://h?", "http://h", "http://h:80",
+		// Malformed: a bad escape in the path and in the host, a control
+		// byte, a fragment, an open IPv6 literal, a bad port, no scheme,
+		// an empty host.
+		"http://h/a%zz", "http://h/a%4", "http://h%zz/", "http://h/\x01", "http://h/?\x7f",
+		"http://h/#frag", "http://h/?q#frag", "http://[::1", "http://h:x/", ":x", "http:///p", "http://",
+		// Accepted by url.Parse, outside the subset.
+		"https://h/", "HTTP://h/", "http://[::1]:80/", "http://u@h/", "http://h:/", "http://h/a b",
+	} {
+		f.Add(s)
+	}
+	// The subset covers what a mesh asks for.
+	for _, s := range []string{"http://o/d?size=1024&v=0", "http://127.0.0.1:8080/r/17?size=1024&v=0", "http://h?", "http://h:80"} {
+		if !plainTarget(s) {
+			f.Fatalf("plainTarget refused %q", s)
+		}
+	}
+	f.Fuzz(func(t *testing.T, target string) {
+		if !plainTarget(target) {
+			return
+		}
+		u, err := url.Parse(target)
+		if err != nil {
+			t.Fatalf("plainTarget accepted %q, which url.Parse refuses: %v", target, err)
+		}
+		authority, _ := strings.CutPrefix(target, "http://")
+		rest := ""
+		if i := strings.IndexAny(authority, "/?"); i >= 0 {
+			authority, rest = authority[:i], authority[i:]
+		}
+		path, query, _ := strings.Cut(rest, "?")
+		if u.Scheme != "http" || u.Host != authority || u.EscapedPath() != path || u.RawQuery != query {
+			t.Fatalf("%q: url.Parse reads scheme %q host %q path %q query %q; the target has host %q path %q query %q",
+				target, u.Scheme, u.Host, u.EscapedPath(), u.RawQuery, authority, path, query)
+		}
+	})
 }
 
 func TestOriginDown(t *testing.T) {

@@ -66,8 +66,8 @@ func TestWireProtocol(t *testing.T) {
 	p := startNoneProxy(t, Config{})
 	const key, key2 = "http://origin.invalid/doc", "http://origin.invalid/doc2"
 	doc := bytes.Repeat([]byte("d"), 1<<10)
-	p.storeBody(nil, key, 0, doc)
-	p.storeBody(nil, key2, 0, []byte("second"))
+	p.storeBody(nil, key, p.signature(key), 0, doc)
+	p.storeBody(nil, key2, p.signature(key2), 0, []byte("second"))
 	get := func(target, proto, headers string) string {
 		return "GET " + target + " " + proto + "\r\n" + headers + "\r\n"
 	}
@@ -202,9 +202,8 @@ func TestWireProtocol(t *testing.T) {
 
 // localHitClient stores a 1 KiB document in p and returns a function that
 // fetches it as a local hit on one keep-alive connection without
-// allocating: it writes a fixed request, whose url parameter is escaped as
-// url.QueryEscape escapes it when escaped is set, and reads the response's
-// fixed length into a reused buffer. It returns the response it read last.
+// allocating (see rawClient), its url parameter escaped as url.QueryEscape
+// escapes it when escaped is set.
 func localHitClient(tb testing.TB, p *Proxy, escaped bool) (hit func() []byte) {
 	const key = "http://origin.invalid/doc"
 	param := key
@@ -212,7 +211,16 @@ func localHitClient(tb testing.TB, p *Proxy, escaped bool) (hit func() []byte) {
 		param = url.QueryEscape(key)
 	}
 	doc := bytes.Repeat([]byte("d"), 1<<10)
-	p.storeBody(nil, key, 0, doc)
+	p.storeBody(nil, key, p.signature(key), 0, doc)
+	return rawClient(tb, p, param, doc)
+}
+
+// rawClient returns a function that asks p for the target whose url
+// parameter is param on one keep-alive connection without allocating: it
+// writes a fixed request and reads the response's fixed length into a
+// reused buffer. The first response, read here, must be a 200 carrying
+// doc. It returns the response it read last.
+func rawClient(tb testing.TB, p *Proxy, param string, doc []byte) (get func() []byte) {
 	conn, err := net.Dial("tcp", p.ln.Addr().String())
 	if err != nil {
 		tb.Fatal(err)

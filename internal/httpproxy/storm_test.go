@@ -242,3 +242,118 @@ func TestRecoveredEntriesCountsReadmitted(t *testing.T) {
 		t.Fatal(msg)
 	}
 }
+
+// TestDirectoryMatchesKeysUnderChurn walks a small-cache proxy through
+// every way a document enters or leaves its cache, one phase at a time:
+// origin inserts, capacity evictions, purges, Replaced re-stores, simple
+// sharing's remote-hit stores and a warm restart, whose restored documents
+// are then evicted. After each phase its directory, fed only the
+// signatures its cache entries carry, must equal one rebuilt from the
+// cache's keys through the key-taking Insert, so a missing or wrong
+// signature on any entry fails the phase that exposes it.
+func TestDirectoryMatchesKeysUnderChurn(t *testing.T) {
+	leakcheck.Install(t)
+	org, err := origin.Start(origin.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { org.Close() })
+	const docSize = 1 << 10
+	cfg := Config{
+		Mode:       ModeSCICP,
+		CacheBytes: 16 * docSize,
+		Summary:    bloom.DirectoryConfig{ExpectedDocs: 200, UpdateThreshold: 0.01},
+		Persist:    &persist.Config{Dir: t.TempDir(), Fsync: persist.FsyncNever},
+	}
+	p, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := Start(Config{Mode: ModeSCICP, CacheBytes: 1 << 20, Summary: cfg.Summary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sib.Close() })
+	if err := p.AddPeer(sib.ICPAddr(), sib.URL()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sib.AddPeer(p.ICPAddr(), p.URL()); err != nil {
+		t.Fatal(err)
+	}
+	doc := func(name string) string { return origin.DocURL(org.URL(), "churn/"+name, docSize, 0) }
+	get := func(p *Proxy, u string) {
+		t.Helper()
+		resp, err := http.Get(p.URL() + ProxyPath + "?url=" + url.QueryEscape(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", u, resp.StatusCode)
+		}
+	}
+	check := func(phase string, moved bool) {
+		t.Helper()
+		if !moved {
+			t.Fatalf("%s: the phase did not happen", phase)
+		}
+		if msg := directoryMismatch(t, p, cfg.Summary); msg != "" {
+			t.Fatalf("after %s: %s", phase, msg)
+		}
+	}
+
+	for i := 0; i < 8; i++ {
+		get(p, doc(fmt.Sprintf("a%d", i)))
+	}
+	check("inserts", p.CacheLen() == 8 && p.cache.Counters().EvictedCapacity == 0)
+
+	for i := 8; i < 32; i++ {
+		get(p, doc(fmt.Sprintf("a%d", i)))
+	}
+	check("capacity evictions", p.cache.Counters().EvictedCapacity == 16)
+
+	purged := 0
+	for _, k := range p.cache.Keys()[:3] {
+		if p.Purge(k) {
+			purged++
+		}
+	}
+	check("purges", purged == 3)
+
+	updated := p.cache.Counters().Updated
+	keys := p.cache.Keys()
+	for _, k := range keys {
+		p.storeBody(nil, k, p.signature(k), 7, make([]byte, docSize))
+	}
+	p.Purge(keys[0]) // a re-stored entry's signature leaves with it
+	check("Replaced re-stores", p.cache.Counters().Updated-updated == uint64(len(keys)))
+
+	remote := p.Stats().RemoteHits
+	var shared []string
+	for i := 0; i < 20; i++ {
+		u := doc(fmt.Sprintf("s%d", i))
+		get(sib, u)
+		shared = append(shared, u)
+	}
+	sib.FlushSummary()
+	for _, u := range shared {
+		waitForCandidate(t, p, u)
+		get(p, u) // a remote hit, stored here under simple sharing
+	}
+	check("remote-hit stores", p.Stats().RemoteHits-remote == 20 && p.CacheLen() == 16)
+
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if p, err = Start(cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	check("warm restart", p.Recovery().Recovered && p.CacheLen() == 16)
+	evicted := p.cache.Counters().EvictedCapacity
+	for i := 0; i < 16; i++ {
+		get(p, doc(fmt.Sprintf("b%d", i)))
+	}
+	check("evicting the restored documents", p.cache.Counters().EvictedCapacity-evicted == 16)
+}

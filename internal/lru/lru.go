@@ -32,6 +32,14 @@ type Entry struct {
 	// mismatch on a later request is a staleness signal (the
 	// paper counts such hits as misses / remote stale hits)
 
+	// Sig is the key's 128-bit MD5 signature (hashing.Signature), set by
+	// a caller that keeps a summary of the cache: computed once when the
+	// document was missed, it rides the OnChange events to the summary's
+	// insert and removal so neither hashes the key again. The cache never
+	// reads it, and it is never persisted: a warm restart recomputes it
+	// from the key.
+	Sig [16]byte
+
 	// Body optionally carries the document payload, so a caller serving
 	// real documents (the HTTP proxy) needs no side table keyed by the
 	// same string — one lock and one lookup per hit, and eviction drops

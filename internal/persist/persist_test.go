@@ -9,6 +9,7 @@ import (
 
 	"summarycache/internal/bloom"
 	"summarycache/internal/core"
+	"summarycache/internal/hashing"
 	"summarycache/internal/lru"
 	"summarycache/internal/testutil/leakcheck"
 )
@@ -144,6 +145,7 @@ func TestRecoverSnapshotWithDirectoryFrame(t *testing.T) {
 			t.Fatalf("entry %d: got %+v want %+v", i, e, want)
 		}
 		keys = append(keys, e.Key)
+		rec.Entries[i].Sig = hashing.Signature(e.Key) // never persisted: recomputed, as a proxy does
 	}
 
 	dirCfg := bloom.DirectoryConfig{ExpectedDocs: 100}
@@ -156,7 +158,7 @@ func TestRecoverSnapshotWithDirectoryFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { node.Close() })
-	node.Recover(keys)
+	node.Recover(rec.Entries)
 	rebuilt, err := bloom.NewDirectory(dirCfg)
 	if err != nil {
 		t.Fatal(err)
