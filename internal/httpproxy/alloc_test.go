@@ -12,46 +12,58 @@ import (
 )
 
 // TestStoreAllocBudget pins what storing a document costs the write path of
-// a full cache wired to the SC-ICP directory and the persist journal: one
-// allocation, the cache node that holds the document. The eviction it
-// forces, HandleInsert/HandleEvict's counting-filter and flip-journal
-// updates, and both journal records reuse memory. AllocsPerRun counts every
-// goroutine, so the publisher is kept asleep (Summary.MinPending) and the
-// journal is never fsynced.
+// a cache wired to the SC-ICP directory and the persist journal. Into a
+// full cache it allocates nothing: the node of the document it displaces
+// holds the new one. Into a cache with room it allocates once, the node.
+// The eviction, HandleInsert/HandleEvict's counting-filter and flip-journal
+// updates, and both journal records reuse memory. AllocsPerRun counts
+// every goroutine, so the publisher is kept asleep (Summary.MinPending)
+// and the journal is never fsynced.
 func TestStoreAllocBudget(t *testing.T) {
-	const docSize, docs = 1 << 10, 64
-	p, err := Start(Config{
-		Mode:       ModeSCICP,
-		CacheBytes: docs * docSize,
-		Summary:    bloom.DirectoryConfig{ExpectedDocs: docs, MinPending: 1 << 30},
-		Persist:    &persist.Config{Dir: t.TempDir(), Fsync: persist.FsyncNever},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	body := make([]byte, docSize)
-	keys := make([]string, 16*docs)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("http://example.com/doc%d", i)
-	}
-	next := 0
-	store := func() {
-		key := keys[next%len(keys)]
-		p.storeBody(nil, key, p.signature(key), 1, body)
-		next++
-	}
-	for range keys {
-		store() // fill the cache and size the flip journal
-	}
-	p.FlushSummary() // one publication; the journal keeps its array
-	evicted := p.cache.Counters().EvictedCapacity
-	const budget = 1
-	if n := testing.AllocsPerRun(200, store); n != budget {
-		t.Fatalf("storeBody allocated %v times per stored document, want %d", n, budget)
-	}
-	if got := p.cache.Counters().EvictedCapacity - evicted; got != 201 {
-		t.Fatalf("%d evictions in 201 stores: the cache was not full", got)
+	const docSize, docs, fill = 1 << 10, 64, 16 * 64
+	for _, tc := range []struct {
+		name      string
+		cacheDocs int
+		budget    float64
+		evictions uint64 // in the measured stores
+	}{
+		{"displacing", docs, 0, 201},
+		{"with room", 2 * fill, 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := Start(Config{
+				Mode:       ModeSCICP,
+				CacheBytes: int64(tc.cacheDocs * docSize),
+				Summary:    bloom.DirectoryConfig{ExpectedDocs: uint64(tc.cacheDocs), MinPending: 1 << 30},
+				Persist:    &persist.Config{Dir: t.TempDir(), Fsync: persist.FsyncNever},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { p.Close() })
+			body := make([]byte, docSize)
+			keys := make([]string, fill+201)
+			for i := range keys {
+				keys[i] = fmt.Sprintf("http://example.com/doc%d", i)
+			}
+			next := 0
+			store := func() {
+				key := keys[next]
+				p.storeBody(nil, key, p.signature(key), 1, body)
+				next++
+			}
+			for range fill {
+				store() // fill the cache and size the flip journal
+			}
+			p.FlushSummary() // one publication; the journal keeps its array
+			evicted := p.cache.Counters().EvictedCapacity
+			if n := testing.AllocsPerRun(200, store); n != tc.budget {
+				t.Fatalf("storeBody allocated %v times per stored document, want %v", n, tc.budget)
+			}
+			if got := p.cache.Counters().EvictedCapacity - evicted; got != tc.evictions {
+				t.Fatalf("%d evictions in 201 stores, want %d", got, tc.evictions)
+			}
+		})
 	}
 }
 
@@ -95,7 +107,7 @@ func TestRemoteHitAllocBudget(t *testing.T) {
 	holder.storeBody(nil, target, holder.signature(target), 0, doc)
 	holder.FlushSummary()
 	waitForCandidate(t, asker, target)
-	get := rawClient(t, asker, url.QueryEscape(target), doc)
+	get := rawClient(t, asker, ProxyPath+"?url="+url.QueryEscape(target), doc)
 	const budget = 3
 	if got := testing.AllocsPerRun(200, func() { get() }); got != budget {
 		t.Fatalf("a remote hit allocated %v times in the proxies, want %d", got, budget)

@@ -33,9 +33,13 @@ const (
 
 // fetcher is the proxy's one HTTP client: every origin, parent and sibling
 // fetch is a GET it runs on the calling goroutine over a per-host pool of
-// keep-alive connections. It reads each response head with readHead and
-// parseResponseHead; net/http contributes only its status constants and
-// httputil's chunked decoder.
+// keep-alive connections. It writes each request head from an upRequest:
+// one cut from a plain target's own bytes, or one built from a *url.URL —
+// a target outside plainTarget's subset, a redirect's Location, or a
+// parent's or sibling's base URL, parsed once, whose url= parameter each
+// fetch escapes into the head. It reads each response head with readHead
+// and parseResponseHead; net/http contributes only its status constants
+// and httputil's chunked decoder.
 type fetcher struct {
 	timeout time.Duration        // per attempt: dial, headers and body; 0: unbounded
 	faults  *faultnet.HTTPFaults // nil: no fault injection
@@ -46,10 +50,12 @@ type fetcher struct {
 	closed bool
 }
 
-// poolKey is an upstream's dial address and whether it speaks TLS.
+// poolKey is an upstream's host name (brackets stripped from an IPv6
+// literal), its port (the scheme's default when the URL names none) and
+// whether it speaks TLS.
 type poolKey struct {
-	addr string
-	tls  bool
+	host, port string
+	tls        bool
 }
 
 type upConn struct {
@@ -218,12 +224,60 @@ func parseResponseHead(head []byte) (h responseHead, ok bool) {
 	return h, true
 }
 
-// get fetches u in one attempt, bounded by one connection deadline and
+// upRequest is one upstream GET: where it goes and its request-target.
+// plainRequest builds it by slicing a plain target and urlRequest from a
+// *url.URL; send writes the request line from it either way.
+type upRequest struct {
+	key      poolKey
+	host     string // the Host header
+	path     string // escaped; "" is "/"
+	query    string // raw, after the '?'
+	hasQuery bool   // the '?' is sent even when nothing follows it
+	arg      string // appended to query, query-escaped: a parent or sibling's url= value
+}
+
+// plainRequest is the request for a target plainTarget accepted, n being
+// the length of its "http://host[:port]" prefix: url.Parse would read the
+// same host, escaped path and raw query (FuzzTargetCheck). It allocates
+// nothing.
+func plainRequest(target string, n int) upRequest {
+	r := upRequest{host: target[len("http://"):n]}
+	var hasPort bool
+	if r.key.host, r.key.port, hasPort = strings.Cut(r.host, ":"); !hasPort {
+		r.key.port = "80"
+	}
+	r.path, r.query, r.hasQuery = strings.Cut(target[n:], "?")
+	return r
+}
+
+// urlRequest is the request for u, with the pool key and the Host header
+// net/http would send. url.Parse admits only valid ASCII host bytes, except
+// what it unescapes: non-ASCII, which net/http would punycode, and an IPv6
+// zone's '%'. Neither may reach the request head.
+func urlRequest(u *url.URL) (r upRequest, err error) {
+	if r.key.tls = u.Scheme == "https"; !r.key.tls && u.Scheme != "http" {
+		return r, fmt.Errorf("httpproxy: unsupported protocol scheme %q", u.Scheme)
+	}
+	r.host = strings.TrimSuffix(u.Host, ":")
+	if r.host == "" || strings.ContainsFunc(r.host, func(r rune) bool { return r >= utf8.RuneSelf || r == '%' }) {
+		return r, fmt.Errorf("httpproxy: unsupported host %q", u.Host)
+	}
+	r.key.host, r.key.port = u.Hostname(), u.Port()
+	if r.key.port == "" {
+		r.key.port = "80"
+		if r.key.tls {
+			r.key.port = "443"
+		}
+	}
+	r.path, r.query, r.hasQuery = u.EscapedPath(), u.RawQuery, u.ForceQuery || u.RawQuery != ""
+	return r, nil
+}
+
+// get fetches r in one attempt, bounded by one connection deadline and
 // following redirects. It reports the final status, with the body and
 // version (docVersionHeader) of a 200; any other body is drained up to
-// maxErrorDrain and dropped. A non-nil error outranks the status. u is
-// only read: a redirect's target is a new URL.
-func (f *fetcher) get(u *url.URL) (status int, body []byte, version int64, err error) {
+// maxErrorDrain and dropped. A non-nil error outranks the status.
+func (f *fetcher) get(r upRequest) (status int, body []byte, version int64, err error) {
 	var deadline time.Time
 	if f.timeout > 0 {
 		deadline = time.Now().Add(f.timeout)
@@ -233,20 +287,20 @@ func (f *fetcher) get(u *url.URL) (status int, body []byte, version int64, err e
 		return http.StatusServiceUnavailable, nil, 0, err
 	}
 	for requests := 1; ; requests++ {
-		c, h, err := f.roundTrip(u, deadline)
+		c, h, err := f.roundTrip(r, deadline)
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		r := c.body(h)
+		rd := c.body(h)
 		if fault == faultnet.Truncate {
-			r = faultnet.TruncateBody(r, h.length)
+			rd = faultnet.TruncateBody(rd, h.length)
 		}
 		if h.status == http.StatusOK {
-			body, err = readBodyLimit(h, r, maxDeclaredBody) // without error, read to its io.EOF
+			body, err = readBodyLimit(h, rd, maxDeclaredBody) // without error, read to its io.EOF
 			f.release(c, h, err == nil && fault != faultnet.Truncate)
 			return http.StatusOK, body, h.version, err
 		}
-		_, err = io.CopyN(io.Discard, r, maxErrorDrain)
+		_, err = io.CopyN(io.Discard, rd, maxErrorDrain)
 		f.release(c, h, err == io.EOF && fault != faultnet.Truncate)
 		// Follow the redirects http.Client follows for a GET.
 		loc, s := h.location, h.status
@@ -256,29 +310,45 @@ func (f *fetcher) get(u *url.URL) (status int, body []byte, version int64, err e
 		if requests == maxRequests {
 			return 0, nil, 0, fmt.Errorf("httpproxy: stopped after %d redirects", maxRequests)
 		}
-		if u, err = u.Parse(loc); err != nil {
+		if r, err = redirect(r, loc); err != nil {
 			return 0, nil, 0, err
 		}
 	}
 }
 
-// roundTrip sends a GET for u on a pooled or new connection and reads the
+// redirect is the request for loc, a Location that answered r, resolved
+// against the URL r asked for.
+func redirect(r upRequest, loc string) (upRequest, error) {
+	base := "http://" + r.host + r.path
+	if r.key.tls {
+		base = "https://" + r.host + r.path
+	}
+	if r.hasQuery {
+		base += "?" + r.query + url.QueryEscape(r.arg)
+	}
+	u, err := url.Parse(base)
+	if err == nil {
+		u, err = u.Parse(loc)
+	}
+	if err != nil {
+		return r, err
+	}
+	return urlRequest(u)
+}
+
+// roundTrip sends a GET for r on a pooled or new connection and reads the
 // final response head. A pooled connection that fails before the first
 // response byte — the peer closed it while it sat idle — is replaced by one
 // fresh dial, which is not a retry.
-func (f *fetcher) roundTrip(u *url.URL, deadline time.Time) (*upConn, responseHead, error) {
-	key, host, err := endpoint(u)
-	if err != nil {
-		return nil, responseHead{}, err
-	}
-	c, err := f.take(key)
+func (f *fetcher) roundTrip(r upRequest, deadline time.Time) (*upConn, responseHead, error) {
+	c, err := f.take(r.key)
 	for reused := c != nil; err == nil; reused = false {
 		if c == nil {
-			if c, err = f.dial(key, u.Hostname(), deadline); err != nil {
+			if c, err = f.dial(r.key, deadline); err != nil {
 				break
 			}
 		}
-		if err = c.send(u, host, deadline); err == nil {
+		if err = c.send(r, deadline); err == nil {
 			break
 		}
 		_ = c.Close() // the send error is the one to report
@@ -304,28 +374,6 @@ func (f *fetcher) roundTrip(u *url.URL, deadline time.Time) (*upConn, responseHe
 		return nil, responseHead{}, err
 	}
 	return c, h, nil
-}
-
-// endpoint derives u's pool key and the Host header net/http would send.
-// url.Parse admits only valid ASCII host bytes, except what it unescapes:
-// non-ASCII, which net/http would punycode, and an IPv6 zone's '%'. Neither
-// may reach the request head.
-func endpoint(u *url.URL) (key poolKey, host string, err error) {
-	if key.tls = u.Scheme == "https"; !key.tls && u.Scheme != "http" {
-		return key, "", fmt.Errorf("httpproxy: unsupported protocol scheme %q", u.Scheme)
-	}
-	host = strings.TrimSuffix(u.Host, ":")
-	if host == "" || strings.ContainsFunc(host, func(r rune) bool { return r >= utf8.RuneSelf || r == '%' }) {
-		return key, "", fmt.Errorf("httpproxy: unsupported host %q", u.Host)
-	}
-	if key.addr = host; u.Port() == "" {
-		port := "80"
-		if key.tls {
-			port = "443"
-		}
-		key.addr = net.JoinHostPort(u.Hostname(), port)
-	}
-	return key, host, nil
 }
 
 // take pops the newest idle connection to key (nil: none). When the newest
@@ -355,10 +403,10 @@ func (f *fetcher) take(key poolKey) (*upConn, error) {
 }
 
 // dial connects to key, through crypto/tls (HTTP/1.1 only) when key says so.
-func (f *fetcher) dial(key poolKey, serverName string, deadline time.Time) (*upConn, error) {
-	conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", key.addr)
+func (f *fetcher) dial(key poolKey, deadline time.Time) (*upConn, error) {
+	conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", net.JoinHostPort(key.host, key.port))
 	if err == nil && key.tls {
-		tc := tls.Client(conn, &tls.Config{ServerName: serverName, RootCAs: f.roots, NextProtos: []string{"http/1.1"}})
+		tc := tls.Client(conn, &tls.Config{ServerName: key.host, RootCAs: f.roots, NextProtos: []string{"http/1.1"}})
 		if err = tc.SetDeadline(deadline); err == nil {
 			err = tc.Handshake()
 		}
@@ -373,23 +421,13 @@ func (f *fetcher) dial(key poolKey, serverName string, deadline time.Time) (*upC
 	return &upConn{Conn: conn, key: key, br: bufio.NewReader(conn)}, nil
 }
 
-// send writes the request head for u in one Write and waits for the first
-// response byte. The request-target is u's escaped path and raw query with
-// every control, space and non-ASCII byte percent-encoded, so no target can
-// split the request line or add a header.
-func (c *upConn) send(u *url.URL, host string, deadline time.Time) error {
+// send writes the request head for r in one Write and waits for the first
+// response byte.
+func (c *upConn) send(r upRequest, deadline time.Time) error {
 	if err := c.SetDeadline(deadline); err != nil {
 		return err
 	}
-	target := u.EscapedPath()
-	if target == "" {
-		target = "/"
-	}
-	b := appendEscaped(append(c.head[:0], "GET "...), target)
-	if u.ForceQuery || u.RawQuery != "" {
-		b = appendEscaped(append(b, '?'), u.RawQuery)
-	}
-	c.head = append(append(append(b, " HTTP/1.1\r\nHost: "...), host...), "\r\n\r\n"...)
+	c.head = r.appendHead(c.head[:0])
 	if _, err := c.Write(c.head); err != nil {
 		return err
 	}
@@ -397,13 +435,47 @@ func (c *upConn) send(u *url.URL, host string, deadline time.Time) error {
 	return err
 }
 
+// appendHead appends r's request head. The request-target is r's escaped
+// path and raw query with every control, space and non-ASCII byte
+// percent-encoded, so no target can split the request line or add a
+// header, and then r.arg query-escaped.
+func (r upRequest) appendHead(b []byte) []byte {
+	b = append(b, "GET "...)
+	if r.path == "" {
+		b = append(b, '/')
+	}
+	b = appendEscaped(b, r.path)
+	if r.hasQuery {
+		b = appendQueryEscape(appendEscaped(append(b, '?'), r.query), r.arg)
+	}
+	return append(append(append(b, " HTTP/1.1\r\nHost: "...), r.host...), "\r\n\r\n"...)
+}
+
+const upperHex = "0123456789ABCDEF"
+
 func appendEscaped(b []byte, s string) []byte {
-	const hex = "0123456789ABCDEF"
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c <= ' ' || c >= 0x7f {
-			b = append(b, '%', hex[c>>4], hex[c&15])
+			b = append(b, '%', upperHex[c>>4], upperHex[c&15])
 		} else {
 			b = append(b, c)
+		}
+	}
+	return b
+}
+
+// appendQueryEscape appends s escaped as url.QueryEscape escapes it
+// (FuzzQueryEscape): letters, digits and "-_.~" stand for themselves, a
+// space is '+', and every other byte is %XX.
+func appendQueryEscape(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case isAlnum(c) || c == '-' || c == '_' || c == '.' || c == '~':
+			b = append(b, c)
+		case c == ' ':
+			b = append(b, '+')
+		default:
+			b = append(b, '%', upperHex[c>>4], upperHex[c&15])
 		}
 	}
 	return b

@@ -3,22 +3,19 @@ package httpproxy
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net"
-	"net/url"
 	"strings"
 	"testing"
 )
 
-// TestOriginFetchAllocBudget pins what one origin fetch costs the fetcher
-// on a warm pooled connection: a 1 KiB document with the head
-// origin.Server sends. AllocsPerRun counts every goroutine, so the origin
-// here is a raw-TCP responder that allocates nothing: it reads each
-// request into a fixed buffer and writes one prebuilt response. The count
-// is the fetcher's alone: the body. The target is parsed once, before the
-// measured fetches (fetchOrigin parses a target it is not handed only when
-// the origin is asked), and the response head is parsed in place, into no
-// header map.
-func TestOriginFetchAllocBudget(t *testing.T) {
+// rawResponder serves every GET on its one connection with a prebuilt 1 KiB
+// document of version 1, the head origin.Server sends, and allocates
+// nothing: it reads each request into a fixed buffer and writes the one
+// response. AllocsPerRun counts every goroutine, so a budget measured
+// against it is the proxy's alone. It returns the responder's address.
+func rawResponder(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -55,29 +52,73 @@ func TestOriginFetchAllocBudget(t *testing.T) {
 			}
 		}
 	}()
-	p, err := Start(Config{Mode: ModeNone, CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Registered before the proxy's Close, so it runs after it: Close
+	// closes the pooled connection, which ends the responder.
 	t.Cleanup(func() {
-		p.Close() // closes the pooled connection, which ends the responder
 		ln.Close()
 		<-served
 	})
-	target := "http://" + ln.Addr().String() + "/doc?size=1024&v=1"
-	u, err := url.Parse(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	fetch := func() {
-		if body, version, err := p.fetchOrigin(ctx, target, u); err != nil || len(body) != 1<<10 || version != 1 {
+	return ln.Addr().String()
+}
+
+// measureFetch pins fetch, which must return the responder's 1 KiB
+// document of version 1, at budget allocations per call on a warm pooled
+// connection.
+func measureFetch(t *testing.T, budget float64, fetch func() ([]byte, int64, error)) {
+	t.Helper()
+	run := func() {
+		if body, version, err := fetch(); err != nil || len(body) != 1<<10 || version != 1 {
 			t.Fatalf("fetched %d bytes of version %d, %v", len(body), version, err)
 		}
 	}
-	fetch() // dial the connection every measured fetch reuses
-	const budget = 1
-	if n := testing.AllocsPerRun(200, fetch); n != budget {
-		t.Fatalf("fetchOrigin allocated %v times per fetch, want %d", n, budget)
+	run() // dial the connection every measured fetch reuses
+	if n := testing.AllocsPerRun(200, run); n != budget {
+		t.Fatalf("the fetch allocated %v times, want %v", n, budget)
 	}
+}
+
+// TestOriginFetchAllocBudget pins what one origin fetch of a plain target
+// costs the proxy, handed the target string alone as a miss hands it: one
+// allocation, the body. The request is cut from the target's own bytes,
+// with no *url.URL built, and the response head is parsed in place, into
+// no header map.
+func TestOriginFetchAllocBudget(t *testing.T) {
+	addr := rawResponder(t)
+	p := startNoneProxy(t, Config{})
+	target := "http://" + addr + "/doc?size=1024&v=1"
+	measureFetch(t, 1, func() ([]byte, int64, error) { return p.fetchOrigin(context.Background(), target, nil) })
+}
+
+// TestRelayFetchAllocBudget pins what a fetch through another proxy costs:
+// a sibling's cache-only fetch and an origin fetch through the parent each
+// allocate once, the body. The target is query-escaped straight into the
+// request head behind the base URL parsed when the peer was added or the
+// proxy started.
+func TestRelayFetchAllocBudget(t *testing.T) {
+	const target = "http://origin.invalid/doc?size=1024&v=1"
+	ctx := context.Background()
+	t.Run("sibling", func(t *testing.T) {
+		addr := rawResponder(t)
+		p, err := Start(Config{Mode: ModeICP, CacheBytes: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		sib := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+		if err := p.AddPeer(sib, "http://"+addr); err != nil {
+			t.Fatal(err)
+		}
+		id := sib.String()
+		measureFetch(t, 1, func() ([]byte, int64, error) {
+			body, version, ok := p.fetchPeer(ctx, id, sib, target)
+			if !ok {
+				return nil, 0, errors.New("the sibling fetch failed")
+			}
+			return body, version, nil
+		})
+	})
+	t.Run("parent", func(t *testing.T) {
+		p := startNoneProxy(t, Config{ParentURL: "http://" + rawResponder(t)})
+		measureFetch(t, 1, func() ([]byte, int64, error) { return p.fetchOrigin(ctx, target, nil) })
+	})
 }

@@ -147,12 +147,25 @@ const helloReply = "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello"
 // a request-target and Host that net/http's client sent for it too, except
 // where noted: net/http writes a raw space or non-ASCII byte of a query as
 // is, splitting or corrupting the request line, and sends userinfo as an
-// Authorization header, which a shared cache must not forward.
+// Authorization header, which a shared cache must not forward. Through a
+// parent, and from a sibling, each target that is served travels whole as
+// the url= parameter, escaped as url.QueryEscape escapes it.
 func TestRequestTargetOnTheWire(t *testing.T) {
 	o := startRawOrigin(t, func(string) (string, bool) { return helloReply, false })
 	p := startNoneProxy(t, Config{FetchRetries: -1})
 	host := o.addr()
-	for _, tc := range []struct {
+	check := func(t *testing.T, want string) {
+		t.Helper()
+		head := o.lastHead()
+		want = "GET " + want + " HTTP/1.1\r\nHost: " + host + "\r\n"
+		if !strings.HasPrefix(head, want) {
+			t.Fatalf("origin read %q, want it to start %q", head, want)
+		}
+		if strings.Count(head, "\r\n") != 3 {
+			t.Fatalf("origin read %q: want exactly the request line and Host", head)
+		}
+	}
+	cases := []struct {
 		name, target string
 		want         string // request-target the origin reads; "": the proxy answers 400
 	}{
@@ -170,7 +183,8 @@ func TestRequestTargetOnTheWire(t *testing.T) {
 		{"userinfo", "http://user:pass@" + host + "/d", "/d"}, // net/http adds Authorization
 		{"empty path", "http://" + host, "/"},
 		{"bare query", "http://" + host + "/d?", "/d?"},
-	} {
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := o.requests()
 			status, body := proxyGet(t, p, tc.target)
@@ -183,14 +197,35 @@ func TestRequestTargetOnTheWire(t *testing.T) {
 			if status != http.StatusOK || body != "hello" {
 				t.Fatalf("status %d body %q", status, body)
 			}
-			head := o.lastHead()
-			want := "GET " + tc.want + " HTTP/1.1\r\nHost: " + host + "\r\n"
-			if !strings.HasPrefix(head, want) {
-				t.Fatalf("origin read %q, want it to start %q", head, want)
+			check(t, tc.want)
+		})
+	}
+
+	child := startNoneProxy(t, Config{FetchRetries: -1, ParentURL: "http://" + host})
+	sibling, err := Start(Config{Mode: ModeICP, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sibling.Close() })
+	sib := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9}
+	if err := sibling.AddPeer(sib, "http://"+host); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		if tc.want == "" {
+			continue
+		}
+		t.Run("parent/"+tc.name, func(t *testing.T) {
+			if status, body := proxyGet(t, child, tc.target); status != http.StatusOK || body != "hello" {
+				t.Fatalf("status %d body %q", status, body)
 			}
-			if strings.Count(head, "\r\n") != 3 {
-				t.Fatalf("origin read %q: want exactly the request line and Host", head)
+			check(t, ProxyPath+"?url="+url.QueryEscape(tc.target))
+		})
+		t.Run("sibling/"+tc.name, func(t *testing.T) {
+			if body, _, ok := sibling.fetchPeer(context.Background(), sib.String(), sib, tc.target); !ok || string(body) != "hello" {
+				t.Fatalf("fetched %q, ok %v", body, ok)
 			}
+			check(t, CacheOnlyPath+"?url="+url.QueryEscape(tc.target))
 		})
 	}
 }
@@ -363,10 +398,11 @@ func TestUpstreamHeadBounded(t *testing.T) {
 				<-done
 			})
 
-			u := &url.URL{Scheme: "http", Host: ln.Addr().String(), Path: "/doc"}
+			target := "http://" + ln.Addr().String() + "/doc"
+			n, _ := plainTarget(target)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			status, _, _, err := f.get(u)
+			status, _, _, err := f.get(plainRequest(target, n))
 			runtime.ReadMemStats(&after)
 			if err == nil || tc.want != nil && !errors.Is(err, tc.want) {
 				t.Errorf("fetch = status %d, err %v; want %v", status, err, cmp.Or(tc.want, errors.New("an error")))
@@ -441,7 +477,7 @@ func (c closeCounter) Close() error {
 // hands out none.
 func TestPoolLimits(t *testing.T) {
 	f := &fetcher{idle: make(map[poolKey][]*upConn)}
-	key := poolKey{addr: "origin.test:80"}
+	key := poolKey{host: "origin.test", port: "80"}
 	var closed atomic.Int64
 	for range maxIdlePerHost + 1 {
 		c := &upConn{Conn: closeCounter{closed: &closed}, key: key, br: bufio.NewReader(strings.NewReader(""))}
@@ -460,6 +496,51 @@ func TestPoolLimits(t *testing.T) {
 	f.close()
 	if _, err := f.take(key); err == nil {
 		t.Fatal("a closed fetcher handed out a connection slot")
+	}
+}
+
+// TestRedirectResolvesAsURLParse: a redirect's Location resolves against
+// the URL the request asked for as url.URL.Parse resolves it against the
+// parsed target, whether the request was cut from a plain target or built
+// from a URL, and with a parent's url= argument.
+func TestRedirectResolvesAsURLParse(t *testing.T) {
+	for _, target := range []string{
+		"http://o:8080/a/b?q=1",
+		"http://o/a%2Fb/c",
+		"http://o",
+		"http://o/d?",
+		"https://o/a/b",
+		"http://[::1]:8080/a/b?x",
+	} {
+		u, err := url.Parse(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := mustRequest(t, u)
+		if n, plain := plainTarget(target); plain {
+			r = plainRequest(target, n)
+		}
+		via := mustRequest(t, &url.URL{Scheme: "http", Host: "parent:3128", Path: ProxyPath, RawQuery: "url="})
+		via.arg = target
+		viaURL, err := url.Parse("http://parent:3128" + ProxyPath + "?url=" + url.QueryEscape(target))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, loc := range []string{"next", "../up", "/abs?z=2", "?only=query", "#frag", "//other:81/p", "https://h/x", "./c%20d"} {
+			for _, tc := range []struct {
+				r    upRequest
+				base *url.URL
+			}{{r, u}, {via, viaURL}} {
+				want, err := tc.base.Parse(loc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := redirect(tc.r, loc)
+				if err != nil || got != mustRequest(t, want) {
+					t.Errorf("%s, Location %q: %+v, %v; want %+v", tc.base, loc, got, err, mustRequest(t, want))
+				}
+			}
+		}
 	}
 }
 
@@ -487,7 +568,7 @@ func TestRedirectsFollowed(t *testing.T) {
 		if status != tc.status {
 			t.Fatalf("%d redirects: status %d, want %d", tc.redirects, status, tc.status)
 		}
-		if _, _, cached := p.cachedBody(nil, target); cached != (status == http.StatusOK) {
+		if _, cached := p.cachedBody(nil, target); cached != (status == http.StatusOK) {
 			t.Fatalf("%d redirects: cached under the asked-for key = %v", tc.redirects, cached)
 		}
 		if status == http.StatusOK && body != "doc" {

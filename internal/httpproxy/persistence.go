@@ -1,6 +1,7 @@
 package httpproxy
 
 import (
+	"net/http"
 	"time"
 
 	"summarycache/internal/obs"
@@ -54,12 +55,13 @@ func (p *Proxy) startPersistence(reg *obs.Registry, labels obs.Labels) error {
 
 // installRecovered loads recovered state into the live structures:
 // documents into the cache, each with its signature recomputed from its
-// key (no signature is persisted), then the directory rebuilt from the
-// documents the cache readmitted. No peer replica is restored: AddPeer
-// asks each neighbor for its full state.
+// key and its Content-Type sniffed from its body (neither is persisted),
+// then the directory rebuilt from the documents the cache readmitted. No
+// peer replica is restored: AddPeer asks each neighbor for its full state.
 func (p *Proxy) installRecovered(rec *persist.Recovered) {
 	for i := range rec.Entries {
-		rec.Entries[i].Sig = p.signature(rec.Entries[i].Key)
+		e := &rec.Entries[i]
+		e.Sig, e.Type = p.signature(e.Key), http.DetectContentType(e.Body)
 	}
 	p.restored, _ = p.cache.Restore(rec.Entries)
 	if p.node != nil {

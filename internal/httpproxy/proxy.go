@@ -338,7 +338,7 @@ type Proxy struct {
 	node *core.Node
 
 	sibMu    sync.RWMutex
-	siblings map[string]*url.URL // cache-only URL, query "url=", by ICP address string
+	siblings map[string]*upRequest // cache-only request, query "url=", by ICP address string
 
 	// Resolved resilience knobs (Config defaults applied once at Start).
 	fetchTimeout time.Duration // 0: unbounded
@@ -348,7 +348,7 @@ type Proxy struct {
 	up *fetcher // origin, parent and sibling fetches
 	// parent is ParentURL's ProxyPath endpoint, parsed once at Start with
 	// an empty url= parameter each miss completes (nil: no parent).
-	parent *url.URL
+	parent *upRequest
 
 	// The client listener and its connections (serve.go).
 	ln                net.Listener
@@ -408,16 +408,16 @@ func Start(cfg Config) (*Proxy, error) {
 	if cfg.QueryTimeout <= 0 {
 		cfg.QueryTimeout = core.DefaultQueryTimeout
 	}
-	var parent *url.URL
+	var parent *upRequest
 	if cfg.ParentURL != "" {
 		var err error
-		if parent, err = url.Parse(cfg.ParentURL + ProxyPath + "?url="); err != nil {
+		if parent, err = proxyPathRequest(cfg.ParentURL + ProxyPath); err != nil {
 			return nil, fmt.Errorf("httpproxy: ParentURL: %w", err)
 		}
 	}
 	p := &Proxy{
 		cfg:               cfg,
-		siblings:          make(map[string]*url.URL),
+		siblings:          make(map[string]*upRequest),
 		fetchTimeout:      resolveDuration(cfg.FetchTimeout, DefaultFetchTimeout),
 		fetchRetries:      resolveCount(cfg.FetchRetries, DefaultFetchRetries),
 		fetchBackoff:      resolveDuration(cfg.FetchBackoff, DefaultFetchBackoff),
@@ -612,14 +612,14 @@ func (p *Proxy) ICPAddr() *net.UDPAddr {
 func (p *Proxy) Mode() Mode { return p.cfg.Mode }
 
 // AddPeer registers a sibling by its ICP endpoint and HTTP base URL, which
-// must parse: it is parsed here, once, as the sibling's cache-only URL
-// every fetch from it copies. Re-adding a known ICP endpoint updates its
-// HTTP URL in place.
+// must parse as an http or https URL: it is parsed here, once, as the
+// sibling's cache-only request every fetch from it copies. Re-adding a
+// known ICP endpoint updates its HTTP URL in place.
 func (p *Proxy) AddPeer(icpAddr *net.UDPAddr, httpURL string) error {
 	if p.node == nil {
 		return errors.New("httpproxy: ModeNone proxies have no peers")
 	}
-	cacheOnly, err := url.Parse(httpURL + CacheOnlyPath + "?url=")
+	cacheOnly, err := proxyPathRequest(httpURL + CacheOnlyPath)
 	if err != nil {
 		return fmt.Errorf("httpproxy: peer HTTP URL: %w", err)
 	}
@@ -654,9 +654,9 @@ func (p *Proxy) RemovePeer(icpAddr *net.UDPAddr) {
 	p.reg.Unregister(obs.L("proxy", p.ln.Addr().String(), "peer", id))
 }
 
-// siblingURL returns the cache-only URL, ending in "url=", of the sibling
-// with ICP address string id (nil when unknown).
-func (p *Proxy) siblingURL(id string) *url.URL {
+// siblingURL returns the cache-only request, ending in "url=", of the
+// sibling with ICP address string id (nil when unknown).
+func (p *Proxy) siblingURL(id string) *upRequest {
 	p.sibMu.RLock()
 	defer p.sibMu.RUnlock()
 	return p.siblings[id]
@@ -763,42 +763,46 @@ func (p *Proxy) onCacheChange(e lru.Entry, ev lru.Event) {
 	}
 }
 
-// cachedBody reads key from the document cache. A traced proxy records
+// cachedBody reads key's document from the cache. A traced proxy records
 // the read as an lru_get span: on tr, the client request's trace, or with
 // tr nil straight to the tracer's sink.
-func (p *Proxy) cachedBody(tr *tracing.Trace, key string) ([]byte, int64, bool) {
+func (p *Proxy) cachedBody(tr *tracing.Trace, key string) (lru.Entry, bool) {
 	if p.tracer == nil {
-		e, ok := p.cache.Get(key)
-		return e.Body, e.Version, ok
+		return p.cache.Get(key)
 	}
 	start := time.Now()
 	e, ok := p.cache.Get(key)
 	p.record(tr, tracing.Span{Name: tracing.SpanLRUGet, Start: start, DurationUS: tracing.Micros(time.Since(start))})
-	return e.Body, e.Version, ok
+	return e, ok
 }
 
 // answerBody is the node's ReadDocument: a peer's query asking for the
 // object inline reads the cache outside any client request.
-func (p *Proxy) answerBody(key string) ([]byte, int64, bool) { return p.cachedBody(nil, key) }
+func (p *Proxy) answerBody(key string) ([]byte, int64, bool) {
+	e, ok := p.cachedBody(nil, key)
+	return e.Body, e.Version, ok
+}
 
 // storeBody caches a fetched document under key, whose signature (see
-// signature) is sig. A traced proxy records a stored write as an
+// signature) is sig, and returns its sniffed Content-Type, stored with it
+// so no hit sniffs it again. A traced proxy records a stored write as an
 // lru_insert span on tr.
-func (p *Proxy) storeBody(tr *tracing.Trace, key string, sig [md5.Size]byte, version int64, body []byte) {
+func (p *Proxy) storeBody(tr *tracing.Trace, key string, sig [md5.Size]byte, version int64, body []byte) (ctype string) {
 	// The payload rides the entry itself, so entry and body are stored —
 	// and later evicted — atomically. So does the signature, which the
 	// change stream hands to the directory's insert and removal. An
 	// uncacheable document (too large) is refused by Put and simply
 	// dropped; onCacheChange journals what was stored.
-	e := lru.Entry{Key: key, Size: int64(len(body)), Version: version, Sig: sig, Body: body}
+	e := lru.Entry{Key: key, Size: int64(len(body)), Version: version, Sig: sig, Type: http.DetectContentType(body), Body: body}
 	if p.tracer == nil {
 		p.cache.Put(e)
-		return
+		return e.Type
 	}
 	start := time.Now()
 	if p.cache.Put(e) {
 		p.record(tr, tracing.Span{Name: tracing.SpanLRUInsert, Start: start, DurationUS: tracing.Micros(time.Since(start))})
 	}
+	return e.Type
 }
 
 // record adds s to tr, or hands it to the tracer's sink when the work
@@ -814,10 +818,10 @@ func (p *Proxy) record(tr *tracing.Trace, s tracing.Span) {
 // --- HTTP serving ---
 
 // handle serves one client request, given its target's path and raw query
-// (u is set for a target that was not origin-form): absolute-form requests
+// (abs is the target of an absolute-form request): absolute-form requests
 // are proxied; ProxyPath?url= is the explicit form; CacheOnlyPath?url=
 // serves siblings.
-func (p *Proxy) handle(c *clientConn, path, rawQuery []byte, u *url.URL) {
+func (p *Proxy) handle(c *clientConn, path, rawQuery []byte, abs string) {
 	switch {
 	case string(path) == CacheOnlyPath:
 		p.serveCacheOnly(c, rawQuery)
@@ -828,8 +832,8 @@ func (p *Proxy) handle(c *clientConn, path, rawQuery []byte, u *url.URL) {
 			return
 		}
 		p.serveProxy(c, target)
-	case u != nil && u.IsAbs():
-		p.serveProxy(c, u.String())
+	case abs != "":
+		p.serveProxy(c, abs)
 	default:
 		c.writeError(http.StatusBadRequest, "not a proxy request")
 	}
@@ -851,14 +855,14 @@ func urlParam(rawQuery []byte) string {
 }
 
 func (p *Proxy) serveCacheOnly(c *clientConn, rawQuery []byte) {
-	body, version, ok := p.cachedBody(nil, urlParam(rawQuery))
+	e, ok := p.cachedBody(nil, urlParam(rawQuery))
 	if !ok {
 		c.writeError(http.StatusNotFound, "not cached")
 		return
 	}
 	// The sibling compares the version against the one it wants — the
 	// stale-hit detection of version-aware mode.
-	c.writeDoc(body, version)
+	c.writeDoc(e.Body, e.Type, e.Version)
 }
 
 func (p *Proxy) serveProxy(c *clientConn, target string) {
@@ -895,8 +899,8 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 	}
 
 	lookupStart := time.Now()
-	body, cachedVersion, cached := p.cachedBody(tr, key)
-	staleLocal := cached && p.cfg.VersionAware && cachedVersion != wanted
+	e, cached := p.cachedBody(tr, key)
+	staleLocal := cached && p.cfg.VersionAware && e.Version != wanted
 	if cached && !staleLocal {
 		if tr != nil {
 			tr.AddSpan(tracing.Span{
@@ -907,7 +911,7 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 			})
 		}
 		p.metrics.localHits.Inc()
-		c.writeDoc(body, 0)
+		c.writeDoc(e.Body, e.Type, 0)
 		return outcomeLocalHit
 	}
 	if staleLocal {
@@ -930,12 +934,12 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 
 	// Only a miss needs the target to parse: a cached key was fetched, so
 	// it parsed, and a local hit skips the check. A target plainTarget
-	// vouches for parses, and it is not built here; any other is parsed
-	// now. Either way a malformed target is refused before any sibling
-	// summary is probed or any sibling asked, and the origin fetch parses
-	// it only when the origin is asked.
+	// vouches for parses, and it is never built: its origin request is cut
+	// from its bytes. Any other is parsed now. Either way a malformed
+	// target is refused before any sibling summary is probed or any
+	// sibling asked.
 	var u *url.URL
-	if !plainTarget(target) {
+	if _, ok := plainTarget(target); !ok {
 		var err error
 		if u, err = url.Parse(target); err != nil {
 			c.writeError(http.StatusBadRequest, "bad target url")
@@ -957,10 +961,11 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 	body, ok, falseHit, staleHit := p.tryRemote(ctx, key, sig, wanted)
 	if ok {
 		p.metrics.remoteHits.Inc()
+		ctype := "" // sniffed as the response is sent
 		if !p.cfg.SingleCopy {
-			p.storeBody(tr, key, sig, wanted, body) // simple sharing: cache the remote copy
+			ctype = p.storeBody(tr, key, sig, wanted, body) // simple sharing: cache the remote copy
 		}
-		c.writeDoc(body, 0)
+		c.writeDoc(body, ctype, 0)
 		return outcomeRemoteHit
 	}
 	if falseHit {
@@ -977,7 +982,7 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 		version = wanted // origin did not echo a version header
 	}
 	p.metrics.misses.Inc()
-	p.storeBody(tr, key, sig, version, body)
+	ctype := p.storeBody(tr, key, sig, version, body)
 	// Count before replying, as the hit paths do, so Stats already shows
 	// the request's class when the client has its response.
 	outcome := outcomeMiss
@@ -989,7 +994,7 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 		p.metrics.falseHits.Inc()
 		outcome = outcomeFalseHit
 	}
-	c.writeDoc(body, 0)
+	c.writeDoc(body, ctype, 0)
 	return outcome
 }
 
@@ -1009,50 +1014,52 @@ func (p *Proxy) signature(key string) (sig [md5.Size]byte) {
 // numeric port, then a path of RFC 3986 path characters ('%' only as a
 // two-hex-digit escape) and a query of visible ASCII but '#'. url.Parse
 // reads such a target with that host, the path as its EscapedPath and the
-// query as its RawQuery (FuzzTargetCheck). It allocates nothing.
-func plainTarget(target string) bool {
-	rest, ok := strings.CutPrefix(target, "http://")
-	if !ok {
-		return false
+// query as its RawQuery, url.ParseRequestURI reads it so too, and either
+// URL's String is the target (FuzzTargetCheck). n is the length of the
+// "http://host[:port]" prefix, after which the path begins. It allocates
+// nothing.
+func plainTarget(target string) (n int, ok bool) {
+	if !strings.HasPrefix(target, "http://") {
+		return 0, false
 	}
-	i := 0
-	for i < len(rest) && isHostByte(rest[i]) {
+	i := len("http://")
+	for i < len(target) && isHostByte(target[i]) {
 		i++
 	}
-	if i == 0 {
-		return false
+	if i == len("http://") {
+		return 0, false
 	}
-	if i < len(rest) && rest[i] == ':' {
+	if i < len(target) && target[i] == ':' {
 		j := i + 1
-		for j < len(rest) && '0' <= rest[j] && rest[j] <= '9' {
+		for j < len(target) && '0' <= target[j] && target[j] <= '9' {
 			j++
 		}
 		if j == i+1 {
-			return false
+			return 0, false
 		}
 		i = j
 	}
-	path, query, _ := strings.Cut(rest[i:], "?")
-	if path != "" && path[0] != '/' {
-		return false // userinfo, an IPv6 literal's bracket, or a byte no host has
+	n = i
+	if i < len(target) && target[i] != '/' && target[i] != '?' {
+		return 0, false // userinfo, an IPv6 literal's bracket, or a byte no host has
 	}
-	for i := 0; i < len(path); i++ {
-		switch c := path[i]; {
+	for ; i < len(target) && target[i] != '?'; i++ {
+		switch c := target[i]; {
 		case c == '%':
-			if i+2 >= len(path) || !isHex(path[i+1]) || !isHex(path[i+2]) {
-				return false
+			if i+2 >= len(target) || !isHex(target[i+1]) || !isHex(target[i+2]) {
+				return 0, false
 			}
 			i += 2
 		case !isPathByte(c):
-			return false
+			return 0, false
 		}
 	}
-	for i := 0; i < len(query); i++ {
-		if c := query[i]; c <= ' ' || c >= 0x7f || c == '#' {
-			return false
+	for ; i < len(target); i++ {
+		if c := target[i]; c <= ' ' || c >= 0x7f || c == '#' {
+			return 0, false
 		}
 	}
-	return true
+	return n, true
 }
 
 func isAlnum(c byte) bool {
@@ -1180,9 +1187,9 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 	// One bounded cache-only fetch, never retried: the origin fallback is
 	// always available and strictly cheaper than a second trip to a flaky
 	// sibling. A non-200 is the eviction race, a false hit after all.
-	u := *base
-	u.RawQuery += url.QueryEscape(target)
-	status, body, version, err := p.up.get(&u)
+	r := *base
+	r.arg = target
+	status, body, version, err := p.up.get(r)
 	ok = err == nil && status == http.StatusOK
 	p.node.FetchDone(peer, ok)
 	if ok {
@@ -1255,8 +1262,8 @@ const maxErrorDrain = 4 << 10
 // timeout, never a wedged handler.
 // A client that hangs up does not abort the attempt in flight, whose
 // document is still cached, but no retry starts after it: clientGone is
-// asked before each one. u is target parsed, or nil: then target is
-// parsed here, and only when the origin itself is asked.
+// asked before each one. u is target parsed, or nil for a target
+// plainTarget accepts, whose request is cut from the string itself.
 func (p *Proxy) fetchOrigin(ctx context.Context, target string, u *url.URL) (body []byte, version int64, err error) {
 	retried := 0
 	if tr := tracing.FromContext(ctx); tr != nil {
@@ -1276,19 +1283,13 @@ func (p *Proxy) fetchOrigin(ctx context.Context, target string, u *url.URL) (bod
 		}()
 	}
 	p.metrics.originFetches.Inc()
-	fetchURL := u
-	if p.parent != nil {
-		via := *p.parent
-		via.RawQuery += url.QueryEscape(target)
-		fetchURL = &via
-	} else if fetchURL == nil {
-		if fetchURL, err = url.Parse(target); err != nil {
-			return nil, 0, err
-		}
+	r, err := p.originRequest(target, u)
+	if err != nil {
+		return nil, 0, err // an unsupported scheme or host: no attempt can succeed
 	}
 	for attempt := 0; ; attempt++ {
 		var status int
-		status, body, version, err = p.up.get(fetchURL)
+		status, body, version, err = p.up.get(r)
 		// Transport errors, truncated bodies and 5xx are retryable; any other
 		// status is permanent (a 404 will not improve on retry).
 		retryable := err != nil || status >= 500
@@ -1304,6 +1305,36 @@ func (p *Proxy) fetchOrigin(ctx context.Context, target string, u *url.URL) (bod
 		retried++
 		p.metrics.retries.Inc()
 	}
+}
+
+// originRequest is the request that fetches target, parsed as u or, when u
+// is nil, accepted by plainTarget: through the parent when there is one,
+// else from the origin.
+func (p *Proxy) originRequest(target string, u *url.URL) (upRequest, error) {
+	switch {
+	case p.parent != nil:
+		r := *p.parent
+		r.arg = target
+		return r, nil
+	case u != nil:
+		return urlRequest(u)
+	}
+	n, _ := plainTarget(target)
+	return plainRequest(target, n), nil
+}
+
+// proxyPathRequest parses base, a proxy's ProxyPath or CacheOnlyPath URL,
+// as the request whose url= parameter each fetch sets.
+func proxyPathRequest(base string) (*upRequest, error) {
+	u, err := url.Parse(base + "?url=")
+	if err != nil {
+		return nil, err
+	}
+	r, err := urlRequest(u)
+	if err != nil {
+		return nil, err
+	}
+	return &r, nil
 }
 
 // backoff sleeps before retry number attempt+1: fetchBackoff doubled per

@@ -210,7 +210,7 @@ func TestBadRequests(t *testing.T) {
 		"http://[::1]:8080/doc",
 		"http://user@origin.invalid/doc",
 	} {
-		if plainTarget(target) {
+		if _, plain := plainTarget(target); plain {
 			t.Fatalf("%q is inside the fast subset", target)
 		}
 		holder.storeBody(nil, target, holder.signature(target), 0, []byte(target))
@@ -227,7 +227,10 @@ func TestBadRequests(t *testing.T) {
 
 // FuzzTargetCheck holds plainTarget to url.Parse: every target it accepts
 // url.Parse accepts too, as an http URL whose Host, EscapedPath and
-// RawQuery are the bytes between the target's delimiters.
+// RawQuery are the bytes between the target's delimiters. For such a
+// target the upstream request cut from the string is the one url.Parse's
+// URL gives, and requestTarget's fast path reads it as
+// url.ParseRequestURI does, with the target itself as the URL's String.
 func FuzzTargetCheck(f *testing.F) {
 	for _, s := range []string{
 		// The targets of FuzzURLParam's and FuzzRequestHead's seeds.
@@ -256,12 +259,13 @@ func FuzzTargetCheck(f *testing.F) {
 	}
 	// The subset covers what a mesh asks for.
 	for _, s := range []string{"http://o/d?size=1024&v=0", "http://127.0.0.1:8080/r/17?size=1024&v=0", "http://h?", "http://h:80"} {
-		if !plainTarget(s) {
+		if _, plain := plainTarget(s); !plain {
 			f.Fatalf("plainTarget refused %q", s)
 		}
 	}
 	f.Fuzz(func(t *testing.T, target string) {
-		if !plainTarget(target) {
+		n, plain := plainTarget(target)
+		if !plain {
 			return
 		}
 		u, err := url.Parse(target)
@@ -277,6 +281,44 @@ func FuzzTargetCheck(f *testing.F) {
 		if u.Scheme != "http" || u.Host != authority || u.EscapedPath() != path || u.RawQuery != query {
 			t.Fatalf("%q: url.Parse reads scheme %q host %q path %q query %q; the target has host %q path %q query %q",
 				target, u.Scheme, u.Host, u.EscapedPath(), u.RawQuery, authority, path, query)
+		}
+		cut, parsed := plainRequest(target, n), mustRequest(t, u)
+		if cut != parsed || string(cut.appendHead(nil)) != string(parsed.appendHead(nil)) {
+			t.Fatalf("%q: the request cut from the target is %+v, writing %q; url.Parse's is %+v, writing %q",
+				target, cut, cut.appendHead(nil), parsed, parsed.appendHead(nil))
+		}
+		ru, err := url.ParseRequestURI(target)
+		if err != nil || ru.String() != target {
+			t.Fatalf("%q: url.ParseRequestURI reads %v, %v; want the target as its String", target, ru, err)
+		}
+		p, q, abs, ok := requestTarget([]byte(target))
+		if !ok || string(p) != ru.Path || string(q) != ru.RawQuery || abs != target {
+			t.Fatalf("%q: requestTarget reads path %q query %q abs %q ok %v; url.ParseRequestURI path %q query %q",
+				target, p, q, abs, ok, ru.Path, ru.RawQuery)
+		}
+	})
+}
+
+func mustRequest(t *testing.T, u *url.URL) upRequest {
+	t.Helper()
+	r, err := urlRequest(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// FuzzQueryEscape holds appendQueryEscape, which writes a parent or
+// sibling fetch's url= value into the request head, to url.QueryEscape.
+func FuzzQueryEscape(f *testing.F) {
+	for _, s := range []string{
+		"", "http://o/d?size=1024&v=0", "a b+c", "-_.~!*'();:@&=+$,/?#[]", "%zz", "café\x00\x7f\xff",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := string(appendQueryEscape([]byte("x="), s)), "x="+url.QueryEscape(s); got != want {
+			t.Fatalf("appendQueryEscape(%q) = %q, want %q", s, got, want)
 		}
 	})
 }

@@ -220,6 +220,21 @@ func TestFetch4xxIsPermanent(t *testing.T) {
 	}
 }
 
+// TestUnfetchableTargetNotRetried: a target that parses but names a
+// scheme or host no fetch can use fails with 502 on its first attempt,
+// with no retry.
+func TestUnfetchableTargetNotRetried(t *testing.T) {
+	p := startNoneProxy(t, Config{FetchRetries: 3, FetchBackoff: time.Millisecond})
+	for i, target := range []string{"ftp://origin.invalid/doc", "http:///doc", "/relative"} {
+		if status, _ := proxyGet(t, p, target); status != http.StatusBadGateway {
+			t.Fatalf("%q: status %d, want 502", target, status)
+		}
+		if st := p.Stats(); st.Retries != 0 || st.OriginFetches != uint64(i+1) {
+			t.Fatalf("%q: stats %+v, want no retry", target, st)
+		}
+	}
+}
+
 // TestErrorBodyDrainBounded: a non-200 body is read only up to
 // maxErrorDrain. A small error page is read to its end, so every retry
 // reuses the one connection; a 503 carrying 8 MB is abandoned with its

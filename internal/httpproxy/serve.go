@@ -128,8 +128,12 @@ func (c *clientConn) serve() {
 		if _, err := c.br.Peek(1); err != nil {
 			return
 		}
-		if c.setReadDeadline(c.p.readHeaderTimeout) != nil {
-			return
+		// A head already buffered whole is read without another read from
+		// the connection, so it needs no deadline of its own.
+		if b, _ := c.br.Peek(c.br.Buffered()); headEnd(b, 0) < 0 {
+			if c.setReadDeadline(c.p.readHeaderTimeout) != nil {
+				return
+			}
 		}
 		head, err := readHead(c.br, maxHeadBytes)
 		if errors.Is(err, errHeadTooLarge) {
@@ -144,7 +148,7 @@ func (c *clientConn) serve() {
 			c.refuse(status)
 			return
 		}
-		path, rawQuery, u, ok := requestTarget(h.target)
+		path, rawQuery, abs, ok := requestTarget(h.target)
 		if !ok {
 			c.refuse(http.StatusBadRequest)
 			return
@@ -154,7 +158,7 @@ func (c *clientConn) serve() {
 		// No handler reads a body: one that came is left unread, and the
 		// connection closes after the response.
 		c.close = h.close || h.hasBody
-		if !c.dispatch(path, rawQuery, u) || c.flush() != nil {
+		if !c.dispatch(path, rawQuery, abs) || c.flush() != nil {
 			return
 		}
 		if c.close {
@@ -166,14 +170,14 @@ func (c *clientConn) serve() {
 
 // dispatch runs the handler. A panic is recovered and logged, and closes
 // the connection, as net/http does.
-func (c *clientConn) dispatch(path, rawQuery []byte, u *url.URL) (ok bool) {
+func (c *clientConn) dispatch(path, rawQuery []byte, abs string) (ok bool) {
 	defer func() {
 		if v := recover(); v != nil && c.p.cfg.Logger != nil {
 			c.p.cfg.Logger.Error("panic serving client", "remote", c.nc.RemoteAddr().String(),
 				"panic", v, "stack", string(debug.Stack()))
 		}
 	}()
-	c.p.handle(c, path, rawQuery, u)
+	c.p.handle(c, path, rawQuery, abs)
 	return true
 }
 
@@ -231,10 +235,10 @@ func clientGone(ctx context.Context) bool {
 	return err != nil && !errors.Is(err, os.ErrDeadlineExceeded)
 }
 
-// writeDoc answers 200 with body; a non-zero version rides the
-// docVersionHeader.
-func (c *clientConn) writeDoc(body []byte, version int64) {
-	c.write(http.StatusOK, "", version, body)
+// writeDoc answers 200 with body of Content-Type ctype ("": sniffed); a
+// non-zero version rides the docVersionHeader.
+func (c *clientConn) writeDoc(body []byte, ctype string, version int64) {
+	c.write(http.StatusOK, ctype, version, body)
 }
 
 // writeError answers status with a plain-text message, as http.Error does.
@@ -435,28 +439,40 @@ func parseHead(head []byte) (h requestHead, status int) {
 	return h, 0
 }
 
-// requestTarget splits a request-target as net/http's server does: an
-// origin-form target ("/path?query") by hand, in place in the head's bytes,
-// unescaping the path only when it has an escape; any other form through
-// url.ParseRequestURI, returned as u. ok is false for a target net/http
-// refuses. An origin-form target with an unescaped path allocates nothing.
-func requestTarget(target []byte) (path, rawQuery []byte, u *url.URL, ok bool) {
+// requestTarget splits a request-target as net/http's server does, into
+// its unescaped path, its raw query and, for an absolute URL, the URL as
+// url.ParseRequestURI's String writes it (abs; "" for any other form). An
+// origin-form target ("/path?query") is split by hand, in place in the
+// head's bytes, and so is an absolute one plainTarget accepts, which is
+// its own abs (FuzzTargetCheck); any other form goes through
+// url.ParseRequestURI. The path is unescaped only when it has an escape.
+// ok is false for a target net/http refuses. An origin-form target with an
+// unescaped path allocates nothing, a plain absolute one only abs.
+func requestTarget(target []byte) (path, rawQuery []byte, abs string, ok bool) {
 	if target[0] != '/' {
-		u, err := url.ParseRequestURI(string(target))
-		if err != nil {
-			return nil, nil, nil, false
+		abs = string(target)
+		n, plain := plainTarget(abs)
+		if !plain {
+			u, err := url.ParseRequestURI(abs)
+			if err != nil {
+				return nil, nil, "", false
+			}
+			if abs = ""; u.IsAbs() {
+				abs = u.String()
+			}
+			return []byte(u.Path), []byte(u.RawQuery), abs, true
 		}
-		return []byte(u.Path), []byte(u.RawQuery), u, true
+		target = target[n:]
 	}
 	path, rawQuery, _ = bytes.Cut(target, []byte("?"))
 	if bytes.IndexByte(path, '%') >= 0 {
 		p, ok := unescape(path, false)
 		if !ok {
-			return nil, nil, nil, false
+			return nil, nil, "", false
 		}
 		path = []byte(p)
 	}
-	return path, rawQuery, nil, true
+	return path, rawQuery, abs, true
 }
 
 // unescape decodes s as url.QueryUnescape (query) or url.PathUnescape

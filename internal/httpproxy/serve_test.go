@@ -202,31 +202,37 @@ func TestWireProtocol(t *testing.T) {
 
 // localHitClient stores a 1 KiB document in p and returns a function that
 // fetches it as a local hit on one keep-alive connection without
-// allocating (see rawClient), its url parameter escaped as url.QueryEscape
-// escapes it when escaped is set.
-func localHitClient(tb testing.TB, p *Proxy, escaped bool) (hit func() []byte) {
+// allocating (see rawClient), in the request form form names: "plain" and
+// "escaped" ask ProxyPath with the key as the url parameter, as is or
+// escaped as url.QueryEscape escapes it, and "absolute" asks for the key
+// itself.
+func localHitClient(tb testing.TB, p *Proxy, form string) (hit func() []byte) {
 	const key = "http://origin.invalid/doc"
-	param := key
-	if escaped {
-		param = url.QueryEscape(key)
+	target, ok := map[string]string{
+		"plain":    ProxyPath + "?url=" + key,
+		"escaped":  ProxyPath + "?url=" + url.QueryEscape(key),
+		"absolute": key,
+	}[form]
+	if !ok {
+		tb.Fatalf("no request form %q", form)
 	}
 	doc := bytes.Repeat([]byte("d"), 1<<10)
 	p.storeBody(nil, key, p.signature(key), 0, doc)
-	return rawClient(tb, p, param, doc)
+	return rawClient(tb, p, target, doc)
 }
 
-// rawClient returns a function that asks p for the target whose url
-// parameter is param on one keep-alive connection without allocating: it
-// writes a fixed request and reads the response's fixed length into a
-// reused buffer. The first response, read here, must be a 200 carrying
-// doc. It returns the response it read last.
-func rawClient(tb testing.TB, p *Proxy, param string, doc []byte) (get func() []byte) {
+// rawClient returns a function that asks p for the request-target target
+// on one keep-alive connection without allocating: it writes a fixed
+// request and reads the response's fixed length into a reused buffer. The
+// first response, read here, must be a 200 carrying doc. It returns the
+// response it read last.
+func rawClient(tb testing.TB, p *Proxy, target string, doc []byte) (get func() []byte) {
 	conn, err := net.Dial("tcp", p.ln.Addr().String())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(func() { conn.Close() })
-	req := []byte("GET " + ProxyPath + "?url=" + param + " HTTP/1.1\r\nHost: proxy\r\n\r\n")
+	req := []byte("GET " + target + " HTTP/1.1\r\nHost: proxy\r\n\r\n")
 	buf := make([]byte, 4<<10)
 	if _, err := conn.Write(req); err != nil {
 		tb.Fatal(err)
@@ -259,18 +265,13 @@ func rawClient(tb testing.TB, p *Proxy, param string, doc []byte) (get func() []
 
 // TestServeLocalHitAllocBudget pins what one 1 KiB local hit costs the
 // server on a warm keep-alive connection, driven by a client that
-// allocates nothing: one allocation, the target string read from the url
-// parameter, whether or not the client escaped it.
+// allocates nothing: one allocation, the target string, whether read from
+// the url parameter, escaped by the client or not, or from an
+// absolute-form request line.
 func TestServeLocalHitAllocBudget(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		escaped bool
-	}{
-		{"plain", false},
-		{"escaped", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			hit := localHitClient(t, startNoneProxy(t, Config{}), tc.escaped)
+	for _, form := range []string{"plain", "escaped", "absolute"} {
+		t.Run(form, func(t *testing.T) {
+			hit := localHitClient(t, startNoneProxy(t, Config{}), form)
 			const budget = 1
 			if got := testing.AllocsPerRun(200, func() { hit() }); got != budget {
 				t.Fatalf("a local hit allocated %v times on the server, want %d", got, budget)
@@ -290,7 +291,7 @@ func BenchmarkServeLocalHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { p.Close() })
-	hit := localHitClient(b, p, false)
+	hit := localHitClient(b, p, "plain")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -319,7 +319,7 @@ func TestDisabledTracingLocalHitNoExtraAllocs(t *testing.T) {
 	}
 
 	baseline := testing.AllocsPerRun(500, func() {
-		if _, _, ok := p.cachedBody(nil, u); !ok {
+		if _, ok := p.cachedBody(nil, u); !ok {
 			t.Fatal("document fell out of cache")
 		}
 	})
@@ -330,7 +330,7 @@ func TestDisabledTracingLocalHitNoExtraAllocs(t *testing.T) {
 		if p.tracer != nil {
 			tr = p.tracer.StartRequest("x", u)
 		}
-		if _, _, ok := p.cachedBody(tr, u); !ok {
+		if _, ok := p.cachedBody(tr, u); !ok {
 			t.Fatal("document fell out of cache")
 		}
 		if tr != nil {

@@ -360,10 +360,16 @@ func TestDropReasonsCountedApart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The read loop counts a datagram as received before it classifies
+	// it, and an unasked reply is counted on the querier's goroutine, so
+	// expect waits for both counts to arrive before it reads the rest.
 	expect := func(what string, received uint64, want Stats) {
 		t.Helper()
-		for deadline := time.Now().Add(2 * time.Second); cli.Stats().Received < received && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
+		dropped := want.Undecodable + want.LateReplies + want.Unasked
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if st := cli.Stats(); st.Received >= received && st.Dropped >= dropped {
+				break
+			}
 		}
 		got := cli.Stats()
 		if got.Received != received || got.Undecodable != want.Undecodable || got.LateReplies != want.LateReplies ||

@@ -9,8 +9,10 @@
 // The cache is one recency list over one byte budget under one mutex, so
 // replacement is exact global LRU. The list is intrusive: each document's
 // node carries its own links, so storing a new document allocates one
-// object. Writers (Put, Remove, Restore, Clear) additionally serialize on a
-// writer lock held until their changes have been reported, which makes the
+// object, and none when it displaces another: the cache keeps the last
+// node it took off the list and threads the next new document on it.
+// Writers (Put, Remove, Restore, Clear) additionally serialize on a writer
+// lock held until their changes have been reported, which makes the
 // OnChange hook one ordered stream: the order of its notifications is the
 // order the cache applied them.
 package lru
@@ -39,6 +41,13 @@ type Entry struct {
 	// reads it, and it is never persisted: a warm restart recomputes it
 	// from the key.
 	Sig [16]byte
+
+	// Type is the document's Content-Type as http.DetectContentType sniffs
+	// it from Body, set by a caller that serves the body (the HTTP proxy)
+	// when it stores the document, so a hit is not sniffed again. The
+	// cache never reads it, and it is never persisted: a warm restart
+	// sniffs each restored body again.
+	Type string
 
 	// Body optionally carries the document payload, so a caller serving
 	// real documents (the HTTP proxy) needs no side table keyed by the
@@ -115,6 +124,9 @@ type Cache struct {
 	bytes int64
 	root  node // list sentinel: root.next is the most recently used node
 	items map[string]*node
+	// spare is the last node taken off the list, its fields cleared so it
+	// pins no body; the next new document is stored on it (nil: none).
+	spare *node
 
 	hits, misses                     uint64
 	evCapacity, evRemoved, evUpdated uint64
@@ -321,7 +333,11 @@ func (c *Cache) Put(e Entry) (stored bool) {
 		c.note(e, Replaced)
 	} else {
 		c.bytes += e.Size
-		nd := &node{Entry: e}
+		nd := c.spare
+		if nd == nil {
+			nd = new(node)
+		}
+		c.spare, nd.Entry = nil, e
 		linkAfter(nd, &c.root)
 		c.items[e.Key] = nd
 		c.note(e, Inserted)
@@ -360,6 +376,8 @@ func (c *Cache) removeLocked(nd *node, why Event) {
 		c.evRemoved++
 	}
 	c.note(nd.Entry, why)
+	*nd = node{}
+	c.spare = nd
 }
 
 // Keys returns all cached keys from most to least recently used.

@@ -51,6 +51,32 @@ func TestGetZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPutReusesDisplacedNode: a Put that displaces a document stores the
+// new one on a node the cache already has, so it allocates nothing, and
+// the node kept for reuse pins no body.
+func TestPutReusesDisplacedNode(t *testing.T) {
+	c := MustNewCache(Config{Capacity: 4, MaxObjectSize: -1})
+	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	body := make([]byte, 1)
+	next := 0
+	put := func() {
+		c.Put(Entry{Key: keys[next%len(keys)], Size: 1, Body: body})
+		next++
+	}
+	for range keys {
+		put() // fill the cache and displace once
+	}
+	if n := testing.AllocsPerRun(100, put); n != 0 {
+		t.Errorf("a displacing Put allocated %v times, want 0", n)
+	}
+	if c.spare == nil || c.spare.Body != nil || c.spare.Key != "" || c.spare.prev != nil {
+		t.Fatalf("spare node %+v, want one with every field cleared", c.spare)
+	}
+	if got := c.Keys(); len(got) != 4 || c.Bytes() != 4 {
+		t.Fatalf("keys %v, %d bytes after the displacing puts, want 4 of each", got, c.Bytes())
+	}
+}
+
 func TestLRUEvictionOrder(t *testing.T) {
 	var evicted []string
 	c := MustNewCache(Config{Capacity: 300, OnChange: func(e Entry, ev Event) {
