@@ -16,6 +16,8 @@
 //     peer record)
 //   - internal/httpproxy — a caching forward proxy with no-ICP / ICP /
 //     SC-ICP cooperation, and its admin plane (AdminHandler)
+//   - internal/http1 — the HTTP/1.1 head reader, request parser and
+//     connection loop shared by the proxy's client listener and the origin
 //   - internal/persist — warm restarts: cache snapshots plus a journal of
 //     cache changes (the directory is rebuilt from the cache, and each
 //     peer replica comes from its peer)

@@ -20,6 +20,7 @@ import (
 	"unicode/utf8"
 
 	"summarycache/internal/faultnet"
+	"summarycache/internal/http1"
 )
 
 // Upstream pool limits. An idle connection past idleConnTimeout is closed
@@ -37,9 +38,9 @@ const (
 // one cut from a plain target's own bytes, or one built from a *url.URL —
 // a target outside plainTarget's subset, a redirect's Location, or a
 // parent's or sibling's base URL, parsed once, whose url= parameter each
-// fetch escapes into the head. It reads each response head with readHead
-// and parseResponseHead; net/http contributes only its status constants
-// and httputil's chunked decoder.
+// fetch escapes into the head. It reads each response head with
+// http1.ReadHead and parseResponseHead; net/http contributes only its
+// status constants and httputil's chunked decoder.
 type fetcher struct {
 	timeout time.Duration        // per attempt: dial, headers and body; 0: unbounded
 	faults  *faultnet.HTTPFaults // nil: no fault injection
@@ -69,7 +70,7 @@ type upConn struct {
 
 var (
 	// errUpstreamHeadTooLarge: a response head (a 1xx head included) that
-	// did not end within maxHeadBytes of the connection.
+	// did not end within http1.MaxHeadBytes of the connection.
 	errUpstreamHeadTooLarge = errors.New("httpproxy: upstream response head too large")
 	// errBadResponseHead: a response head parseResponseHead refused.
 	errBadResponseHead = errors.New("httpproxy: malformed upstream response head")
@@ -90,11 +91,11 @@ type responseHead struct {
 }
 
 // readResponseHead reads and parses one response head of at most
-// maxHeadBytes.
+// http1.MaxHeadBytes.
 func (c *upConn) readResponseHead() (responseHead, error) {
-	head, err := readHead(c.br, maxHeadBytes)
+	head, err := http1.ReadHead(c.br, http1.MaxHeadBytes)
 	switch {
-	case errors.Is(err, errHeadTooLarge):
+	case errors.Is(err, http1.ErrHeadTooLarge):
 		return responseHead{}, errUpstreamHeadTooLarge
 	case err == io.EOF:
 		return responseHead{}, io.ErrUnexpectedEOF // a response was due
@@ -136,7 +137,7 @@ func (b *chunkedBody) Read(p []byte) (int, error) {
 	}
 	n, err := b.r.Read(p)
 	if err == io.EOF {
-		if _, err := readHead(b.br, maxTrailerBytes); err != nil {
+		if _, err := http1.ReadHead(b.br, maxTrailerBytes); err != nil {
 			return n, fmt.Errorf("httpproxy: reading the upstream chunked trailer: %w", err)
 		}
 		b.br = nil
@@ -144,8 +145,8 @@ func (b *chunkedBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// parseResponseHead parses a response head that readHead returned and
-// frames its body as RFC 7230 §3.3.3 does for a GET. ok is false for a
+// parseResponseHead parses a response head that http1.ReadHead returned
+// and frames its body as RFC 7230 §3.3.3 does for a GET. ok is false for a
 // head it refuses. It accepts only heads http.ReadResponse accepts, and
 // refuses more: another version than HTTP/1.0 or 1.1, a status line
 // without one space before a three-digit code from 100, obs-folded or
@@ -153,7 +154,7 @@ func (b *chunkedBody) Read(p []byte) (int, error) {
 // Content-Length or Transfer-Encoding, both at once, a Transfer-Encoding
 // other than chunked or on HTTP/1.0, and a Trailer naming a framing header.
 func parseResponseHead(head []byte) (h responseHead, ok bool) {
-	line, rest := cutLine(head)
+	line, rest := http1.CutLine(head)
 	proto, line, _ := bytes.Cut(line, []byte(" "))
 	code, _, _ := bytes.Cut(line, []byte(" "))
 	http10 := string(proto) == "HTTP/1.0"
@@ -172,17 +173,17 @@ func parseResponseHead(head []byte) (h responseHead, ok bool) {
 	var lengths, encodings int
 	keepAlive := false
 	for {
-		line, rest = cutLine(rest)
+		line, rest = http1.CutLine(rest)
 		if len(line) == 0 {
 			break
 		}
 		name, value, ok := bytes.Cut(line, []byte(":"))
 		value = bytes.Trim(value, " \t")
-		if !ok || !isToken(name) || hasCTL(value, true) {
+		if !ok || !http1.IsToken(name) || http1.HasCTL(value, true) {
 			return h, false
 		}
 		switch {
-		case equalFold(name, "Content-Length"):
+		case http1.EqualFold(name, "Content-Length"):
 			lengths++
 			if len(value) == 0 || len(value) > 18 || len(bytes.TrimLeft(value, "0123456789")) > 0 {
 				return h, false // not a length net/http would parse
@@ -190,22 +191,22 @@ func parseResponseHead(head []byte) (h responseHead, ok bool) {
 			for _, d := range value {
 				h.length = 10*h.length + int64(d-'0')
 			}
-		case equalFold(name, "Transfer-Encoding"):
+		case http1.EqualFold(name, "Transfer-Encoding"):
 			encodings++
-			if http10 || !equalFold(value, "chunked") {
+			if http10 || !http1.EqualFold(value, "chunked") {
 				return h, false
 			}
 			h.chunked = true
-		case equalFold(name, "Connection"):
-			h.close = h.close || hasToken(value, "close")
-			keepAlive = keepAlive || hasToken(value, "keep-alive")
-		case equalFold(name, "Trailer"):
-			if hasToken(value, "Content-Length") || hasToken(value, "Transfer-Encoding") || hasToken(value, "Trailer") {
+		case http1.EqualFold(name, "Connection"):
+			h.close = h.close || http1.HasToken(value, "close")
+			keepAlive = keepAlive || http1.HasToken(value, "keep-alive")
+		case http1.EqualFold(name, "Trailer"):
+			if http1.HasToken(value, "Content-Length") || http1.HasToken(value, "Transfer-Encoding") || http1.HasToken(value, "Trailer") {
 				return h, false // net/http refuses these as trailers
 			}
-		case equalFold(name, docVersionHeader):
+		case http1.EqualFold(name, docVersionHeader):
 			h.version, _ = strconv.ParseInt(string(value), 10, 64)
-		case equalFold(name, "Location") && h.status/100 == 3:
+		case http1.EqualFold(name, "Location") && h.status/100 == 3:
 			h.location = string(value)
 		}
 	}

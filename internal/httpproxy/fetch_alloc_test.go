@@ -23,8 +23,8 @@ func rawResponder(t *testing.T) string {
 	response := []byte("HTTP/1.1 200 OK\r\n" +
 		"Content-Length: 1024\r\n" +
 		"Content-Type: application/octet-stream\r\n" +
-		"Date: Sun, 18 Oct 2026 06:00:00 GMT\r\n" +
-		"X-Doc-Version: 1\r\n\r\n" +
+		"X-Doc-Version: 1\r\n" +
+		"Date: Sun, 18 Oct 2026 06:00:00 GMT\r\n\r\n" +
 		strings.Repeat("a", 1<<10))
 	served := make(chan struct{})
 	go func() {

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"summarycache/internal/faultnet"
+	"summarycache/internal/http1"
 )
 
 // rawOrigin is a TCP origin that records every request head it reads and
@@ -302,10 +303,10 @@ func TestResponseFramingAndReuse(t *testing.T) {
 	}
 }
 
-// FuzzResponseHead checks the fetcher's head reader and parser against
-// http.ReadResponse: it may refuse more, but never accepts a head net/http
-// refuses; on heads both accept, status, declared length, chunked and close
-// agree; and it never buffers past its bound.
+// FuzzResponseHead checks the fetcher's head reader, http1's, and its
+// parser against http.ReadResponse: it may refuse more, but never accepts a
+// head net/http refuses; on heads both accept, status, declared length,
+// chunked and close agree; and it never buffers past its bound.
 func FuzzResponseHead(f *testing.F) {
 	for _, tc := range framingCases {
 		f.Add([]byte(tc.reply))
@@ -313,7 +314,7 @@ func FuzzResponseHead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const limit, bufSize = 256, 16
 		src := &countingReader{r: bytes.NewReader(data)}
-		head, err := readHead(bufio.NewReaderSize(src, bufSize), limit)
+		head, err := http1.ReadHead(bufio.NewReaderSize(src, bufSize), limit)
 		if src.n > limit+bufSize {
 			t.Fatalf("read %d bytes for a head bounded at %d", src.n, limit)
 		}
@@ -342,13 +343,13 @@ func FuzzResponseHead(f *testing.F) {
 
 // TestUpstreamHeadBounded: an upstream that streams header lines — in
 // the final head, or in a 1xx head before it — is cut off once the head
-// passes maxHeadBytes. The fetch fails, and what it allocated stays near
+// passes http1.MaxHeadBytes. The fetch fails, and what it allocated stays near
 // that bound rather than growing with the stream: unbounded, such a head
 // is buffered until the fetch deadline, hundreds of MiB in 2 s. The same
 // holds for the two other lines of a chunked body, its trailer and a
 // chunk-size line, each bounded at 4 KiB as net/http bounds them.
 func TestUpstreamHeadBounded(t *testing.T) {
-	const streamed = 8 * maxHeadBytes // bytes the upstream offers after first
+	const streamed = 8 * http1.MaxHeadBytes // bytes the upstream offers after first
 	headerLine := "X-Pad: " + strings.Repeat("a", 4<<10) + "\r\n"
 	const chunkedHead = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
 	for _, tc := range []struct {
@@ -407,8 +408,8 @@ func TestUpstreamHeadBounded(t *testing.T) {
 			if err == nil || tc.want != nil && !errors.Is(err, tc.want) {
 				t.Errorf("fetch = status %d, err %v; want %v", status, err, cmp.Or(tc.want, errors.New("an error")))
 			}
-			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 6*maxHeadBytes {
-				t.Errorf("the fetch allocated %d bytes for a head of at most %d", alloc, maxHeadBytes)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 6*http1.MaxHeadBytes {
+				t.Errorf("the fetch allocated %d bytes for a head of at most %d", alloc, http1.MaxHeadBytes)
 			}
 		})
 	}

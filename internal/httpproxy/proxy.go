@@ -28,6 +28,7 @@ import (
 	"summarycache/internal/core"
 	"summarycache/internal/faultnet"
 	"summarycache/internal/hashing"
+	"summarycache/internal/http1"
 	"summarycache/internal/icp"
 	"summarycache/internal/lru"
 	"summarycache/internal/obs"
@@ -355,8 +356,7 @@ type Proxy struct {
 	readHeaderTimeout time.Duration   // 0: unbounded
 	ctx               context.Context // handlers' context; Close cancels it
 	cancel            context.CancelFunc
-	connMu            sync.Mutex
-	conns             map[*clientConn]struct{} // nil once closed
+	clients           *http1.Listener // ln's accept loop and open connections
 
 	metrics proxyMetrics
 	reg     *obs.Registry
@@ -422,7 +422,6 @@ func Start(cfg Config) (*Proxy, error) {
 		fetchRetries:      resolveCount(cfg.FetchRetries, DefaultFetchRetries),
 		fetchBackoff:      resolveDuration(cfg.FetchBackoff, DefaultFetchBackoff),
 		readHeaderTimeout: resolveDuration(cfg.ReadHeaderTimeout, DefaultReadHeaderTimeout),
-		conns:             make(map[*clientConn]struct{}),
 		parent:            parent,
 	}
 	p.ctx, p.cancel = context.WithCancel(context.Background())
@@ -509,7 +508,7 @@ func Start(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 
-	go p.acceptLoop()
+	p.clients = http1.Serve(ln, p.serveClient)
 	return p, nil
 }
 
@@ -586,7 +585,8 @@ func (p *Proxy) Close() error { return p.shutdown(true) }
 func (p *Proxy) CloseAbrupt() error { return p.shutdown(false) }
 
 func (p *Proxy) shutdown(checkpoint bool) error {
-	err := p.closeClients()
+	p.cancel() // ends the handlers' retry backoffs
+	err := p.clients.Close()
 	p.up.close()
 	if perr := p.closeProtocol(); err == nil {
 		err = perr

@@ -5,40 +5,28 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
 	"os"
 	"runtime/debug"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
+
+	"summarycache/internal/http1"
 )
 
 // Client-listener limits.
 const (
-	// maxHeadBytes bounds a request head, request line included: net/http's
-	// DefaultMaxHeaderBytes plus the 4 KiB its server allows on top.
-	maxHeadBytes = http.DefaultMaxHeaderBytes + 4<<10
 	// smallBody is the largest body copied behind the response head into
 	// one buffer; a larger one goes out beside the head in one writev.
 	smallBody = 4 << 10
-	// lingerTime bounds how long a connection closing after its last
-	// response drains what the client still sends: closing a socket with
-	// unread input resets it, which can destroy the response in flight.
-	lingerTime = 500 * time.Millisecond
-	lingerMax  = 256 << 10
 	// hangUpProbe is how long clientGone waits for the client's socket to
 	// report EOF. A deadline already past makes the poller report a timeout
 	// without attempting the read, so it would never see the hang-up.
 	hangUpProbe = time.Millisecond
 )
-
-// errHeadTooLarge: a head longer than its limit: a request head (answered
-// 431), or an upstream response head or chunked trailer.
-var errHeadTooLarge = errors.New("httpproxy: head too large")
 
 // clientConn is one accepted client connection. Its goroutine reads each
 // request head, runs the handler inline and writes the response, so the
@@ -49,11 +37,10 @@ type clientConn struct {
 	br  *bufio.Reader
 	ctx context.Context // the proxy's lifetime context, carrying the conn for clientGone
 
-	out     []byte      // response head, plus a small body
-	bufs    [2][]byte   // head and a large body
-	vec     net.Buffers // bufs, consumed by one writev
-	date    []byte      // the Date value of second dateSec
-	dateSec int64
+	out  []byte      // response head, plus a small body
+	bufs [2][]byte   // head and a large body
+	vec  net.Buffers // bufs, consumed by one writev
+	date http1.Date
 
 	// The response the handler wrote, sent by flush.
 	status  int
@@ -69,58 +56,17 @@ type clientConn struct {
 
 type clientConnKey struct{}
 
-// acceptLoop serves the client listener until Close.
-func (p *Proxy) acceptLoop() {
-	var delay time.Duration
-	for {
-		nc, err := p.ln.Accept()
-		if err != nil {
-			if p.ctx.Err() != nil {
-				return
-			}
-			// Out of file descriptors, say: back off as net/http does.
-			delay = min(max(2*delay, 5*time.Millisecond), time.Second)
-			time.Sleep(delay)
-			continue
-		}
-		delay = 0
-		c := &clientConn{p: p, nc: nc, br: bufio.NewReader(nc), out: make([]byte, 0, smallBody+512)}
-		c.ctx = context.WithValue(p.ctx, clientConnKey{}, c)
-		p.connMu.Lock()
-		if p.conns == nil {
-			p.connMu.Unlock()
-			_ = nc.Close() // the proxy closed while this one was accepted
-			return
-		}
-		p.conns[c] = struct{}{}
-		p.connMu.Unlock()
-		go c.serve()
-	}
-}
-
-// closeClients closes the client listener and every client connection, and
-// cancels the handlers' context, which ends their retry backoffs. A second
-// call does nothing.
-func (p *Proxy) closeClients() error {
-	p.connMu.Lock()
-	defer p.connMu.Unlock()
-	if p.conns == nil {
-		return nil
-	}
-	p.cancel()
-	err := p.ln.Close()
-	for c := range p.conns {
-		_ = c.nc.Close() // its goroutine sees the error and exits
-	}
-	p.conns = nil
-	return err
+// serveClient serves one client connection until it ends.
+func (p *Proxy) serveClient(nc net.Conn) {
+	c := &clientConn{p: p, nc: nc, br: bufio.NewReader(nc), out: make([]byte, 0, smallBody+512)}
+	c.ctx = context.WithValue(p.ctx, clientConnKey{}, c)
+	c.serve()
 }
 
 // serve runs the connection's request loop: wait for a head
 // (DefaultIdleTimeout between requests; ReadHeaderTimeout on a new connection, as net/http),
 // read it under ReadHeaderTimeout from its first byte, answer it, repeat.
 func (c *clientConn) serve() {
-	defer c.drop()
 	for wait := c.p.readHeaderTimeout; ; wait = DefaultIdleTimeout {
 		if c.setReadDeadline(wait) != nil {
 			return
@@ -130,39 +76,39 @@ func (c *clientConn) serve() {
 		}
 		// A head already buffered whole is read without another read from
 		// the connection, so it needs no deadline of its own.
-		if b, _ := c.br.Peek(c.br.Buffered()); headEnd(b, 0) < 0 {
+		if b, _ := c.br.Peek(c.br.Buffered()); http1.HeadEnd(b, 0) < 0 {
 			if c.setReadDeadline(c.p.readHeaderTimeout) != nil {
 				return
 			}
 		}
-		head, err := readHead(c.br, maxHeadBytes)
-		if errors.Is(err, errHeadTooLarge) {
+		head, err := http1.ReadHead(c.br, http1.MaxHeadBytes)
+		if errors.Is(err, http1.ErrHeadTooLarge) {
 			c.refuse(http.StatusRequestHeaderFieldsTooLarge)
 			return
 		}
 		if err != nil {
 			return // a timeout, EOF or reset mid-head: nobody to answer
 		}
-		h, status := parseHead(head)
+		h, status := http1.ParseRequest(head)
 		if status != 0 {
 			c.refuse(status)
 			return
 		}
-		path, rawQuery, abs, ok := requestTarget(h.target)
+		path, rawQuery, abs, ok := requestTarget(h.Target)
 		if !ok {
 			c.refuse(http.StatusBadRequest)
 			return
 		}
-		c.head = string(h.method) == http.MethodHead
-		c.keepAlive = h.http10 && !h.close
+		c.head = string(h.Method) == http.MethodHead
+		c.keepAlive = h.HTTP10 && !h.Close
 		// No handler reads a body: one that came is left unread, and the
 		// connection closes after the response.
-		c.close = h.close || h.hasBody
+		c.close = h.Close || h.HasBody
 		if !c.dispatch(path, rawQuery, abs) || c.flush() != nil {
 			return
 		}
 		if c.close {
-			c.linger()
+			http1.Linger(c.nc, c.br)
 			return
 		}
 	}
@@ -181,14 +127,6 @@ func (c *clientConn) dispatch(path, rawQuery []byte, abs string) (ok bool) {
 	return true
 }
 
-// drop forgets and closes the connection.
-func (c *clientConn) drop() {
-	c.p.connMu.Lock()
-	delete(c.p.conns, c)
-	c.p.connMu.Unlock()
-	_ = c.nc.Close() // the request loop has ended; nothing is left to report
-}
-
 func (c *clientConn) setReadDeadline(d time.Duration) error {
 	var t time.Time
 	if d > 0 {
@@ -202,19 +140,7 @@ func (c *clientConn) refuse(status int) {
 	c.head, c.keepAlive, c.close = false, false, true
 	c.writeError(status, http.StatusText(status))
 	if c.flush() == nil {
-		c.linger()
-	}
-}
-
-// linger ends a connection after its last response: it sends FIN, then
-// drops what the client still sends until EOF, for at most lingerTime and
-// lingerMax bytes.
-func (c *clientConn) linger() {
-	if cw, ok := c.nc.(interface{ CloseWrite() error }); ok {
-		_ = cw.CloseWrite() // best effort: the close that follows still ends the connection
-	}
-	if c.setReadDeadline(lingerTime) == nil {
-		_, _ = io.CopyN(io.Discard, c.br, lingerMax) // ends at EOF, the deadline or the bound
+		http1.Linger(c.nc, c.br)
 	}
 }
 
@@ -257,16 +183,12 @@ func (c *clientConn) write(status int, ctype string, version int64, body []byte)
 // writev. An empty ctype is sniffed from the body, as net/http does for a
 // handler that set none.
 func (c *clientConn) flush() error {
-	if now := time.Now(); now.Unix() != c.dateSec {
-		c.dateSec = now.Unix()
-		c.date = now.UTC().AppendFormat(c.date[:0], http.TimeFormat)
-	}
 	if c.ctype == "" {
 		c.ctype = http.DetectContentType(c.body)
 	}
 	b := strconv.AppendInt(append(c.out[:0], "HTTP/1.1 "...), int64(c.status), 10)
 	b = append(append(append(b, ' '), http.StatusText(c.status)...), "\r\nContent-Type: "...)
-	b = append(append(append(b, c.ctype...), "\r\nDate: "...), c.date...)
+	b = c.date.Append(append(append(b, c.ctype...), "\r\nDate: "...))
 	b = strconv.AppendInt(append(b, "\r\nContent-Length: "...), int64(len(c.body)), 10)
 	if c.version != 0 {
 		b = strconv.AppendInt(append(b, "\r\n"+docVersionHeader+": "...), c.version, 10)
@@ -293,150 +215,6 @@ func (c *clientConn) flush() error {
 	}
 	c.out, c.body = b, nil // the body is not kept past its response
 	return err
-}
-
-// readHead reads the next head — a request head, a response head or a
-// chunked trailer — from br through its blank line and consumes it, never
-// more. A head that fits br's buffer is returned in place, valid until
-// br's next read; a longer one is copied out line by line. A head over
-// limit bytes is errHeadTooLarge.
-func readHead(br *bufio.Reader, limit int) ([]byte, error) {
-	for scanned := 0; ; {
-		b, _ := br.Peek(br.Buffered())
-		if i := headEnd(b, scanned); i >= 0 {
-			if i > limit {
-				return nil, errHeadTooLarge
-			}
-			_, _ = br.Discard(i) // i bytes are buffered
-			return b[:i], nil
-		}
-		if len(b) > limit {
-			return nil, errHeadTooLarge
-		}
-		if len(b) == br.Size() {
-			break
-		}
-		scanned = len(b)
-		if _, err := br.Peek(len(b) + 1); err != nil {
-			return nil, err
-		}
-	}
-	var head []byte
-	for start, atStart := 0, true; ; {
-		line, err := br.ReadSlice('\n')
-		if len(head)+len(line) > limit {
-			return nil, errHeadTooLarge
-		}
-		if atStart {
-			start = len(head)
-		}
-		if n := len(head) + len(line); n > cap(head) {
-			// Double, capped at limit: append's 1.25× growth would
-			// allocate about 5× limit for a head that reaches it.
-			head = slices.Grow(head, min(n, limit-len(head)))
-		}
-		head = append(head, line...)
-		if atStart = err == nil; err == bufio.ErrBufferFull {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		if l := head[start:]; len(l) == 1 || len(l) == 2 && l[0] == '\r' {
-			return head, nil
-		}
-	}
-}
-
-// headEnd returns the length of the head in b, through the LF that ends its
-// first empty line ("\n" or "\r\n"), or -1. It looks at LFs from index from.
-func headEnd(b []byte, from int) int {
-	for i := from; i < len(b); i++ {
-		j := bytes.IndexByte(b[i:], '\n')
-		if j < 0 {
-			return -1
-		}
-		i += j
-		if i == 0 || b[i-1] == '\n' || b[i-1] == '\r' && (i == 1 || b[i-2] == '\n') {
-			return i + 1
-		}
-	}
-	return -1
-}
-
-// requestHead is a parsed request head; its slices alias the head.
-type requestHead struct {
-	method, target, host []byte
-	http10               bool // HTTP/1.0, else HTTP/1.1
-	close                bool // the client asked to close after the response
-	hasBody              bool // a Content-Length over 0, or chunked
-}
-
-// parseHead parses a request head that readHead returned. A non-zero status
-// refuses it. It accepts only heads http.ReadRequest accepts, and refuses
-// more: another version than HTTP/1.0 or 1.1, an HTTP/1.1 head without
-// exactly one Host, obs-folded or nameless header lines, a header name with
-// spaces, more than one Content-Length or Transfer-Encoding, both at once,
-// a Transfer-Encoding other than chunked, and CONNECT's authority form.
-func parseHead(head []byte) (h requestHead, status int) {
-	line, rest := cutLine(head)
-	method, line, ok1 := bytes.Cut(line, []byte(" "))
-	target, proto, ok2 := bytes.Cut(line, []byte(" "))
-	if !ok1 || !ok2 || !isToken(method) || len(target) == 0 || hasCTL(target, false) {
-		return h, http.StatusBadRequest
-	}
-	if string(method) == http.MethodConnect && target[0] != '/' {
-		return h, http.StatusBadRequest // no tunnels
-	}
-	switch string(proto) {
-	case "HTTP/1.1":
-	case "HTTP/1.0":
-		h.http10 = true
-	default:
-		if bytes.HasPrefix(proto, []byte("HTTP/")) {
-			return h, http.StatusHTTPVersionNotSupported
-		}
-		return h, http.StatusBadRequest
-	}
-	h.method, h.target = method, target
-	var hosts, lengths, encodings int
-	keepAlive := false
-	for {
-		line, rest = cutLine(rest)
-		if len(line) == 0 {
-			break
-		}
-		name, value, ok := bytes.Cut(line, []byte(":"))
-		value = bytes.Trim(value, " \t")
-		if !ok || !isToken(name) || hasCTL(value, true) {
-			return h, http.StatusBadRequest
-		}
-		switch {
-		case equalFold(name, "Host"):
-			hosts++
-			h.host = value
-		case equalFold(name, "Content-Length"):
-			lengths++
-			if len(value) == 0 || len(value) > 18 || len(bytes.TrimLeft(value, "0123456789")) > 0 {
-				return h, http.StatusBadRequest // not a length net/http would parse
-			}
-			h.hasBody = h.hasBody || len(bytes.TrimLeft(value, "0")) > 0
-		case equalFold(name, "Transfer-Encoding"):
-			encodings++
-			if !equalFold(value, "chunked") {
-				return h, http.StatusBadRequest
-			}
-			h.hasBody = true
-		case equalFold(name, "Connection"):
-			h.close = h.close || hasToken(value, "close")
-			keepAlive = keepAlive || hasToken(value, "keep-alive")
-		}
-	}
-	if hosts > 1 || hosts == 0 && !h.http10 || lengths+encodings > 1 {
-		return h, http.StatusBadRequest
-	}
-	h.close = h.close || h.http10 && !keepAlive
-	return h, 0
 }
 
 // requestTarget splits a request-target as net/http's server does, into
@@ -526,57 +304,4 @@ func unhex(c byte) byte {
 		return c - 'A' + 10
 	}
 	return c - 'a' + 10
-}
-
-// cutLine splits b after its first LF, dropping the line's "\n" or "\r\n".
-func cutLine(b []byte) (line, rest []byte) {
-	line, rest, _ = bytes.Cut(b, []byte("\n"))
-	return bytes.TrimSuffix(line, []byte("\r")), rest
-}
-
-// tchar marks the bytes of an RFC 7230 token.
-var tchar = func() (t [256]bool) {
-	for c := range t {
-		t[c] = '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' ||
-			strings.IndexByte("!#$%&'*+-.^_`|~", byte(c)) >= 0
-	}
-	return t
-}()
-
-func isToken(b []byte) bool {
-	for _, c := range b {
-		if !tchar[c] {
-			return false
-		}
-	}
-	return len(b) > 0
-}
-
-// hasCTL reports whether b has a control byte (HTAB allowed when tab).
-func hasCTL(b []byte, tab bool) bool {
-	for _, c := range b {
-		if c < ' ' && !(tab && c == '\t') || c == 0x7f {
-			return true
-		}
-	}
-	return false
-}
-
-// equalFold is case-insensitive equality with an ASCII token s, as net/http
-// compares tokens. Equal lengths keep Unicode folding out: the only runes
-// that fold to ASCII letters (ſ, K) are longer than one byte.
-func equalFold(b []byte, s string) bool {
-	return len(b) == len(s) && strings.EqualFold(string(b), s)
-}
-
-// hasToken reports whether the comma-separated header value v lists tok.
-func hasToken(v []byte, tok string) bool {
-	for len(v) > 0 {
-		var elem []byte
-		elem, v, _ = bytes.Cut(v, []byte(","))
-		if equalFold(bytes.Trim(elem, " \t"), tok) {
-			return true
-		}
-	}
-	return false
 }

@@ -4,17 +4,24 @@
 // the reply to simulate the network latency") and answers with a body of
 // the size encoded in the request URL ("each request's URL carries the
 // size of the request in the trace file, and the server replies with the
-// specified number of bytes").
+// specified number of bytes"). It answers HTTP/1.0 and 1.1 on its own
+// connection loop, the shape of the proxy's client listener, and reads each
+// request head with package http1's reader and parser: a keep-alive GET
+// allocates nothing.
 package origin
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
+
+	"summarycache/internal/http1"
 )
 
 // SizeParam is the query parameter carrying the desired body size in bytes.
@@ -47,11 +54,15 @@ type Stats struct {
 	BodyBytes uint64
 }
 
+// smallBody is the largest body sent in the head's write; a larger one is
+// streamed from bodyChunk after the head.
+const smallBody = 4 << 10
+
 // Server is a running synthetic origin.
 type Server struct {
 	cfg      Config
 	ln       net.Listener
-	srv      *http.Server
+	conns    *http1.Listener
 	requests atomic.Uint64
 	bytes    atomic.Uint64
 }
@@ -72,8 +83,7 @@ func Start(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("origin: listen %q: %w", cfg.Addr, err)
 	}
 	s := &Server{cfg: cfg, ln: ln}
-	s.srv = &http.Server{Handler: s}
-	go s.srv.Serve(ln)
+	s.conns = http1.Serve(ln, s.serve)
 	return s, nil
 }
 
@@ -88,75 +98,152 @@ func (s *Server) Stats() Stats {
 	return Stats{Requests: s.requests.Load(), BodyBytes: s.bytes.Load()}
 }
 
-// Close shuts the server down immediately.
-func (s *Server) Close() error { return s.srv.Close() }
+// Close closes the listener and every connection, ending any Latency
+// wait, and returns once every connection's goroutine has exited. A second
+// call returns nil.
+func (s *Server) Close() error {
+	err := s.conns.Close()
+	s.conns.Wait()
+	return err
+}
 
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	sizeStr, verStr := scanParams(r.URL.RawQuery)
-	size := s.cfg.DefaultSize
-	if sizeStr != "" {
-		n, err := strconv.ParseInt(sizeStr, 10, 64)
-		if err != nil || n < 0 {
-			http.Error(w, "bad size", http.StatusBadRequest)
+// conn is one connection's reader, output buffer and Date, owned by the
+// goroutine that serves it.
+type conn struct {
+	nc   net.Conn
+	br   *bufio.Reader
+	out  []byte // response head, plus a small body
+	date http1.Date
+}
+
+// serve answers nc's requests in order until the client closes it, a head
+// is refused, a response closes it, or Close.
+func (s *Server) serve(nc net.Conn) {
+	c := &conn{nc: nc, br: bufio.NewReader(nc), out: make([]byte, 0, smallBody+512)}
+	for {
+		var h http1.Request
+		status := http.StatusRequestHeaderFieldsTooLarge
+		head, err := http1.ReadHead(c.br, http1.MaxHeadBytes)
+		if err == nil {
+			h, status = http1.ParseRequest(head)
+		} else if !errors.Is(err, http1.ErrHeadTooLarge) {
+			return // EOF, or a reset or Close mid-head: nobody to answer
+		}
+		if status != 0 {
+			// As net/http's server refuses a head, and the connection ends.
+			text := strconv.Itoa(status) + " " + http.StatusText(status)
+			b := append(c.out[:0], "HTTP/1.1 "+text+"\r\nContent-Type: text/plain; charset=utf-8\r\n"+
+				"Connection: close\r\n\r\n"+text...)
+			if _, err := nc.Write(b); err == nil {
+				http1.Linger(nc, c.br)
+			}
 			return
+		}
+		if !s.answer(c, h) {
+			return
+		}
+	}
+}
+
+// answer serves one request, whatever its method and path: after the
+// Latency wait, a body of the size its query asks for. It reports whether
+// the connection stays open.
+func (s *Server) answer(c *conn, h http1.Request) bool {
+	s.requests.Add(1)
+	b := append(c.out[:0], "HTTP/1.1 "...)
+	if h.HTTP10 {
+		b = append(c.out[:0], "HTTP/1.0 "...)
+	}
+	_, rawQuery, _ := bytes.Cut(h.Target, []byte("?"))
+	sizeStr, version := scanParams(rawQuery)
+	size := s.cfg.DefaultSize
+	if len(sizeStr) > 0 {
+		n, err := strconv.ParseInt(string(sizeStr), 10, 64)
+		if err != nil || n < 0 {
+			// http.Error's head, as net/http's server completed it.
+			b = append(b, "400 Bad Request\r\nContent-Type: text/plain; charset=utf-8\r\n"+
+				"X-Content-Type-Options: nosniff\r\nDate: "...)
+			b = append(c.date.Append(b), "\r\nContent-Length: 9\r\n"...)
+			return c.send(h, b, []byte("bad size\n"), 9)
 		}
 		size = n
 	}
-	if size > s.cfg.MaxSize {
-		size = s.cfg.MaxSize
-	}
+	size = min(size, s.cfg.MaxSize)
 	if s.cfg.Latency > 0 {
 		select {
 		case <-time.After(s.cfg.Latency):
-		case <-r.Context().Done():
-			return
+		case <-s.conns.Done():
+			return false
 		}
 	}
-	if verStr != "" {
-		w.Header().Set(VersionHeader, verStr)
+	b = strconv.AppendInt(append(b, "200 OK\r\nContent-Length: "...), size, 10)
+	b = append(b, "\r\nContent-Type: application/octet-stream\r\n"...)
+	if len(version) > 0 {
+		b = append(append(append(b, VersionHeader+": "...), version...), "\r\n"...)
 	}
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	if r.Method == http.MethodHead {
-		return
+	if string(h.Method) != http.MethodHead {
+		s.bytes.Add(uint64(size))
 	}
-	written, _ := writeBody(w, size)
-	s.bytes.Add(uint64(written))
+	return c.send(h, append(c.date.Append(append(b, "Date: "...)), "\r\n"...), bodyChunk[:], size)
+}
+
+// send ends the head b with the Connection field net/http's server writes
+// last, and sends it with size bytes of body, which repeats from its start
+// every len(body) bytes: in the head's write up to smallBody, else
+// streamed after it. A HEAD response carries no body. No request body is
+// read: a request that has one is answered and its connection closed. send
+// reports whether the connection stays open.
+func (c *conn) send(h http1.Request, b, body []byte, size int64) bool {
+	closing := h.Close || h.HasBody
+	switch {
+	case closing && !h.HTTP10:
+		b = append(b, "Connection: close\r\n"...)
+	case !closing && h.HTTP10:
+		b = append(b, "Connection: keep-alive\r\n"...)
+	}
+	b = append(b, "\r\n"...)
+	if string(h.Method) == http.MethodHead {
+		size = 0
+	}
+	if size <= smallBody {
+		b, size = append(b, body[:size]...), 0
+	}
+	c.out = b
+	_, err := c.nc.Write(b)
+	for ; err == nil && size > 0; size -= int64(len(body)) {
+		_, err = c.nc.Write(body[:min(size, int64(len(body)))])
+	}
+	if err == nil && closing {
+		http1.Linger(c.nc, c.br)
+	}
+	return err == nil && !closing
 }
 
 // scanParams extracts the size and v query parameters in one pass over the
-// raw query, replacing two full url.Values parses (and their per-request
-// map allocations) on the benchmark's hottest server path. DocURL emits
-// neither percent-escapes nor '+' in these values, and escaped forms of
-// the bare names do not occur, so raw comparison is exact here.
-func scanParams(rawQuery string) (size, version string) {
+// raw query. DocURL emits neither percent-escapes nor '+' in these values,
+// and escaped forms of the bare names do not occur, so raw comparison is
+// exact here.
+func scanParams(rawQuery []byte) (size, version []byte) {
 	for len(rawQuery) > 0 {
-		pair := rawQuery
-		if i := strings.IndexByte(pair, '&'); i >= 0 {
-			pair, rawQuery = pair[:i], pair[i+1:]
-		} else {
-			rawQuery = ""
-		}
-		eq := strings.IndexByte(pair, '=')
-		if eq < 0 {
+		var pair []byte
+		pair, rawQuery, _ = bytes.Cut(rawQuery, []byte("&"))
+		name, value, ok := bytes.Cut(pair, []byte("="))
+		if !ok {
 			continue
 		}
-		switch pair[:eq] {
+		switch string(name) {
 		case SizeParam:
-			size = pair[eq+1:]
+			size = value
 		case VersionParam:
-			version = pair[eq+1:]
+			version = value
 		}
 	}
 	return size, version
 }
 
-// bodyChunk is the pre-filled block writeBody streams from; filling it once
-// at startup instead of per call keeps the per-request work at the writes
-// themselves.
+// bodyChunk is the pre-filled block every body is cut from; filling it
+// once at startup instead of per call keeps the per-request work at the
+// writes themselves.
 var bodyChunk = func() [32 * 1024]byte {
 	var chunk [32 * 1024]byte
 	for i := range chunk {
@@ -164,26 +251,6 @@ var bodyChunk = func() [32 * 1024]byte {
 	}
 	return chunk
 }()
-
-// writeBody streams size deterministic bytes without allocating the whole
-// body.
-func writeBody(w http.ResponseWriter, size int64) (int64, error) {
-	const chunkSize = int64(len(bodyChunk))
-	chunk := &bodyChunk
-	var written int64
-	for written < size {
-		n := size - written
-		if n > chunkSize {
-			n = chunkSize
-		}
-		m, err := w.Write(chunk[:n])
-		written += int64(m)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
-}
 
 // DocURL builds a document URL on base for the given path, size and
 // version — the form the trace-replay benchmark requests.
