@@ -18,9 +18,10 @@ import (
 // two-node loopback pair, under either policy: the summary probe (or the
 // query-all peer list), the ICP fan-out (reply channel, timer, peer lists)
 // and the answer all reuse memory, sockets are read into netip.AddrPort
-// values, and a reply's URL is the asker's own string, so only the two
-// copies below remain. AllocsPerRun counts every goroutine of the process, so both
-// nodes' read loops are in the count.
+// values, a reply's URL is the asker's own string, and the object lands in
+// the destination the asker passes, so only the copy below remains.
+// AllocsPerRun counts every goroutine of the process, so both nodes' read
+// loops are in the count.
 func TestLookupObjectAllocBudget(t *testing.T) {
 	url := "http://example.com/" + strings.Repeat("d", 181) // a 200-byte URL
 	body := []byte("the document, small enough to ride the reply")
@@ -65,18 +66,20 @@ func TestLookupObjectAllocBudget(t *testing.T) {
 				time.Sleep(5 * time.Millisecond)
 			}
 			ctx, id, sig := context.Background(), holder.Addr().String(), hashing.Signature(url)
+			obj := make([]byte, 0, icp.MaxHitObjLen)
 			lookup := func() {
-				res, err := asker.LookupObject(ctx, url, sig)
+				res, err := asker.LookupObject(ctx, url, sig, obj)
 				if err != nil || res.Reply.Op != icp.OpHitObj || res.PeerID != id {
 					t.Fatalf("resolution = %+v (%v), want a HIT_OBJ from the holder", res, err)
 				}
+				if got := res.Reply.Object; string(got) != string(body) || &got[:1][0] != &obj[:1][0] {
+					t.Fatalf("object %q, want %q in the destination", got, body)
+				}
 			}
 			lookup() // the first fan-out makes the reply channel and timer
-			// Left per remote hit, two allocations, one in each read loop:
-			//   - holder: the query's decoded URL string, which its
-			//     handler keeps;
-			//   - asker: the object copied out of the datagram.
-			const budget = 2
+			// Left per remote hit, one allocation: the holder's read loop
+			// decodes the query's URL string, which its handler keeps.
+			const budget = 1
 			if n := testing.AllocsPerRun(200, lookup); n != budget {
 				t.Fatalf("LookupObject allocated %v times per remote hit, want %d", n, budget)
 			}

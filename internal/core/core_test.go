@@ -278,7 +278,7 @@ func TestNodeLookupObjectInline(t *testing.T) {
 	m.nodes[1].PublishNow()
 	m.waitReplicated(t, 0, url, true)
 
-	res, err := m.nodes[0].LookupObject(context.Background(), url, hashing.Signature(url))
+	res, err := m.nodes[0].LookupObject(context.Background(), url, hashing.Signature(url), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestHitObjOnlyForMembers(t *testing.T) {
 	ask := func(c *icp.Conn, options uint32, wait time.Duration) (icp.Message, *net.UDPAddr) {
 		t.Helper()
 		win, from, _, err := c.QueryAllFunc(context.Background(), wait,
-			[]*net.UDPAddr{holder.Addr()}, url, options, nil)
+			[]*net.UDPAddr{holder.Addr()}, url, options, nil, nil)
 		if err != nil {
 			t.Fatalf("query (options %#x): %v", options, err)
 		}
@@ -395,11 +395,11 @@ func TestQueryAllNode(t *testing.T) {
 	}
 	// The first peer added is asked for the object but does not hold it;
 	// the second's plain HIT wins after the first's MISS.
-	res, err := n.LookupObject(context.Background(), url, hashing.Signature(url))
+	res, err := n.LookupObject(context.Background(), url, hashing.Signature(url), nil)
 	if err != nil || res.Candidates != 2 || res.PeerID != second.Addr().String() || res.Reply.Op != icp.OpHit {
 		t.Fatalf("resolution = %+v (%v), want a plain HIT from the second of two peers", res, err)
 	}
-	res, err = n.LookupObject(context.Background(), "http://classic/absent", [16]byte{})
+	res, err = n.LookupObject(context.Background(), "http://classic/absent", [16]byte{}, nil)
 	if err != nil || res.Peer != nil || res.Candidates != 2 || res.FalseHit {
 		t.Fatalf("all-MISS resolution = %+v (%v), want an ordinary miss after asking both", res, err)
 	}
@@ -465,7 +465,7 @@ func TestAuditQueriesNeverAskForObjects(t *testing.T) {
 	}
 	// The peer never publishes a summary, so the lookup has no candidate
 	// and the audit queries it.
-	res, err := n.LookupObject(context.Background(), "http://audited/doc", hashing.Signature("http://audited/doc"))
+	res, err := n.LookupObject(context.Background(), "http://audited/doc", hashing.Signature("http://audited/doc"), nil)
 	if err != nil || res.Peer != nil {
 		t.Fatalf("resolution = %+v (%v), want an unresolved lookup", res, err)
 	}

@@ -75,7 +75,7 @@ func TestPeerDecisionsScrapeParity(t *testing.T) {
 	ctx := context.Background()
 	lookup := func(url string, resolved bool) {
 		t.Helper()
-		if res, err := a.LookupObject(ctx, url, hashing.Signature(url)); err != nil || (res.Peer != nil) != resolved {
+		if res, err := a.LookupObject(ctx, url, hashing.Signature(url), nil); err != nil || (res.Peer != nil) != resolved {
 			t.Fatalf("lookup %s = %+v (%v), want resolved=%v", url, res, err, resolved)
 		}
 	}

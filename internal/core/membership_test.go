@@ -106,7 +106,7 @@ func TestMemberAddedAfterBootAnswered(t *testing.T) {
 	c, _ := listener(t)
 	ask := func(wait time.Duration) *net.UDPAddr {
 		t.Helper()
-		_, from, _, err := c.QueryAllFunc(context.Background(), wait, []*net.UDPAddr{n.Addr()}, url, 0, nil)
+		_, from, _, err := c.QueryAllFunc(context.Background(), wait, []*net.UDPAddr{n.Addr()}, url, 0, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestCandidatesInRegistrationOrder(t *testing.T) {
 					t.Fatalf("candidates = %v, want registration order %v", got, order)
 				}
 			}
-			res, err := asker.LookupObject(context.Background(), url, hashing.Signature(url))
+			res, err := asker.LookupObject(context.Background(), url, hashing.Signature(url), nil)
 			if err != nil || res.Candidates != len(holders) || res.PeerID != order[0] || res.Reply.Op != icp.OpHitObj {
 				t.Fatalf("resolution = %+v (%v), want a HIT_OBJ from the first registered of %d", res, err, len(holders))
 			}

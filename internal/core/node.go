@@ -852,7 +852,7 @@ func (n *Node) serveResyncs() {
 // re-keys the trace to the exchange's shared ID so the answering proxies'
 // traces join it.
 func (n *Node) Lookup(ctx context.Context, url string) (hit *net.UDPAddr, candidates int, err error) {
-	r, err := n.lookup(ctx, url, hashing.Signature(url), 0)
+	r, err := n.lookup(ctx, url, hashing.Signature(url), 0, nil)
 	return r.Peer, r.Candidates, err
 }
 
@@ -864,7 +864,8 @@ type Resolution struct {
 	// string); "" when Peer is nil.
 	PeerID string
 	// Reply is Peer's HIT or HIT_OBJ. A HIT_OBJ carries the document
-	// (Object) and its version (OptionData), so no sibling fetch is needed.
+	// (Object, in LookupObject's obj array when it fits) and its version
+	// (OptionData), so no sibling fetch is needed.
 	Reply icp.Message
 	// Candidates is how many peers were queried (0: the summaries ruled
 	// everyone out and no message was sent).
@@ -880,16 +881,19 @@ type Resolution struct {
 // every replica's probe indices are derived (a query-all node probes none
 // and ignores it). The query to the first candidate carries
 // icp.FlagHitObj, so if that peer holds a small enough copy it answers
-// with it inline (see NodeConfig.ReadDocument and icp.Conn.QueryAllFunc).
-func (n *Node) LookupObject(ctx context.Context, url string, sig [md5.Size]byte) (Resolution, error) {
-	return n.lookup(ctx, url, sig, icp.FlagHitObj)
+// with it inline (see NodeConfig.ReadDocument), copied into obj's array
+// when it fits (see icp.Conn.QueryAllFunc); obj is the caller's again once
+// LookupObject returns.
+func (n *Node) LookupObject(ctx context.Context, url string, sig [md5.Size]byte, obj []byte) (Resolution, error) {
+	return n.lookup(ctx, url, sig, icp.FlagHitObj, obj)
 }
 
 // stackPeers is how many candidates a lookup keeps in stack arrays; a
 // larger fan-out still works, with its lists on the heap.
 const stackPeers = 16
 
-// lookup implements Lookup and LookupObject; options are the queries'.
+// lookup implements Lookup and LookupObject; options are the queries', obj
+// the destination of the flagged peer's object.
 // One pass over the registered peers, in registration order, picks the ones
 // to query: every one under QueryAll, else each whose replica matches at
 // the indices derived from sig, url's signature, which is charged the
@@ -898,7 +902,7 @@ const stackPeers = 16
 // Every per-peer list — the records queried, their addresses, each one's
 // answer — is a slice of a stack array, so an untraced lookup allocates
 // nothing itself.
-func (n *Node) lookup(ctx context.Context, url string, sig [md5.Size]byte, options uint32) (Resolution, error) {
+func (n *Node) lookup(ctx context.Context, url string, sig [md5.Size]byte, options uint32, obj []byte) (Resolution, error) {
 	tr := tracing.FromContext(ctx)
 	var probes []SummaryProbe
 	var recBuf [stackPeers]*peer
@@ -949,7 +953,7 @@ func (n *Node) lookup(ctx context.Context, url string, sig [md5.Size]byte, optio
 		}
 		ops[i] = op
 	}
-	win, from, reqNum, err := n.conn.QueryAllFunc(ctx, n.cfg.QueryTimeout, addrs, url, options, onReply)
+	win, from, reqNum, err := n.conn.QueryAllFunc(ctx, n.cfg.QueryTimeout, addrs, url, options, obj, onReply)
 	rtt := time.Since(start)
 	n.metrics.queryRTT.ObserveDuration(rtt)
 	res := Resolution{Peer: from, Reply: win, Candidates: len(addrs)}
@@ -1038,7 +1042,7 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []*peer
 	}
 	n.metrics.auditQueries.Add(uint64(len(addrs)))
 	// Never flagged FlagHitObj: the audit only asks whether a copy exists.
-	_, from, _, err := n.conn.QueryAllFunc(ctx, n.cfg.QueryTimeout, addrs, url, 0, nil)
+	_, from, _, err := n.conn.QueryAllFunc(ctx, n.cfg.QueryTimeout, addrs, url, 0, nil, nil)
 	if err != nil || from == nil {
 		return
 	}

@@ -71,15 +71,17 @@ func TestStoreAllocBudget(t *testing.T) {
 // SC-ICP proxies under single-copy sharing, driven by a client that
 // allocates nothing (rawClient). AllocsPerRun counts every goroutine, so
 // both proxies' read loops are in the count; no insert happens on either
-// side, so neither publisher wakes. Left per remote hit, three
+// side, so neither publisher wakes. Left per remote hit, two
 // allocations:
-//   - the asker's target, read from the url parameter;
+//   - the asker's key, made from the url parameter on the local miss,
+//     which its ICP query and its peer record keep;
 //   - the holder's query URL, decoded from the datagram, which its handler
-//     keeps;
-//   - the asker's copy of the object carried by the HIT_OBJ reply.
+//     keeps (the icp.Handler contract).
 //
 // The target is in plainTarget's subset, so the asker builds no *url.URL,
-// and its signature is computed on the stack.
+// and its signature is computed on the stack. The HIT_OBJ's object lands
+// in the asker's connection scratch, and the holder reads its cache with
+// the query's string.
 func TestRemoteHitAllocBudget(t *testing.T) {
 	start := func() *Proxy {
 		p, err := Start(Config{
@@ -108,7 +110,7 @@ func TestRemoteHitAllocBudget(t *testing.T) {
 	holder.FlushSummary()
 	waitForCandidate(t, asker, target)
 	get := rawClient(t, asker, ProxyPath+"?url="+url.QueryEscape(target), doc)
-	const budget = 3
+	const budget = 2
 	if got := testing.AllocsPerRun(200, func() { get() }); got != budget {
 		t.Fatalf("a remote hit allocated %v times in the proxies, want %d", got, budget)
 	}

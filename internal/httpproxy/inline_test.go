@@ -3,6 +3,10 @@ package httpproxy
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/url"
 	"testing"
 	"time"
 
@@ -194,5 +198,78 @@ func TestInlineUnderUDPLoss(t *testing.T) {
 				t.Fatalf("%d origin fetches for %d documents: no request fell back to the origin", fetches, docs)
 			}
 		})
+	}
+}
+
+// TestDuplicateHitObjDuringFlush: the flagged holder sends every HIT_OBJ
+// twice, so the copy reaches the asker while it writes the first one's
+// object, which lies in the connection's scratch, to the client. The
+// copy must not land there: each client gets exactly the holder's bytes
+// for its document, and each copy is counted late. The documents differ
+// in size and bytes, so a copy landing in the scratch shows in a later
+// response, and the race detector sees one landing during the write.
+func TestDuplicateHitObjDuringFlush(t *testing.T) {
+	const docs = 40
+	bodyFor := func(u string) []byte {
+		return bytes.Repeat([]byte(u), 1+len(u)*7%60)
+	}
+	holder, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { holder.Close() })
+	go func() {
+		buf := make([]byte, icp.MaxDatagram)
+		for {
+			n, from, err := holder.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			q, err := icp.Parse(buf[:n])
+			if err != nil || q.Op != icp.OpQuery {
+				continue
+			}
+			reply, _ := icp.NewHitObj(q.ReqNum, q.URL, bodyFor(q.URL), 0)
+			wire, err := reply.MarshalBinary()
+			if err != nil {
+				panic(err)
+			}
+			_, _ = holder.WriteToUDP(wire, from) // a lost copy fails the counts below
+			_, _ = holder.WriteToUDP(wire, from)
+		}
+	}()
+	asker, err := Start(Config{Mode: ModeICP, CacheBytes: 1 << 20, SingleCopy: true, QueryTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { asker.Close() })
+	if err := asker.AddPeer(holder.LocalAddr().(*net.UDPAddr), "http://127.0.0.1:1"); err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
+	t.Cleanup(client.CloseIdleConnections)
+	for i := 0; i < docs; i++ {
+		u := fmt.Sprintf("http://origin.invalid/%0*d", 1+i*13%50, i)
+		resp, err := client.Get(asker.URL() + ProxyPath + "?url=" + url.QueryEscape(u))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, bodyFor(u)) {
+			t.Fatalf("%s: status %d, %d bytes (%v); want the holder's %d bytes", u, resp.StatusCode, len(body), err, len(bodyFor(u)))
+		}
+	}
+	var st Stats
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if st = asker.Stats(); st.UDP.Received >= 2*docs && st.UDP.LateReplies >= docs {
+			break
+		}
+	}
+	if st.RemoteHits != docs || st.PeerFetches != 0 || st.OriginFetches != 0 {
+		t.Fatalf("stats %+v, want %d inline remote hits", st, docs)
+	}
+	if st.UDP.Received != 2*docs || st.UDP.LateReplies != docs || st.UDP.Unasked != 0 {
+		t.Fatalf("ICP stats %+v, want %d replies received and every copy counted late", st.UDP, 2*docs)
 	}
 }

@@ -776,6 +776,15 @@ func (p *Proxy) cachedBody(tr *tracing.Trace, key string) (lru.Entry, bool) {
 	return e, ok
 }
 
+// cachedBytes is cachedBody, outside a traced request, for a key held as
+// bytes: untraced, it makes no string of them.
+func (p *Proxy) cachedBytes(key []byte) (lru.Entry, bool) {
+	if p.tracer == nil {
+		return p.cache.GetBytes(key)
+	}
+	return p.cachedBody(nil, string(key))
+}
+
 // answerBody is the node's ReadDocument: a peer's query asking for the
 // object inline reads the cache outside any client request.
 func (p *Proxy) answerBody(key string) ([]byte, int64, bool) {
@@ -821,18 +830,18 @@ func (p *Proxy) record(tr *tracing.Trace, s tracing.Span) {
 // (abs is the target of an absolute-form request): absolute-form requests
 // are proxied; ProxyPath?url= is the explicit form; CacheOnlyPath?url=
 // serves siblings.
-func (p *Proxy) handle(c *clientConn, path, rawQuery []byte, abs string) {
+func (p *Proxy) handle(c *clientConn, path, rawQuery, abs []byte) {
 	switch {
 	case string(path) == CacheOnlyPath:
 		p.serveCacheOnly(c, rawQuery)
 	case string(path) == ProxyPath:
-		target := urlParam(rawQuery)
-		if target == "" {
+		target := c.urlParam(rawQuery)
+		if len(target) == 0 {
 			c.writeError(http.StatusBadRequest, "missing url parameter")
 			return
 		}
 		p.serveProxy(c, target)
-	case abs != "":
+	case len(abs) > 0:
 		p.serveProxy(c, abs)
 	default:
 		c.writeError(http.StatusBadRequest, "not a proxy request")
@@ -840,22 +849,33 @@ func (p *Proxy) handle(c *clientConn, path, rawQuery []byte, abs string) {
 }
 
 // urlParam extracts the first url query parameter, unescaped as
-// url.QueryUnescape does ("" when malformed), straight from the raw query's
-// bytes: no url.Values map, and one allocation, the target string itself.
-func urlParam(rawQuery []byte) string {
+// url.QueryUnescape does (nil when malformed), straight from the raw
+// query's bytes: no url.Values map, and no allocation. A value with
+// nothing to decode is returned in place; any other is decoded into
+// scratch's array when it fits (see unescape).
+func urlParam(scratch, rawQuery []byte) []byte {
 	for len(rawQuery) > 0 {
 		var pair []byte
 		pair, rawQuery, _ = bytes.Cut(rawQuery, []byte("&"))
 		if v, ok := bytes.CutPrefix(pair, []byte("url=")); ok {
-			target, _ := unescape(v, true)
+			target, _ := unescape(scratch, v, true)
 			return target
 		}
 	}
-	return ""
+	return nil
+}
+
+// urlParam is the package's urlParam into c's key scratch. The value it
+// returns is valid until the connection's next request.
+func (c *clientConn) urlParam(rawQuery []byte) []byte {
+	if c.key == nil {
+		c.key = make([]byte, 0, keyScratch)
+	}
+	return urlParam(c.key, rawQuery)
 }
 
 func (p *Proxy) serveCacheOnly(c *clientConn, rawQuery []byte) {
-	e, ok := p.cachedBody(nil, urlParam(rawQuery))
+	e, ok := p.cachedBytes(c.urlParam(rawQuery))
 	if !ok {
 		c.writeError(http.StatusNotFound, "not cached")
 		return
@@ -865,15 +885,19 @@ func (p *Proxy) serveCacheOnly(c *clientConn, rawQuery []byte) {
 	c.writeDoc(e.Body, e.Type, e.Version)
 }
 
-func (p *Proxy) serveProxy(c *clientConn, target string) {
+// serveProxy serves raw, a target that lies in the request's head or the
+// connection's key scratch (see clientConn.urlParam).
+func (p *Proxy) serveProxy(c *clientConn, raw []byte) {
 	p.metrics.clientReqs.Inc()
 	p.metrics.inflight.Inc()
 	start := time.Now()
 	var tr *tracing.Trace
+	target := "" // raw as a string, made once the request keeps it
 	if p.tracer != nil {
+		target = string(raw)
 		tr = p.tracer.StartRequest(p.self, target)
 	}
-	outcome := p.serveProxyClassified(c, target, tr)
+	outcome := p.serveProxyClassified(c, raw, target, tr)
 	if outcome != "" {
 		p.metrics.latency[outcome].ObserveDuration(time.Since(start))
 		tr.Finish(outcome)
@@ -883,23 +907,35 @@ func (p *Proxy) serveProxy(c *clientConn, target string) {
 	p.metrics.inflight.Dec()
 }
 
-// serveProxyClassified serves the request and returns its outcome class
-// for the latency histogram ("" for malformed or failed requests, which
-// measure client errors rather than cache behavior). tr is nil for
-// untraced requests.
-func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.Trace) string {
+// serveProxyClassified serves raw, which target is as a string ("" when
+// not yet made), and returns its outcome class for the latency histogram
+// ("" for malformed or failed requests, which measure client errors rather
+// than cache behavior). tr is nil for untraced requests.
+func (p *Proxy) serveProxyClassified(c *clientConn, raw []byte, target string, tr *tracing.Trace) string {
 	// In version-aware mode the cache identity is the target with the
 	// version parameter stripped; everywhere below — local lookup, ICP
 	// queries, summary probes, sibling fetches — operates on the key, so
 	// the whole mesh agrees on one identity per document. The origin fetch
 	// alone uses the full target (the origin needs the wanted version).
+	// The target is made a string only when the request keeps it: for the
+	// tracer, for the version-aware key and on a local miss. Any other
+	// local lookup reads raw itself, and nothing reads raw after it.
 	key, wanted := target, int64(0)
 	if p.cfg.VersionAware {
+		if target == "" {
+			target = string(raw)
+		}
 		key, wanted = splitVersion(target)
 	}
 
 	lookupStart := time.Now()
-	e, cached := p.cachedBody(tr, key)
+	var e lru.Entry
+	var cached bool
+	if target != "" {
+		e, cached = p.cachedBody(tr, key)
+	} else {
+		e, cached = p.cachedBytes(raw) // untraced: a tracer made target
+	}
 	staleLocal := cached && p.cfg.VersionAware && e.Version != wanted
 	if cached && !staleLocal {
 		if tr != nil {
@@ -932,6 +968,10 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 		})
 	}
 
+	if target == "" {
+		target = string(raw) // the miss keeps its key
+		key = target
+	}
 	// Only a miss needs the target to parse: a cached key was fetched, so
 	// it parsed, and a local hit skips the check. A target plainTarget
 	// vouches for parses, and it is never built: its origin request is cut
@@ -958,7 +998,7 @@ func (p *Proxy) serveProxyClassified(c *clientConn, target string, tr *tracing.T
 	if tr != nil {
 		ctx = tracing.NewContext(ctx, tr)
 	}
-	body, ok, falseHit, staleHit := p.tryRemote(ctx, key, sig, wanted)
+	body, ok, falseHit, staleHit := p.tryRemote(ctx, c, key, sig, wanted)
 	if ok {
 		p.metrics.remoteHits.Inc()
 		ctype := "" // sniffed as the response is sent
@@ -1016,10 +1056,11 @@ func (p *Proxy) signature(key string) (sig [md5.Size]byte) {
 // reads such a target with that host, the path as its EscapedPath and the
 // query as its RawQuery, url.ParseRequestURI reads it so too, and either
 // URL's String is the target (FuzzTargetCheck). n is the length of the
-// "http://host[:port]" prefix, after which the path begins. It allocates
+// "http://host[:port]" prefix, after which the path begins. It reads a
+// target held as bytes as it reads the string of them, and allocates
 // nothing.
-func plainTarget(target string) (n int, ok bool) {
-	if !strings.HasPrefix(target, "http://") {
+func plainTarget[T string | []byte](target T) (n int, ok bool) {
+	if len(target) < len("http://") || string(target[:len("http://")]) != "http://" {
 		return 0, false
 	}
 	i := len("http://")
@@ -1116,14 +1157,19 @@ func splitVersion(target string) (key string, version int64) {
 // peer holds arrives in its HIT_OBJ reply. Under SC-ICP that peer is the
 // first summary candidate; classic ICP knows no holder and asks the first
 // peer added, so a document held only by another sibling still takes the
-// HTTP leg.
-func (p *Proxy) tryRemote(ctx context.Context, key string, sig [md5.Size]byte, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
+// HTTP leg. The object lands in c's obj scratch, which keeps the array it
+// took up to icp.MaxHitObjLen bytes, so an inline body is valid until the
+// connection's next request.
+func (p *Proxy) tryRemote(ctx context.Context, c *clientConn, key string, sig [md5.Size]byte, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
 	if p.node == nil {
 		return nil, false, false, false
 	}
-	res, err := p.node.LookupObject(ctx, key, sig)
+	res, err := p.node.LookupObject(ctx, key, sig, c.obj)
 	if err != nil || res.Peer == nil {
 		return nil, false, err == nil && res.FalseHit, false
+	}
+	if obj := res.Reply.Object; res.Reply.Op == icp.OpHitObj && cap(obj) <= icp.MaxHitObjLen {
+		c.obj = obj[:0]
 	}
 	return p.finishRemoteHit(ctx, res.PeerID, res.Peer, res.Reply, key, wanted)
 }
@@ -1132,7 +1178,9 @@ func (p *Proxy) tryRemote(ctx context.Context, key string, sig [md5.Size]byte, w
 // HIT_OBJ reply when the object came inline, otherwise by a cache-only HTTP
 // fetch — and classifies the result: delivered fresh, delivered stale, or
 // not delivered at all, as the node charges it to the claiming sibling.
-// id is from's peer identifier (its address string).
+// id is from's peer identifier (its address string). Simple sharing caches
+// what it serves, and the cache owns its bodies, so an inline object is
+// copied out of the connection's scratch.
 func (p *Proxy) finishRemoteHit(ctx context.Context, id string, from *net.UDPAddr, win icp.Message, key string, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
 	body, version, ok := win.Object, int64(win.OptionData), true
 	if win.Op != icp.OpHitObj {
@@ -1152,6 +1200,9 @@ func (p *Proxy) finishRemoteHit(ctx context.Context, id string, from *net.UDPAdd
 		return nil, false, false, true
 	}
 	p.node.Delivered(ctx, from, key, core.DeliveredFresh)
+	if win.Op == icp.OpHitObj && !p.cfg.SingleCopy {
+		body = bytes.Clone(body)
+	}
 	return body, true, false, false
 }
 

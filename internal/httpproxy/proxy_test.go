@@ -231,6 +231,7 @@ func TestBadRequests(t *testing.T) {
 // target the upstream request cut from the string is the one url.Parse's
 // URL gives, and requestTarget's fast path reads it as
 // url.ParseRequestURI does, with the target itself as the URL's String.
+// plainTarget reads a target held as bytes exactly as its string.
 func FuzzTargetCheck(f *testing.F) {
 	for _, s := range []string{
 		// The targets of FuzzURLParam's and FuzzRequestHead's seeds.
@@ -265,6 +266,9 @@ func FuzzTargetCheck(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, target string) {
 		n, plain := plainTarget(target)
+		if nb, pb := plainTarget([]byte(target)); nb != n || pb != plain {
+			t.Fatalf("%q: plainTarget reads the string as %d, %v and its bytes as %d, %v", target, n, plain, nb, pb)
+		}
 		if !plain {
 			return
 		}
@@ -292,7 +296,7 @@ func FuzzTargetCheck(f *testing.F) {
 			t.Fatalf("%q: url.ParseRequestURI reads %v, %v; want the target as its String", target, ru, err)
 		}
 		p, q, abs, ok := requestTarget([]byte(target))
-		if !ok || string(p) != ru.Path || string(q) != ru.RawQuery || abs != target {
+		if !ok || string(p) != ru.Path || string(q) != ru.RawQuery || string(abs) != target {
 			t.Fatalf("%q: requestTarget reads path %q query %q abs %q ok %v; url.ParseRequestURI path %q query %q",
 				target, p, q, abs, ok, ru.Path, ru.RawQuery)
 		}

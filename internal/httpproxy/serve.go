@@ -11,7 +11,6 @@ import (
 	"os"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"time"
 
 	"summarycache/internal/http1"
@@ -26,6 +25,10 @@ const (
 	// report EOF. A deadline already past makes the poller report a timeout
 	// without attempting the read, so it would never see the hang-up.
 	hangUpProbe = time.Millisecond
+	// keyScratch is the capacity of a connection's scratch for an escaped
+	// url= value; a longer one is decoded into an array of its own, which
+	// the connection does not keep.
+	keyScratch = 1 << 10
 )
 
 // clientConn is one accepted client connection. Its goroutine reads each
@@ -41,6 +44,11 @@ type clientConn struct {
 	bufs [2][]byte   // head and a large body
 	vec  net.Buffers // bufs, consumed by one writev
 	date http1.Date
+
+	// Scratch the handler reuses, each made on first use: key holds an
+	// escaped url= value, decoded (keyScratch bytes), and obj an inline
+	// remote hit's object (at most icp.MaxHitObjLen bytes).
+	key, obj []byte
 
 	// The response the handler wrote, sent by flush.
 	status  int
@@ -116,7 +124,7 @@ func (c *clientConn) serve() {
 
 // dispatch runs the handler. A panic is recovered and logged, and closes
 // the connection, as net/http does.
-func (c *clientConn) dispatch(path, rawQuery []byte, abs string) (ok bool) {
+func (c *clientConn) dispatch(path, rawQuery, abs []byte) (ok bool) {
 	defer func() {
 		if v := recover(); v != nil && c.p.cfg.Logger != nil {
 			c.p.cfg.Logger.Error("panic serving client", "remote", c.nc.RemoteAddr().String(),
@@ -219,52 +227,51 @@ func (c *clientConn) flush() error {
 
 // requestTarget splits a request-target as net/http's server does, into
 // its unescaped path, its raw query and, for an absolute URL, the URL as
-// url.ParseRequestURI's String writes it (abs; "" for any other form). An
+// url.ParseRequestURI's String writes it (abs; nil for any other form). An
 // origin-form target ("/path?query") is split by hand, in place in the
 // head's bytes, and so is an absolute one plainTarget accepts, which is
-// its own abs (FuzzTargetCheck); any other form goes through
-// url.ParseRequestURI. The path is unescaped only when it has an escape.
-// ok is false for a target net/http refuses. An origin-form target with an
-// unescaped path allocates nothing, a plain absolute one only abs.
-func requestTarget(target []byte) (path, rawQuery []byte, abs string, ok bool) {
+// its own abs, the head's bytes too (FuzzTargetCheck); any other form goes
+// through url.ParseRequestURI. The path is unescaped only when it has an
+// escape. ok is false for a target net/http refuses. A target plainTarget
+// accepts, or an origin-form one with an unescaped path, allocates
+// nothing.
+func requestTarget(target []byte) (path, rawQuery, abs []byte, ok bool) {
 	if target[0] != '/' {
-		abs = string(target)
-		n, plain := plainTarget(abs)
+		n, plain := plainTarget(target)
 		if !plain {
-			u, err := url.ParseRequestURI(abs)
+			u, err := url.ParseRequestURI(string(target))
 			if err != nil {
-				return nil, nil, "", false
+				return nil, nil, nil, false
 			}
-			if abs = ""; u.IsAbs() {
-				abs = u.String()
+			if u.IsAbs() {
+				abs = []byte(u.String())
 			}
 			return []byte(u.Path), []byte(u.RawQuery), abs, true
 		}
-		target = target[n:]
+		abs, target = target, target[n:]
 	}
 	path, rawQuery, _ = bytes.Cut(target, []byte("?"))
 	if bytes.IndexByte(path, '%') >= 0 {
-		p, ok := unescape(path, false)
-		if !ok {
-			return nil, nil, "", false
+		if path, ok = unescape(nil, path, false); !ok {
+			return nil, nil, nil, false
 		}
-		path = []byte(p)
 	}
 	return path, rawQuery, abs, true
 }
 
 // unescape decodes s as url.QueryUnescape (query) or url.PathUnescape
-// does, into one new string of exactly the decoded length (a target is
-// kept as a cache key): each %XX is the byte it names, and in a query
-// component '+' is a space. ok is false on a '%' not followed by two hex
-// digits.
-func unescape(s []byte, query bool) (_ string, ok bool) {
+// does: each %XX is the byte it names, and in a query component '+' is a
+// space. An s with nothing to decode is returned itself; any other is
+// decoded into scratch's array when it fits, else into a new one of
+// exactly the decoded length. ok is false on a '%' not followed by two
+// hex digits.
+func unescape(scratch, s []byte, query bool) (_ []byte, ok bool) {
 	escapes, plus := 0, false
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '%':
 			if i+2 >= len(s) || !isHex(s[i+1]) || !isHex(s[i+2]) {
-				return "", false
+				return nil, false
 			}
 			escapes++
 			i += 2
@@ -273,10 +280,12 @@ func unescape(s []byte, query bool) (_ string, ok bool) {
 		}
 	}
 	if escapes == 0 && !plus {
-		return string(s), true
+		return s, true
 	}
-	var b strings.Builder
-	b.Grow(len(s) - 2*escapes)
+	b := scratch[:0]
+	if n := len(s) - 2*escapes; cap(b) < n {
+		b = make([]byte, 0, n)
+	}
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch {
@@ -286,9 +295,9 @@ func unescape(s []byte, query bool) (_ string, ok bool) {
 		case c == '+' && query:
 			c = ' '
 		}
-		b.WriteByte(c)
+		b = append(b, c)
 	}
-	return b.String(), true
+	return b, true
 }
 
 func isHex(c byte) bool {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"summarycache/internal/http1"
+	"summarycache/internal/lru"
 	"summarycache/internal/origin"
 	"summarycache/internal/testutil/leakcheck"
 	"summarycache/internal/tracing"
@@ -256,14 +257,15 @@ func rawClient(tb testing.TB, p *Proxy, target string, doc []byte) (get func() [
 
 // TestServeLocalHitAllocBudget pins what one 1 KiB local hit costs the
 // server on a warm keep-alive connection, driven by a client that
-// allocates nothing: one allocation, the target string, whether read from
-// the url parameter, escaped by the client or not, or from an
-// absolute-form request line.
+// allocates nothing: nothing, whether the target is read from the url
+// parameter, escaped by the client or not, or from an absolute-form
+// request line. The cache is read with the head's bytes or the
+// connection's scratch; no string of the target is made.
 func TestServeLocalHitAllocBudget(t *testing.T) {
 	for _, form := range []string{"plain", "escaped", "absolute"} {
 		t.Run(form, func(t *testing.T) {
 			hit := localHitClient(t, startNoneProxy(t, Config{}), form)
-			const budget = 1
+			const budget = 0
 			if got := testing.AllocsPerRun(200, func() { hit() }); got != budget {
 				t.Fatalf("a local hit allocated %v times on the server, want %d", got, budget)
 			}
@@ -271,6 +273,21 @@ func TestServeLocalHitAllocBudget(t *testing.T) {
 				t.Fatal("the response did not carry the document")
 			}
 		})
+	}
+}
+
+// TestServeCacheOnlyAllocBudget pins what answering a sibling's
+// cache-only fetch of a 1 KiB document costs the holder on a warm
+// keep-alive connection: nothing, as a local hit.
+func TestServeCacheOnlyAllocBudget(t *testing.T) {
+	const key = "http://origin.invalid/doc?size=1024"
+	p := startNoneProxy(t, Config{})
+	doc := bytes.Repeat([]byte("d"), 1<<10)
+	p.storeBody(nil, key, p.signature(key), 0, doc)
+	get := rawClient(t, p, CacheOnlyPath+"?url="+url.QueryEscape(key), doc)
+	const budget = 0
+	if got := testing.AllocsPerRun(200, func() { get() }); got != budget {
+		t.Fatalf("a cache-only answer allocated %v times on the holder, want %d", got, budget)
 	}
 }
 
@@ -438,7 +455,9 @@ func urlParamString(rawQuery string) string {
 
 // FuzzURLParam holds urlParam, which unescapes the raw query's bytes
 // itself, to urlParamString, and unescape's path form to
-// url.PathUnescape.
+// url.PathUnescape. One scratch serves the input and then a shorter one,
+// whose value must show none of the first's bytes, and a byte lookup of
+// each value finds exactly the entry its string stored.
 func FuzzURLParam(f *testing.F) {
 	for _, s := range []string{
 		"url=http://o/d",
@@ -453,12 +472,21 @@ func FuzzURLParam(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, q string) {
-		if got, want := urlParam([]byte(q)), urlParamString(q); got != want {
-			t.Fatalf("urlParam(%q) = %q, want %q", q, got, want)
+		scratch := make([]byte, 0, 64)
+		cache := lru.MustNewCache(lru.Config{Capacity: 1 << 20, MaxObjectSize: -1})
+		for i, in := range []string{q, q[:len(q)/2]} {
+			got, want := urlParam(scratch, []byte(in)), urlParamString(in)
+			if string(got) != want {
+				t.Fatalf("urlParam(%q) = %q, want %q", in, got, want)
+			}
+			cache.Put(lru.Entry{Key: want, Size: 1, Version: int64(i + 1)})
+			if e, ok := cache.GetBytes(got); !ok || e.Key != want || e.Version != int64(i+1) {
+				t.Fatalf("a byte lookup of %q found %+v, %v; want the entry stored under %q", got, e, ok, want)
+			}
 		}
-		got, ok := unescape([]byte(q), false)
+		got, ok := unescape(nil, []byte(q), false)
 		want, err := url.PathUnescape(q)
-		if ok != (err == nil) || ok && got != want {
+		if ok != (err == nil) || ok && string(got) != want {
 			t.Fatalf("unescape(%q, path) = %q, %v; url.PathUnescape: %q, %v", q, got, ok, want, err)
 		}
 	})

@@ -50,7 +50,7 @@ func TestDualStackPeers(t *testing.T) {
 		{"IPv4 asks dual-stack", v4, dualV4},
 	} {
 		peers := []*net.UDPAddr{tc.peer}
-		win, from, _, err := tc.asker.QueryAllFunc(context.Background(), 2*time.Second, peers, url, 0, nil)
+		win, from, _, err := tc.asker.QueryAllFunc(context.Background(), 2*time.Second, peers, url, 0, nil, nil)
 		if err != nil || from != tc.peer || win.Op != icp.OpHit || win.URL != url {
 			t.Fatalf("%s: %v for %q from %v (%v), want a HIT from %v", tc.name, win.Op, win.URL, from, err, tc.peer)
 		}

@@ -202,7 +202,7 @@ func TestQueryAllInlineObject(t *testing.T) {
 		{"unflagged", []*net.UDPAddr{holder.Addr(), miss.Addr()}, 0, OpHit, holder.Addr()},
 	} {
 		for i := 0; i < 20; i++ { // reply order varies; the outcome must not
-			win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, c.peers, "http://doc/", c.opts, nil)
+			win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, c.peers, "http://doc/", c.opts, nil, nil)
 			if err != nil || from == nil || from.Port != c.from.Port || win.Op != c.want {
 				t.Fatalf("%s: %v from %v (%v), want %v from %v", c.name, win.Op, from, err, c.want, c.from)
 			}
@@ -213,7 +213,7 @@ func TestQueryAllInlineObject(t *testing.T) {
 	}
 	// Two holders: only the flagged one can have sent the object.
 	for i := 0; i < 20; i++ {
-		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{holder.Addr(), other.Addr()}, "http://doc/", FlagHitObj, nil)
+		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{holder.Addr(), other.Addr()}, "http://doc/", FlagHitObj, nil, nil)
 		if err != nil || from == nil {
 			t.Fatalf("two holders: from=%v err=%v, want a hit", from, err)
 		}
@@ -241,7 +241,7 @@ func TestQueryAllSilentFlaggedPeer(t *testing.T) {
 	cli := client(t)
 	const deadline = 200 * time.Millisecond
 	start := time.Now()
-	win, from, _, err := cli.QueryAllFunc(context.Background(), deadline, []*net.UDPAddr{silent.Addr(), holder.Addr()}, "http://doc/", FlagHitObj, nil)
+	win, from, _, err := cli.QueryAllFunc(context.Background(), deadline, []*net.UDPAddr{silent.Addr(), holder.Addr()}, "http://doc/", FlagHitObj, nil, nil)
 	if err != nil || from == nil || from.Port != holder.Addr().Port || win.Op != OpHit {
 		t.Fatalf("%v from %v (%v), want a HIT from %v", win.Op, from, err, holder.Addr())
 	}
@@ -281,7 +281,7 @@ func TestQueryAllGraceForFlaggedPeer(t *testing.T) {
 		other := delayedReply(t, 40*time.Millisecond, OpHit, nil)
 		cli := client(t)
 		start := time.Now()
-		win, from, _, err := cli.QueryAllFunc(context.Background(), c.deadline, []*net.UDPAddr{flagged, other}, "http://doc/", FlagHitObj, nil)
+		win, from, _, err := cli.QueryAllFunc(context.Background(), c.deadline, []*net.UDPAddr{flagged, other}, "http://doc/", FlagHitObj, nil, nil)
 		took := time.Since(start)
 		if err != nil || from == nil || win.Op != c.want {
 			t.Fatalf("%s: %v from %v (%v), want %v", c.name, win.Op, from, err, c.want)
@@ -335,7 +335,7 @@ func TestQueryAllWaitsForEarlierPeers(t *testing.T) {
 		peers := append([]*net.UDPAddr{c.first}, later...)
 		var order []*net.UDPAddr
 		start := time.Now()
-		win, from, _, err := client(t).QueryAllFunc(context.Background(), deadline, peers, "http://doc/", 0,
+		win, from, _, err := client(t).QueryAllFunc(context.Background(), deadline, peers, "http://doc/", 0, nil,
 			func(from *net.UDPAddr, _ Opcode) { order = append(order, from) })
 		took := time.Since(start)
 		want := later[0]
@@ -368,7 +368,7 @@ func TestQueryAllForgedHitObj(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	for i := 0; i < 20; i++ {
-		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{miss.Addr(), liar}, "http://doc/", FlagHitObj, nil)
+		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{miss.Addr(), liar}, "http://doc/", FlagHitObj, nil, nil)
 		if err != nil || from == nil || from.Port != liar.Port {
 			t.Fatalf("unflagged liar: from=%v err=%v, want its HIT", from, err)
 		}
@@ -390,7 +390,7 @@ func TestQueryAllForgedHitObj(t *testing.T) {
 		return mustWire(t, NewReply(OpMiss, q.ReqNum, q.URL))
 	})
 	var seen []string
-	win, from, _, err := victim.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{asked}, "http://doc/", FlagHitObj,
+	win, from, _, err := victim.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{asked}, "http://doc/", FlagHitObj, nil,
 		func(from *net.UDPAddr, op Opcode) { seen = append(seen, from.String()+" "+op.String()) })
 	if err != nil || from != nil || win.Object != nil {
 		t.Fatalf("outside forger: %+v from %v (%v), want an ordinary miss", win, from, err)
@@ -435,7 +435,7 @@ func TestQueryAllHitObjWrongURL(t *testing.T) {
 	cli := client(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil)
+	win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil, nil)
 	if err != nil || from == nil {
 		t.Fatalf("from=%v err=%v, want a hit", from, err)
 	}
@@ -453,7 +453,7 @@ func TestHostileHitObjDropped(t *testing.T) {
 		})
 		cli := client(t)
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		_, from, _, err := cli.QueryAllFunc(ctx, 200*time.Millisecond, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil)
+		_, from, _, err := cli.QueryAllFunc(ctx, 200*time.Millisecond, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil, nil)
 		cancel()
 		if err != nil || from != nil {
 			t.Fatalf("tamper %d: from=%v err=%v, want an ordinary miss", i, from, err)
@@ -491,11 +491,144 @@ func TestQueryAllDuplicateReply(t *testing.T) {
 	cli := client(t)
 	before := cli.Stats().LateReplies
 	win, from, _, err := cli.QueryAllFunc(context.Background(), 2*time.Second,
-		[]*net.UDPAddr{twice, holder}, "http://doc/", FlagHitObj, nil)
+		[]*net.UDPAddr{twice, holder}, "http://doc/", FlagHitObj, nil, nil)
 	if err != nil || from == nil || from.Port != holder.Port || win.Op != OpHit {
 		t.Fatalf("%v from=%v (%v), want the holder's HIT", win.Op, from, err)
 	}
 	if late := cli.Stats().LateReplies - before; late != 1 {
 		t.Fatalf("late replies moved by %d, want 1 (the duplicated MISS)", late)
+	}
+}
+
+// TestStrayHitObjAllocatesNothing: a HIT_OBJ the asker did not ask for is
+// dropped without its object being copied, so whoever can reach the socket
+// cannot make the asker allocate. While a fan-out waits for its flagged
+// peer, an unasked, a late and a repeated HIT_OBJ of the largest object,
+// the repeat from the unflagged peer, allocate nothing, and each is still
+// counted. The flagged peer's object then lands in the destination, and a
+// repeat of it after the fan-out resolved leaves the destination alone.
+func TestStrayHitObjAllocatesNothing(t *testing.T) {
+	const url = "http://doc/"
+	socket := func() *net.UDPConn {
+		pc, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pc.Close() })
+		return pc
+	}
+	flagged, unflagged, outsider := socket(), socket(), socket()
+	cli := client(t)
+	obj := make([]byte, 0, MaxHitObjLen)
+	type result struct {
+		win  Message
+		from *net.UDPAddr
+		err  error
+	}
+	done := make(chan result, 1)
+	peers := []*net.UDPAddr{flagged.LocalAddr().(*net.UDPAddr), unflagged.LocalAddr().(*net.UDPAddr)}
+	go func() {
+		win, from, _, err := cli.QueryAllFunc(context.Background(), 10*time.Second, peers, url, FlagHitObj, obj, nil)
+		done <- result{win, from, err}
+	}()
+	buf := make([]byte, MaxDatagram)
+	n, _, err := flagged.ReadFromUDP(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Parse(buf[:n])
+	if err != nil || q.Options&FlagHitObj == 0 {
+		t.Fatalf("the flagged peer read %+v (%v), want a query asking for the object", q, err)
+	}
+	body := bytes.Repeat([]byte("o"), MaxHitObjLen-HeaderLen-len(url)-1-hitObjSizeLen)
+	poison := bytes.Repeat([]byte("p"), len(body))
+	live := mustWire(t, mustHitObj(t, q.ReqNum, url, body, 1))
+	stray := mustWire(t, mustHitObj(t, q.ReqNum, url, poison, 1))
+	dead := mustWire(t, mustHitObj(t, q.ReqNum+1, url, poison, 1)) // no query waits on this number
+	to := addrPort(cli.Addr())
+	send := func(pc *net.UDPConn, b []byte) {
+		if _, err := pc.WriteToUDPAddrPort(b, to); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// settle waits until the client has read received datagrams and
+	// counted unasked and late drops in all, without allocating.
+	settle := func(received, unasked, late uint64) {
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Microsecond) {
+			st := cli.Stats()
+			if st.Received >= received && st.Unasked >= unasked && st.LateReplies >= late {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("stats %+v, want %d received, %d unasked and %d late", st, received, unasked, late)
+			}
+		}
+	}
+	// The unflagged peer's first HIT_OBJ is its answer, taken as a plain
+	// HIT: the fan-out keeps waiting for the earlier, flagged peer.
+	send(unflagged, stray)
+	settle(1, 0, 0)
+	runs := uint64(0)
+	strays := func() {
+		send(outsider, stray)  // from an address the query did not ask
+		send(outsider, dead)   // late: its query is gone
+		send(unflagged, stray) // a repeat from the unflagged peer
+		runs++
+		settle(1+3*runs, runs, 2*runs)
+	}
+	if got := testing.AllocsPerRun(100, strays); got != 0 {
+		t.Fatalf("a stray HIT_OBJ allocated %v times on the asker, want 0", got)
+	}
+	if st := cli.Stats(); st.Received != 1+3*runs || st.Unasked != runs || st.LateReplies != 2*runs {
+		t.Fatalf("stats %+v after %d rounds, want %d received, %d unasked and %d late", st, runs, 1+3*runs, runs, 2*runs)
+	}
+	send(flagged, live)
+	r := <-done
+	if r.err != nil || r.from != peers[0] || r.win.Op != OpHitObj || !bytes.Equal(r.win.Object, body) || &r.win.Object[0] != &obj[:1][0] {
+		t.Fatalf("%v of %d bytes from %v (%v), want the flagged peer's object in the destination", r.win.Op, len(r.win.Object), r.from, r.err)
+	}
+	late := cli.Stats().LateReplies
+	send(flagged, stray)
+	settle(3+3*runs, runs, late+1)
+	if !bytes.Equal(obj[:len(body)], body) {
+		t.Fatal("a repeat of the flagged peer's HIT_OBJ after the fan-out resolved overwrote the destination")
+	}
+}
+
+// TestFlaggedObjectCopiedOnce: deliver copies the flagged peer's object
+// into the destination once, from the first HIT_OBJ naming the URL asked.
+// A second one, which could overwrite the object the first reply's
+// Message holds before the querier reads it, becomes a plain HIT, and so
+// does one naming another URL, whose URL is not copied either. After
+// release nothing lands in the destination.
+func TestFlaggedObjectCopiedOnce(t *testing.T) {
+	const url = "http://doc/"
+	c := stubConn()
+	peer := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4827}
+	obj := make([]byte, 0, 64)
+	w, err := c.register(1, 3, url, obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.flag(w, peer)
+	from := addrPort(peer)
+	hitObj := Message{Op: OpHitObj, ReqNum: 1, OptionData: 3}
+	c.deliver(hitObj, []byte(url+"other"), []byte("elsewhere"), from)
+	c.deliver(hitObj, []byte(url), []byte("first"), from)
+	c.deliver(hitObj, []byte(url), []byte("2nd"), from)
+	other, first, second := <-w.ch, <-w.ch, <-w.ch
+	if m := other.m; m.Op != OpHit || m.Object != nil || m.OptionData != 0 || m.URL != "" {
+		t.Fatalf("a HIT_OBJ naming another URL surfaced as %+v, want a plain HIT with no URL", m)
+	}
+	if m := first.m; m.Op != OpHitObj || string(m.Object) != "first" || &m.Object[0] != &obj[:1][0] || m.URL != url || m.OptionData != 3 {
+		t.Fatalf("the first HIT_OBJ surfaced as %+v, want its object in the destination", m)
+	}
+	if m := second.m; m.Op != OpHit || m.Object != nil || m.OptionData != 0 {
+		t.Fatalf("the second HIT_OBJ surfaced as %+v, want a plain HIT", m)
+	}
+	c.release(1, w)
+	c.deliver(hitObj, []byte(url), []byte("late"), from)
+	if string(obj[:5]) != "first" {
+		t.Fatalf("the destination holds %q after release, want the first object", obj[:5])
 	}
 }

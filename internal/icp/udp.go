@@ -1,7 +1,6 @@
 package icp
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -25,7 +24,8 @@ type Stats struct {
 	Undecodable uint64 // datagrams that failed to decode
 	// LateReplies counts replies whose query was no longer waiting, and
 	// repeat copies of a reply a waiting fan-out already counted (a
-	// duplicated datagram).
+	// duplicated datagram). A reply still queued when its query resolves
+	// is late too.
 	LateReplies uint64
 	Unasked     uint64 // replies to a live query from an address it did not ask
 	SendErrors  uint64 // transmissions the network layer rejected
@@ -136,6 +136,12 @@ type waiter struct {
 	url   string // the URL asked: a reply naming it shares this string
 	ch    chan reply
 	timer *time.Timer // QueryAllFunc's deadline; nil until first armed
+
+	// The flagged peer's object (see deliver), under c.mu: objFrom is the
+	// peer asked for it until its copy is made (zero: none), and obj the
+	// destination the copy lands in.
+	objFrom netip.AddrPort
+	obj     []byte
 }
 
 // arm (re)starts w's timer to fire after d. The timer must be stopped with
@@ -317,8 +323,9 @@ func (c *Conn) SeedReqNum(v uint32) { c.nextReq.Store(v) }
 
 // register enrolls a waiter for a query of url numbered reqNum whose
 // channel holds at least n replies, reusing a retired one when it is big
-// enough.
-func (c *Conn) register(reqNum uint32, n int, url string) (*waiter, error) {
+// enough. obj is the destination of the flagged peer's object, which
+// flag names.
+func (c *Conn) register(reqNum uint32, n int, url string, obj []byte) (*waiter, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -331,18 +338,31 @@ func (c *Conn) register(reqNum uint32, n int, url string) (*waiter, error) {
 	} else {
 		w = &waiter{ch: make(chan reply, max(n, 8))}
 	}
-	w.url = url
+	w.url, w.obj = url, obj
 	c.pending[reqNum] = w
 	return w, nil
 }
 
-// release retires reqNum's waiter. The read loop sends replies only under
-// c.mu, so once the entry is deleted nothing more reaches w.ch: drained, w
-// is as good as new. A waiter Close has closed is never reused.
+// flag names to as the peer whose HIT_OBJ is copied into w's destination.
+func (c *Conn) flag(w *waiter, to *net.UDPAddr) {
+	c.mu.Lock()
+	w.objFrom = addrPort(to)
+	c.mu.Unlock()
+}
+
+// release retires reqNum's waiter. The read loop sends replies and copies
+// objects only under c.mu, so once the entry is deleted nothing more
+// reaches w.ch or w's destination: drained, w is as good as new. A reply
+// still queued went unread by its query, and is counted late. A waiter
+// Close has closed is never reused.
 func (c *Conn) release(reqNum uint32, w *waiter) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.pending, reqNum)
+	for len(w.ch) > 0 {
+		<-w.ch
+		c.late.Add(1)
+	}
 	if w.timer != nil && !w.timer.Stop() {
 		// With go.mod at 1.22 a timer's channel is buffered: a tick may be
 		// waiting in it. When none is, the tick was either taken by
@@ -357,21 +377,19 @@ func (c *Conn) release(reqNum uint32, w *waiter) {
 	if c.closed || len(c.free) >= maxFree {
 		return
 	}
-	for len(w.ch) > 0 {
-		<-w.ch
-	}
-	w.url = ""
+	w.url, w.obj, w.objFrom = "", nil, netip.AddrPort{}
 	c.free = append(c.free, w)
 }
 
 // Query sends an ICP query for url to the peer and waits for its reply
-// (HIT, HIT_OBJ, MISS, MISS_NOFETCH, DENIED or ERR) until ctx is done. A lost
+// (HIT, MISS, MISS_NOFETCH, DENIED or ERR) until ctx is done. A lost
 // datagram surfaces as ctx expiry — the caller treats it as a miss,
 // exactly as Squid does. Only a reply from to counts: one from any other
-// address is ignored and counted (Stats.Unasked), as in QueryAllFunc.
+// address is ignored and counted (Stats.Unasked), as in QueryAllFunc. The
+// query asks for no object, so a HIT_OBJ answers as a plain HIT.
 func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message, error) {
 	reqNum := c.NextReqNum()
-	w, err := c.register(reqNum, 1, url)
+	w, err := c.register(reqNum, 1, url, nil)
 	if err != nil {
 		return Message{}, err
 	}
@@ -414,27 +432,31 @@ func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message,
 // options are the query's. With FlagHitObj only the first peer is asked
 // for the object itself, the rest only whether they hold it, so a flagged
 // holder always wins. A winning HIT_OBJ carries the document (Object,
-// version in OptionData). An object is used only when it comes from the
-// flagged peer and names the URL asked for; any other HIT_OBJ is taken as
-// a plain HIT, its object dropped. A reply from an address that was not
-// asked is ignored and counted (Stats.Unasked): reply routing keys on the
-// request number alone, which anyone reaching the socket can guess. Only a
-// peer's first reply counts; a repeat (a duplicated datagram) is ignored
-// and counted as late (Stats.LateReplies), so it cannot stand in for
-// another peer's reply. onReply (when non-nil) is invoked on the caller's
+// version in OptionData). The object is copied into obj's array, which
+// Object then shares (a new array when obj is too small), and it is
+// copied only from the flagged peer's first HIT_OBJ that names the URL
+// asked for, while the query waits; any other HIT_OBJ is taken as a plain
+// HIT, its object dropped uncopied. obj must not be read or written until
+// QueryAllFunc returns. A reply from an address that was not asked is
+// ignored and counted (Stats.Unasked): reply routing keys on the request
+// number alone, which anyone reaching the socket can guess. Only a peer's
+// first reply counts; a repeat (a duplicated datagram) is ignored and
+// counted as late (Stats.LateReplies), so it cannot stand in for another
+// peer's reply. onReply (when non-nil) is invoked on the caller's
 // goroutine for every counted reply that arrives before the fan-out
 // resolves, attributed to its sender (the entry of peers); the tracing
 // layer uses it to record each peer's actual answer.
 //
 // A steady-state fan-out to at most 16 peers allocates nothing: its reply
 // channel and timer are reused across queries (after a query that ran to
-// its deadline, the next one makes a new timer).
-func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []*net.UDPAddr, url string, options uint32, onReply func(from *net.UDPAddr, op Opcode)) (win Message, from *net.UDPAddr, reqNum uint32, err error) {
+// its deadline, the next one makes a new timer), and an object that fits
+// obj lands in it.
+func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []*net.UDPAddr, url string, options uint32, obj []byte, onReply func(from *net.UDPAddr, op Opcode)) (win Message, from *net.UDPAddr, reqNum uint32, err error) {
 	if len(peers) == 0 {
 		return Message{}, nil, 0, nil
 	}
 	reqNum = c.NextReqNum()
-	w, err := c.register(reqNum, len(peers), url)
+	w, err := c.register(reqNum, len(peers), url, obj)
 	if err != nil {
 		return Message{}, nil, reqNum, err
 	}
@@ -450,19 +472,18 @@ func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []
 	}
 	q := NewQuery(reqNum, url)
 	q.Options = options
-	objPeer := -1 // index of the one peer asked for the object
 	sent := 0
 	var lastErr error
 	for i, p := range peers {
+		if q.Options&FlagHitObj != 0 {
+			c.flag(w, p) // before the query goes out, so its reply finds it
+		}
 		if err := c.Send(p, q); err != nil {
 			lastErr = err
 			answered[i] = true
 			continue
 		}
-		if q.Options&FlagHitObj != 0 {
-			objPeer = i
-			q.Options &^= FlagHitObj
-		}
+		q.Options &^= FlagHitObj
 		sent++
 	}
 	if sent == 0 {
@@ -494,9 +515,6 @@ func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []
 				continue
 			}
 			answered[i] = true
-			if r.m.Op == OpHitObj && (i != objPeer || r.m.URL != url) {
-				r.m.Op, r.m.Object, r.m.OptionData = OpHit, nil, 0
-			}
 			if onReply != nil {
 				onReply(peers[i], r.m.Op)
 			}
@@ -589,20 +607,31 @@ func (c *Conn) readLoop() {
 }
 
 // deliver hands a reply to the query waiting on its request number, if one
-// is. Reply opcodes carry no DirUpdate payload, so the Message crossing to
-// the waiting goroutine holds only owned data: a URL naming the one asked
-// shares the waiter's string, any other URL is copied out of the datagram,
-// and so is a HIT_OBJ's object. The send happens under c.mu, so a query's
-// release knows no reply reaches its channel once the entry is gone. It
-// never blocks: a full channel drops the surplus copy.
+// is. Reply opcodes carry no DirUpdate payload, and nothing is copied out
+// of the datagram but one object: a URL naming the one asked shares the
+// waiter's string, any other leaves the Message's URL empty, and a
+// HIT_OBJ's object is copied into the waiter's destination only from the
+// flagged peer, only once, and only when it names the URL asked. Every
+// other HIT_OBJ becomes a plain HIT, its object dropped uncopied, so
+// neither a late, duplicated, unasked or unflagged reply nor a reply
+// naming another URL allocates. The copy and the send happen under c.mu,
+// so a query's release knows nothing reaches its channel or destination
+// once the entry is gone. It never blocks: a full channel drops the
+// surplus copy.
 func (c *Conn) deliver(m Message, url, obj []byte, from netip.AddrPort) {
-	m.Object = bytes.Clone(obj)
 	c.mu.Lock()
 	w := c.pending[m.ReqNum]
 	if w != nil {
-		m.URL = w.url
-		if string(url) != w.url {
-			m.URL = string(url)
+		named := string(url) == w.url
+		if named {
+			m.URL = w.url
+		}
+		if m.Op == OpHitObj {
+			if named && from == w.objFrom {
+				m.Object, w.objFrom = append(w.obj[:0], obj...), netip.AddrPort{}
+			} else {
+				m.Op, m.OptionData = OpHit, 0
+			}
 		}
 		select {
 		case w.ch <- reply{m: m, from: from}:

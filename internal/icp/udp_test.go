@@ -100,7 +100,7 @@ func TestQueryAll(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 
-	_, from, req1, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{miss1.Addr(), hitSrv.Addr(), miss2.Addr()}, "http://doc/", 0, nil)
+	_, from, req1, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{miss1.Addr(), hitSrv.Addr(), miss2.Addr()}, "http://doc/", 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestQueryAll(t *testing.T) {
 		t.Fatalf("from=%v, want a hit from %v", from, hitSrv.Addr())
 	}
 
-	_, from, req2, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{miss1.Addr(), miss2.Addr()}, "http://doc/", 0, nil)
+	_, from, req2, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{miss1.Addr(), miss2.Addr()}, "http://doc/", 0, nil, nil)
 	if err != nil || from != nil {
 		t.Fatalf("from=%v err=%v, want miss", from, err)
 	}
@@ -117,7 +117,7 @@ func TestQueryAll(t *testing.T) {
 	}
 
 	// No peers: trivially a miss.
-	_, from, _, err = cli.QueryAllFunc(ctx, 2*time.Second, nil, "http://doc/", 0, nil)
+	_, from, _, err = cli.QueryAllFunc(ctx, 2*time.Second, nil, "http://doc/", 0, nil, nil)
 	if err != nil || from != nil {
 		t.Fatal("empty peer set should be a clean miss")
 	}
@@ -131,7 +131,7 @@ func TestQueryAllTimeoutsAreMisses(t *testing.T) {
 	silent.Start()
 	defer silent.Close()
 	cli := client(t)
-	_, from, _, err := cli.QueryAllFunc(context.Background(), 50*time.Millisecond, []*net.UDPAddr{silent.Addr()}, "http://x/", 0, nil)
+	_, from, _, err := cli.QueryAllFunc(context.Background(), 50*time.Millisecond, []*net.UDPAddr{silent.Addr()}, "http://x/", 0, nil, nil)
 	if err != nil {
 		t.Fatalf("timeout should be a miss, got error %v", err)
 	}
@@ -160,7 +160,7 @@ func TestRequestNumberWraparound(t *testing.T) {
 	seenID := make(map[tracing.ID]bool)
 	for i := 0; i < 6; i++ {
 		_, from, reqNum, err := cli.QueryAllFunc(ctx, 5*time.Second,
-			[]*net.UDPAddr{missSrv.Addr(), hitSrv.Addr()}, "http://doc/", 0, nil)
+			[]*net.UDPAddr{missSrv.Addr(), hitSrv.Addr()}, "http://doc/", 0, nil, nil)
 		if err != nil {
 			t.Fatalf("fan-out %d: %v", i, err)
 		}
@@ -398,7 +398,7 @@ func TestDropReasonsCountedApart(t *testing.T) {
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
-	if _, from, _, err := cli.QueryAllFunc(ctx, 500*time.Millisecond, []*net.UDPAddr{asked}, "http://doc/", 0, nil); err != nil || from != nil {
+	if _, from, _, err := cli.QueryAllFunc(ctx, 500*time.Millisecond, []*net.UDPAddr{asked}, "http://doc/", 0, nil, nil); err != nil || from != nil {
 		t.Fatalf("from=%v err=%v, want no hit: only the asked peer counts, and it missed", from, err)
 	}
 	expect("a reply from an unasked address", 4, Stats{Undecodable: 1, LateReplies: 1, Unasked: 1})

@@ -453,9 +453,10 @@ func Parse(b []byte) (Message, error) {
 // sets a query's RequesterAddr in m, and returns the URL and, for a
 // HIT_OBJ, the object (non-nil, possibly empty) as views into body. It
 // copies nothing: the caller decides what to own. Parse and Decode copy
-// both out; the Conn's read loop copies a reply's URL only when it is not
-// the URL its query asked. A HIT_OBJ over MaxHitObjLen, or whose size field
-// disagrees with the bytes present, is rejected.
+// both out; the Conn's read loop copies no reply's URL, and a HIT_OBJ's
+// object only into the destination of the query that asked for it. A
+// HIT_OBJ over MaxHitObjLen, or whose size field disagrees with the bytes
+// present, is rejected.
 func parseURLPayload(body []byte, m *Message) (url, obj []byte, err error) {
 	switch {
 	case m.Op == OpQuery:
@@ -497,9 +498,10 @@ func parseURLPayload(body []byte, m *Message) (url, obj []byte, err error) {
 // URLs, and a querier serves or stores the object, so a view into the
 // receive buffer would dangle). The Conn's read loop decodes with the same
 // Decoder but owns the views itself: a reply naming the URL its query
-// asked shares the query's string and allocates nothing for it. DIRUPDATE
-// traffic, the mesh's volume driver, decodes with zero allocations
-// steady-state.
+// asked shares the query's string, and its object lands in the query's
+// destination (see Conn.QueryAllFunc), so a reply allocates nothing.
+// DIRUPDATE traffic, the mesh's volume driver, decodes with zero
+// allocations steady-state.
 //
 // A Decoder must not be shared between goroutines without external
 // serialization; each receive loop owns one.

@@ -151,7 +151,7 @@ func TestQueryAllAllocBudget(t *testing.T) {
 	peers := []*net.UDPAddr{miss.Addr(), hit.Addr()}
 	ctx := context.Background()
 	query := func() {
-		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, peers, url, FlagHitObj, nil)
+		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, peers, url, FlagHitObj, nil, nil)
 		if err != nil || from != peers[1] || win.Op != OpHit {
 			t.Fatalf("%v from %v (%v), want the HIT from %v", win.Op, from, err, peers[1])
 		}
@@ -162,5 +162,30 @@ func TestQueryAllAllocBudget(t *testing.T) {
 	const budget = 2
 	if n := testing.AllocsPerRun(200, query); n != budget {
 		t.Fatalf("QueryAllFunc allocated %v times per fan-out, want %d", n, budget)
+	}
+}
+
+// TestQueryAllHitObjAllocBudget pins what one fan-out that the flagged
+// holder answers with a HIT_OBJ allocates over loopback, given a
+// destination for the object: the object lands in it, so only the query
+// URL the responder's read loop decodes for its handler remains.
+func TestQueryAllHitObjAllocBudget(t *testing.T) {
+	const url = "http://example.com/doc"
+	body := make([]byte, 4<<10)
+	holder := hitObjResponder(t, url, body)
+	cli := client(t)
+	peers := []*net.UDPAddr{holder.Addr()}
+	obj := make([]byte, 0, MaxHitObjLen)
+	ctx := context.Background()
+	query := func() {
+		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, peers, url, FlagHitObj, obj, nil)
+		if err != nil || from != peers[0] || win.Op != OpHitObj || len(win.Object) != len(body) || &win.Object[0] != &obj[:1][0] {
+			t.Fatalf("%v of %d bytes from %v (%v), want the holder's object in the destination", win.Op, len(win.Object), from, err)
+		}
+	}
+	query() // the first fan-out makes the reply channel and timer
+	const budget = 1
+	if n := testing.AllocsPerRun(200, query); n != budget {
+		t.Fatalf("QueryAllFunc allocated %v times per inline fan-out, want %d", n, budget)
 	}
 }

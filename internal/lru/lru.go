@@ -239,8 +239,21 @@ func (c *Cache) Get(key string) (Entry, bool) {
 	if !c.mu.TryLock() {
 		c.lockSlow()
 	}
-	nd, ok := c.items[key]
-	if !ok {
+	return c.got(c.items[key])
+}
+
+// GetBytes is Get for a key held as bytes, which it looks up without
+// making a string of them.
+func (c *Cache) GetBytes(key []byte) (Entry, bool) {
+	if !c.mu.TryLock() {
+		c.lockSlow()
+	}
+	return c.got(c.items[string(key)])
+}
+
+// got finishes a Get that found nd (nil: a miss) and unlocks mu.
+func (c *Cache) got(nd *node) (Entry, bool) {
+	if nd == nil {
 		c.misses++
 		c.mu.Unlock()
 		return Entry{}, false

@@ -40,7 +40,7 @@ func TestPutGet(t *testing.T) {
 }
 
 // TestGetZeroAlloc pins the read path's contract: a hit and a miss
-// allocate nothing.
+// allocate nothing, whether the key is a string or bytes.
 func TestGetZeroAlloc(t *testing.T) {
 	c := MustNewCache(Config{Capacity: 1 << 20, MaxObjectSize: -1})
 	c.Put(Entry{Key: "k", Size: 1})
@@ -48,6 +48,31 @@ func TestGetZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { c.Get(key) }); n != 0 {
 			t.Errorf("Get(%q) allocs = %v, want 0", key, n)
 		}
+		b := []byte(key)
+		if n := testing.AllocsPerRun(100, func() { c.GetBytes(b) }); n != 0 {
+			t.Errorf("GetBytes(%q) allocs = %v, want 0", key, n)
+		}
+	}
+}
+
+// TestGetBytesIsGet: a byte lookup finds the entry a string key stored,
+// promotes it and counts as Get does.
+func TestGetBytesIsGet(t *testing.T) {
+	c := MustNewCache(Config{Capacity: 2, MaxObjectSize: -1})
+	c.Put(Entry{Key: "a", Size: 1, Version: 7})
+	c.Put(Entry{Key: "b", Size: 1})
+	if e, ok := c.GetBytes([]byte("a")); !ok || e.Key != "a" || e.Version != 7 {
+		t.Fatalf("GetBytes(a) = %+v, %v; want the stored entry", e, ok)
+	}
+	if _, ok := c.GetBytes([]byte("absent")); ok {
+		t.Fatal("GetBytes found a key never stored")
+	}
+	c.Put(Entry{Key: "c", Size: 1}) // displaces b: a was promoted
+	if !c.Contains("a") || c.Contains("b") {
+		t.Fatalf("keys %v after the byte lookup promoted a, want a and c", c.Keys())
+	}
+	if ct := c.Counters(); ct.Hits != 1 || ct.Misses != 1 {
+		t.Fatalf("counters %+v, want one hit and one miss", ct)
 	}
 }
 
