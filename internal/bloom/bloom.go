@@ -135,7 +135,13 @@ func (f *Filter) Indexes(dst []uint64, key string) []uint64 {
 // audited lookup path records them so a false hit can name the exact bits
 // that lied.
 func (f *Filter) IndexesSig(dst []uint64, key string, sig [md5.Size]byte) []uint64 {
-	dst, _ = f.family.IndexesSig(dst, key, sig, f.m) // cannot fail: f.m > 0
+	return IndexesSigOf(f, dst, key, sig)
+}
+
+// IndexesSigOf is f.IndexesSig for a key held as a string or as bytes, so
+// a caller probing with the key's bytes makes no string of them.
+func IndexesSigOf[T string | []byte](f *Filter, dst []uint64, key T, sig [md5.Size]byte) []uint64 {
+	dst, _ = hashing.IndexesSigOf(f.family, dst, key, sig, f.m) // cannot fail: f.m > 0
 	return dst
 }
 

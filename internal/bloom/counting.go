@@ -136,15 +136,20 @@ func (c *CountingFilter) PendingFlips() int { return int(c.pending.Load()) }
 
 // DrainJournal removes and returns all journaled flips, oldest first (nil
 // when there are none). The returned slice is a copy the caller owns.
-func (c *CountingFilter) DrainJournal() []Flip {
+func (c *CountingFilter) DrainJournal() []Flip { return c.AppendJournal(nil) }
+
+// AppendJournal removes all journaled flips and appends them to dst,
+// oldest first, returning the extended slice: a caller that drains into
+// an array it keeps allocates nothing once the array is big enough.
+func (c *CountingFilter) AppendJournal(dst []Flip) []Flip {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.journal) == 0 {
-		return nil
+		return dst
 	}
-	out := append([]Flip(nil), c.journal...)
+	dst = append(dst, c.journal...)
 	c.clearJournalLocked()
-	return out
+	return dst
 }
 
 // clearJournalLocked empties the journal, keeping its backing array for

@@ -147,10 +147,14 @@ func (d *Directory) PendingFlips() int {
 // Drain removes and returns the unpublished flip journal, resetting the
 // new-document counter. The caller ships the flips to peers (or discards
 // them for a peer that will receive a full snapshot instead).
-func (d *Directory) Drain() []Flip {
-	out := d.counting.DrainJournal()
+func (d *Directory) Drain() []Flip { return d.AppendDrain(nil) }
+
+// AppendDrain is Drain appending the flips to dst, an array the caller
+// keeps from one publication to the next.
+func (d *Directory) AppendDrain(dst []Flip) []Flip {
+	dst = d.counting.AppendJournal(dst)
 	d.newDocs.Store(0)
-	return out
+	return dst
 }
 
 // FilterSnapshot returns a copy of the directory's plain bit array — the

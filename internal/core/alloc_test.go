@@ -65,10 +65,10 @@ func TestLookupObjectAllocBudget(t *testing.T) {
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			ctx, id, sig := context.Background(), holder.Addr().String(), hashing.Signature(url)
+			ctx, id, key, sig := context.Background(), holder.Addr().String(), []byte(url), hashing.Signature(url)
 			obj := make([]byte, 0, icp.MaxHitObjLen)
 			lookup := func() {
-				res, err := asker.LookupObject(ctx, url, sig, obj)
+				res, err := asker.LookupObject(ctx, key, sig, obj)
 				if err != nil || res.Reply.Op != icp.OpHitObj || res.PeerID != id {
 					t.Fatalf("resolution = %+v (%v), want a HIT_OBJ from the holder", res, err)
 				}
@@ -135,4 +135,52 @@ func BenchmarkNodeCandidates(b *testing.B) {
 			f.Test(keys[i&1023])
 		}
 	})
+}
+
+// TestPublishAllocBudget pins a steady delta publication to three members
+// at zero allocations: the publisher drains the flip journal, splits it
+// into messages and lists the members into arrays it keeps, and the
+// discarding logger builds no record. The members are bare sockets nobody
+// reads, so nothing else in the process allocates; MinPending keeps the
+// threshold from waking the publisher between publications.
+func TestPublishAllocBudget(t *testing.T) {
+	n, err := NewNode(NodeConfig{
+		ListenAddr:  "127.0.0.1:0",
+		Directory:   bloom.DirectoryConfig{ExpectedDocs: 1000, MinPending: 1 << 30},
+		HasDocument: func(string) bool { return false },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	for range 3 {
+		sock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sock.Close() })
+		if err := n.AddPeer(sock.LocalAddr().(*net.UDPAddr)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := make([]string, 4096)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("http://example.com/doc/%d", i)
+	}
+	next := 0
+	publish := func() {
+		for range 8 {
+			n.HandleInsert(keys[next%len(keys)])
+			next++
+		}
+		n.PublishNow()
+	}
+	publish() // the first publication sizes the publisher's arrays
+	sent := n.Stats().UpdatesSent
+	if got := testing.AllocsPerRun(100, publish); got != 0 {
+		t.Fatalf("a delta publication allocated %v times, want 0", got)
+	}
+	if got := n.Stats().UpdatesSent - sent; got != 3*101 {
+		t.Fatalf("%d updates sent in 101 publications to 3 members, want %d", got, 3*101)
+	}
 }

@@ -118,9 +118,10 @@ const (
 )
 
 // Delivered charges how the peer at addr delivered the copy of url its HIT
-// claimed. Only a fresh copy counts as the peer's remote hit. The trace in
-// ctx, if any, is linked from the false-decision record.
-func (n *Node) Delivered(ctx context.Context, addr *net.UDPAddr, url string, d Delivery) {
+// claimed. Only a fresh copy counts as the peer's remote hit, which makes
+// no string of url; a false decision's record keeps one. The trace in ctx,
+// if any, is linked from that record.
+func (n *Node) Delivered(ctx context.Context, addr *net.UDPAddr, url []byte, d Delivery) {
 	p := n.member(addr)
 	if p == nil {
 		return
@@ -129,9 +130,9 @@ func (n *Node) Delivered(ctx context.Context, addr *net.UDPAddr, url string, d D
 	case DeliveredFresh:
 		p.remoteHits.Add(1)
 	case NotDelivered:
-		n.noteFalse(p, &p.falseHits, "false_hit", url, tracing.FromContext(ctx))
+		n.noteFalse(p, &p.falseHits, "false_hit", string(url), tracing.FromContext(ctx))
 	case DeliveredStale:
-		n.noteFalse(p, &p.staleHits, "stale_hit", url, tracing.FromContext(ctx))
+		n.noteFalse(p, &p.staleHits, "stale_hit", string(url), tracing.FromContext(ctx))
 	}
 }
 

@@ -75,7 +75,7 @@ func TestPeerDecisionsScrapeParity(t *testing.T) {
 	ctx := context.Background()
 	lookup := func(url string, resolved bool) {
 		t.Helper()
-		if res, err := a.LookupObject(ctx, url, hashing.Signature(url), nil); err != nil || (res.Peer != nil) != resolved {
+		if res, err := a.LookupObject(ctx, []byte(url), hashing.Signature(url), nil); err != nil || (res.Peer != nil) != resolved {
 			t.Fatalf("lookup %s = %+v (%v), want resolved=%v", url, res, err, resolved)
 		}
 	}
@@ -83,7 +83,7 @@ func TestPeerDecisionsScrapeParity(t *testing.T) {
 		lookup(hit, true)
 	}
 	for _, d := range []Delivery{DeliveredFresh, DeliveredFresh, DeliveredFresh, DeliveredStale, NotDelivered} {
-		a.Delivered(ctx, b.Addr(), hit, d)
+		a.Delivered(ctx, b.Addr(), []byte(hit), d)
 	}
 	lookup(lie, false)
 	lookup(lie, false)
@@ -125,7 +125,7 @@ func TestPeerDecisionsRecentRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < recentCap+5; i++ {
-		a.Delivered(context.Background(), b.Addr(), fmt.Sprintf("http://o/%d", i), NotDelivered)
+		a.Delivered(context.Background(), b.Addr(), []byte(fmt.Sprintf("http://o/%d", i)), NotDelivered)
 	}
 	rec := a.RecentFalse()
 	if len(rec) != recentCap {
@@ -151,11 +151,11 @@ func TestPeerDecisionsRemoveRetires(t *testing.T) {
 		if err := a.AddPeer(b.Addr()); err != nil {
 			t.Fatal(err)
 		}
-		a.Delivered(ctx, b.Addr(), "http://o/x", NotDelivered)
+		a.Delivered(ctx, b.Addr(), []byte("http://o/x"), NotDelivered)
 	}
 
 	a1.RemovePeer(b.Addr())
-	a1.Delivered(ctx, b.Addr(), "http://o/x", NotDelivered) // no longer registered
+	a1.Delivered(ctx, b.Addr(), []byte("http://o/x"), NotDelivered) // no longer registered
 
 	a1b := fmt.Sprintf(`{node="%s",peer="%s"}`, a1.Addr(), id)
 	a2Line := fmt.Sprintf(`summarycache_peer_false_hits_total{node="%s",peer="%s"} 1`, a2.Addr(), id)
@@ -179,7 +179,7 @@ func TestPeerDecisionsRemoveRetires(t *testing.T) {
 	if d, _ := decisionsOf(a1, id); d != (PeerStats{}) {
 		t.Errorf("re-added peer starts at %+v, want zero", d)
 	}
-	a1.Delivered(ctx, b.Addr(), "http://o/x", NotDelivered)
+	a1.Delivered(ctx, b.Addr(), []byte("http://o/x"), NotDelivered)
 	if d, _ := decisionsOf(a1, id); d.FalseHits != 1 {
 		t.Errorf("re-added peer FalseHits = %d, want 1", d.FalseHits)
 	}

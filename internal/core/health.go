@@ -272,7 +272,7 @@ func (h *healthMonitor) loop() {
 
 func (h *healthMonitor) probeAll() {
 	var wg sync.WaitGroup
-	for _, p := range h.node.memberList() {
+	for _, p := range h.node.memberList(nil) {
 		wg.Add(1)
 		go func(p *peer) {
 			defer wg.Done()

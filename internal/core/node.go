@@ -233,6 +233,11 @@ type Node struct {
 	results chan error
 	stop    chan struct{}
 	pubDone chan struct{}
+	// The publisher's own arrays, reused by every publication: the flips
+	// drained, the messages they split into and the members sent to.
+	pubFlips []bloom.Flip
+	pubMsgs  []icp.Message
+	pubPeers []*peer
 
 	// lastAdvert is when this node last shipped any summary state (delta
 	// publication or full-state bootstrap), unix nanos; 0 = never.
@@ -538,11 +543,11 @@ func (n *Node) member(addr *net.UDPAddr) *peer {
 	return n.byAddr[addrKey(addr)]
 }
 
-// memberList returns the registered peers in registration order.
-func (n *Node) memberList() []*peer {
+// memberList appends the registered peers, in registration order, to dst.
+func (n *Node) memberList(dst []*peer) []*peer {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return slices.Clone(n.members)
+	return append(dst, n.members...)
 }
 
 // AddPeer registers a neighbor and bootstraps it with this node's full
@@ -582,7 +587,7 @@ func (n *Node) AddPeer(addr *net.UDPAddr) error {
 // network episode ends and replicas across the mesh must reconverge.
 func (n *Node) ResyncPeers() error {
 	var firstErr error
-	for _, p := range n.memberList() {
+	for _, p := range n.memberList(nil) {
 		if err := n.publish(p); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -753,36 +758,45 @@ func (n *Node) wakePublisher() {
 func (n *Node) PublishNow() { _ = n.publish(nil) }
 
 // publishDeltas ships the pending flip journal to every registered peer.
-// Only the publisher calls it.
+// Only the publisher calls it, so the arrays it drains, splits and sends
+// into are the publisher's, and a steady publication allocates nothing.
 func (n *Node) publishDeltas() {
 	if n.dir.PendingFlips() == 0 {
 		return
 	}
-	flips := n.dir.Drain()
+	flips := n.dir.AppendDrain(n.pubFlips[:0])
+	n.pubFlips = flips
 	n.metrics.updateEvents.Inc()
 	n.metrics.flipsPublished.Add(uint64(len(flips)))
 	msgs := n.splitUpdate(flips)
-	n.log.Info("summary published", "flips", len(flips), "messages", len(msgs))
+	if n.log.Enabled(context.Background(), slog.LevelInfo) {
+		n.log.Info("summary published", "flips", len(flips), "messages", len(msgs))
+	}
 	n.lastAdvert.Store(time.Now().UnixNano())
-	for _, p := range n.memberList() {
+	members := n.memberList(n.pubPeers[:0])
+	for _, p := range members {
 		for _, m := range msgs {
 			if err := n.conn.Send(p.addr, m); err == nil {
 				n.noteSent(p, m.EncodedLen(), false)
 			}
 		}
 	}
+	clear(members) // a peer removed later is not pinned until the next publication
+	n.pubPeers = members[:0]
 }
 
 // splitUpdate encodes pending flips into DIRUPDATE messages, recorded as
 // a dirupdate_encode span when the node is traced. Each message takes its
 // own request number, so a peer sees the publisher's datagrams in
-// increasing ReqNum order.
+// increasing ReqNum order. The messages are in the publisher's array,
+// valid until its next publication, and share flips's.
 func (n *Node) splitUpdate(flips []bloom.Flip) []icp.Message {
 	var t0 time.Time
 	if n.tracer != nil {
 		t0 = time.Now()
 	}
-	msgs := icp.SplitUpdate(0, n.dir.Spec(), uint32(n.dir.Bits()), flips, n.cfg.MaxFlipsPerUpdate)
+	msgs := icp.AppendSplitUpdate(n.pubMsgs[:0], 0, n.dir.Spec(), uint32(n.dir.Bits()), flips, n.cfg.MaxFlipsPerUpdate)
+	n.pubMsgs = msgs
 	if n.tracer != nil {
 		n.tracer.Record(n.self, tracing.Span{Name: tracing.SpanDirUpdateEncode, Start: t0, DurationUS: tracing.Micros(time.Since(t0))})
 	}
@@ -811,6 +825,7 @@ func (n *Node) sendFullState(p *peer) error {
 		}
 		n.noteSent(p, m.EncodedLen(), true)
 	}
+	clear(msgs) // the snapshot's flips are not pinned until the next publication
 	if ask {
 		n.metrics.resyncSent.Inc()
 	}
@@ -852,7 +867,7 @@ func (n *Node) serveResyncs() {
 // re-keys the trace to the exchange's shared ID so the answering proxies'
 // traces join it.
 func (n *Node) Lookup(ctx context.Context, url string) (hit *net.UDPAddr, candidates int, err error) {
-	r, err := n.lookup(ctx, url, hashing.Signature(url), 0, nil)
+	r, err := lookup(ctx, n, url, hashing.Signature(url), 0, nil)
 	return r.Peer, r.Candidates, err
 }
 
@@ -876,24 +891,27 @@ type Resolution struct {
 	FalseHit bool
 }
 
-// LookupObject is Lookup for a caller that can use the document itself and
-// has already hashed its URL: sig is url's hashing.Signature, from which
-// every replica's probe indices are derived (a query-all node probes none
-// and ignores it). The query to the first candidate carries
-// icp.FlagHitObj, so if that peer holds a small enough copy it answers
-// with it inline (see NodeConfig.ReadDocument), copied into obj's array
-// when it fits (see icp.Conn.QueryAllFunc); obj is the caller's again once
-// LookupObject returns.
-func (n *Node) LookupObject(ctx context.Context, url string, sig [md5.Size]byte, obj []byte) (Resolution, error) {
-	return n.lookup(ctx, url, sig, icp.FlagHitObj, obj)
+// LookupObject is Lookup for a caller that can use the document itself,
+// holds its URL as bytes and has already hashed it: sig is url's
+// hashing.Signature, from which every replica's probe indices are derived
+// (a query-all node probes none and ignores it). The query to the first
+// candidate carries icp.FlagHitObj, so if that peer holds a small enough
+// copy it answers with it inline (see NodeConfig.ReadDocument), copied
+// into obj's array when it fits (see icp.QueryAll); obj is the caller's
+// again once LookupObject returns. The URL is made a string only for a
+// false-decision record (see RecentFalse), so url must not change until
+// LookupObject returns, and the Reply's URL is empty.
+func (n *Node) LookupObject(ctx context.Context, url []byte, sig [md5.Size]byte, obj []byte) (Resolution, error) {
+	return lookup(ctx, n, url, sig, icp.FlagHitObj, obj)
 }
 
 // stackPeers is how many candidates a lookup keeps in stack arrays; a
 // larger fan-out still works, with its lists on the heap.
 const stackPeers = 16
 
-// lookup implements Lookup and LookupObject; options are the queries', obj
-// the destination of the flagged peer's object.
+// lookup implements Lookup and LookupObject, for a URL held as a string or
+// as bytes; options are the queries', obj the destination of the flagged
+// peer's object.
 // One pass over the registered peers, in registration order, picks the ones
 // to query: every one under QueryAll, else each whose replica matches at
 // the indices derived from sig, url's signature, which is charged the
@@ -902,7 +920,7 @@ const stackPeers = 16
 // Every per-peer list — the records queried, their addresses, each one's
 // answer — is a slice of a stack array, so an untraced lookup allocates
 // nothing itself.
-func (n *Node) lookup(ctx context.Context, url string, sig [md5.Size]byte, options uint32, obj []byte) (Resolution, error) {
+func lookup[T string | []byte](ctx context.Context, n *Node, url T, sig [md5.Size]byte, options uint32, obj []byte) (Resolution, error) {
 	tr := tracing.FromContext(ctx)
 	var probes []SummaryProbe
 	var recBuf [stackPeers]*peer
@@ -914,7 +932,7 @@ func (n *Node) lookup(ctx context.Context, url string, sig [md5.Size]byte, optio
 	for _, p := range n.members {
 		match := n.cfg.QueryAll
 		if r := &p.rep; !match && r.filter != nil {
-			idx := r.filter.IndexesSig(idxBuf[:0], url, sig)
+			idx := bloom.IndexesSigOf(r.filter, idxBuf[:0], url, sig)
 			match = r.filter.TestIndexes(idx)
 			if tr != nil {
 				probes = append(probes, r.probe(p.id, slices.Clone(idx), match, probeStart))
@@ -934,7 +952,7 @@ func (n *Node) lookup(ctx context.Context, url string, sig [md5.Size]byte, optio
 	}
 	if len(recs) == 0 {
 		n.traceProbes(tr, probes, probeStart, probeDur, nil)
-		n.auditFalseMiss(ctx, url, nil, tr)
+		auditFalseMiss(ctx, n, url, nil, tr)
 		return Resolution{}, nil
 	}
 	n.metrics.queriesSent.Add(uint64(len(addrs)))
@@ -953,7 +971,7 @@ func (n *Node) lookup(ctx context.Context, url string, sig [md5.Size]byte, optio
 		}
 		ops[i] = op
 	}
-	win, from, reqNum, err := n.conn.QueryAllFunc(ctx, n.cfg.QueryTimeout, addrs, url, options, obj, onReply)
+	win, from, reqNum, err := icp.QueryAll(ctx, n.conn, n.cfg.QueryTimeout, addrs, url, options, obj, onReply)
 	rtt := time.Since(start)
 	n.metrics.queryRTT.ObserveDuration(rtt)
 	res := Resolution{Peer: from, Reply: win, Candidates: len(addrs)}
@@ -993,7 +1011,7 @@ func (n *Node) lookup(ctx context.Context, url string, sig [md5.Size]byte, optio
 			// Every candidate that answered MISS was nominated by a summary
 			// that lied; unanswered candidates may just be down or lossy,
 			// so they are not charged.
-			n.noteFalse(p, &p.falseHits, "false_hit", url, tr)
+			n.noteFalse(p, &p.falseHits, "false_hit", string(url), tr)
 		}
 	}
 	if tr != nil && answered < len(recs) {
@@ -1001,7 +1019,7 @@ func (n *Node) lookup(ctx context.Context, url string, sig [md5.Size]byte, optio
 		// peer-down/timeout class of anomaly, kept by tail sampling.
 		tr.MarkAnomalous("query_timeout")
 	}
-	n.auditFalseMiss(ctx, url, recs, tr)
+	auditFalseMiss(ctx, n, url, recs, tr)
 	return res, nil
 }
 
@@ -1020,7 +1038,7 @@ func traceID(tr *tracing.Trace) string {
 // attributed to the answering peer. At most one false miss is counted per
 // audited lookup — the event is the lookup, not the peer count. The
 // lookup result is never changed; this is accounting only.
-func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []*peer, tr *tracing.Trace) {
+func auditFalseMiss[T string | []byte](ctx context.Context, n *Node, url T, nominated []*peer, tr *tracing.Trace) {
 	every := n.cfg.FalseMissAuditEvery
 	if every <= 0 {
 		return
@@ -1042,13 +1060,13 @@ func (n *Node) auditFalseMiss(ctx context.Context, url string, nominated []*peer
 	}
 	n.metrics.auditQueries.Add(uint64(len(addrs)))
 	// Never flagged FlagHitObj: the audit only asks whether a copy exists.
-	_, from, _, err := n.conn.QueryAllFunc(ctx, n.cfg.QueryTimeout, addrs, url, 0, nil, nil)
+	_, from, _, err := icp.QueryAll(ctx, n.conn, n.cfg.QueryTimeout, addrs, url, 0, nil, nil)
 	if err != nil || from == nil {
 		return
 	}
 	n.metrics.falseMisses.Inc()
 	p := recs[slices.Index(addrs, from)]
-	n.noteFalse(p, &p.falseMisses, "false_miss", url, tr)
+	n.noteFalse(p, &p.falseMisses, "false_miss", string(url), tr)
 }
 
 // traceProbes records the summary_probe span of one lookup on tr: the

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // MaxFunctionBits is the widest per-function bit group supported. Groups are
@@ -134,6 +133,12 @@ func (f *Family) IndexesInto(dst []uint64, key string, m uint64) (int, error) {
 // read only by a family of more than 128 bits. With room for FunctionNum
 // more entries in dst it allocates nothing for any key stackKeyLen covers.
 func (f *Family) IndexesSig(dst []uint64, key string, sig [md5.Size]byte, m uint64) ([]uint64, error) {
+	return IndexesSigOf(f, dst, key, sig, m)
+}
+
+// IndexesSigOf is f.IndexesSig for a key held as a string or as bytes, so
+// a caller holding the key's bytes makes no string of them.
+func IndexesSigOf[T string | []byte](f *Family, dst []uint64, key T, sig [md5.Size]byte, m uint64) ([]uint64, error) {
 	if m == 0 {
 		return dst, ErrZeroModulus
 	}
@@ -170,20 +175,20 @@ func (f *Family) IndexesSig(dst []uint64, key string, sig [md5.Size]byte, m uint
 const stackKeyLen = 512
 
 // digest returns MD5 of key repeated round times.
-func digest(key string, round int) [md5.Size]byte {
-	n := len(key) * round
-	if n > stackKeyLen {
-		return md5.Sum([]byte(strings.Repeat(key, round)))
-	}
+func digest[T string | []byte](key T, round int) [md5.Size]byte {
 	var buf [stackKeyLen]byte
-	for off := 0; off < n; off += len(key) {
-		copy(buf[off:], key)
+	in := buf[:0]
+	if n := len(key) * round; n > stackKeyLen {
+		in = make([]byte, 0, n)
 	}
-	return md5.Sum(buf[:n])
+	for range round {
+		in = append(in, key...)
+	}
+	return md5.Sum(in)
 }
 
-// Signature returns the 128-bit MD5 signature of key, the first digest
-// round of every family: the value IndexesSig takes. A proxy computes it
-// once per local miss and carries it on the cache entry to the directory's
-// insert and removal.
-func Signature(key string) [md5.Size]byte { return digest(key, 1) }
+// Signature returns the 128-bit MD5 signature of key, held as a string or
+// as bytes, the first digest round of every family: the value IndexesSig
+// takes. A proxy computes it once per local miss and carries it on the
+// cache entry to the directory's insert and removal.
+func Signature[T string | []byte](key T) [md5.Size]byte { return digest(key, 1) }

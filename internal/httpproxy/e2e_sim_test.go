@@ -41,7 +41,7 @@ func e2eTrace(originURL string, n, salt int) []trace.Request {
 		counts[d]++
 		version := int64(1 + counts[d]/6)
 		size := int64(2048 + (d%5)*1024)
-		key, _ := splitVersion(origin.DocURL(originURL, fmt.Sprintf("s%d/doc%02d", salt, d), size, version))
+		key, _, _ := splitVersion(origin.DocURL(originURL, fmt.Sprintf("s%d/doc%02d", salt, d), size, version))
 		reqs = append(reqs, trace.Request{
 			Time:    int64(i),
 			Client:  rng.Intn(3),

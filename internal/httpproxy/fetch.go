@@ -65,6 +65,7 @@ type upConn struct {
 	br    *bufio.Reader    // reads the connection
 	head  []byte           // request head, rebuilt per request
 	lr    io.LimitedReader // a Content-Length body, over br
+	relay relayBody        // a relayed body, over the reader body returned
 	since time.Time        // when it went idle
 }
 
@@ -121,6 +122,25 @@ func (c *upConn) body(h responseHead) io.Reader {
 	default:
 		return c.br
 	}
+}
+
+// relayBody reads a relayed body with each read bounded by timeout from its
+// start (0: unbounded) in place of the attempt's one deadline. The client
+// sets a relay's pace, so only an upstream that stalls for a whole timeout
+// cuts it, however slowly the client reads.
+type relayBody struct {
+	conn    net.Conn
+	r       io.Reader
+	timeout time.Duration
+}
+
+func (b *relayBody) Read(p []byte) (int, error) {
+	if b.timeout > 0 {
+		if err := b.conn.SetReadDeadline(time.Now().Add(b.timeout)); err != nil {
+			return 0, err
+		}
+	}
+	return b.r.Read(p)
 }
 
 // chunkedBody decodes a chunked body and, after its last chunk, consumes
@@ -234,7 +254,11 @@ type upRequest struct {
 	path     string // escaped; "" is "/"
 	query    string // raw, after the '?'
 	hasQuery bool   // the '?' is sent even when nothing follows it
-	arg      string // appended to query, query-escaped: a parent or sibling's url= value
+	// A parent's or sibling's url= value, appended to query, query-escaped:
+	// arg, or argBytes, a key held as bytes, which the request must not
+	// outlive.
+	arg      string
+	argBytes []byte
 }
 
 // plainRequest is the request for a target plainTarget accepted, n being
@@ -274,11 +298,22 @@ func urlRequest(u *url.URL) (r upRequest, err error) {
 	return r, nil
 }
 
+// relayFunc sends a 200 whose body is too large to cache to the client as
+// it arrives: prefix, the bytes already read, then the rest of body,
+// length bytes in all (-1: unknown). It reports whether it read body to its
+// end, which leaves the upstream connection fit for reuse.
+type relayFunc func(length int64, prefix []byte, body io.Reader) (drained bool, err error)
+
 // get fetches r in one attempt, bounded by one connection deadline and
-// following redirects. It reports the final status, with the body and
-// version (docVersionHeader) of a 200; any other body is drained up to
-// maxErrorDrain and dropped. A non-nil error outranks the status.
-func (f *fetcher) get(r upRequest) (status int, body []byte, version int64, err error) {
+// following redirects; a relay's reads are each bounded by the timeout
+// instead (relayBody). It reports the final status, with the version
+// (docVersionHeader) of a 200 and its body when that is at most limit
+// bytes; any other status's body is drained up to maxErrorDrain and
+// dropped. A longer 200 body — declared so, or of unknown length and
+// grown past limit — goes to relay with what was read of it, and get
+// returns no body; without a relay it is an errBodyTooLarge. A non-nil
+// error outranks the status.
+func (f *fetcher) get(r upRequest, limit int64, relay relayFunc) (status int, body []byte, version int64, err error) {
 	var deadline time.Time
 	if f.timeout > 0 {
 		deadline = time.Now().Add(f.timeout)
@@ -297,8 +332,14 @@ func (f *fetcher) get(r upRequest) (status int, body []byte, version int64, err 
 			rd = faultnet.TruncateBody(rd, h.length)
 		}
 		if h.status == http.StatusOK {
-			body, err = readBodyLimit(h, rd, maxDeclaredBody) // without error, read to its io.EOF
-			f.release(c, h, err == nil && fault != faultnet.Truncate)
+			body, err = readBodyLimit(h, rd, limit) // without error, read to its io.EOF
+			drained := err == nil
+			if errors.Is(err, errBodyTooLarge) && relay != nil {
+				c.relay = relayBody{conn: c.Conn, r: rd, timeout: f.timeout}
+				drained, err = relay(h.length, body, &c.relay)
+				body = nil
+			}
+			f.release(c, h, drained && fault != faultnet.Truncate)
 			return http.StatusOK, body, h.version, err
 		}
 		_, err = io.CopyN(io.Discard, rd, maxErrorDrain)
@@ -325,7 +366,7 @@ func redirect(r upRequest, loc string) (upRequest, error) {
 		base = "https://" + r.host + r.path
 	}
 	if r.hasQuery {
-		base += "?" + r.query + url.QueryEscape(r.arg)
+		base += "?" + r.query + url.QueryEscape(r.arg+string(r.argBytes))
 	}
 	u, err := url.Parse(base)
 	if err == nil {
@@ -439,7 +480,7 @@ func (c *upConn) send(r upRequest, deadline time.Time) error {
 // appendHead appends r's request head. The request-target is r's escaped
 // path and raw query with every control, space and non-ASCII byte
 // percent-encoded, so no target can split the request line or add a
-// header, and then r.arg query-escaped.
+// header, and then r.arg or r.argBytes query-escaped.
 func (r upRequest) appendHead(b []byte) []byte {
 	b = append(b, "GET "...)
 	if r.path == "" {
@@ -448,6 +489,7 @@ func (r upRequest) appendHead(b []byte) []byte {
 	b = appendEscaped(b, r.path)
 	if r.hasQuery {
 		b = appendQueryEscape(appendEscaped(append(b, '?'), r.query), r.arg)
+		b = appendQueryEscape(b, r.argBytes)
 	}
 	return append(append(append(b, " HTTP/1.1\r\nHost: "...), r.host...), "\r\n\r\n"...)
 }
@@ -467,8 +509,8 @@ func appendEscaped(b []byte, s string) []byte {
 
 // appendQueryEscape appends s escaped as url.QueryEscape escapes it
 // (FuzzQueryEscape): letters, digits and "-_.~" stand for themselves, a
-// space is '+', and every other byte is %XX.
-func appendQueryEscape(b []byte, s string) []byte {
+// space is '+', and every other byte is %XX. s is a string or bytes.
+func appendQueryEscape[T string | []byte](b []byte, s T) []byte {
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case isAlnum(c) || c == '-' || c == '_' || c == '.' || c == '~':

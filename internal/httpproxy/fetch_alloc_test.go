@@ -86,7 +86,7 @@ func TestOriginFetchAllocBudget(t *testing.T) {
 	addr := rawResponder(t)
 	p := startNoneProxy(t, Config{})
 	target := "http://" + addr + "/doc?size=1024&v=1"
-	measureFetch(t, 1, func() ([]byte, int64, error) { return p.fetchOrigin(context.Background(), target, nil) })
+	measureFetch(t, 1, func() ([]byte, int64, error) { return p.fetchOrigin(context.Background(), target, nil, nil) })
 }
 
 // TestRelayFetchAllocBudget pins what a fetch through another proxy costs:
@@ -108,9 +108,9 @@ func TestRelayFetchAllocBudget(t *testing.T) {
 		if err := p.AddPeer(sib, "http://"+addr); err != nil {
 			t.Fatal(err)
 		}
-		id := sib.String()
+		id, key := sib.String(), []byte(target)
 		measureFetch(t, 1, func() ([]byte, int64, error) {
-			body, version, ok := p.fetchPeer(ctx, id, sib, target)
+			body, version, ok := p.fetchPeer(ctx, id, sib, key)
 			if !ok {
 				return nil, 0, errors.New("the sibling fetch failed")
 			}
@@ -119,6 +119,6 @@ func TestRelayFetchAllocBudget(t *testing.T) {
 	})
 	t.Run("parent", func(t *testing.T) {
 		p := startNoneProxy(t, Config{ParentURL: "http://" + rawResponder(t)})
-		measureFetch(t, 1, func() ([]byte, int64, error) { return p.fetchOrigin(ctx, target, nil) })
+		measureFetch(t, 1, func() ([]byte, int64, error) { return p.fetchOrigin(ctx, target, nil, nil) })
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -223,7 +224,7 @@ func TestRequestTargetOnTheWire(t *testing.T) {
 			check(t, ProxyPath+"?url="+url.QueryEscape(tc.target))
 		})
 		t.Run("sibling/"+tc.name, func(t *testing.T) {
-			if body, _, ok := sibling.fetchPeer(context.Background(), sib.String(), sib, tc.target); !ok || string(body) != "hello" {
+			if body, _, ok := sibling.fetchPeer(context.Background(), sib.String(), sib, []byte(tc.target)); !ok || string(body) != "hello" {
 				t.Fatalf("fetched %q, ok %v", body, ok)
 			}
 			check(t, CacheOnlyPath+"?url="+url.QueryEscape(tc.target))
@@ -403,7 +404,7 @@ func TestUpstreamHeadBounded(t *testing.T) {
 			n, _ := plainTarget(target)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			status, _, _, err := f.get(plainRequest(target, n))
+			status, _, _, err := f.get(plainRequest(target, n), maxDeclaredBody, nil)
 			runtime.ReadMemStats(&after)
 			if err == nil || tc.want != nil && !errors.Is(err, tc.want) {
 				t.Errorf("fetch = status %d, err %v; want %v", status, err, cmp.Or(tc.want, errors.New("an error")))
@@ -537,7 +538,7 @@ func TestRedirectResolvesAsURLParse(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, err := redirect(tc.r, loc)
-				if err != nil || got != mustRequest(t, want) {
+				if err != nil || !reflect.DeepEqual(got, mustRequest(t, want)) {
 					t.Errorf("%s, Location %q: %+v, %v; want %+v", tc.base, loc, got, err, mustRequest(t, want))
 				}
 			}

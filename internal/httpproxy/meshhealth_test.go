@@ -148,7 +148,7 @@ func TestVersionAwareStaleClassification(t *testing.T) {
 	m := &mesh{origin: org, proxies: proxies}
 	// p1 caches version 1 and advertises it.
 	m.fetch(t, p1, origin.DocURL(org.URL(), "doc", 2048, 1))
-	key, _ := splitVersion(origin.DocURL(org.URL(), "doc", 2048, 1))
+	key, _, _ := splitVersion(origin.DocURL(org.URL(), "doc", 2048, 1))
 	waitForUpdates(t, p1, p2, key)
 
 	// p2 wants version 2: p1's summary nominates the (version-stripped)

@@ -61,7 +61,7 @@ func (p *Proxy) startPersistence(reg *obs.Registry, labels obs.Labels) error {
 func (p *Proxy) installRecovered(rec *persist.Recovered) {
 	for i := range rec.Entries {
 		e := &rec.Entries[i]
-		e.Sig, e.Type = p.signature(e.Key), http.DetectContentType(e.Body)
+		e.Sig, e.Type = signature(p, e.Key), http.DetectContentType(e.Body)
 	}
 	p.restored, _ = p.cache.Restore(rec.Entries)
 	if p.node != nil {

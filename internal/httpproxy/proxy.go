@@ -159,7 +159,10 @@ type Config struct {
 	// FetchTimeout bounds each HTTP fetch attempt — origin, parent, or
 	// sibling — covering dial, response headers, and body, which a client
 	// hanging up does not cut short. One hung origin costs at most one
-	// timeout. 0: DefaultFetchTimeout; negative: unbounded.
+	// timeout. A body too large to cache, relayed to the client as it
+	// arrives, is paced by the client instead: the timeout bounds each of
+	// its reads from upstream and each write to the client.
+	// 0: DefaultFetchTimeout; negative: unbounded.
 	FetchTimeout time.Duration
 	// FetchRetries is how many times a failed origin fetch is retried.
 	// Transport errors, 5xx statuses and truncated bodies are retryable;
@@ -252,6 +255,11 @@ type Stats struct {
 	// Retries counts additional origin fetch attempts after retryable
 	// failures (each logical fetch still counts once in OriginFetches).
 	Retries uint64
+	// RelaysCut counts origin 200s too large to cache, relayed to the
+	// client as they arrived, whose body failed after their head had
+	// reached the client — the upstream body ended early, or the client
+	// stopped reading — which closed the client's connection.
+	RelaysCut uint64
 	// BreakerSkips counts sibling fetches refused because the sibling is
 	// down (each becomes an origin fallback, classed a false hit).
 	BreakerSkips uint64
@@ -289,6 +297,7 @@ type proxyMetrics struct {
 	staleHits, localStale             *obs.Counter
 	originFetches, peerFetches        *obs.Counter
 	retries, breakerSkips             *obs.Counter
+	relaysCut                         *obs.Counter
 	inflight                          *obs.Gauge
 	latency                           map[string]*obs.Histogram // by outcome
 }
@@ -317,6 +326,8 @@ func newProxyMetrics(reg *obs.Registry, labels obs.Labels) proxyMetrics {
 			"origin fetch attempts repeated after retryable failures", labels),
 		breakerSkips: reg.Counter("summarycache_proxy_breaker_skips_total",
 			"sibling fetches refused because the sibling is down", labels),
+		relaysCut: reg.Counter("summarycache_proxy_relays_cut_total",
+			"relayed responses cut short after their head reached the client", labels),
 		inflight: reg.Gauge("summarycache_proxy_inflight_requests",
 			"client requests currently being served", labels),
 		latency: make(map[string]*obs.Histogram),
@@ -345,6 +356,10 @@ type Proxy struct {
 	fetchTimeout time.Duration // 0: unbounded
 	fetchRetries int
 	fetchBackoff time.Duration
+	// bodyLimit is the longest body a fetch reads whole: the cache's
+	// MaxObjectSize, within maxDeclaredBody. An origin 200 past it is
+	// relayed to the client uncached.
+	bodyLimit int64
 
 	up *fetcher // origin, parent and sibling fetches
 	// parent is ParentURL's ProxyPath endpoint, parsed once at Start with
@@ -437,6 +452,10 @@ func Start(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 	p.cache = cache
+	p.bodyLimit = cache.MaxObjectSize()
+	if p.bodyLimit < 0 || p.bodyLimit > maxDeclaredBody {
+		p.bodyLimit = maxDeclaredBody
+	}
 
 	// The HTTP listener comes first: its bound address labels every
 	// metric series this proxy registers.
@@ -699,6 +718,7 @@ func (p *Proxy) Stats() Stats {
 		PeerFetches:      p.metrics.peerFetches.Value(),
 		Retries:          p.metrics.retries.Value(),
 		BreakerSkips:     p.metrics.breakerSkips.Value(),
+		RelaysCut:        p.metrics.relaysCut.Value(),
 		InflightRequests: p.metrics.inflight.Value(),
 	}
 	for _, h := range p.metrics.latency {
@@ -917,15 +937,20 @@ func (p *Proxy) serveProxyClassified(c *clientConn, raw []byte, target string, t
 	// queries, summary probes, sibling fetches — operates on the key, so
 	// the whole mesh agrees on one identity per document. The origin fetch
 	// alone uses the full target (the origin needs the wanted version).
-	// The target is made a string only when the request keeps it: for the
-	// tracer, for the version-aware key and on a local miss. Any other
-	// local lookup reads raw itself, and nothing reads raw after it.
-	key, wanted := target, int64(0)
+	// The target is made a string only where the request keeps it: for the
+	// tracer, for the version-aware key, to parse a target plainTarget does
+	// not vouch for, and for a simple-sharing store or an origin fetch.
+	// Everything else — the local lookup, the summary probes, the ICP
+	// query and a sibling's answer — reads raw itself.
+	key, keyBytes, wanted := target, raw, int64(0)
 	if p.cfg.VersionAware {
 		if target == "" {
 			target = string(raw)
 		}
-		key, wanted = splitVersion(target)
+		var stripped []byte
+		if key, stripped, wanted = splitVersion(target); stripped != nil {
+			keyBytes = stripped
+		}
 	}
 
 	lookupStart := time.Now()
@@ -968,10 +993,6 @@ func (p *Proxy) serveProxyClassified(c *clientConn, raw []byte, target string, t
 		})
 	}
 
-	if target == "" {
-		target = string(raw) // the miss keeps its key
-		key = target
-	}
 	// Only a miss needs the target to parse: a cached key was fetched, so
 	// it parsed, and a local hit skips the check. A target plainTarget
 	// vouches for parses, and it is never built: its origin request is cut
@@ -979,7 +1000,11 @@ func (p *Proxy) serveProxyClassified(c *clientConn, raw []byte, target string, t
 	// target is refused before any sibling summary is probed or any
 	// sibling asked.
 	var u *url.URL
-	if _, ok := plainTarget(target); !ok {
+	if _, ok := plainTarget(raw); !ok {
+		if target == "" {
+			target = string(raw)
+			key = target
+		}
 		var err error
 		if u, err = url.Parse(target); err != nil {
 			c.writeError(http.StatusBadRequest, "bad target url")
@@ -988,7 +1013,7 @@ func (p *Proxy) serveProxyClassified(c *clientConn, raw []byte, target string, t
 	}
 	// The key's signature is computed once per miss, here, and serves
 	// the summary probes and the directory's insert and later removal.
-	sig := p.signature(key)
+	sig := signature(p, keyBytes)
 
 	// Local miss: try siblings per the cooperation mode. The trace rides
 	// the context down through the node's lookup (summary probes, ICP
@@ -998,7 +1023,15 @@ func (p *Proxy) serveProxyClassified(c *clientConn, raw []byte, target string, t
 	if tr != nil {
 		ctx = tracing.NewContext(ctx, tr)
 	}
-	body, ok, falseHit, staleHit := p.tryRemote(ctx, c, key, sig, wanted)
+	body, ok, falseHit, staleHit := p.tryRemote(ctx, c, keyBytes, sig, wanted)
+	if target == "" && !(ok && p.cfg.SingleCopy) {
+		// The request keeps its key from here on: a simple-sharing store
+		// keeps it, and the origin fetch may read the connection, whose
+		// reader or key scratch holds raw (see clientGone). Nothing since
+		// the lookup has read either.
+		target = string(raw)
+		key = target
+	}
 	if ok {
 		p.metrics.remoteHits.Inc()
 		ctype := "" // sniffed as the response is sent
@@ -1013,18 +1046,28 @@ func (p *Proxy) serveProxyClassified(c *clientConn, raw []byte, target string, t
 		tr.MarkAnomalous("false_hit")
 	}
 
-	body, version, err := p.fetchOrigin(ctx, target, u)
+	body, version, err := p.fetchOrigin(ctx, target, u, c.relay)
+	if c.sent && err != nil {
+		// Too large to cache, the body was going to the client as it
+		// arrived when it failed.
+		p.metrics.relaysCut.Inc()
+		c.close = true // the client cannot tell a cut body from a whole one otherwise
+		return ""
+	}
 	if err != nil {
 		c.writeError(http.StatusBadGateway, "origin fetch failed: "+err.Error())
 		return ""
 	}
-	if p.cfg.VersionAware && version == 0 {
-		version = wanted // origin did not echo a version header
+	if !c.sent { // a relayed body is too large to cache
+		if p.cfg.VersionAware && version == 0 {
+			version = wanted // origin did not echo a version header
+		}
+		c.writeDoc(body, p.storeBody(tr, key, sig, version, body), 0)
 	}
+	// Count before the handler returns, as the hit paths do, so Stats
+	// already shows the request's class when the client has a buffered
+	// response.
 	p.metrics.misses.Inc()
-	ctype := p.storeBody(tr, key, sig, version, body)
-	// Count before replying, as the hit paths do, so Stats already shows
-	// the request's class when the client has its response.
 	outcome := outcomeMiss
 	switch {
 	case staleHit:
@@ -1034,14 +1077,13 @@ func (p *Proxy) serveProxyClassified(c *clientConn, raw []byte, target string, t
 		p.metrics.falseHits.Inc()
 		outcome = outcomeFalseHit
 	}
-	c.writeDoc(body, ctype, 0)
 	return outcome
 }
 
-// signature returns key's hashing.Signature when this proxy keeps a
-// summary of its cache (ModeSCICP), and the zero signature, which nothing
-// reads, when it keeps none.
-func (p *Proxy) signature(key string) (sig [md5.Size]byte) {
+// signature returns key's hashing.Signature, key held as a string or as
+// bytes, when p keeps a summary of its cache (ModeSCICP), and the zero
+// signature, which nothing reads, when it keeps none.
+func signature[T string | []byte](p *Proxy, key T) (sig [md5.Size]byte) {
 	if p.cfg.Mode == ModeSCICP {
 		sig = hashing.Signature(key)
 	}
@@ -1119,31 +1161,37 @@ func isPathByte(c byte) bool { return isAlnum(c) || strings.IndexByte("-._~!$&'(
 // other byte kept as it was, plus the version the first pair names (0 when
 // there is none or it is not a number). Re-encoding the query instead would
 // give URLs that differ only in pair order or escaping one cache entry.
-func splitVersion(target string) (key string, version int64) {
+// The key comes as a string and as bytes, built once (keyBytes is nil when
+// no pair was removed, and the key is target itself).
+func splitVersion(target string) (key string, keyBytes []byte, version int64) {
 	rest, frag, hasFrag := strings.Cut(target, "#")
 	head, query, _ := strings.Cut(rest, "?")
-	var kept []string
 	found := false
-	for _, pair := range strings.Split(query, "&") {
-		name, value, _ := strings.Cut(pair, "=")
-		if name != versionParam {
-			kept = append(kept, pair)
-		} else if !found {
+	for q, more := query, true; more && !found; {
+		var pair string
+		pair, q, more = strings.Cut(q, "&")
+		if name, value, _ := strings.Cut(pair, "="); name == versionParam {
 			found = true
 			version, _ = strconv.ParseInt(value, 10, 64)
 		}
 	}
 	if !found {
-		return target, 0
+		return target, nil, 0
 	}
-	key = head
-	if len(kept) > 0 {
-		key += "?" + strings.Join(kept, "&")
+	keyBytes = append(make([]byte, 0, len(target)), head...)
+	sep := byte('?')
+	for q, more := query, true; more; {
+		var pair string
+		pair, q, more = strings.Cut(q, "&")
+		if name, _, _ := strings.Cut(pair, "="); name != versionParam {
+			keyBytes = append(append(keyBytes, sep), pair...)
+			sep = '&'
+		}
 	}
 	if hasFrag {
-		key += "#" + frag
+		keyBytes = append(append(keyBytes, '#'), frag...)
 	}
-	return key, version
+	return string(keyBytes), keyBytes, version
 }
 
 // tryRemote resolves a local miss on key, whose signature is sig, against
@@ -1159,8 +1207,9 @@ func splitVersion(target string) (key string, version int64) {
 // peer added, so a document held only by another sibling still takes the
 // HTTP leg. The object lands in c's obj scratch, which keeps the array it
 // took up to icp.MaxHitObjLen bytes, so an inline body is valid until the
-// connection's next request.
-func (p *Proxy) tryRemote(ctx context.Context, c *clientConn, key string, sig [md5.Size]byte, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
+// connection's next request. key is read as bytes throughout and made a
+// string only for a false-decision record.
+func (p *Proxy) tryRemote(ctx context.Context, c *clientConn, key []byte, sig [md5.Size]byte, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
 	if p.node == nil {
 		return nil, false, false, false
 	}
@@ -1181,7 +1230,7 @@ func (p *Proxy) tryRemote(ctx context.Context, c *clientConn, key string, sig [m
 // id is from's peer identifier (its address string). Simple sharing caches
 // what it serves, and the cache owns its bodies, so an inline object is
 // copied out of the connection's scratch.
-func (p *Proxy) finishRemoteHit(ctx context.Context, id string, from *net.UDPAddr, win icp.Message, key string, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
+func (p *Proxy) finishRemoteHit(ctx context.Context, id string, from *net.UDPAddr, win icp.Message, key []byte, wanted int64) (body []byte, ok, falseHit, staleHit bool) {
 	body, version, ok := win.Object, int64(win.OptionData), true
 	if win.Op != icp.OpHitObj {
 		body, version, ok = p.fetchPeer(ctx, id, from, key)
@@ -1206,7 +1255,9 @@ func (p *Proxy) finishRemoteHit(ctx context.Context, id string, from *net.UDPAdd
 	return body, true, false, false
 }
 
-func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, target string) (body []byte, version int64, ok bool) {
+// fetchPeer fetches key, held as bytes, from the sibling id at peer with
+// one cache-only GET.
+func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, key []byte) (body []byte, version int64, ok bool) {
 	actual := "failed"
 	if tr := tracing.FromContext(ctx); tr != nil {
 		start := time.Now()
@@ -1239,8 +1290,8 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 	// always available and strictly cheaper than a second trip to a flaky
 	// sibling. A non-200 is the eviction race, a false hit after all.
 	r := *base
-	r.arg = target
-	status, body, version, err := p.up.get(r)
+	r.argBytes = key
+	status, body, version, err := p.up.get(r, maxDeclaredBody, nil)
 	ok = err == nil && status == http.StatusOK
 	p.node.FetchDone(peer, ok)
 	if ok {
@@ -1249,10 +1300,10 @@ func (p *Proxy) fetchPeer(ctx context.Context, id string, peer *net.UDPAddr, tar
 	return body, version, ok
 }
 
-// errBodyTooLarge marks a response whose body exceeds the cache's body
-// cap. Callers classify it as transient (retryable / fall back to the
-// origin), exactly like a truncated read: in both cases the proxy does
-// not hold a complete document it could serve or cache.
+// errBodyTooLarge marks a response whose body exceeds what the fetch may
+// read whole. An origin fetch relays such a body to its client instead
+// (see relayFunc); for a sibling fetch, which has no relay, it is a failed
+// delivery, and the origin is asked instead.
 var errBodyTooLarge = errors.New("httpproxy: response body exceeds cap")
 
 // readBodyLimit slurps the body of the response with head h, at most limit
@@ -1261,8 +1312,11 @@ var errBodyTooLarge = errors.New("httpproxy: response body exceeds cap")
 // allocation instead of io.ReadAll's grow-and-copy doublings. A body
 // shorter than declared surfaces as io.ReadFull's unexpected-EOF error, a
 // retryable truncation. The cap applies identically to declared and
-// unknown-length (chunked / -1) bodies: anything past it is an error,
-// never a silently truncated body cached or forwarded as complete.
+// unknown-length (chunked / -1) bodies: anything past it is an
+// errBodyTooLarge, never a silently truncated body cached or forwarded as
+// complete. A declared length past the cap fails before any byte is read;
+// an unknown one fails after limit+1 bytes, which it returns with the
+// error, so a relay sends them first.
 func readBodyLimit(h responseHead, body io.Reader, limit int64) ([]byte, error) {
 	n := h.length
 	if n > limit {
@@ -1280,7 +1334,7 @@ func readBodyLimit(h responseHead, body io.Reader, limit int64) ([]byte, error) 
 			return nil, err
 		}
 		if int64(len(b)) > limit {
-			return nil, fmt.Errorf("%w: unknown length exceeds %d", errBodyTooLarge, limit)
+			return b, fmt.Errorf("%w: unknown length exceeds %d", errBodyTooLarge, limit)
 		}
 		return b, nil
 	}
@@ -1293,10 +1347,11 @@ func readBodyLimit(h responseHead, body io.Reader, limit int64) ([]byte, error) 
 	return b, nil
 }
 
-// maxDeclaredBody caps the size of any cached or relayed document body.
-// Declared lengths above it fail fast without reading; unknown-length
-// bodies are read up to the cap and fail if they exceed it — the header
-// of a hostile server never sizes an allocation past this bound.
+// maxDeclaredBody caps the size of any document body the proxy reads
+// whole, so the header of a hostile server never sizes an allocation past
+// it. An origin fetch reads no more than the cache's MaxObjectSize within
+// it (bodyLimit) and relays a longer body; a sibling's cache-only answer,
+// cached under the sibling's own MaxObjectSize, is read up to it.
 const maxDeclaredBody = 64 << 20
 
 // maxErrorDrain bounds how much of an unwanted (non-200) response body is
@@ -1314,8 +1369,11 @@ const maxErrorDrain = 4 << 10
 // A client that hangs up does not abort the attempt in flight, whose
 // document is still cached, but no retry starts after it: clientGone is
 // asked before each one. u is target parsed, or nil for a target
-// plainTarget accepts, whose request is cut from the string itself.
-func (p *Proxy) fetchOrigin(ctx context.Context, target string, u *url.URL) (body []byte, version int64, err error) {
+// plainTarget accepts, whose request is cut from the string itself. A 200
+// too large to cache goes to relay (nil: it fails as errBodyTooLarge),
+// and fetchOrigin returns no body for it; once relay has sent the
+// response's head, nothing is retried.
+func (p *Proxy) fetchOrigin(ctx context.Context, target string, u *url.URL, relay relayFunc) (body []byte, version int64, err error) {
 	retried := 0
 	if tr := tracing.FromContext(ctx); tr != nil {
 		start := time.Now()
@@ -1340,10 +1398,11 @@ func (p *Proxy) fetchOrigin(ctx context.Context, target string, u *url.URL) (bod
 	}
 	for attempt := 0; ; attempt++ {
 		var status int
-		status, body, version, err = p.up.get(r)
-		// Transport errors, truncated bodies and 5xx are retryable; any other
-		// status is permanent (a 404 will not improve on retry).
-		retryable := err != nil || status >= 500
+		status, body, version, err = p.up.get(r, p.bodyLimit, relay)
+		// Transport errors, truncated bodies and 5xx are retryable, unless
+		// the client has the head of a relayed body; any other status is
+		// permanent (a 404 will not improve on retry).
+		retryable := err != nil && !errors.Is(err, errRelayCut) || status >= 500
 		if err == nil && status != http.StatusOK {
 			err = fmt.Errorf("origin status %d", status)
 		}

@@ -6,11 +6,14 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"summarycache/internal/bloom"
+	"summarycache/internal/hashing"
 	"summarycache/internal/origin"
 )
 
@@ -213,7 +216,7 @@ func TestBadRequests(t *testing.T) {
 		if _, plain := plainTarget(target); plain {
 			t.Fatalf("%q is inside the fast subset", target)
 		}
-		holder.storeBody(nil, target, holder.signature(target), 0, []byte(target))
+		holder.storeBody(nil, target, signature(holder, target), 0, []byte(target))
 		holder.FlushSummary()
 		waitForCandidate(t, p, target)
 		if body := m.fetch(t, p, target); string(body) != target {
@@ -287,7 +290,7 @@ func FuzzTargetCheck(f *testing.F) {
 				target, u.Scheme, u.Host, u.EscapedPath(), u.RawQuery, authority, path, query)
 		}
 		cut, parsed := plainRequest(target, n), mustRequest(t, u)
-		if cut != parsed || string(cut.appendHead(nil)) != string(parsed.appendHead(nil)) {
+		if !reflect.DeepEqual(cut, parsed) || string(cut.appendHead(nil)) != string(parsed.appendHead(nil)) {
 			t.Fatalf("%q: the request cut from the target is %+v, writing %q; url.Parse's is %+v, writing %q",
 				target, cut, cut.appendHead(nil), parsed, parsed.appendHead(nil))
 		}
@@ -300,7 +303,36 @@ func FuzzTargetCheck(f *testing.F) {
 			t.Fatalf("%q: requestTarget reads path %q query %q abs %q ok %v; url.ParseRequestURI path %q query %q",
 				target, p, q, abs, ok, ru.Path, ru.RawQuery)
 		}
+		checkBytePath(t, abs, target)
 	})
+}
+
+// checkBytePath holds what a miss does with a key held as bytes to what
+// the string path does with want, the same key: the signature, the
+// summary probe positions — under the paper's one-digest family and a
+// family whose second digest reads the key itself — and the url= value of
+// a sibling's request.
+func checkBytePath(t *testing.T, key []byte, want string) {
+	t.Helper()
+	sig := hashing.Signature(want)
+	if got := hashing.Signature(key); got != sig {
+		t.Fatalf("%q: the signature of the bytes is %x, of the string %x", want, got, sig)
+	}
+	for _, spec := range []hashing.Spec{hashing.DefaultSpec, {FunctionNum: 6, FunctionBits: 32}} {
+		f, err := bloom.NewFilter(1<<20, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, w := bloom.IndexesSigOf(f, nil, key, sig), f.IndexesSig(nil, want, sig); !slices.Equal(got, w) {
+			t.Fatalf("%q under %v: the bytes probe %v, the string %v", want, spec, got, w)
+		}
+	}
+	r := upRequest{hasQuery: true, query: "url="}
+	byString, byBytes := r, r
+	byString.arg, byBytes.argBytes = want, key
+	if got, w := byBytes.appendHead(nil), byString.appendHead(nil); string(got) != string(w) {
+		t.Fatalf("%q: the request with the bytes is %q, with the string %q", want, got, w)
+	}
 }
 
 func mustRequest(t *testing.T, u *url.URL) upRequest {

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -29,6 +31,14 @@ const (
 	// url= value; a longer one is decoded into an array of its own, which
 	// the connection does not keep.
 	keyScratch = 1 << 10
+	// relayBufLen is the size of a connection's relay buffer, through
+	// which a body too large to cache streams from upstream to the client
+	// (see relay): the first chunkRoom bytes hold a chunk's size line, the
+	// rest one read's data.
+	relayBufLen = 32 << 10
+	chunkRoom   = 16 // "\r\n", at most 8 hex digits, "\r\n"
+	// sniffLen is how many leading bytes http.DetectContentType reads.
+	sniffLen = 512
 )
 
 // clientConn is one accepted client connection. Its goroutine reads each
@@ -46,20 +56,26 @@ type clientConn struct {
 	date http1.Date
 
 	// Scratch the handler reuses, each made on first use: key holds an
-	// escaped url= value, decoded (keyScratch bytes), and obj an inline
-	// remote hit's object (at most icp.MaxHitObjLen bytes).
-	key, obj []byte
+	// escaped url= value, decoded (keyScratch bytes), obj an inline remote
+	// hit's object (at most icp.MaxHitObjLen bytes), and relayBuf a relayed
+	// body on its way through (relayBufLen bytes).
+	key, obj, relayBuf []byte
 
-	// The response the handler wrote, sent by flush.
+	// The response the handler wrote, sent by flush. A relayed one (see
+	// relay) continues body with rest, length bytes in all (-1: unknown).
 	status  int
 	ctype   string // "": sniffed
 	version int64  // 0: no docVersionHeader
 	body    []byte
+	rest    io.Reader
+	length  int64
 
 	// Per request.
 	head      bool // HEAD: the response carries no body
+	http10    bool // an HTTP/1.0 request: a body of unknown length runs to the close
 	keepAlive bool // HTTP/1.0 keep-alive: the response says so
 	close     bool // the connection closes after the response
+	sent      bool // flush has begun sending the response
 }
 
 type clientConnKey struct{}
@@ -76,6 +92,7 @@ func (p *Proxy) serveClient(nc net.Conn) {
 // read it under ReadHeaderTimeout from its first byte, answer it, repeat.
 func (c *clientConn) serve() {
 	for wait := c.p.readHeaderTimeout; ; wait = DefaultIdleTimeout {
+		c.sent = false
 		if c.setReadDeadline(wait) != nil {
 			return
 		}
@@ -108,6 +125,7 @@ func (c *clientConn) serve() {
 			return
 		}
 		c.head = string(h.Method) == http.MethodHead
+		c.http10 = h.HTTP10
 		c.keepAlive = h.HTTP10 && !h.Close
 		// No handler reads a body: one that came is left unread, and the
 		// connection closes after the response.
@@ -186,18 +204,90 @@ func (c *clientConn) write(status int, ctype string, version int64, body []byte)
 	c.status, c.ctype, c.version, c.body = status, ctype, version, body
 }
 
+// relay sends a 200 too large to cache as it arrives from upstream: its
+// body is prefix, the bytes already read, then rest, length bytes in all
+// (-1: unknown). It is the fetcher's relayFunc for the connection's
+// request, and reports whether it read rest to its end. An error before
+// the head went out leaves the request to be answered again (c.sent is
+// false); any later one wraps errRelayCut. Each write to the client is
+// bounded by the fetch timeout, as each read from upstream is (relayBody),
+// so a client that stops reading cuts its relay instead of holding the
+// upstream connection.
+func (c *clientConn) relay(length int64, prefix []byte, rest io.Reader) (drained bool, err error) {
+	c.write(http.StatusOK, "", 0, prefix)
+	c.rest, c.length = rest, length
+	err = c.flush()
+	c.rest = nil
+	if c.p.fetchTimeout > 0 {
+		_ = c.nc.SetWriteDeadline(time.Time{}) // a buffered response is unbounded; a closed conn fails its next write
+	}
+	return err == nil && !c.head, err
+}
+
+// relayDeadline bounds a relayed response's next write to the client by
+// the fetch timeout (0: unbounded).
+func (c *clientConn) relayDeadline() error {
+	if t := c.p.fetchTimeout; t > 0 {
+		return c.nc.SetWriteDeadline(time.Now().Add(t))
+	}
+	return nil
+}
+
+// relayWrite writes b, part of a relayed response, within relayDeadline.
+func (c *clientConn) relayWrite(b []byte) error {
+	err := c.relayDeadline()
+	if err == nil {
+		_, err = c.nc.Write(b)
+	}
+	return err
+}
+
 // flush sends the recorded response, with Date and an exact
 // Content-Length, in one write, or with a body over smallBody in one
 // writev. An empty ctype is sniffed from the body, as net/http does for a
-// handler that set none.
+// handler that set none. A relayed response (rest non-nil) goes out as it
+// arrives: the head, declaring the length or, when it is unknown, chunked
+// (to an HTTP/1.0 client, up to the close), then body and rest, one read
+// at a time through the relay buffer. Its Content-Type is sniffed from its
+// first bytes, read into the buffer before the head when body is empty,
+// so a relayed and a buffered answer agree. Once the response has begun,
+// flush sends nothing more for the request.
 func (c *clientConn) flush() error {
+	if c.sent {
+		return nil // a relay sent it
+	}
+	body, length, chunked := c.body, int64(len(c.body)), false
+	if c.rest != nil {
+		if c.relayBuf == nil {
+			c.relayBuf = make([]byte, relayBufLen)
+		}
+		if len(body) == 0 {
+			want := sniffLen
+			if c.length >= 0 && c.length < sniffLen {
+				want = int(c.length)
+			}
+			n, err := io.ReadAtLeast(c.rest, c.relayBuf[chunkRoom:], want)
+			if err != nil {
+				return err // nothing sent: the request may be answered yet
+			}
+			body = c.relayBuf[chunkRoom : chunkRoom+n]
+		}
+		length, chunked = c.length, c.length < 0 && !c.http10
+		c.close = c.close || c.length < 0 && c.http10
+	}
+	c.sent = true
 	if c.ctype == "" {
-		c.ctype = http.DetectContentType(c.body)
+		c.ctype = http.DetectContentType(body)
 	}
 	b := strconv.AppendInt(append(c.out[:0], "HTTP/1.1 "...), int64(c.status), 10)
 	b = append(append(append(b, ' '), http.StatusText(c.status)...), "\r\nContent-Type: "...)
 	b = c.date.Append(append(append(b, c.ctype...), "\r\nDate: "...))
-	b = strconv.AppendInt(append(b, "\r\nContent-Length: "...), int64(len(c.body)), 10)
+	switch {
+	case chunked:
+		b = append(b, "\r\nTransfer-Encoding: chunked"...)
+	case length >= 0:
+		b = strconv.AppendInt(append(b, "\r\nContent-Length: "...), length, 10)
+	}
 	if c.version != 0 {
 		b = strconv.AppendInt(append(b, "\r\n"+docVersionHeader+": "...), c.version, 10)
 	}
@@ -208,21 +298,83 @@ func (c *clientConn) flush() error {
 		b = append(b, "\r\nConnection: keep-alive"...)
 	}
 	b = append(b, "\r\n\r\n"...)
-	body := c.body
 	if c.head {
 		body = nil
 	}
+	if chunked && len(body) > 0 {
+		b = append(strconv.AppendInt(b, int64(len(body)), 16), "\r\n"...)
+	}
 	var err error
-	if len(body) <= smallBody {
+	if c.rest != nil {
+		err = c.relayDeadline()
+	}
+	switch {
+	case err != nil: // the connection is closed: nothing goes out
+	case len(body) <= smallBody:
 		b = append(b, body...)
 		_, err = c.nc.Write(b)
-	} else {
+	default:
 		c.bufs = [2][]byte{b, body}
 		c.vec = c.bufs[:]
 		_, err = c.vec.WriteTo(c.nc)
 	}
 	c.out, c.body = b, nil // the body is not kept past its response
+	if c.rest != nil && !c.head && err == nil {
+		err = c.stream(length-int64(len(body)), chunked, len(body) > 0)
+	}
+	if err != nil && c.rest != nil {
+		err = fmt.Errorf("%w: %w", errRelayCut, err)
+	}
 	return err
+}
+
+// lastChunk ends a chunked body after its last chunk's data.
+var lastChunk = []byte("\r\n0\r\n\r\n")
+
+// errRelayCut marks a relayed response that failed after its head went to
+// the client: the upstream body ended early, or the client stopped
+// reading. Nothing can be retried or answered; the connection closes.
+var errRelayCut = errors.New("httpproxy: relayed response cut short")
+
+// stream copies the rest of a relayed body to the client through the
+// relay buffer, one read per write: left more bytes when the length is
+// known (-1: up to rest's end), each read as a chunk when chunked, after
+// a first chunk already sent when more is true. A body that ends before
+// its length is an io.ErrUnexpectedEOF.
+func (c *clientConn) stream(left int64, chunked, more bool) error {
+	for {
+		n, rerr := c.rest.Read(c.relayBuf[chunkRoom:])
+		if n > 0 {
+			start := chunkRoom
+			if chunked {
+				// The CRLF ending the previous chunk leads this chunk's size line.
+				var line [chunkRoom]byte
+				l := line[:0]
+				if more {
+					l = append(l, "\r\n"...)
+				}
+				l = append(strconv.AppendInt(l, int64(n), 16), "\r\n"...)
+				start -= copy(c.relayBuf[chunkRoom-len(l):], l)
+				more = true
+			}
+			if err := c.relayWrite(c.relayBuf[start : chunkRoom+n]); err != nil {
+				return err
+			}
+			left -= int64(n)
+		}
+		switch {
+		case rerr == io.EOF && left > 0:
+			return io.ErrUnexpectedEOF
+		case rerr == io.EOF && chunked && more:
+			return c.relayWrite(lastChunk)
+		case rerr == io.EOF && chunked:
+			return c.relayWrite(lastChunk[2:])
+		case rerr == io.EOF:
+			return nil
+		case rerr != nil:
+			return rerr
+		}
+	}
 }
 
 // requestTarget splits a request-target as net/http's server does, into

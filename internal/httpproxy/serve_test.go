@@ -68,8 +68,8 @@ func TestWireProtocol(t *testing.T) {
 	p := startNoneProxy(t, Config{})
 	const key, key2 = "http://origin.invalid/doc", "http://origin.invalid/doc2"
 	doc := bytes.Repeat([]byte("d"), 1<<10)
-	p.storeBody(nil, key, p.signature(key), 0, doc)
-	p.storeBody(nil, key2, p.signature(key2), 0, []byte("second"))
+	p.storeBody(nil, key, signature(p, key), 0, doc)
+	p.storeBody(nil, key2, signature(p, key2), 0, []byte("second"))
 	get := func(target, proto, headers string) string {
 		return "GET " + target + " " + proto + "\r\n" + headers + "\r\n"
 	}
@@ -209,7 +209,7 @@ func localHitClient(tb testing.TB, p *Proxy, form string) (hit func() []byte) {
 		tb.Fatalf("no request form %q", form)
 	}
 	doc := bytes.Repeat([]byte("d"), 1<<10)
-	p.storeBody(nil, key, p.signature(key), 0, doc)
+	p.storeBody(nil, key, signature(p, key), 0, doc)
 	return rawClient(tb, p, target, doc)
 }
 
@@ -283,7 +283,7 @@ func TestServeCacheOnlyAllocBudget(t *testing.T) {
 	const key = "http://origin.invalid/doc?size=1024"
 	p := startNoneProxy(t, Config{})
 	doc := bytes.Repeat([]byte("d"), 1<<10)
-	p.storeBody(nil, key, p.signature(key), 0, doc)
+	p.storeBody(nil, key, signature(p, key), 0, doc)
 	get := rawClient(t, p, CacheOnlyPath+"?url="+url.QueryEscape(key), doc)
 	const budget = 0
 	if got := testing.AllocsPerRun(200, func() { get() }); got != budget {
@@ -483,6 +483,7 @@ func FuzzURLParam(f *testing.F) {
 			if e, ok := cache.GetBytes(got); !ok || e.Key != want || e.Version != int64(i+1) {
 				t.Fatalf("a byte lookup of %q found %+v, %v; want the entry stored under %q", got, e, ok, want)
 			}
+			checkBytePath(t, got, want)
 		}
 		got, ok := unescape(nil, []byte(q), false)
 		want, err := url.PathUnescape(q)

@@ -324,7 +324,7 @@ func TestDirectoryMatchesKeysUnderChurn(t *testing.T) {
 	updated := p.cache.Counters().Updated
 	keys := p.cache.Keys()
 	for _, k := range keys {
-		p.storeBody(nil, k, p.signature(k), 7, make([]byte, docSize))
+		p.storeBody(nil, k, signature(p, k), 7, make([]byte, docSize))
 	}
 	p.Purge(keys[0]) // a re-stored entry's signature leaves with it
 	check("Replaced re-stores", p.cache.Counters().Updated-updated == uint64(len(keys)))

@@ -28,7 +28,7 @@ func TestSplitVersionKeepsQueryBytes(t *testing.T) {
 		{"http://o/d?&v=2", "http://o/d?", 2},
 		{"http://o/d", "http://o/d", 0},
 	} {
-		key, version := splitVersion(tc.target)
+		key, _, version := splitVersion(tc.target)
 		if key != tc.key || version != tc.version {
 			t.Errorf("splitVersion(%q) = %q, %d; want %q, %d", tc.target, key, version, tc.key, tc.version)
 		}
@@ -37,7 +37,8 @@ func TestSplitVersionKeepsQueryBytes(t *testing.T) {
 
 // FuzzSplitVersion: the key is the target minus every version pair, with
 // the URL before the query, the other pairs in order and the fragment
-// untouched; the version is the first pair's; and the key is its own key.
+// untouched; the version is the first pair's; the key's bytes are the key
+// (nil when it is the target); and the key is its own key.
 func FuzzSplitVersion(f *testing.F) {
 	for _, s := range []string{
 		"http://o/d?y=2&x=1&v=1", "http://o/d?q=a%20b&v=1#f", "http://o/d?v=1&v=2", "http://o/d?&v=&", "v=1?v=2",
@@ -45,7 +46,7 @@ func FuzzSplitVersion(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, target string) {
-		key, version := splitVersion(target)
+		key, keyBytes, version := splitVersion(target)
 		rest, frag, hasFrag := strings.Cut(target, "#")
 		head, query, _ := strings.Cut(rest, "?")
 		var want []string
@@ -59,10 +60,13 @@ func FuzzSplitVersion(f *testing.F) {
 			}
 		}
 		if !found {
-			if key != target || version != 0 {
+			if key != target || keyBytes != nil || version != 0 {
 				t.Fatalf("%q has no version pair but keys as %q, %d", target, key, version)
 			}
 			return
+		}
+		if string(keyBytes) != key {
+			t.Fatalf("%q keys as %q, but its bytes read %q", target, key, keyBytes)
 		}
 		if version != wantVersion {
 			t.Fatalf("%q: version %d, want %d", target, version, wantVersion)
@@ -75,7 +79,7 @@ func FuzzSplitVersion(f *testing.F) {
 		if keyHead != head || keyHasQuery != (len(want) > 0) || keyQuery != strings.Join(want, "&") {
 			t.Fatalf("%q keys as %q, want the other pairs %q in order", target, key, want)
 		}
-		if again, v := splitVersion(key); again != key || v != 0 {
+		if again, _, v := splitVersion(key); again != key || v != 0 {
 			t.Fatalf("key %q of %q keys again as %q, %d", key, target, again, v)
 		}
 	})

@@ -161,3 +161,32 @@ func TestFlipCountOverflowRejected(t *testing.T) {
 		t.Fatalf("Decode: %v, want ErrBadLength", err)
 	}
 }
+
+// FuzzQueryEncoding: a query encoded from a URL's bytes, as QueryAll
+// encodes one for a caller holding them, is the query encoded from the
+// URL's string and the one Message.Append writes, options included, and
+// a reply naming the URL is matched by a waiter holding either form.
+func FuzzQueryEncoding(f *testing.F) {
+	f.Add("http://example.com/a", uint32(FlagHitObj), uint32(7))
+	f.Add("", uint32(0), uint32(0))
+	f.Add("http://o/d?size=1024&v=0", uint32(0), uint32(1<<31))
+	f.Fuzz(func(t *testing.T, url string, options, reqNum uint32) {
+		m := NewQuery(reqNum, url)
+		m.Options = options
+		want, werr := m.MarshalBinary()
+		fromString, serr := appendQuery(nil, reqNum, options, url)
+		fromBytes, berr := appendQuery(nil, reqNum, options, []byte(url))
+		if (werr == nil) != (serr == nil) || (serr == nil) != (berr == nil) {
+			t.Fatalf("%q: errors %v, %v, %v", url, werr, serr, berr)
+		}
+		if werr == nil && (!bytes.Equal(fromString, want) || !bytes.Equal(fromBytes, want)) {
+			t.Fatalf("%q: encoded %x from the string and %x from the bytes, want %x", url, fromString, fromBytes, want)
+		}
+		other := url + "x"
+		for _, w := range []*waiter{{url: url}, {urlBytes: []byte(url)}} {
+			if !w.names([]byte(url)) || w.names([]byte(other)) {
+				t.Fatalf("%q: a waiter %+v misnames a reply", url, w)
+			}
+		}
+	})
+}

@@ -202,7 +202,7 @@ func TestQueryAllInlineObject(t *testing.T) {
 		{"unflagged", []*net.UDPAddr{holder.Addr(), miss.Addr()}, 0, OpHit, holder.Addr()},
 	} {
 		for i := 0; i < 20; i++ { // reply order varies; the outcome must not
-			win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, c.peers, "http://doc/", c.opts, nil, nil)
+			win, from, _, err := QueryAll(ctx, cli, 2*time.Second, c.peers, "http://doc/", c.opts, nil, nil)
 			if err != nil || from == nil || from.Port != c.from.Port || win.Op != c.want {
 				t.Fatalf("%s: %v from %v (%v), want %v from %v", c.name, win.Op, from, err, c.want, c.from)
 			}
@@ -213,7 +213,7 @@ func TestQueryAllInlineObject(t *testing.T) {
 	}
 	// Two holders: only the flagged one can have sent the object.
 	for i := 0; i < 20; i++ {
-		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{holder.Addr(), other.Addr()}, "http://doc/", FlagHitObj, nil, nil)
+		win, from, _, err := QueryAll(ctx, cli, 2*time.Second, []*net.UDPAddr{holder.Addr(), other.Addr()}, "http://doc/", FlagHitObj, nil, nil)
 		if err != nil || from == nil {
 			t.Fatalf("two holders: from=%v err=%v, want a hit", from, err)
 		}
@@ -241,7 +241,7 @@ func TestQueryAllSilentFlaggedPeer(t *testing.T) {
 	cli := client(t)
 	const deadline = 200 * time.Millisecond
 	start := time.Now()
-	win, from, _, err := cli.QueryAllFunc(context.Background(), deadline, []*net.UDPAddr{silent.Addr(), holder.Addr()}, "http://doc/", FlagHitObj, nil, nil)
+	win, from, _, err := QueryAll(context.Background(), cli, deadline, []*net.UDPAddr{silent.Addr(), holder.Addr()}, "http://doc/", FlagHitObj, nil, nil)
 	if err != nil || from == nil || from.Port != holder.Addr().Port || win.Op != OpHit {
 		t.Fatalf("%v from %v (%v), want a HIT from %v", win.Op, from, err, holder.Addr())
 	}
@@ -281,7 +281,7 @@ func TestQueryAllGraceForFlaggedPeer(t *testing.T) {
 		other := delayedReply(t, 40*time.Millisecond, OpHit, nil)
 		cli := client(t)
 		start := time.Now()
-		win, from, _, err := cli.QueryAllFunc(context.Background(), c.deadline, []*net.UDPAddr{flagged, other}, "http://doc/", FlagHitObj, nil, nil)
+		win, from, _, err := QueryAll(context.Background(), cli, c.deadline, []*net.UDPAddr{flagged, other}, "http://doc/", FlagHitObj, nil, nil)
 		took := time.Since(start)
 		if err != nil || from == nil || win.Op != c.want {
 			t.Fatalf("%s: %v from %v (%v), want %v", c.name, win.Op, from, err, c.want)
@@ -335,7 +335,7 @@ func TestQueryAllWaitsForEarlierPeers(t *testing.T) {
 		peers := append([]*net.UDPAddr{c.first}, later...)
 		var order []*net.UDPAddr
 		start := time.Now()
-		win, from, _, err := client(t).QueryAllFunc(context.Background(), deadline, peers, "http://doc/", 0, nil,
+		win, from, _, err := QueryAll(context.Background(), client(t), deadline, peers, "http://doc/", 0, nil,
 			func(from *net.UDPAddr, _ Opcode) { order = append(order, from) })
 		took := time.Since(start)
 		want := later[0]
@@ -368,7 +368,7 @@ func TestQueryAllForgedHitObj(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	for i := 0; i < 20; i++ {
-		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{miss.Addr(), liar}, "http://doc/", FlagHitObj, nil, nil)
+		win, from, _, err := QueryAll(ctx, cli, 2*time.Second, []*net.UDPAddr{miss.Addr(), liar}, "http://doc/", FlagHitObj, nil, nil)
 		if err != nil || from == nil || from.Port != liar.Port {
 			t.Fatalf("unflagged liar: from=%v err=%v, want its HIT", from, err)
 		}
@@ -390,7 +390,7 @@ func TestQueryAllForgedHitObj(t *testing.T) {
 		return mustWire(t, NewReply(OpMiss, q.ReqNum, q.URL))
 	})
 	var seen []string
-	win, from, _, err := victim.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{asked}, "http://doc/", FlagHitObj, nil,
+	win, from, _, err := QueryAll(ctx, victim, 2*time.Second, []*net.UDPAddr{asked}, "http://doc/", FlagHitObj, nil,
 		func(from *net.UDPAddr, op Opcode) { seen = append(seen, from.String()+" "+op.String()) })
 	if err != nil || from != nil || win.Object != nil {
 		t.Fatalf("outside forger: %+v from %v (%v), want an ordinary miss", win, from, err)
@@ -435,7 +435,7 @@ func TestQueryAllHitObjWrongURL(t *testing.T) {
 	cli := client(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil, nil)
+	win, from, _, err := QueryAll(ctx, cli, 2*time.Second, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil, nil)
 	if err != nil || from == nil {
 		t.Fatalf("from=%v err=%v, want a hit", from, err)
 	}
@@ -453,7 +453,7 @@ func TestHostileHitObjDropped(t *testing.T) {
 		})
 		cli := client(t)
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		_, from, _, err := cli.QueryAllFunc(ctx, 200*time.Millisecond, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil, nil)
+		_, from, _, err := QueryAll(ctx, cli, 200*time.Millisecond, []*net.UDPAddr{peer}, "http://doc/", FlagHitObj, nil, nil)
 		cancel()
 		if err != nil || from != nil {
 			t.Fatalf("tamper %d: from=%v err=%v, want an ordinary miss", i, from, err)
@@ -490,7 +490,7 @@ func TestQueryAllDuplicateReply(t *testing.T) {
 	holder := delayedReply(t, 50*time.Millisecond, OpHit, nil)
 	cli := client(t)
 	before := cli.Stats().LateReplies
-	win, from, _, err := cli.QueryAllFunc(context.Background(), 2*time.Second,
+	win, from, _, err := QueryAll(context.Background(), cli, 2*time.Second,
 		[]*net.UDPAddr{twice, holder}, "http://doc/", FlagHitObj, nil, nil)
 	if err != nil || from == nil || from.Port != holder.Port || win.Op != OpHit {
 		t.Fatalf("%v from=%v (%v), want the holder's HIT", win.Op, from, err)
@@ -528,7 +528,7 @@ func TestStrayHitObjAllocatesNothing(t *testing.T) {
 	done := make(chan result, 1)
 	peers := []*net.UDPAddr{flagged.LocalAddr().(*net.UDPAddr), unflagged.LocalAddr().(*net.UDPAddr)}
 	go func() {
-		win, from, _, err := cli.QueryAllFunc(context.Background(), 10*time.Second, peers, url, FlagHitObj, obj, nil)
+		win, from, _, err := QueryAll(context.Background(), cli, 10*time.Second, peers, url, FlagHitObj, obj, nil)
 		done <- result{win, from, err}
 	}()
 	buf := make([]byte, MaxDatagram)
@@ -606,7 +606,7 @@ func TestFlaggedObjectCopiedOnce(t *testing.T) {
 	c := stubConn()
 	peer := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4827}
 	obj := make([]byte, 0, 64)
-	w, err := c.register(1, 3, url, obj)
+	w, err := c.register(1, 3, url, nil, obj)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package icp
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -133,9 +135,13 @@ type Conn struct {
 // waiters are reused, so a steady-state query allocates neither channel
 // nor timer.
 type waiter struct {
-	url   string // the URL asked: a reply naming it shares this string
+	// The URL asked, as a string (url), which a reply naming it shares, or
+	// as the caller's bytes (urlBytes, non-nil), which no reply shares.
+	url      string
+	urlBytes []byte
+
 	ch    chan reply
-	timer *time.Timer // QueryAllFunc's deadline; nil until first armed
+	timer *time.Timer // QueryAll's deadline; nil until first armed
 
 	// The flagged peer's object (see deliver), under c.mu: objFrom is the
 	// peer asked for it until its copy is made (zero: none), and obj the
@@ -321,11 +327,19 @@ func (c *Conn) NextReqNum() uint32 { return c.nextReq.Add(1) }
 // issuing four billion queries.
 func (c *Conn) SeedReqNum(v uint32) { c.nextReq.Store(v) }
 
-// register enrolls a waiter for a query of url numbered reqNum whose
-// channel holds at least n replies, reusing a retired one when it is big
-// enough. obj is the destination of the flagged peer's object, which
-// flag names.
-func (c *Conn) register(reqNum uint32, n int, url string, obj []byte) (*waiter, error) {
+// names reports whether a reply's URL is the one w asked.
+func (w *waiter) names(url []byte) bool {
+	if w.urlBytes != nil {
+		return bytes.Equal(url, w.urlBytes)
+	}
+	return string(url) == w.url
+}
+
+// register enrolls a waiter for a query numbered reqNum whose channel
+// holds at least n replies, reusing a retired one when it is big enough.
+// The query asks for url, or for urlBytes when that is non-nil. obj is the
+// destination of the flagged peer's object, which flag names.
+func (c *Conn) register(reqNum uint32, n int, url string, urlBytes, obj []byte) (*waiter, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -338,7 +352,7 @@ func (c *Conn) register(reqNum uint32, n int, url string, obj []byte) (*waiter, 
 	} else {
 		w = &waiter{ch: make(chan reply, max(n, 8))}
 	}
-	w.url, w.obj = url, obj
+	w.url, w.urlBytes, w.obj = url, urlBytes, obj
 	c.pending[reqNum] = w
 	return w, nil
 }
@@ -366,7 +380,7 @@ func (c *Conn) release(reqNum uint32, w *waiter) {
 	if w.timer != nil && !w.timer.Stop() {
 		// With go.mod at 1.22 a timer's channel is buffered: a tick may be
 		// waiting in it. When none is, the tick was either taken by
-		// QueryAllFunc or is still in flight; the timer is dropped rather
+		// QueryAll or is still in flight; the timer is dropped rather
 		// than reused, so no later query can receive a stale tick.
 		select {
 		case <-w.timer.C:
@@ -377,7 +391,7 @@ func (c *Conn) release(reqNum uint32, w *waiter) {
 	if c.closed || len(c.free) >= maxFree {
 		return
 	}
-	w.url, w.obj, w.objFrom = "", nil, netip.AddrPort{}
+	w.url, w.urlBytes, w.obj, w.objFrom = "", nil, nil, netip.AddrPort{}
 	c.free = append(c.free, w)
 }
 
@@ -385,11 +399,11 @@ func (c *Conn) release(reqNum uint32, w *waiter) {
 // (HIT, MISS, MISS_NOFETCH, DENIED or ERR) until ctx is done. A lost
 // datagram surfaces as ctx expiry — the caller treats it as a miss,
 // exactly as Squid does. Only a reply from to counts: one from any other
-// address is ignored and counted (Stats.Unasked), as in QueryAllFunc. The
+// address is ignored and counted (Stats.Unasked), as in QueryAll. The
 // query asks for no object, so a HIT_OBJ answers as a plain HIT.
 func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message, error) {
 	reqNum := c.NextReqNum()
-	w, err := c.register(reqNum, 1, url, nil)
+	w, err := c.register(reqNum, 1, url, nil, nil)
 	if err != nil {
 		return Message{}, err
 	}
@@ -414,13 +428,19 @@ func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message,
 	}
 }
 
-// QueryAllFunc fans one query out to several peers and returns the
-// winning HIT or HIT_OBJ reply as win, from its sender; from is nil when
-// every peer replied MISS-class, timeout passed or ctx was done (a timeout
-// is an ordinary miss, as in Squid). The whole fan-out shares a single
-// RequestNumber, as Squid's sibling queries do; reqNum reports it so
-// callers can correlate the exchange (the tracing layer derives the
-// cross-proxy trace ID from it).
+// QueryAll fans one query for url, held as a string or as bytes, out to
+// several peers of c and returns the winning HIT or HIT_OBJ reply as win,
+// from its sender; from is nil when every peer replied MISS-class, timeout
+// passed or ctx was done (a timeout is an ordinary miss, as in Squid). The
+// whole fan-out shares a single RequestNumber, as Squid's sibling queries
+// do; reqNum reports it so callers can correlate the exchange (the tracing
+// layer derives the cross-proxy trace ID from it).
+//
+// The query is encoded once, from url itself, and each reply's URL is
+// matched against url's bytes, so a caller holding the URL as bytes (the
+// HTTP proxy, from a request's head) makes no string of it. url must not
+// change until QueryAll returns. win's URL is url when url is a string; a
+// query asked with bytes gets a win whose URL is empty.
 //
 // The winner is the earliest peer in peers that answers HIT, not the first
 // HIT to arrive: a HIT from peers[i] is returned once every peer before i
@@ -437,7 +457,7 @@ func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message,
 // copied only from the flagged peer's first HIT_OBJ that names the URL
 // asked for, while the query waits; any other HIT_OBJ is taken as a plain
 // HIT, its object dropped uncopied. obj must not be read or written until
-// QueryAllFunc returns. A reply from an address that was not asked is
+// QueryAll returns. A reply from an address that was not asked is
 // ignored and counted (Stats.Unasked): reply routing keys on the request
 // number alone, which anyone reaching the socket can guess. Only a peer's
 // first reply counts; a repeat (a duplicated datagram) is ignored and
@@ -451,12 +471,18 @@ func (c *Conn) Query(ctx context.Context, to *net.UDPAddr, url string) (Message,
 // channel and timer are reused across queries (after a query that ran to
 // its deadline, the next one makes a new timer), and an object that fits
 // obj lands in it.
-func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []*net.UDPAddr, url string, options uint32, obj []byte, onReply func(from *net.UDPAddr, op Opcode)) (win Message, from *net.UDPAddr, reqNum uint32, err error) {
+func QueryAll[T string | []byte](ctx context.Context, c *Conn, timeout time.Duration, peers []*net.UDPAddr, url T, options uint32, obj []byte, onReply func(from *net.UDPAddr, op Opcode)) (win Message, from *net.UDPAddr, reqNum uint32, err error) {
 	if len(peers) == 0 {
 		return Message{}, nil, 0, nil
 	}
 	reqNum = c.NextReqNum()
-	w, err := c.register(reqNum, len(peers), url, obj)
+	var w *waiter
+	switch u := any(url).(type) {
+	case string:
+		w, err = c.register(reqNum, len(peers), u, nil, obj)
+	case []byte:
+		w, err = c.register(reqNum, len(peers), "", u[:len(u):len(u)], obj)
+	}
 	if err != nil {
 		return Message{}, nil, reqNum, err
 	}
@@ -470,20 +496,26 @@ func (c *Conn) QueryAllFunc(ctx context.Context, timeout time.Duration, peers []
 	if len(peers) > len(answeredBuf) {
 		answered = make([]bool, len(peers))
 	}
-	q := NewQuery(reqNum, url)
-	q.Options = options
+	q, err := appendQuery(c.getBuf(queryLen(len(url))), reqNum, options, url)
+	defer c.putBuf(q)
+	if err != nil {
+		return Message{}, nil, reqNum, err
+	}
 	sent := 0
 	var lastErr error
 	for i, p := range peers {
-		if q.Options&FlagHitObj != 0 {
+		if options&FlagHitObj != 0 {
 			c.flag(w, p) // before the query goes out, so its reply finds it
 		}
-		if err := c.Send(p, q); err != nil {
+		if err := c.write(p, q); err != nil {
 			lastErr = err
 			answered[i] = true
 			continue
 		}
-		q.Options &^= FlagHitObj
+		if options&FlagHitObj != 0 {
+			options &^= FlagHitObj
+			binary.BigEndian.PutUint32(q[optionsOffset:], options)
+		}
 		sent++
 	}
 	if sent == 0 {
@@ -609,7 +641,8 @@ func (c *Conn) readLoop() {
 // deliver hands a reply to the query waiting on its request number, if one
 // is. Reply opcodes carry no DirUpdate payload, and nothing is copied out
 // of the datagram but one object: a URL naming the one asked shares the
-// waiter's string, any other leaves the Message's URL empty, and a
+// waiter's string (empty for a query asked with bytes), any other leaves
+// the Message's URL empty, and a
 // HIT_OBJ's object is copied into the waiter's destination only from the
 // flagged peer, only once, and only when it names the URL asked. Every
 // other HIT_OBJ becomes a plain HIT, its object dropped uncopied, so
@@ -622,7 +655,7 @@ func (c *Conn) deliver(m Message, url, obj []byte, from netip.AddrPort) {
 	c.mu.Lock()
 	w := c.pending[m.ReqNum]
 	if w != nil {
-		named := string(url) == w.url
+		named := w.names(url)
 		if named {
 			m.URL = w.url
 		}

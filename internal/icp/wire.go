@@ -129,6 +129,9 @@ const hitObjSizeLen = 2
 // HeaderLen is the fixed ICP header size.
 const HeaderLen = 20
 
+// optionsOffset is where the header's Options field begins.
+const optionsOffset = 8
+
 // DirUpdateHeaderLen is the paper's extension header size (after the ICP
 // header). 20 + 12 = the 32-byte update header of the paper's Fig. 8 cost
 // model.
@@ -307,7 +310,7 @@ func (m Message) EncodedLen() int {
 	case m.Op == OpDirUpdate:
 		n += DirUpdateHeaderLen + 4*m.Update.Len()
 	case m.Op == OpQuery:
-		n += 4 + len(m.URL) + 1
+		n = queryLen(len(m.URL))
 	case m.Op == OpHitObj:
 		n += len(m.URL) + 1 + hitObjSizeLen + len(m.Object)
 	case hasURLPayload(m.Op):
@@ -322,16 +325,7 @@ func (m Message) Append(dst []byte) ([]byte, error) {
 	if total > MaxDatagram || (m.Op == OpHitObj && total > MaxHitObjLen) {
 		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
 	}
-	v := m.Version
-	if v == 0 {
-		v = Version
-	}
-	dst = append(dst, byte(m.Op), v)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(total))
-	dst = binary.BigEndian.AppendUint32(dst, m.ReqNum)
-	dst = binary.BigEndian.AppendUint32(dst, m.Options)
-	dst = binary.BigEndian.AppendUint32(dst, m.OptionData)
-	dst = binary.BigEndian.AppendUint32(dst, m.SenderAddr)
+	dst = m.appendHeader(dst, total)
 	switch {
 	case m.Op == OpDirUpdate:
 		u := &m.Update
@@ -351,9 +345,7 @@ func (m Message) Append(dst []byte) ([]byte, error) {
 			dst = binary.BigEndian.AppendUint32(dst, w)
 		}
 	case m.Op == OpQuery:
-		dst = binary.BigEndian.AppendUint32(dst, m.RequesterAddr)
-		dst = append(dst, m.URL...)
-		dst = append(dst, 0)
+		dst = append(append(binary.BigEndian.AppendUint32(dst, m.RequesterAddr), m.URL...), 0)
 	case m.Op == OpHitObj:
 		dst = append(dst, m.URL...)
 		dst = append(dst, 0)
@@ -364,6 +356,34 @@ func (m Message) Append(dst []byte) ([]byte, error) {
 		dst = append(dst, 0)
 	}
 	return dst, nil
+}
+
+// appendHeader appends m's fixed header, for an encoding of total bytes.
+func (m Message) appendHeader(dst []byte, total int) []byte {
+	v := m.Version
+	if v == 0 {
+		v = Version
+	}
+	dst = append(dst, byte(m.Op), v)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(total))
+	dst = binary.BigEndian.AppendUint32(dst, m.ReqNum)
+	dst = binary.BigEndian.AppendUint32(dst, m.Options)
+	dst = binary.BigEndian.AppendUint32(dst, m.OptionData)
+	return binary.BigEndian.AppendUint32(dst, m.SenderAddr)
+}
+
+// queryLen is the encoded length of a query for a URL of n bytes.
+func queryLen(n int) int { return HeaderLen + 4 + n + 1 }
+
+// appendQuery appends the query NewQuery(reqNum, url) with options set
+// encodes to, for url held as a string or as bytes (FuzzQueryEncoding).
+func appendQuery[T string | []byte](dst []byte, reqNum, options uint32, url T) ([]byte, error) {
+	total := queryLen(len(url))
+	if total > MaxDatagram {
+		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
+	}
+	dst = Message{Op: OpQuery, ReqNum: reqNum, Options: options}.appendHeader(dst, total)
+	return append(append(binary.BigEndian.AppendUint32(dst, 0), url...), 0), nil
 }
 
 // MarshalBinary encodes m.
@@ -499,7 +519,7 @@ func parseURLPayload(body []byte, m *Message) (url, obj []byte, err error) {
 // receive buffer would dangle). The Conn's read loop decodes with the same
 // Decoder but owns the views itself: a reply naming the URL its query
 // asked shares the query's string, and its object lands in the query's
-// destination (see Conn.QueryAllFunc), so a reply allocates nothing.
+// destination (see QueryAll), so a reply allocates nothing.
 // DIRUPDATE traffic, the mesh's volume driver, decodes with zero
 // allocations steady-state.
 //
@@ -553,20 +573,23 @@ func cutNUL(b []byte) ([]byte, error) {
 // whenever there are enough changes to fill an IP packet"; callers pick
 // maxFlips accordingly (e.g. ~360 for a 1500-byte MTU).
 func SplitUpdate(reqNum uint32, spec hashing.Spec, bits uint32, flips []bloom.Flip, maxFlips int) []Message {
+	return AppendSplitUpdate(nil, reqNum, spec, bits, flips, maxFlips)
+}
+
+// AppendSplitUpdate is SplitUpdate appending the messages to dst, an
+// array a caller that publishes repeatedly keeps: once it is big enough,
+// a split allocates nothing.
+func AppendSplitUpdate(dst []Message, reqNum uint32, spec hashing.Spec, bits uint32, flips []bloom.Flip, maxFlips int) []Message {
 	if maxFlips <= 0 || maxFlips > MaxFlipsPerMessage {
 		maxFlips = MaxFlipsPerMessage
 	}
 	if len(flips) == 0 {
-		return []Message{NewDirUpdate(reqNum, spec, bits, nil)}
+		return append(dst, NewDirUpdate(reqNum, spec, bits, nil))
 	}
-	var out []Message
 	for start := 0; start < len(flips); start += maxFlips {
-		end := start + maxFlips
-		if end > len(flips) {
-			end = len(flips)
-		}
-		out = append(out, NewDirUpdate(reqNum, spec, bits, flips[start:end]))
+		end := min(start+maxFlips, len(flips))
+		dst = append(dst, NewDirUpdate(reqNum, spec, bits, flips[start:end]))
 		reqNum++
 	}
-	return out
+	return dst
 }

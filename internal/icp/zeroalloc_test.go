@@ -151,7 +151,7 @@ func TestQueryAllAllocBudget(t *testing.T) {
 	peers := []*net.UDPAddr{miss.Addr(), hit.Addr()}
 	ctx := context.Background()
 	query := func() {
-		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, peers, url, FlagHitObj, nil, nil)
+		win, from, _, err := QueryAll(ctx, cli, 2*time.Second, peers, url, FlagHitObj, nil, nil)
 		if err != nil || from != peers[1] || win.Op != OpHit {
 			t.Fatalf("%v from %v (%v), want the HIT from %v", win.Op, from, err, peers[1])
 		}
@@ -161,7 +161,7 @@ func TestQueryAllAllocBudget(t *testing.T) {
 	// decodes its query's URL string for its handler.
 	const budget = 2
 	if n := testing.AllocsPerRun(200, query); n != budget {
-		t.Fatalf("QueryAllFunc allocated %v times per fan-out, want %d", n, budget)
+		t.Fatalf("QueryAll allocated %v times per fan-out, want %d", n, budget)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestQueryAllHitObjAllocBudget(t *testing.T) {
 	obj := make([]byte, 0, MaxHitObjLen)
 	ctx := context.Background()
 	query := func() {
-		win, from, _, err := cli.QueryAllFunc(ctx, 2*time.Second, peers, url, FlagHitObj, obj, nil)
+		win, from, _, err := QueryAll(ctx, cli, 2*time.Second, peers, url, FlagHitObj, obj, nil)
 		if err != nil || from != peers[0] || win.Op != OpHitObj || len(win.Object) != len(body) || &win.Object[0] != &obj[:1][0] {
 			t.Fatalf("%v of %d bytes from %v (%v), want the holder's object in the destination", win.Op, len(win.Object), from, err)
 		}
@@ -186,6 +186,6 @@ func TestQueryAllHitObjAllocBudget(t *testing.T) {
 	query() // the first fan-out makes the reply channel and timer
 	const budget = 1
 	if n := testing.AllocsPerRun(200, query); n != budget {
-		t.Fatalf("QueryAllFunc allocated %v times per inline fan-out, want %d", n, budget)
+		t.Fatalf("QueryAll allocated %v times per inline fan-out, want %d", n, budget)
 	}
 }

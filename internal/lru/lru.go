@@ -8,9 +8,10 @@
 //
 // The cache is one recency list over one byte budget under one mutex, so
 // replacement is exact global LRU. The list is intrusive: each document's
-// node carries its own links, so storing a new document allocates one
-// object, and none when it displaces another: the cache keeps the last
-// node it took off the list and threads the next new document on it.
+// node carries its own links, so storing a new document allocates at most
+// one object, and none when an earlier removal left a node behind: the
+// cache keeps up to maxFree nodes it took off the list, cleared, and
+// threads new documents on them.
 // Writers (Put, Remove, Restore, Clear) additionally serialize on a writer
 // lock held until their changes have been reported, which makes the
 // OnChange hook one ordered stream: the order of its notifications is the
@@ -104,6 +105,12 @@ type node struct {
 	prev, next *node
 }
 
+// maxFree caps the cache's free list of cleared nodes: 256 nodes of 112
+// bytes each, 28 KiB at most. An eviction that displaces many small
+// documents for a large one leaves their nodes behind, so the inserts that
+// follow it allocate nothing though they displace nothing.
+const maxFree = 256
+
 // Cache is a byte-budget LRU cache of documents. It is safe for concurrent
 // use.
 type Cache struct {
@@ -124,9 +131,11 @@ type Cache struct {
 	bytes int64
 	root  node // list sentinel: root.next is the most recently used node
 	items map[string]*node
-	// spare is the last node taken off the list, its fields cleared so it
-	// pins no body; the next new document is stored on it (nil: none).
-	spare *node
+	// free lists nodes taken off the list, linked through next, each with
+	// every other field cleared so it pins no key or body; new documents
+	// are stored on them. nfree counts them, at most maxFree.
+	free  *node
+	nfree int
 
 	hits, misses                     uint64
 	evCapacity, evRemoved, evUpdated uint64
@@ -346,11 +355,13 @@ func (c *Cache) Put(e Entry) (stored bool) {
 		c.note(e, Replaced)
 	} else {
 		c.bytes += e.Size
-		nd := c.spare
-		if nd == nil {
+		nd := c.free
+		if nd != nil {
+			c.free, c.nfree = nd.next, c.nfree-1
+		} else {
 			nd = new(node)
 		}
-		c.spare, nd.Entry = nil, e
+		nd.Entry = e
 		linkAfter(nd, &c.root)
 		c.items[e.Key] = nd
 		c.note(e, Inserted)
@@ -389,8 +400,11 @@ func (c *Cache) removeLocked(nd *node, why Event) {
 		c.evRemoved++
 	}
 	c.note(nd.Entry, why)
-	*nd = node{}
-	c.spare = nd
+	if c.nfree == maxFree {
+		return
+	}
+	*nd = node{next: c.free}
+	c.free, c.nfree = nd, c.nfree+1
 }
 
 // Keys returns all cached keys from most to least recently used.

@@ -94,12 +94,63 @@ func TestPutReusesDisplacedNode(t *testing.T) {
 	if n := testing.AllocsPerRun(100, put); n != 0 {
 		t.Errorf("a displacing Put allocated %v times, want 0", n)
 	}
-	if c.spare == nil || c.spare.Body != nil || c.spare.Key != "" || c.spare.prev != nil {
-		t.Fatalf("spare node %+v, want one with every field cleared", c.spare)
-	}
+	checkFreeList(t, c)
 	if got := c.Keys(); len(got) != 4 || c.Bytes() != 4 {
 		t.Fatalf("keys %v, %d bytes after the displacing puts, want 4 of each", got, c.Bytes())
 	}
+}
+
+// checkFreeList holds c's free list to its contract: nfree nodes, at most
+// maxFree, each with every field but its link cleared, so none pins a key
+// or a body.
+func checkFreeList(t *testing.T, c *Cache) {
+	t.Helper()
+	n := 0
+	for nd := c.free; nd != nil; nd = nd.next {
+		if nd.Body != nil || nd.Key != "" || nd.Type != "" || nd.prev != nil {
+			t.Fatalf("free node %+v, want one with every field but next cleared", nd)
+		}
+		n++
+	}
+	if n != c.nfree || n > maxFree {
+		t.Fatalf("%d free nodes, nfree %d, cap %d", n, c.nfree, maxFree)
+	}
+}
+
+// TestPutReusesFreedNodes: an eviction that displaces several documents
+// for a large one leaves their nodes on the free list, so the inserts
+// that follow allocate nothing though they displace nothing; the list
+// stops growing at maxFree.
+func TestPutReusesFreedNodes(t *testing.T) {
+	const small = 2 * maxFree
+	c := MustNewCache(Config{Capacity: small, MaxObjectSize: -1})
+	body := make([]byte, 1)
+	for i := range small {
+		c.Put(Entry{Key: fmt.Sprintf("s%d", i), Size: 1, Body: body})
+	}
+	// One document the size of the cache displaces every small one.
+	c.Put(Entry{Key: "big", Size: small, Body: body})
+	if c.Len() != 1 || c.nfree != maxFree {
+		t.Fatalf("%d cached, %d free nodes after the big insert, want 1 and %d", c.Len(), c.nfree, maxFree)
+	}
+	checkFreeList(t, c)
+	c.Remove("big")
+	keys := make([]string, maxFree)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	next := 0
+	put := func() {
+		c.Put(Entry{Key: keys[next], Size: 1, Body: body})
+		next++
+	}
+	if n := testing.AllocsPerRun(maxFree-1, put); n != 0 {
+		t.Fatalf("an insert onto a freed node allocated %v times, want 0", n)
+	}
+	if c.Counters().EvictedCapacity != small || c.Len() != maxFree {
+		t.Fatalf("counters %+v, %d cached: the inserts displaced something", c.Counters(), c.Len())
+	}
+	checkFreeList(t, c)
 }
 
 func TestLRUEvictionOrder(t *testing.T) {

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"io"
+	"context"
 	"log/slog"
 )
 
@@ -12,10 +12,10 @@ import (
 
 // NopLogger returns a logger that discards everything — the default for
 // library components whose caller did not ask for event logging, keeping
-// tests and benchmarks quiet without nil checks at every call site.
-func NopLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
+// tests and benchmarks quiet without nil checks at every call site. Its
+// handler is disabled at every level, so a discarded record is never
+// built: a call costs the level check alone.
+func NopLogger() *slog.Logger { return slog.New(nopHandler{}) }
 
 // OrNop returns l, or a discarding logger when l is nil.
 func OrNop(l *slog.Logger) *slog.Logger {
@@ -24,3 +24,12 @@ func OrNop(l *slog.Logger) *slog.Logger {
 	}
 	return l
 }
+
+// nopHandler is a slog.Handler enabled at no level (slog.DiscardHandler,
+// which needs Go 1.24).
+type nopHandler struct{}
+
+func (nopHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (nopHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h nopHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h nopHandler) WithGroup(string) slog.Handler           { return h }

@@ -36,7 +36,6 @@ package persist
 import (
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log/slog"
 	"os"
@@ -49,6 +48,7 @@ import (
 	"time"
 
 	"summarycache/internal/lru"
+	"summarycache/internal/obs"
 )
 
 // FsyncPolicy selects when journal appends reach stable storage. A
@@ -153,11 +153,7 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	log := cfg.Logger
-	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	s := &Store{cfg: cfg, log: log}
+	s := &Store{cfg: cfg, log: obs.OrNop(cfg.Logger)}
 	snaps, jrnls, err := s.scan()
 	if err != nil {
 		return nil, err

@@ -14,7 +14,7 @@
 // tracer's SpanSink, which perfwatch turns into per-stage histograms.
 //
 // Trace context crosses the wire without any protocol change: an ICP
-// query fan-out uses a single RequestNumber (see icp.Conn.QueryAllFunc),
+// query fan-out uses a single RequestNumber (see icp.QueryAll),
 // and both the querying and the answering proxy derive the same trace ID
 // from the pair (querier UDP address, RequestNumber) via IDFromICP. Fetching
 // /debug/traces from two mesh members therefore yields spans that join on
